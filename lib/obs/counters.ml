@@ -32,26 +32,21 @@ let hist t name =
     Hashtbl.add t.hists name h;
     h
 
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let i = ref 0 and x = ref (v - 1) in
-    while !x > 0 do
-      Stdlib.incr i;
-      x := !x lsr 1
-    done;
-    min (n_buckets - 1) !i
-  end
+let histogram = hist
 
-let observe t name v =
-  let v = max 0 v in
-  let h = hist t name in
+(* the bit length of v - 1: 2^(i-1) < v <= 2^i *)
+let bucket_of v = if v <= 1 then 0 else min (n_buckets - 1) (Uldma_util.Bits.msb (v - 1) + 1)
+
+let record h v =
+  let v = if v < 0 then 0 else v in
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v;
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1
+
+let observe t name v = record (hist t name) v
 
 type summary = { count : int; sum : int; min : int; max : int; mean : float }
 

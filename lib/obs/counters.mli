@@ -24,6 +24,16 @@ val observe : t -> string -> int -> unit
 (** Record one sample into the named histogram. Negative samples clamp
     to 0. *)
 
+type hist
+
+val histogram : t -> string -> hist
+(** The named histogram, created empty if absent. A hot loop looks it
+    up once and {!record}s into it, skipping [observe]'s per-sample
+    name lookup. *)
+
+val record : hist -> int -> unit
+(** [record (histogram t name) v] is [observe t name v]. *)
+
 type summary = { count : int; sum : int; min : int; max : int; mean : float }
 
 val summarize : t -> string -> summary option

@@ -34,20 +34,10 @@ let create ?(sub_bits = 5) () =
 let sub_bits t = t.sub_bits
 let max_relative_error t = 1.0 /. float_of_int t.base
 
-let msb v =
-  (* position of the highest set bit; v > 0 *)
-  let p = ref 0 in
-  let x = ref v in
-  while !x > 1 do
-    incr p;
-    x := !x lsr 1
-  done;
-  !p
-
 let index_of t v =
   if v < t.base then v
   else
-    let k = msb v - t.sub_bits in
+    let k = Uldma_util.Bits.msb v - t.sub_bits in
     (k * t.base) + (v lsr k)
 
 let bounds_of_index t i =
@@ -61,8 +51,9 @@ let bounds_of_index t i =
 let bucket_bounds t v = bounds_of_index t (index_of t (max v 0))
 
 let record t v =
-  let v = max v 0 in
-  t.buckets.(index_of t v) <- t.buckets.(index_of t v) + 1;
+  let v = if v < 0 then 0 else v in
+  let i = index_of t v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   if t.count = 0 then begin
     t.min_v <- v;
     t.max_v <- v

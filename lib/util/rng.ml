@@ -1,14 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit splitmix64 state is kept as two 32-bit halves in
+   mutable [int] fields rather than in one mutable [int64] field: every
+   store to an [int64] field boxes a fresh value, so a draw used to
+   allocate, where the halves are plain ints and the arithmetic stays
+   unboxed. A copy is still one small inline allocation (kernel
+   snapshots take one per fork). The stream is unchanged. *)
+type t = { mutable hi : int; mutable lo : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let[@inline] set t z =
+  t.hi <- Int64.to_int (Int64.shift_right_logical z 32);
+  t.lo <- Int64.to_int (Int64.logand z 0xFFFF_FFFFL)
 
-let copy t = { state = t.state }
+let create ~seed =
+  let t = { hi = 0; lo = 0 } in
+  set t (Int64.of_int seed);
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let copy t = { hi = t.hi; lo = t.lo }
+
+let[@inline] int64 t =
+  let state = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo) in
+  let z = Int64.add state golden_gamma in
+  set t z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -18,7 +32,7 @@ let split t =
   create ~seed:child_seed
 
 (* Non-negative 62-bit value, safe to use as an OCaml [int]. *)
-let positive_int t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
+let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
 let int t bound =
   assert (bound > 0);
@@ -30,7 +44,7 @@ let int_in t ~lo ~hi =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let float t x =
+let[@inline] float t x =
   let mantissa = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   x *. (mantissa /. 9007199254740992.0)
 

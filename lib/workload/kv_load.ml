@@ -154,141 +154,323 @@ type result = {
 let header_bytes = 32 (* request header: op, key, length, sequence *)
 let ack_bytes = 16 (* PUT acknowledgement *)
 
-type desc = {
-  d_dst : int;
-  d_req_bytes : int;
-  d_resp_bytes : int;
-  d_submit_at : int;
-}
+(* ------------------------------------------------------------------ *)
+(* The event core. Nothing in the event loop allocates.                *)
+(*                                                                     *)
+(* Every event is ordered by (time, seq), [seq] counting events in the *)
+(* order they are scheduled, exactly as one global heap of every event *)
+(* would order them. Most events need not sit in the heap, though,     *)
+(* because they join queues whose (time, seq) only grows:              *)
+(*                                                                     *)
+(* - a wire departs in order and each departure waits out the previous *)
+(*   one's serialisation, so arrivals on one wire come in time order;  *)
+(* - a client that submits wakes again when its node's CPU is next     *)
+(*   free, and that time never goes back, so the wake-ups a node's     *)
+(*   submissions schedule come in time order too.                      *)
+(*                                                                     *)
+(* Each such queue is a FIFO linked through flat int arrays, and only  *)
+(* its head sits in the heap. The heap holds one entry per wire and    *)
+(* per node plus the few clients woken by a completion: tens of        *)
+(* entries where one per transfer in flight (tens of thousands) would  *)
+(* otherwise be.                                                       *)
+(*                                                                     *)
+(* Every transfer from submission to response owns a slot: a fixed run *)
+(* of ints in one flat array. A client's unflushed descriptors and the *)
+(* messages on a wire are linked through their slots.                  *)
+(* ------------------------------------------------------------------ *)
 
-type ev =
-  | Step of int  (** client wakes to submit / flush *)
-  | Rx of { rx_c : int; rx_src : int; rx_dst : int; rx_resp : int; rx_submit : int }
-  | Done of { dn_c : int; dn_submit : int }
+let nil = -1
+
+(* slot fields *)
+let s_meta = 0 (* see [meta] *)
+let s_submit = 1
+let s_arrive = 2
+let s_seq = 3
+let s_next = 4
+let slot_width = 5
+
+(* client fields *)
+let c_ready = 0
+let c_remaining = 1
+let c_outstanding = 2
+let c_parked = 3
+let c_head = 4 (* unflushed descriptors, oldest first *)
+let c_tail = 5
+let c_pending = 6
+let c_wake = 7 (* time, seq and successor on its node's run queue *)
+let c_seq = 8
+let c_next = 9
+let c_node = 10
+let client_width = 11
+
+(* wire fields, one wire per ordered node pair *)
+let w_busy = 0 (* Netif's busy_until *)
+let w_head = 1
+let w_tail = 2
+let wire_width = 3
+
+(* node fields *)
+let n_cpu_free = 0
+let n_engine_free = 1
+let n_head = 2 (* run queue *)
+let n_tail = 3
+let node_width = 4
+
+(* A transfer's fixed facts in one int: whether it is a GET, whether
+   its message in flight is the response, the server and client nodes
+   (6 bits each: at most 62 nodes) and the client. *)
+let[@inline] meta ~client ~src ~dst ~is_get =
+  (client lsl 14) lor (src lsl 8) lor (dst lsl 2) lor if is_get then 1 else 0
+
+let reply_bit = 2
+let[@inline] meta_get m = m land 1
+let[@inline] meta_dst m = (m lsr 2) land 63
+let[@inline] meta_src m = (m lsr 8) land 63
+let[@inline] meta_client m = m lsr 14
+
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 let run p ~cal ~net =
   (match validate_params p with Ok _ -> () | Error e -> invalid_arg ("Kv_load.run: " ^ e));
-  let n = p.nodes in
+  let n = p.nodes and clients = p.clients in
   let link = match Backend.link net with Some l -> l | None -> Link.instant in
-  let client_node c = c mod n in
-  (* per-ordered-pair wire occupancy, Netif's busy_until *)
-  let wire_busy = Array.make (n * n) 0 in
-  let cpu_free = Array.make n 0 in
-  let engine_free = Array.make n 0 in
-  let remaining = Array.make p.clients 0 in
-  let outstanding = Array.make p.clients 0 in
-  let ready = Array.make p.clients 0 in
-  let parked = Array.make p.clients false in
-  let pending = Array.make p.clients [] in
-  let pending_len = Array.make p.clients 0 in
-  let base = p.transfers / p.clients and extra = p.transfers mod p.clients in
-  for c = 0 to p.clients - 1 do
-    remaining.(c) <- (base + if c < extra then 1 else 0)
+  (* message sizes and wire times, indexed by is_get *)
+  let req_bytes = [| header_bytes + p.value_size; header_bytes |] in
+  let resp_bytes = [| ack_bytes; header_bytes + p.value_size |] in
+  let ser bytes = Units.transfer_ps ~bytes_per_s:link.Link.bytes_per_s bytes in
+  let req_ser = Array.map ser req_bytes and resp_ser = Array.map ser resp_bytes in
+  let req_wire = Array.map (Link.wire_time_ps link) req_bytes in
+  let resp_wire = Array.map (Link.wire_time_ps link) resp_bytes in
+  let service_ps =
+    cal.service_base_ps + Units.transfer_ps ~bytes_per_s:cal.ram_bytes_per_s p.value_size
+  in
+  let cl = Array.make (clients * client_width) 0 in
+  let base = p.transfers / clients and extra = p.transfers mod clients in
+  (* a client holds at most [window] slots, and never more than it
+     has transfers *)
+  let n_slots = ref 0 in
+  for c = 0 to clients - 1 do
+    let quota = base + if c < extra then 1 else 0 in
+    let ci = c * client_width in
+    cl.(ci + c_remaining) <- quota;
+    cl.(ci + c_head) <- nil;
+    cl.(ci + c_tail) <- nil;
+    cl.(ci + c_node) <- c mod n;
+    n_slots := !n_slots + min p.window quota
   done;
-  let rngs = Array.init p.clients (fun c -> Rng.create ~seed:(p.seed + (31 * c) + 1)) in
-  let heap = Pqueue.create () in
+  let slots = Array.make (!n_slots * slot_width) 0 in
+  let free = Array.init !n_slots Fun.id in
+  let n_free = ref !n_slots in
+  let wires = Array.make (n * n * wire_width) 0 in
+  for w = 0 to (n * n) - 1 do
+    wires.((w * wire_width) + w_head) <- nil;
+    wires.((w * wire_width) + w_tail) <- nil
+  done;
+  let nodes = Array.make (n * node_width) 0 in
+  for node = 0 to n - 1 do
+    nodes.((node * node_width) + n_head) <- nil;
+    nodes.((node * node_width) + n_tail) <- nil
+  done;
+  let rngs = Array.init clients (fun c -> Rng.create ~seed:(p.seed + (31 * c) + 1)) in
+  (* heap values: [c < clients] is client c woken by a completion,
+     [clients + w] the head of wire w, [clients + n*n + node] the head
+     of node's run queue *)
+  let heap = Pqueue.Int.create () in
+  let first_wire = clients and first_node = clients + (n * n) in
+  let seq = ref 0 in
   let latency = Uldma_obs.Percentile.create () in
   let counters = Uldma_obs.Counters.create () in
+  let latency_hist = Uldma_obs.Counters.histogram counters "kv.latency_ps" in
   let gets = ref 0 and puts = ref 0 and doorbells = ref 0 in
   let value_bytes = ref 0 and wire_bytes = ref 0 in
   let completed = ref 0 and sim_end = ref 0 in
-  let send ~src ~dst ~now bytes =
-    let k = (src * n) + dst in
-    let depart = max now wire_busy.(k) in
-    wire_busy.(k) <- depart + Units.transfer_ps ~bytes_per_s:link.Link.bytes_per_s bytes;
+  (* client [c] steps again at [key], which is no earlier than any
+     wake-up already on its node's run queue *)
+  let requeue c key =
+    let ci = c * client_width in
+    let node = cl.(ci + c_node) in
+    let ni = node * node_width in
+    cl.(ci + c_wake) <- key;
+    cl.(ci + c_seq) <- !seq;
+    cl.(ci + c_next) <- nil;
+    let tail = nodes.(ni + n_tail) in
+    if tail = nil then begin
+      nodes.(ni + n_head) <- c;
+      Pqueue.Int.push heap ~key ~seq:!seq (first_node + node)
+    end
+    else cl.((tail * client_width) + c_next) <- c;
+    nodes.(ni + n_tail) <- c;
+    incr seq
+  in
+  (* put [slot]'s message on the wire src -> dst at [now] *)
+  let send ~src ~dst ~now ~bytes ~ser ~wire slot =
+    let w = (src * n) + dst in
+    let wi = w * wire_width in
+    let depart = imax now wires.(wi + w_busy) in
+    wires.(wi + w_busy) <- depart + ser;
     wire_bytes := !wire_bytes + bytes;
-    depart + Link.wire_time_ps link bytes
+    let arrive = depart + wire in
+    let si = slot * slot_width in
+    slots.(si + s_arrive) <- arrive;
+    slots.(si + s_seq) <- !seq;
+    slots.(si + s_next) <- nil;
+    let tail = wires.(wi + w_tail) in
+    if tail = nil then begin
+      wires.(wi + w_head) <- slot;
+      Pqueue.Int.push heap ~key:arrive ~seq:!seq (first_wire + w)
+    end
+    else slots.((tail * slot_width) + s_next) <- slot;
+    wires.(wi + w_tail) <- slot;
+    incr seq
   in
   let flush c =
-    if pending_len.(c) > 0 then begin
-      let node = client_node c in
+    let ci = c * client_width in
+    if cl.(ci + c_pending) > 0 then begin
+      let node = cl.(ci + c_node) in
+      let ni = node * node_width in
       (* the doorbell: one verified initiation sequence, whatever the
          batch size — this is the scaling lever *)
-      let start = max ready.(c) cpu_free.(node) in
-      let fin = start + cal.initiation_ps in
-      ready.(c) <- fin;
-      cpu_free.(node) <- fin;
+      let fin = imax cl.(ci + c_ready) nodes.(ni + n_cpu_free) + cal.initiation_ps in
+      cl.(ci + c_ready) <- fin;
+      nodes.(ni + n_cpu_free) <- fin;
       incr doorbells;
-      List.iter
-        (fun d ->
-          let arrive = send ~src:node ~dst:d.d_dst ~now:fin d.d_req_bytes in
-          Pqueue.push heap ~key:arrive
-            (Rx
-               {
-                 rx_c = c;
-                 rx_src = node;
-                 rx_dst = d.d_dst;
-                 rx_resp = d.d_resp_bytes;
-                 rx_submit = d.d_submit_at;
-               }))
-        (List.rev pending.(c));
-      pending.(c) <- [];
-      pending_len.(c) <- 0
+      let slot = ref cl.(ci + c_head) in
+      while !slot <> nil do
+        let si = !slot * slot_width in
+        let next = slots.(si + s_next) in
+        let m = slots.(si + s_meta) in
+        let g = meta_get m in
+        send ~src:node ~dst:(meta_dst m) ~now:fin ~bytes:req_bytes.(g) ~ser:req_ser.(g)
+          ~wire:req_wire.(g) !slot;
+        slot := next
+      done;
+      cl.(ci + c_head) <- nil;
+      cl.(ci + c_tail) <- nil;
+      cl.(ci + c_pending) <- 0
     end
   in
   let step c now =
-    let node = client_node c in
-    if remaining.(c) > 0 && outstanding.(c) < p.window then begin
+    let ci = c * client_width in
+    let node = cl.(ci + c_node) in
+    let ni = node * node_width in
+    let remaining = cl.(ci + c_remaining) in
+    if remaining > 0 && cl.(ci + c_outstanding) < p.window then begin
       (* enqueue one descriptor in the process's submission queue *)
-      let start = max (max now ready.(c)) cpu_free.(node) in
-      let fin = start + cal.submit_ps in
-      ready.(c) <- fin;
-      cpu_free.(node) <- fin;
+      let fin = imax (imax now cl.(ci + c_ready)) nodes.(ni + n_cpu_free) + cal.submit_ps in
+      cl.(ci + c_ready) <- fin;
+      nodes.(ni + n_cpu_free) <- fin;
       let rng = rngs.(c) in
-      let dst = (node + 1 + Rng.int rng (n - 1)) mod n in
+      let dst = node + 1 + Rng.int rng (n - 1) in
+      let dst = if dst >= n then dst - n else dst in
       let is_get = Rng.chance rng p.get_ratio in
       if is_get then incr gets else incr puts;
-      let d_req_bytes = header_bytes + if is_get then 0 else p.value_size in
-      let d_resp_bytes = if is_get then header_bytes + p.value_size else ack_bytes in
-      pending.(c) <- { d_dst = dst; d_req_bytes; d_resp_bytes; d_submit_at = fin } :: pending.(c);
-      pending_len.(c) <- pending_len.(c) + 1;
-      remaining.(c) <- remaining.(c) - 1;
-      outstanding.(c) <- outstanding.(c) + 1;
-      if pending_len.(c) >= p.batch || remaining.(c) = 0 then flush c;
-      Pqueue.push heap ~key:ready.(c) (Step c)
+      decr n_free;
+      let slot = free.(!n_free) in
+      let si = slot * slot_width in
+      slots.(si + s_meta) <- meta ~client:c ~src:node ~dst ~is_get;
+      slots.(si + s_submit) <- fin;
+      slots.(si + s_next) <- nil;
+      let tail = cl.(ci + c_tail) in
+      if tail = nil then cl.(ci + c_head) <- slot
+      else slots.((tail * slot_width) + s_next) <- slot;
+      cl.(ci + c_tail) <- slot;
+      cl.(ci + c_pending) <- cl.(ci + c_pending) + 1;
+      cl.(ci + c_remaining) <- remaining - 1;
+      cl.(ci + c_outstanding) <- cl.(ci + c_outstanding) + 1;
+      if cl.(ci + c_pending) >= p.batch || remaining = 1 then flush c;
+      (* the client's ready time is now its node's CPU-free time *)
+      requeue c cl.(ci + c_ready)
     end
-    else if remaining.(c) > 0 then begin
+    else if remaining > 0 then begin
       (* window full: push out what we have and sleep on a completion *)
       flush c;
-      parked.(c) <- true
+      cl.(ci + c_parked) <- 1
     end
     else flush c
   in
-  for c = 0 to p.clients - 1 do
-    if remaining.(c) > 0 then Pqueue.push heap ~key:0 (Step c)
+  (* the head of node's run queue steps *)
+  let run_next node now =
+    let ni = node * node_width in
+    let c = nodes.(ni + n_head) in
+    let next = cl.((c * client_width) + c_next) in
+    if next = nil then begin
+      nodes.(ni + n_head) <- nil;
+      nodes.(ni + n_tail) <- nil;
+      Pqueue.Int.remove_min heap
+    end
+    else begin
+      nodes.(ni + n_head) <- next;
+      let nci = next * client_width in
+      Pqueue.Int.replace_min heap ~key:cl.(nci + c_wake) ~seq:cl.(nci + c_seq) (first_node + node)
+    end;
+    step c now
+  in
+  (* the head message of wire [w] arrives *)
+  let deliver w now =
+    let wi = w * wire_width in
+    let slot = wires.(wi + w_head) in
+    let si = slot * slot_width in
+    let next = slots.(si + s_next) in
+    if next = nil then begin
+      wires.(wi + w_head) <- nil;
+      wires.(wi + w_tail) <- nil;
+      Pqueue.Int.remove_min heap
+    end
+    else begin
+      wires.(wi + w_head) <- next;
+      let nsi = next * slot_width in
+      Pqueue.Int.replace_min heap ~key:slots.(nsi + s_arrive) ~seq:slots.(nsi + s_seq)
+        (first_wire + w)
+    end;
+    let m = slots.(si + s_meta) in
+    if m land reply_bit = 0 then begin
+      (* a request: the target node's NI serves it, a fixed cost plus
+         the value moving through its memory system. No server CPU —
+         the whole point of user-level DMA as a service. *)
+      let dst = meta_dst m in
+      let di = dst * node_width in
+      let fin = imax now nodes.(di + n_engine_free) + service_ps in
+      nodes.(di + n_engine_free) <- fin;
+      slots.(si + s_meta) <- m lor reply_bit;
+      let g = meta_get m in
+      send ~src:dst ~dst:(meta_src m) ~now:fin ~bytes:resp_bytes.(g) ~ser:resp_ser.(g)
+        ~wire:resp_wire.(g) slot
+    end
+    else begin
+      (* a response: the transfer is done *)
+      let lat = now - slots.(si + s_submit) in
+      Uldma_obs.Percentile.record latency lat;
+      Uldma_obs.Counters.record latency_hist lat;
+      value_bytes := !value_bytes + p.value_size;
+      let c = meta_client m in
+      let ci = c * client_width in
+      cl.(ci + c_outstanding) <- cl.(ci + c_outstanding) - 1;
+      free.(!n_free) <- slot;
+      incr n_free;
+      incr completed;
+      if now > !sim_end then sim_end := now;
+      if cl.(ci + c_parked) = 1 then begin
+        cl.(ci + c_parked) <- 0;
+        (* earlier than the node's queued wake-ups, possibly: straight
+           into the heap *)
+        Pqueue.Int.push heap ~key:(imax now cl.(ci + c_ready)) ~seq:!seq c;
+        incr seq
+      end
+    end
+  in
+  for c = 0 to clients - 1 do
+    if cl.((c * client_width) + c_remaining) > 0 then requeue c 0
+  done;
+  while not (Pqueue.Int.is_empty heap) do
+    let now = Pqueue.Int.min_key heap and v = Pqueue.Int.min_value heap in
+    if v < first_wire then begin
+      Pqueue.Int.remove_min heap;
+      step v now
+    end
+    else if v < first_node then deliver (v - first_wire) now
+    else run_next (v - first_node) now
   done;
   let total = p.transfers in
-  let continue = ref true in
-  while !continue do
-    match Pqueue.pop heap with
-    | None -> continue := false
-    | Some (now, ev) -> (
-      match ev with
-      | Step c -> step c now
-      | Rx { rx_c; rx_src; rx_dst; rx_resp; rx_submit } ->
-        (* the target node's NI serves the request: fixed cost plus the
-           value moving through its memory system. No server CPU — the
-           whole point of user-level DMA as a service. *)
-        let start = max now engine_free.(rx_dst) in
-        let fin =
-          start + cal.service_base_ps
-          + Units.transfer_ps ~bytes_per_s:cal.ram_bytes_per_s p.value_size
-        in
-        engine_free.(rx_dst) <- fin;
-        let arrive = send ~src:rx_dst ~dst:rx_src ~now:fin rx_resp in
-        Pqueue.push heap ~key:arrive (Done { dn_c = rx_c; dn_submit = rx_submit })
-      | Done { dn_c; dn_submit } ->
-        Uldma_obs.Percentile.record latency (now - dn_submit);
-        Uldma_obs.Counters.observe counters "kv.latency_ps" (now - dn_submit);
-        value_bytes := !value_bytes + p.value_size;
-        outstanding.(dn_c) <- outstanding.(dn_c) - 1;
-        incr completed;
-        if now > !sim_end then sim_end := now;
-        if parked.(dn_c) then begin
-          parked.(dn_c) <- false;
-          Pqueue.push heap ~key:(max now ready.(dn_c)) (Step dn_c)
-        end)
-  done;
   if !completed <> total then
     failwith
       (Printf.sprintf "Kv_load.run: internal stall (%d of %d transfers completed)" !completed

@@ -24,9 +24,9 @@
       what makes 10^6-transfer runs take seconds instead of hours.
 
     Everything is deterministic: all randomness comes from
-    {!Uldma_util.Rng} streams derived from [params.seed], and event
-    ties break by insertion order ({!Uldma_util.Pqueue}), so equal
-    seeds give byte-identical reports. *)
+    {!Uldma_util.Rng} streams derived from [params.seed], and events at
+    equal times run in the order they were scheduled, so equal seeds
+    give byte-identical reports. *)
 
 type params = {
   nodes : int;  (** mesh size (2..62) *)
@@ -90,7 +90,19 @@ type result = {
   counters : Uldma_obs.Counters.t;  (** kv.* counters + pow2 histogram *)
 }
 
+val header_bytes : int
+(** Bytes of a request header (op, key, length, sequence). A GET
+    request is a header and its response a header plus the value; a PUT
+    request is a header plus the value. *)
+
+val ack_bytes : int
+(** Bytes of a PUT acknowledgement. *)
+
 val run : params -> cal:calibration -> net:Uldma_net.Backend.t -> result
+(** Simulate [params.transfers] transfers to completion. Per-transfer
+    and per-client state is sized from [params] up front and the event
+    heap holds only queue heads, so the event loop allocates nothing
+    once that small heap has grown. *)
 
 val sweep :
   ?jobs:int ->

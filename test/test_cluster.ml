@@ -264,6 +264,210 @@ let test_kv_batching_speedup () =
   checkb (Printf.sprintf "batch=%d beats batch=1 on gigabit (%.2fx)" small_params.Kv.batch sp)
     true (sp > 1.02)
 
+(* The event loop as it was first written — every event boxed in one
+   global heap, descriptors in lists — kept as the oracle for the flat
+   event core: both must produce identical results, down to every
+   latency sample's bucket, for any parameters. *)
+module Reference = struct
+  open Uldma_util
+
+  type desc = { d_dst : int; d_req_bytes : int; d_resp_bytes : int; d_submit_at : int }
+
+  type ev =
+    | Step of int
+    | Rx of { rx_c : int; rx_src : int; rx_dst : int; rx_resp : int; rx_submit : int }
+    | Done of { dn_c : int; dn_submit : int }
+
+  let run (p : Kv.params) ~(cal : Kv.calibration) ~net =
+    let n = p.Kv.nodes in
+    let link = match Backend.link net with Some l -> l | None -> Uldma_net.Link.instant in
+    let client_node c = c mod n in
+    let wire_busy = Array.make (n * n) 0 in
+    let cpu_free = Array.make n 0 and engine_free = Array.make n 0 in
+    let remaining = Array.make p.clients 0 and outstanding = Array.make p.clients 0 in
+    let ready = Array.make p.clients 0 and parked = Array.make p.clients false in
+    let pending = Array.make p.clients [] and pending_len = Array.make p.clients 0 in
+    let base = p.transfers / p.clients and extra = p.transfers mod p.clients in
+    for c = 0 to p.clients - 1 do
+      remaining.(c) <- (base + if c < extra then 1 else 0)
+    done;
+    let rngs = Array.init p.clients (fun c -> Rng.create ~seed:(p.seed + (31 * c) + 1)) in
+    let heap = Pqueue.create () in
+    let latency = Percentile.create () in
+    let counters = Uldma_obs.Counters.create () in
+    let gets = ref 0 and puts = ref 0 and doorbells = ref 0 in
+    let value_bytes = ref 0 and wire_bytes = ref 0 and sim_end = ref 0 in
+    let send ~src ~dst ~now bytes =
+      let k = (src * n) + dst in
+      let depart = max now wire_busy.(k) in
+      wire_busy.(k) <-
+        depart + Units.transfer_ps ~bytes_per_s:link.Uldma_net.Link.bytes_per_s bytes;
+      wire_bytes := !wire_bytes + bytes;
+      depart + Uldma_net.Link.wire_time_ps link bytes
+    in
+    let flush c =
+      if pending_len.(c) > 0 then begin
+        let node = client_node c in
+        let fin = max ready.(c) cpu_free.(node) + cal.Kv.initiation_ps in
+        ready.(c) <- fin;
+        cpu_free.(node) <- fin;
+        incr doorbells;
+        List.iter
+          (fun d ->
+            let arrive = send ~src:node ~dst:d.d_dst ~now:fin d.d_req_bytes in
+            Pqueue.push heap ~key:arrive
+              (Rx
+                 {
+                   rx_c = c;
+                   rx_src = node;
+                   rx_dst = d.d_dst;
+                   rx_resp = d.d_resp_bytes;
+                   rx_submit = d.d_submit_at;
+                 }))
+          (List.rev pending.(c));
+        pending.(c) <- [];
+        pending_len.(c) <- 0
+      end
+    in
+    let step c now =
+      let node = client_node c in
+      if remaining.(c) > 0 && outstanding.(c) < p.window then begin
+        let fin = max (max now ready.(c)) cpu_free.(node) + cal.Kv.submit_ps in
+        ready.(c) <- fin;
+        cpu_free.(node) <- fin;
+        let rng = rngs.(c) in
+        let dst = (node + 1 + Rng.int rng (n - 1)) mod n in
+        let is_get = Rng.chance rng p.get_ratio in
+        if is_get then incr gets else incr puts;
+        let d_req_bytes = Kv.header_bytes + if is_get then 0 else p.value_size in
+        let d_resp_bytes = if is_get then Kv.header_bytes + p.value_size else Kv.ack_bytes in
+        pending.(c) <- { d_dst = dst; d_req_bytes; d_resp_bytes; d_submit_at = fin } :: pending.(c);
+        pending_len.(c) <- pending_len.(c) + 1;
+        remaining.(c) <- remaining.(c) - 1;
+        outstanding.(c) <- outstanding.(c) + 1;
+        if pending_len.(c) >= p.batch || remaining.(c) = 0 then flush c;
+        Pqueue.push heap ~key:ready.(c) (Step c)
+      end
+      else if remaining.(c) > 0 then begin
+        flush c;
+        parked.(c) <- true
+      end
+      else flush c
+    in
+    for c = 0 to p.clients - 1 do
+      if remaining.(c) > 0 then Pqueue.push heap ~key:0 (Step c)
+    done;
+    let rec loop () =
+      match Pqueue.pop heap with
+      | None -> ()
+      | Some (now, Step c) ->
+        step c now;
+        loop ()
+      | Some (now, Rx { rx_c; rx_src; rx_dst; rx_resp; rx_submit }) ->
+        let fin =
+          max now engine_free.(rx_dst) + cal.Kv.service_base_ps
+          + Units.transfer_ps ~bytes_per_s:cal.Kv.ram_bytes_per_s p.value_size
+        in
+        engine_free.(rx_dst) <- fin;
+        let arrive = send ~src:rx_dst ~dst:rx_src ~now:fin rx_resp in
+        Pqueue.push heap ~key:arrive (Done { dn_c = rx_c; dn_submit = rx_submit });
+        loop ()
+      | Some (now, Done { dn_c; dn_submit }) ->
+        Percentile.record latency (now - dn_submit);
+        Uldma_obs.Counters.observe counters "kv.latency_ps" (now - dn_submit);
+        value_bytes := !value_bytes + p.value_size;
+        outstanding.(dn_c) <- outstanding.(dn_c) - 1;
+        if now > !sim_end then sim_end := now;
+        if parked.(dn_c) then begin
+          parked.(dn_c) <- false;
+          Pqueue.push heap ~key:(max now ready.(dn_c)) (Step dn_c)
+        end;
+        loop ()
+    in
+    loop ();
+    (!gets, !puts, !doorbells, !value_bytes, !wire_bytes, !sim_end, latency, counters)
+end
+
+(* everything observable about a result, as one comparable value *)
+let facts (gets, puts, doorbells, value_bytes, wire_bytes, sim_ps, latency, counters) =
+  ( (gets, puts, doorbells, value_bytes, wire_bytes, sim_ps),
+    ( Percentile.count latency,
+      Percentile.total latency,
+      Percentile.min_value latency,
+      Percentile.max_value latency,
+      List.map (Percentile.percentile latency) [ 0.0; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ] ),
+    Uldma_obs.Counters.buckets counters "kv.latency_ps" )
+
+let result_facts (r : Kv.result) =
+  facts
+    ( r.Kv.gets,
+      r.Kv.puts,
+      r.Kv.doorbells,
+      r.Kv.value_bytes,
+      r.Kv.wire_bytes,
+      r.Kv.sim_ps,
+      r.Kv.latency,
+      r.Kv.counters )
+
+let kv_params_gen =
+  QCheck2.Gen.(
+    let* nodes = int_range 2 6 and* clients = int_range 1 40 and* transfers = int_range 1 1500 in
+    let* batch = int_range 1 12 and* window = int_range 1 12 and* value_size = int_range 1 512 in
+    let* get_ratio = oneofl [ 0.0; 0.3; 0.5; 1.0 ] and* seed = int_range 0 1000 in
+    let+ net = oneofl [ "null"; "atm155"; "gigabit"; "hic" ] in
+    ( {
+        Kv.default_params with
+        Kv.nodes;
+        clients;
+        transfers;
+        batch;
+        window;
+        value_size;
+        get_ratio;
+        seed;
+      },
+      net ))
+
+let kv_matches_reference =
+  let cal = lazy (cal ()) in
+  QCheck2.Test.make ~count:60 ~name:"kv: flat event core = boxed reference DES"
+    ~print:(fun ((p : Kv.params), net) ->
+      Printf.sprintf
+        "%s nodes=%d clients=%d transfers=%d batch=%d window=%d value=%d get=%.1f seed=%d" net
+        p.Kv.nodes p.clients p.transfers p.batch p.window p.value_size p.get_ratio p.seed)
+    kv_params_gen
+    (fun (p, net) ->
+      let net = match Backend.of_string net with Ok b -> b | Error e -> failwith e in
+      let cal = Lazy.force cal in
+      result_facts (Kv.run p ~cal ~net) = facts (Reference.run p ~cal ~net))
+  |> QCheck_alcotest.to_alcotest
+
+(* the default batch and window at 200 clients and 2·10^4 transfers, on
+   the CPU-bound and the wire-bound wire: deep windows, many parked
+   clients, long wire queues *)
+let test_kv_reference_default_shape () =
+  let cal = cal () in
+  List.iter
+    (fun name ->
+      let net = match Backend.of_string name with Ok b -> b | Error e -> failwith e in
+      let p = { Kv.default_params with Kv.clients = 200; transfers = 20_000 } in
+      checkb (name ^ " identical") true
+        (result_facts (Kv.run p ~cal ~net) = facts (Reference.run p ~cal ~net)))
+    [ "gigabit"; "atm155" ]
+
+let test_kv_no_alloc () =
+  let cal = cal () in
+  let net = match Backend.of_string "gigabit" with Ok b -> b | Error e -> failwith e in
+  let p = { small_params with Kv.transfers = 50_000 } in
+  let before = Gc.minor_words () in
+  let r = Kv.run p ~cal ~net in
+  let words = Gc.minor_words () -. before in
+  checki "completed" p.Kv.transfers r.Kv.transfers;
+  checkb
+    (Printf.sprintf "%.0f minor words for %d transfers: set-up only" words p.Kv.transfers)
+    true
+    (words < 0.1 *. float_of_int p.Kv.transfers)
+
 let test_kv_validate () =
   let bad f = match Kv.validate_params f with Ok _ -> false | Error _ -> true in
   checkb "0 clients" true (bad { small_params with Kv.clients = 0 });
@@ -303,5 +507,8 @@ let () =
           Alcotest.test_case "accounting" `Quick test_kv_accounting;
           Alcotest.test_case "batching speedup" `Quick test_kv_batching_speedup;
           Alcotest.test_case "validate_params" `Quick test_kv_validate;
+          kv_matches_reference;
+          Alcotest.test_case "reference at default shape" `Quick test_kv_reference_default_shape;
+          Alcotest.test_case "event loop allocates nothing" `Quick test_kv_no_alloc;
         ] );
     ]

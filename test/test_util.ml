@@ -241,6 +241,148 @@ let units_transfer_monotone =
       let t n = Units.transfer_ps ~bytes_per_s:1e8 n in
       if a <= b then t a <= t b else t b <= t a)
 
+(* The splitmix64 stream is part of every experiment's output: pin its
+   first draws so a change of representation cannot move it. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create ~seed:7 in
+  check Alcotest.int64 "first draw" 7191089600892374487L (Rng.int64 r);
+  check Alcotest.int64 "second draw" 309689372594955804L (Rng.int64 r);
+  checki "int" 336 (Rng.int r 1000)
+
+let test_rng_no_alloc () =
+  let r = Rng.create ~seed:5 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 7;
+    if Rng.chance r 0.5 then incr acc
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "20000 draws allocate nothing (%.0f words)" words) true (words < 100.0);
+  checkb "draws happened" true (!acc > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Bits *)
+
+let test_bits_msb () =
+  let naive v =
+    let p = ref 0 and x = ref v in
+    while !x > 1 do
+      incr p;
+      x := !x lsr 1
+    done;
+    !p
+  in
+  List.iter
+    (fun v -> checki (Printf.sprintf "msb %d" v) (naive v) (Bits.msb v))
+    ([ 1; 2; 3; 4; 255; 256; 1 lsl 31; (1 lsl 32) - 1; 1 lsl 32; 1 lsl 61; max_int ]
+    @ List.init 62 (fun i -> (1 lsl i) + 1))
+
+let bits_msb_prop =
+  qtest "bits: 2^msb v <= v < 2^(msb v + 1)" QCheck2.Gen.(int_range 1 max_int) (fun v ->
+      let p = Bits.msb v in
+      (* 1 lsl 62 wraps to min_int, so bit 61 has no upper bound to test *)
+      1 lsl p <= v && (p = 61 || v < 1 lsl (p + 1)))
+
+(* ------------------------------------------------------------------ *)
+(* Pqueue *)
+
+(* Random push/pop programs against a sorted-list model: the flat heap
+   must pop ascending (key, seq), the polymorphic wrapper ascending key
+   and FIFO among equal keys. Small keys force many ties. *)
+let pqueue_ops_gen =
+  QCheck2.Gen.(list_size (int_range 1 300) (pair (int_range 0 3) (int_range 0 20)))
+
+let pqueue_int_matches_model =
+  qtest "pqueue: Int pops ascending (key, seq)" pqueue_ops_gen (fun ops ->
+      let q = Pqueue.Int.create () in
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      let insert e = model := List.merge compare [ e ] !model in
+      List.iter
+        (fun (op, key) ->
+          match op with
+          | 0 when not (Pqueue.Int.is_empty q) -> (
+            match !model with
+            | (k, s, v) :: rest ->
+              ok := !ok && Pqueue.Int.min_key q = k && Pqueue.Int.min_value q = v && v = s * 3;
+              Pqueue.Int.remove_min q;
+              model := rest
+            | [] -> ok := false)
+          | 1 when not (Pqueue.Int.is_empty q) -> (
+            (* replace the minimum by a later event *)
+            match !model with
+            | (k, _, _) :: rest ->
+              let key = k + key and s = !seq in
+              incr seq;
+              Pqueue.Int.replace_min q ~key ~seq:s (s * 3);
+              model := rest;
+              insert (key, s, s * 3)
+            | [] -> ok := false)
+          | _ ->
+            let s = !seq in
+            incr seq;
+            Pqueue.Int.push q ~key ~seq:s (s * 3);
+            insert (key, s, s * 3))
+        ops;
+      !ok && Pqueue.Int.length q = List.length !model)
+
+let pqueue_fifo_ties =
+  qtest "pqueue: polymorphic pops by key, FIFO among ties" pqueue_ops_gen (fun ops ->
+      let q = Pqueue.create () in
+      (* the model keeps (key, insertion number), so its order is FIFO
+         among ties; payloads are strings to exercise boxed values *)
+      let model = ref [] and n = ref 0 and ok = ref true in
+      let pop_both () =
+        match (Pqueue.pop q, !model) with
+        | Some (k, v), (k', id) :: rest ->
+          ok := !ok && k = k' && v = string_of_int id;
+          model := rest
+        | None, [] -> ()
+        | _ -> ok := false
+      in
+      List.iter
+        (fun (op, key) ->
+          if op = 0 then pop_both ()
+          else begin
+            Pqueue.push q ~key (string_of_int !n);
+            model := List.merge compare !model [ (key, !n) ];
+            incr n
+          end)
+        ops;
+      while !model <> [] do
+        pop_both ()
+      done;
+      !ok && Pqueue.is_empty q)
+
+let test_pqueue_empty () =
+  let q = Pqueue.Int.create () in
+  Alcotest.check_raises "min_key of empty" (Invalid_argument "Pqueue.Int.min_key: empty heap")
+    (fun () -> ignore (Pqueue.Int.min_key q));
+  Alcotest.check_raises "remove_min of empty"
+    (Invalid_argument "Pqueue.Int.remove_min: empty heap") (fun () -> Pqueue.Int.remove_min q);
+  let p = Pqueue.create () in
+  checkb "pop of empty" true (Pqueue.pop p = None);
+  checkb "peek of empty" true (Pqueue.peek_key p = None);
+  Pqueue.push p ~key:5 'a';
+  checkb "peek" true (Pqueue.peek_key p = Some 5);
+  checki "length" 1 (Pqueue.length p)
+
+let test_pqueue_int_no_alloc () =
+  let q = Pqueue.Int.create () in
+  for i = 0 to 999 do
+    Pqueue.Int.push q ~key:((i * 7919) mod 1000) ~seq:i i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1000 to 100_999 do
+    let k = Pqueue.Int.min_key q in
+    Pqueue.Int.replace_min q ~key:(k + (i mod 97)) ~seq:i i;
+    Pqueue.Int.remove_min q;
+    Pqueue.Int.push q ~key:(k + 50) ~seq:i i
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "steady-state heap allocates nothing (%.0f words)" words) true
+    (words < 100.0)
+
 (* ------------------------------------------------------------------ *)
 (* Fp128 (streaming two-lane fingerprint) *)
 
@@ -487,6 +629,16 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "dma_key width" `Quick test_rng_dma_key_width;
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_no_alloc;
+        ] );
+      ("bits", [ Alcotest.test_case "msb" `Quick test_bits_msb; bits_msb_prop ]);
+      ( "pqueue",
+        [
+          pqueue_int_matches_model;
+          pqueue_fifo_ties;
+          Alcotest.test_case "empty and peek" `Quick test_pqueue_empty;
+          Alcotest.test_case "Int allocates nothing" `Quick test_pqueue_int_no_alloc;
         ] );
       ( "fp128",
         [

@@ -363,10 +363,15 @@ let () =
   | None -> prerr_endline "check-trace: no baseline file; skipping throughput comparison"
   | Some base ->
     ignore (explore_rep5 () : _ Explorer.result) (* warm up *);
-    let t0 = Unix.gettimeofday () in
-    let r = explore_rep5 () in
-    let secs = Unix.gettimeofday () -. t0 in
-    let rate = float_of_int r.Explorer.paths /. secs in
+    (* best of five: one exploration takes about 1.5 ms, so a single
+       timing can be cut by 5x by one descheduling while `dune runtest`
+       runs other tests beside it *)
+    let rate () =
+      let t0 = Unix.gettimeofday () in
+      let r = explore_rep5 () in
+      float_of_int r.Explorer.paths /. (Unix.gettimeofday () -. t0)
+    in
+    let rate = List.fold_left (fun best _ -> Float.max best (rate ())) 0.0 (List.init 5 Fun.id) in
     if rate < base /. 5.0 then
       fail "explorer throughput collapsed: %.0f paths/s vs baseline %.0f" rate base;
     Printf.printf "check-trace: explorer %.0f paths/s (baseline %.0f)\n" rate base);
