@@ -15,6 +15,7 @@
    in, but it never aliases a mutation. *)
 
 module Iset = Set.Make (Int)
+module Fp128 = Uldma_util.Fp128
 
 type t = {
   size : int;
@@ -26,16 +27,11 @@ type t = {
          state hashing only needs to visit [touched] — O(dirtied), not
          O(RAM). Persistent set: sharing it with a copy is safe because
          each side grows its own version. *)
-  dg_lo : int array; (* cached per-page content digests (two Fp128 lanes) *)
-  dg_hi : int array;
-  dg_ok : bool array;
-      (* dg_ok.(i): dg_lo/hi.(i) hold the digest of pages.(i)'s current
-         content. Under COW a shared page is immutable, so the cache
-         survives [copy] on both sides and is invalidated only when
-         [page_rw] hands out a writable view. *)
-  mutable digest_fills : int;
-      (* number of times a page was actually hashed to (re)fill the
-         cache — the zero-page shortcut and cache hits don't count. *)
+  dg : int array;
+      (* dg.(2i), dg.(2i+1): the two lanes of page i's additive content
+         digest (Fp128.word_term over its words), kept current by every
+         write path below. The all-zero page digests to (0, 0), so a
+         fresh RAM needs no hashing at all. *)
 }
 
 exception Fault of int
@@ -56,10 +52,7 @@ let create ~size =
     pages = Array.make n zero_page;
     owned = Array.make n false;
     touched = Iset.empty;
-    dg_lo = Array.make n 0;
-    dg_hi = Array.make n 0;
-    dg_ok = Array.make n false;
-    digest_fills = 0;
+    dg = Array.make (2 * n) 0;
   }
 
 let size t = t.size
@@ -71,12 +64,8 @@ let copy t =
     pages = Array.copy t.pages;
     owned = Array.make (Array.length t.pages) false;
     touched = t.touched;
-    (* Shared pages are immutable, so their cached digests stay valid on
-       both sides of the copy. *)
-    dg_lo = Array.copy t.dg_lo;
-    dg_hi = Array.copy t.dg_hi;
-    dg_ok = Array.copy t.dg_ok;
-    digest_fills = 0;
+    (* a digest describes the page's content, which both sides share *)
+    dg = Array.copy t.dg;
   }
 
 let page_count t = Array.length t.pages
@@ -91,7 +80,6 @@ let owned_pages t =
    ever set below, right after the [Iset.add]), so an already-owned page
    skips the persistent-set insertion entirely. *)
 let page_rw t i =
-  t.dg_ok.(i) <- false;
   if t.owned.(i) then t.pages.(i)
   else begin
     t.touched <- Iset.add i t.touched;
@@ -115,12 +103,24 @@ let load_word t addr =
   Int64.to_int
     (Bytes.get_int64_le t.pages.(addr lsr Layout.page_shift) (addr land (Layout.page_size - 1)))
 
+(* Digest upkeep: every write to page [i] goes through [page_rw] and is
+   bracketed by retiring (-1) and re-adding (+1) the terms of the words
+   it overlaps ([store_word], the CPU's hot path, does the same without
+   the closure). *)
+let write_span t i off len write =
+  let page = page_rw t i in
+  let first = off lsr 3 and last = (off + len - 1) lsr 3 in
+  Fp128.sum_words t.dg (2 * i) (-1) page ~first ~last;
+  write page;
+  Fp128.sum_words t.dg (2 * i) 1 page ~first ~last
+
 let store_word t addr value =
   check_word t addr;
-  Bytes.set_int64_le
-    (page_rw t (addr lsr Layout.page_shift))
-    (addr land (Layout.page_size - 1))
-    (Int64.of_int value)
+  let i = addr lsr Layout.page_shift and off = addr land (Layout.page_size - 1) in
+  let page = page_rw t i and w = off lsr 3 in
+  Fp128.sum_words t.dg (2 * i) (-1) page ~first:w ~last:w;
+  Bytes.set_int64_le page off (Int64.of_int value);
+  Fp128.sum_words t.dg (2 * i) 1 page ~first:w ~last:w
 
 let load_byte t addr =
   check t addr 1;
@@ -128,10 +128,9 @@ let load_byte t addr =
 
 let store_byte t addr value =
   check t addr 1;
-  Bytes.set
-    (page_rw t (addr lsr Layout.page_shift))
-    (addr land (Layout.page_size - 1))
-    (Char.chr (value land 0xff))
+  let off = addr land (Layout.page_size - 1) in
+  write_span t (addr lsr Layout.page_shift) off 1 (fun page ->
+      Bytes.set page off (Char.chr (value land 0xff)))
 
 (* Apply [f page_index offset_in_page position_in_range span_len] to
    each maximal single-page span of [addr, addr+len). Bounds must have
@@ -156,7 +155,8 @@ let blit t ~src ~dst ~len =
        up. *)
     let tmp = Bytes.create len in
     iter_spans src len (fun i off pos span -> Bytes.blit t.pages.(i) off tmp pos span);
-    iter_spans dst len (fun i off pos span -> Bytes.blit tmp pos (page_rw t i) off span)
+    iter_spans dst len (fun i off pos span ->
+        write_span t i off span (fun page -> Bytes.blit tmp pos page off span))
   end
 
 let fill t ~addr ~len ~byte =
@@ -169,10 +169,11 @@ let fill t ~addr ~len ~byte =
            cheap under copy-on-write). *)
         t.pages.(i) <- zero_page;
         t.owned.(i) <- false;
-        t.dg_ok.(i) <- false;
+        t.dg.(2 * i) <- 0;
+        t.dg.((2 * i) + 1) <- 0;
         t.touched <- Iset.add i t.touched
       end
-      else Bytes.fill (page_rw t i) off span c)
+      else write_span t i off span (fun page -> Bytes.fill page off span c))
 
 let checksum t ~addr ~len =
   check t addr len;
@@ -185,26 +186,14 @@ let checksum t ~addr ~len =
       done);
   !acc
 
-(* Digest of the canonical zero page, computed at most once per run. *)
-let zero_digest = lazy (Uldma_util.Fp128.digest zero_page)
+let page_digest t i = (t.dg.(2 * i), t.dg.((2 * i) + 1))
 
-let page_digest t i =
-  if t.dg_ok.(i) then (t.dg_lo.(i), t.dg_hi.(i))
-  else begin
-    let ((lo, hi) as d) =
-      if t.pages.(i) == zero_page then Lazy.force zero_digest
-      else begin
-        t.digest_fills <- t.digest_fills + 1;
-        Uldma_util.Fp128.digest t.pages.(i)
-      end
-    in
-    t.dg_lo.(i) <- lo;
-    t.dg_hi.(i) <- hi;
-    t.dg_ok.(i) <- true;
-    d
-  end
-
-let digest_fills t = t.digest_fills
+let encode_page enc t i =
+  match enc with
+  | Uldma_util.Enc.Buf _ -> Uldma_util.Enc.bytes enc t.pages.(i)
+  | Uldma_util.Enc.Fp fp ->
+    Fp128.add_int fp t.dg.(2 * i);
+    Fp128.add_int fp t.dg.((2 * i) + 1)
 
 let touched_count t = Iset.cardinal t.touched
 

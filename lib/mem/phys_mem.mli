@@ -30,18 +30,18 @@ val owned_pages : t -> int
     just-snapshotted RAM owns none. *)
 
 val page_digest : t -> int -> int * int
-(** [page_digest t i] is the {!Uldma_util.Fp128.digest} of page [i]'s
-    current content, served from a per-slot cache when valid. Under
-    copy-on-write a shared page is immutable, so cached digests survive
-    [copy] on both sides and are invalidated only when a writable view
-    of the page is handed out. Never-written pages hit a shared
-    zero-page digest without hashing anything. *)
+(** [page_digest t i] is page [i]'s additive content digest: the two
+    lane sums of {!Uldma_util.Fp128.word_term_a}/[_b] over its 8-byte
+    words (slot = word index), equal to
+    [Uldma_util.Fp128.block_digest] of its bytes. Every write path
+    keeps it current in O(bytes written), so reading it is O(1); it
+    travels with the page under [copy]. A never-written or whole-page
+    zero-filled page digests to [(0, 0)]. *)
 
-val digest_fills : t -> int
-(** Number of times [page_digest] actually hashed a page on this
-    instance (cache hits and the zero-page shortcut excluded) — for
-    bytes-hashed accounting and cache tests. Reset to 0 by [copy] on
-    the new instance. *)
+val encode_page : Uldma_util.Enc.t -> t -> int -> unit
+(** Feed page [i] to an encoder: its raw bytes into [Buf], its two
+    digest lanes into [Fp]. Equal bytes give equal digests, so both
+    modes observe the same page partition. *)
 
 val touched_count : t -> int
 (** Number of pages ever written since [create] (inherited across

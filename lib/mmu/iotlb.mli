@@ -45,5 +45,11 @@ val entries : t -> (int * Pte.t) list
 val stats : t -> stats
 val reset_stats : t -> unit
 
+val digest : t -> int * int
+(** Additive digest ({!Uldma_util.Fp128.int_term_a}/[_b]) of slots +
+    victim cursors, kept current by [fill], [invalidate] and [flush].
+    The empty cache digests to [(0, 0)]. *)
+
 val encode : Uldma_util.Enc.t -> t -> unit
-(** Canonical encoding of slots + victim cursors (statistics excluded). *)
+(** Canonical encoding of slots + victim cursors (statistics excluded)
+    into [Buf]; the two {!digest} lanes into [Fp]. *)

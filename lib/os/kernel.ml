@@ -879,7 +879,7 @@ let encode_state enc ?relative_to t =
       i (match p.Process.dma_context with None -> min_int | Some c -> c);
       i (match p.Process.dma_key with None -> min_int | Some k -> k);
       i (Bus.pid_access_count t.bus p.Process.pid);
-      List.iter i (Regfile.to_list p.Process.ctx.Cpu.regs))
+      Regfile.encode enc p.Process.ctx.Cpu.regs)
     t.procs;
   ch 'W';
   List.iter
@@ -898,21 +898,12 @@ let encode_state enc ?relative_to t =
   Engine.encode enc t.engine;
   ch 'R';
   (* Text mode embeds the raw page bytes (the key *is* the state);
-     fingerprint mode feeds the cached per-page content digest instead
-     — equal bytes give equal digests, so both modes observe the same
-     page partition. *)
-  let add_page =
-    match enc with
-    | E.Buf _ ->
-      fun idx page ->
-        i idx;
-        E.bytes enc page
-    | E.Fp _ ->
-      fun idx _page ->
-        let lo, hi = Phys_mem.page_digest t.ram idx in
-        i idx;
-        i lo;
-        i hi
+     fingerprint mode feeds the page's write-maintained content digest
+     instead — equal bytes give equal digests, so both modes observe the
+     same page partition. *)
+  let add_page idx _page =
+    i idx;
+    Phys_mem.encode_page enc t.ram idx
   in
   match relative_to with
   | Some root -> Phys_mem.iter_diverged t.ram ~baseline:root.ram add_page
@@ -923,24 +914,25 @@ let state_encoding ?relative_to t =
   encode_state (Uldma_util.Enc.Buf buf) ?relative_to t;
   Buffer.contents buf
 
-(* Memo key for the explorer. Fingerprint mode streams the same token
-   walk into a two-lane 126-bit hash and returns its 16-byte packed key
-   — nothing is materialised, page content is folded in via cached
-   digests — and reports how many bytes were actually hashed (streamed
-   tokens plus any page-digest cache fills). Paranoid mode returns the
-   full textual encoding, under which key equality is exactly state
-   equality. *)
-let state_key ?relative_to ~paranoid t =
+(* Memo key for the explorer. Fingerprint mode streams [prefix] and the
+   token walk into one two-lane 126-bit hash and returns its 16-byte
+   packed key — nothing is materialised; page contents, register files
+   and the IOTLB enter as their write-maintained digests — and reports
+   how many bytes were streamed. Paranoid mode returns [prefix] followed
+   by the full textual encoding, under which key equality is exactly
+   state equality (given a fixed-width prefix). *)
+let state_key ?prefix ?relative_to ~paranoid t =
   if paranoid then begin
-    let s = state_encoding ?relative_to t in
-    (s, String.length s)
+    let buf = Buffer.create 1024 in
+    Option.iter (Buffer.add_string buf) prefix;
+    encode_state (Uldma_util.Enc.Buf buf) ?relative_to t;
+    (Buffer.contents buf, Buffer.length buf)
   end
   else begin
-    let fills0 = Phys_mem.digest_fills t.ram in
     let fp = Uldma_util.Fp128.create () in
+    (match prefix with Some p -> Uldma_util.Fp128.add_string fp p | None -> ());
     encode_state (Uldma_util.Enc.Fp fp) ?relative_to t;
-    let filled = Phys_mem.digest_fills t.ram - fills0 in
-    (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp + (filled * Layout.page_size))
+    (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp)
   end
 
 (* FNV-1a over the canonical encoding. The 64-bit hash is for shard

@@ -120,20 +120,25 @@ val state_encoding : ?relative_to:t -> t -> string
     from it — exact, and O(work since the root) instead of O(all
     setup-time writes). *)
 
-val state_key : ?relative_to:t -> paranoid:bool -> t -> string * int
-(** Memo key for the explorer, plus the number of bytes hashed to
-    produce it. With [~paranoid:false] (the default exploration mode)
-    the same token walk as [state_encoding] is streamed into a two-lane
-    126-bit fingerprint ({!Uldma_util.Fp128}) and the 16-byte packed
-    key is returned — no encoding string is materialised, and RAM pages
-    are folded in via cached per-page digests ({!Phys_mem.page_digest})
-    so an unchanged page costs two ints instead of a page-size hash.
-    Two states with equal encodings always get equal keys; distinct
-    states collide only if both 63-bit lanes collide (~2^-126 —
-    [tools/diff_explore] checks fingerprint runs against paranoid runs
-    differentially). With [~paranoid:true] the key is the full
+val state_key : ?prefix:string -> ?relative_to:t -> paranoid:bool -> t -> string * int
+(** Memo key for the explorer, plus the number of bytes streamed at
+    this call to produce it. With [~paranoid:false] (the default
+    exploration mode) [prefix] and then the same token walk as
+    [state_encoding] are streamed into one two-lane 126-bit fingerprint
+    ({!Uldma_util.Fp128}) and the 16-byte packed key is returned — no
+    encoding string is materialised, and RAM pages, register files and
+    the IOTLB enter as their write-maintained additive digests
+    ({!Phys_mem.page_digest}, {!Uldma_cpu.Regfile.digest},
+    {!Uldma_mmu.Iotlb.digest}), two ints each, so a key costs O(tokens
+    streamed) whatever was written since the last one. The byte count
+    is exactly what was streamed here: digest upkeep is paid by the
+    writes, not by the key. Two states with equal encodings (and equal
+    prefixes) always get equal keys; distinct states collide only if
+    both 63-bit lanes collide (~2^-126 — [tools/diff_explore] checks
+    fingerprint runs against paranoid runs differentially). With
+    [~paranoid:true] the key is [prefix] followed by the full
     [state_encoding] string, under which key equality is exactly
-    encoding equality. *)
+    encoding equality when the prefix has a fixed width. *)
 
 val fingerprint : ?relative_to:t -> t -> int64
 (** FNV-1a hash of [state_encoding] — for the persisted-memo root

@@ -10,7 +10,10 @@
 
    Byte feeding is lossless: bytes are packed three-uint16-per-word into
    48-bit words (6-byte strides), because [Int64.to_int] of a raw 64-bit
-   load would silently drop bit 63 on a tagged-int target. *)
+   load would silently drop bit 63 on a tagged-int target.
+
+   The second half of the file is the additive digest primitive that
+   [Phys_mem], [Regfile] and [Iotlb] maintain on every write. *)
 
 type t = {
   mutable a : int;
@@ -111,7 +114,67 @@ let key t =
   let lo, hi = lanes t in
   key_of_lanes lo hi
 
-let digest b =
-  let t = create () in
-  feed_raw t b 0 (Bytes.length b);
-  lanes t
+(* Additive digests (Zobrist / AdHash style).
+
+   A component whose state is a fixed array of slots keeps, per lane,
+   the sum mod 2^63 of one term per slot. A term is a fully mixed,
+   nonlinear function of (slot, value): the slot and the value's low
+   32 bits are packed without loss and avalanched, the high bits are
+   added through an odd multiplier (injective for a fixed slot and low
+   half) and the result is avalanched again. A write retires the old
+   value's term and adds the new one in O(1), so the digest is always
+   current and reading it costs nothing. The zero value's term is 0 in
+   both lanes, so an all-zero component (a never-written page, a fresh
+   register file, an empty IOTLB) has digest (0, 0) without any special
+   case.
+
+   Lane b uses its own finalizer constants, seed and multiplier, so
+   the lanes are independent functions of the same input. *)
+
+let sum_seed_a = 0x2d358dccaa6c78a5
+let sum_seed_b = 0x0a0761d6478bd642
+let fmix_b1 = 0x3f58476d1ce4e5b9
+let fmix_b2 = 0x14d049bb133111eb
+
+let[@inline] fmix' h =
+  let h = h lxor (h lsr 30) in
+  let h = h * fmix_b1 in
+  let h = h lxor (h lsr 27) in
+  let h = h * fmix_b2 in
+  h lxor (h lsr 31)
+
+let[@inline] word_term_a slot lo hi =
+  if lo lor hi = 0 then 0
+  else fmix (fmix (((slot lsl 32) lor lo) + sum_seed_a) + (hi * 0x9e3779b97f4a7c1))
+
+let[@inline] word_term_b slot lo hi =
+  if lo lor hi = 0 then 0 else fmix' (fmix' (((slot lsl 32) lor lo) + sum_seed_b) + (hi * prime_c))
+
+let[@inline] int_term_a slot v = word_term_a slot (v land 0xffff_ffff) (v asr 32)
+let[@inline] int_term_b slot v = word_term_b slot (v land 0xffff_ffff) (v asr 32)
+
+(* The upkeep entry points take the digest as two adjacent cells of an
+   int array, so that one call updates both lanes: the four (or, per
+   word, two) term computations are independent and overlap. *)
+let replace_int d i slot old v =
+  if old <> v then begin
+    d.(i) <- d.(i) - int_term_a slot old + int_term_a slot v;
+    d.(i + 1) <- d.(i + 1) - int_term_b slot old + int_term_b slot v
+  end
+
+let[@inline] lo32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
+
+let sum_words d i sign b ~first ~last =
+  let a = ref 0 and bb = ref 0 in
+  for w = first to last do
+    let lo = lo32 b (8 * w) and hi = lo32 b ((8 * w) + 4) in
+    a := !a + word_term_a w lo hi;
+    bb := !bb + word_term_b w lo hi
+  done;
+  d.(i) <- d.(i) + (sign * !a);
+  d.(i + 1) <- d.(i + 1) + (sign * !bb)
+
+let block_digest b =
+  let d = [| 0; 0 |] in
+  sum_words d 0 1 b ~first:0 ~last:((Bytes.length b / 8) - 1);
+  (d.(0), d.(1))

@@ -63,11 +63,11 @@ let advance_leg kernel leg ~max_instructions =
    set, which is the only schedule-relevant remainder, is part of it)
    to the *summary* of its fully-explored subtree. The default key is
    a streaming 16-byte/126-bit fingerprint (no encoding string is ever
-   built; page content enters via cached digests), under which a false
-   merge requires both 63-bit lanes to collide — ~2^-126, checked
-   differentially by tools/diff_explore against [paranoid_memo] runs,
-   whose keys are the full encoding strings and can never falsely
-   merge. A summary stores violation
+   built; pages, register files and the IOTLB enter as write-maintained
+   digests), under which a false merge requires both 63-bit lanes to
+   collide — ~2^-126, checked differentially by tools/diff_explore
+   against [paranoid_memo] runs, whose keys are the full encoding
+   strings and can never falsely merge. A summary stores violation
    schedules as suffixes relative to its state, each tagged with the
    index of its terminal within the subtree's DFS enumeration; a memo
    hit re-emits them under the current prefix, in their original
@@ -169,7 +169,7 @@ type wstats = {
   mutable st_splits : int;
   mutable st_merges : int;
   mutable st_snapshots : int; (* Kernel.snapshot calls (elided last legs don't count) *)
-  mutable st_hash_bytes : int; (* bytes fed to the memo key (stream + digest fills) *)
+  mutable st_hash_bytes : int; (* bytes streamed into memo keys *)
 }
 
 (* Per-worker context: the private memo generation (jobs > 1 only; the
@@ -366,8 +366,6 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
     bump_depth_max sh depth;
     let encoding =
       if sh.dedup then begin
-        let key, bytes = Kernel.state_key ~relative_to:sh.baseline ~paranoid:sh.paranoid kernel in
-        w.w_stats.st_hash_bytes <- w.w_stats.st_hash_bytes + bytes;
         (* Campaign decoration: a fixed-width generation prefix keeps
            key spaces of different campaign cells (different baselines /
            backends) disjoint inside one shared table, and the
@@ -375,33 +373,21 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
            state cannot see — the accomplice's residual program text
            (programs live in Cpu.ctx, not RAM, so two candidates in the
            same machine state are distinguished only by this tag).
-           Both decorations are fixed-length, so prefix ^ tag ^ key is
-           unambiguous even under variable-length paranoid keys. *)
-        Some
-          (match sh.key_tag with
-          | None -> if sh.key_prefix = "" then key else sh.key_prefix ^ key
-          | Some tag ->
-            if sh.paranoid then
-              (* exact concatenation: all three parts fixed-width or
-                 final, so the decorated string stays injective *)
-              if sh.key_prefix = "" then tag kernel ^ key
-              else String.concat "" [ sh.key_prefix; tag kernel; key ]
-            else begin
-              (* fingerprint mode: fold the decorations into a fresh
-                 16-byte key instead of concatenating — campaign memo
-                 entries then cost the same as undecorated ones (the
-                 40-byte concat measurably hurts cache residency on
-                 10^5-entry shared tables), at the same 126-bit
-                 collision odds the base key already accepts. The
-                 paranoid leg keeps exact strings, so the existing
-                 paranoid-vs-fingerprint differentials cover this
-                 hashing too. *)
-              let fp = Uldma_util.Fp128.create () in
-              Uldma_util.Fp128.add_string fp sh.key_prefix;
-              Uldma_util.Fp128.add_string fp (tag kernel);
-              Uldma_util.Fp128.add_string fp key;
-              Uldma_util.Fp128.key fp
-            end)
+           Both decorations are fixed-width and lead the key: the
+           paranoid key is the exact concatenation prefix ^ tag ^
+           encoding (injective), and the fingerprint key streams them
+           through the same per-node hash as the state walk, so a
+           decorated key is 16 bytes like an undecorated one. *)
+        let prefix =
+          match sh.key_tag with
+          | None -> if sh.key_prefix = "" then None else Some sh.key_prefix
+          | Some tag -> Some (sh.key_prefix ^ tag kernel)
+        in
+        let key, bytes =
+          Kernel.state_key ?prefix ~relative_to:sh.baseline ~paranoid:sh.paranoid kernel
+        in
+        w.w_stats.st_hash_bytes <- w.w_stats.st_hash_bytes + bytes;
+        Some key
       end
       else None
     in
@@ -770,7 +756,7 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
   let jobs = max 1 jobs in
   let root_fp = Kernel.fingerprint root in
   (* The persistent cache stores undecorated fingerprint keys (Persist
-     schema 3); paranoid string keys live in a different key space, and
+     schema 4); paranoid string keys live in a different key space, and
      a campaign's decorated keys are only meaningful inside its own
      shared table — so neither loads nor saves the disk cache. *)
   let persist_on = dedup && (not paranoid_memo) && Option.is_none shared in

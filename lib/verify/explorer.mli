@@ -146,8 +146,10 @@ type 'v result = {
           after the expansion loop — so a width-w node pays w-1 copies
           and width-1 chains pay none. *)
   bytes_hashed : int;
-      (** bytes fed into memo-key computation: streamed walk tokens
-          plus page-digest cache fills in fingerprint mode, full
+      (** bytes streamed into memo keys at the nodes: walk tokens
+          (write-maintained component digests count as their two ints;
+          their upkeep is paid by the writes, not here) plus any
+          campaign decoration in fingerprint mode, full decorated
           encoding lengths in [paranoid_memo] mode. The per-node ratio
           is the bench's [bytes_hashed_per_node]. *)
   counters : Uldma_obs.Counters.t;

@@ -161,8 +161,14 @@ module Persist = struct
      encoding strings and warm loads stop unmarshalling megabytes. A v2
      file's string keys would never match a fingerprint lookup (silent
      cold start at best, and mixing key spaces in one table is wrong),
-     so v2 files are rejected wholesale too. *)
-  let schema = 3
+     so v2 files are rejected wholesale too.
+
+     v4: the fingerprint key function changed — page contents, register
+     files and the IOTLB enter the key as write-maintained additive
+     digests instead of streamed tokens — so a v3 key no longer names
+     the state it was computed for, and v3 files are rejected
+     wholesale. *)
+  let schema = 4
 
   let magic = "uldma-explorer-memo"
 

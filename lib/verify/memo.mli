@@ -105,9 +105,11 @@ module Persist : sig
   type entry = { p_paths : int; p_stuck : int }
 
   val schema : int
-  (** 3: entries keyed by 16-byte Fp128 fingerprint keys. Earlier
-      schemas (full-encoding string keys) are rejected wholesale —
-      their keys can never match a fingerprint lookup. *)
+  (** 4: entries keyed by 16-byte Fp128 fingerprint keys computed over
+      write-maintained component digests ({!Uldma_os.Kernel.state_key}).
+      Earlier schemas are rejected wholesale — full-encoding string keys
+      (≤ 2) and the schema-3 fingerprint function can never match a
+      current lookup. *)
 
   val load :
     file:string -> scenario:string -> net:string -> root:int64 -> (string, entry) Hashtbl.t option

@@ -81,6 +81,38 @@ let test_regfile_bounds () =
   Alcotest.check_raises "r32" (Invalid_argument "Regfile: r32") (fun () ->
       ignore (Regfile.get r 32 : int))
 
+(* Digest upkeep against a from-scratch recomputation: random writes
+   (r31 included, values across the whole int range) on a file and on
+   a copy taken mid-script; each side's maintained digest must equal
+   the lane sums of [Fp128.int_term] over its register values. *)
+let regfile_digest_matches_recomputed =
+  let module F = Uldma_util.Fp128 in
+  let recomputed r =
+    List.fold_left
+      (fun (a, b) (i, v) -> (a + F.int_term_a i v, b + F.int_term_b i v))
+      (0, 0)
+      (List.mapi (fun i v -> (i, v)) (Regfile.to_list r))
+  in
+  let gen_write =
+    QCheck2.Gen.(
+      pair (int_range 0 31) (oneof [ int_range min_int max_int; int_range (-3) 3; pure 0 ]))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"regfile: maintained digest equals recomputed digest"
+       QCheck2.Gen.(
+         triple (list_size (int_range 0 40) gen_write) (list_size (int_range 0 40) gen_write)
+           (list_size (int_range 0 40) gen_write))
+       (fun (before, parent_after, child_after) ->
+         let set r (i, v) = Regfile.set r i v in
+         let r = Regfile.create () in
+         List.iter (set r) before;
+         let c = Regfile.copy r in
+         List.iter (set c) child_after;
+         List.iter (set r) parent_after;
+         Regfile.digest r = recomputed r
+         && Regfile.digest c = recomputed c
+         && Regfile.get r 31 = 0))
+
 (* ------------------------------------------------------------------ *)
 (* Assembler *)
 
@@ -427,6 +459,7 @@ let () =
         [
           Alcotest.test_case "zero register" `Quick test_regfile_zero_register;
           Alcotest.test_case "bounds" `Quick test_regfile_bounds;
+          regfile_digest_matches_recomputed;
         ] );
       ( "asm",
         [

@@ -286,42 +286,39 @@ let test_mem_cow_blit_fill_across_pages () =
   checki "zeroed" 0 (Phys_mem.load_byte snap dst);
   checki "parent still untouched" 0 (Phys_mem.load_byte m dst)
 
-(* --- per-page digest cache --- *)
+(* --- write-maintained per-page digests --- *)
 
 let test_mem_digest_cache () =
   let m = mem () in
-  (* untouched pages share the zero-page digest without hashing *)
+  (* untouched pages all digest to the zero-page digest *)
   let z0 = Phys_mem.page_digest m 0 in
   checkb "all zero pages digest equal" true (Phys_mem.page_digest m 1 = z0);
-  checki "zero-page shortcut hashes nothing" 0 (Phys_mem.digest_fills m);
-  (* a write invalidates: the next digest is recomputed and differs *)
+  checkb "the zero digest is (0, 0)" true (z0 = (0, 0));
+  (* a write updates the digest *)
   Phys_mem.store_word m 0 0x1234;
   let d1 = Phys_mem.page_digest m 0 in
   checkb "digest changed by write" true (d1 <> z0);
-  checki "one real hash" 1 (Phys_mem.digest_fills m);
-  checkb "cache hit returns same digest" true (Phys_mem.page_digest m 0 = d1);
-  checki "cache hit costs no fill" 1 (Phys_mem.digest_fills m);
-  (* writing a page again invalidates its slot even when already owned *)
+  checkb "a read returns the same digest" true (Phys_mem.page_digest m 0 = d1);
+  (* writing a page again updates its digest even when already owned *)
   Phys_mem.store_word m 8 0x9abc;
   let d1' = Phys_mem.page_digest m 0 in
   checkb "second write changes the digest" true (d1' <> d1);
-  checki "and costs one more hash" 2 (Phys_mem.digest_fills m)
+  (* undoing the write restores the earlier digest exactly *)
+  Phys_mem.store_word m 8 0;
+  checkb "undone write restores the digest" true (Phys_mem.page_digest m 0 = d1)
 
 let test_mem_digest_cache_survives_copy () =
   let m = mem () in
   Phys_mem.store_word m 0 0x1234;
   let d1 = Phys_mem.page_digest m 0 in
-  (* a COW child reuses the shared page's cached digest for free *)
+  (* a COW child carries the shared page's digest *)
   let child = Phys_mem.copy m in
-  checkb "child reuses parent's cached digest" true (Phys_mem.page_digest child 0 = d1);
-  checki "child hashed nothing" 0 (Phys_mem.digest_fills child);
-  (* writing the child invalidates only the child's slot *)
+  checkb "child carries parent's digest" true (Phys_mem.page_digest child 0 = d1);
+  (* writing the child updates only the child's digest *)
   Phys_mem.store_word child 0 0x5678;
   let d2 = Phys_mem.page_digest child 0 in
   checkb "child digest diverged" true (d2 <> d1);
-  checki "child paid one hash" 1 (Phys_mem.digest_fills child);
   checkb "parent digest untouched" true (Phys_mem.page_digest m 0 = d1);
-  checki "parent paid nothing extra" 1 (Phys_mem.digest_fills m);
   (* digests are content digests: an independent instance with the same
      bytes agrees *)
   let other = mem () in
@@ -330,8 +327,60 @@ let test_mem_digest_cache_survives_copy () =
   (* a whole-page zero fill re-shares the zero page and its digest *)
   let z0 = Phys_mem.page_digest other 1 in
   Phys_mem.fill child ~addr:0 ~len:Layout.page_size ~byte:0;
-  checkb "zero-filled page back to the zero digest" true (Phys_mem.page_digest child 0 = z0);
-  checki "via the shortcut, not a hash" 1 (Phys_mem.digest_fills child)
+  checkb "zero-filled page back to the zero digest" true (Phys_mem.page_digest child 0 = z0)
+
+(* Digest upkeep against a from-scratch recomputation: a random script
+   of every write path (word and byte stores, fills including
+   whole-page zero fills, overlapping and page-straddling blits) runs on
+   a parent, then on both the parent and a COW child; afterwards each
+   page's maintained digest must equal [Fp128.block_digest] of the
+   page's bytes, read back through [load_byte]. *)
+let mem_digest_matches_recomputed =
+  let pages = 3 in
+  let size = pages * Layout.page_size in
+  let apply m (kind, a, b, len) =
+    let addr = a mod size in
+    match kind with
+    | 0 -> Phys_mem.store_word m (addr land lnot 7) b
+    | 1 -> Phys_mem.store_byte m addr (b land 0xff)
+    | 2 ->
+      (* straddles a page boundary whenever addr is near one *)
+      let len = min (1 + (len mod 700)) (size - addr) in
+      Phys_mem.fill m ~addr ~len ~byte:(if b land 3 = 0 then 0 else b land 0xff)
+    | 3 ->
+      let page = a mod pages in
+      Phys_mem.fill m ~addr:(page * Layout.page_size) ~len:Layout.page_size ~byte:0
+    | _ ->
+      let len = 1 + (len mod 700) in
+      let src = addr mod (size - len) and dst = (b land max_int) mod (size - len) in
+      (* half the blits overlap their source *)
+      let dst = if b land 1 = 0 then min (size - len) (src + (len / 3)) else dst in
+      Phys_mem.blit m ~src ~dst ~len
+  in
+  let recomputed m i =
+    Uldma_util.Fp128.block_digest
+      (Bytes.init Layout.page_size (fun j ->
+           Char.chr (Phys_mem.load_byte m ((i * Layout.page_size) + j))))
+  in
+  let consistent m =
+    List.for_all (fun i -> Phys_mem.page_digest m i = recomputed m i) (List.init pages Fun.id)
+  in
+  let gen_op =
+    QCheck2.Gen.(quad (int_range 0 4) (int_range 0 (size - 1)) (int_range min_int max_int) nat)
+  in
+  qtest ~count:60 "phys_mem: maintained digests equal recomputed digests"
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 25) gen_op)
+        (list_size (int_range 0 25) gen_op)
+        (list_size (int_range 0 25) gen_op))
+    (fun (before, parent_after, child_after) ->
+      let m = Phys_mem.create ~size in
+      List.iter (apply m) before;
+      let child = Phys_mem.copy m in
+      List.iter (apply child) child_after;
+      List.iter (apply m) parent_after;
+      consistent m && consistent child)
 
 (* A random op script applied identically to a COW Phys_mem and to an
    eager Bytes oracle, with a snapshot taken mid-script: afterwards the
@@ -442,6 +491,7 @@ let () =
           Alcotest.test_case "digest cache invalidation" `Quick test_mem_digest_cache;
           Alcotest.test_case "digest cache survives copy" `Quick
             test_mem_digest_cache_survives_copy;
+          mem_digest_matches_recomputed;
           Alcotest.test_case "touched-page tracking" `Quick test_mem_touched_tracking;
           Alcotest.test_case "iter_diverged" `Quick test_mem_iter_diverged;
           mem_cow_matches_eager_oracle;

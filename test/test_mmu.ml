@@ -293,6 +293,52 @@ let iotlb_encode_iff_contents_prop =
       Iotlb.fill iotlb ~vpage:999 (pte 999 Perms.read_write);
       not (String.equal before (iotlb_encode_str iotlb)))
 
+(* 4. digest upkeep against a from-scratch recomputation: after any
+   script (fills, invalidations, flushes) on a cache and on a copy
+   taken mid-script, each side's maintained digest equals the lane sums
+   of [Fp128.int_term] recomputed from its canonical text encoding —
+   slot k's vpage, frame and permission bits (plus the valid bit) at
+   digest slots 3k..3k+2, set s's victim cursor at 3 * slots + s *)
+let iotlb_digest_recomputed t ~slots =
+  let module F = Uldma_util.Fp128 in
+  let tokens =
+    iotlb_encode_str t |> String.split_on_char ',' |> List.filter (( <> ) "")
+    |> List.map int_of_string
+  in
+  let a = ref 0 and b = ref 0 in
+  let add slot v =
+    a := !a + F.int_term_a slot v;
+    b := !b + F.int_term_b slot v
+  in
+  let rec entries k = function
+    | rest when k = slots -> rest
+    | v :: rest when v = min_int -> entries (k + 1) rest
+    | vpage :: frame :: perms :: rest ->
+      add (3 * k) vpage;
+      add ((3 * k) + 1) frame;
+      add ((3 * k) + 2) (perms lor 8);
+      entries (k + 1) rest
+    | _ -> invalid_arg "iotlb_digest_recomputed: short encoding"
+  in
+  List.iteri (fun s v -> add ((3 * slots) + s) v) (entries 0 tokens);
+  (!a, !b)
+
+let iotlb_digest_matches_recomputed_prop =
+  qtest "iotlb: maintained digest equals recomputed digest"
+    QCheck2.Gen.(
+      triple iotlb_script_with_flush_gen iotlb_script_with_flush_gen iotlb_script_with_flush_gen)
+    (fun (before, parent_after, child_after) ->
+      let iotlb = Iotlb.create ~sets:4 ~ways:2 () in
+      let pt = Page_table.create () in
+      List.iter (iotlb_apply iotlb pt) before;
+      let child = Iotlb.copy iotlb and cpt = Page_table.copy pt in
+      List.iter (iotlb_apply child cpt) child_after;
+      List.iter (iotlb_apply iotlb pt) parent_after;
+      Iotlb.digest iotlb = iotlb_digest_recomputed iotlb ~slots:8
+      && Iotlb.digest child = iotlb_digest_recomputed child ~slots:8
+      && (Iotlb.flush child;
+          Iotlb.digest child = (0, 0)))
+
 let test_iotlb_untagged_flush_and_walk_cost () =
   (* flush resets contents *and* victim cursors: a post-flush refill
      re-derives everything from the table, and statistics record the
@@ -485,6 +531,7 @@ let () =
           iotlb_agrees_with_walk_prop;
           iotlb_determinism_prop;
           iotlb_encode_iff_contents_prop;
+          iotlb_digest_matches_recomputed_prop;
         ] );
       ( "addr_space",
         [

@@ -421,14 +421,29 @@ let test_fp128_domain_separation () =
   Fp128.add_string d "bc";
   checkb "string boundaries matter" true (Fp128.key c <> Fp128.key d)
 
+let lo32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
+
 let test_fp128_digest () =
   let p1 = Bytes.make 8192 'x' and p2 = Bytes.make 8192 'x' in
-  checkb "equal content, equal digest" true (Fp128.digest p1 = Fp128.digest p2);
+  checkb "equal content, equal digest" true (Fp128.block_digest p1 = Fp128.block_digest p2);
   Bytes.set p2 8191 'y';
-  checkb "last byte matters" true (Fp128.digest p1 <> Fp128.digest p2);
+  checkb "last byte matters" true (Fp128.block_digest p1 <> Fp128.block_digest p2);
   Bytes.set p2 8191 'x';
   Bytes.set p2 0 'y';
-  checkb "first byte matters" true (Fp128.digest p1 <> Fp128.digest p2)
+  checkb "first byte matters" true (Fp128.block_digest p1 <> Fp128.block_digest p2);
+  (* bit 63 of a word is part of its value *)
+  let z = Bytes.make 8192 '\000' in
+  checkb "all-zero block digests to (0, 0)" true (Fp128.block_digest z = (0, 0));
+  Bytes.set z 7 '\x80';
+  checkb "top bit matters" true (Fp128.block_digest z <> (0, 0));
+  (* additivity: the digest is the lane sum of per-word terms *)
+  let a, b = Fp128.block_digest p2 in
+  let lo = lo32 p2 0 and hi = lo32 p2 4 in
+  Bytes.fill p2 0 8 '\000';
+  let a', b' = Fp128.block_digest p2 in
+  checkb "one word's term is removable" true
+    (a' = a - Fp128.word_term_a 0 lo hi && b' = b - Fp128.word_term_b 0 lo hi);
+  checki "int terms of zero are zero" 0 (Fp128.int_term_a 5 0 lor Fp128.int_term_b 5 0)
 
 (* Collision-power meta-check. The real keys are 126-bit, so an
    in-test collision can never be observed directly; instead truncate
@@ -458,6 +473,84 @@ let test_fp128_truncated_collision_power () =
     (Printf.sprintf "12-bit truncation shows birthday collisions (distinct=%d)" distinct)
     true
     (distinct > 2200 && distinct < 2950)
+
+(* The same meta-check for the additive digest, on structured inputs
+   that a weak (linear or unmixed) term function would collide: from a
+   base page whose even words hold random values and whose odd words
+   are zero, 4096 distinct variants — two words swapped, one word moved
+   to an empty offset, a single bit flipped, a word zeroed (present
+   versus absent). No two may share both lanes, and each lane truncated
+   to 12 bits must show the same birthday statistics as above. A
+   zeroed word must digest exactly like a word never written. *)
+let test_fp128_additive_collision_power () =
+  let rng = Rng.create ~seed:0xadd in
+  let words = 1024 in
+  let base = Bytes.make (8 * words) '\000' in
+  for w = 0 to (words / 2) - 1 do
+    Bytes.set_int64_le base (16 * w) (Int64.logor (Rng.int64 rng) 1L)
+  done;
+  let variants = Hashtbl.create 4096 in
+  let add f =
+    let b = Bytes.copy base in
+    f b;
+    if not (Bytes.equal b base) then Hashtbl.replace variants (Bytes.to_string b) ()
+  in
+  let even () = 2 * Rng.int rng (words / 2) and odd () = (2 * Rng.int rng (words / 2)) + 1 in
+  let get b w = Bytes.get_int64_le b (8 * w) and put b w v = Bytes.set_int64_le b (8 * w) v in
+  let target = ref 1024 in
+  let fill_to f =
+    while Hashtbl.length variants < !target do
+      add f
+    done;
+    target := !target + 1024
+  in
+  fill_to (fun b ->
+      let i = even () and j = even () in
+      let vi = get b i in
+      put b i (get b j);
+      put b j vi);
+  fill_to (fun b ->
+      let i = even () and k = odd () in
+      put b k (get b i);
+      put b i 0L);
+  fill_to (fun b ->
+      let w = Rng.int rng words in
+      put b w (Int64.logxor (get b w) (Int64.shift_left 1L (Rng.int rng 64))));
+  (* every even word zeroed once (512), topped up with two-word zeroings *)
+  for w = 0 to (words / 2) - 1 do
+    add (fun b -> put b (2 * w) 0L)
+  done;
+  fill_to (fun b ->
+      put b (even ()) 0L;
+      put b (even ()) 0L);
+  let n = Hashtbl.length variants in
+  checki "4096 distinct structured variants" 4096 n;
+  let full = Hashtbl.create n and ta = Hashtbl.create n and tb = Hashtbl.create n in
+  Hashtbl.iter
+    (fun v () ->
+      let ((a, b) as d) = Fp128.block_digest (Bytes.of_string v) in
+      Hashtbl.replace full d ();
+      Hashtbl.replace ta (a land 0xfff) ();
+      Hashtbl.replace tb (b land 0xfff) ())
+    variants;
+  checki "no full-width collisions across the variants" n (Hashtbl.length full);
+  List.iter
+    (fun (lane, t) ->
+      let distinct = Hashtbl.length t in
+      checkb
+        (Printf.sprintf "lane %s 12-bit truncation shows birthday collisions (distinct=%d)" lane
+           distinct)
+        true
+        (distinct > 2200 && distinct < 2950))
+    [ ("a", ta); ("b", tb) ];
+  (* zero versus absent: a written-then-zeroed word is no word at all *)
+  let absent = Bytes.copy base in
+  put absent 0 0L;
+  checkb "zeroed word digests like an absent one" true
+    (Fp128.block_digest absent
+    = (let a, b = Fp128.block_digest base in
+       let lo = lo32 base 0 and hi = lo32 base 4 in
+       (a - Fp128.word_term_a 0 lo hi, b - Fp128.word_term_b 0 lo hi)))
 
 (* ------------------------------------------------------------------ *)
 (* Ws_deque (Chase–Lev work-stealing deque) *)
@@ -647,6 +740,8 @@ let () =
           Alcotest.test_case "page digest" `Quick test_fp128_digest;
           Alcotest.test_case "truncated collision power" `Quick
             test_fp128_truncated_collision_power;
+          Alcotest.test_case "additive digest collision power" `Quick
+            test_fp128_additive_collision_power;
         ] );
       ( "ws_deque",
         [

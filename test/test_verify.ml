@@ -668,6 +668,37 @@ let test_memo_persist_unique_tmp () =
         checkb "entry intact" true
           (Hashtbl.find_opt tbl "k" = Some { Persist.p_paths = 3; p_stuck = 0 }))
 
+(* Schema 4: the fingerprint key function changed, so a schema-3 file is
+   rejected as a whole — its sections neither load nor survive a
+   merge-on-save — while a fresh file round-trips. *)
+let test_memo_persist_schema_bump () =
+  let module Persist = Uldma_verify.Memo.Persist in
+  checki "schema" 4 Persist.schema;
+  let file = Filename.temp_file "uldma_memo" ".bin" in
+  let entry n = { Persist.p_paths = n; p_stuck = 0 } in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ file; file ^ ".lock" ])
+    (fun () ->
+      (* a well-formed schema-3 file: same magic and layout, old version *)
+      let section = Hashtbl.create 1 in
+      Hashtbl.replace section "k3" (entry 3);
+      let body = Hashtbl.create 1 in
+      Hashtbl.replace body "old\x00null" (7L, section);
+      let oc = open_out_bin file in
+      Marshal.to_channel oc ("uldma-explorer-memo", 3, body) [];
+      close_out oc;
+      checkb "schema-3 section rejected" true
+        (Persist.load ~file ~scenario:"old" ~net:"null" ~root:7L = None);
+      Persist.save ~file ~scenario:"new" ~net:"null" ~root:8L [ ("k4", entry 4) ];
+      checkb "schema-3 section not merged into the rewrite" true
+        (Persist.load ~file ~scenario:"old" ~net:"null" ~root:7L = None);
+      match Persist.load ~file ~scenario:"new" ~net:"null" ~root:8L with
+      | None -> Alcotest.fail "fresh section did not load back"
+      | Some tbl ->
+        checki "one entry" 1 (Hashtbl.length tbl);
+        checkb "entry intact" true (Hashtbl.find_opt tbl "k4" = Some (entry 4)))
+
 (* Fingerprint keys and encoding strings must induce the same equality
    relation on states. Randomized: two kernels built from the same
    scenario, each mutated by a random word-store script, agree on their
@@ -1092,6 +1123,7 @@ let () =
             test_explorer_paranoid_equivalence;
           Alcotest.test_case "memo length counts distinct keys" `Quick test_memo_length_distinct;
           Alcotest.test_case "persist tmp file is pid-unique" `Quick test_memo_persist_unique_tmp;
+          Alcotest.test_case "persist schema 3 rejected" `Quick test_memo_persist_schema_bump;
           explorer_fp_iff_encoding;
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
