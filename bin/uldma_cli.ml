@@ -510,6 +510,9 @@ let explore_cmd =
     row "schedules/sec" (Printf.sprintf "%.0f" (float_of_int r.Explorer.paths /. secs));
     Uldma_util.Tbl.print tbl;
     (match r.Explorer.violations with
+    | [] when r.Explorer.truncated ->
+      Printf.printf "verdict: INCONCLUSIVE (clipped at %d schedules, no violation found)\n"
+        r.Explorer.paths
     | [] -> Printf.printf "verdict: SAFE under all explored schedules\n"
     | (v, schedule) :: _ as all ->
       Printf.printf "verdict: VULNERABLE (%d violating schedules)\n" (List.length all);

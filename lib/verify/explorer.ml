@@ -67,13 +67,14 @@ let advance_leg kernel leg ~max_instructions =
    digests), under which a false merge requires both 63-bit lanes to
    collide — ~2^-126, checked differentially by tools/diff_explore
    against [paranoid_memo] runs, whose keys are the full encoding
-   strings and can never falsely merge. A summary stores violation
-   schedules as suffixes relative to its state, each tagged with the
-   index of its terminal within the subtree's DFS enumeration; a memo
-   hit re-emits them under the current prefix, in their original
-   discovery order — so dedup on/off (and any job count) produce the
-   identical [paths] count, the identical violation list, and even the
-   identical order. Summaries are only stored for subtrees explored
+   strings and can never falsely merge. A summary holds its violations
+   as a DAG over its children's summaries (only the violating children,
+   each with the index of its first terminal within the subtree's DFS
+   enumeration), never as copied schedules; a memo hit re-emits them
+   under the current prefix, in their original discovery order — so
+   dedup on/off (and any job count) produce the identical [paths]
+   count, the identical violation list, and even the identical
+   order. Summaries are only stored for subtrees explored
    without hitting the lease ("clean"), and a memo hit is only taken
    when its whole path count still fits the lease; otherwise the state
    is re-expanded so truncated runs count exactly like the plain DFS.
@@ -102,14 +103,26 @@ let advance_leg kernel leg ~max_instructions =
    parallel* run it is best-effort (stuck legs aren't individually
    positioned in the log). *)
 
-type 'v summary = {
-  s_paths : int;
-  (* suffix schedule (forward) + index of the violating terminal within
-     the subtree's DFS enumeration, so settlement can clip a partially
-     fitting hit exactly where the sequential DFS would have stopped *)
-  s_violations : ('v * int list * int) list;
-  s_stuck : int;
-}
+type 'v summary = { s_paths : int; s_violations : 'v viols; s_stuck : int }
+
+(* A subtree's violations as a DAG over its children's summaries rather
+   than a flat list of schedules: combining a node costs O(width), and a
+   memoised summary costs O(1) words beyond children that already exist.
+   Schedules are materialised only when settlement emits them. *)
+and 'v viols =
+  | V_none
+  | V_here of 'v (* this terminal violates *)
+  | V_kids of int * (int * int * 'v summary) list
+      (* node id (settlement's suffix-cache key), then the violating
+         children in leg order: pid, index of the child's first terminal
+         within this subtree's DFS enumeration (so settlement can clip a
+         partially fitting hit exactly where the sequential DFS would
+         have stopped), child summary *)
+
+(* Ids only need to be unique among the nodes one settlement can reach,
+   but shared campaign tables outlive explorations and may be filled by
+   several domains, so they come from one process-wide counter. *)
+let next_node_id = Atomic.make 0
 
 (* Per-task result log, newest item first. Settlement (below) walks it
    oldest-first; the pushing discipline keeps items in DFS order. *)
@@ -204,7 +217,7 @@ let note sh sink kernel depth kind =
       | `Steal -> Uldma_obs.Trace.Explorer_steal { depth }
       | `Violation detail -> Uldma_obs.Trace.Oracle_violation { detail })
 
-let empty_summary = { s_paths = 0; s_violations = []; s_stuck = 0 }
+let empty_summary = { s_paths = 0; s_violations = V_none; s_stuck = 0 }
 
 let push_item x item = x.x_log.rev_items <- item :: x.x_log.rev_items
 
@@ -263,7 +276,7 @@ let persist_probe sh w e =
       (* persisted summaries are always violation-free (only safe
          subtrees are saved); promote into the bounded table so
          repeats stay cheap *)
-      let s = { s_paths = p_paths; s_violations = []; s_stuck = p_stuck } in
+      let s = { s_paths = p_paths; s_violations = V_none; s_stuck = p_stuck } in
       (match w.w_local with
       | None -> Memo.add sh.memo e s
       | Some local -> Hashtbl.replace local e s);
@@ -397,16 +410,15 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
       x.x_used <- x.x_used + s.s_paths;
       Atomic.incr sh.hits;
       note sh sink kernel depth `Dedup;
-      (if s.s_violations = [] then begin
-         (* the common case folds into the pending stretch — no log
-            growth for safe subtrees *)
-         x.x_pp <- x.x_pp + s.s_paths;
-         x.x_ps <- x.x_ps + s.s_stuck
-       end
-       else begin
-         flush_pending x;
-         push_item x (I_hit (s, List.rev schedule_rev))
-       end);
+      (match s.s_violations with
+      | V_none ->
+        (* the common case folds into the pending stretch — no log
+           growth for safe subtrees *)
+        x.x_pp <- x.x_pp + s.s_paths;
+        x.x_ps <- x.x_ps + s.s_stuck
+      | V_here _ | V_kids _ ->
+        flush_pending x;
+        push_item x (I_hit (s, List.rev schedule_rev)));
       (s, true)
     | Some _ | None -> (
       Atomic.incr sh.visited;
@@ -431,10 +443,10 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
             note sh sink kernel depth (`Violation "oracle check failed on a completed schedule");
             flush_pending x;
             push_item x (I_viol (v, List.rev schedule_rev));
-            { s_paths = 1; s_violations = [ (v, [], 0) ]; s_stuck = 0 }
+            { s_paths = 1; s_violations = V_here v; s_stuck = 0 }
           | None ->
             x.x_pp <- x.x_pp + 1;
-            { s_paths = 1; s_violations = []; s_stuck = 0 }
+            { s_paths = 1; s_violations = V_none; s_stuck = 0 }
         in
         (match encoding with Some e -> memo_store sh w e s | None -> ());
         (s, true)
@@ -469,9 +481,9 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
                match advance_leg fork pid ~max_instructions:sh.max_instructions with
                | `Progress | `Exited ->
                  let s, c = explore_state sh split w x sink fork (pid :: schedule_rev) (depth + 1) in
-                 List.iter
-                   (fun (v, sfx, i) -> acc_viol := (v, pid :: sfx, !acc_paths + i) :: !acc_viol)
-                   s.s_violations;
+                 (match s.s_violations with
+                 | V_none -> ()
+                 | V_here _ | V_kids _ -> acc_viol := (pid, !acc_paths, s) :: !acc_viol);
                  acc_paths := !acc_paths + s.s_paths;
                  acc_stuck := !acc_stuck + s.s_stuck;
                  if not c then clean := false
@@ -493,7 +505,12 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
           flush_pending x;
           List.iter (fun lg -> push_item x (I_child lg)) children
         end;
-        let s = { s_paths = !acc_paths; s_violations = List.rev !acc_viol; s_stuck = !acc_stuck } in
+        let viols =
+          match !acc_viol with
+          | [] -> V_none
+          | kids -> V_kids (Atomic.fetch_and_add next_node_id 1, List.rev kids)
+        in
+        let s = { s_paths = !acc_paths; s_violations = viols; s_stuck = !acc_stuck } in
         if !clean then (match encoding with Some e -> memo_store sh w e s | None -> ());
         (s, !clean))
   end
@@ -505,12 +522,42 @@ let rec explore_state sh split w x sink kernel schedule_rev depth =
    terminals until the budget runs out, emit exactly the violations
    whose terminal index falls inside it, and flag truncation if
    anything — a stretch, a hit, an unentered child, a cap marker — was
-   cut. Runs on the main domain after every worker has joined. *)
+   cut. Runs on the main domain after every worker has joined.
+
+   A hit's violations are materialised here, by walking its summary DAG
+   under the hit's prefix. Each node's (violation, suffix) list is built
+   at most once per settlement (cached by node id), so schedules emitted
+   through a node reached twice share their tails. *)
 let settle ~max_paths root_log =
   let remaining = ref max_paths in
   let truncated = ref false in
   let paths = ref 0 and stuck = ref 0 in
   let out = ref [] in
+  let cache = Hashtbl.create 64 in
+  let under pid l = List.map (fun (v, sfx) -> (v, pid :: sfx)) l in
+  let rec suffixes s =
+    match s.s_violations with
+    | V_none -> []
+    | V_here v -> [ (v, []) ]
+    | V_kids (id, kids) -> (
+      match Hashtbl.find_opt cache id with
+      | Some l -> l
+      | None ->
+        let l = List.concat_map (fun (pid, _, c) -> under pid (suffixes c)) kids in
+        Hashtbl.add cache id l;
+        l)
+  in
+  (* the violations of [s] whose terminal index is below [take] *)
+  let rec within s take =
+    if s.s_paths <= take then suffixes s
+    else
+      match s.s_violations with
+      | V_none | V_here _ -> []
+      | V_kids (_, kids) ->
+        List.concat_map
+          (fun (pid, off, c) -> if off < take then under pid (within c (take - off)) else [])
+          kids
+  in
   let rec walk log =
     List.iter
       (fun item ->
@@ -528,21 +575,11 @@ let settle ~max_paths root_log =
             remaining := !remaining - 1;
             out := (v, schedule) :: !out
           | I_hit (s, prefix) ->
-            if s.s_paths <= !remaining then begin
-              paths := !paths + s.s_paths;
-              stuck := !stuck + s.s_stuck;
-              remaining := !remaining - s.s_paths;
-              List.iter (fun (v, sfx, _) -> out := (v, prefix @ sfx) :: !out) s.s_violations
-            end
-            else begin
-              truncated := true;
-              let take = !remaining in
-              paths := !paths + take;
-              remaining := 0;
-              List.iter
-                (fun (v, sfx, idx) -> if idx < take then out := (v, prefix @ sfx) :: !out)
-                s.s_violations
-            end
+            let take = min s.s_paths !remaining in
+            if take < s.s_paths then truncated := true else stuck := !stuck + s.s_stuck;
+            paths := !paths + take;
+            remaining := !remaining - take;
+            List.iter (fun (v, sfx) -> out := (v, prefix @ sfx) :: !out) (within s take)
           | I_child lg -> walk lg
           | I_capped -> truncated := true)
       (List.rev log.rev_items)
@@ -840,8 +877,9 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
        never silence a violation *)
     let safe = ref [] in
     Memo.iter memo (fun e s ->
-        if s.s_violations = [] then
-          safe := (e, { Memo.Persist.p_paths = s.s_paths; p_stuck = s.s_stuck }) :: !safe);
+        match s.s_violations with
+        | V_none -> safe := (e, { Memo.Persist.p_paths = s.s_paths; p_stuck = s.s_stuck }) :: !safe
+        | V_here _ | V_kids _ -> ());
     Memo.Persist.save ~file ~scenario:memo_key ~net:memo_net ~root:root_fp !safe
   | Some _ | None -> ());
   let counters = Uldma_obs.Counters.create () in

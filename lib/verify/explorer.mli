@@ -40,8 +40,12 @@
     states}: two schedule prefixes that reach the same engine-visible
     state ([Kernel.state_encoding]) share one subtree expansion, and
     [paths] is counted through the resulting DAG rather than re-walked.
-    Memoized subtrees carry their violation schedules as suffixes and
-    re-emit them under each new prefix, so deduplication (and
+    A memoized subtree summary references its violating children's
+    summaries instead of copying their schedules, so it costs O(1)
+    words beyond children that already exist, and memo memory grows
+    with states, not with violations × depth. A hit re-emits the
+    subtree's violations under each new prefix, materialising each
+    schedule only when the result is built, so deduplication (and
     parallelism) change cost, never results: [paths], the violating
     schedules, and even their order are identical with [dedup] on or
     off and with any [jobs] value — including under truncation (see

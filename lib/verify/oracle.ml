@@ -25,6 +25,12 @@ type report = {
   intents_checked : int;
 }
 
+let kind_name = function
+  | Unattributed_transfer _ -> "unattributed"
+  | Rights_violation _ -> "rights"
+  | Phantom_success _ -> "phantom"
+  | Lost_transfer _ -> "lost"
+
 let pp_violation ppf = function
   | Unattributed_transfer tr ->
     Format.fprintf ppf "unattributed transfer (mixed/forged arguments): %a" Transfer.pp tr

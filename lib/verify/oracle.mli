@@ -58,6 +58,13 @@ val check :
     on addresses alone, exactly like the hardware. *)
 
 val ok : report -> bool
+val kind_name : violation -> string
+(** The violation's kind as one lowercase word: ["unattributed"],
+    ["rights"], ["phantom"] or ["lost"]. Violation identity across
+    exploration modes is this kind plus the schedule (payloads carry
+    simulated timestamps that legitimately differ between merged
+    prefixes). *)
+
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
 

@@ -226,11 +226,7 @@ let candidate base ops =
 (* ------------------------------------------------------------------ *)
 (* Cell runner and collusion catalogue. *)
 
-let kind_name = function
-  | Oracle.Unattributed_transfer _ -> "unattributed"
-  | Oracle.Rights_violation _ -> "rights"
-  | Oracle.Phantom_success _ -> "phantom"
-  | Oracle.Lost_transfer _ -> "lost"
+let kind_name = Oracle.kind_name
 
 (* Deterministic digest of one candidate's result: label, path count,
    truncation, and each violation's kind + schedule. Violation

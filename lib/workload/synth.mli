@@ -94,6 +94,7 @@ val net_label : Uldma_net.Backend.t option -> string
 (** [Backend.cache_key], or ["null"]. *)
 
 val kind_name : Uldma_verify.Oracle.violation -> string
+(** Alias of {!Uldma_verify.Oracle.kind_name}. *)
 
 (** {2 Campaign cells and the collusion catalogue} *)
 

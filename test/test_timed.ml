@@ -102,14 +102,8 @@ let explore ?dedup ?jobs ?memo_file ?memo_key ?memo_net build =
   Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ?jobs ?memo_file
     ?memo_key ?memo_net ~check:(Scenario.oracle_check s) ()
 
-let kind_name = function
-  | Oracle.Unattributed_transfer _ -> "unattributed"
-  | Oracle.Rights_violation _ -> "rights"
-  | Oracle.Phantom_success _ -> "phantom"
-  | Oracle.Lost_transfer _ -> "lost"
-
 let canon (r : _ Explorer.result) =
-  List.map (fun (v, schedule) -> (kind_name v, schedule)) r.Explorer.violations
+  List.map (fun (v, schedule) -> (Oracle.kind_name v, schedule)) r.Explorer.violations
 
 (* ------------------------------------------------------------------ *)
 (* Null backend: explicitly passing it must be indistinguishable from

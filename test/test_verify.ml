@@ -339,15 +339,7 @@ let test_explorer_stuck_leg_prunes_branch_only () =
    from a later prefix's even though the engine-visible outcome is the
    same — that is exactly the state abstraction dedup merges on. *)
 let canon_violations (r : _ Explorer.result) =
-  List.map
-    (fun (v, schedule) ->
-      ( (match v with
-        | Oracle.Unattributed_transfer _ -> "unattributed"
-        | Oracle.Rights_violation _ -> "rights"
-        | Oracle.Phantom_success _ -> "phantom"
-        | Oracle.Lost_transfer _ -> "lost"),
-        schedule ))
-    r.Explorer.violations
+  List.map (fun (v, schedule) -> (Oracle.kind_name v, schedule)) r.Explorer.violations
 
 (* Equality invariant of the memoization: with the real oracle
    attached, dedup on/off must report the same schedules and the same
@@ -1013,6 +1005,81 @@ let test_campaign_jobs_determinism () =
     (let outer, inner = Campaign.split_jobs ~jobs:4 ~candidates:10 in
      outer = 4 && inner = 1)
 
+(* Clipping inside the violation region. At every budget a dedup run
+   must equal the plain DFS clipped at the same budget: same [paths],
+   same [truncated], same violations in the same order. Swept over every
+   budget on the Fig. 5 tree (its hits reuse violating subtrees), and on
+   a two-candidate campaign whose second candidate (pal, L1) reuses the
+   first one's (L0) violating summaries. Sequentially a hit is only
+   taken when it fits the budget whole, so those sweeps check the
+   re-expansion at the budget's edge; the Fig. 5 sweep also runs on two
+   domains, where settlement clips violating hits part-way. *)
+let test_explorer_clipping_differential () =
+  let same label b (on : _ Explorer.result) (off : _ Explorer.result) =
+    let name what = Printf.sprintf "%s max_paths=%d %s" label b what in
+    checki (name "paths") off.Explorer.paths on.Explorer.paths;
+    checkb (name "truncated") off.Explorer.truncated on.Explorer.truncated;
+    checkb (name "violations") true (canon_violations on = canon_violations off)
+  in
+  let fig5 () = Scenario.fig5 () in
+  let full = explore fig5 in
+  checkb "fig5 has violations to clip" true (full.Explorer.violations <> []);
+  checkb "fig5 reuses subtrees" true (full.Explorer.dedup_hits > 0);
+  for b = 1 to full.Explorer.paths do
+    let off = explore_with ~dedup:false ~max_paths:b fig5 in
+    same "fig5" b (explore_with ~max_paths:b fig5) off;
+    (* publishing at every fork: a published task counts against an
+       optimistic lease, so it can take a violating hit that settlement
+       then clips part-way *)
+    let s = fig5 () in
+    same "fig5 jobs=2" b
+      (Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ~jobs:2 ~cutoff:1
+         ~max_paths:b ~check:(Scenario.oracle_check s) ())
+      off
+  done;
+  (* the campaign shape: L0 explored in full through a shared memo, then
+     L1 at every budget through the same table; L1's earlier clipped
+     runs warm it further, and warmth must never change a result *)
+  let base = Synth.make_base Synth.Pal in
+  let s = Synth.base_scenario base in
+  let pids = Scenario.explore_pids s and check = Scenario.oracle_check s in
+  let baseline = s.Scenario.kernel in
+  let first = Synth.candidate base [ Synth.L 0 ] and second = Synth.candidate base [ Synth.L 1 ] in
+  let sm = Explorer.create_shared ~locked:false () in
+  Explorer.bump_generation sm;
+  let shared (c : _ Campaign.candidate) ?max_paths () =
+    Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm
+      ?key_tag:c.Campaign.c_key_tag ?max_paths ~check ()
+  in
+  ignore (shared first () : _ Explorer.result);
+  let full = shared second () in
+  let cold = Explorer.explore ~root:second.Campaign.c_root ~pids ~baseline ~check () in
+  checkb "L1 reuses L0's summaries" true
+    (full.Explorer.states_visited < cold.Explorer.states_visited);
+  checkb "L1 has violations to clip" true (full.Explorer.violations <> []);
+  for b = 1 to full.Explorer.paths do
+    same "pal L1 after L0" b (shared second ~max_paths:b ())
+      (Explorer.explore ~root:second.Campaign.c_root ~pids ~dedup:false ~max_paths:b ~check ())
+  done
+
+(* Violation storage is O(states): a summary references its violating
+   children instead of copying their schedules, so a violating cell's
+   memo costs a few words per resident summary. The ext-shadow slots-2
+   cell violates on every candidate (9240 violations for the longest);
+   summaries that copied every violating schedule below them would cost
+   over a thousand words per entry here. *)
+let test_memo_words_per_entry () =
+  let sm = Explorer.create_shared () in
+  let cr = Synth.run_cell ~slots:2 ~shared:sm Synth.Ext in
+  checkb "every candidate violates" true
+    (Array.for_all (fun r -> r.Explorer.violations <> []) cr.Synth.cr_results);
+  let entries = Explorer.shared_length sm in
+  let words = Obj.reachable_words (Obj.repr sm) in
+  if words > 64 * entries then
+    Alcotest.failf "shared memo holds %d words for %d entries (%.1f per entry, limit 64)" words
+      entries
+      (float_of_int words /. float_of_int entries)
+
 (* Satellite: Memo.Persist.save must merge, not clobber. Two sections
    written through separate save calls both survive, and two domains
    saving different sections concurrently (the campaign shape: several
@@ -1135,6 +1202,9 @@ let () =
           campaign_shared_vs_cold;
           Alcotest.test_case "jobs determinism + catalogue stability" `Slow
             test_campaign_jobs_determinism;
+          Alcotest.test_case "clipping differential, every budget" `Slow
+            test_explorer_clipping_differential;
+          Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
           Alcotest.test_case "persist concurrent save merges" `Quick
             test_memo_persist_concurrent_save;
         ] );

@@ -278,13 +278,7 @@ let () =
       let canon (r : _ Explorer.result) =
         List.sort compare
           (List.map
-             (fun (v, schedule) ->
-               ( (match v with
-                 | Uldma_verify.Oracle.Unattributed_transfer _ -> "unattributed"
-                 | Uldma_verify.Oracle.Rights_violation _ -> "rights"
-                 | Uldma_verify.Oracle.Phantom_success _ -> "phantom"
-                 | Uldma_verify.Oracle.Lost_transfer _ -> "lost"),
-                 schedule ))
+             (fun (v, schedule) -> (Uldma_verify.Oracle.kind_name v, schedule))
              r.Explorer.violations)
       in
       if nodedup.Explorer.paths <> base.Explorer.paths then

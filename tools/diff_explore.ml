@@ -37,17 +37,11 @@ let complain fmt =
       Printf.printf "diff-explore: MISMATCH: %s\n%!" msg)
     fmt
 
-let kind_name = function
-  | Oracle.Unattributed_transfer _ -> "unattributed"
-  | Oracle.Rights_violation _ -> "rights"
-  | Oracle.Phantom_success _ -> "phantom"
-  | Oracle.Lost_transfer _ -> "lost"
-
 (* violation identity = oracle kind + full schedule (schedules are
    unique per terminal); payloads carry simulated timestamps that
    legitimately differ between merged prefixes *)
 let canon (r : _ Explorer.result) =
-  List.map (fun (v, schedule) -> (kind_name v, schedule)) r.Explorer.violations
+  List.map (fun (v, schedule) -> (Oracle.kind_name v, schedule)) r.Explorer.violations
 
 let explore ?dedup ?paranoid_memo ?jobs ~max_paths build =
   let s = build () in
