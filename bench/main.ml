@@ -52,7 +52,7 @@ let attack_test =
          Uldma_workload.Scenario.run_legs s Uldma_workload.Scenario.fig5_schedule;
          Uldma_workload.Scenario.finish s ()))
 
-let explore_rep5 ?dedup ?jobs ~max_paths () =
+let explore_rep5 ?dedup ~max_paths () =
   let s = Uldma_workload.Scenario.rep5 () in
   let pids =
     [
@@ -60,8 +60,7 @@ let explore_rep5 ?dedup ?jobs ~max_paths () =
       s.Uldma_workload.Scenario.attacker.Uldma_os.Process.pid;
     ]
   in
-  Uldma_verify.Explorer.explore ~root:s.Uldma_workload.Scenario.kernel ~pids ?dedup ?jobs
-    ~max_paths
+  Uldma_verify.Explorer.explore ~root:s.Uldma_workload.Scenario.kernel ~pids ?dedup ~max_paths
     ~check:(fun _ -> None) ()
 
 let explorer_test =
@@ -190,16 +189,25 @@ let print_bench_results results =
    sharing multiplies with the outer fan-out. Campaign legs are single
    timed runs (each is tens of seconds, so noise amortizes within the
    leg; min-of-reps would triple an already long bench). All v6 keys
-   are preserved. *)
-let time_explore ?dedup ?jobs ~reps () =
+   are preserved.
+
+   Schema v8 follows the explorer becoming one sequential search: the
+   headline "parallel" object, the scenarios3 "jobs2"/"jobs4" legs and
+   their speedups, "truncated_parallel", "domains", "cutoff",
+   "memo_merges" and "lease_splits" are gone, and a scenarios3 entry's
+   timing ("seconds", "paths_per_sec") moves up from its "jobs1"
+   object. The campaign keeps its outer candidate fan-out, so it keeps
+   its "jobs1" and "jobs2" legs; "jobs4" and "inner_domains" are gone.
+   "cores" still records the machine the file was measured on. *)
+let time_explore ?dedup ~reps () =
   (* same-warmth discipline: one untimed warmup in this exact
      configuration, then min-of-reps *)
-  ignore (explore_rep5 ?dedup ?jobs ~max_paths:1_000_000 () : _ Uldma_verify.Explorer.result);
+  ignore (explore_rep5 ?dedup ~max_paths:1_000_000 () : _ Uldma_verify.Explorer.result);
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
-    let r = explore_rep5 ?dedup ?jobs ~max_paths:1_000_000 () in
+    let r = explore_rep5 ?dedup ~max_paths:1_000_000 () in
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt;
     last := Some r
@@ -244,9 +252,9 @@ let encode_ns_per_node ~paranoid =
   let dt = Float.min (run ()) (run ()) in
   dt *. 1e9 /. float_of_int iters
 
-(* The schema-v7 campaign experiment (see the schema comment above):
+(* The campaign experiment (see the schema comment above):
    cold-and-sequential per-candidate exploration vs the campaign
-   engine's shared memo at jobs 1/2/4, on the exact-length-5 rep5
+   engine's shared memo at jobs 1 and 2, on the exact-length-5 rep5
    accomplice family. Appends the "campaign" object to [buf]. *)
 let bench_campaign buf =
   let module Scenario = Uldma_workload.Scenario in
@@ -290,7 +298,7 @@ let bench_campaign buf =
     in
     (results, stats, Unix.gettimeofday () -. t0)
   in
-  let legs = List.map (fun jobs -> (jobs, shared jobs)) [ 1; 2; 4 ] in
+  let legs = List.map (fun jobs -> (jobs, shared jobs)) [ 1; 2 ] in
   let _, stats1, _ = List.assoc 1 legs in
   let shared1_states = stats1.Campaign.g_states in
   let best = List.fold_left (fun b (_, (_, _, s)) -> Float.min b s) infinity legs in
@@ -313,7 +321,6 @@ let bench_campaign buf =
       Printf.bprintf buf "      \"states_visited\": %d,\n" stats.Campaign.g_states;
       Printf.bprintf buf "      \"memo_hits\": %d,\n" stats.Campaign.g_hits;
       Printf.bprintf buf "      \"outer_domains\": %d,\n" stats.Campaign.g_outer;
-      Printf.bprintf buf "      \"inner_domains\": %d,\n" stats.Campaign.g_inner;
       Printf.bprintf buf "      \"results_identical_to_cold\": %b\n" !identical;
       Printf.bprintf buf "    },\n")
     legs;
@@ -337,8 +344,6 @@ let write_bench_explorer_json () =
   let reps = 5 in
   let r, secs = time_explore ~reps () in
   let r_nd, secs_nd = time_explore ~dedup:false ~reps () in
-  let par_jobs = 4 in
-  let r_par, secs_par = time_explore ~jobs:par_jobs ~reps () in
   let initiation =
     List.map
       (fun name ->
@@ -350,7 +355,7 @@ let write_bench_explorer_json () =
     float_of_int res.Uldma_verify.Explorer.paths /. s
   in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"schema_version\": 7,\n";
+  Buffer.add_string buf "{\n  \"schema_version\": 8,\n";
   Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   Buffer.add_string buf "  \"timing\": \"min of repetitions after one untimed same-config warmup; no persistent memo cache\",\n";
   Buffer.add_string buf "  \"explorer\": {\n";
@@ -379,15 +384,6 @@ let write_bench_explorer_json () =
   Printf.bprintf buf "      \"states_visited\": %d,\n" r_nd.Uldma_verify.Explorer.states_visited;
   Printf.bprintf buf "      \"seconds_per_exploration\": %.6f,\n" secs_nd;
   Printf.bprintf buf "      \"paths_per_sec\": %.1f\n" (pps r_nd secs_nd);
-  Buffer.add_string buf "    },\n";
-  Buffer.add_string buf "    \"parallel\": {\n";
-  Printf.bprintf buf "      \"jobs\": %d,\n" par_jobs;
-  Printf.bprintf buf "      \"paths\": %d,\n" r_par.Uldma_verify.Explorer.paths;
-  Printf.bprintf buf "      \"seconds_per_exploration\": %.6f,\n" secs_par;
-  Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r_par secs_par);
-  Printf.bprintf buf "      \"speedup_vs_sequential\": %.3f,\n" (secs /. secs_par);
-  Printf.bprintf buf "      \"recommended_domains\": %d\n"
-    (Domain.recommended_domain_count ());
   Buffer.add_string buf "    }\n";
   Buffer.add_string buf "  },\n  \"scenarios3\": {\n";
   let module Scenario = Uldma_workload.Scenario in
@@ -400,33 +396,26 @@ let write_bench_explorer_json () =
   in
   List.iteri
     (fun i (name, build) ->
-      let explore_once ?paranoid_memo ?jobs ?memo_cap ?(max_paths = 1_000_000) () =
+      let explore_once ?paranoid_memo ?memo_cap () =
         let s = build () in
         let t0 = Unix.gettimeofday () in
         let r =
           Uldma_verify.Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
-            ~max_paths ?paranoid_memo ?jobs ?memo_cap ~check:(Scenario.oracle_check s) ()
+            ~max_paths:1_000_000 ?paranoid_memo ?memo_cap ~check:(Scenario.oracle_check s) ()
         in
         (r, Unix.gettimeofday () -. t0)
       in
-      (* one untimed warmup + min-of-2 per leg: every leg (sequential
-         and parallel) gets identical warmth and no persistent cache *)
-      let explore ?paranoid_memo ?jobs ?memo_cap () =
-        ignore (explore_once ?paranoid_memo ?jobs ?memo_cap () : _ * float);
-        let ra, ta = explore_once ?paranoid_memo ?jobs ?memo_cap () in
-        let _, tb = explore_once ?paranoid_memo ?jobs ?memo_cap () in
+      (* one untimed warmup + min-of-2 per leg: every leg gets
+         identical warmth *)
+      let explore ?paranoid_memo ?memo_cap () =
+        ignore (explore_once ?paranoid_memo ?memo_cap () : _ * float);
+        let ra, ta = explore_once ?paranoid_memo ?memo_cap () in
+        let _, tb = explore_once ?paranoid_memo ?memo_cap () in
         (ra, Float.min ta tb)
       in
       let r1, s1 = explore () in
-      let r2, s2 = explore ~jobs:2 () in
-      let r4, s4 = explore ~jobs:4 () in
       let rb, sb = explore ~memo_cap:512 () in
       let rp, sp = explore ~paranoid_memo:true () in
-      (* the lease check needs no timing: single clipped runs *)
-      let trunc_paths = 50_000 in
-      let t1, _ = explore_once ~max_paths:trunc_paths () in
-      let t2, _ = explore_once ~jobs:2 ~max_paths:trunc_paths () in
-      let t4, _ = explore_once ~jobs:4 ~max_paths:trunc_paths () in
       Printf.bprintf buf "    \"%s\": {\n" name;
       Printf.bprintf buf "      \"paths\": %d,\n" r1.Uldma_verify.Explorer.paths;
       Printf.bprintf buf "      \"violating_schedules\": %d,\n"
@@ -436,59 +425,12 @@ let write_bench_explorer_json () =
       Printf.bprintf buf "      \"dedup_hits\": %d,\n" r1.Uldma_verify.Explorer.dedup_hits;
       Printf.bprintf buf "      \"dedup_ratio\": %.4f,\n" (dedup_ratio r1);
       Printf.bprintf buf "      \"stuck_legs\": %d,\n" r1.Uldma_verify.Explorer.stuck_legs;
-      Printf.bprintf buf "      \"cutoff\": %d,\n" r4.Uldma_verify.Explorer.cutoff;
-      Printf.bprintf buf "      \"memo_merges\": %d,\n" r4.Uldma_verify.Explorer.memo_merges;
-      Printf.bprintf buf "      \"lease_splits\": %d,\n" r4.Uldma_verify.Explorer.lease_splits;
       Printf.bprintf buf "      \"snapshots_per_node\": %.3f,\n"
         (per_node r1 r1.Uldma_verify.Explorer.snapshots);
       Printf.bprintf buf "      \"bytes_hashed_per_node\": %.1f,\n"
         (per_node r1 r1.Uldma_verify.Explorer.bytes_hashed);
-      let jobs_obj key (r : _ Uldma_verify.Explorer.result) secs =
-        Printf.bprintf buf "      \"%s\": {\n" key;
-        Printf.bprintf buf "        \"seconds\": %.6f,\n" secs;
-        Printf.bprintf buf "        \"paths_per_sec\": %.1f,\n" (pps r secs);
-        Printf.bprintf buf "        \"steals\": %d,\n" r.Uldma_verify.Explorer.steals;
-        Printf.bprintf buf "        \"publications\": %d\n" r.Uldma_verify.Explorer.publications;
-        Printf.bprintf buf "      },\n"
-      in
-      jobs_obj "jobs1" r1 s1;
-      jobs_obj "jobs2" r2 s2;
-      jobs_obj "jobs4" r4 s4;
-      Printf.bprintf buf "      \"speedup_jobs2\": %.3f,\n" (s1 /. s2);
-      Printf.bprintf buf "      \"speedup_jobs4\": %.3f,\n" (s1 /. s4);
-      Printf.bprintf buf "      \"parallel_results_identical\": %b,\n"
-        (r1.Uldma_verify.Explorer.paths = r2.Uldma_verify.Explorer.paths
-        && r2.Uldma_verify.Explorer.paths = r4.Uldma_verify.Explorer.paths
-        && List.map snd r1.Uldma_verify.Explorer.violations
-           = List.map snd r2.Uldma_verify.Explorer.violations
-        && List.map snd r2.Uldma_verify.Explorer.violations
-           = List.map snd r4.Uldma_verify.Explorer.violations);
-      Printf.bprintf buf "      \"truncated_parallel\": {\n";
-      Printf.bprintf buf "        \"max_paths\": %d,\n" trunc_paths;
-      Printf.bprintf buf "        \"truncated\": %b,\n" t1.Uldma_verify.Explorer.truncated;
-      Printf.bprintf buf "        \"results_identical\": %b\n"
-        (t1.Uldma_verify.Explorer.truncated && t2.Uldma_verify.Explorer.truncated
-        && t4.Uldma_verify.Explorer.truncated
-        && t1.Uldma_verify.Explorer.paths = t2.Uldma_verify.Explorer.paths
-        && t2.Uldma_verify.Explorer.paths = t4.Uldma_verify.Explorer.paths
-        && List.map snd t1.Uldma_verify.Explorer.violations
-           = List.map snd t2.Uldma_verify.Explorer.violations
-        && List.map snd t2.Uldma_verify.Explorer.violations
-           = List.map snd t4.Uldma_verify.Explorer.violations);
-      Printf.bprintf buf "      },\n";
-      Printf.bprintf buf "      \"domains\": {\n";
-      let dnames =
-        List.filter
-          (fun n -> String.length n > 9 && String.sub n 0 9 = "explorer.")
-          (Uldma_obs.Counters.counter_names r4.Uldma_verify.Explorer.counters)
-      in
-      List.iteri
-        (fun j n ->
-          Printf.bprintf buf "        \"%s\": %d%s\n" n
-            (Uldma_obs.Counters.value r4.Uldma_verify.Explorer.counters n)
-            (if j = List.length dnames - 1 then "" else ","))
-        dnames;
-      Printf.bprintf buf "      },\n";
+      Printf.bprintf buf "      \"seconds\": %.6f,\n" s1;
+      Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r1 s1);
       Printf.bprintf buf "      \"paranoid\": {\n";
       Printf.bprintf buf "        \"seconds\": %.6f,\n" sp;
       Printf.bprintf buf "        \"bytes_hashed_per_node\": %.1f,\n"
@@ -515,7 +457,7 @@ let write_bench_explorer_json () =
   Buffer.add_string buf "  },\n  \"timed\": {\n";
   (* rep5 under each timed net backend: the wait leg grows the tree,
      the relative-deadline encoding must still collapse it (dedup
-     ratio > 1) and brute-force / parallel runs must agree exactly *)
+     ratio > 1) and the brute-force run must agree exactly *)
   Printf.bprintf buf "    \"scenario\": \"rep5\",\n";
   Printf.bprintf buf "    \"tick_ps\": %d,\n" Uldma_net.Backend.default_tick_ps;
   let timed_backends =
@@ -528,12 +470,12 @@ let write_bench_explorer_json () =
   List.iteri
     (fun i (name, link) ->
       let net = Uldma_net.Backend.linked link in
-      let explore ?dedup ?jobs () =
+      let explore ?dedup () =
         let s = Scenario.rep5 ~net () in
         let t0 = Unix.gettimeofday () in
         let r =
           Uldma_verify.Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
-            ~max_paths:1_000_000 ?dedup ?jobs ~check:(Scenario.oracle_check s) ()
+            ~max_paths:1_000_000 ?dedup ~check:(Scenario.oracle_check s) ()
         in
         (r, Unix.gettimeofday () -. t0)
       in
@@ -546,7 +488,6 @@ let write_bench_explorer_json () =
         (ra, Float.min ta tb)
       in
       let rb, _ = explore ~dedup:false () in
-      let r4, _ = explore ~jobs:4 () in
       let viols (x : _ Uldma_verify.Explorer.result) =
         List.map snd x.Uldma_verify.Explorer.violations
       in
@@ -561,9 +502,7 @@ let write_bench_explorer_json () =
       Printf.bprintf buf "      \"seconds\": %.6f,\n" s;
       Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r s);
       Printf.bprintf buf "      \"differential_identical\": %b\n"
-        (r.Uldma_verify.Explorer.paths = rb.Uldma_verify.Explorer.paths
-        && r.Uldma_verify.Explorer.paths = r4.Uldma_verify.Explorer.paths
-        && viols r = viols rb && viols r = viols r4);
+        (r.Uldma_verify.Explorer.paths = rb.Uldma_verify.Explorer.paths && viols r = viols rb);
       Printf.bprintf buf "    }%s\n" (if i = List.length timed_backends - 1 then "" else ",")
     )
     timed_backends;
@@ -606,52 +545,6 @@ let write_bench_explorer_json () =
     secs
     (float_of_int r.Uldma_verify.Explorer.paths /. secs)
     path
-
-(* ------------------------------------------------------------------ *)
-(* Cutoff / merge-batch ablation *)
-
-(* The two work-stealing knobs `uldma_cli explore/campaign` expose
-   (--cutoff: the initial adaptive publication depth, --merge-batch:
-   how many private memo entries buffer before a locked-table merge),
-   swept over the ext-shadow-3 contested tree at jobs=2 — the same
-   scenario and core count the CI speedup gate watches. One row per
-   (cutoff, merge_batch) cell: warmup + min-of-2 seconds, throughput,
-   and the steal/publication/merge counts that explain it. On a
-   single-core box the wall-clock column is flat and only the counter
-   columns are informative; the CSV still records both. *)
-let write_ablate_cutoff_csv () =
-  let module Scenario = Uldma_workload.Scenario in
-  let explore ~cutoff ~merge_batch =
-    let s = Scenario.ext_shadow_contested3 () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Uldma_verify.Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
-        ~max_paths:1_000_000 ~jobs:2 ~cutoff ~merge_batch ~check:(Scenario.oracle_check s) ()
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "cutoff,merge_batch,seconds,paths_per_sec,steals,publications,memo_merges\n";
-  List.iter
-    (fun cutoff ->
-      List.iter
-        (fun merge_batch ->
-          ignore (explore ~cutoff ~merge_batch : _ * float);
-          let ra, ta = explore ~cutoff ~merge_batch in
-          let _, tb = explore ~cutoff ~merge_batch in
-          let secs = Float.min ta tb in
-          Printf.bprintf buf "%d,%d,%.6f,%.1f,%d,%d,%d\n" cutoff merge_batch secs
-            (float_of_int ra.Uldma_verify.Explorer.paths /. secs)
-            ra.Uldma_verify.Explorer.steals ra.Uldma_verify.Explorer.publications
-            ra.Uldma_verify.Explorer.memo_merges)
-        [ 32; 256 ])
-    [ 1; 4; 8; 32; 128 ];
-  let path = Filename.concat results_dir "ablate_cutoff.csv" in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "cutoff ablation (ext-shadow-3, jobs=2) -> %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Cluster-service trajectory *)
@@ -715,6 +608,5 @@ let () =
   let results = benchmark () in
   print_bench_results results;
   write_bench_explorer_json ();
-  write_ablate_cutoff_csv ();
   write_bench_cluster_json ();
   print_endline "done."

@@ -278,12 +278,6 @@ let explore_cmd =
           None
       & info [] ~docv:"SCENARIO")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Explore with $(docv) worker domains (default 1).")
-  in
   let no_dedup =
     Arg.(
       value
@@ -300,7 +294,7 @@ let explore_cmd =
             "Key the dedup memo on full canonical encoding strings instead of streamed 126-bit \
              fingerprints. Slower, but key equality is then exactly state equality — the \
              verification mode tools/diff_explore runs differentially against the fingerprint \
-             default. Ignores --memo-file (the persistent cache stores fingerprint keys).")
+             default.")
   in
   let max_paths =
     Arg.(
@@ -317,16 +311,6 @@ let explore_cmd =
             "Bound the dedup memo to $(docv) subtree summaries (hot generation); older entries \
              are evicted and their states re-expanded on re-encounter. Results are unchanged; \
              only peak memory and time move.")
-  in
-  let memo_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "memo-file" ] ~docv:"FILE"
-          ~doc:
-            "Persist violation-free subtree summaries to $(docv) and reuse them on later runs of \
-             the same scenario and net backend (guarded by a schema version and the root state \
-             fingerprint).")
   in
   let net =
     Arg.(
@@ -350,26 +334,6 @@ let explore_cmd =
              (default 1000000 = 1us). Coarser ticks merge more states; durations are never \
              rounded down to zero.")
   in
-  let cutoff =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "cutoff" ] ~docv:"N"
-          ~doc:
-            "Initial adaptive publication cutoff: a tree node is offered to thieves only when \
-             its estimated subtree size clears $(docv) (default 8; clamped to [1, 2^20]). Higher \
-             values keep more subtrees sequential. Pure performance knob — results are \
-             identical at any setting.")
-  in
-  let merge_batch =
-    Arg.(
-      value
-      & opt int 256
-      & info [ "merge-batch" ] ~docv:"N"
-          ~doc:
-            "Force a domain-local memo generation into the shared table once it holds $(docv) \
-             entries (default 256); boundary merges scale down with it. Pure performance knob.")
-  in
   let mech_override =
     Arg.(
       value
@@ -380,8 +344,8 @@ let explore_cmd =
              $(b,capio) (equivalent to the iommu-fig5 / capio-fig5 scenarios). Only valid with \
              the fig5 scenario.")
   in
-  let run which mech_override jobs no_dedup paranoid_memo max_paths memo_cap memo_file net
-      tick_ps cutoff merge_batch trace_file trace_format =
+  let run which mech_override no_dedup paranoid_memo max_paths memo_cap net tick_ps trace_file
+      trace_format =
     with_trace trace_file trace_format @@ fun () ->
     let module Scenario = Uldma_workload.Scenario in
     let module Explorer = Uldma_verify.Explorer in
@@ -404,7 +368,7 @@ let explore_cmd =
         exit 1
     in
     (* fig5/rep5/key-based have timed variants; the rest run Null only *)
-    let name, memo_key, scenario =
+    let name, short, scenario =
       match which with
       | `Fig5 -> ("rep-args-3 (Fig. 5)", "fig5", `Timed (fun ?net () -> Scenario.fig5 ?net ()))
       | `Fig6 -> ("rep-args-4 (Fig. 6)", "fig6", `Untimed (fun () -> Scenario.fig6 ()))
@@ -464,15 +428,13 @@ let explore_cmd =
       | `Timed f, _ -> f ~net:backend ()
       | `Untimed f, Backend.Null -> f ()
       | `Untimed _, Backend.Linked _ ->
-        Printf.eprintf "scenario %s has no timed variant; --net must be null\n" memo_key;
+        Printf.eprintf "scenario %s has no timed variant; --net must be null\n" short;
         exit 1
     in
-    let memo_net = Backend.cache_key backend in
     let t0 = Unix.gettimeofday () in
     let r =
       Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ~max_paths
-        ~dedup:(not no_dedup) ~paranoid_memo ~jobs ~memo_cap ?memo_file ~memo_key ~memo_net
-        ~cutoff ~merge_batch ~check:(Scenario.oracle_check s) ()
+        ~dedup:(not no_dedup) ~paranoid_memo ~memo_cap ~check:(Scenario.oracle_check s) ()
     in
     let secs = Unix.gettimeofday () -. t0 in
     let tbl =
@@ -497,36 +459,30 @@ let explore_cmd =
       row "memo keying" (if paranoid_memo then "paranoid (full encodings)" else "fingerprint-128");
       row "bytes hashed" (string_of_int r.Explorer.bytes_hashed)
     end;
-    row "steals" (string_of_int r.Explorer.steals);
-    if jobs > 1 then begin
-      row "publications" (string_of_int r.Explorer.publications);
-      row "lease splits" (string_of_int r.Explorer.lease_splits);
-      row "memo merges" (string_of_int r.Explorer.memo_merges);
-      row "cutoff (final)" (string_of_int r.Explorer.cutoff)
-    end;
     row "complete" (if r.Explorer.truncated then "TRUNCATED" else "yes");
-    row "jobs" (string_of_int (max 1 jobs));
     row "seconds" (Printf.sprintf "%.3f" secs);
     row "schedules/sec" (Printf.sprintf "%.0f" (float_of_int r.Explorer.paths /. secs));
     Uldma_util.Tbl.print tbl;
-    (match r.Explorer.violations with
-    | [] when r.Explorer.truncated ->
+    (match Explorer.verdict r with
+    | Explorer.Inconclusive ->
       Printf.printf "verdict: INCONCLUSIVE (clipped at %d schedules, no violation found)\n"
         r.Explorer.paths
-    | [] -> Printf.printf "verdict: SAFE under all explored schedules\n"
-    | (v, schedule) :: _ as all ->
-      Printf.printf "verdict: VULNERABLE (%d violating schedules)\n" (List.length all);
-      Format.printf "first violation: %a@." Oracle.pp_violation v;
-      Printf.printf "schedule: %s\n"
-        (String.concat " " (List.map string_of_int schedule)));
+    | Explorer.Safe -> Printf.printf "verdict: SAFE under all explored schedules\n"
+    | Explorer.Vulnerable n -> (
+      Printf.printf "verdict: VULNERABLE (%d violating schedules)\n" n;
+      match r.Explorer.violations with
+      | (v, schedule) :: _ ->
+        Format.printf "first violation: %a@." Oracle.pp_violation v;
+        Printf.printf "schedule: %s\n" (String.concat " " (List.map string_of_int schedule))
+      | [] -> ()));
     if r.Explorer.truncated then exit 2;
     if r.Explorer.violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "explore" ~doc)
     Term.(
-      const run $ which $ mech_override $ jobs $ no_dedup $ paranoid_memo $ max_paths $ memo_cap
-      $ memo_file $ net $ tick_ps $ cutoff $ merge_batch $ trace_file_arg $ trace_format_arg)
+      const run $ which $ mech_override $ no_dedup $ paranoid_memo $ max_paths $ memo_cap $ net
+      $ tick_ps $ trace_file_arg $ trace_format_arg)
 
 let cluster_cmd =
   let module Kv = Uldma_workload.Kv_load in
@@ -807,9 +763,8 @@ let campaign_cmd =
       & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains. Split outer-first: up to $(docv) domains each run whole candidates \
-             sequentially off a shared queue; intra-tree work-stealing only kicks in when \
-             candidates are scarcer than domains.")
+            "Worker domains: up to $(docv) domains each explore whole candidates off a shared \
+             queue (default 1).")
   in
   let max_paths =
     Arg.(
@@ -854,22 +809,6 @@ let campaign_cmd =
       & opt int Backend.default_tick_ps
       & info [ "tick-ps" ] ~docv:"PS" ~doc:"Timed-backend duration quantum (default 1us).")
   in
-  let cutoff =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cutoff" ] ~docv:"N"
-          ~doc:
-            "Initial adaptive publication cutoff for intra-tree stealing (default: the \
-             campaign policy — high when candidates are plentiful).")
-  in
-  let merge_batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "merge-batch" ] ~docv:"N"
-          ~doc:"Forced domain-local memo merge threshold (default 256).")
-  in
   let out =
     Arg.(
       value
@@ -877,7 +816,7 @@ let campaign_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the collusion catalogue CSV to $(docv).")
   in
-  let run slots jobs max_paths mechs nets tick_ps cutoff merge_batch out =
+  let run slots jobs max_paths mechs nets tick_ps out =
     let nets =
       List.map
         (fun name ->
@@ -914,8 +853,7 @@ let campaign_cmd =
             (fun net ->
               let t0 = Unix.gettimeofday () in
               let cr =
-                Synth.run_cell ?net ~slots ~jobs ~max_paths ~shared ?cutoff ?merge_batch
-                  subject
+                Synth.run_cell ?net ~slots ~jobs ~max_paths ~shared subject
               in
               let c = cr.Synth.cr_cell in
               Uldma_util.Tbl.add_row tbl
@@ -953,7 +891,7 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ slots $ jobs $ max_paths $ mechs $ nets $ tick_ps $ cutoff $ merge_batch $ out)
+      const run $ slots $ jobs $ max_paths $ mechs $ nets $ tick_ps $ out)
 
 let () =
   let doc = "User-level DMA without OS kernel modification - reproduction toolkit" in

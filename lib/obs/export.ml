@@ -40,7 +40,7 @@ let args_body (kind : Trace.kind) =
   | Packet_tx { dst_paddr; bytes } | Packet_rx { dst_paddr; bytes } ->
     Printf.sprintf {|"dst_paddr":%d,"bytes":%d|} dst_paddr bytes
   | Oracle_violation { detail } -> Printf.sprintf {|"detail":"%s"|} (json_escape detail)
-  | Explorer_fork { depth } | Explorer_steal { depth } | Explorer_dedup { depth } ->
+  | Explorer_fork { depth } | Explorer_dedup { depth } ->
     Printf.sprintf {|"depth":%d|} depth
   | Explorer_prune { depth; reason } ->
     Printf.sprintf {|"depth":%d,"reason":"%s"|} depth (json_escape reason)

@@ -23,7 +23,6 @@ type kind =
   | Oracle_violation of { detail : string }
   | Explorer_fork of { depth : int }
   | Explorer_prune of { depth : int; reason : string }
-  | Explorer_steal of { depth : int }
   | Explorer_dedup of { depth : int }
 
 type record = { at : Uldma_util.Units.ps; machine : int; pid : int; kind : kind }
@@ -97,9 +96,7 @@ let register_machine t =
   end
 
 (* Merge the events retained by [src] into [dst], preserving order
-   (dst's then src's) and accounting for src's drops. The parallel
-   explorer gives each worker domain a private sink and absorbs them
-   into the root sink under a lock at the end of the run. *)
+   (dst's then src's) and accounting for src's drops. *)
 let absorb dst src =
   if dst.permanent_off then invalid_arg "Trace.absorb: the null sink cannot absorb";
   List.iter (fun r -> emit dst ~at:r.at ~machine:r.machine ~pid:r.pid r.kind) (events src);
@@ -122,9 +119,7 @@ let layer_of_kind = function
   | Cap_check _ | Transfer_start _ | Transfer_complete _ ->
     Dma
   | Packet_tx _ | Packet_rx _ -> Net
-  | Oracle_violation _ | Explorer_fork _ | Explorer_prune _ | Explorer_steal _ | Explorer_dedup _
-    ->
-    Verify
+  | Oracle_violation _ | Explorer_fork _ | Explorer_prune _ | Explorer_dedup _ -> Verify
 
 let layer_name = function
   | Bus -> "bus"
@@ -157,7 +152,6 @@ let kind_name = function
   | Oracle_violation _ -> "oracle_violation"
   | Explorer_fork _ -> "explorer_fork"
   | Explorer_prune _ -> "explorer_prune"
-  | Explorer_steal _ -> "explorer_steal"
   | Explorer_dedup _ -> "explorer_dedup"
 
 let pp_args ppf = function
@@ -182,7 +176,6 @@ let pp_args ppf = function
   | Oracle_violation { detail } -> Fmt.pf ppf "%s" detail
   | Explorer_fork { depth } -> Fmt.pf ppf "depth=%d" depth
   | Explorer_prune { depth; reason } -> Fmt.pf ppf "depth=%d reason=%s" depth reason
-  | Explorer_steal { depth } -> Fmt.pf ppf "depth=%d" depth
   | Explorer_dedup { depth } -> Fmt.pf ppf "depth=%d" depth
 
 let pp_record ppf r =

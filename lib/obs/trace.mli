@@ -38,8 +38,6 @@ type kind =
   | Oracle_violation of { detail : string }
   | Explorer_fork of { depth : int }
   | Explorer_prune of { depth : int; reason : string }
-  | Explorer_steal of { depth : int }
-      (** a worker domain popped a subtree root off the shared deque *)
   | Explorer_dedup of { depth : int }
       (** exploration reached an already-expanded engine-visible state *)
 
@@ -79,9 +77,9 @@ val clear : t -> unit
 
 val absorb : t -> t -> unit
 (** [absorb dst src] appends [src]'s retained events (oldest first)
-    into [dst] and carries over [src]'s drop count. Used by the
-    parallel explorer to merge per-domain sinks into the root sink
-    under a lock. Raises [Invalid_argument] on {!null} as [dst]. *)
+    into [dst] and carries over [src]'s drop count, so sinks filled
+    separately (one per domain, say) can be merged into one. Raises
+    [Invalid_argument] on {!null} as [dst]. *)
 
 val register_machine : t -> int
 (** Allocate the next machine id (0, 1, 2, ...) for a kernel attached

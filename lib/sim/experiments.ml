@@ -383,7 +383,10 @@ let fig8_proof () =
         string_of_int r.Explorer.paths;
         string_of_int n_viol;
         (if r.Explorer.truncated then "TRUNCATED" else "yes");
-        (if n_viol = 0 then "SAFE under all schedules" else "VULNERABLE");
+        (match Explorer.verdict r with
+        | Explorer.Safe -> "SAFE under all schedules"
+        | Explorer.Vulnerable _ -> "VULNERABLE"
+        | Explorer.Inconclusive -> "INCONCLUSIVE");
       ]
   in
   explore "rep-args-3 (Fig. 5)" (fun () -> Scenario.fig5 ());

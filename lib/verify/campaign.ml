@@ -1,5 +1,5 @@
-(* Two-level batch driver over many candidate explorations sharing one
-   memo; see the mli for the contract. *)
+(* Batch driver over many candidate explorations sharing one memo; see
+   the mli for the contract. *)
 
 open Uldma_os
 
@@ -12,7 +12,6 @@ type 'v candidate = {
 type stats = {
   g_candidates : int;
   g_outer : int;
-  g_inner : int;
   g_paths : int;
   g_states : int;
   g_hits : int;
@@ -20,47 +19,26 @@ type stats = {
   g_memo_evictions : int;
 }
 
-(* Outer-first split: when candidates are plentiful every domain runs
-   whole candidates sequentially (inner = 1) — candidate trees in a
-   campaign are small, and intra-tree stealing on a small tree is pure
-   overhead (publications, shard traffic, forks nobody needed). Only
-   when the candidate count cannot feed every domain do the leftover
-   domains turn into intra-tree workers. *)
-let split_jobs ~jobs ~candidates =
-  let jobs = max 1 jobs in
-  let outer = max 1 (min jobs candidates) in
-  (outer, max 1 (jobs / outer))
-
-(* A candidate exploration should only fall back to intra-tree
-   stealing when it actually has spare domains; and with plentiful
-   candidates the adaptive cutoff starts high so even those runs keep
-   small subtrees inline. *)
-let default_cutoff_for ~outer ~candidates = if candidates >= 2 * outer then 64 else 8
-
 let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_instructions_per_leg = 2000)
     ?(max_paths = 1_000_000) ?(dedup = true) ?(paranoid_memo = false)
-    ?(memo_cap = 1 lsl 20) ?shared ?cutoff ?merge_batch ~check () =
+    ?(memo_cap = 1 lsl 20) ?shared ~check () =
   let n = Array.length candidates in
-  let outer, inner = split_jobs ~jobs ~candidates:n in
+  let outer = max 1 (min jobs n) in
   let sm =
     match shared with
     | Some sm -> sm
-    | None -> Explorer.create_shared ~cap:memo_cap ~locked:(outer > 1 || inner > 1) ()
+    | None -> Explorer.create_shared ~cap:memo_cap ~locked:(outer > 1) ()
   in
   (* fresh key generation for this cell: keys minted against an earlier
      baseline/backend under the same table can never alias ours *)
   Explorer.bump_generation sm;
-  let cutoff =
-    match cutoff with Some c -> c | None -> default_cutoff_for ~outer ~candidates:n
-  in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let explore_one i =
     let c = candidates.(i) in
     let r =
       Explorer.explore ~root:c.c_root ~pids ~baseline ~max_instructions_per_leg ~max_paths
-        ~dedup ~paranoid_memo ~jobs:inner ~shared:sm ?key_tag:c.c_key_tag ~cutoff
-        ?merge_batch ~check ()
+        ~dedup ~paranoid_memo ~shared:sm ?key_tag:c.c_key_tag ~check ()
     in
     results.(i) <- Some r
   in
@@ -91,7 +69,6 @@ let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_instructions_per_leg = 200
     {
       g_candidates = n;
       g_outer = outer;
-      g_inner = inner;
       g_paths = total (fun r -> r.Explorer.paths);
       g_states = total (fun r -> r.Explorer.states_visited);
       g_hits = total (fun r -> r.Explorer.dedup_hits);

@@ -1,6 +1,5 @@
 (** Campaign engine: run many near-identical candidate explorations
-    through one cross-exploration shared memo, with two-level
-    parallelism (DESIGN.md §5h).
+    through one cross-exploration shared memo (DESIGN.md §5h).
 
     A {e campaign cell} is one (baseline kernel, oracle) pair and an
     array of candidates — kernels snapshotted from the baseline that
@@ -11,27 +10,21 @@
     speedup comes from — the post-exit and common-residual subtrees of
     near-identical programs collapse onto the same decorated keys.
 
-    {2 Parallelism policy}
+    {2 Fan-out}
 
-    [jobs] domains are split {e outer-first}:
-    [outer = min jobs #candidates] domains each pull whole candidates
-    off a shared queue, and each candidate runs with
-    [inner = jobs / outer] intra-tree workers. With plentiful
-    candidates this degenerates to [inner = 1]: every candidate
-    explores on the fast sequential path (no deques, no steals) and
-    all parallelism is embarrassing outer-level fan-out. The adaptive
-    cutoff is also started high in that regime so nothing splits
-    intra-tree. Only when candidates are scarcer than domains does
-    intra-tree stealing switch back on.
+    [jobs] domains each pull whole candidates off a shared queue
+    ([min jobs #candidates] of them, reported as [g_outer]); every
+    candidate is one sequential {!Explorer.explore}. The shared table
+    is locked whenever more than one domain uses it.
 
     {2 Determinism}
 
     Per-candidate [paths], [violations] (list, order) and [truncated]
     are independent of memo warmth, job counts and scheduling — the
-    explorer's dedup/settlement invariants — so a campaign's result
-    array is byte-identical at every [jobs] value, and identical to
-    running every candidate cold and sequentially. Warmth shows up
-    only in cost fields ([states_visited], [dedup_hits], timings).
+    explorer's dedup invariants — so a campaign's result array is
+    byte-identical at every [jobs] value, and identical to running
+    every candidate cold and sequentially. Warmth shows up only in cost
+    fields ([states_visited], [dedup_hits], timings).
 
     {2 Safety requirements}
 
@@ -58,18 +51,13 @@ type 'v candidate = {
 
 type stats = {
   g_candidates : int;
-  g_outer : int;  (** outer (candidate-level) domains used *)
-  g_inner : int;  (** intra-tree workers per candidate *)
+  g_outer : int;  (** domains that explored candidates *)
   g_paths : int;  (** sum of per-candidate [paths] *)
   g_states : int;  (** sum of per-candidate [states_visited] *)
   g_hits : int;  (** sum of per-candidate [dedup_hits] *)
   g_memo_length : int;  (** summaries resident in the shared table after the run *)
   g_memo_evictions : int;  (** cumulative evictions of the shared table *)
 }
-
-val split_jobs : jobs:int -> candidates:int -> int * int
-(** [(outer, inner)] as described above; exposed for tests and the
-    bench. *)
 
 val run :
   candidates:'v candidate array ->
@@ -82,8 +70,6 @@ val run :
   ?paranoid_memo:bool ->
   ?memo_cap:int ->
   ?shared:'v Explorer.shared_memo ->
-  ?cutoff:int ->
-  ?merge_batch:int ->
   check:(Kernel.t -> 'v option) ->
   unit ->
   'v Explorer.result array * stats
@@ -92,6 +78,4 @@ val run :
     default [2^20]) is created unless [shared] is passed — pass one to
     chain cells of a grid through a single table; the generation is
     bumped on entry either way, so a reused table never aliases a
-    previous cell's keys. [cutoff] defaults to the
-    plentiful-candidates policy above; [merge_batch] as in
-    {!Explorer.explore}. *)
+    previous cell's keys. *)

@@ -44,73 +44,29 @@
     summaries instead of copying their schedules, so it costs O(1)
     words beyond children that already exist, and memo memory grows
     with states, not with violations × depth. A hit re-emits the
-    subtree's violations under each new prefix, materialising each
-    schedule only when the result is built, so deduplication (and
-    parallelism) change cost, never results: [paths], the violating
-    schedules, and even their order are identical with [dedup] on or
-    off and with any [jobs] value — including under truncation (see
-    the lease discussion below). One caveat: a memo hit re-emits the
-    ['v] value computed on the first-discovered prefix, so payload
-    fields outside the dedup abstraction — simulated timestamps,
-    chiefly — may differ from what a brute-force run would compute for
-    the same schedule.
+    subtree's violations under the current prefix, so deduplication
+    changes cost, never results: [paths], the violating schedules, and
+    even their order are identical with [dedup] on or off — including
+    under truncation. One caveat: a memo hit re-emits the ['v] value
+    computed on the first-discovered prefix, so payload fields outside
+    the dedup abstraction — simulated timestamps, chiefly — may differ
+    from what a brute-force run would compute for the same schedule.
 
-    {2 Parallel driver (work stealing)}
+    {2 One sequential search over one bounded table}
 
-    With [jobs > 1] every worker domain owns a private Chase–Lev deque
-    ([Ws_deque]); the root subtree seeds one of them and load balance
-    is dynamic: while any domain is hungry, a worker expanding a tree
-    node publishes the node's unexpanded sibling legs onto its own
-    deque and descends only into the first, so thieves peel off the
-    shallowest — largest — published subtrees and a long-running
-    subtree keeps shedding work for as long as anyone is idle.
-    Termination is detected with an atomic in-flight task counter.
-    [check] then runs on worker domains and must be pure (the standard
-    oracles are).
-
-    Three mechanisms keep the parallel driver from paying for its own
-    machinery (DESIGN.md §5f):
-
-    - {e Sequential cutoff}: a node is published only when its
-      estimated subtree size (remaining depth × spare width) clears an
-      adaptive threshold; small subtrees run inline with no deque, no
-      fork a thief could take, and — with domain-local generations —
-      no shard locks. Hungry domains failing to steal lower the
-      threshold (bootstrapping an empty system); publications nobody
-      steals raise it. The equilibrium value is reported as [cutoff].
-    - {e Domain-local memo generations}: each worker writes summaries
-      to a private unsynchronised generation, merged into the shared
-      sharded table in batches at task boundaries ([memo_merges]
-      counts them). Shards are owned by the first domain to merge into
-      them, and a worker hitting another domain's shard prefers
-      stealing from that domain next.
-    - {e Truncation leases}: [max_paths] is split into per-task leases
-      at publication, and every run logs what it finds in DFS order; a
-      final settlement walk replays the log against the real budget.
-      Violations therefore come out in DFS (pid-rank lexicographic)
-      order — the sequential emission order — with no sorting, and a
-      truncated parallel run reproduces the {e exact} sequential
-      clipped frontier: same [paths], same violation list and order,
-      same [truncated] flag at every [jobs] value. The one field that
-      stays best-effort in a {e truncated parallel} run is
-      [stuck_legs] (stuck legs are not individually positioned in the
-      log); it is exact sequentially and whenever the run completes.
-
-    {2 Memo bounding and persistence}
+    [explore] is a single depth-first search on the calling domain.
+    Violations are recorded in DFS (pid-rank lexicographic) order as
+    they are met. [max_paths] counts terminals, memo-hit subtrees
+    included; a hit is taken only when its whole path count still fits
+    the budget, otherwise the state is re-expanded, so a clipped run
+    stops exactly where the plain tree walk would and reports exactly
+    what that walk found before the budget ran out.
 
     The memo table is {e bounded} ([memo_cap] summaries in the hot
     generation; two-generation rotation with promotion on touch — see
-    {!Memo}). Eviction costs re-expansion only, so sequential results
-    are bit-identical to an unbounded table while peak memory stays
-    capped. [evictions] in the result counts discarded summaries.
-
-    [memo_file] names an optional {e persistent} cache: violation-free
-    subtree summaries are saved on completion and seed lookups on the
-    next run, keyed by [memo_key] and guarded by a schema version plus
-    the root kernel's fingerprint (see {!Memo.Persist}); a stale or
-    foreign file is ignored wholesale. Because only safe summaries are
-    persisted, a warm start can skip work but can never mask a
-    violation. *)
+    {!Memo}). Eviction costs re-expansion only, so results are
+    bit-identical to an unbounded table while peak memory stays
+    capped. [evictions] in the result counts discarded summaries. *)
 
 type 'v result = {
   paths : int; (** complete schedules explored (counted through the DAG) *)
@@ -128,22 +84,6 @@ type 'v result = {
   evictions : int;
       (** memo summaries discarded by the bounded table's generation
           rotation (0 when the table never filled) *)
-  steals : int;
-      (** tasks taken from another domain's deque (0 when [jobs] = 1) *)
-  publications : int;
-      (** subtree-root tasks published for stealing (0 when [jobs] = 1);
-          kept low by the adaptive cutoff *)
-  lease_splits : int;
-      (** published tasks whose lease was strictly below [max_paths] —
-          i.e. publications where truncation accounting actually had to
-          split the budget *)
-  memo_merges : int;
-      (** domain-local memo generations merged into the shared table
-          (0 when [jobs] = 1, where writes go straight to the single
-          unlocked shard) *)
-  cutoff : int;
-      (** final value of the adaptive publication threshold (the
-          initial default when [jobs] = 1, where nothing adapts it) *)
   snapshots : int;
       (** [Kernel.snapshot] calls made (seed + per-leg forks). A node's
           final leg advances its parent in place — the parent is dead
@@ -156,10 +96,6 @@ type 'v result = {
           campaign decoration in fingerprint mode, full decorated
           encoding lengths in [paranoid_memo] mode. The per-node ratio
           is the bench's [bytes_hashed_per_node]. *)
-  counters : Uldma_obs.Counters.t;
-      (** per-domain observability: [explorer.d<i>.steals],
-          [.publications], [.lease_splits], [.memo_merges] for each
-          worker domain [i]. Filled after all domains join. *)
 }
 
 (** {2 Cross-exploration shared memo (campaign mode)}
@@ -203,7 +139,6 @@ val bump_generation : 'v shared_memo -> unit
     disjoint from every key minted before. Call between campaign cells
     (baseline or backend change); never concurrently with [explore]. *)
 
-val shared_generation : 'v shared_memo -> int
 val shared_length : 'v shared_memo -> int
 (** Resident summaries (all generations); racy under concurrency. *)
 
@@ -218,37 +153,20 @@ val explore :
   ?max_paths:int ->
   ?dedup:bool ->
   ?paranoid_memo:bool ->
-  ?jobs:int ->
   ?memo_cap:int ->
-  ?memo_file:string ->
-  ?memo_key:string ->
-  ?memo_net:string ->
   ?shared:'v shared_memo ->
   ?key_tag:(Uldma_os.Kernel.t -> string) ->
-  ?cutoff:int ->
-  ?merge_batch:int ->
   check:(Uldma_os.Kernel.t -> 'v option) ->
   unit ->
   'v result
 (** [check] runs at each terminal state (all of [pids] exited or
     stuck, and nothing in flight). Defaults: 2000 instructions per
-    leg, 1_000_000 paths, [dedup] on, [paranoid_memo] off, [jobs] 1,
-    [memo_cap] 262144 summaries, no [memo_file], [memo_key]
-    ["default"], [memo_net] ["null"]. [paranoid_memo] keys the memo on
-    full encoding strings instead of streamed 126-bit fingerprints:
-    slower, but a key equality is then exactly a state equality — the
-    verification mode [tools/diff_explore] runs differentially against
-    the fingerprint default. A paranoid run neither reads nor writes
-    [memo_file] (the persistent cache stores fingerprint keys).
-    The root kernel is not mutated. With [jobs > 1], [check]
-    runs on worker domains and must be pure. [memo_key] distinguishes
-    scenarios sharing one [memo_file]; [memo_net] must name the
-    kernel's net backend (e.g. [Uldma_net.Backend.cache_key]) whenever
-    it is not the Null backend — the persistent cache keys sections by
-    (scenario, net) because the root fingerprint alone cannot tell
-    backends apart (nothing is in flight at the root). Reusing a key
-    across different scenarios is safe (the root fingerprint guard
-    rejects the stale section) but forfeits the warm start.
+    leg, 1_000_000 paths, [dedup] on, [paranoid_memo] off, [memo_cap]
+    262144 summaries. [paranoid_memo] keys the memo on full encoding
+    strings instead of streamed 126-bit fingerprints: slower, but a key
+    equality is then exactly a state equality — the verification mode
+    [tools/diff_explore] runs differentially against the fingerprint
+    default. The root kernel is not mutated.
 
     [baseline] overrides the encoding baseline (default: [root]). A
     campaign passes the common base kernel all candidate roots were
@@ -257,19 +175,19 @@ val explore :
     another domain) while any exploration that uses it runs.
 
     [shared] routes all memo traffic through a cross-exploration table
-    instead of a private one (see above); [memo_file] is then ignored
-    — decorated keys are meaningless outside their own table. Pass
-    [key_tag] (fixed-width, residual-behaviour-determining) whenever
-    candidates sharing the table differ in program text.
+    instead of a private one (see above); [memo_cap] is then ignored.
+    Pass [key_tag] (fixed-width, residual-behaviour-determining)
+    whenever candidates sharing the table differ in program text. *)
 
-    [cutoff] sets the {e initial} adaptive publication threshold
-    (default 8; clamped to [1, 2^20]). Raising it biases against
-    intra-tree splitting — a campaign with plentiful candidates sets
-    it high so small trees stay sequential and parallelism comes from
-    the outer candidate queue. [merge_batch] sets the forced
-    domain-local generation merge threshold (default 256; the boundary
-    merge minimum scales down with it). Both are pure performance
-    knobs: results are identical at any setting. *)
+type verdict =
+  | Safe  (** complete, and no schedule violates *)
+  | Vulnerable of int  (** this many violating schedules were found *)
+  | Inconclusive  (** clipped by [max_paths] before any violation was found *)
+
+val verdict : 'v result -> verdict
+(** The one reading of a result: a violation is a witness whatever the
+    budget did, but the absence of one proves safety only for a complete
+    exploration. *)
 
 val wait_leg : int
 (** The pseudo-pid ([-2]) recorded in a schedule when the leg idled the

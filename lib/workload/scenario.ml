@@ -430,10 +430,10 @@ let capio_launder ?net () =
 
 (* ------------------------------------------------------------------ *)
 (* Three-process contested workloads. Two-process trees top out around
-   10^2..10^3 schedules — too small for --jobs to matter. A third
+   10^2..10^3 schedules — too small to stress dedup. A third
    process and repeated initiations push the tree to 10^5..10^6
    schedules (the multinomial of the three leg counts), which is where
-   work stealing and the bounded memo earn their keep. Safety is the
+   state dedup and the bounded memo earn their keep. Safety is the
    same atomicity claim as [contested], now with three concurrent
    register-context users. *)
 

@@ -123,8 +123,8 @@ val key_contested3 : ?victim_repeat:int -> ?tenant_repeat:int -> unit -> t
     two tenants, each initiating [victim_repeat] / [tenant_repeat]
     (default 1 each — key-based initiation is 4 NI accesses, so one
     initiation per process already gives a ~7.6e5-schedule tree)
-    legitimate DMAs on its own pages. Sized so parallel exploration
-    ([--jobs]) has real work to divide. Safety: every DMA happens
+    legitimate DMAs on its own pages. Sized so state dedup has a large
+    tree to collapse. Safety: every DMA happens
     exactly its requested number of times with no argument mixing,
     under every three-way schedule. *)
 

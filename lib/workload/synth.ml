@@ -318,15 +318,14 @@ let make_cell ~mech ~net ~slots ~ops ~results ~(stats : Campaign.stats) =
   }
 
 let run_cell ?net ?repeat ?(slots = 3) ?exact ?(jobs = 1) ?(max_paths = 1_000_000) ?shared
-    ?cutoff ?merge_batch subject =
+    subject =
   let base = make_base ?net ?repeat subject in
   let ops = enumerate ?exact ~slots () in
   (* sequential on purpose; see [candidate] *)
   let candidates = Array.map (candidate base) ops in
   let results, stats =
     Campaign.run ~candidates ~pids:(Scenario.explore_pids base.b_scenario)
-      ~baseline:base.b_scenario.Scenario.kernel ~jobs ~max_paths ?shared ?cutoff
-      ?merge_batch
+      ~baseline:base.b_scenario.Scenario.kernel ~jobs ~max_paths ?shared
       ~check:(Scenario.oracle_check base.b_scenario)
       ()
   in

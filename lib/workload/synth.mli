@@ -135,8 +135,6 @@ val run_cell :
   ?jobs:int ->
   ?max_paths:int ->
   ?shared:Uldma_verify.Oracle.violation Uldma_verify.Explorer.shared_memo ->
-  ?cutoff:int ->
-  ?merge_batch:int ->
   subject ->
   cell_run
 (** Build the base, enumerate, and run the whole candidate family

@@ -89,7 +89,6 @@ let test_trace_ambient () =
   checkb "restored after an exception" true (Trace.ambient () == Trace.null)
 
 let test_trace_absorb () =
-  (* the parallel explorer merges worker-local sinks into the root one *)
   let dst = Trace.create () and src = Trace.create () in
   emit_n dst 2;
   emit_n src 3;
@@ -110,13 +109,13 @@ let test_trace_absorb () =
 
 let test_trace_explorer_kinds () =
   let sink = Trace.create () in
-  Trace.emit sink ~at:0 ~machine:0 ~pid:(-1) (Trace.Explorer_steal { depth = 2 });
+  Trace.emit sink ~at:0 ~machine:0 ~pid:(-1) (Trace.Explorer_fork { depth = 2 });
   Trace.emit sink ~at:1 ~machine:0 ~pid:(-1) (Trace.Explorer_dedup { depth = 3 });
   (match Trace.events sink with
   | [ a; b ] ->
-    Alcotest.(check string) "steal name" "explorer_steal" (Trace.kind_name a.Trace.kind);
+    Alcotest.(check string) "fork name" "explorer_fork" (Trace.kind_name a.Trace.kind);
     Alcotest.(check string) "dedup name" "explorer_dedup" (Trace.kind_name b.Trace.kind);
-    Alcotest.(check string) "steal layer" "verify"
+    Alcotest.(check string) "fork layer" "verify"
       (Trace.layer_name (Trace.layer_of_kind a.Trace.kind));
     Alcotest.(check string) "dedup layer" "verify"
       (Trace.layer_name (Trace.layer_of_kind b.Trace.kind))

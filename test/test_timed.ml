@@ -97,10 +97,10 @@ let test_backend_basics () =
 (* ------------------------------------------------------------------ *)
 (* Explorer plumbing shared below *)
 
-let explore ?dedup ?jobs ?memo_file ?memo_key ?memo_net build =
+let explore ?dedup build =
   let s = build () in
-  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ?jobs ?memo_file
-    ?memo_key ?memo_net ~check:(Scenario.oracle_check s) ()
+  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup
+    ~check:(Scenario.oracle_check s) ()
 
 let canon (r : _ Explorer.result) =
   List.map (fun (v, schedule) -> (Oracle.kind_name v, schedule)) r.Explorer.violations
@@ -163,80 +163,24 @@ let test_timed_fig5_still_vulnerable () =
        timed.Explorer.violations)
 
 (* ------------------------------------------------------------------ *)
-(* Differential soundness: brute-force (no dedup) vs dedup vs jobs
-   {2,4} on all three timed scenarios — identical path counts and
-   identical violation sets, or the relative-deadline encoding merged
-   states it should not have *)
+(* Differential soundness: brute-force (no dedup) vs dedup on all three
+   timed scenarios — identical path counts and identical violation
+   sets, or the relative-deadline encoding merged states it should not
+   have *)
 
 let test_timed_differential () =
   List.iter
     (fun (name, build) ->
       let brute = explore ~dedup:false build in
       checkb (name ^ " brute complete") false brute.Explorer.truncated;
-      List.iter
-        (fun (what, r) ->
-          checki
-            (Printf.sprintf "%s %s paths" name what)
-            brute.Explorer.paths r.Explorer.paths;
-          checkb (Printf.sprintf "%s %s violations" name what) true (canon r = canon brute))
-        [
-          ("dedup", explore build);
-          ("jobs=2", explore ~jobs:2 build);
-          ("jobs=4", explore ~jobs:4 build);
-        ])
+      let dedup = explore build in
+      checki (name ^ " dedup paths") brute.Explorer.paths dedup.Explorer.paths;
+      checkb (name ^ " dedup violations") true (canon dedup = canon brute))
     [
       ("fig5", fun () -> Scenario.fig5 ~net:atm155 ());
       ("rep5", fun () -> Scenario.rep5 ~net:atm155 ());
       ("key-based", fun () -> Scenario.key_contested ~net:atm155 ());
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Persistent memo: the net backend is part of the section key *)
-
-let with_temp_memo f =
-  let file = Filename.temp_file "uldma_test_timed_memo" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () -> f file)
-
-let test_persist_keyed_by_net () =
-  with_temp_memo @@ fun file ->
-  let null_build () = Scenario.rep5 () in
-  let timed_build () = Scenario.rep5 ~net:atm155 () in
-  let timed_net = Backend.cache_key atm155 in
-  (* warm the cache with the Null run *)
-  let cold = explore ~memo_file:file ~memo_key:"rep5" null_build in
-  let warm = explore ~memo_file:file ~memo_key:"rep5" null_build in
-  checki "null warm start skips everything" 0 warm.Explorer.states_visited;
-  checki "null warm paths" cold.Explorer.paths warm.Explorer.paths;
-  (* the timed run shares scenario name and memo file but NOT the
-     backend: it must not reuse the Null section (a Null summary's
-     subtree counts are wrong for a timed tree) *)
-  let fresh_timed = explore timed_build in
-  let timed = explore ~memo_file:file ~memo_key:"rep5" ~memo_net:timed_net timed_build in
-  checkb "timed run not warm-started from the Null section" true
-    (timed.Explorer.states_visited > 0);
-  checki "timed paths match a memo-less run" fresh_timed.Explorer.paths timed.Explorer.paths;
-  checki "timed states match a memo-less run" fresh_timed.Explorer.states_visited
-    timed.Explorer.states_visited;
-  (* and the timed section, once saved, warm-starts only itself *)
-  let timed_warm = explore ~memo_file:file ~memo_key:"rep5" ~memo_net:timed_net timed_build in
-  checki "timed warm start skips everything" 0 timed_warm.Explorer.states_visited;
-  checki "timed warm paths" fresh_timed.Explorer.paths timed_warm.Explorer.paths;
-  let null_again = explore ~memo_file:file ~memo_key:"rep5" null_build in
-  checki "null section undisturbed" 0 null_again.Explorer.states_visited
-
-let test_persist_load_requires_matching_net () =
-  with_temp_memo @@ fun file ->
-  let s = Scenario.rep5 () in
-  let root = Kernel.fingerprint s.Scenario.kernel in
-  Uldma_verify.Memo.Persist.save ~file ~scenario:"x" ~net:"null" ~root
-    [ ("enc", { Uldma_verify.Memo.Persist.p_paths = 7; p_stuck = 0 }) ];
-  checkb "same net loads" true
-    (Uldma_verify.Memo.Persist.load ~file ~scenario:"x" ~net:"null" ~root <> None);
-  checkb "other net does not" true
-    (Uldma_verify.Memo.Persist.load ~file ~scenario:"x" ~net:(Backend.cache_key atm155) ~root
-    = None)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-level wait mechanics *)
@@ -314,12 +258,5 @@ let () =
           Alcotest.test_case "wait mechanics" `Quick test_advance_to_next_completion;
           Alcotest.test_case "encoding is clock-relative" `Quick test_encoding_relative_to_now;
         ] );
-      ( "differential",
-        [ Alcotest.test_case "brute = dedup = jobs 2/4" `Slow test_timed_differential ] );
-      ( "persist",
-        [
-          Alcotest.test_case "net in the section key" `Quick test_persist_keyed_by_net;
-          Alcotest.test_case "load requires matching net" `Quick
-            test_persist_load_requires_matching_net;
-        ] );
+      ("differential", [ Alcotest.test_case "brute = dedup" `Slow test_timed_differential ]);
     ]

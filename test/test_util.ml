@@ -553,155 +553,31 @@ let test_fp128_additive_collision_power () =
        (a - Fp128.word_term_a 0 lo hi, b - Fp128.word_term_b 0 lo hi)))
 
 (* ------------------------------------------------------------------ *)
-(* Ws_deque (Chase–Lev work-stealing deque) *)
+(* Enc (one state walk, text or fingerprint sink) *)
 
-let test_ws_deque_owner_lifo () =
-  let d = Ws_deque.create () in
-  checkb "empty pop" true (Ws_deque.pop d = None);
-  Ws_deque.push d 1;
-  Ws_deque.push d 2;
-  Ws_deque.push d 3;
-  checki "size" 3 (Ws_deque.size d);
-  checkb "pop newest" true (Ws_deque.pop d = Some 3);
-  checkb "then next" true (Ws_deque.pop d = Some 2);
-  checkb "then oldest" true (Ws_deque.pop d = Some 1);
-  checkb "then empty" true (Ws_deque.pop d = None);
-  checki "size after drain" 0 (Ws_deque.size d)
+let enc_walk e =
+  Enc.char e 'K';
+  Enc.int e 42;
+  Enc.int e (-7);
+  Enc.string e "pg";
+  Enc.bytes e (Bytes.of_string "\x00\xff")
 
-let test_ws_deque_steal_fifo () =
-  let d = Ws_deque.create () in
-  Ws_deque.push d 1;
-  Ws_deque.push d 2;
-  Ws_deque.push d 3;
-  checkb "steal oldest" true (Ws_deque.steal d = Some 1);
-  checkb "steal next" true (Ws_deque.steal d = Some 2);
-  checkb "owner gets the rest" true (Ws_deque.pop d = Some 3);
-  checkb "steal empty" true (Ws_deque.steal d = None)
+let test_enc_text_format () =
+  let b = Buffer.create 16 in
+  enc_walk (Enc.Buf b);
+  checks "ints decimal with ',', tags and raw bytes verbatim" "K42,-7,pg\x00\xff"
+    (Buffer.contents b)
 
-let test_ws_deque_grow () =
-  (* push far past the 16-slot initial buffer, with interleaved pops
-     and steals so the logical indices wrap several superseded buffers *)
-  let d = Ws_deque.create () in
-  let popped = ref [] and stolen = ref [] in
-  for i = 1 to 1000 do
-    Ws_deque.push d i;
-    if i mod 3 = 0 then
-      match Ws_deque.pop d with Some v -> popped := v :: !popped | None -> ()
-  done;
-  let rec drain () =
-    match Ws_deque.steal d with
-    | Some v ->
-      stolen := v :: !stolen;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  let all = List.sort compare (!popped @ !stolen) in
-  checki "nothing lost or duplicated" 1000 (List.length all);
-  checkb "exactly 1..1000" true (all = List.init 1000 (fun i -> i + 1));
-  checkb "stolen side is FIFO" true (List.rev !stolen = List.sort compare !stolen)
-
-(* Conservation under real contention: one owner domain pushing and
-   popping while three thieves steal. Every pushed element must be
-   consumed exactly once, whichever side wins each race. *)
-let test_ws_deque_concurrent_conservation () =
-  let d = Ws_deque.create () in
-  let n = 20_000 in
-  let stop = Atomic.make false in
-  let thief () =
-    let got = ref [] in
-    while not (Atomic.get stop) do
-      match Ws_deque.steal d with
-      | Some v -> got := v :: !got
-      | None -> Domain.cpu_relax ()
-    done;
-    (* final sweep so nothing is left when the owner finished early *)
-    let rec sweep () =
-      match Ws_deque.steal d with
-      | Some v ->
-        got := v :: !got;
-        sweep ()
-      | None -> ()
-    in
-    sweep ();
-    !got
-  in
-  let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-  let owner_got = ref [] in
-  for i = 1 to n do
-    Ws_deque.push d i;
-    if i land 1 = 0 then
-      match Ws_deque.pop d with Some v -> owner_got := v :: !owner_got | None -> ()
-  done;
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some v ->
-      owner_got := v :: !owner_got;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  let stolen = List.concat_map Domain.join thieves in
-  let all = List.sort compare (stolen @ !owner_got) in
-  checki "every element consumed exactly once" n (List.length all);
-  checkb "the elements are exactly 1..n" true (all = List.init n (fun i -> i + 1))
-
-(* Steal-burst on a near-empty deque: the hard Chase–Lev window is the
-   single-element race, where the owner's pop and every thief's steal
-   CAS the same top index. The adaptive publication cutoff makes this
-   the common case (a worker publishes one task at a time and often
-   pops it straight back), so hammer it: the owner pushes elements one
-   or two at a time and immediately tries to pop, while a burst of
-   thieves steals whatever appears. Every element must be consumed
-   exactly once — a lost CAS must lose the *element* to exactly one
-   winner, never duplicate it, never drop it. *)
-let test_ws_deque_steal_burst_near_empty () =
-  let d = Ws_deque.create () in
-  let n = 4_000 in
-  let stop = Atomic.make false in
-  let thief () =
-    let got = ref [] in
-    while not (Atomic.get stop) do
-      match Ws_deque.steal d with
-      | Some v -> got := v :: !got
-      | None -> Domain.cpu_relax ()
-    done;
-    let rec sweep () =
-      match Ws_deque.steal d with
-      | Some v ->
-        got := v :: !got;
-        sweep ()
-      | None -> ()
-    in
-    sweep ();
-    !got
-  in
-  let thieves = List.init 4 (fun _ -> Domain.spawn thief) in
-  let owner_got = ref [] in
-  let try_pop () =
-    match Ws_deque.pop d with Some v -> owner_got := v :: !owner_got | None -> ()
-  in
-  for i = 1 to n do
-    Ws_deque.push d i;
-    (* keep the deque hovering at 0–2 elements: pop right back most of
-       the time so nearly every steal races the owner for the last one *)
-    if i land 3 <> 0 then try_pop ()
-  done;
-  let rec drain () =
-    match Ws_deque.pop d with
-    | Some v ->
-      owner_got := v :: !owner_got;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  let stolen = List.concat_map Domain.join thieves in
-  let all = List.sort compare (stolen @ !owner_got) in
-  checki "every element consumed exactly once" n (List.length all);
-  checkb "the elements are exactly 1..n" true (all = List.init n (fun i -> i + 1));
-  checki "deque left empty" 0 (Ws_deque.size d)
+let test_enc_fp_feeds_fp128 () =
+  let via_enc = Fp128.create () and direct = Fp128.create () in
+  enc_walk (Enc.Fp via_enc);
+  Fp128.add_tag direct 'K';
+  Fp128.add_int direct 42;
+  Fp128.add_int direct (-7);
+  Fp128.add_string direct "pg";
+  Fp128.add_bytes direct (Bytes.of_string "\x00\xff");
+  checks "same key as feeding Fp128 directly" (Fp128.key direct) (Fp128.key via_enc);
+  checki "same bytes accounted" (Fp128.fed direct) (Fp128.fed via_enc)
 
 let () =
   Alcotest.run "util"
@@ -743,15 +619,10 @@ let () =
           Alcotest.test_case "additive digest collision power" `Quick
             test_fp128_additive_collision_power;
         ] );
-      ( "ws_deque",
+      ( "encoding",
         [
-          Alcotest.test_case "owner LIFO" `Quick test_ws_deque_owner_lifo;
-          Alcotest.test_case "steal FIFO" `Quick test_ws_deque_steal_fifo;
-          Alcotest.test_case "grow preserves elements" `Quick test_ws_deque_grow;
-          Alcotest.test_case "concurrent conservation" `Slow
-            test_ws_deque_concurrent_conservation;
-          Alcotest.test_case "steal burst near empty" `Slow
-            test_ws_deque_steal_burst_near_empty;
+          Alcotest.test_case "text format" `Quick test_enc_text_format;
+          Alcotest.test_case "fingerprint mode feeds Fp128" `Quick test_enc_fp_feeds_fp128;
         ] );
       ( "stats",
         [

@@ -159,10 +159,10 @@ let test_rep5_resists_fig5_schedule () =
 (* ------------------------------------------------------------------ *)
 (* Explorer *)
 
-let explore_with ?dedup ?paranoid_memo ?jobs ?memo_cap ?memo_file ?memo_key ?max_paths scenario =
+let explore_with ?dedup ?paranoid_memo ?memo_cap ?max_paths scenario =
   let s = scenario () in
   Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ?paranoid_memo
-    ?jobs ?memo_cap ?memo_file ?memo_key ?max_paths ~check:(Scenario.oracle_check s) ()
+    ?memo_cap ?max_paths ~check:(Scenario.oracle_check s) ()
 
 let explore scenario = explore_with scenario
 
@@ -311,6 +311,17 @@ let test_explorer_max_paths_truncates () =
   let r = Explorer.explore ~root:s.Scenario.kernel ~pids ~max_paths:3 ~check:(fun _ -> None) () in
   checkb "truncated" true r.Explorer.truncated
 
+(* A verdict means what it says: rep5 clipped at 3 of its 462
+   schedules has found nothing, which proves nothing. The full run is
+   SAFE and Fig. 5 is VULNERABLE with its 9 violating schedules. *)
+let test_explorer_verdict () =
+  let verdict ?max_paths scenario = Explorer.verdict (explore_with ?max_paths scenario) in
+  checkb "clipped rep5 inconclusive" true
+    (verdict ~max_paths:3 (fun () -> Scenario.rep5 ()) = Explorer.Inconclusive);
+  checkb "complete rep5 safe" true (verdict (fun () -> Scenario.rep5 ()) = Explorer.Safe);
+  checkb "fig5 vulnerable" true
+    (verdict (fun () -> Scenario.fig5 ()) = Explorer.Vulnerable 9)
+
 (* A pid that spins forever without touching the NI makes every leg
    through it [`Stuck]. Regression: a stuck leg used to poison the
    whole exploration (global truncation, siblings abandoned); now only
@@ -355,25 +366,6 @@ let test_explorer_dedup_equivalence () =
       checki "no dedup hits when off" 0 off.Explorer.dedup_hits)
     [ (fun () -> Scenario.fig5 ()); (fun () -> Scenario.rep5 ()) ]
 
-(* Same invariant across worker-domain counts: the parallel driver
-   concatenates per-subtree results in the sequential DFS order, so
-   any --jobs must reproduce the jobs=1 schedules exactly. *)
-let test_explorer_jobs_determinism () =
-  List.iter
-    (fun scenario ->
-      let seq = explore scenario in
-      List.iter
-        (fun jobs ->
-          let par = explore_with ~jobs scenario in
-          checki (Printf.sprintf "jobs=%d paths" jobs) seq.Explorer.paths par.Explorer.paths;
-          checkb
-            (Printf.sprintf "jobs=%d violations identical, in order" jobs)
-            true
-            (canon_violations seq = canon_violations par);
-          checkb (Printf.sprintf "jobs=%d complete" jobs) false par.Explorer.truncated)
-        [ 2; 4 ])
-    [ (fun () -> Scenario.fig5 ()); (fun () -> Scenario.rep5 ()) ]
-
 let test_explorer_dedup_reduces_states () =
   let on = explore (fun () -> Scenario.rep5 ()) in
   let off = explore_with ~dedup:false (fun () -> Scenario.rep5 ()) in
@@ -384,58 +376,41 @@ let test_explorer_dedup_reduces_states () =
   checki "brute force visits every interior node at least once" off.Explorer.states_visited
     (off.Explorer.states_visited + off.Explorer.dedup_hits)
 
-(* Regression for the work-stealing driver, in two parts — the two
-   pieces of [Explorer.result] whose assembly actually differs between
-   the sequential DFS and the re-split/steal/sort pipeline.
+(* The two pieces of [Explorer.result] that dedup assembles from memo
+   summaries rather than from the walk itself.
 
    (a) stuck-leg accounting: a deliberately spinning third pid makes
-   stuck legs appear at every surviving node, and the global counter
-   must agree at every job count. (A pid that never reaches an NI
-   access also never exits, so no schedule completes — paths = 0 is
-   the documented pruning semantics, which the parallel driver must
-   reproduce too, published-and-stolen subtrees included.)
+   stuck legs appear at every surviving node, and a memo hit must add
+   its subtree's stuck legs exactly as the tree walk counts them. (A
+   pid that never reaches an NI access also never exits, so no schedule
+   completes — paths = 0 is the documented pruning semantics.)
 
    (b) violation re-emission order: rep5_contested3's ~1.4e3 collusion
-   violations flow through memo re-emission AND the parallel
-   rank-lexicographic sort; every job count must deliver them in the
-   sequential order. *)
-let test_explorer_jobs_stuck_and_violation_order () =
-  let run_spinner jobs =
+   violations flow through memo re-emission; a table small enough to
+   evict constantly re-derives many of them by fresh expansion instead,
+   and must still deliver them in the same order. *)
+let test_explorer_stuck_and_violation_order () =
+  let run_spinner dedup =
     let s = Scenario.fig5 () in
     let spinner =
       Kernel.spawn s.Scenario.kernel ~name:"spinner" ~program:[| Uldma_cpu.Isa.Jmp 0 |] ()
     in
     Explorer.explore ~root:s.Scenario.kernel
       ~pids:(Scenario.explore_pids s @ [ spinner.Process.pid ])
-      ~max_instructions_per_leg:100 ~jobs ~check:(Scenario.oracle_check s) ()
+      ~max_instructions_per_leg:100 ~dedup ~check:(Scenario.oracle_check s) ()
   in
-  let seq = run_spinner 1 in
-  checkb "spinner makes stuck legs" true (seq.Explorer.stuck_legs > 0);
-  List.iter
-    (fun jobs ->
-      let par = run_spinner jobs in
-      checki (Printf.sprintf "spinner jobs=%d paths" jobs) seq.Explorer.paths par.Explorer.paths;
-      checki
-        (Printf.sprintf "spinner jobs=%d stuck legs" jobs)
-        seq.Explorer.stuck_legs par.Explorer.stuck_legs)
-    [ 2; 4 ];
-  let run_contested jobs =
-    let s = Scenario.rep5_contested3 () in
-    Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ~jobs
-      ~check:(Scenario.oracle_check s) ()
-  in
-  let seq = run_contested 1 in
-  checkb "many violations to order" true (List.length seq.Explorer.violations > 100);
-  List.iter
-    (fun jobs ->
-      let par = run_contested jobs in
-      checki (Printf.sprintf "contested jobs=%d paths" jobs) seq.Explorer.paths
-        par.Explorer.paths;
-      checkb
-        (Printf.sprintf "contested jobs=%d violations identical, in order" jobs)
-        true
-        (canon_violations seq = canon_violations par))
-    [ 2; 4 ]
+  let on = run_spinner true and off = run_spinner false in
+  checkb "spinner makes stuck legs" true (off.Explorer.stuck_legs > 0);
+  checkb "spinner run reuses subtrees" true (on.Explorer.dedup_hits > 0);
+  checki "spinner paths" off.Explorer.paths on.Explorer.paths;
+  checki "spinner stuck legs" off.Explorer.stuck_legs on.Explorer.stuck_legs;
+  let contested = explore (fun () -> Scenario.rep5_contested3 ()) in
+  let evicting = explore_with ~memo_cap:512 (fun () -> Scenario.rep5_contested3 ()) in
+  checkb "many violations to order" true (List.length contested.Explorer.violations > 100);
+  checkb "small table evicts" true (evicting.Explorer.evictions > 0);
+  checki "contested paths" contested.Explorer.paths evicting.Explorer.paths;
+  checkb "contested violations identical, in order" true
+    (canon_violations contested = canon_violations evicting)
 
 (* The bounded memo is a cost knob, never a result knob: a cap small
    enough to force constant eviction must re-derive the identical
@@ -451,35 +426,8 @@ let test_explorer_bounded_memo_equivalence () =
     (capped.Explorer.states_visited >= base.Explorer.states_visited);
   checki "default cap evicts nothing here" 0 base.Explorer.evictions
 
-(* Persistent cross-scenario cache: a warm run of an independently
-   rebuilt scenario reuses the saved safe summaries (fewer expansions,
-   same answer), while a different memo_key falls back to cold because
-   the stored section's root fingerprint cannot match. *)
-let test_explorer_memo_file_warm_start () =
-  let file = Filename.temp_file "uldma_memo" ".bin" in
-  Sys.remove file;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
-      let cold = explore_with ~memo_file:file ~memo_key:"rep5" (fun () -> Scenario.rep5 ()) in
-      checkb "cache file written" true (Sys.file_exists file);
-      let warm = explore_with ~memo_file:file ~memo_key:"rep5" (fun () -> Scenario.rep5 ()) in
-      checki "paths equal" cold.Explorer.paths warm.Explorer.paths;
-      checkb "violations identical" true (canon_violations cold = canon_violations warm);
-      checkb "warm run expands fewer states" true
-        (warm.Explorer.states_visited < cold.Explorer.states_visited);
-      checkb "warm run hits the cache" true (warm.Explorer.dedup_hits > 0);
-      (* same file, different scenario under a reused key: the root
-         fingerprint guard must reject the section, not corrupt results *)
-      let other = explore_with ~memo_file:file ~memo_key:"rep5" (fun () -> Scenario.fig5 ()) in
-      let plain = explore (fun () -> Scenario.fig5 ()) in
-      checki "foreign section ignored: paths" plain.Explorer.paths other.Explorer.paths;
-      checkb "foreign section ignored: violations" true
-        (canon_violations plain = canon_violations other))
-
-(* Three-process contested tree (1680 schedules): every jobs level and
-   dedup off must agree exactly — this is the shape where the
-   work-stealing driver actually re-splits interior nodes. *)
+(* Three-process contested tree (1680 schedules): dedup on and off
+   must agree exactly. *)
 let test_explorer_3proc_determinism () =
   let small () = Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1 () in
   let seq = explore small in
@@ -487,52 +435,7 @@ let test_explorer_3proc_determinism () =
   checki "safe" 0 (List.length seq.Explorer.violations);
   let nodedup = explore_with ~dedup:false small in
   checki "no-dedup paths" seq.Explorer.paths nodedup.Explorer.paths;
-  List.iter
-    (fun jobs ->
-      let par = explore_with ~jobs small in
-      checki (Printf.sprintf "jobs=%d paths" jobs) seq.Explorer.paths par.Explorer.paths;
-      checkb (Printf.sprintf "jobs=%d complete" jobs) false par.Explorer.truncated;
-      checkb
-        (Printf.sprintf "jobs=%d violations identical" jobs)
-        true
-        (canon_violations seq = canon_violations par))
-    [ 2; 4 ]
-
-(* Truncation under parallelism: the lease mechanism must make a
-   clipped parallel run reproduce the sequential clipped frontier
-   exactly — same path count, same violation list in the same order,
-   same truncated flag — at every jobs level. Two shapes: the safe
-   ext-shadow-3 tree (clipping only the count) and rep5-contested3
-   with the budget landing *inside* the violation region (clipping the
-   violation list mid-stream, the hard case for per-task leases). *)
-let test_explorer_truncated_parallel_leases () =
-  List.iter
-    (fun (label, scenario, max_paths, expect_viol) ->
-      let seq = explore_with ~max_paths scenario in
-      checkb (label ^ " seq truncated") true seq.Explorer.truncated;
-      checki (label ^ " seq clipped exactly at budget") max_paths seq.Explorer.paths;
-      if expect_viol then
-        checkb (label ^ " budget lands inside the violation region") true
-          (seq.Explorer.violations <> []);
-      List.iter
-        (fun jobs ->
-          let par = explore_with ~jobs ~max_paths scenario in
-          checkb (Printf.sprintf "%s jobs=%d truncated" label jobs) true par.Explorer.truncated;
-          checki (Printf.sprintf "%s jobs=%d clipped paths" label jobs) seq.Explorer.paths
-            par.Explorer.paths;
-          checkb
-            (Printf.sprintf "%s jobs=%d clipped violations identical, in order" label jobs)
-            true
-            (canon_violations seq = canon_violations par);
-          checkb
-            (Printf.sprintf "%s jobs=%d lease splits bounded by publications" label jobs)
-            true
-            (par.Explorer.lease_splits <= par.Explorer.publications))
-        [ 2; 4 ])
-    [
-      ("ext-shadow-3", (fun () -> Scenario.ext_shadow_contested3 ()), 5_000, false);
-      ("rep5-3", (fun () -> Scenario.rep5_contested3 ()), 300_000, true);
-    ]
+  checkb "no-dedup complete" false nodedup.Explorer.truncated
 
 (* rep5 vs two colluding adversaries: the victim's §3.3.1 property
    holds across all ~6.3e5 schedules — every violation the strict
@@ -614,82 +517,7 @@ let test_memo_length_distinct () =
   checki "all four resident after rotation" 4 (Memo.length t);
   (* a cold hit promotes the key back into hot: alive in BOTH tables *)
   checkb "cold hit found" true (Memo.find t "a" = Some "a");
-  checki "promoted key counts once" 4 (Memo.length t);
-  (* iter must agree with length on the de-duplicated view *)
-  let seen = ref [] in
-  Memo.iter t (fun k _ -> seen := k :: !seen);
-  checki "iter visits each key once" 4 (List.length !seen);
-  Alcotest.(check (list string)) "the four keys" [ "a"; "b"; "c"; "d" ]
-    (List.sort compare !seen)
-
-(* The persistent cache's tmp file is pid-unique, so a stale tmp from a
-   crashed or concurrent run can never be renamed over [file] by this
-   run — and this run's save must succeed around any such garbage. *)
-let test_memo_persist_unique_tmp () =
-  let module Persist = Uldma_verify.Memo.Persist in
-  let file = Filename.temp_file "uldma_memo" ".bin" in
-  Sys.remove file;
-  let stale_fixed = file ^ ".tmp" in
-  let stale_pid = file ^ ".99999999.tmp" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ file; stale_fixed; stale_pid ])
-    (fun () ->
-      (* plant garbage under both the legacy fixed tmp name and a
-         foreign pid-suffixed one *)
-      let plant f =
-        let oc = open_out_bin f in
-        output_string oc "not a memo file";
-        close_out oc
-      in
-      plant stale_fixed;
-      plant stale_pid;
-      Persist.save ~file ~scenario:"s" ~net:"null" ~root:7L
-        [ ("k", { Persist.p_paths = 3; p_stuck = 0 }) ];
-      checkb "file written" true (Sys.file_exists file);
-      checkb "this run's tmp renamed away" false
-        (Sys.file_exists (Printf.sprintf "%s.%d.tmp" file (Unix.getpid ())));
-      checkb "foreign tmps untouched" true
-        (Sys.file_exists stale_fixed && Sys.file_exists stale_pid);
-      match Persist.load ~file ~scenario:"s" ~net:"null" ~root:7L with
-      | None -> Alcotest.fail "saved section did not load back"
-      | Some tbl ->
-        checki "one entry" 1 (Hashtbl.length tbl);
-        checkb "entry intact" true
-          (Hashtbl.find_opt tbl "k" = Some { Persist.p_paths = 3; p_stuck = 0 }))
-
-(* Schema 4: the fingerprint key function changed, so a schema-3 file is
-   rejected as a whole — its sections neither load nor survive a
-   merge-on-save — while a fresh file round-trips. *)
-let test_memo_persist_schema_bump () =
-  let module Persist = Uldma_verify.Memo.Persist in
-  checki "schema" 4 Persist.schema;
-  let file = Filename.temp_file "uldma_memo" ".bin" in
-  let entry n = { Persist.p_paths = n; p_stuck = 0 } in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ file; file ^ ".lock" ])
-    (fun () ->
-      (* a well-formed schema-3 file: same magic and layout, old version *)
-      let section = Hashtbl.create 1 in
-      Hashtbl.replace section "k3" (entry 3);
-      let body = Hashtbl.create 1 in
-      Hashtbl.replace body "old\x00null" (7L, section);
-      let oc = open_out_bin file in
-      Marshal.to_channel oc ("uldma-explorer-memo", 3, body) [];
-      close_out oc;
-      checkb "schema-3 section rejected" true
-        (Persist.load ~file ~scenario:"old" ~net:"null" ~root:7L = None);
-      Persist.save ~file ~scenario:"new" ~net:"null" ~root:8L [ ("k4", entry 4) ];
-      checkb "schema-3 section not merged into the rewrite" true
-        (Persist.load ~file ~scenario:"old" ~net:"null" ~root:7L = None);
-      match Persist.load ~file ~scenario:"new" ~net:"null" ~root:8L with
-      | None -> Alcotest.fail "fresh section did not load back"
-      | Some tbl ->
-        checki "one entry" 1 (Hashtbl.length tbl);
-        checkb "entry intact" true (Hashtbl.find_opt tbl "k4" = Some (entry 4)))
+  checki "promoted key counts once" 4 (Memo.length t)
 
 (* Fingerprint keys and encoding strings must induce the same equality
    relation on states. Randomized: two kernels built from the same
@@ -1000,20 +828,18 @@ let test_campaign_jobs_determinism () =
     (Synth.catalogue_row cell2);
   Alcotest.(check string) "catalogue row identical at jobs 4" (Synth.catalogue_row cell1)
     (Synth.catalogue_row cell4);
-  checkb "cross-candidate memo hits recorded" true (stats1.Campaign.g_hits > 0);
-  checkb "outer-level split engaged" true
-    (let outer, inner = Campaign.split_jobs ~jobs:4 ~candidates:10 in
-     outer = 4 && inner = 1)
+  checkb "cross-candidate memo hits recorded" true (stats1.Campaign.g_hits > 0)
 
 (* Clipping inside the violation region. At every budget a dedup run
    must equal the plain DFS clipped at the same budget: same [paths],
    same [truncated], same violations in the same order. Swept over every
    budget on the Fig. 5 tree (its hits reuse violating subtrees), and on
    a two-candidate campaign whose second candidate (pal, L1) reuses the
-   first one's (L0) violating summaries. Sequentially a hit is only
-   taken when it fits the budget whole, so those sweeps check the
-   re-expansion at the budget's edge; the Fig. 5 sweep also runs on two
-   domains, where settlement clips violating hits part-way. *)
+   first one's (L0) violating summaries. A hit is only taken when it
+   fits the budget whole, so those sweeps check the re-expansion at the
+   budget's edge. Two three-process shapes follow: the safe
+   ext-shadow-3 tree (clipping only the count) and rep5-contested3 at
+   the smallest budget that reaches its first violation. *)
 let test_explorer_clipping_differential () =
   let same label b (on : _ Explorer.result) (off : _ Explorer.result) =
     let name what = Printf.sprintf "%s max_paths=%d %s" label b what in
@@ -1027,16 +853,20 @@ let test_explorer_clipping_differential () =
   checkb "fig5 reuses subtrees" true (full.Explorer.dedup_hits > 0);
   for b = 1 to full.Explorer.paths do
     let off = explore_with ~dedup:false ~max_paths:b fig5 in
-    same "fig5" b (explore_with ~max_paths:b fig5) off;
-    (* publishing at every fork: a published task counts against an
-       optimistic lease, so it can take a violating hit that settlement
-       then clips part-way *)
-    let s = fig5 () in
-    same "fig5 jobs=2" b
-      (Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ~jobs:2 ~cutoff:1
-         ~max_paths:b ~check:(Scenario.oracle_check s) ())
-      off
+    same "fig5" b (explore_with ~max_paths:b fig5) off
   done;
+  List.iter
+    (fun (label, scenario, b, expect_viol) ->
+      let on = explore_with ~max_paths:b scenario in
+      checkb (label ^ " truncated") true on.Explorer.truncated;
+      checki (label ^ " clipped exactly at budget") b on.Explorer.paths;
+      checkb (label ^ " violation reached") expect_viol (on.Explorer.violations <> []);
+      same label b on (explore_with ~dedup:false ~max_paths:b scenario))
+    [
+      ("ext-shadow-3", (fun () -> Scenario.ext_shadow_contested3 ()), 5_000, false);
+      ("rep5-3", (fun () -> Scenario.rep5_contested3 ()), 20, true);
+      ("rep5-3", (fun () -> Scenario.rep5_contested3 ()), 19, false);
+    ];
   (* the campaign shape: L0 explored in full through a shared memo, then
      L1 at every budget through the same table; L1's earlier clipped
      runs warm it further, and warmth must never change a result *)
@@ -1079,46 +909,6 @@ let test_memo_words_per_entry () =
     Alcotest.failf "shared memo holds %d words for %d entries (%.1f per entry, limit 64)" words
       entries
       (float_of_int words /. float_of_int entries)
-
-(* Satellite: Memo.Persist.save must merge, not clobber. Two sections
-   written through separate save calls both survive, and two domains
-   saving different sections concurrently (the campaign shape: several
-   scenarios finishing at once) lose neither. *)
-let test_memo_persist_concurrent_save () =
-  let module Persist = Uldma_verify.Memo.Persist in
-  let file = Filename.temp_file "uldma_memo" ".bin" in
-  Sys.remove file;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ file; file ^ ".lock" ])
-    (fun () ->
-      let entry n = [ (Printf.sprintf "k%d" n, { Persist.p_paths = n; p_stuck = 0 }) ] in
-      (* sequential merge-on-save: section "b" must not clobber "a" *)
-      Persist.save ~file ~scenario:"a" ~net:"null" ~root:1L (entry 1);
-      Persist.save ~file ~scenario:"b" ~net:"null" ~root:2L (entry 2);
-      checkb "first section survives a later save" true
-        (Persist.load ~file ~scenario:"a" ~net:"null" ~root:1L <> None);
-      checkb "second section present" true
-        (Persist.load ~file ~scenario:"b" ~net:"null" ~root:2L <> None);
-      (* concurrent saves of distinct sections: both must survive *)
-      let domains =
-        List.init 4 (fun i ->
-            Domain.spawn (fun () ->
-                let scenario = Printf.sprintf "conc%d" i in
-                Persist.save ~file ~scenario ~net:"null" ~root:(Int64.of_int (10 + i))
-                  (entry (10 + i))))
-      in
-      List.iter Domain.join domains;
-      List.iteri
-        (fun i () ->
-          let scenario = Printf.sprintf "conc%d" i in
-          match Persist.load ~file ~scenario ~net:"null" ~root:(Int64.of_int (10 + i)) with
-          | None -> Alcotest.failf "concurrent section %s lost" scenario
-          | Some tbl -> checki (scenario ^ " intact") 1 (Hashtbl.length tbl))
-        [ (); (); (); () ];
-      checkb "earlier sections still alive after the race" true
-        (Persist.load ~file ~scenario:"a" ~net:"null" ~root:1L <> None
-        && Persist.load ~file ~scenario:"b" ~net:"null" ~root:2L <> None))
 
 let () =
   Alcotest.run "verify"
@@ -1170,27 +960,22 @@ let () =
           Alcotest.test_case "violating schedule recorded" `Quick test_explorer_schedules_recorded;
           Alcotest.test_case "root untouched" `Quick test_explorer_root_untouched;
           Alcotest.test_case "max_paths truncates" `Quick test_explorer_max_paths_truncates;
+          Alcotest.test_case "verdict: clipped is inconclusive" `Quick test_explorer_verdict;
           Alcotest.test_case "stuck leg prunes branch only" `Quick
             test_explorer_stuck_leg_prunes_branch_only;
           Alcotest.test_case "dedup on/off equivalence" `Slow test_explorer_dedup_equivalence;
-          Alcotest.test_case "jobs determinism" `Slow test_explorer_jobs_determinism;
           Alcotest.test_case "dedup reduces states" `Slow test_explorer_dedup_reduces_states;
-          Alcotest.test_case "jobs: stuck legs + violation order" `Slow
-            test_explorer_jobs_stuck_and_violation_order;
+          Alcotest.test_case "stuck legs + violation order" `Slow
+            test_explorer_stuck_and_violation_order;
           Alcotest.test_case "bounded memo equivalence" `Slow
             test_explorer_bounded_memo_equivalence;
-          Alcotest.test_case "memo file warm start" `Slow test_explorer_memo_file_warm_start;
           Alcotest.test_case "3-process determinism" `Slow test_explorer_3proc_determinism;
-          Alcotest.test_case "truncated parallel leases" `Slow
-            test_explorer_truncated_parallel_leases;
           Alcotest.test_case "rep5 vs two colluders: victim safe" `Slow
             test_explorer_rep5_contested3_victim_safe;
           Alcotest.test_case "memo shard balance" `Quick test_memo_shard_balance;
           Alcotest.test_case "paranoid vs fingerprint keying" `Slow
             test_explorer_paranoid_equivalence;
           Alcotest.test_case "memo length counts distinct keys" `Quick test_memo_length_distinct;
-          Alcotest.test_case "persist tmp file is pid-unique" `Quick test_memo_persist_unique_tmp;
-          Alcotest.test_case "persist schema 3 rejected" `Quick test_memo_persist_schema_bump;
           explorer_fp_iff_encoding;
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
@@ -1205,8 +990,6 @@ let () =
           Alcotest.test_case "clipping differential, every budget" `Slow
             test_explorer_clipping_differential;
           Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
-          Alcotest.test_case "persist concurrent save merges" `Quick
-            test_memo_persist_concurrent_save;
         ] );
       ( "campaigns",
         [

@@ -10,13 +10,12 @@
    2. exports the Chrome trace_event JSON, re-parses it with a local
       JSON reader and checks timestamps are monotone per machine (pid);
    3. checks the disabled path really is a no-op (no events recorded);
-   4. checks the explorer's dedup/parallel soundness invariant: with
-      the real Fig. 8 oracle attached, dedup on/off and jobs=1/2 must
-      report identical path counts and identical (sorted) violation
-      sets on fig5 (violating), rep5 (safe) and a small three-process
-      contested workload (which exercises the work-stealing re-split
-      path), and rep5 dedup must visit strictly fewer states than it
-      counts schedules;
+   4. checks the explorer's dedup soundness invariant: with the real
+      Fig. 8 oracle attached, dedup on/off must report identical path
+      counts and identical (sorted) violation sets on fig5 (violating),
+      rep5 (safe) and a small three-process contested workload, and
+      rep5 dedup must visit strictly fewer states than it counts
+      schedules;
    5. re-measures explorer throughput with tracing disabled and
       compares against the recorded baseline (argv.(1), normally
       _results/BENCH_explorer.json): fails only below baseline/5, a
@@ -196,9 +195,9 @@ let explore_rep5 () =
 
 (* Exploration with the full Fig. 8 oracle attached, so the soundness
    invariant below compares real violation sets, not just path counts. *)
-let explore_checked ?dedup ?jobs scenario =
+let explore_checked ?dedup scenario =
   let s = scenario () in
-  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ?jobs
+  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup
     ~max_paths:1_000_000 ~check:(Scenario.oracle_check s) ()
 
 let () =
@@ -260,9 +259,9 @@ let () =
           : Uldma_sim.Measure.result));
   if Trace.total off <> 0 then fail "disabled sink recorded %d events" (Trace.total off);
 
-  (* 4. soundness invariant of the dedup/parallel explorer: turning
-     memoization off or splitting the search over domains must change
-     neither the number of schedules nor the (sorted) violation set.
+  (* 4. soundness invariant of the dedup explorer: turning memoization
+     off must change neither the number of schedules nor the (sorted)
+     violation set.
      fig5 exercises the violating side of the oracle, rep5 the safe
      side; rep5 additionally demonstrates that memoization visits
      strictly fewer states than there are schedules. *)
@@ -270,7 +269,6 @@ let () =
     (fun (name, scenario, expect_violations) ->
       let base = explore_checked scenario in
       let nodedup = explore_checked ~dedup:false scenario in
-      let par = explore_checked ~jobs:2 scenario in
       (* compare violation kinds + schedules, not payloads: a memo hit
          re-emits the first-discovered prefix's violation value, whose
          simulated timestamps legitimately differ between commuting
@@ -284,11 +282,7 @@ let () =
       if nodedup.Explorer.paths <> base.Explorer.paths then
         fail "%s: dedup changed the path count (%d with, %d without)" name base.Explorer.paths
           nodedup.Explorer.paths;
-      if par.Explorer.paths <> base.Explorer.paths then
-        fail "%s: jobs=2 changed the path count (%d vs %d)" name par.Explorer.paths
-          base.Explorer.paths;
       if canon nodedup <> canon base then fail "%s: dedup changed the violation set" name;
-      if canon par <> canon base then fail "%s: jobs=2 changed the violation set" name;
       if expect_violations && base.Explorer.violations = [] then
         fail "%s: oracle found no violations (expected some)" name;
       if (not expect_violations) && base.Explorer.violations <> [] then
@@ -302,16 +296,14 @@ let () =
     [
       ("fig5", (fun () -> Scenario.fig5 ()), true);
       ("rep5", (fun () -> Scenario.rep5 ()), false);
-      (* three processes: exercises the work-stealing re-split path
-         (two-process trees rarely leave a sibling worth publishing)
-         at a size small enough for runtest *)
+      (* three processes, at a size small enough for runtest *)
       ( "ext-shadow-3 (small)",
         (fun () -> Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1 ()),
         false );
       (* a timed backend: transfers have real (tick-quantised) wire
          time, so the tree gains transfer-completion wait legs and the
          encoding's relative-deadline fields do real work; the same
-         dedup/jobs agreement must hold *)
+         dedup agreement must hold *)
       ( "rep5 --net atm155 (timed)",
         (fun () -> Scenario.rep5 ~net:(Uldma_net.Backend.linked Uldma_net.Link.atm155) ()),
         false );

@@ -1,26 +1,27 @@
 (* Differential soundness harness for the timed explorer.
 
    For each (scenario, net backend) pair, the brute-force exploration
-   (dedup off, one domain) is the ground truth: it expands every
-   schedule with no memoization and no cross-domain scheduling. Every
-   other configuration — dedup on, and dedup on with 2 and 4 worker
-   domains — must reproduce its path count, its violation set (oracle
-   kind + schedule), and even the violation order. Any disagreement
-   means the relative-deadline state encoding merged two states that
-   were not actually equivalent (or the work-stealing driver lost or
-   duplicated a subtree), so this harness is the machine check behind
-   DESIGN.md 5e's soundness argument.
+   (dedup off) is the ground truth: it expands every schedule with no
+   memoization. The dedup runs — fingerprint-keyed and paranoid
+   string-keyed — must reproduce its path count, its violation set
+   (oracle kind + schedule), and even the violation order. Any
+   disagreement means the relative-deadline state encoding merged two
+   states that were not actually equivalent, so this harness is the
+   machine check behind DESIGN.md 5e's soundness argument.
 
    Exit 0 when every cell agrees, 1 on any mismatch. --quick runs a
    subset sized for `dune runtest`; the full matrix (all scenarios x
-   all backends x jobs 1/2/4) is the CI leg.
+   all backends) is the CI leg. --paranoid-vs-fingerprint also requires
+   the two keyings to expand the same states and take the same memo
+   hits: they induce one equality relation on states, so any
+   difference is a fingerprint collision.
 
    With --allow-truncated a brute-force run clipped at --max-paths is
-   not a complaint but the point: the truncation-lease mechanism
-   (DESIGN.md 5f) promises that a clipped parallel run reproduces the
-   clipped sequential frontier exactly, so CI drives this harness with
-   a deliberately small --max-paths to differential-test the leases
-   themselves. Equality stays exact either way. *)
+   not a complaint but the point: a dedup run takes a memo hit only
+   when it fits the remaining budget whole, so a clipped dedup run must
+   reproduce the clipped brute-force result exactly. CI drives this
+   harness with a deliberately small --max-paths to test exactly that.
+   Equality stays exact either way. *)
 
 module Scenario = Uldma_workload.Scenario
 module Explorer = Uldma_verify.Explorer
@@ -43,12 +44,12 @@ let complain fmt =
 let canon (r : _ Explorer.result) =
   List.map (fun (v, schedule) -> (Oracle.kind_name v, schedule)) r.Explorer.violations
 
-let explore ?dedup ?paranoid_memo ?jobs ~max_paths build =
+let explore ?dedup ?paranoid_memo ~max_paths build =
   let s = build () in
   Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ?paranoid_memo
-    ?jobs ~max_paths ~check:(Scenario.oracle_check s) ()
+    ~max_paths ~check:(Scenario.oracle_check s) ()
 
-let run_cell ~label ~max_paths ~jobs_list ~paranoid_all ~allow_truncated build =
+let run_cell ~label ~max_paths ~same_states ~allow_truncated build =
   let brute = explore ~dedup:false ~max_paths build in
   if brute.Explorer.truncated && not allow_truncated then
     complain "%s: brute-force run truncated at %d paths; raise --max-paths" label
@@ -74,17 +75,16 @@ let run_cell ~label ~max_paths ~jobs_list ~paranoid_all ~allow_truncated build =
      fingerprint-keyed runs must match brute-force, so a fingerprint
      collision that merged two distinct states would surface here as a
      fingerprint-vs-brute (hence fingerprint-vs-paranoid) disagreement. *)
-  check "paranoid" (explore ~paranoid_memo:true ~max_paths build);
-  List.iter
-    (fun jobs -> check (Printf.sprintf "jobs=%d" jobs) (explore ~jobs ~max_paths build))
-    jobs_list;
-  if paranoid_all then
-    List.iter
-      (fun jobs ->
-        check
-          (Printf.sprintf "paranoid jobs=%d" jobs)
-          (explore ~paranoid_memo:true ~jobs ~max_paths build))
-      jobs_list;
+  let paranoid = explore ~paranoid_memo:true ~max_paths build in
+  check "paranoid" paranoid;
+  if
+    same_states
+    && (paranoid.Explorer.states_visited <> dedup.Explorer.states_visited
+       || paranoid.Explorer.dedup_hits <> dedup.Explorer.dedup_hits)
+  then
+    complain "%s: paranoid keying expanded %d states with %d hits, fingerprint %d with %d" label
+      paranoid.Explorer.states_visited paranoid.Explorer.dedup_hits dedup.Explorer.states_visited
+      dedup.Explorer.dedup_hits;
   (* paths-per-expanded-state: the tree-collapse factor; distinct from
      the bench's dedup_ratio (hits / node arrivals) *)
   let paths_per_state =
@@ -143,7 +143,7 @@ let usage () =
   prerr_endline
     "usage: diff_explore [--quick] [--scenario \
      fig5|rep5|key-based|pal|ext-shadow|iommu|capio|iommu-fig5|capio-fig5|capio-launder|all] \
-     [--net null|atm155|atm622|gigabit|hic|all] [--tick-ps N] [--jobs N,N,...] [--max-paths N] \
+     [--net null|atm155|atm622|gigabit|hic|all] [--tick-ps N] [--max-paths N] \
      [--allow-truncated] [--paranoid-vs-fingerprint]";
   exit 2
 
@@ -152,10 +152,9 @@ let () =
   let scenario_filter = ref "all" in
   let net_filter = ref "all" in
   let tick_ps = ref Backend.default_tick_ps in
-  let jobs_list = ref [ 2; 4 ] in
   let max_paths = ref 2_000_000 in
   let allow_truncated = ref false in
-  let paranoid_all = ref false in
+  let same_states = ref false in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -165,10 +164,7 @@ let () =
       allow_truncated := true;
       parse rest
     | "--paranoid-vs-fingerprint" :: rest ->
-      (* run the paranoid string-keyed explorer at every jobs value too,
-         not just sequentially — the CI leg proving fingerprint-keyed
-         and paranoid runs identical across the whole matrix *)
-      paranoid_all := true;
+      same_states := true;
       parse rest
     | "--scenario" :: v :: rest ->
       scenario_filter := v;
@@ -178,9 +174,6 @@ let () =
       parse rest
     | "--tick-ps" :: v :: rest ->
       tick_ps := int_of_string v;
-      parse rest
-    | "--jobs" :: v :: rest ->
-      jobs_list := List.map int_of_string (String.split_on_char ',' v);
       parse rest
     | "--max-paths" :: v :: rest ->
       max_paths := int_of_string v;
@@ -208,7 +201,6 @@ let () =
         prerr_endline msg;
         usage ()
   in
-  let jobs_list = if !quick then [ 2 ] else !jobs_list in
   (* one cell per (scenario, supported backend); untimed scenarios only
      have their null cell *)
   let cells =
@@ -234,8 +226,7 @@ let () =
     (fun (sname, bname, build) ->
       run_cell
         ~label:(Printf.sprintf "%s --net %s" sname bname)
-        ~max_paths:!max_paths ~jobs_list ~paranoid_all:!paranoid_all
-        ~allow_truncated:!allow_truncated build)
+        ~max_paths:!max_paths ~same_states:!same_states ~allow_truncated:!allow_truncated build)
     cells;
   if !failures > 0 then begin
     Printf.printf "diff-explore: %d mismatching cell(s)\n" !failures;
