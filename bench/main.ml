@@ -198,7 +198,13 @@ let print_bench_results results =
    timing ("seconds", "paths_per_sec") moves up from its "jobs1"
    object. The campaign keeps its outer candidate fan-out, so it keeps
    its "jobs1" and "jobs2" legs; "jobs4" and "inner_domains" are gone.
-   "cores" still records the machine the file was measured on. *)
+   "cores" still records the machine the file was measured on.
+
+   Still v8, with two additive keys: each scenarios3 entry records the
+   fork cost of one exploration as "direct_major_words_per_state" and
+   "minor_words_per_state" (Uldma_obs.Alloc around one timed run).
+   Words allocated straight into the major heap are the ones a major
+   collection has to sweep. *)
 let time_explore ?dedup ~reps () =
   (* same-warmth discipline: one untimed warmup in this exact
      configuration, then min-of-reps *)
@@ -399,23 +405,28 @@ let write_bench_explorer_json () =
       let explore_once ?paranoid_memo ?memo_cap () =
         let s = build () in
         let t0 = Unix.gettimeofday () in
-        let r =
-          Uldma_verify.Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
-            ~max_paths:1_000_000 ?paranoid_memo ?memo_cap ~check:(Scenario.oracle_check s) ()
+        let r, alloc =
+          Uldma_obs.Alloc.measure (fun () ->
+              Uldma_verify.Explorer.explore ~root:s.Scenario.kernel
+                ~pids:(Scenario.explore_pids s) ~max_paths:1_000_000 ?paranoid_memo ?memo_cap
+                ~check:(Scenario.oracle_check s) ())
         in
-        (r, Unix.gettimeofday () -. t0)
+        (r, Unix.gettimeofday () -. t0, alloc)
       in
       (* one untimed warmup + min-of-2 per leg: every leg gets
          identical warmth *)
       let explore ?paranoid_memo ?memo_cap () =
-        ignore (explore_once ?paranoid_memo ?memo_cap () : _ * float);
-        let ra, ta = explore_once ?paranoid_memo ?memo_cap () in
-        let _, tb = explore_once ?paranoid_memo ?memo_cap () in
-        (ra, Float.min ta tb)
+        ignore (explore_once ?paranoid_memo ?memo_cap () : _ * float * _);
+        let ra, ta, alloc = explore_once ?paranoid_memo ?memo_cap () in
+        let _, tb, _ = explore_once ?paranoid_memo ?memo_cap () in
+        (ra, Float.min ta tb, alloc)
       in
-      let r1, s1 = explore () in
-      let rb, sb = explore ~memo_cap:512 () in
-      let rp, sp = explore ~paranoid_memo:true () in
+      let r1, s1, alloc1 = explore () in
+      let rb, sb, _ = explore ~memo_cap:512 () in
+      let rp, sp, _ = explore ~paranoid_memo:true () in
+      let per_state words =
+        float_of_int words /. float_of_int (max 1 r1.Uldma_verify.Explorer.states_visited)
+      in
       Printf.bprintf buf "    \"%s\": {\n" name;
       Printf.bprintf buf "      \"paths\": %d,\n" r1.Uldma_verify.Explorer.paths;
       Printf.bprintf buf "      \"violating_schedules\": %d,\n"
@@ -431,6 +442,10 @@ let write_bench_explorer_json () =
         (per_node r1 r1.Uldma_verify.Explorer.bytes_hashed);
       Printf.bprintf buf "      \"seconds\": %.6f,\n" s1;
       Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r1 s1);
+      Printf.bprintf buf "      \"direct_major_words_per_state\": %.1f,\n"
+        (per_state alloc1.Uldma_obs.Alloc.direct_major);
+      Printf.bprintf buf "      \"minor_words_per_state\": %.1f,\n"
+        (per_state alloc1.Uldma_obs.Alloc.minor);
       Printf.bprintf buf "      \"paranoid\": {\n";
       Printf.bprintf buf "        \"seconds\": %.6f,\n" sp;
       Printf.bprintf buf "        \"bytes_hashed_per_node\": %.1f,\n"

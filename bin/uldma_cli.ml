@@ -248,7 +248,8 @@ let timeline_cmd =
 let explore_cmd =
   let doc =
     "Exhaustively explore NI-access interleavings of a contested scenario against the safety \
-     oracle (the Fig. 8 proof for one variant), with state dedup and optional multicore search."
+     oracle (the Fig. 8 proof for one variant): one sequential depth-first search with state \
+     dedup through a bounded memo."
   in
   let which =
     Arg.(

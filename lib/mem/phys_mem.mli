@@ -1,8 +1,17 @@
-(** Byte-addressable physical RAM.
+(** Byte-addressable physical RAM with sub-page copy-on-write.
 
     The DMA engine's transfer executor and the CPU's cacheable accesses
     both resolve here. MMIO and shadow addresses never reach this
-    module: the bus routes them to the engine first. *)
+    module: the bus routes them to the engine first.
+
+    Each page is a record holding a directory of 512-byte chunks, the
+    page's content digest, an owner stamp and a bitmask of the chunks
+    private to that owner. {!copy} shares every page record between
+    parent and child and gives both fresh stamps. The first write into
+    a page an instance does not own copies the page's chunk directory,
+    and the first write into a chunk it does not own copies that chunk.
+    A fork thus pays for the chunks it writes, not for whole pages, and
+    every copy is small enough for the minor heap. *)
 
 type t
 
@@ -17,53 +26,60 @@ val create : size:int -> t
 val size : t -> int
 
 val copy : t -> t
-(** Copy-on-write snapshot, for interleaving-explorer forks: O(#pages)
-    pointer sharing, with a private page copy faulted in on first write
-    to either side. Semantically equivalent to a deep copy. *)
+(** Copy-on-write snapshot, for interleaving-explorer forks. It
+    re-stamps the parent, then copies only the page-pointer array: at
+    most [page_count t + 16] words, no byte of RAM. Afterwards neither
+    side owns any page, so the first write on either side copies the
+    page's chunk directory and then the written chunk. Semantically
+    equivalent to a deep copy. *)
 
 val page_count : t -> int
 (** Number of page frames backing this RAM. *)
 
 val owned_pages : t -> int
-(** Introspection for tests: how many pages this instance holds a
-    private (unshared, writable-in-place) copy of. A fresh or
-    just-snapshotted RAM owns none. *)
+(** Introspection for tests: how many page records bear this
+    instance's stamp, i.e. are private to it and writable in place
+    (their chunks may still be shared). A fresh or just-snapshotted
+    RAM owns none. *)
 
 val page_digest : t -> int -> int * int
 (** [page_digest t i] is page [i]'s additive content digest: the two
     lane sums of {!Uldma_util.Fp128.word_term_a}/[_b] over its 8-byte
     words (slot = word index), equal to
     [Uldma_util.Fp128.block_digest] of its bytes. Every write path
-    keeps it current in O(bytes written), so reading it is O(1); it
-    travels with the page under [copy]. A never-written or whole-page
-    zero-filled page digests to [(0, 0)]. *)
+    keeps it current in O(bytes written), so reading it is O(1). It
+    lives in the page record, so it is shared and copied with the page.
+    A never-written or whole-page zero-filled page digests to
+    [(0, 0)]. *)
 
 val encode_page : Uldma_util.Enc.t -> t -> int -> unit
-(** Feed page [i] to an encoder: its raw bytes into [Buf], its two
-    digest lanes into [Fp]. Equal bytes give equal digests, so both
+(** Feed page [i] to an encoder: its exact 8 KB of raw bytes into
+    [Buf], its two digest lanes into [Fp]. Equal bytes give equal digests, so both
     modes observe the same page partition. *)
 
 val touched_count : t -> int
 (** Number of pages ever written since [create] (inherited across
     [copy]). A fresh RAM has touched none. *)
 
-val iter_touched : t -> (int -> Bytes.t -> unit) -> unit
-(** [iter_touched t f] applies [f index page] to every page that was
-    ever written since [create], in increasing index order. Pages
-    outside the touched set still alias the canonical zero page, so
-    state hashing over the touched set alone covers all content that
-    can differ between two forks of a common root — O(dirtied) work,
-    not O(RAM). [f] must not mutate the page. *)
+val iter_touched : t -> (int -> unit) -> unit
+(** [iter_touched t f] applies [f index] to every page that was ever
+    written since [create], in increasing index order. Pages outside
+    the touched set still alias the canonical zero page, so state
+    hashing over the touched set alone covers all content that can
+    differ between two forks of a common root — O(dirtied) work, not
+    O(RAM). Callers read a page through {!page_digest} or
+    {!encode_page}. *)
 
-val iter_diverged : t -> baseline:t -> (int -> Bytes.t -> unit) -> unit
-(** Like [iter_touched], but restricted to touched pages whose backing
-    buffer is no longer physically shared with [baseline] (a common
+val iter_diverged : t -> baseline:t -> (int -> unit) -> unit
+(** Like [iter_touched], but restricted to touched pages whose page
+    record is no longer physically shared with [baseline] (a common
     ancestor under [copy] that has not been written since, e.g. the
-    explorer's root snapshot). Physical sharing implies equal content,
-    so skipping shared pages is exact; a page rewritten to
-    byte-identical content in a private buffer is still reported —
-    harmless for state dedup (a missed merge, never a false one).
-    Raises [Invalid_argument] on a size mismatch. *)
+    explorer's root snapshot). A page diverges as a whole on its first
+    write, whichever chunk is written. Physical sharing implies equal
+    content, so skipping shared pages is exact; a page rewritten to
+    byte-identical content is still reported — harmless for state
+    dedup (a missed merge, never a false one). Raises
+    [Invalid_argument] on a size mismatch. *)
 
 val load_word : t -> int -> int
 (** 8-byte aligned load. The top byte is truncated into OCaml's 63-bit

@@ -901,7 +901,7 @@ let encode_state enc ?relative_to t =
      fingerprint mode feeds the page's write-maintained content digest
      instead — equal bytes give equal digests, so both modes observe the
      same page partition. *)
-  let add_page idx _page =
+  let add_page idx =
     i idx;
     Phys_mem.encode_page enc t.ram idx
   in

@@ -164,17 +164,17 @@ let replace_int d i slot old v =
 
 let[@inline] lo32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
 
-let sum_words d i sign b ~first ~last =
+let sum_words d i sign b ~base ~first ~last =
   let a = ref 0 and bb = ref 0 in
   for w = first to last do
     let lo = lo32 b (8 * w) and hi = lo32 b ((8 * w) + 4) in
-    a := !a + word_term_a w lo hi;
-    bb := !bb + word_term_b w lo hi
+    a := !a + word_term_a (base + w) lo hi;
+    bb := !bb + word_term_b (base + w) lo hi
   done;
   d.(i) <- d.(i) + (sign * !a);
   d.(i + 1) <- d.(i + 1) + (sign * !bb)
 
 let block_digest b =
   let d = [| 0; 0 |] in
-  sum_words d 0 1 b ~first:0 ~last:((Bytes.length b / 8) - 1);
+  sum_words d 0 1 b ~base:0 ~first:0 ~last:((Bytes.length b / 8) - 1);
   (d.(0), d.(1))

@@ -73,11 +73,14 @@ val replace_int : int array -> int -> int -> int -> int -> unit
 (** [replace_int d i slot old v]: [slot]'s native-int value changes
     from [old] to [v]. *)
 
-val sum_words : int array -> int -> int -> bytes -> first:int -> last:int -> unit
-(** [sum_words d i sign b ~first ~last] adds [sign] (1 or -1) times the
-    word terms of the 8-byte words [first .. last] of [b] (slot = word
-    index). Bracket a write to those words with [-1] before and [1]
-    after to keep the digest of [b] current. *)
+val sum_words :
+  int array -> int -> int -> bytes -> base:int -> first:int -> last:int -> unit
+(** [sum_words d i sign b ~base ~first ~last] adds [sign] (1 or -1)
+    times the word terms of the 8-byte words [first .. last] of [b],
+    word [w] at slot [base + w]. A block stored as several buffers
+    passes each buffer's first slot as [base]. Bracket a write to those
+    words with [-1] before and [1] after to keep the block's digest
+    current. *)
 
 val block_digest : bytes -> int * int
 (** The additive digest of a byte block recomputed from scratch: the

@@ -45,8 +45,11 @@ let create ~shards ~cap ~locked =
     evicted = Atomic.make 0;
   }
 
+(* A one-shard table (a standalone exploration's) skips the hash: its
+   answer is always 0. *)
 let with_shard t key f =
-  let sh = t.shards.(shard_of_string ~shards:(Array.length t.shards) key) in
+  let n = Array.length t.shards in
+  let sh = if n = 1 then t.shards.(0) else t.shards.(shard_of_string ~shards:n key) in
   if t.locked then Mutex.protect sh.lock (fun () -> f sh) else f sh
 
 let find t key =

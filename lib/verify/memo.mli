@@ -22,7 +22,7 @@
     reads of large structured keys, every byte of the encoding
     participates, so long keys sharing a prefix still spread across
     shards. Equality remains on the whole key: shard choice can affect
-    only balance, never answers. *)
+    only balance, never answers. A one-shard table skips the hash. *)
 
 type 'a t
 

@@ -4,8 +4,8 @@ open Uldma_mem
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+let qtest ?(count = 300) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen prop)
 
 (* ------------------------------------------------------------------ *)
 (* Layout *)
@@ -226,7 +226,7 @@ let test_mem_touched_tracking () =
   Phys_mem.store_word m (2 * Layout.page_size) 3;
   checki "write to another page" 2 (Phys_mem.touched_count m);
   let seen = ref [] in
-  Phys_mem.iter_touched m (fun i _ -> seen := i :: !seen);
+  Phys_mem.iter_touched m (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "touched indices" [ 0; 2 ] (List.sort compare !seen);
   (* copies inherit the touched set: the pages that may differ from an
      all-zero RAM are the same for parent and child *)
@@ -242,23 +242,23 @@ let test_mem_iter_diverged () =
   let a = Phys_mem.copy root in
   (* a fork that has written nothing shares every page with the root *)
   let n = ref 0 in
-  Phys_mem.iter_diverged a ~baseline:root (fun _ _ -> incr n);
+  Phys_mem.iter_diverged a ~baseline:root (fun _ -> incr n);
   checki "fresh fork diverges nowhere" 0 !n;
   (* one write diverges exactly that page, even though the touched set
      also holds the root's page 0 *)
   Phys_mem.store_word a (2 * Layout.page_size) 42;
   let seen = ref [] in
-  Phys_mem.iter_diverged a ~baseline:root (fun i _ -> seen := i :: !seen);
+  Phys_mem.iter_diverged a ~baseline:root (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "diverged pages" [ 2 ] !seen;
   (* rewriting a root-touched page diverges it too (CoW gives the fork
      its own Bytes even when the content ends up identical) *)
   Phys_mem.store_word a 0 1;
   let seen = ref [] in
-  Phys_mem.iter_diverged a ~baseline:root (fun i _ -> seen := i :: !seen);
+  Phys_mem.iter_diverged a ~baseline:root (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "after page-0 write" [ 0; 2 ] (List.sort compare !seen);
   checkb "size mismatch rejected" true
     (try
-       Phys_mem.iter_diverged a ~baseline:(Phys_mem.create ~size:Layout.page_size) (fun _ _ -> ());
+       Phys_mem.iter_diverged a ~baseline:(Phys_mem.create ~size:Layout.page_size) (fun _ -> ());
        false
      with Invalid_argument _ -> true)
 
@@ -285,6 +285,41 @@ let test_mem_cow_blit_fill_across_pages () =
   checkb "zero fill releases private pages" true (Phys_mem.owned_pages snap < before);
   checki "zeroed" 0 (Phys_mem.load_byte snap dst);
   checki "parent still untouched" 0 (Phys_mem.load_byte m dst)
+
+(* --- allocation: a fork pays for the bytes it writes --- *)
+
+let alloc f = snd (Uldma_obs.Alloc.measure f)
+
+(* [copy] copies the page-pointer array and nothing else, whether that
+   array lands in the minor heap (64 pages) or the major heap (512) *)
+let test_mem_copy_alloc () =
+  List.iter
+    (fun pages ->
+      let m = Phys_mem.create ~size:(pages * Layout.page_size) in
+      Phys_mem.store_word m 0 1;
+      let a = alloc (fun () -> ignore (Sys.opaque_identity (Phys_mem.copy m))) in
+      let words = a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major in
+      if words > pages + 16 then
+        Alcotest.failf "copy of %d pages allocated %d words (limit %d)" pages words (pages + 16))
+    [ 64; 512 ]
+
+(* the explorer's pattern: fork, then write one word of a shared page.
+   The fault copies a chunk directory and one 512 B chunk, both small
+   enough for the minor heap, so nothing is allocated in the major
+   heap directly *)
+let test_mem_fork_store_no_major () =
+  let m = Phys_mem.create ~size:(64 * Layout.page_size) in
+  Phys_mem.fill m ~addr:0 ~len:(64 * Layout.page_size) ~byte:1;
+  let cur = ref m in
+  let a =
+    alloc (fun () ->
+        for k = 1 to 1000 do
+          cur := Phys_mem.copy !cur;
+          Phys_mem.store_word !cur (k * 8 mod (64 * Layout.page_size)) k
+        done)
+  in
+  checki "direct-major words" 0 a.Uldma_obs.Alloc.direct_major;
+  checki "last store landed" 1000 (Phys_mem.load_word !cur 8000)
 
 (* --- write-maintained per-page digests --- *)
 
@@ -382,53 +417,168 @@ let mem_digest_matches_recomputed =
       List.iter (apply m) parent_after;
       consistent m && consistent child)
 
-(* A random op script applied identically to a COW Phys_mem and to an
-   eager Bytes oracle, with a snapshot taken mid-script: afterwards the
-   parent must match the oracle state at the snapshot point and the
-   child the final oracle state, under load/checksum/equal_range. *)
+(* A random fork tree of up to four live instances, each mirrored by
+   its own eager Bytes oracle. An op picks an instance and copies it
+   (into a free slot, or over another instance once four are live),
+   stores a word or a byte, fills, blits, or zero-fills a whole page.
+   Addresses are biased toward 512 B chunk and 8 KB page boundaries,
+   and some fill and blit lengths are within 16 bytes of a page. A
+   fixed prelude makes sure every script has the risky cases: the
+   parent writing after a fork, copies of copies, writes after a
+   whole-page zero fill re-shares the zero page, a zero fill that
+   covers all of a page but its last word, and one that covers a whole
+   page plus a word on each side. Afterwards every instance
+   must match its oracle byte for byte, under checksum and pairwise
+   equal_range, and every page digest must equal [Fp128.block_digest]
+   of the oracle's page. *)
+type cow_op =
+  | Copy of int * int (* source, destination slot *)
+  | Store_word of int * int * int
+  | Store_byte of int * int * int
+  | Fill of int * int * int * int (* instance, addr, len, byte *)
+  | Blit of int * int * int * int (* instance, src, dst, len *)
+  | Zero_page of int * int
+
 let mem_cow_matches_eager_oracle =
-  let size = 4 * Layout.page_size in
+  let pages = 4 and chunk = 512 and max_live = 4 and page = Layout.page_size in
+  let size = pages * page in
   let oracle_checksum oracle =
     let acc = ref 0 in
     Bytes.iter (fun c -> acc := ((!acc * 131) + Char.code c) land max_int) oracle;
     !acc
   in
-  let apply_op mem oracle (kind, a, b, len) =
-    let addr = a mod (size - 512) in
-    let len = 1 + (len mod 500) in
-    match kind mod 4 with
-    | 0 ->
-      Phys_mem.store_byte mem addr (b land 0xff);
-      Bytes.set oracle addr (Char.chr (b land 0xff))
-    | 1 ->
-      let addr = addr land lnot 7 in
-      Phys_mem.store_word mem addr b;
-      Bytes.set_int64_le oracle addr (Int64.of_int b)
-    | 2 ->
-      Phys_mem.fill mem ~addr ~len ~byte:(b land 0xff);
-      Bytes.fill oracle addr len (Char.chr (b land 0xff))
-    | _ ->
-      let dst = b mod (size - 512) in
-      Phys_mem.blit mem ~src:addr ~dst ~len;
-      let tmp = Bytes.sub oracle addr len in
-      Bytes.blit tmp 0 oracle dst len
+  (* uniform, or within 16 bytes of a chunk or a page boundary *)
+  let addr_of a =
+    let x = a lsr 2 in
+    let base =
+      match a land 3 with
+      | 0 -> x mod size
+      | 1 | 2 -> x mod (size / chunk) * chunk
+      | _ -> x mod pages * page
+    in
+    let jitter = if a land 3 = 0 then 0 else ((x lsr 20) mod 33) - 16 in
+    max 0 (min (size - 1) (base + jitter))
+  in
+  let len_of b = if b land 7 = 0 then page + ((b lsr 3) mod 33) - 16 else 1 + (b mod 1100) in
+  let op_of (kind, k, a, b) =
+    let addr = addr_of a in
+    let len = min (len_of (b lsr 8)) (size - addr) in
+    match kind with
+    | 0 -> Copy (k, (k + 1 + (a mod (max_live - 1))) mod max_live)
+    | 1 -> Store_word (k, addr land lnot 7, b)
+    | 2 -> Store_byte (k, addr, b land 0xff)
+    | 3 -> Fill (k, addr, len, if b land 3 = 0 then 0 else (b lsr 2) land 0xff)
+    | 4 ->
+      let dst = addr_of b in
+      Blit (k, addr, dst, min len (size - dst))
+    | _ -> Zero_page (k, a mod pages)
+  in
+  (* [live.(k)] is [Some (mem, oracle)] for a live instance *)
+  let apply live op =
+    let k =
+      match op with
+      | Copy (k, _)
+      | Store_word (k, _, _)
+      | Store_byte (k, _, _)
+      | Fill (k, _, _, _)
+      | Blit (k, _, _, _)
+      | Zero_page (k, _) -> k
+    in
+    match live.(k) with
+    | None -> ()
+    | Some (m, o) -> (
+      match op with
+      | Copy (_, dst) -> live.(dst) <- Some (Phys_mem.copy m, Bytes.copy o)
+      | Store_word (_, addr, v) ->
+        Phys_mem.store_word m addr v;
+        Bytes.set_int64_le o addr (Int64.of_int v)
+      | Store_byte (_, addr, v) ->
+        Phys_mem.store_byte m addr v;
+        Bytes.set o addr (Char.chr v)
+      | Fill (_, addr, len, byte) ->
+        Phys_mem.fill m ~addr ~len ~byte;
+        Bytes.fill o addr len (Char.chr byte)
+      | Blit (_, src, dst, len) ->
+        Phys_mem.blit m ~src ~dst ~len;
+        Bytes.blit (Bytes.sub o src len) 0 o dst len
+      | Zero_page (_, i) ->
+        Phys_mem.fill m ~addr:(i * page) ~len:page ~byte:0;
+        Bytes.fill o (i * page) page '\000')
+  in
+  let prelude =
+    [
+      Store_word (0, 8, 11);
+      Copy (0, 1);
+      Store_word (0, 8, 12) (* the parent writes after the fork *);
+      Store_byte (1, page + 3, 13);
+      Copy (1, 2) (* a copy of a copy *);
+      Zero_page (2, 0) (* re-shares the zero page *);
+      Store_word (2, 16, 14) (* ... and writes into it *);
+      Store_word (1, 16, 15);
+      Store_word (0, 520, 16);
+      Store_word (2, (2 * page) - 8, 17);
+      Fill (2, page, page - 8, 0) (* all of page 1 but its last word *);
+      Store_word (1, page - 8, 18);
+      Store_word (1, 2 * page, 19);
+      Fill (1, page - 8, page + 16, 0) (* a head word, page 1 whole, a tail word *);
+    ]
+  in
+  let consistent live =
+    let ok = ref true in
+    Array.iter
+      (function
+        | None -> ()
+        | Some (m, o) ->
+          for j = 0 to size - 1 do
+            if Phys_mem.load_byte m j <> Char.code (Bytes.get o j) then ok := false
+          done;
+          if Phys_mem.checksum m ~addr:0 ~len:size <> oracle_checksum o then ok := false;
+          for i = 0 to pages - 1 do
+            if
+              Phys_mem.page_digest m i
+              <> Uldma_util.Fp128.block_digest (Bytes.sub o (i * page) page)
+            then ok := false
+          done)
+      live;
+    Array.iter
+      (function
+        | None -> ()
+        | Some (m1, o1) ->
+          Array.iter
+            (function
+              | None -> ()
+              | Some (m2, o2) ->
+                if Phys_mem.equal_range m1 m2 ~addr:0 ~len:size <> Bytes.equal o1 o2 then
+                  ok := false)
+            live)
+      live;
+    !ok
   in
   let gen_op =
-    QCheck2.Gen.(quad (int_range 0 3) (int_range 0 (size - 1)) (int_range 0 max_int) nat)
+    QCheck2.Gen.(
+      map op_of
+        (quad
+           (frequency [ (2, return 0); (3, int_range 1 4); (1, return 5) ])
+           (int_range 0 (max_live - 1))
+           (int_range 0 max_int) (int_range 0 max_int)))
+  in
+  let print_op = function
+    | Copy (k, d) -> Printf.sprintf "Copy (%d, %d)" k d
+    | Store_word (k, a, v) -> Printf.sprintf "Store_word (%d, %d, %d)" k a v
+    | Store_byte (k, a, v) -> Printf.sprintf "Store_byte (%d, %d, %d)" k a v
+    | Fill (k, a, l, v) -> Printf.sprintf "Fill (%d, %d, %d, %d)" k a l v
+    | Blit (k, s, d, l) -> Printf.sprintf "Blit (%d, %d, %d, %d)" k s d l
+    | Zero_page (k, i) -> Printf.sprintf "Zero_page (%d, %d)" k i
   in
   qtest ~count:50 "phys_mem: COW snapshot matches eager-copy oracle"
-    QCheck2.Gen.(pair (list_size (int_range 0 30) gen_op) (list_size (int_range 0 30) gen_op))
-    (fun (ops_before, ops_after) ->
-      let m = Phys_mem.create ~size in
-      let oracle = Bytes.make size '\000' in
-      List.iter (apply_op m oracle) ops_before;
-      let child = Phys_mem.copy m in
-      let oracle_at_snap = Bytes.copy oracle in
-      (* diverge: child follows the script, parent stays put *)
-      List.iter (apply_op child oracle) ops_after;
-      Phys_mem.checksum m ~addr:0 ~len:size = oracle_checksum oracle_at_snap
-      && Phys_mem.checksum child ~addr:0 ~len:size = oracle_checksum oracle
-      && Phys_mem.equal_range m child ~addr:0 ~len:size = Bytes.equal oracle_at_snap oracle)
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_range 0 60) gen_op)
+    (fun ops ->
+      let live = Array.make max_live None in
+      live.(0) <- Some (Phys_mem.create ~size, Bytes.make size '\000');
+      List.iter (apply live) prelude;
+      List.iter (apply live) ops;
+      consistent live)
 
 let mem_word_roundtrip_prop =
   qtest "phys_mem: word store/load roundtrip"
@@ -494,6 +644,8 @@ let () =
           mem_digest_matches_recomputed;
           Alcotest.test_case "touched-page tracking" `Quick test_mem_touched_tracking;
           Alcotest.test_case "iter_diverged" `Quick test_mem_iter_diverged;
+          Alcotest.test_case "copy allocation" `Quick test_mem_copy_alloc;
+          Alcotest.test_case "fork + store: no direct-major" `Quick test_mem_fork_store_no_major;
           mem_cow_matches_eager_oracle;
           mem_word_roundtrip_prop;
           mem_blit_preserves_content;

@@ -910,6 +910,22 @@ let test_memo_words_per_entry () =
       entries
       (float_of_int words /. float_of_int entries)
 
+(* A fork's first write copies a 512 B chunk and its page's chunk
+   directory in the minor heap, not a whole 8 KB page straight into the
+   major heap. What is left of direct-major allocation per state is the
+   memo table's growth. *)
+let test_explorer_direct_major_per_state () =
+  let s = Scenario.ext_shadow_contested3 () in
+  let r, a =
+    Uldma_obs.Alloc.measure (fun () ->
+        Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
+          ~check:(Scenario.oracle_check s) ())
+  in
+  checki "states" 4333 r.Explorer.states_visited;
+  let words = a.Uldma_obs.Alloc.direct_major and states = r.Explorer.states_visited in
+  if words > 16 * states then
+    Alcotest.failf "%d direct-major words over %d states (limit 16 per state)" words states
+
 let () =
   Alcotest.run "verify"
     [
@@ -981,6 +997,8 @@ let () =
             test_kernel_fingerprint_stability;
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
+          Alcotest.test_case "direct-major words per state" `Quick
+            test_explorer_direct_major_per_state;
         ] );
       ( "campaign-engine",
         [
