@@ -54,6 +54,17 @@ let encode_pending enc = function
     Uldma_util.Enc.char enc 'r';
     encode_value enc op
 
+let pending_word p w =
+  match (p, w) with
+  | P_none, _ -> 0
+  | P_cas_expected _, 0 -> 1
+  | P_ready (Add _), 0 -> 2
+  | P_ready (Fetch_store _), 0 -> 3
+  | P_ready (Cas _), 0 -> 4
+  | (P_cas_expected v | P_ready (Add v | Fetch_store v | Cas { expected = v; _ })), 1 -> v
+  | P_ready (Cas { new_value; _ }), 2 -> new_value
+  | (P_cas_expected _ | P_ready _), _ -> 0
+
 let pp ppf = function
   | Add v -> Format.fprintf ppf "atomic_add(%d)" v
   | Fetch_store v -> Format.fprintf ppf "fetch_and_store(%d)" v

@@ -40,4 +40,10 @@ val encode_value : Uldma_util.Enc.t -> t -> unit
 
 val encode_pending : Uldma_util.Enc.t -> pending -> unit
 
+val pending_word : pending -> int -> int
+(** [pending_word p w], [w] in 0..2: the pending state as three digest
+    values (constructor, first operand, CAS new value). [P_none] is
+    (0, 0, 0) and the map is injective, so a register holding a pending
+    atomic digests over three slots like three ints. *)
+
 val pp : Format.formatter -> t -> unit

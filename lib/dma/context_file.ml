@@ -1,3 +1,5 @@
+module Fp128 = Uldma_util.Fp128
+
 type slot = Dest | Src
 
 type context = {
@@ -13,11 +15,38 @@ type context = {
   mutable atomic_target : int option;
   mutable atomic_pending : Atomic_op.pending;
   mutable mailbox : int option;
+  dg : int array;
 }
 
 type t = context array
 
-let fresh index =
+(* The file's additive digest, shared by all its contexts: cells 0 and 1
+   are the two lanes, cell 2 is 1 once the digest has been built. Until
+   the first [digest] call writes pay only the cell-2 test; after it
+   every setter moves its field's term. Field [f] of context [i] sits
+   at slot [16 i + f] and enters as value xor its reset value, so a
+   fresh context contributes nothing. *)
+let f_key = 0
+let f_owner = 1
+let f_dest = 2
+let f_src = 3
+let f_size = 4
+let f_next_slot = 5
+let f_status = 6
+let f_atomic_target = 7
+let f_mailbox = 8
+let f_atomic_pending = 9 (* three slots *)
+let n_fields = 12
+
+let slot_word = function Dest -> 0 | Src -> 1
+
+(* Setters test [built] before computing any digest value, so until
+   the digest is built a write costs one load and compare. *)
+let[@inline] built c = c.dg.(2) <> 0
+
+let[@inline] note c f old v = Fp128.replace_int c.dg 0 ((16 * c.index) + f) old v
+
+let fresh dg index =
   {
     index;
     key = 0;
@@ -31,14 +60,17 @@ let fresh index =
     atomic_target = None;
     atomic_pending = Atomic_op.P_none;
     mailbox = None;
+    dg;
   }
 
 let create ~n =
   if n < 1 || n > Uldma_mem.Layout.max_contexts then
     invalid_arg (Printf.sprintf "Context_file.create: %d contexts" n);
-  Array.init n fresh
+  Array.init n (fresh [| 0; 0; 0 |])
 
-let copy t = Array.map (fun c -> { c with index = c.index }) t
+let copy t =
+  let dg = Array.copy t.(0).dg in
+  Array.map (fun c -> { c with dg }) t
 
 let length = Array.length
 
@@ -49,18 +81,63 @@ let get t i =
 
 let get_opt t i = if i < 0 || i >= Array.length t then None else Some t.(i)
 
-let set_key t ~context ~key = (get t context).key <- key
+let set_key t ~context ~key =
+  let c = get t context in
+  if built c then note c f_key c.key key;
+  c.key <- key
 
-let set_owner t ~context ~pid = (get t context).owner_pid <- pid
+let set_owner t ~context ~pid =
+  let c = get t context in
+  if built c then note c f_owner (Fp128.opt_value c.owner_pid) (Fp128.opt_value pid);
+  c.owner_pid <- pid
+
+let set_dest c v =
+  if built c then note c f_dest (Fp128.opt_value c.dest) (Fp128.opt_value v);
+  c.dest <- v
+
+let set_src c v =
+  if built c then note c f_src (Fp128.opt_value c.src) (Fp128.opt_value v);
+  c.src <- v
+
+let set_size c v =
+  if built c then note c f_size (Fp128.opt_value c.size) (Fp128.opt_value v);
+  c.size <- v
+
+let set_next_slot c v =
+  if built c then note c f_next_slot (slot_word c.next_slot) (slot_word v);
+  c.next_slot <- v
+
+let set_status c v =
+  if built c then note c f_status (c.status lxor Status.complete) (v lxor Status.complete);
+  c.status <- v
+
+let set_last_transfer c tr = c.last_transfer <- tr
+
+let set_atomic_target c v =
+  if built c then note c f_atomic_target (Fp128.opt_value c.atomic_target) (Fp128.opt_value v);
+  c.atomic_target <- v
+
+let set_atomic_pending c p =
+  if built c then
+    for w = 0 to 2 do
+      note c (f_atomic_pending + w)
+        (Atomic_op.pending_word c.atomic_pending w)
+        (Atomic_op.pending_word p w)
+    done;
+  c.atomic_pending <- p
+
+let set_mailbox c v =
+  if built c then note c f_mailbox (Fp128.opt_value c.mailbox) (Fp128.opt_value v);
+  c.mailbox <- v
 
 let push_address c paddr =
   match c.next_slot with
   | Dest ->
-    c.dest <- Some paddr;
-    c.next_slot <- Src
+    set_dest c (Some paddr);
+    set_next_slot c Src
   | Src ->
-    c.src <- Some paddr;
-    c.next_slot <- Dest
+    set_src c (Some paddr);
+    set_next_slot c Dest
 
 let args_ready c =
   match (c.src, c.dest, c.size) with
@@ -68,37 +145,79 @@ let args_ready c =
   | _, _, _ -> None
 
 let clear_args c =
-  c.dest <- None;
-  c.src <- None;
-  c.size <- None;
-  c.next_slot <- Dest
-
-(* Canonical textual encoding for state fingerprinting. [last_transfer]
-   is deliberately skipped: the engine encodes transfer observables
-   (including per-context status-at-now) itself, with clock access. *)
-let encode enc t =
-  let i v = Uldma_util.Enc.int enc v in
-  let opt = function None -> min_int | Some v -> v in
-  Array.iter
-    (fun c ->
-      Uldma_util.Enc.char enc 'c';
-      i c.index;
-      i c.key;
-      i (opt c.owner_pid);
-      i (opt c.dest);
-      i (opt c.src);
-      i (opt c.size);
-      i (match c.next_slot with Dest -> 0 | Src -> 1);
-      i c.status;
-      i (opt c.atomic_target);
-      i (opt c.mailbox);
-      Atomic_op.encode_pending enc c.atomic_pending)
-    t
+  set_dest c None;
+  set_src c None;
+  set_size c None;
+  set_next_slot c Dest
 
 let reset c =
   clear_args c;
-  c.status <- Status.complete;
-  c.last_transfer <- None;
-  c.atomic_target <- None;
-  c.atomic_pending <- Atomic_op.P_none;
-  c.mailbox <- None
+  set_status c Status.complete;
+  set_last_transfer c None;
+  set_atomic_target c None;
+  set_atomic_pending c Atomic_op.P_none;
+  set_mailbox c None
+
+(* Field [f] of [c] as the digest sees it; the setters above compute
+   the same values. *)
+let word c f =
+  if f = f_key then c.key
+  else if f = f_owner then Fp128.opt_value c.owner_pid
+  else if f = f_dest then Fp128.opt_value c.dest
+  else if f = f_src then Fp128.opt_value c.src
+  else if f = f_size then Fp128.opt_value c.size
+  else if f = f_next_slot then slot_word c.next_slot
+  else if f = f_status then c.status lxor Status.complete
+  else if f = f_atomic_target then Fp128.opt_value c.atomic_target
+  else if f = f_mailbox then Fp128.opt_value c.mailbox
+  else Atomic_op.pending_word c.atomic_pending (f - f_atomic_pending)
+
+let scratch_digest t =
+  let d = [| 0; 0 |] in
+  Array.iter
+    (fun c ->
+      for f = 0 to n_fields - 1 do
+        Fp128.replace_int d 0 ((16 * c.index) + f) 0 (word c f)
+      done)
+    t;
+  (d.(0), d.(1))
+
+let digest t =
+  let dg = t.(0).dg in
+  if dg.(2) = 0 then begin
+    let a, b = scratch_digest t in
+    dg.(0) <- a;
+    dg.(1) <- b;
+    dg.(2) <- 1
+  end;
+  (dg.(0), dg.(1))
+
+(* Canonical encoding for state fingerprinting: the registers in
+   [Buf] mode, the digest's two lanes in [Fp] mode. [last_transfer] is
+   deliberately skipped: the engine encodes transfer observables
+   (including per-context status-at-now) itself, with clock access. *)
+let encode enc t =
+  let module E = Uldma_util.Enc in
+  match enc with
+  | E.Fp fp ->
+    let a, b = digest t in
+    Fp128.add_int fp a;
+    Fp128.add_int fp b
+  | E.Buf _ ->
+    let i v = E.int enc v in
+    let opt = function None -> min_int | Some v -> v in
+    Array.iter
+      (fun c ->
+        E.char enc 'c';
+        i c.index;
+        i c.key;
+        i (opt c.owner_pid);
+        i (opt c.dest);
+        i (opt c.src);
+        i (opt c.size);
+        i (match c.next_slot with Dest -> 0 | Src -> 1);
+        i c.status;
+        i (opt c.atomic_target);
+        i (opt c.mailbox);
+        Atomic_op.encode_pending enc c.atomic_pending)
+      t

@@ -13,7 +13,7 @@
 
 type slot = Dest | Src
 
-type context = {
+type context = private {
   index : int;
   mutable key : int;
   mutable owner_pid : int option; (** oracle metadata, engine-invisible *)
@@ -27,7 +27,10 @@ type context = {
   mutable atomic_pending : Atomic_op.pending;
   mutable mailbox : int option;
       (** local physical word for remote-atomic replies (kernel-set) *)
+  dg : int array;  (** the file's digest cells, shared by its contexts *)
 }
+(** Fields are read directly but written only through the setters
+    below ([private]), which keep the file's digest current. *)
 
 type t
 
@@ -35,6 +38,8 @@ val create : n:int -> t
 (** [n] contexts; 1 <= n <= [Uldma_mem.Layout.max_contexts]. *)
 
 val copy : t -> t
+(** Copies the digest and its built flag with the registers. *)
+
 val length : t -> int
 val get : t -> int -> context
 (** Raises [Invalid_argument] out of range. *)
@@ -43,6 +48,20 @@ val get_opt : t -> int -> context option
 
 val set_key : t -> context:int -> key:int -> unit
 val set_owner : t -> context:int -> pid:int option -> unit
+
+(** {1 Register writes}
+
+    Every write goes through one of these; each moves the written
+    field's digest term once the digest has been built. *)
+
+val set_dest : context -> int option -> unit
+val set_src : context -> int option -> unit
+val set_size : context -> int option -> unit
+val set_status : context -> int -> unit
+val set_last_transfer : context -> Transfer.t option -> unit
+val set_atomic_target : context -> int option -> unit
+val set_atomic_pending : context -> Atomic_op.pending -> unit
+val set_mailbox : context -> int option -> unit
 
 val push_address : context -> int -> unit
 (** Deposit a physical-address argument into the next slot
@@ -59,8 +78,25 @@ val reset : context -> unit
 (** Full reset including status and pending atomics (context switch of
     ownership). *)
 
+(** {1 Fingerprinting} *)
+
+val digest : t -> int * int
+(** The two lanes of the file's write-maintained additive digest
+    ({!Uldma_util.Fp128.replace_int}) over every field {!encode} feeds
+    except [index], which picks the slots: field [f] of context [i] at
+    slot [16 i + f]. Each field enters as its value xor its reset value,
+    so a fresh file digests to [(0, 0)]. The
+    digest is built from scratch on the first call and maintained by
+    the setters from then on; until then a write pays only the test of
+    the built flag. *)
+
+val scratch_digest : t -> int * int
+(** {!digest} recomputed from the registers, without touching the
+    maintained one: the reference it must always equal. *)
+
 val encode : Uldma_util.Enc.t -> t -> unit
 (** Feed a canonical encoding of every context's registers
     (key, owner, args, status, pending atomic, mailbox), for state
     fingerprinting. [last_transfer] is excluded — the engine encodes
-    transfer observables itself. *)
+    transfer observables itself. An [Fp] sink gets the two lanes of
+    {!digest} instead of the registers. *)

@@ -5,6 +5,7 @@ module Shadow = Uldma_mmu.Shadow
 module Iotlb = Uldma_mmu.Iotlb
 module Page_table = Uldma_mmu.Page_table
 module Pte = Uldma_mmu.Pte
+module Imap = Map.Make (Int)
 
 type mechanism =
   | Shrimp_mapped
@@ -78,7 +79,7 @@ type t = {
   mechanism : mechanism;
   contexts : Context_file.t;
   matcher : Seq_matcher.t;
-  mapped_out : (int, int) Hashtbl.t; (* src page base -> dst page base *)
+  mutable mapped_out : int Imap.t; (* src page base -> dst page base *)
   mutable map_out_staged : int option;
   mutable pending : pending_two_step option;
   mutable current_pid : int;
@@ -99,11 +100,13 @@ type t = {
   mutable last_transfer : Transfer.t option; (* for two-step status loads *)
   mutable last_status : int;
   mutable transfers : Transfer.t list; (* newest first *)
+  mutable n_transfers : int; (* length of [transfers] *)
   mutable events : event list; (* newest first *)
   mutable outbound : outbound_packet list; (* newest first *)
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
+  dg : int array; (* register digest lanes, then 1 once built (see [digest]) *)
 }
 
 let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_ps = 0) () =
@@ -115,7 +118,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     contexts = Context_file.create ~n:n_contexts;
     matcher =
       (match mechanism with Rep_args v -> Seq_matcher.create v | _ -> Seq_matcher.create Seq_matcher.Five);
-    mapped_out = Hashtbl.create 16;
+    mapped_out = Imap.empty;
     map_out_staged = None;
     pending = None;
     iotlb = Iotlb.create ();
@@ -136,11 +139,13 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     last_transfer = None;
     last_status = Status.failure;
     transfers = [];
+    n_transfers = 0;
     events = [];
     counters = { started = 0; rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
     sink = Uldma_obs.Trace.null;
     machine = 0;
+    dg = [| 0; 0; 0 |];
   }
 
 let mechanism t = t.mechanism
@@ -155,10 +160,8 @@ let tracing t = Uldma_obs.Trace.enabled t.sink
 let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~pid kind
 
 (* Engine snapshot for kernel forks. Everything mutable is duplicated;
-   transfers/events/outbound are immutable lists and are shared. On the
-   explorer's fork hot path [mapped_out] is almost always empty (only
-   SHRIMP-style mapped-out regions populate it), so skip the bucket
-   copy then. *)
+   transfers/events/outbound and the mapped-out map are immutable and
+   are shared. *)
 let copy t ~clock ~backend =
   {
     t with
@@ -166,8 +169,6 @@ let copy t ~clock ~backend =
     backend;
     contexts = Context_file.copy t.contexts;
     matcher = Seq_matcher.copy t.matcher;
-    mapped_out =
-      (if Hashtbl.length t.mapped_out = 0 then Hashtbl.create 8 else Hashtbl.copy t.mapped_out);
     iotlb = Iotlb.copy t.iotlb;
     (* the bindings still point at the parent's page tables here; the
        kernel fork re-binds each live context to its copied table
@@ -175,9 +176,173 @@ let copy t ~clock ~backend =
     iommu_tables = t.iommu_tables;
     caps = Capability.copy t.caps;
     counters = { t.counters with started = t.counters.started };
+    dg = Array.copy t.dg;
   }
 
 let now t = Clock.now t.clock
+
+(* ------------------------------------------------------------------ *)
+(* Register writes and the engine's additive digest *)
+
+(* Digest slots of the engine's own registers, and six slots per
+   started transfer from 32, by ordinal (oldest 0). The register
+   contexts and the matcher keep digests of their own. Every value
+   enters as value xor its reset value, so a fresh engine digests to
+   (0, 0). The lanes live in [t.dg]; until the first [digest] call
+   builds them a write pays only the test of [t.dg.(2)]. *)
+let s_current_pid = 0
+let s_k_src = 1
+let s_k_dst = 2
+let s_k_status = 3
+let s_k_atomic_target = 4
+let s_k_atomic_pending = 5 (* three slots *)
+let s_g_atomic_target = 8
+let s_g_atomic_pending = 9 (* three slots *)
+let s_last_status = 12
+let s_cap_stage_value = 13
+let s_cap_stage_base = 14
+let s_cap_stage_len = 15
+let s_map_out_staged = 16
+let s_pending = 17 (* five slots: present, dest, size, pid, context *)
+let s_n_transfers = 22
+let s_transfer k = 32 + (8 * k) (* six slots *)
+
+(* Setters test [built] before computing any digest value, so until
+   the digest is built a write costs one load and compare. *)
+let[@inline] built t = t.dg.(2) <> 0
+
+let[@inline] note t slot old v = Fp128.replace_int t.dg 0 slot old v
+
+let note_atomic t slot old p =
+  for w = 0 to 2 do
+    note t (slot + w) (Atomic_op.pending_word old w) (Atomic_op.pending_word p w)
+  done
+
+let deposit_word p w =
+  match p with
+  | None -> 0
+  | Some { p_dest; p_size; p_pid; p_ctx } -> (
+    match w with 0 -> 1 | 1 -> p_dest | 2 -> p_size | 3 -> p_pid | _ -> p_ctx)
+
+(* the static fields of a started transfer; its clock-relative view is
+   fed at key time *)
+let transfer_word (tr : Transfer.t) f =
+  match f with
+  | 0 -> tr.Transfer.src
+  | 1 -> tr.Transfer.dst
+  | 2 -> tr.Transfer.size
+  | 3 -> tr.Transfer.pid
+  | 4 -> Fp128.opt_value tr.Transfer.context
+  | _ -> tr.Transfer.duration
+
+let set_current_pid t v =
+  if built t then note t s_current_pid (lnot t.current_pid) (lnot v);
+  t.current_pid <- v
+
+let set_k_src t v =
+  if built t then note t s_k_src t.k_src v;
+  t.k_src <- v
+
+let set_k_dst t v =
+  if built t then note t s_k_dst t.k_dst v;
+  t.k_dst <- v
+
+let set_k_status t v =
+  if built t then note t s_k_status (t.k_status lxor Status.complete) (v lxor Status.complete);
+  t.k_status <- v
+
+let set_k_atomic_target t v =
+  if built t then note t s_k_atomic_target t.k_atomic_target v;
+  t.k_atomic_target <- v
+
+let set_k_atomic_pending t p =
+  if built t then note_atomic t s_k_atomic_pending t.k_atomic_pending p;
+  t.k_atomic_pending <- p
+
+let set_g_atomic t target p =
+  if built t then begin
+    note t s_g_atomic_target (Fp128.opt_value t.g_atomic_target) (Fp128.opt_value target);
+    note_atomic t s_g_atomic_pending t.g_atomic_pending p
+  end;
+  t.g_atomic_target <- target;
+  t.g_atomic_pending <- p
+
+let set_last_status t v =
+  if built t then note t s_last_status (t.last_status lxor Status.failure) (v lxor Status.failure);
+  t.last_status <- v
+
+let set_cap_stage_value t v =
+  if built t then note t s_cap_stage_value t.cap_stage_value v;
+  t.cap_stage_value <- v
+
+let set_cap_stage_base t v =
+  if built t then note t s_cap_stage_base t.cap_stage_base v;
+  t.cap_stage_base <- v
+
+let set_cap_stage_len t v =
+  if built t then note t s_cap_stage_len t.cap_stage_len v;
+  t.cap_stage_len <- v
+
+let set_map_out_staged t v =
+  if built t then note t s_map_out_staged (Fp128.opt_value t.map_out_staged) (Fp128.opt_value v);
+  t.map_out_staged <- v
+
+let set_pending t p =
+  if built t then
+    for w = 0 to 4 do
+      note t (s_pending + w) (deposit_word t.pending w) (deposit_word p w)
+    done;
+  t.pending <- p
+
+let push_transfer t tr =
+  let k = t.n_transfers in
+  if built t then begin
+    for f = 0 to 5 do
+      note t (s_transfer k + f) 0 (transfer_word tr f)
+    done;
+    note t s_n_transfers k (k + 1)
+  end;
+  t.transfers <- tr :: t.transfers;
+  t.n_transfers <- k + 1
+
+let scratch_digest t =
+  let d = [| 0; 0 |] in
+  let add slot v = Fp128.replace_int d 0 slot 0 v in
+  add s_current_pid (lnot t.current_pid);
+  add s_k_src t.k_src;
+  add s_k_dst t.k_dst;
+  add s_k_status (t.k_status lxor Status.complete);
+  add s_k_atomic_target t.k_atomic_target;
+  add s_g_atomic_target (Fp128.opt_value t.g_atomic_target);
+  for w = 0 to 2 do
+    add (s_k_atomic_pending + w) (Atomic_op.pending_word t.k_atomic_pending w);
+    add (s_g_atomic_pending + w) (Atomic_op.pending_word t.g_atomic_pending w)
+  done;
+  add s_last_status (t.last_status lxor Status.failure);
+  add s_cap_stage_value t.cap_stage_value;
+  add s_cap_stage_base t.cap_stage_base;
+  add s_cap_stage_len t.cap_stage_len;
+  add s_map_out_staged (Fp128.opt_value t.map_out_staged);
+  for w = 0 to 4 do
+    add (s_pending + w) (deposit_word t.pending w)
+  done;
+  add s_n_transfers t.n_transfers;
+  List.iteri
+    (fun j tr ->
+      for f = 0 to 5 do
+        add (s_transfer (t.n_transfers - 1 - j) + f) (transfer_word tr f)
+      done)
+    t.transfers;
+  (d.(0), d.(1))
+
+let digest t =
+  if t.dg.(2) = 0 then begin
+    let a, b = scratch_digest t in
+    t.dg.(0) <- a;
+    t.dg.(1) <- b;
+    t.dg.(2) <- 1
+  end;
+  (t.dg.(0), t.dg.(1))
 
 let push_event t e = t.events <- e :: t.events
 
@@ -242,7 +407,7 @@ let start_transfer t ~src ~dst ~size ~context ~pid =
         duration = t.backend.Transfer.duration_ps size;
       }
     in
-    t.transfers <- tr :: t.transfers;
+    push_transfer t tr;
     t.counters.started <- t.counters.started + 1;
     push_event t (Started tr);
     if tracing t then begin
@@ -256,11 +421,11 @@ let start_transfer t ~src ~dst ~size ~context ~pid =
     (match context with
     | Some i ->
       let c = Context_file.get t.contexts i in
-      c.Context_file.last_transfer <- Some tr;
-      c.Context_file.status <- Transfer.remaining tr ~now:(now t)
+      Context_file.set_last_transfer c (Some tr);
+      Context_file.set_status c (Transfer.remaining tr ~now:(now t))
     | None -> ());
     t.last_transfer <- Some tr;
-    t.last_status <- Transfer.remaining tr ~now:(now t);
+    set_last_status t (Transfer.remaining tr ~now:(now t));
     Transfer.remaining tr ~now:(now t)
   end
 
@@ -454,9 +619,9 @@ let run_atomic t ~op ~target ~context ~pid =
 
 let context_atomic_store c paddr_opt value =
   (match paddr_opt with
-  | Some paddr -> c.Context_file.atomic_target <- Some paddr
+  | Some paddr -> Context_file.set_atomic_target c (Some paddr)
   | None -> ());
-  c.Context_file.atomic_pending <- Atomic_op.accumulate c.Context_file.atomic_pending value
+  Context_file.set_atomic_pending c (Atomic_op.accumulate c.Context_file.atomic_pending value)
 
 let context_atomic_exec t c ~expected_target ~pid =
   let target_ok =
@@ -466,8 +631,8 @@ let context_atomic_exec t c ~expected_target ~pid =
     | None, _ -> None
   in
   let finish result =
-    c.Context_file.atomic_target <- None;
-    c.Context_file.atomic_pending <- Atomic_op.P_none;
+    Context_file.set_atomic_target c None;
+    Context_file.set_atomic_pending c Atomic_op.P_none;
     result
   in
   match (target_ok, c.Context_file.atomic_pending) with
@@ -480,30 +645,29 @@ let context_atomic_exec t c ~expected_target ~pid =
 (* Kernel control page *)
 
 let kernel_store t offset value ~pid =
-  if offset = Regmap.k_source then t.k_src <- value
-  else if offset = Regmap.k_dest then t.k_dst <- value
+  if offset = Regmap.k_source then set_k_src t value
+  else if offset = Regmap.k_dest then set_k_dst t value
   else if offset = Regmap.k_size then
-    t.k_status <- start_transfer t ~src:t.k_src ~dst:t.k_dst ~size:value ~context:None ~pid
-  else if offset = Regmap.k_current_pid then t.current_pid <- value
+    set_k_status t (start_transfer t ~src:t.k_src ~dst:t.k_dst ~size:value ~context:None ~pid)
+  else if offset = Regmap.k_current_pid then set_current_pid t value
   else if offset = Regmap.k_invalidate then begin
-    t.pending <- None;
-    t.g_atomic_target <- None;
-    t.g_atomic_pending <- Atomic_op.P_none
+    set_pending t None;
+    set_g_atomic t None Atomic_op.P_none
   end
-  else if offset = Regmap.k_map_out_src then t.map_out_staged <- Some (Layout.page_base value)
+  else if offset = Regmap.k_map_out_src then set_map_out_staged t (Some (Layout.page_base value))
   else if offset = Regmap.k_map_out_dst then begin
     match t.map_out_staged with
     | Some src_page ->
-      Hashtbl.replace t.mapped_out src_page (Layout.page_base value);
-      t.map_out_staged <- None
+      t.mapped_out <- Imap.add src_page (Layout.page_base value) t.mapped_out;
+      set_map_out_staged t None
     | None -> ()
   end
-  else if offset = Regmap.k_atomic_target then t.k_atomic_target <- value
+  else if offset = Regmap.k_atomic_target then set_k_atomic_target t value
   else if offset = Regmap.k_atomic_op then
-    t.k_atomic_pending <- Atomic_op.accumulate t.k_atomic_pending value
-  else if offset = Regmap.k_cap_value then t.cap_stage_value <- value
-  else if offset = Regmap.k_cap_base then t.cap_stage_base <- value
-  else if offset = Regmap.k_cap_len then t.cap_stage_len <- value
+    set_k_atomic_pending t (Atomic_op.accumulate t.k_atomic_pending value)
+  else if offset = Regmap.k_cap_value then set_cap_stage_value t value
+  else if offset = Regmap.k_cap_base then set_cap_stage_base t value
+  else if offset = Regmap.k_cap_len then set_cap_stage_len t value
   else if offset = Regmap.k_cap_commit then begin
     let ctx = value land 0xff in
     let rights =
@@ -524,9 +688,9 @@ let kernel_store t offset value ~pid =
           rights;
           revoked = false;
         };
-    t.cap_stage_value <- 0;
-    t.cap_stage_base <- 0;
-    t.cap_stage_len <- 0
+    set_cap_stage_value t 0;
+    set_cap_stage_base t 0;
+    set_cap_stage_len t 0
   end
   else if offset = Regmap.k_cap_revoke then Capability.revoke_value t.caps ~value
   else if offset = Regmap.k_iotlb_invalidate then begin
@@ -537,7 +701,7 @@ let kernel_store t offset value ~pid =
     && offset < Regmap.k_mailbox_base + (8 * Context_file.length t.contexts)
   then begin
     let context = (offset - Regmap.k_mailbox_base) / 8 in
-    (Context_file.get t.contexts context).Context_file.mailbox <-
+    Context_file.set_mailbox (Context_file.get t.contexts context)
       (if value = 0 then None else Some value)
   end
   else if offset >= Regmap.k_key_base && offset < Regmap.k_key_base + (8 * Context_file.length t.contexts)
@@ -562,7 +726,7 @@ let kernel_load t offset ~pid =
       | None -> t.k_status
   else if offset = Regmap.k_atomic_op then begin
     let pending = t.k_atomic_pending in
-    t.k_atomic_pending <- Atomic_op.P_none;
+    set_k_atomic_pending t Atomic_op.P_none;
     match pending with
     | Atomic_op.P_ready op -> run_atomic t ~op ~target:t.k_atomic_target ~context:None ~pid
     | Atomic_op.P_none | Atomic_op.P_cas_expected _ ->
@@ -583,9 +747,9 @@ let context_page_store t context offset value ~pid =
   | None -> ignore (reject t ~reason:No_context ~pid : int)
   | Some c ->
     if offset = Regmap.c_atomic then context_atomic_store c None value
-    else if decodes_arg_regs t && offset = Regmap.c_arg_src then c.Context_file.src <- Some value
-    else if decodes_arg_regs t && offset = Regmap.c_arg_dst then c.Context_file.dest <- Some value
-    else c.Context_file.size <- Some value
+    else if decodes_arg_regs t && offset = Regmap.c_arg_src then Context_file.set_src c (Some value)
+    else if decodes_arg_regs t && offset = Regmap.c_arg_dst then Context_file.set_dest c (Some value)
+    else Context_file.set_size c (Some value)
 
 let context_page_load t context offset ~pid =
   match Context_file.get_opt t.contexts context with
@@ -604,14 +768,14 @@ let context_page_load t context offset ~pid =
             start_transfer t ~src ~dst:dest ~size ~context:(Some context) ~pid
         in
         Context_file.clear_args c;
-        c.Context_file.status <- status;
+        Context_file.set_status c status;
         status
       | None ->
         if c.Context_file.dest <> None || c.Context_file.src <> None || c.Context_file.size <> None
         then begin
           Context_file.clear_args c;
           let status = reject t ~reason:Incomplete_arguments ~pid in
-          c.Context_file.status <- status;
+          Context_file.set_status c status;
           status
         end
         else context_status t context
@@ -638,7 +802,7 @@ let shadow_atomic t (d : Shadow.decoded) (op : Txn.op) value ~pid =
      match Context_file.get_opt t.contexts context with
      | None -> ignore (reject t ~reason:No_context ~pid : int)
      | Some c ->
-       if c.Context_file.key = key then c.Context_file.atomic_target <- Some d.Shadow.paddr
+       if c.Context_file.key = key then Context_file.set_atomic_target c (Some d.Shadow.paddr)
        else ignore (reject t ~reason:Bad_key ~pid : int));
     0
   | Key_based, Txn.Load -> reject t ~reason:Unsupported ~pid
@@ -646,13 +810,11 @@ let shadow_atomic t (d : Shadow.decoded) (op : Txn.op) value ~pid =
     (* the shared atomic slot: one (target, op) pair for the whole
        engine. Safe only when the two accesses cannot be interleaved,
        i.e. when issued from PAL mode (sec. 2.7 + 3.5). *)
-    t.g_atomic_target <- Some d.Shadow.paddr;
-    t.g_atomic_pending <- Atomic_op.accumulate t.g_atomic_pending value;
+    set_g_atomic t (Some d.Shadow.paddr) (Atomic_op.accumulate t.g_atomic_pending value);
     0
   | (Shrimp_two_step | Flash | Ext_shadow_stateless), Txn.Load -> (
     let target = t.g_atomic_target and pending = t.g_atomic_pending in
-    t.g_atomic_target <- None;
-    t.g_atomic_pending <- Atomic_op.P_none;
+    set_g_atomic t None Atomic_op.P_none;
     match (target, pending) with
     | Some target, Atomic_op.P_ready op when target = d.Shadow.paddr ->
       run_atomic t ~op ~target ~context:None ~pid
@@ -670,22 +832,21 @@ let shadow_store t (d : Shadow.decoded) value ~pid =
   match t.mechanism with
   | Shrimp_mapped -> (
     let src = d.Shadow.paddr in
-    match Hashtbl.find_opt t.mapped_out (Layout.page_base src) with
+    match Imap.find_opt (Layout.page_base src) t.mapped_out with
     | Some dst_page ->
       let dst = dst_page lor Layout.page_offset src in
-      t.last_status <- start_transfer t ~src ~dst ~size:value ~context:None ~pid
+      set_last_status t (start_transfer t ~src ~dst ~size:value ~context:None ~pid)
     | None ->
-      t.last_status <- Status.failure;
+      set_last_status t Status.failure;
       discard (reject t ~reason:Not_mapped_out ~pid))
   | Shrimp_two_step | Flash ->
-    t.pending <-
-      Some { p_dest = d.Shadow.paddr; p_size = value; p_pid = t.current_pid; p_ctx = 0 }
+    set_pending t
+      (Some { p_dest = d.Shadow.paddr; p_size = value; p_pid = t.current_pid; p_ctx = 0 })
   | Ext_shadow_stateless ->
     (* sec. 3.2, no-register-context engine: remember the context id
        carried in the shadow physical address itself *)
-    t.pending <-
-      Some
-        { p_dest = d.Shadow.paddr; p_size = value; p_pid = 0; p_ctx = d.Shadow.context }
+    set_pending t
+      (Some { p_dest = d.Shadow.paddr; p_size = value; p_pid = 0; p_ctx = d.Shadow.context })
   | Key_based -> (
     let key, context = decode_key value in
     match Context_file.get_opt t.contexts context with
@@ -697,8 +858,8 @@ let shadow_store t (d : Shadow.decoded) value ~pid =
     match Context_file.get_opt t.contexts d.Shadow.context with
     | None -> discard (reject t ~reason:No_context ~pid)
     | Some c ->
-      c.Context_file.dest <- Some d.Shadow.paddr;
-      c.Context_file.size <- Some value)
+      Context_file.set_dest c (Some d.Shadow.paddr);
+      Context_file.set_size c (Some value))
   | Rep_args _ -> (
     match Seq_matcher.feed t.matcher Txn.Store ~paddr:d.Shadow.paddr ~value with
     | Seq_matcher.Accepted ->
@@ -708,7 +869,7 @@ let shadow_store t (d : Shadow.decoded) value ~pid =
     | Seq_matcher.Rejected -> ()
     | Seq_matcher.Fired { src; dst; size } ->
       (* cannot happen: all patterns end on a load; fire anyway *)
-      t.last_status <- start_transfer t ~src ~dst ~size ~context:None ~pid)
+      set_last_status t (start_transfer t ~src ~dst ~size ~context:None ~pid))
   | Iommu | Capio ->
     (* arguments travel through the register context page only; the
        shadow window is not decoded by these mechanisms *)
@@ -720,48 +881,48 @@ let shadow_load t (d : Shadow.decoded) ~pid =
   | Shrimp_two_step -> (
     match t.pending with
     | Some { p_dest; p_size; _ } ->
-      t.pending <- None;
+      set_pending t None;
       let status = start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid in
-      t.last_status <- status;
+      set_last_status t status;
       status
     | None ->
-      t.last_status <- Status.failure;
+      set_last_status t Status.failure;
       reject t ~reason:Incomplete_arguments ~pid)
   | Ext_shadow_stateless -> (
     match t.pending with
     | Some { p_dest; p_size; p_ctx; _ } ->
-      t.pending <- None;
+      set_pending t None;
       if p_ctx <> d.Shadow.context then begin
-        t.last_status <- Status.failure;
+        set_last_status t Status.failure;
         reject t ~reason:Wrong_context ~pid
       end
       else begin
         let status =
           start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid
         in
-        t.last_status <- status;
+        set_last_status t status;
         status
       end
     | None ->
-      t.last_status <- Status.failure;
+      set_last_status t Status.failure;
       reject t ~reason:Incomplete_arguments ~pid)
   | Flash -> (
     match t.pending with
     | Some { p_dest; p_size; p_pid; _ } ->
-      t.pending <- None;
+      set_pending t None;
       if p_pid <> t.current_pid then begin
-        t.last_status <- Status.failure;
+        set_last_status t Status.failure;
         reject t ~reason:Wrong_pid ~pid
       end
       else begin
         let status =
           start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid
         in
-        t.last_status <- status;
+        set_last_status t status;
         status
       end
     | None ->
-      t.last_status <- Status.failure;
+      set_last_status t Status.failure;
       reject t ~reason:Incomplete_arguments ~pid)
   | Key_based ->
     (* the key-based protocol never loads from the shadow window *)
@@ -776,12 +937,12 @@ let shadow_load t (d : Shadow.decoded) ~pid =
           start_transfer t ~src:d.Shadow.paddr ~dst:dest ~size ~context:(Some d.Shadow.context) ~pid
         in
         Context_file.clear_args c;
-        c.Context_file.status <- status;
+        Context_file.set_status c status;
         status
       | None, _ | _, None ->
         Context_file.clear_args c;
         let status = reject t ~reason:Incomplete_arguments ~pid in
-        c.Context_file.status <- status;
+        Context_file.set_status c status;
         status))
   | Rep_args _ -> (
     match Seq_matcher.feed t.matcher Txn.Load ~paddr:d.Shadow.paddr ~value:0 with
@@ -793,7 +954,7 @@ let shadow_load t (d : Shadow.decoded) ~pid =
     | Seq_matcher.Rejected -> reject t ~reason:Broken_sequence ~pid
     | Seq_matcher.Fired { src; dst; size } ->
       let status = start_transfer t ~src ~dst ~size ~context:None ~pid in
-      t.last_status <- status;
+      set_last_status t status;
       status)
   | Iommu | Capio -> reject t ~reason:Unsupported ~pid
 
@@ -847,7 +1008,7 @@ let handle t (txn : Txn.t) =
       end
     | None -> 0
 
-(* Canonical textual encoding of the engine's observable state, for the
+(* Canonical encoding of the engine's observable state, for the
    explorer's state fingerprint. Includes everything a future load can
    reveal: matcher/context registers, the pending two-step deposit, the
    kernel-page registers, atomic slots, started transfers (src/dst/
@@ -864,12 +1025,23 @@ let handle t (txn : Txn.t) =
    it (e.g. to the timed backend's tick) would be unsound, because two
    states in the same bucket can diverge observably one tick later —
    quantisation belongs in the backend's duration_ps, where it shrinks
-   the set of deadlines without ever merging distinct ones. *)
+   the set of deadlines without ever merging distinct ones.
+
+   [Buf] streams every register. [Fp] takes the two lanes of the
+   matcher's, the contexts' and the engine's own digests in place of
+   their registers and of the transfers' static fields, and feeds only
+   what depends on the clock: the statuses as loads see them now, the
+   last transfer's remaining bytes and each in-flight transfer's
+   (ordinal, remaining wire time). The capability table, the mapped-out
+   map and the outbound queue are usually empty and are walked in both
+   modes. *)
 let encode enc t =
-  let i v = Uldma_util.Enc.int enc v in
-  let ch c = Uldma_util.Enc.char enc c in
+  let module E = Uldma_util.Enc in
+  let i v = E.int enc v in
+  let ch c = E.char enc c in
   let opt = function None -> min_int | Some v -> v in
-  Uldma_util.Enc.string enc "E:";
+  let paranoid = match enc with E.Buf _ -> true | E.Fp _ -> false in
+  E.string enc "E:";
   Seq_matcher.encode enc t.matcher;
   Context_file.encode enc t.contexts;
   (* per-context status as loads would see it right now *)
@@ -877,26 +1049,32 @@ let encode enc t =
   for c = 0 to Context_file.length t.contexts - 1 do
     i (context_status t c)
   done;
-  ch 'p';
-  (match t.pending with
-  | None -> ()
-  | Some { p_dest; p_size; p_pid; p_ctx } ->
-    i p_dest;
-    i p_size;
-    i p_pid;
-    i p_ctx);
-  ch 'k';
-  i t.current_pid;
-  i t.k_src;
-  i t.k_dst;
-  i t.k_status;
-  i t.k_atomic_target;
-  Atomic_op.encode_pending enc t.k_atomic_pending;
-  ch 'g';
-  i (opt t.g_atomic_target);
-  Atomic_op.encode_pending enc t.g_atomic_pending;
+  (match enc with
+  | E.Fp fp ->
+    let a, b = digest t in
+    Fp128.add_int fp a;
+    Fp128.add_int fp b
+  | E.Buf _ ->
+    ch 'p';
+    (match t.pending with
+    | None -> ()
+    | Some { p_dest; p_size; p_pid; p_ctx } ->
+      i p_dest;
+      i p_size;
+      i p_pid;
+      i p_ctx);
+    ch 'k';
+    i t.current_pid;
+    i t.k_src;
+    i t.k_dst;
+    i t.k_status;
+    i t.k_atomic_target;
+    Atomic_op.encode_pending enc t.k_atomic_pending;
+    ch 'g';
+    i (opt t.g_atomic_target);
+    Atomic_op.encode_pending enc t.g_atomic_pending);
   ch 'l';
-  i t.last_status;
+  if paranoid then i t.last_status;
   i (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t));
   (* IOTLB contents + victim cursors and the capability table are
      engine-visible state: they decide future hit/miss charges and
@@ -906,41 +1084,50 @@ let encode enc t =
   Iotlb.encode enc t.iotlb;
   ch 'C';
   Capability.encode enc t.caps;
-  i t.cap_stage_value;
-  i t.cap_stage_base;
-  i t.cap_stage_len;
-  List.iter
-    (fun (tr : Transfer.t) ->
-      ch 't';
-      i tr.Transfer.src;
-      i tr.Transfer.dst;
-      i tr.Transfer.size;
-      i tr.Transfer.pid;
-      i (opt tr.Transfer.context);
-      i (Transfer.remaining_ps tr ~now:(now t));
-      i tr.Transfer.duration)
-    t.transfers;
-  (match t.map_out_staged with
-  | None -> ()
-  | Some p ->
-    ch 'M';
-    i p;
-    ch ';');
-  if Hashtbl.length t.mapped_out > 0 then begin
-    let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.mapped_out [] in
+  if paranoid then begin
+    i t.cap_stage_value;
+    i t.cap_stage_base;
+    i t.cap_stage_len;
     List.iter
-      (fun (k, v) ->
-        ch 'o';
-        i k;
-        i v;
-        ch ';')
-      (List.sort compare bindings)
-  end;
+      (fun (tr : Transfer.t) ->
+        ch 't';
+        i tr.Transfer.src;
+        i tr.Transfer.dst;
+        i tr.Transfer.size;
+        i tr.Transfer.pid;
+        i (opt tr.Transfer.context);
+        i (Transfer.remaining_ps tr ~now:(now t));
+        i tr.Transfer.duration)
+      t.transfers;
+    match t.map_out_staged with
+    | None -> ()
+    | Some p ->
+      ch 'M';
+      i p;
+      ch ';'
+  end
+  else
+    List.iteri
+      (fun j tr ->
+        let r = Transfer.remaining_ps tr ~now:(now t) in
+        if r <> 0 then begin
+          ch 't';
+          i (t.n_transfers - 1 - j);
+          i r
+        end)
+      t.transfers;
+  Imap.iter
+    (fun k v ->
+      ch 'o';
+      i k;
+      i v;
+      ch ';')
+    t.mapped_out;
   List.iter
     (fun p ->
       ch 'w';
       i p.remote_addr;
-      Uldma_util.Enc.string enc (Bytes.to_string p.payload |> String.escaped);
+      E.string enc (Bytes.to_string p.payload |> String.escaped);
       ch ',';
       match p.kind with
       | Remote_write -> ch ';'
@@ -973,14 +1160,12 @@ let device t =
 
 let set_context_owner t ~context ~pid = Context_file.set_owner t.contexts ~context ~pid
 
-let invalidate_pending t = t.pending <- None
-
-let set_current_pid t pid = t.current_pid <- pid
+let invalidate_pending t = set_pending t None
 
 let map_out t ~src_page ~dst_page =
-  Hashtbl.replace t.mapped_out (Layout.page_base src_page) (Layout.page_base dst_page)
+  t.mapped_out <- Imap.add (Layout.page_base src_page) (Layout.page_base dst_page) t.mapped_out
 
-let mapped_out_dst t ~src_page = Hashtbl.find_opt t.mapped_out (Layout.page_base src_page)
+let mapped_out_dst t ~src_page = Imap.find_opt (Layout.page_base src_page) t.mapped_out
 
 let events t = List.rev t.events
 

@@ -194,7 +194,32 @@ val encode : Uldma_util.Enc.t -> t -> unit
     same states it always did. Two engines with equal encodings are
     indistinguishable to the simulated programs and to the Fig. 8
     oracle. Diagnostic state (event log, counters, trace sink, absolute
-    timestamps) is excluded. *)
+    timestamps) is excluded. A [Buf] sink gets every register; an [Fp]
+    sink gets the two lanes of {!Seq_matcher.digest},
+    {!Context_file.digest} and {!digest} in place of the registers and
+    the transfers' static fields, plus what depends on the clock: the
+    statuses as loads see them now, the last transfer's remaining
+    bytes and each in-flight transfer's (ordinal, remaining wire
+    time). *)
+
+val digest : t -> int * int
+(** The two lanes of the write-maintained additive digest
+    ({!Uldma_util.Fp128.replace_int}) of the engine's own registers;
+    the register contexts and the matcher keep theirs
+    ({!Context_file.digest}, {!Seq_matcher.digest}). It covers the
+    registers that {!encode} streams in [Buf] mode — pending deposit,
+    kernel-page and atomic registers, last status, staged capability
+    and mapped-out page — plus each started transfer's static fields
+    (src, dst, size, pid, context, duration) at slots taken from its
+    ordinal, and the transfer count. Every value enters as value xor
+    its reset value, so a fresh engine digests to [(0, 0)]. Built from
+    scratch on the first call (a fingerprint {!encode}) and maintained
+    by every register write from then on; before that a write pays only
+    the test of the built flag. {!copy} copies it and the flag. *)
+
+val scratch_digest : t -> int * int
+(** {!digest} recomputed from the registers, without touching the
+    maintained one: the reference it must always equal. *)
 
 val next_transfer_deadline : t -> Uldma_util.Units.ps option
 (** Earliest [end_time] strictly after [now] among started transfers —

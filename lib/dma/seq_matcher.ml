@@ -42,35 +42,102 @@ type t = {
   mutable dest : int;
   mutable src : int;
   mutable size : int;
+  dg : int array;
 }
 
-let create variant = { variant; steps = pattern variant; index = 0; dest = -1; src = -1; size = -1 }
+(* The matcher's additive digest: cells 0 and 1 are the lanes, cell 2
+   is 1 once built (see [digest]). Variant, index, dest, src and size
+   sit at slots 0..4, each as value xor its reset value (variant
+   [Five], the engine's default matcher; index 0; bindings -1), so a
+   fresh [Five] matcher digests to (0, 0). *)
+let s_variant = 0
+let s_index = 1
+let s_dest = 2
+let s_src = 3
+let s_size = 4
 
-let copy t = { t with variant = t.variant }
+let variant_code = function Three -> 3 | Four -> 4 | Five -> 5
+
+(* Setters test [built] before computing any digest value, so until
+   the digest is built a write costs one load and compare. *)
+let[@inline] built t = t.dg.(2) <> 0
+
+let[@inline] note t slot old v = Uldma_util.Fp128.replace_int t.dg 0 slot old v
+
+let set_index t v =
+  if built t then note t s_index t.index v;
+  t.index <- v
+
+let set_dest t v =
+  if built t then note t s_dest (lnot t.dest) (lnot v);
+  t.dest <- v
+
+let set_src t v =
+  if built t then note t s_src (lnot t.src) (lnot v);
+  t.src <- v
+
+let set_size t v =
+  if built t then note t s_size (lnot t.size) (lnot v);
+  t.size <- v
+
+let create variant =
+  { variant; steps = pattern variant; index = 0; dest = -1; src = -1; size = -1; dg = [| 0; 0; 0 |] }
+
+let copy t = { t with dg = Array.copy t.dg }
 
 let variant t = t.variant
 
 let sequence_length v = Array.length (pattern v)
 
 let reset t =
-  t.index <- 0;
-  t.dest <- -1;
-  t.src <- -1;
-  t.size <- -1
+  set_index t 0;
+  set_dest t (-1);
+  set_src t (-1);
+  set_size t (-1)
 
 let position t = t.index
 
-(* Canonical textual encoding of the matcher's mutable registers, for
-   state fingerprinting. [steps] is a pure function of [variant]. *)
+let scratch_digest t =
+  let d = [| 0; 0 |] in
+  List.iter
+    (fun (slot, v) -> Uldma_util.Fp128.replace_int d 0 slot 0 v)
+    [
+      (s_variant, variant_code t.variant lxor 5);
+      (s_index, t.index);
+      (s_dest, lnot t.dest);
+      (s_src, lnot t.src);
+      (s_size, lnot t.size);
+    ];
+  (d.(0), d.(1))
+
+let digest t =
+  if t.dg.(2) = 0 then begin
+    let a, b = scratch_digest t in
+    t.dg.(0) <- a;
+    t.dg.(1) <- b;
+    t.dg.(2) <- 1
+  end;
+  (t.dg.(0), t.dg.(1))
+
+(* Canonical encoding of the matcher's mutable registers, for state
+   fingerprinting: the registers in [Buf] mode, the digest's two lanes
+   in [Fp] mode. [steps] is a pure function of [variant]. *)
 let encode enc t =
-  let i v = Uldma_util.Enc.int enc v in
-  Uldma_util.Enc.char enc 'm';
-  i (match t.variant with Three -> 3 | Four -> 4 | Five -> 5);
-  i t.index;
-  i t.dest;
-  i t.src;
-  i t.size;
-  Uldma_util.Enc.char enc ';'
+  let module E = Uldma_util.Enc in
+  match enc with
+  | E.Fp fp ->
+    let a, b = digest t in
+    Uldma_util.Fp128.add_int fp a;
+    Uldma_util.Fp128.add_int fp b
+  | E.Buf _ ->
+    let i v = E.int enc v in
+    E.char enc 'm';
+    i (variant_code t.variant);
+    i t.index;
+    i t.dest;
+    i t.src;
+    i t.size;
+    E.char enc ';'
 
 (* Try to accept [op/paddr/value] as step [t.index]. *)
 let accept t op paddr value =
@@ -80,10 +147,10 @@ let accept t op paddr value =
     let addr_ok =
       match step.role with
       | Dest_set ->
-        t.dest <- paddr;
+        set_dest t paddr;
         true
       | Src_set ->
-        t.src <- paddr;
+        set_src t paddr;
         true
       | Dest_match -> paddr = t.dest
       | Src_match -> paddr = t.src
@@ -91,13 +158,13 @@ let accept t op paddr value =
     let size_ok =
       if not step.carries_size then true
       else if t.size < 0 then begin
-        t.size <- value;
+        set_size t value;
         true
       end
       else value = t.size
     in
     if addr_ok && size_ok then begin
-      t.index <- t.index + 1;
+      set_index t (t.index + 1);
       true
     end
     else false

@@ -49,4 +49,18 @@ val encode : Uldma_util.Enc.t -> t -> unit
 (** Feed a canonical encoding of the matcher's mutable
     registers (variant, position, bound dest/src/size), for state
     fingerprinting: two matchers with equal encodings behave
-    identically on every future access stream. *)
+    identically on every future access stream. An [Fp] sink gets the
+    two lanes of {!digest} instead of the registers. *)
+
+val digest : t -> int * int
+(** The two lanes of the matcher's write-maintained additive digest
+    over the same five values, at slots 0..4, each as value xor its
+    reset value (the variant's reset
+    value is [Five], the matcher of every non-[Rep_args] engine), so a
+    fresh [Five] matcher digests to [(0, 0)]. Built from scratch on the
+    first call and maintained by every write from then on; {!copy}
+    copies it and its built flag. *)
+
+val scratch_digest : t -> int * int
+(** {!digest} recomputed from the registers: the reference it must
+    always equal. *)

@@ -916,8 +916,9 @@ let state_encoding ?relative_to t =
 
 (* Memo key for the explorer. Fingerprint mode streams [prefix] and the
    token walk into one two-lane 126-bit hash and returns its 16-byte
-   packed key — nothing is materialised; page contents, register files
-   and the IOTLB enter as their write-maintained digests — and reports
+   packed key — nothing is materialised; page contents, register files,
+   the IOTLB and the DMA engine's registers enter as their
+   write-maintained digests — and reports
    how many bytes were streamed. Paranoid mode returns [prefix] followed
    by the full textual encoding, under which key equality is exactly
    state equality (given a fixed-width prefix). *)
@@ -934,18 +935,6 @@ let state_key ?prefix ?relative_to ~paranoid t =
     encode_state (Uldma_util.Enc.Fp fp) ?relative_to t;
     (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp)
   end
-
-(* FNV-1a over the canonical encoding. The 64-bit hash is for shard
-   selection and reporting; dedup itself keys on the full encoding, so
-   a hash collision can never merge distinct states. *)
-let fingerprint_of_encoding s =
-  let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let fingerprint ?relative_to t = fingerprint_of_encoding (state_encoding ?relative_to t)
 
 let attach_trace t sink ~machine = attach_sink t sink ~machine
 

@@ -126,23 +126,27 @@ val state_key : ?prefix:string -> ?relative_to:t -> paranoid:bool -> t -> string
     exploration mode) [prefix] and then the same token walk as
     [state_encoding] are streamed into one two-lane 126-bit fingerprint
     ({!Uldma_util.Fp128}) and the 16-byte packed key is returned — no
-    encoding string is materialised, and RAM pages, register files and
-    the IOTLB enter as their write-maintained additive digests
-    ({!Phys_mem.page_digest}, {!Uldma_cpu.Regfile.digest},
-    {!Uldma_mmu.Iotlb.digest}), two ints each, so a key costs O(tokens
-    streamed) whatever was written since the last one. The byte count
-    is exactly what was streamed here: digest upkeep is paid by the
-    writes, not by the key. Two states with equal encodings (and equal
+    encoding string is materialised, and RAM pages, register files, the
+    IOTLB and the DMA engine's registers enter as their write-maintained
+    additive digests ({!Phys_mem.page_digest},
+    {!Uldma_cpu.Regfile.digest}, {!Uldma_mmu.Iotlb.digest},
+    {!Uldma_dma.Context_file.digest}, {!Uldma_dma.Seq_matcher.digest}
+    and {!Uldma_dma.Engine.digest}, the last covering the engine's
+    kernel-page and atomic registers and every started transfer's
+    static fields), two ints each, so a key costs O(tokens streamed)
+    whatever was written since the last one. Of the engine only what
+    depends on the clock is streamed: the context statuses as loads see
+    them now and the remaining time of transfers still in flight. The
+    byte count is exactly what was streamed here: digest upkeep is paid
+    by the writes, not by the key. The engine's digests are built on
+    the first key, so a machine that is never keyed pays only a flag
+    test per register write. Two states with equal encodings (and equal
     prefixes) always get equal keys; distinct states collide only if
     both 63-bit lanes collide (~2^-126 — [tools/diff_explore] checks
     fingerprint runs against paranoid runs differentially). With
     [~paranoid:true] the key is [prefix] followed by the full
     [state_encoding] string, under which key equality is exactly
     encoding equality when the prefix has a fixed width. *)
-
-val fingerprint : ?relative_to:t -> t -> int64
-(** FNV-1a hash of [state_encoding] — for the persisted-memo root
-    guard and reporting. Dedup never trusts this hash alone. *)
 
 val counter_snapshot : t -> Uldma_obs.Counters.t
 (** The machine's accounting as a uniform named-counter registry:

@@ -150,6 +150,8 @@ let[@inline] word_term_a slot lo hi =
 let[@inline] word_term_b slot lo hi =
   if lo lor hi = 0 then 0 else fmix' (fmix' (((slot lsl 32) lor lo) + sum_seed_b) + (hi * prime_c))
 
+let[@inline] opt_value = function None -> 0 | Some v -> v lxor min_int
+
 let[@inline] int_term_a slot v = word_term_a slot (v land 0xffff_ffff) (v asr 32)
 let[@inline] int_term_b slot v = word_term_b slot (v land 0xffff_ffff) (v asr 32)
 

@@ -66,6 +66,12 @@ val int_term_a : int -> int -> int
 
 val int_term_b : int -> int -> int
 
+val opt_value : int option -> int
+(** The digest value of an optional register whose reset value is
+    [None]: 0 for [None], [v lxor min_int] for [Some v]. That is the
+    paranoid walk's token ([min_int] for [None]) xor the reset state's
+    token, so a register at reset contributes no term. *)
+
 (** Upkeep. A digest lives in two adjacent cells [d.(i)] (lane a) and
     [d.(i + 1)] (lane b) of an int array; each call updates both. *)
 

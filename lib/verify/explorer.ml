@@ -64,8 +64,8 @@ let advance_leg kernel leg ~max_instructions =
    the only schedule-relevant remainder, is part of it) to the
    *summary* of its fully-explored subtree. The default key is a
    streaming 16-byte/126-bit fingerprint (no encoding string is ever
-   built; pages, register files and the IOTLB enter as write-maintained
-   digests), under which a false merge requires both 63-bit lanes to
+   built; pages, register files, the IOTLB and the DMA engine's
+   registers enter as write-maintained digests), under which a false merge requires both 63-bit lanes to
    collide — ~2^-126, checked differentially by tools/diff_explore
    against [paranoid_memo] runs, whose keys are the full encoding
    strings and can never falsely merge.

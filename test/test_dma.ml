@@ -162,6 +162,34 @@ let matcher_fire_implies_pattern =
           | Seq_matcher.Accepted | Seq_matcher.Rejected -> true)
         stream)
 
+(* Digest upkeep against the from-scratch builder: random access
+   streams on each variant, the digest first built at a random point,
+   then a copy taken and both sides fed. *)
+let matcher_digest_matches_recomputed =
+  let gen_access =
+    QCheck2.Gen.(
+      triple bool (oneofl [ 0x1000; 0x2000; 0x3000 ]) (oneofl [ 0; 32; 64; max_int ]))
+  in
+  let gen_stream = QCheck2.Gen.(list_size (int_range 0 12) gen_access) in
+  let apply m (store, paddr, value) =
+    ignore (feed m (if store then Txn.Store else Txn.Load) paddr value : Seq_matcher.reply)
+  in
+  qtest "seq_matcher: maintained digest equals recomputed digest"
+    QCheck2.Gen.(
+      pair
+        (oneofl Seq_matcher.[ Three; Four; Five ])
+        (quad gen_stream gen_stream gen_stream gen_stream))
+    (fun (variant, (unbuilt, before, parent_after, child_after)) ->
+      let m = Seq_matcher.create variant in
+      List.iter (apply m) unbuilt;
+      ignore (Seq_matcher.digest m : int * int);
+      List.iter (apply m) before;
+      let c = Seq_matcher.copy m in
+      List.iter (apply c) child_after;
+      List.iter (apply m) parent_after;
+      Seq_matcher.digest m = Seq_matcher.scratch_digest m
+      && Seq_matcher.digest c = Seq_matcher.scratch_digest c)
+
 (* ------------------------------------------------------------------ *)
 (* Context_file *)
 
@@ -186,7 +214,7 @@ let test_ctx_slots_alternate () =
   Alcotest.(check (option int)) "dest first" (Some 0x100) c.Context_file.dest;
   Alcotest.(check (option int)) "src second" (Some 0x200) c.Context_file.src;
   checkb "not ready without size" true (Context_file.args_ready c = None);
-  c.Context_file.size <- Some 64;
+  Context_file.set_size c (Some 64);
   Alcotest.(check (option (triple int int int)))
     "ready" (Some (0x200, 0x100, 64)) (Context_file.args_ready c)
 
@@ -201,8 +229,8 @@ let test_ctx_clear_and_reset () =
   let c = Context_file.get t 0 in
   Context_file.set_key t ~context:0 ~key:42;
   Context_file.push_address c 0x100;
-  c.Context_file.size <- Some 8;
-  c.Context_file.status <- -1;
+  Context_file.set_size c (Some 8);
+  Context_file.set_status c (-1);
   Context_file.clear_args c;
   checkb "args cleared" true (c.Context_file.dest = None && c.Context_file.size = None);
   checki "key preserved" 42 c.Context_file.key;
@@ -1006,6 +1034,132 @@ let test_engine_copy_independent () =
   checki "copy started one" 1 (started copy);
   checki "original untouched" 0 (started engine)
 
+(* Digest upkeep against the from-scratch builder: random transaction
+   scripts on every mechanism (kernel page, context pages and the
+   shadow window, atomic forms included), with the digest first built
+   at a random point of the script, then a copy taken and both sides
+   written on. Each side's maintained digest must equal its
+   recomputation, and so must its context file's. *)
+let engine_digest_matches_recomputed =
+  let mechanisms =
+    Engine.
+      [
+        Shrimp_mapped; Shrimp_two_step; Flash; Key_based; Ext_shadow; Ext_shadow_stateless;
+        Rep_args Seq_matcher.Three; Rep_args Seq_matcher.Four; Rep_args Seq_matcher.Five;
+        Iommu; Capio;
+      ]
+  in
+  let gen_txn =
+    let open QCheck2.Gen in
+    let ctx = int_range 0 Shadow.max_context and paddr = map (fun w -> w * 64) (int_range 0 40) in
+    let addr =
+      oneof
+        [
+          map control
+            (oneofl
+               Regmap.
+                 [
+                   k_source; k_dest; k_size; k_status; k_current_pid; k_invalidate;
+                   k_map_out_src; k_map_out_dst; k_atomic_target; k_atomic_op; k_cap_value;
+                   k_cap_base; k_cap_len; k_cap_commit; k_cap_revoke; k_iotlb_invalidate;
+                 ]);
+          map (fun c -> control (Regmap.key_offset ~context:c)) (int_range 0 3);
+          map (fun c -> control (Regmap.mailbox_offset ~context:c)) (int_range 0 3);
+          map2
+            (fun c o -> Layout.context_page c + o)
+            (int_range 0 3)
+            (oneofl Regmap.[ c_size; c_atomic; c_arg_src; c_arg_dst ]);
+          map2 (fun c p -> Shadow.encode_ctx ~context:c p) ctx paddr;
+          map2 (fun c p -> Shadow.encode_atomic ~context:c p) ctx paddr;
+        ]
+    in
+    let value =
+      oneof
+        [
+          int_range 0 256;
+          map2 key_word (int_range 0 2) (int_range 0 4);
+          map Atomic_op.encode_add (int_range (-3) 3);
+          map Atomic_op.encode_cas_expected (int_range 0 3);
+          map Atomic_op.encode_cas_new (int_range 0 3);
+          int_range min_int max_int;
+        ]
+    in
+    triple bool addr value
+  in
+  let gen_script = QCheck2.Gen.(list_size (int_range 0 30) gen_txn) in
+  let apply e (store, paddr, value) =
+    if store then dstore e paddr value else ignore (dload e paddr : int)
+  in
+  let consistent e =
+    Engine.digest e = Engine.scratch_digest e
+    && Context_file.digest (Engine.contexts e) = Context_file.scratch_digest (Engine.contexts e)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"engine: maintained digest equals recomputed digest"
+       QCheck2.Gen.(
+         pair
+           (pair (oneofl mechanisms) bool)
+           (quad gen_script gen_script gen_script gen_script))
+       (fun ((mechanism, local), (unbuilt, before, parent_after, child_after)) ->
+         let e, clock, _ = make_engine ~mechanism ~local () in
+         List.iter (apply e) unbuilt;
+         ignore (Engine.digest e : int * int);
+         ignore (Context_file.digest (Engine.contexts e) : int * int);
+         List.iter (apply e) before;
+         let c = Engine.copy e ~clock:(Clock.copy clock) ~backend:Transfer.null_backend in
+         List.iter (apply c) child_after;
+         List.iter (apply e) parent_after;
+         consistent e && consistent c))
+
+(* The clock-relative view is fed at key time, outside the digest: two
+   engines whose only difference is how long ago a slow transfer
+   started (same remaining bytes, different remaining wire time) must
+   key differently, in both sink modes. *)
+let test_engine_fp_sees_remaining_time () =
+  let clock = Clock.create () in
+  let backend = { Transfer.null_backend with Transfer.duration_ps = (fun _ -> 1_000_000) } in
+  let e = Engine.create ~clock ~backend ~ram_size:(ram_pages * Layout.page_size)
+      ~mechanism:Engine.Key_based () in
+  dstore e (control Regmap.k_source) 0;
+  dstore e (control Regmap.k_dest) 64;
+  dstore e (control Regmap.k_size) 8;
+  let at dt =
+    let clock = Clock.copy clock in
+    Clock.advance clock dt;
+    Engine.copy e ~clock ~backend
+  in
+  let a = at 1 and b = at 2 in
+  let fp e =
+    let f = Fp128.create () in
+    Engine.encode (Enc.Fp f) e;
+    Fp128.key f
+  in
+  let text e =
+    let buf = Buffer.create 256 in
+    Engine.encode (Enc.Buf buf) e;
+    Buffer.contents buf
+  in
+  let status e = dload e (control Regmap.k_status) in
+  checki "same remaining bytes" (status a) (status b);
+  checkb "paranoid encodings differ" true (text a <> text b);
+  checkb "fingerprints differ" true (fp a <> fp b)
+
+(* Fresh registers digest to (0, 0): every register enters as value
+   xor its reset value, and the matcher's reset variant is [Five]. *)
+let test_engine_fresh_digest_zero () =
+  List.iter
+    (fun mechanism ->
+      let e, _, _ = make_engine ~mechanism () in
+      checkb "fresh engine digests to zero" true (Engine.scratch_digest e = (0, 0));
+      checkb "built digest agrees" true (Engine.digest e = (0, 0));
+      checkb "fresh contexts digest to zero" true
+        (Context_file.digest (Engine.contexts e) = (0, 0)))
+    Engine.[ Shrimp_mapped; Flash; Key_based; Ext_shadow; Rep_args Seq_matcher.Five; Capio ];
+  checkb "fresh Five matcher digests to zero" true
+    (Seq_matcher.digest (Seq_matcher.create Seq_matcher.Five) = (0, 0));
+  checkb "a Three matcher does not" true
+    (Seq_matcher.digest (Seq_matcher.create Seq_matcher.Three) <> (0, 0))
+
 let () =
   Alcotest.run "dma"
     [
@@ -1024,6 +1178,7 @@ let () =
           Alcotest.test_case "copy independent" `Quick test_matcher_copy_independent;
           matcher_clean_sequence_fires;
           matcher_fire_implies_pattern;
+          matcher_digest_matches_recomputed;
         ] );
       ( "context_file",
         [
@@ -1112,6 +1267,10 @@ let () =
           Alcotest.test_case "remote DMA range checked" `Quick test_engine_remote_dma_range_checked;
           Alcotest.test_case "events ordering" `Quick test_engine_events_ordering;
           Alcotest.test_case "copy independent" `Quick test_engine_copy_independent;
+          Alcotest.test_case "fresh digest is zero" `Quick test_engine_fresh_digest_zero;
+          Alcotest.test_case "fingerprint sees remaining time" `Quick
+            test_engine_fp_sees_remaining_time;
+          engine_digest_matches_recomputed;
           engine_fuzz_key_no_transfers;
           engine_fuzz_invariants;
         ] );

@@ -551,25 +551,135 @@ let explorer_fp_iff_encoding =
          (* determinism: replaying a script reproduces its key *)
          key (build ops_a) = key a && same_enc = same_key))
 
-(* The fingerprint hashes only engine-visible state: two independently
-   built copies of a scenario agree, and advancing one NI-access leg
-   changes it while leaving the root's untouched. *)
+(* The DMA engine's digest against random leg schedules, on scenarios
+   that between them drive every engine mechanism and register (and,
+   at atm155, in-flight transfers and the wait leg). Along a schedule
+   every node is keyed both ways relative to the root, as the explorer
+   keys it, and the property checks:
+   - fingerprint keys are equal iff paranoid encodings are equal, over
+     every pair of nodes of two schedules;
+   - keying after every leg (digests maintained by the writes) gives
+     the same final key as replaying the schedule and keying once at
+     the end (digests built from scratch), and the maintained engine
+     digest equals its from-scratch recomputation at every node;
+   - a child's legs after [snapshot] never move the parent's key. *)
+let explorer_engine_digest_schedules =
+  let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
+  let scenarios =
+    [|
+      ("rep5", fun () -> Scenario.rep5 ());
+      ("key", fun () -> Scenario.key_contested ());
+      ("ext-shadow", Scenario.ext_shadow_contested);
+      ("ext-stateless", Scenario.ext_stateless_race);
+      ("shrimp2", fun () -> Scenario.shrimp2_race ~hook:false);
+      ("shrimp2+hook", fun () -> Scenario.shrimp2_race ~hook:true);
+      ("flash", fun () -> Scenario.flash_race ~hook:false);
+      ("flash+hook", fun () -> Scenario.flash_race ~hook:true);
+      ("pal", Scenario.pal_contested);
+      ("iommu", fun () -> Scenario.iommu_contested ());
+      ("capio", fun () -> Scenario.capio_contested ());
+      ("capio-launder", fun () -> Scenario.capio_launder ());
+      ("rep5@atm155", fun () -> Scenario.rep5 ~net:atm155 ());
+      ("key@atm155", fun () -> Scenario.key_contested ~net:atm155 ());
+      ("iommu@atm155", fun () -> Scenario.iommu_contested ~net:atm155 ());
+      ("capio@atm155", fun () -> Scenario.capio_contested ~net:atm155 ());
+      ("capio-launder@atm155", fun () -> Scenario.capio_launder ~net:atm155 ());
+    |]
+  in
+  let legs s k =
+    let live = Kernel.runnable_pids k in
+    let runnable = List.filter (fun pid -> List.mem pid live) (Scenario.explore_pids s) in
+    match Kernel.next_transfer_deadline k with
+    | Some _ -> runnable @ [ Explorer.wait_leg ]
+    | None -> runnable
+  in
+  let advance k leg =
+    if leg = Explorer.wait_leg then ignore (Kernel.advance_to_next_completion k : bool)
+    else ignore (Explorer.advance_one_leg k leg ~max_instructions:2000 : [> `Progress ])
+  in
+  let fp root k = fst (Kernel.state_key ~relative_to:root ~paranoid:false k) in
+  let paranoid root k = fst (Kernel.state_key ~relative_to:root ~paranoid:true k) in
+  (* Run [choices] from a fresh snapshot of [root]; with [~every] key
+     each node (and fork a child to check the parent's key stays put),
+     returning every node's (paranoid, fingerprint) pair. *)
+  let run s root choices ~every =
+    let k = Kernel.snapshot root in
+    let nodes = ref [] and ok = ref true in
+    let visit () =
+      if every then begin
+        let key = fp root k in
+        let e = Kernel.engine k in
+        ok :=
+          !ok
+          && Engine.digest e = Engine.scratch_digest e
+          && Context_file.digest (Engine.contexts e)
+             = Context_file.scratch_digest (Engine.contexts e);
+        (match legs s k with
+        | leg :: _ ->
+          let child = Kernel.snapshot k in
+          advance child leg;
+          ignore (fp root child : string);
+          ok := !ok && String.equal key (fp root k)
+        | [] -> ());
+        nodes := (paranoid root k, key) :: !nodes
+      end
+    in
+    visit ();
+    List.iter
+      (fun c ->
+        match legs s k with
+        | [] -> ()
+        | ls ->
+          advance k (List.nth ls (c mod List.length ls));
+          visit ())
+      choices;
+    (fp root k, !nodes, !ok)
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (int_range 0 (Array.length scenarios - 1))
+        (list_size (int_range 0 8) (int_range 0 3))
+        (list_size (int_range 0 8) (int_range 0 3)))
+  in
+  let print (i, a, b) =
+    let l xs = String.concat ";" (List.map string_of_int xs) in
+    Printf.sprintf "%s [%s] [%s]" (fst scenarios.(i)) (l a) (l b)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"explorer: engine digest over random leg schedules" ~count:200
+       ~print gen
+       (fun (i, a, b) ->
+         let s = (snd scenarios.(i)) () in
+         let root = s.Scenario.kernel in
+         let final_a, nodes_a, ok_a = run s root a ~every:true in
+         let _, nodes_b, ok_b = run s root b ~every:true in
+         let replayed_a, _, _ = run s root a ~every:false in
+         let nodes = nodes_a @ nodes_b in
+         ok_a && ok_b
+         && String.equal final_a replayed_a
+         && List.for_all
+              (fun (p1, f1) ->
+                List.for_all (fun (p2, f2) -> String.equal p1 p2 = String.equal f1 f2) nodes)
+              nodes))
+
+(* The fingerprint key hashes only engine-visible state: two
+   independently built copies of a scenario agree, and advancing one
+   NI-access leg changes it while leaving the root's untouched. *)
 let test_kernel_fingerprint_stability () =
   let a = (Scenario.rep5 ()).Scenario.kernel and b = (Scenario.rep5 ()).Scenario.kernel in
+  let key k = fst (Kernel.state_key ~paranoid:false k) in
   Alcotest.(check string) "identical builds encode identically"
     (Kernel.state_encoding a) (Kernel.state_encoding b);
-  checkb "identical builds fingerprint identically" true
-    (Int64.equal (Kernel.fingerprint a) (Kernel.fingerprint b));
-  let before = Kernel.fingerprint a in
+  Alcotest.(check string) "identical builds key identically" (key a) (key b);
+  let before = key a in
   let fork = Kernel.snapshot a in
-  checkb "snapshot leaves the fingerprint alone" true
-    (Int64.equal before (Kernel.fingerprint a));
+  Alcotest.(check string) "snapshot leaves the key alone" before (key a);
   (match Explorer.advance_one_leg fork 1 ~max_instructions:2000 with
   | `Progress | `Exited -> ()
   | `Stuck -> Alcotest.fail "unexpected stuck leg");
-  checkb "a leg changes the fork's fingerprint" false
-    (Int64.equal before (Kernel.fingerprint fork));
-  checkb "...but not the root's" true (Int64.equal before (Kernel.fingerprint a));
+  checkb "a leg changes the fork's key" false (String.equal before (key fork));
+  Alcotest.(check string) "...but not the root's" before (key a);
   (* the root-relative encoding starts empty on the RAM side and grows
      only with diverged pages, so it stays much shorter than the
      absolute one *)
@@ -993,6 +1103,7 @@ let () =
             test_explorer_paranoid_equivalence;
           Alcotest.test_case "memo length counts distinct keys" `Quick test_memo_length_distinct;
           explorer_fp_iff_encoding;
+          explorer_engine_digest_schedules;
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
