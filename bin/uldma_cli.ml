@@ -585,19 +585,12 @@ let cluster_cmd =
       & opt string (Filename.concat "_results" "BENCH_cluster.json")
       & info [ "out" ] ~docv:"FILE" ~doc:"Report path (default _results/BENCH_cluster.json).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Fan the backend sweep out over $(docv) domains (results are identical).")
-  in
   let die msg =
     prerr_endline msg;
     exit 1
   in
   let run nodes clients transfers net batch window value_size get_ratio seed mech tick_ps backends
-      batch_net out jobs =
+      batch_net out =
     let params =
       match
         Kv.validate_params
@@ -647,7 +640,7 @@ let cluster_cmd =
       "cosim: %d nodes moved %d bytes (%d packets) through the %s mesh; calibrated %s: doorbell \
        %d ps, descriptor %d ps\n"
       nodes cosim_bytes cosim_packets net mech cal.Kv.initiation_ps cal.Kv.submit_ps;
-    let sweep = Kv.sweep ~jobs params ~cal sweep_backends in
+    let sweep = Kv.sweep params ~cal sweep_backends in
     let batch1 = Kv.run { params with Kv.batch = 1 } ~cal ~net:bat_backend in
     let batched = Kv.run params ~cal ~net:bat_backend in
     let wall = Unix.gettimeofday () -. t0 in
@@ -706,7 +699,7 @@ let cluster_cmd =
     (Cmd.info "cluster" ~doc)
     Term.(
       const run $ nodes $ clients $ transfers $ net $ batch $ window $ value_size $ get_ratio
-      $ seed $ mech $ tick_ps $ backends $ batch_net $ out $ jobs)
+      $ seed $ mech $ tick_ps $ backends $ batch_net $ out)
 
 let stub_cmd =
   let doc =

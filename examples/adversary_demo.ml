@@ -73,7 +73,7 @@ let () =
     let successes =
       match Kernel.find_process kernel s.Scenario.victim.Process.pid with
       | Some p ->
-        Uldma_workload.Stub_loop.read_successes kernel p ~result_va:s.Scenario.victim_result_va
+        Uldma.Session.Stub.read_successes kernel p ~result_va:s.Scenario.victim_result_va
       | None -> 0
     in
     let report =

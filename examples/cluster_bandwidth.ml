@@ -13,7 +13,7 @@ open Uldma_mem
 open Uldma_os
 module Mech = Uldma.Mech
 module Api = Uldma.Api
-module Cluster = Uldma_sim.Cluster
+module Cluster = Uldma.Cluster
 module Link = Uldma_net.Link
 
 let messages = 64
@@ -29,8 +29,8 @@ let run ~link ~mech_name ~message_size =
           backend = Kernel.Local { bytes_per_s = 1e9 };
         }
   in
-  let cluster = Cluster.create ~link ~config in
-  let kernel = Cluster.sender cluster in
+  let cluster = Cluster.create ~net:(Uldma_net.Backend.linked link) ~nodes:2 ~config () in
+  let kernel = Cluster.node cluster 0 in
   let p = Kernel.spawn kernel ~name:"streamer" ~program:[||] () in
   let pages = 8 in
   let src = Kernel.alloc_pages kernel p ~n:pages ~perms:Perms.read_write in
@@ -52,9 +52,9 @@ let run ~link ~mech_name ~message_size =
     min pages (pow2 1)
   in
   Process.set_program p
-    (Uldma_workload.Stub_loop.build_loop
+    (Uldma.Session.Stub.build_loop
        {
-         Uldma_workload.Stub_loop.iterations = messages;
+         Uldma.Session.Stub.iterations = messages;
          transfer_size = message_size;
          src_base = src;
          dst_base = dst;
@@ -67,7 +67,7 @@ let run ~link ~mech_name ~message_size =
   | _ -> failwith "streamer did not finish");
   ignore (Cluster.settle cluster : int);
   let elapsed_s = Units.to_us (Cluster.last_arrival_ps cluster) /. 1e6 in
-  let bytes = Cluster.bytes_delivered cluster in
+  let bytes = Cluster.write_bytes_into cluster 1 in
   float_of_int bytes /. elapsed_s /. 1e6 (* MB/s goodput *)
 
 let () =

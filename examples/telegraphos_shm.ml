@@ -20,7 +20,7 @@ open Uldma_mem
 open Uldma_cpu
 open Uldma_os
 module Mech = Uldma.Mech
-module Duplex = Uldma_sim.Duplex
+module Cluster = Uldma.Cluster
 
 let messages_per_writer = 3
 let sentinel = 0x5e47
@@ -81,8 +81,10 @@ let () =
       sched = Sched.Round_robin { quantum = 25 };
     }
   in
-  let d = Duplex.create ~link:Uldma_net.Link.gigabit ~config_a:config ~config_b:config in
-  let node_a = Duplex.kernel d Duplex.A and node_b = Duplex.kernel d Duplex.B in
+  let c =
+    Cluster.create ~net:(Uldma_net.Backend.linked Uldma_net.Link.gigabit) ~nodes:2 ~config ()
+  in
+  let node_a = Cluster.node c 0 and node_b = Cluster.node c 1 in
 
   (* node B: the memory host *)
   let host = Kernel.spawn node_b ~name:"host" ~program:(Asm.assemble_list [ Isa.Halt ]) () in
@@ -107,9 +109,9 @@ let () =
   spawn_writer 1;
   spawn_writer 2;
 
-  (match Duplex.run d () with
-  | Duplex.All_exited -> ()
-  | Duplex.Max_steps | Duplex.Predicate -> failwith "did not converge");
+  (match Cluster.run c () with
+  | Cluster.All_exited -> ()
+  | Cluster.Max_steps | Cluster.Predicate -> failwith "did not converge");
 
   let read off = Kernel.read_user node_b host (shared + off) in
   let slots = read slot_counter_off in
@@ -126,9 +128,8 @@ let () =
   Printf.printf "\nall messages present, no slot clobbered: %b\n"
     (List.sort compare seen = List.sort compare expected);
   Printf.printf "packets delivered:    %d to B, %d replies to A\n"
-    (Duplex.packets_delivered d Duplex.B)
-    (Duplex.packets_delivered d Duplex.A);
-  Format.printf "simulated time:       %a@." Uldma_util.Units.pp_time (Duplex.now_ps d);
+    (Cluster.packets_into c 1) (Cluster.packets_into c 0);
+  Format.printf "simulated time:       %a@." Uldma_util.Units.pp_time (Cluster.now_ps c);
   print_endline
     "\nEvery slot claim was a user-level remote fetch-and-add: one store + one load\n\
      on node A, the add executed at node B's memory, the old value returned into\n\

@@ -6,8 +6,8 @@ open Uldma_net
 
 (* ------------------------------------------------------------------ *)
 (* Addressing: bits 26..31 of the remote-window offset carry the       *)
-(* destination node (value = node + 1; 0 = "my successor", which keeps *)
-(* every pre-existing two-node program routing to its peer). 64 MiB of *)
+(* destination node (value = node + 1; 0 = "my successor", so a plain  *)
+(* remote mapping on a two-node cluster reaches the peer). 64 MiB of   *)
 (* peer RAM is addressable per node; the window holds 63 field values, *)
 (* i.e. up to 62 explicitly named nodes.                               *)
 (* ------------------------------------------------------------------ *)
@@ -18,8 +18,7 @@ let per_node_bytes = 1 lsl node_shift
 let max_nodes = node_mask - 1
 
 (* On the wire, atomic requests are distinguished from plain writes by
-   a tag bit far above the remote window (same convention the old
-   duplex used). *)
+   a tag bit far above the remote window. *)
 let atomic_tag = 1 lsl 60
 
 (* strip both the tag and the node field to recover the destination's
@@ -37,7 +36,6 @@ let remote_paddr ~node off =
 type t = {
   kernels : Kernel.t array;
   mesh : Netif.t option array array; (* mesh.(src).(dst); None on the diagonal *)
-  net : Backend.t;
   packets_into : int array;
   write_bytes_into : int array;
   mutable last_arrival : Units.ps;
@@ -65,7 +63,6 @@ let create ?(net = Backend.null) ?config_of ~nodes:n ~config () =
   {
     kernels;
     mesh;
-    net;
     packets_into = Array.make n 0;
     write_bytes_into = Array.make n 0;
     last_arrival = 0;
@@ -78,8 +75,6 @@ let node t i =
     invalid_arg (Printf.sprintf "Cluster.node: %d out of range (cluster has %d nodes)" i (nodes t));
   t.kernels.(i)
 
-let net t = t.net
-
 let mesh_netif t ~src ~dst =
   match t.mesh.(src).(dst) with
   | Some nif -> nif
@@ -91,10 +86,9 @@ let map_remote t ~src ~dst p ~remote_paddr:off ~n ~perms =
   Kernel.map_remote_pages t.kernels.(src) p ~remote_paddr:(remote_paddr ~node:dst off) ~n ~perms
 
 (* ------------------------------------------------------------------ *)
-(* Wire protocol (inherited from the duplex): plain writes carry their *)
-(* payload; atomics carry opcode + operands + reply address in a       *)
-(* 32-byte record and are answered with an 8-byte write to the         *)
-(* originator's mailbox.                                               *)
+(* Wire protocol: plain writes carry their payload; atomics carry      *)
+(* opcode + operands + reply address in a 32-byte record and are       *)
+(* answered with an 8-byte write to the originator's mailbox.          *)
 (* ------------------------------------------------------------------ *)
 
 let encode_atomic (op : Atomic_op.t) ~reply_paddr =
@@ -178,22 +172,17 @@ let apply t ~dst ~origin (p : Netif.packet) =
   t.packets_into.(dst) <- t.packets_into.(dst) + 1;
   t.last_arrival <- max t.last_arrival p.Netif.arrive_at
 
-let deliver_arrived ?now t dst =
-  let cutoff = match now with Some x -> x | None -> Kernel.now_ps t.kernels.(dst) in
-  let n = ref 0 in
-  for origin = 0 to nodes t - 1 do
-    if origin <> dst then
-      n := !n + Netif.poll (mesh_netif t ~src:origin ~dst) ~now:cutoff (apply t ~dst ~origin)
-  done;
-  !n
-
-let pump ?now t =
+(* move fresh transfers onto the wires, then deliver what has arrived
+   by each destination's clock *)
+let pump t =
   pump_outbound_all t;
-  let delivered = ref 0 in
   for dst = 0 to nodes t - 1 do
-    delivered := !delivered + deliver_arrived ?now t dst
-  done;
-  !delivered
+    let now = Kernel.now_ps t.kernels.(dst) in
+    for origin = 0 to nodes t - 1 do
+      if origin <> dst then
+        ignore (Netif.poll (mesh_netif t ~src:origin ~dst) ~now (apply t ~dst ~origin) : int)
+    done
+  done
 
 let settle t =
   let total = ref 0 in
@@ -257,7 +246,7 @@ let run t ?(max_steps = 20_000_000) ?(until = fun _ -> false) () =
       for i = 0 to n - 1 do
         if not (runnable i) then settle_idle t i
       done;
-      ignore (pump t : int);
+      pump t;
       (* step the runnable node with the lowest clock; lowest index on
          ties (scanning downward with <= leaves the smallest index) *)
       let choice = ref (-1) in
@@ -276,7 +265,7 @@ let run t ?(max_steps = 20_000_000) ?(until = fun _ -> false) () =
         for i = 0 to n - 1 do
           settle_idle t i
         done;
-        ignore (pump t : int);
+        pump t;
         if in_flight_total t = 0 then All_exited else loop (steps + 1)
       end
     end

@@ -1,9 +1,8 @@
 (** An N-node NOW: one full machine per node, connected by a full mesh
     of timed links.
 
-    This generalises the old two-node duplex ({!Uldma_sim.Duplex}) to
-    [n] kernels. Every ordered pair [(i, j)] of distinct nodes gets its
-    own {!Uldma_net.Netif} channel, so traffic [i -> j] serialises
+    Every ordered pair [(i, j)] of distinct nodes gets its own
+    {!Uldma_net.Netif} channel, so traffic [i -> j] serialises
     against other [i -> j] traffic but not against [j -> i] or against
     other pairs — the model of a switched point-to-point fabric
     (ATM / HIC), not a shared bus.
@@ -13,17 +12,15 @@
     The paper's remote window ([Layout.remote_base], 2^32 bytes wide)
     is subdivided: bits [26..31] of the remote {e offset} carry a node
     field. [remote_paddr ~node k off] yields the offset that routes to
-    node [k]; a zero node field (plain offsets below 64 MiB, i.e.
-    everything pre-existing code produces) routes to the sender's
-    successor [(i + 1) mod n] — which is exactly "the peer" in a
-    two-node cluster, so duplex-era programs run unchanged. Each
-    destination node exposes 64 MiB of addressable RAM through the
-    window; the field supports up to {!max_nodes} nodes.
+    node [k]; a zero node field (a plain offset below 64 MiB) routes to
+    the sender's successor [(i + 1) mod n] — which is exactly "the
+    peer" in a two-node cluster. Each destination node exposes 64 MiB
+    of addressable RAM through the window; the field supports up to
+    {!max_nodes} nodes.
 
     On the wire, remote atomics travel as 32-byte encoded requests
     (tagged with a high destination bit) and their replies return as
-    plain 8-byte writes to the originator's mailbox — the same protocol
-    the duplex used, now mesh-wide.
+    plain 8-byte writes to the originator's mailbox.
 
     {2 Co-simulation}
 
@@ -58,11 +55,6 @@ val nodes : t -> int
 val node : t -> int -> Kernel.t
 (** The kernel of node [i]; raises [Invalid_argument] out of range. *)
 
-val net : t -> Uldma_net.Backend.t
-
-val mesh_netif : t -> src:int -> dst:int -> Uldma_net.Netif.t
-(** The directed channel carrying [src]'s packets toward [dst]. *)
-
 (** {2 Remote addressing} *)
 
 val remote_paddr : node:int -> int -> int
@@ -78,11 +70,6 @@ val map_remote :
     on node [src]. Returns the fresh virtual address. *)
 
 (** {2 Driving the co-simulation} *)
-
-val pump : ?now:Uldma_util.Units.ps -> t -> int
-(** Move freshly initiated transfers onto the wires, then deliver every
-    packet that has arrived by each destination's clock ([?now]
-    overrides the per-destination cutoff). Returns packets delivered. *)
 
 val settle : t -> int
 (** Deliver everything still in flight regardless of time (end of run),

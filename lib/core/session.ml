@@ -7,8 +7,7 @@ open Uldma_os
 (*                                                                     *)
 (* These live here (rather than in the workload layer) so that the     *)
 (* Session front-end below can install measurement programs without a  *)
-(* dependency cycle; [Uldma_workload.Stub_loop] re-exports them under  *)
-(* its historical name.                                                *)
+(* dependency cycle.                                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Stub = struct

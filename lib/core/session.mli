@@ -28,10 +28,14 @@ open Uldma_os
     Program builders around the mechanism stubs. Every built program
     counts the initiations whose status was non-negative (success,
     §3.1) in a register and stores, on exit, the success count at
-    [result_va] and the last status at [result_va + 8].
+    [result_va] and the last status at [result_va + 8] — the channel
+    through which the harness and the oracle learn what the process
+    believes happened.
 
-    [Uldma_workload.Stub_loop] re-exports this module under its
-    historical name. *)
+    The measurement loop reproduces the paper's Table 1 methodology:
+    "we perform a simple test of initiating 1,000 DMA operations.
+    Successive DMA operations were done to (from) different addresses,
+    so as to eliminate any caching effects". *)
 
 module Stub : sig
   type spec = {
@@ -44,9 +48,8 @@ module Stub : sig
   }
 
   val build_loop : spec -> emit_dma:(Asm.t -> unit) -> Isa.instr array
-  (** The paper's Table 1 methodology: "initiating 1,000 DMA
-      operations ... to (from) different addresses, so as to eliminate
-      any caching effects". *)
+  (** [iterations] initiations, cycling source and destination through
+      [pages] pages (the Table 1 loop above). *)
 
   val build_single :
     vsrc:int -> vdst:int -> size:int -> result_va:int ->

@@ -14,7 +14,11 @@ let all = [ atm155; atm622; gigabit; hic1355 ]
    when the scenario wants zero-duration transfers. *)
 let instant = { name = "instant"; bytes_per_s = infinity; latency_ps = 0 }
 
-let wire_time_ps t n = t.latency_ps + Units.transfer_ps ~bytes_per_s:t.bytes_per_s n
+let serialisation_ps t n = Units.transfer_ps ~bytes_per_s:t.bytes_per_s n
+let wire_time_ps t n = t.latency_ps + serialisation_ps t n
+
+let[@inline] reserve ~busy_until ~now ~serialisation =
+  (if now >= busy_until then now else busy_until) + serialisation
 
 let pp ppf t =
   Format.fprintf ppf "%s (%.0f MB/s, %a latency)" t.name (t.bytes_per_s /. 1e6) Units.pp_time

@@ -25,7 +25,25 @@ val instant : t
 (** Infinite bandwidth, zero latency — the wire model of the [Null]
     backend, for meshes that want uniform plumbing without wire time. *)
 
+val serialisation_ps : t -> int -> Uldma_util.Units.ps
+(** How long a payload of n bytes occupies the link (0 for n <= 0 and
+    for [instant]). *)
+
 val wire_time_ps : t -> int -> Uldma_util.Units.ps
 (** Latency + serialisation time for a payload of n bytes. *)
+
+val reserve :
+  busy_until:Uldma_util.Units.ps -> now:Uldma_util.Units.ps -> serialisation:Uldma_util.Units.ps ->
+  Uldma_util.Units.ps
+(** The FIFO rule of one link direction. A message offered at [now]
+    departs at [max now busy_until], once the previous message has
+    finished serialising, and holds the link for [serialisation].
+    Returns the link's new busy-until, departure + [serialisation]; the
+    message arrives [latency_ps] after that, i.e. at departure +
+    [wire_time_ps].
+
+    Because every departure waits out the previous serialisation,
+    arrivals on one link never go backwards in send order, whatever
+    the [now] values. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,13 +3,12 @@ open Uldma_util
 type packet = {
   dst_paddr : int;
   payload : Bytes.t;
-  depart_at : Units.ps;
   arrive_at : Units.ps;
 }
 
 type t = {
   link : Link.t;
-  mutable queue : packet list; (* arrival order: oldest first *)
+  queue : packet Queue.t; (* send order, which is also arrival order *)
   mutable delivered : int;
   mutable busy_until : Units.ps; (* link serialisation point *)
   mutable sink : Uldma_obs.Trace.t;
@@ -17,9 +16,14 @@ type t = {
 }
 
 let create ~link =
-  { link; queue = []; delivered = 0; busy_until = 0; sink = Uldma_obs.Trace.null; machine = 0 }
-
-let link t = t.link
+  {
+    link;
+    queue = Queue.create ();
+    delivered = 0;
+    busy_until = 0;
+    sink = Uldma_obs.Trace.null;
+    machine = 0;
+  }
 
 let set_sink t ~machine sink =
   t.sink <- sink;
@@ -34,31 +38,34 @@ let trace_rx t p =
       (Uldma_obs.Trace.Packet_rx { dst_paddr = p.dst_paddr; bytes = Bytes.length p.payload })
 
 let send t ~now ~dst_paddr ~payload =
-  (* serialisation starts when the link is free *)
-  let depart_at = max now t.busy_until in
-  let arrive_at = depart_at + Link.wire_time_ps t.link (Bytes.length payload) in
-  t.busy_until <- depart_at + Units.transfer_ps ~bytes_per_s:t.link.Link.bytes_per_s (Bytes.length payload);
-  t.queue <- t.queue @ [ { dst_paddr; payload; depart_at; arrive_at } ]
+  let serialisation = Link.serialisation_ps t.link (Bytes.length payload) in
+  t.busy_until <- Link.reserve ~busy_until:t.busy_until ~now ~serialisation;
+  Queue.push { dst_paddr; payload; arrive_at = t.busy_until + t.link.Link.latency_ps } t.queue
 
+let deliver t apply =
+  let p = Queue.pop t.queue in
+  trace_rx t p;
+  apply p;
+  t.delivered <- t.delivered + 1
+
+(* arrivals come in send order (Link.reserve), so the arrived packets
+   are exactly a prefix of the queue *)
 let poll t ~now apply =
-  let arrived, pending = List.partition (fun p -> p.arrive_at <= now) t.queue in
-  t.queue <- pending;
-  List.iter (trace_rx t) arrived;
-  List.iter apply arrived;
-  t.delivered <- t.delivered + List.length arrived;
-  List.length arrived
+  let before = t.delivered in
+  while (not (Queue.is_empty t.queue)) && (Queue.peek t.queue).arrive_at <= now do
+    deliver t apply
+  done;
+  t.delivered - before
 
-let in_flight t = List.length t.queue
+let in_flight t = Queue.length t.queue
 
 let delivered t = t.delivered
 
-let next_arrival t =
-  match t.queue with [] -> None | p :: _ -> Some p.arrive_at
+let next_arrival t = Option.map (fun p -> p.arrive_at) (Queue.peek_opt t.queue)
 
 let drain_all t apply =
-  let n = List.length t.queue in
-  List.iter (trace_rx t) t.queue;
-  List.iter apply t.queue;
-  t.delivered <- t.delivered + n;
-  t.queue <- [];
-  n
+  let before = t.delivered in
+  while not (Queue.is_empty t.queue) do
+    deliver t apply
+  done;
+  t.delivered - before

@@ -1,19 +1,21 @@
 (** A point-to-point network interface: packets depart when the DMA
     engine hands them over and arrive after the link's wire time.
     The receiving side applies arrived packets to its own physical
-    memory when polled. *)
+    memory when polled.
+
+    Timing is {!Link.reserve}'s FIFO rule, so arrivals never go
+    backwards in send order and the in-flight packets form a plain
+    queue: [poll] pops from its head. *)
 
 type packet = {
   dst_paddr : int;
   payload : Bytes.t;
-  depart_at : Uldma_util.Units.ps;
   arrive_at : Uldma_util.Units.ps;
 }
 
 type t
 
 val create : link:Link.t -> t
-val link : t -> Link.t
 
 val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
 (** Attach a structured trace sink: every delivery ([poll] or
@@ -23,8 +25,8 @@ val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
 val send : t -> now:Uldma_util.Units.ps -> dst_paddr:int -> payload:Bytes.t -> unit
 
 val poll : t -> now:Uldma_util.Units.ps -> (packet -> unit) -> int
-(** Deliver (in arrival order) every packet whose [arrive_at] has
-    passed; returns how many were delivered. *)
+(** Deliver (in send order, which is arrival order) every packet whose
+    [arrive_at] is at most [now]; returns how many were delivered. *)
 
 val in_flight : t -> int
 val delivered : t -> int

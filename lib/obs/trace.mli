@@ -2,8 +2,8 @@
 
     Every layer of the simulator (bus, cpu, os, dma, net, verify) can
     stamp typed events into a {!t} sink. An event carries the simulated
-    time in picoseconds, a machine id (one per kernel instance; duplex
-    and cluster runs have several), the pid on whose behalf the event
+    time in picoseconds, a machine id (one per kernel instance; cluster
+    runs have several), the pid on whose behalf the event
     happened ([-1] for the kernel itself), and a typed {!kind} payload.
 
     Cost contract: when a sink is disabled ({!enabled} is [false] —

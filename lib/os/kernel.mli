@@ -178,7 +178,7 @@ val map_remote_pages :
     [remote_paddr] is the page-aligned physical address on the peer.
     Uncached stores there become single-word network packets; passing
     such an address as a DMA destination ships the payload remotely
-    (drain with [Uldma_dma.Engine.take_outbound] or [Uldma_sim.Cluster]). *)
+    (drain with [Uldma_dma.Engine.take_outbound] or [Uldma.Cluster]). *)
 
 val map_shadow_alias : t -> Process.t -> vaddr:int -> n:int -> window:[ `Dma | `Atomic ] -> int
 (** Create the process's shadow aliases for [n] existing data pages.

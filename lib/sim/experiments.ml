@@ -8,7 +8,7 @@ module Api = Uldma.Api
 module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
 module Scenario = Uldma_workload.Scenario
-module Stub_loop = Uldma_workload.Stub_loop
+module Stub = Uldma.Session.Stub
 
 type experiment = {
   id : string;
@@ -538,9 +538,9 @@ let accounting () =
         ~dst:{ Mech.vaddr = dst; pages = 2 }
     in
     Process.set_program p
-      (Stub_loop.build_loop
+      (Stub.build_loop
          {
-           Stub_loop.iterations;
+           Stub.iterations;
            transfer_size = 1024;
            src_base = src;
            dst_base = dst;
@@ -946,9 +946,9 @@ let single_stub_run ~mechanism ~write_buffer ~get_emit =
   let result_va = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let emit = get_emit kernel p ~src:{ Mech.vaddr = a; pages = 1 } ~dst:{ Mech.vaddr = b; pages = 1 } in
   Process.set_program p
-    (Stub_loop.build_single ~vsrc:a ~vdst:b ~size:256 ~result_va ~emit_dma:emit);
+    (Stub.build_single ~vsrc:a ~vdst:b ~size:256 ~result_va ~emit_dma:emit);
   ignore (Kernel.run kernel ~max_steps:100_000 () : Kernel.run_result);
-  let status = Stub_loop.read_last_status kernel p ~result_va in
+  let status = Stub.read_last_status kernel p ~result_va in
   let started = List.length (Engine.transfers (Kernel.engine kernel)) in
   (status, started)
 
@@ -1054,9 +1054,9 @@ let ablate_contexts () =
             Uldma.Kernel_dma.emit_dma
         in
         Process.set_program p
-          (Stub_loop.build_loop
+          (Stub.build_loop
              {
-               Stub_loop.iterations = per_proc;
+               Stub.iterations = per_proc;
                transfer_size = 512;
                src_base = src;
                dst_base = dst;
@@ -1115,9 +1115,9 @@ let ablate_quantum () =
             ~dst:{ Mech.vaddr = dst; pages = 2 }
         in
         Process.set_program p
-          (Stub_loop.build_loop
+          (Stub.build_loop
              {
-               Stub_loop.iterations = per_proc;
+               Stub.iterations = per_proc;
                transfer_size = 512;
                src_base = src;
                dst_base = dst;
@@ -1136,7 +1136,7 @@ let ablate_quantum () =
       let completed =
         List.fold_left
           (fun acc (p, result_va) ->
-            acc + if finished then Stub_loop.read_successes kernel p ~result_va else 0)
+            acc + if finished then Stub.read_successes kernel p ~result_va else 0)
           0 !results
       in
       let counters = Engine.counters (Kernel.engine kernel) in

@@ -84,7 +84,7 @@ val accounting : unit -> Uldma_util.Tbl.t
     per-process CPU attribution, bus utilization, engine activity. *)
 
 val pingpong : unit -> Uldma_util.Tbl.t
-(** Two full machines (Duplex) exchanging 8-byte messages: round-trip
+(** A two-node {!Uldma.Cluster} exchanging 8-byte messages: round-trip
     time when each message is launched by a Telegraphos remote store,
     by ext-shadow user-level DMA, and by a kernel-level DMA syscall. *)
 

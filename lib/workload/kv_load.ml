@@ -133,9 +133,9 @@ let cosim_burst cluster ~words =
 (*                                                                     *)
 (* Resources: one shared CPU per node (clients contend FCFS for        *)
 (* descriptor writes and doorbells), one NI engine per node (serves    *)
-(* GET/PUT value movement), and one wire per ordered node pair with    *)
-(* exactly Netif's timing algebra: departure waits for the wire to be  *)
-(* free, serialisation occupies it, latency pipelines.                 *)
+(* GET/PUT value movement), and one wire per ordered node pair timed   *)
+(* by Link.reserve, the rule Netif uses: departure waits for the wire  *)
+(* to be free, serialisation occupies it, latency pipelines.           *)
 (* ------------------------------------------------------------------ *)
 
 type result = {
@@ -163,7 +163,8 @@ let ack_bytes = 16 (* PUT acknowledgement *)
 (* because they join queues whose (time, seq) only grows:              *)
 (*                                                                     *)
 (* - a wire departs in order and each departure waits out the previous *)
-(*   one's serialisation, so arrivals on one wire come in time order;  *)
+(*   one's serialisation (Link.reserve), so arrivals on one wire come  *)
+(*   in time order;                                                    *)
 (* - a client that submits wakes again when its node's CPU is next     *)
 (*   free, and that time never goes back, so the wake-ups a node's     *)
 (*   submissions schedule come in time order too.                      *)
@@ -204,7 +205,7 @@ let c_node = 10
 let client_width = 11
 
 (* wire fields, one wire per ordered node pair *)
-let w_busy = 0 (* Netif's busy_until *)
+let w_busy = 0 (* Link.reserve's busy_until *)
 let w_head = 1
 let w_tail = 2
 let wire_width = 3
@@ -234,13 +235,12 @@ let run p ~cal ~net =
   (match validate_params p with Ok _ -> () | Error e -> invalid_arg ("Kv_load.run: " ^ e));
   let n = p.nodes and clients = p.clients in
   let link = match Backend.link net with Some l -> l | None -> Link.instant in
-  (* message sizes and wire times, indexed by is_get *)
+  (* message sizes and serialisation times, indexed by is_get *)
   let req_bytes = [| header_bytes + p.value_size; header_bytes |] in
   let resp_bytes = [| ack_bytes; header_bytes + p.value_size |] in
-  let ser bytes = Units.transfer_ps ~bytes_per_s:link.Link.bytes_per_s bytes in
-  let req_ser = Array.map ser req_bytes and resp_ser = Array.map ser resp_bytes in
-  let req_wire = Array.map (Link.wire_time_ps link) req_bytes in
-  let resp_wire = Array.map (Link.wire_time_ps link) resp_bytes in
+  let req_ser = Array.map (Link.serialisation_ps link) req_bytes in
+  let resp_ser = Array.map (Link.serialisation_ps link) resp_bytes in
+  let latency_ps = link.Link.latency_ps in
   let service_ps =
     cal.service_base_ps + Units.transfer_ps ~bytes_per_s:cal.ram_bytes_per_s p.value_size
   in
@@ -303,13 +303,13 @@ let run p ~cal ~net =
     incr seq
   in
   (* put [slot]'s message on the wire src -> dst at [now] *)
-  let send ~src ~dst ~now ~bytes ~ser ~wire slot =
+  let send ~src ~dst ~now ~bytes ~ser slot =
     let w = (src * n) + dst in
     let wi = w * wire_width in
-    let depart = imax now wires.(wi + w_busy) in
-    wires.(wi + w_busy) <- depart + ser;
+    let busy = Link.reserve ~busy_until:wires.(wi + w_busy) ~now ~serialisation:ser in
+    wires.(wi + w_busy) <- busy;
     wire_bytes := !wire_bytes + bytes;
-    let arrive = depart + wire in
+    let arrive = busy + latency_ps in
     let si = slot * slot_width in
     slots.(si + s_arrive) <- arrive;
     slots.(si + s_seq) <- !seq;
@@ -340,8 +340,7 @@ let run p ~cal ~net =
         let next = slots.(si + s_next) in
         let m = slots.(si + s_meta) in
         let g = meta_get m in
-        send ~src:node ~dst:(meta_dst m) ~now:fin ~bytes:req_bytes.(g) ~ser:req_ser.(g)
-          ~wire:req_wire.(g) !slot;
+        send ~src:node ~dst:(meta_dst m) ~now:fin ~bytes:req_bytes.(g) ~ser:req_ser.(g) !slot;
         slot := next
       done;
       cl.(ci + c_head) <- nil;
@@ -433,8 +432,7 @@ let run p ~cal ~net =
       nodes.(di + n_engine_free) <- fin;
       slots.(si + s_meta) <- m lor reply_bit;
       let g = meta_get m in
-      send ~src:dst ~dst:(meta_src m) ~now:fin ~bytes:resp_bytes.(g) ~ser:resp_ser.(g)
-        ~wire:resp_wire.(g) slot
+      send ~src:dst ~dst:(meta_src m) ~now:fin ~bytes:resp_bytes.(g) ~ser:resp_ser.(g) slot
     end
     else begin
       (* a response: the transfer is done *)
@@ -494,36 +492,7 @@ let run p ~cal ~net =
     counters;
   }
 
-let sweep ?(jobs = 1) p ~cal backends =
-  if jobs <= 1 || List.length backends <= 1 then
-    List.map (fun (name, net) -> (name, run p ~cal ~net)) backends
-  else begin
-    (* each run is pure and deterministic, so fanning out over domains
-       cannot change the result — only the wall clock *)
-    let slots = Array.of_list backends in
-    let out = Array.map (fun (name, _) -> (name, None)) slots in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length slots then begin
-          let name, net = slots.(i) in
-          out.(i) <- (name, Some (run p ~cal ~net));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains =
-      Array.init (min (jobs - 1) (Array.length slots - 1)) (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Domain.join domains;
-    Array.to_list
-      (Array.map
-         (function name, Some r -> (name, r) | _, None -> assert false)
-         out)
-  end
+let sweep p ~cal backends = List.map (fun (name, net) -> (name, run p ~cal ~net)) backends
 
 let sim_seconds r = float_of_int r.sim_ps *. 1e-12
 let transfers_per_s r = float_of_int r.transfers /. sim_seconds r

@@ -105,14 +105,9 @@ val run : params -> cal:calibration -> net:Uldma_net.Backend.t -> result
     once that small heap has grown. *)
 
 val sweep :
-  ?jobs:int ->
-  params ->
-  cal:calibration ->
-  (string * Uldma_net.Backend.t) list ->
-  (string * result) list
-(** [run] over several backends; [jobs > 1] fans the runs out over
-    that many domains (each run is independent and deterministic, so
-    the output does not depend on [jobs]). *)
+  params -> cal:calibration -> (string * Uldma_net.Backend.t) list -> (string * result) list
+(** [run] over several backends, one after another on the calling
+    domain. *)
 
 val transfers_per_s : result -> float
 val gbps : result -> float

@@ -5,6 +5,7 @@ open Uldma_dma
 module Mech = Uldma.Mech
 module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
+module Stub = Uldma.Session.Stub
 
 type t = {
   kernel : Kernel.t;
@@ -67,7 +68,7 @@ let make_victim ?(repeat = 1) kernel (mech : Mech.t) ~emit_override =
   in
   let emit = match emit_override with Some e -> e | None -> prepared.Mech.emit_dma in
   Process.set_program victim
-    (Stub_loop.build_repeat ~n:repeat ~vsrc:a ~vdst:b ~size:transfer_size ~result_va:result
+    (Stub.build_repeat ~n:repeat ~vsrc:a ~vdst:b ~size:transfer_size ~result_va:result
        ~emit_dma:emit);
   let intent =
     Oracle.intent_of_regions kernel victim ~vsrc:a ~vdst:b ~size:transfer_size ~requests:repeat
@@ -328,7 +329,7 @@ let contested ?net (mech : Mech.t) mechanism =
       ~dst:{ Mech.vaddr = d; pages = 1 }
   in
   Process.set_program attacker
-    (Stub_loop.build_single ~vsrc:c ~vdst:d ~size:transfer_size ~result_va:tenant_result
+    (Stub.build_single ~vsrc:c ~vdst:d ~size:transfer_size ~result_va:tenant_result
        ~emit_dma:prepared.Mech.emit_dma);
   let tenant_intent =
     Oracle.intent_of_regions kernel attacker ~vsrc:c ~vdst:d ~size:transfer_size ~requests:1
@@ -452,7 +453,7 @@ let contested3 ?(victim_repeat = 2) ?(tenant_repeat = 2) (mech : Mech.t) mechani
         ~dst:{ Mech.vaddr = dst; pages = 1 }
     in
     Process.set_program p
-      (Stub_loop.build_repeat ~n:tenant_repeat ~vsrc:src ~vdst:dst ~size:transfer_size
+      (Stub.build_repeat ~n:tenant_repeat ~vsrc:src ~vdst:dst ~size:transfer_size
          ~result_va:res ~emit_dma:prepared.Mech.emit_dma);
     let intent =
       Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:transfer_size
@@ -551,7 +552,7 @@ let explore_pids t = List.map (fun p -> p.Process.pid) (processes t)
 let oracle_report t kernel =
   let read p result_va =
     match Kernel.find_process kernel p.Process.pid with
-    | Some p' -> Stub_loop.read_successes kernel p' ~result_va
+    | Some p' -> Stub.read_successes kernel p' ~result_va
     | None -> 0
   in
   let reported =
@@ -587,19 +588,19 @@ let run_random t ~seed ~switch_probability =
   finish t ()
 
 let report t =
-  let successes = Stub_loop.read_successes t.kernel t.victim ~result_va:t.victim_result_va in
+  let successes = Stub.read_successes t.kernel t.victim ~result_va:t.victim_result_va in
   let reported = [ (t.victim.Process.pid, successes) ] in
   let reported =
     match t.attacker_result_va with
     | Some result_va ->
-      (t.attacker.Process.pid, Stub_loop.read_successes t.kernel t.attacker ~result_va) :: reported
+      (t.attacker.Process.pid, Stub.read_successes t.kernel t.attacker ~result_va) :: reported
     | None -> reported
   in
   Oracle.check ~kernel:t.kernel ~intents:t.intents ~reported_successes:reported
 
-let victim_successes t = Stub_loop.read_successes t.kernel t.victim ~result_va:t.victim_result_va
+let victim_successes t = Stub.read_successes t.kernel t.victim ~result_va:t.victim_result_va
 
-let victim_last_status t = Stub_loop.read_last_status t.kernel t.victim ~result_va:t.victim_result_va
+let victim_last_status t = Stub.read_last_status t.kernel t.victim ~result_va:t.victim_result_va
 
 let transfers t = Engine.transfers (Kernel.engine t.kernel)
 

@@ -1,7 +1,6 @@
 (* Tests for the cluster-service layer: the percentile reporter, the
-   N-node mesh and its Session front door, the deprecated duplex-era
-   wrappers, and the KV load generator's determinism and batching
-   behaviour. *)
+   N-node mesh and its Session front door, and the KV load generator's
+   determinism and batching behaviour. *)
 
 module Percentile = Uldma_obs.Percentile
 module Backend = Uldma_net.Backend
@@ -190,17 +189,6 @@ let test_session_cluster_errors () =
   match Uldma.Session.cluster ~net:"null" ~mech:"ext-shadow" ~nodes:2 () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "valid cluster rejected: %s" e
-
-(* the duplex-era wrappers must be identities onto the 2-node mesh *)
-let test_legacy_wrapper_identity () =
-  let module SC = Uldma_sim.Cluster in
-  let cluster = SC.create ~link:Uldma_net.Link.gigabit ~config:Kernel.default_config in
-  checki "legacy create is 2 nodes" 2 (SC.nodes cluster);
-  checkb "sender is node 0" true (SC.sender cluster == SC.node cluster 0);
-  checkb "receiver_ram is node 1's RAM" true
-    (SC.receiver_ram cluster == Kernel.ram (SC.node cluster 1));
-  checkb "netif is the 0->1 channel" true
-    (SC.netif cluster == SC.mesh_netif cluster ~src:0 ~dst:1)
 
 (* ------------------------------------------------------------------ *)
 (* KV load generation *)
@@ -498,7 +486,6 @@ let () =
           Alcotest.test_case "3-node explicit destination" `Quick test_three_node_explicit_dst;
           Alcotest.test_case "bounds" `Quick test_cluster_bounds;
           Alcotest.test_case "session errors" `Quick test_session_cluster_errors;
-          Alcotest.test_case "legacy wrappers" `Quick test_legacy_wrapper_identity;
         ] );
       ( "kv",
         [

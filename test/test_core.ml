@@ -9,7 +9,7 @@ open Uldma_os
 open Uldma_dma
 module Mech = Uldma.Mech
 module Api = Uldma.Api
-module Stub_loop = Uldma_workload.Stub_loop
+module Stub = Uldma.Session.Stub
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -63,7 +63,7 @@ let run_one_dma (mech : Mech.t) =
   let rig, prepared = make_rig mech in
   fill_pattern rig;
   Process.set_program rig.process
-    (Stub_loop.build_single ~vsrc:rig.src ~vdst:rig.dst ~size:512 ~result_va:rig.result_va
+    (Stub.build_single ~vsrc:rig.src ~vdst:rig.dst ~size:512 ~result_va:rig.result_va
        ~emit_dma:prepared.Mech.emit_dma);
   (match Kernel.run rig.kernel ~max_steps:100_000 () with
   | Kernel.All_exited -> ()
@@ -73,7 +73,7 @@ let run_one_dma (mech : Mech.t) =
 (* each mechanism, end to end: data moves, the stub sees success *)
 let test_mechanism_moves_data (mech : Mech.t) () =
   let rig = run_one_dma mech in
-  checki "stub saw success" 1 (Stub_loop.read_successes rig.kernel rig.process ~result_va:rig.result_va);
+  checki "stub saw success" 1 (Stub.read_successes rig.kernel rig.process ~result_va:rig.result_va);
   checkb "bytes arrived" true (pattern_arrived rig);
   checki "exactly one transfer" 1 (List.length (Engine.transfers (Kernel.engine rig.kernel)));
   checkb "process exited cleanly" true (rig.process.Process.state = Process.Exited Process.Normal)
@@ -116,7 +116,7 @@ let test_ext_shadow_readonly_dst_faults () =
   ignore (Kernel.map_shadow_alias kernel p ~vaddr:dst ~n:1 ~window:`Dma : int);
   let result_va = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   Process.set_program p
-    (Stub_loop.build_single ~vsrc:src ~vdst:dst ~size:64 ~result_va
+    (Stub.build_single ~vsrc:src ~vdst:dst ~size:64 ~result_va
        ~emit_dma:Uldma.Ext_shadow.emit_dma);
   ignore (Kernel.run kernel ~max_steps:10_000 () : Kernel.run_result);
   (match p.Process.state with
@@ -155,10 +155,10 @@ let test_key_dma_wrong_key_rejected () =
   ignore (Kernel.map_shadow_alias kernel p ~vaddr:dst ~n:1 ~window:`Dma : int);
   let wrong = Uldma.Key_dma.key_context_word ~key:(key lxor 1) ~context in
   Process.set_program p
-    (Stub_loop.build_single ~vsrc:src ~vdst:dst ~size:64 ~result_va
+    (Stub.build_single ~vsrc:src ~vdst:dst ~size:64 ~result_va
        ~emit_dma:(Uldma.Key_dma.emit_dma_with ~key:wrong ~context_page_va));
   ignore (Kernel.run kernel ~max_steps:10_000 () : Kernel.run_result);
-  checki "stub saw failure" 0 (Stub_loop.read_successes kernel p ~result_va);
+  checki "stub saw failure" 0 (Stub.read_successes kernel p ~result_va);
   checki "nothing started" 0 (List.length (Engine.transfers (Kernel.engine kernel)));
   checkb "key rejections counted" true
     ((Engine.counters (Kernel.engine kernel)).Engine.key_rejected >= 2)
@@ -170,7 +170,7 @@ let test_shrimp1_fixed_destination () =
   fill_pattern rig;
   let elsewhere = Kernel.alloc_pages rig.kernel rig.process ~n:1 ~perms:Perms.read_write in
   Process.set_program rig.process
-    (Stub_loop.build_single ~vsrc:rig.src ~vdst:elsewhere ~size:512 ~result_va:rig.result_va
+    (Stub.build_single ~vsrc:rig.src ~vdst:elsewhere ~size:512 ~result_va:rig.result_va
        ~emit_dma:prepared.Mech.emit_dma);
   ignore (Kernel.run rig.kernel ~max_steps:100_000 () : Kernel.run_result);
   checkb "data on the mapped-out twin, not vdst" true (pattern_arrived rig);

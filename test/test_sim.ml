@@ -9,8 +9,9 @@ module Mech = Uldma.Mech
 module Api = Uldma.Api
 module Measure = Uldma_sim.Measure
 module Experiments = Uldma_sim.Experiments
-module Cluster = Uldma_sim.Cluster
+module Cluster = Uldma.Cluster
 module Link = Uldma_net.Link
+module Backend = Uldma_net.Backend
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -112,15 +113,16 @@ let remote_buffer_paddr = 20 * Layout.page_size
 
 let test_cluster_delivery () =
   let cluster =
-    Cluster.create ~link:Link.atm155
+    Cluster.create ~net:(Backend.linked Link.atm155) ~nodes:2
       ~config:
         {
           Kernel.default_config with
           Kernel.ram_size = 64 * Layout.page_size;
           backend = Kernel.Local { bytes_per_s = 1e9 };
         }
+      ()
   in
-  let kernel = Cluster.sender cluster in
+  let kernel = Cluster.node cluster 0 in
   let p = Kernel.spawn kernel ~name:"send" ~program:[||] () in
   let src = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let dst =
@@ -142,11 +144,11 @@ let test_cluster_delivery () =
        ]);
   ignore (Kernel.run kernel ~max_steps:100_000 () : Kernel.run_result);
   checki "packet settled" 1 (Cluster.settle cluster);
-  checki "bytes delivered" 256 (Cluster.bytes_delivered cluster);
+  checki "bytes delivered" 256 (Cluster.write_bytes_into cluster 1);
   checki "first word on receiver" 1
-    (Phys_mem.load_word (Cluster.receiver_ram cluster) remote_buffer_paddr);
+    (Phys_mem.load_word (Kernel.ram (Cluster.node cluster 1)) remote_buffer_paddr);
   checki "last word on receiver" 32
-    (Phys_mem.load_word (Cluster.receiver_ram cluster) (remote_buffer_paddr + 248));
+    (Phys_mem.load_word (Kernel.ram (Cluster.node cluster 1)) (remote_buffer_paddr + 248));
   checkb "arrival after wire time" true
     (Cluster.last_arrival_ps cluster >= Link.wire_time_ps Link.atm155 256)
 
@@ -163,8 +165,8 @@ let test_cluster_user_level_remote_dma () =
           backend = Kernel.Local { bytes_per_s = 1e9 };
         }
   in
-  let cluster = Cluster.create ~link:Link.gigabit ~config in
-  let kernel = Cluster.sender cluster in
+  let cluster = Cluster.create ~net:(Backend.linked Link.gigabit) ~nodes:2 ~config () in
+  let kernel = Cluster.node cluster 0 in
   let p = Kernel.spawn kernel ~name:"send" ~program:[||] () in
   let src = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let dst =
@@ -178,22 +180,23 @@ let test_cluster_user_level_remote_dma () =
   in
   Kernel.write_user kernel p src 0xcafef00d;
   Process.set_program p
-    (Uldma_workload.Stub_loop.build_single ~vsrc:src ~vdst:dst ~size:128 ~result_va
+    (Uldma.Session.Stub.build_single ~vsrc:src ~vdst:dst ~size:128 ~result_va
        ~emit_dma:prepared.Mech.emit_dma);
   ignore (Kernel.run kernel ~max_steps:100_000 () : Kernel.run_result);
-  checki "stub saw success" 1 (Uldma_workload.Stub_loop.read_successes kernel p ~result_va);
+  checki "stub saw success" 1 (Uldma.Session.Stub.read_successes kernel p ~result_va);
   checki "one packet" 1 (Cluster.settle cluster);
   checki "payload on peer" 0xcafef00d
-    (Phys_mem.load_word (Cluster.receiver_ram cluster) remote_buffer_paddr);
+    (Phys_mem.load_word (Kernel.ram (Cluster.node cluster 1)) remote_buffer_paddr);
   checkb "kernel unmodified" false (Kernel.kernel_modified kernel)
 
 let test_cluster_remote_word_store () =
   (* a plain uncached store to a remote page is a one-word packet *)
   let cluster =
-    Cluster.create ~link:Link.gigabit
+    Cluster.create ~net:(Backend.linked Link.gigabit) ~nodes:2
       ~config:{ Kernel.default_config with Kernel.ram_size = 64 * Layout.page_size }
+      ()
   in
-  let kernel = Cluster.sender cluster in
+  let kernel = Cluster.node cluster 0 in
   let p = Kernel.spawn kernel ~name:"poker" ~program:[||] () in
   let dst =
     Kernel.map_remote_pages kernel p ~remote_paddr:remote_buffer_paddr ~n:1
@@ -210,7 +213,7 @@ let test_cluster_remote_word_store () =
   ignore (Kernel.run kernel ~max_steps:10_000 () : Kernel.run_result);
   checki "one packet" 1 (Cluster.settle cluster);
   checki "word on peer" 4242
-    (Phys_mem.load_word (Cluster.receiver_ram cluster) (remote_buffer_paddr + 16))
+    (Phys_mem.load_word (Kernel.ram (Cluster.node cluster 1)) (remote_buffer_paddr + 16))
 
 let test_cluster_ordering () =
   let nif = Uldma_net.Netif.create ~link:Link.gigabit in
@@ -250,6 +253,63 @@ let test_link_wire_times () =
   checkb "bigger is slower" true
     (Link.wire_time_ps Link.atm155 4096 > Link.wire_time_ps Link.atm155 64)
 
+(* Random sends (any [now], sizes from 0) interleaved with polls at
+   random cutoffs, some exactly at a pending arrival, against a
+   reference that recomputes every arrival from the link's parameters:
+   arrivals never go backwards in send order, and each poll delivers
+   exactly the not-yet-delivered packets with [arrive_at <= cutoff], in
+   send order. *)
+let test_netif_fifo_property =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (int_range 0 (List.length Link.all))
+        (list_size (int_range 0 60)
+           (oneof
+              [
+                map2 (fun now size -> `Send (now, size)) (int_range 0 200_000_000) (int_range 0 3000);
+                map (fun cutoff -> `Poll cutoff) (int_range 0 300_000_000);
+                map (fun k -> `Poll_at k) nat;
+              ])))
+  in
+  let prop (li, ops) =
+    let link = if li = 0 then Link.instant else List.nth Link.all (li - 1) in
+    let nif = Uldma_net.Netif.create ~link in
+    let busy = ref 0 and last_arrival = ref 0 and sends = ref 0 in
+    let pending = ref [] (* (index, arrival) in send order *) and ok = ref true in
+    let take p = (p.Uldma_net.Netif.dst_paddr, p.Uldma_net.Netif.arrive_at) in
+    let poll cutoff =
+      let expected, rest = List.partition (fun (_, a) -> a <= cutoff) !pending in
+      pending := rest;
+      let got = ref [] in
+      let n = Uldma_net.Netif.poll nif ~now:cutoff (fun p -> got := take p :: !got) in
+      if n <> List.length expected || List.rev !got <> expected then ok := false
+    in
+    List.iteri
+      (fun i op ->
+        match op with
+        | `Send (now, size) ->
+          let depart = max now !busy in
+          busy := depart + Units.transfer_ps ~bytes_per_s:link.Link.bytes_per_s size;
+          let arrive = depart + Link.wire_time_ps link size in
+          if arrive < !last_arrival then ok := false;
+          last_arrival := arrive;
+          incr sends;
+          pending := !pending @ [ (i, arrive) ];
+          Uldma_net.Netif.send nif ~now ~dst_paddr:i ~payload:(Bytes.create size)
+        | `Poll cutoff -> poll cutoff
+        | `Poll_at k -> (
+          match !pending with
+          | [] -> ()
+          | l -> poll (snd (List.nth l (k mod List.length l)))))
+      ops;
+    let got = ref [] in
+    ignore (Uldma_net.Netif.drain_all nif (fun p -> got := take p :: !got) : int);
+    !ok && List.rev !got = !pending
+    && Uldma_net.Netif.delivered nif = !sends
+  in
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name:"netif fifo" ~count:300 gen prop)
+
 let test_cluster_remote_atomic () =
   (* one-sided cluster: the atomic executes on receiver RAM and the
      old value flies back into the sender's mailbox word *)
@@ -261,8 +321,8 @@ let test_cluster_remote_atomic () =
       backend = Kernel.Local { bytes_per_s = 1e9 };
     }
   in
-  let cluster = Cluster.create ~link:Link.gigabit ~config in
-  let kernel = Cluster.sender cluster in
+  let cluster = Cluster.create ~net:(Backend.linked Link.gigabit) ~nodes:2 ~config () in
+  let kernel = Cluster.node cluster 0 in
   let p = Kernel.spawn kernel ~name:"adder" ~program:[||] () in
   let mailbox = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let remote = Kernel.map_remote_pages kernel p ~remote_paddr:remote_buffer_paddr ~n:1 ~perms:Perms.read_write in
@@ -271,7 +331,7 @@ let test_cluster_remote_atomic () =
       ~region:{ Mech.vaddr = remote; pages = 1 }
   in
   Kernel.set_atomic_mailbox kernel p ~vaddr:mailbox;
-  Phys_mem.store_word (Cluster.receiver_ram cluster) remote_buffer_paddr 40;
+  Phys_mem.store_word (Kernel.ram (Cluster.node cluster 1)) remote_buffer_paddr 40;
   let asm = Uldma_cpu.Asm.create () in
   Uldma_cpu.Asm.li asm 1 remote;
   Uldma_cpu.Asm.li asm 5 2;
@@ -280,7 +340,7 @@ let test_cluster_remote_atomic () =
   Process.set_program p (Uldma_cpu.Asm.assemble asm);
   ignore (Kernel.run kernel ~max_steps:10_000 () : Kernel.run_result);
   ignore (Cluster.settle cluster : int);
-  checki "executed at receiver" 42 (Phys_mem.load_word (Cluster.receiver_ram cluster) remote_buffer_paddr);
+  checki "executed at receiver" 42 (Phys_mem.load_word (Kernel.ram (Cluster.node cluster 1)) remote_buffer_paddr);
   checki "old value delivered to mailbox" 40 (Kernel.read_user kernel p mailbox)
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +406,7 @@ let test_metrics_fair_round_robin () =
   checkb "equal work, near-equal time" true (Uldma_sim.Metrics.fairness_spread m < 1.15)
 
 (* ------------------------------------------------------------------ *)
-(* Duplex / ping-pong *)
+(* Two-node cluster: ping-pong and remote atomics *)
 
 let test_duplex_pingpong_orders () =
   let rtt send = Experiments.pingpong_rtt ~link:Link.gigabit ~send ~rounds:5 in
@@ -361,9 +421,9 @@ let test_duplex_pingpong_orders () =
 
 let test_duplex_basic_delivery () =
   let config = { Kernel.default_config with Kernel.ram_size = 64 * Layout.page_size } in
-  let d = Uldma_sim.Duplex.create ~link:Link.gigabit ~config_a:config ~config_b:config in
-  let ka = Uldma_sim.Duplex.kernel d Uldma_sim.Duplex.A in
-  let kb = Uldma_sim.Duplex.kernel d Uldma_sim.Duplex.B in
+  let d = Cluster.create ~net:(Backend.linked Link.gigabit) ~nodes:2 ~config () in
+  let ka = Cluster.node d 0 in
+  let kb = Cluster.node d 1 in
   let a = Kernel.spawn ka ~name:"a" ~program:[||] () in
   let b = Kernel.spawn kb ~name:"b" ~program:(Uldma_cpu.Asm.assemble_list [ Uldma_cpu.Isa.Halt ]) () in
   let flag_b = Kernel.alloc_pages kb b ~n:1 ~perms:Perms.read_write in
@@ -372,10 +432,10 @@ let test_duplex_basic_delivery () =
   Process.set_program a
     (Uldma_cpu.Asm.assemble_list
        Uldma_cpu.Isa.[ Li (1, remote); Li (2, 31337); Store (1, 0, 2); Halt ]);
-  checkb "converges" true (Uldma_sim.Duplex.run d () = Uldma_sim.Duplex.All_exited);
+  checkb "converges" true (Cluster.run d () = Cluster.All_exited);
   checki "word landed on B" 31337 (Kernel.read_user kb b flag_b);
-  checki "one packet to B" 1 (Uldma_sim.Duplex.packets_delivered d Uldma_sim.Duplex.B);
-  checki "none to A" 0 (Uldma_sim.Duplex.packets_delivered d Uldma_sim.Duplex.A)
+  checki "one packet to B" 1 (Cluster.packets_into d 1);
+  checki "none to A" 0 (Cluster.packets_into d 0)
 
 let test_duplex_remote_atomic () =
   (* node A performs fetch-and-add on a counter living on node B; the
@@ -388,9 +448,9 @@ let test_duplex_remote_atomic () =
       backend = Kernel.Local { bytes_per_s = 1e9 };
     }
   in
-  let d = Uldma_sim.Duplex.create ~link:Link.gigabit ~config_a:config ~config_b:config in
-  let ka = Uldma_sim.Duplex.kernel d Uldma_sim.Duplex.A in
-  let kb = Uldma_sim.Duplex.kernel d Uldma_sim.Duplex.B in
+  let d = Cluster.create ~net:(Backend.linked Link.gigabit) ~nodes:2 ~config () in
+  let ka = Cluster.node d 0 in
+  let kb = Cluster.node d 1 in
   let b = Kernel.spawn kb ~name:"owner" ~program:(Uldma_cpu.Asm.assemble_list [ Uldma_cpu.Isa.Halt ]) () in
   let counter = Kernel.alloc_pages kb b ~n:1 ~perms:Perms.read_write in
   Kernel.write_user kb b counter 500;
@@ -421,7 +481,7 @@ let test_duplex_remote_atomic () =
   Uldma_cpu.Asm.beq asm 13 12 spin;
   Uldma_cpu.Asm.halt asm;
   Process.set_program a (Uldma_cpu.Asm.assemble asm);
-  checkb "converges" true (Uldma_sim.Duplex.run d () = Uldma_sim.Duplex.All_exited);
+  checkb "converges" true (Cluster.run d () = Cluster.All_exited);
   checki "status was in-progress" Uldma_dma.Status.in_progress
     (Uldma_cpu.Regfile.get a.Process.ctx.Uldma_cpu.Cpu.regs 10);
   checki "old value in mailbox" 500
@@ -515,6 +575,7 @@ let () =
           Alcotest.test_case "netif serialisation" `Quick test_netif_serialisation;
           Alcotest.test_case "netif poll timing" `Quick test_netif_poll_respects_time;
           Alcotest.test_case "wire times" `Quick test_link_wire_times;
+          test_netif_fifo_property;
         ] );
       ( "metrics",
         [

@@ -816,7 +816,7 @@ let test_campaign_key_based_two_users () =
             ~dst:{ Uldma.Mech.vaddr = dst; pages = 1 }
         in
         Process.set_program p
-          (Uldma_workload.Stub_loop.build_repeat ~n:20 ~vsrc:src ~vdst:dst ~size:128 ~result_va
+          (Uldma.Session.Stub.build_repeat ~n:20 ~vsrc:src ~vdst:dst ~size:128 ~result_va
              ~emit_dma:prepared.Uldma.Mech.emit_dma);
         intents :=
           Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:128 ~requests:20 :: !intents;
@@ -827,7 +827,7 @@ let test_campaign_key_based_two_users () =
   List.iter
     (fun ((p : Process.t), result_va) ->
       reported :=
-        (p.Process.pid, Uldma_workload.Stub_loop.read_successes kernel p ~result_va) :: !reported)
+        (p.Process.pid, Uldma.Session.Stub.read_successes kernel p ~result_va) :: !reported)
     users;
   let report = Oracle.check ~kernel ~intents:!intents ~reported_successes:!reported in
   if not (Oracle.ok report) then Alcotest.failf "%a" Oracle.pp_report report;
@@ -856,7 +856,7 @@ let test_campaign_ext_shadow_two_users () =
           ~dst:{ Uldma.Mech.vaddr = dst; pages = 1 }
       in
       Process.set_program p
-        (Uldma_workload.Stub_loop.build_repeat ~n:20 ~vsrc:src ~vdst:dst ~size:128 ~result_va
+        (Uldma.Session.Stub.build_repeat ~n:20 ~vsrc:src ~vdst:dst ~size:128 ~result_va
            ~emit_dma:prepared.Uldma.Mech.emit_dma);
       finished := (p, result_va) :: !finished)
     [ "user1"; "user2"; "user3" ];
@@ -866,7 +866,7 @@ let test_campaign_ext_shadow_two_users () =
       checki
         (p.Process.name ^ " all succeeded")
         20
-        (Uldma_workload.Stub_loop.read_successes kernel p ~result_va))
+        (Uldma.Session.Stub.read_successes kernel p ~result_va))
     !finished;
   checki "60 transfers" 60 (List.length (Engine.transfers (Kernel.engine kernel)))
 

@@ -8,7 +8,7 @@ open Uldma_os
 module Mech = Uldma.Mech
 module Api = Uldma.Api
 module Generator = Uldma_workload.Generator
-module Stub_loop = Uldma_workload.Stub_loop
+module Stub = Uldma.Session.Stub
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -133,7 +133,7 @@ let test_soak_mixed_tenants () =
       else Uldma.Kernel_dma.emit_dma
     in
     Process.set_program p
-      (Stub_loop.build_repeat ~n:per_proc ~vsrc:src ~vdst:dst ~size:256 ~result_va ~emit_dma:emit);
+      (Stub.build_repeat ~n:per_proc ~vsrc:src ~vdst:dst ~size:256 ~result_va ~emit_dma:emit);
     intents :=
       Uldma_verify.Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:256
         ~requests:per_proc
@@ -144,7 +144,7 @@ let test_soak_mixed_tenants () =
   | Kernel.All_exited -> ()
   | Kernel.Max_steps | Kernel.Predicate -> Alcotest.fail "soak did not finish");
   let reported =
-    List.map (fun ((p : Process.t), rv) -> (p.Process.pid, Stub_loop.read_successes kernel p ~result_va:rv)) !users
+    List.map (fun ((p : Process.t), rv) -> (p.Process.pid, Stub.read_successes kernel p ~result_va:rv)) !users
   in
   List.iter (fun (pid, n) -> checki (Printf.sprintf "pid %d all succeeded" pid) per_proc n) reported;
   let report = Uldma_verify.Oracle.check ~kernel ~intents:!intents ~reported_successes:reported in
@@ -154,15 +154,15 @@ let test_soak_mixed_tenants () =
     (List.length (Uldma_dma.Engine.transfers (Kernel.engine kernel)))
 
 (* ------------------------------------------------------------------ *)
-(* Stub_loop builders *)
+(* Stub builders *)
 
 let test_build_loop_rejects_bad_pages () =
   checkb "non power of two" true
     (try
        ignore
-         (Stub_loop.build_loop
+         (Stub.build_loop
             {
-              Stub_loop.iterations = 1;
+              Stub.iterations = 1;
               transfer_size = 8;
               src_base = 0;
               dst_base = 0;
@@ -176,7 +176,7 @@ let test_build_loop_rejects_bad_pages () =
 
 let test_build_single_shape () =
   let program =
-    Stub_loop.build_single ~vsrc:0x10000 ~vdst:0x12000 ~size:64 ~result_va:0x14000
+    Stub.build_single ~vsrc:0x10000 ~vdst:0x12000 ~size:64 ~result_va:0x14000
       ~emit_dma:Uldma.Ext_shadow.emit_dma
   in
   checkb "non-trivial program" true (Array.length program > 8);
