@@ -38,7 +38,6 @@ let with_trace trace_file trace_format f =
   | None -> f ()
   | Some path ->
     let sink = Trace.create () in
-    Trace.set_enabled sink true;
     Trace.with_ambient sink f;
     (match trace_format with
     | (`Chrome | `Jsonl) as fmt -> Export.to_file fmt path sink
@@ -219,11 +218,12 @@ let timeline_cmd =
     with_trace trace_file trace_format @@ fun () ->
     let module Scenario = Uldma_workload.Scenario in
     let s, schedule =
-      match which with
-      | `Fig5 -> (Scenario.fig5 (), Scenario.fig5_schedule)
-      | `Fig6 -> (Scenario.fig6 (), Scenario.fig6_schedule)
-      | `Shrimp2 -> (Scenario.shrimp2_race ~hook:false, Scenario.shrimp2_schedule)
-      | `Rep5 -> (Scenario.rep5 (), Scenario.fig5_schedule)
+      Scenario.traced (fun () ->
+          match which with
+          | `Fig5 -> (Scenario.fig5 (), Scenario.fig5_schedule)
+          | `Fig6 -> (Scenario.fig6 (), Scenario.fig6_schedule)
+          | `Shrimp2 -> (Scenario.shrimp2_race ~hook:false, Scenario.shrimp2_schedule)
+          | `Rep5 -> (Scenario.rep5 (), Scenario.fig5_schedule))
     in
     Scenario.run_legs s schedule;
     Scenario.finish s ();

@@ -4,37 +4,26 @@ exception Bus_error of int
 
 type device = { claims : int -> bool; handle : Txn.t -> int }
 
-let default_trace_cap = 16384
-
 (* Per-pid uncached-access counters, indexed by [pid + 1] so the
    kernel's pid -1 lands in slot 0. Maintained unconditionally (cheap),
-   unlike the trace which records only while tracing is on. *)
+   unlike the sink's events which are recorded only while it is enabled. *)
 type t = {
   clock : Clock.t;
-  mutable timing : Timing.t;
+  timing : Timing.t;
   ram : Phys_mem.t;
   mutable devices : device array; (* registration order *)
-  mutable tracing : bool;
-  trace_cap : int;
-  mutable trace_buf : Txn.t array; (* ring, grown lazily up to trace_cap *)
-  mutable trace_total : int; (* transactions recorded since last clear *)
   mutable busy_ps : int; (* cumulative uncached-crossing time *)
   mutable counts : int array; (* counts.(pid + 1) = uncached accesses *)
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
 }
 
-let create ?(trace_cap = default_trace_cap) ~clock ~timing ~ram () =
-  if trace_cap <= 0 then invalid_arg "Bus.create: trace_cap must be positive";
+let create ~clock ~timing ~ram () =
   {
     clock;
     timing;
     ram;
     devices = [||];
-    tracing = false;
-    trace_cap;
-    trace_buf = [||];
-    trace_total = 0;
     busy_ps = 0;
     counts = Array.make 8 0;
     sink = Uldma_obs.Trace.null;
@@ -47,7 +36,6 @@ let set_sink t ~machine sink =
   t.machine <- machine
 let timing t = t.timing
 let ram t = t.ram
-let set_timing t timing = t.timing <- timing
 
 let register_device t d = t.devices <- Array.append t.devices [| d |]
 
@@ -73,27 +61,11 @@ let pid_access_count t pid =
   let slot = pid + 1 in
   if slot < 0 || slot >= Array.length t.counts then 0 else t.counts.(slot)
 
-let record t txn =
-  if t.tracing then begin
-    if Array.length t.trace_buf < t.trace_cap then begin
-      (* grow the ring geometrically until it reaches the cap *)
-      let cur = Array.length t.trace_buf in
-      if t.trace_total >= cur then begin
-        let fresh = Array.make (min t.trace_cap (max 16 (2 * cur))) txn in
-        Array.blit t.trace_buf 0 fresh 0 cur;
-        t.trace_buf <- fresh
-      end
-    end;
-    t.trace_buf.(t.trace_total mod Array.length t.trace_buf) <- txn;
-    t.trace_total <- t.trace_total + 1
-  end
-
 let uncached_access t ~pid op paddr value =
   t.busy_ps <- t.busy_ps + Timing.uncached_ps t.timing op;
   Clock.advance t.clock (Timing.uncached_ps t.timing op);
   bump_count t pid;
   let txn = { Txn.op; paddr; value; pid; at = Clock.now t.clock } in
-  record t txn;
   if Uldma_obs.Trace.enabled t.sink then
     Uldma_obs.Trace.emit t.sink ~at:txn.Txn.at ~machine:t.machine ~pid
       (Uldma_obs.Trace.Uncached_access
@@ -128,26 +100,6 @@ let store t ~pid ~cacheable paddr value =
   end
   else ignore (uncached_access t ~pid Txn.Store paddr value)
 
-let clear_trace t =
-  t.trace_total <- 0;
-  t.trace_buf <- [||]
-
-let set_trace t on =
-  t.tracing <- on;
-  if not on then clear_trace t
-
-let trace t =
-  let cap = Array.length t.trace_buf in
-  if cap = 0 then []
-  else begin
-    let n = min t.trace_total cap in
-    let first = t.trace_total - n in
-    List.init n (fun i -> t.trace_buf.((first + i) mod cap))
-  end
-
-let trace_len t = t.trace_total
-let trace_cap t = t.trace_cap
-
 let busy_ps t = t.busy_ps
 
 let copy t ~ram ~clock =
@@ -156,10 +108,6 @@ let copy t ~ram ~clock =
     timing = t.timing;
     ram;
     devices = [||];
-    tracing = t.tracing;
-    trace_cap = t.trace_cap;
-    trace_buf = [||]; (* forks start with an empty retained window *)
-    trace_total = 0;
     busy_ps = t.busy_ps;
     counts = Array.copy t.counts;
     sink = t.sink;

@@ -14,22 +14,18 @@ type device = {
   handle : Txn.t -> int; (** returns the load reply; ignored for stores *)
 }
 
-val create :
-  ?trace_cap:int -> clock:Clock.t -> timing:Timing.t -> ram:Uldma_mem.Phys_mem.t -> unit -> t
-(** [trace_cap] bounds the retained transaction window (default
-    [16384]); older transactions are overwritten ring-buffer style but
-    still counted by [trace_len] and the per-pid counters. *)
+val create : clock:Clock.t -> timing:Timing.t -> ram:Uldma_mem.Phys_mem.t -> unit -> t
 
 val clock : t -> Clock.t
 
 val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
 (** Attach a structured trace sink (default [Trace.null]): every
     uncached crossing then also emits an [Uncached_access] event
-    stamped with the given machine id. Carried across [copy]. *)
+    stamped with the given machine id, in issue order. The sink is the
+    bus's only transaction record. Carried across [copy]. *)
 
 val timing : t -> Timing.t
 val ram : t -> Uldma_mem.Phys_mem.t
-val set_timing : t -> Timing.t -> unit
 
 val register_device : t -> device -> unit
 (** Devices are probed in registration order. *)
@@ -41,24 +37,10 @@ val load : t -> pid:int -> cacheable:bool -> int -> int
 
 val store : t -> pid:int -> cacheable:bool -> int -> int -> unit
 
-val set_trace : t -> bool -> unit
-val trace : t -> Txn.t list
-(** The retained window of recorded transactions, oldest first (only
-    while tracing). At most [trace_cap] entries; [trace_len] tells
-    whether older ones were dropped. *)
-
-val trace_len : t -> int
-(** Total transactions recorded since tracing was enabled (or the trace
-    cleared), including any that have fallen out of the ring. *)
-
-val trace_cap : t -> int
-
-val clear_trace : t -> unit
-
 val pid_access_count : t -> int -> int
 (** O(1) count of uncached accesses issued on behalf of a pid (the
     kernel's pid -1 included) since the bus — or the snapshot lineage
-    it belongs to — was created. Counted whether or not tracing is on;
+    it belongs to — was created. Counted whether or not a sink is on;
     consumers should compare deltas, not absolute values. *)
 
 val busy_ps : t -> Uldma_util.Units.ps
@@ -67,6 +49,5 @@ val busy_ps : t -> Uldma_util.Units.ps
 
 val copy : t -> ram:Uldma_mem.Phys_mem.t -> clock:Clock.t -> t
 (** Snapshot with the given already-copied RAM and clock: carries the
-    timing model, tracing flag, [busy_ps] and the per-pid counters, but
-    starts with an empty retained trace window and no devices — the
-    caller re-registers devices that hold state. *)
+    timing model, the sink, [busy_ps] and the per-pid counters, but no
+    devices — the caller re-registers devices that hold state. *)

@@ -32,20 +32,7 @@ type reject_reason =
   | Bad_capability
   | Revoked_capability
 
-type event =
-  | Started of Transfer.t
-  | Rejected of { reason : reject_reason; pid : int; at : Units.ps }
-  | Atomic_done of {
-      op : Atomic_op.t;
-      target : int;
-      result : int;
-      context : int option;
-      pid : int;
-      at : Units.ps;
-    }
-
 type counters = {
-  mutable started : int;
   mutable rejected : int;
   mutable key_rejected : int;
   mutable atomics : int;
@@ -101,7 +88,6 @@ type t = {
   mutable last_status : int;
   mutable transfers : Transfer.t list; (* newest first *)
   mutable n_transfers : int; (* length of [transfers] *)
-  mutable events : event list; (* newest first *)
   mutable outbound : outbound_packet list; (* newest first *)
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
@@ -140,8 +126,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     last_status = Status.failure;
     transfers = [];
     n_transfers = 0;
-    events = [];
-    counters = { started = 0; rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
+    counters = { rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
     sink = Uldma_obs.Trace.null;
     machine = 0;
@@ -160,7 +145,7 @@ let tracing t = Uldma_obs.Trace.enabled t.sink
 let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~pid kind
 
 (* Engine snapshot for kernel forks. Everything mutable is duplicated;
-   transfers/events/outbound and the mapped-out map are immutable and
+   transfers/outbound and the mapped-out map are immutable and
    are shared. *)
 let copy t ~clock ~backend =
   {
@@ -175,7 +160,7 @@ let copy t ~clock ~backend =
        immediately after copying the processes *)
     iommu_tables = t.iommu_tables;
     caps = Capability.copy t.caps;
-    counters = { t.counters with started = t.counters.started };
+    counters = { t.counters with rejected = t.counters.rejected }; (* a fresh record *)
     dg = Array.copy t.dg;
   }
 
@@ -344,8 +329,6 @@ let digest t =
   end;
   (t.dg.(0), t.dg.(1))
 
-let push_event t e = t.events <- e :: t.events
-
 (* exhaustive by construction: a new [reject_reason] variant must be
    named here, it cannot fall through a wildcard *)
 let reject_name r =
@@ -366,7 +349,6 @@ let reject_name r =
 let reject t ~reason ~pid =
   t.counters.rejected <- t.counters.rejected + 1;
   if reason = Bad_key then t.counters.key_rejected <- t.counters.key_rejected + 1;
-  push_event t (Rejected { reason; pid; at = now t });
   if tracing t then
     trace t ~at:(now t) ~pid (Uldma_obs.Trace.Engine_reject { reason = reject_name reason });
   Status.failure
@@ -408,8 +390,6 @@ let start_transfer t ~src ~dst ~size ~context ~pid =
       }
     in
     push_transfer t tr;
-    t.counters.started <- t.counters.started + 1;
-    push_event t (Started tr);
     if tracing t then begin
       trace t ~at:tr.Transfer.started_at ~pid
         (Uldma_obs.Trace.Transfer_start { src; dst; size; duration = tr.Transfer.duration });
@@ -593,7 +573,6 @@ let run_atomic t ~op ~target ~context ~pid =
         ~target
     in
     t.counters.atomics <- t.counters.atomics + 1;
-    push_event t (Atomic_done { op; target; result; context; pid; at = now t });
     result
   end
   else if in_remote_range target Layout.word_size then begin
@@ -611,8 +590,6 @@ let run_atomic t ~op ~target ~context ~pid =
       send_remote t ~remote_paddr:target ~payload:Bytes.empty
         ~kind:(Remote_atomic { op; reply_paddr });
       t.counters.atomics <- t.counters.atomics + 1;
-      push_event t
-        (Atomic_done { op; target; result = Status.in_progress; context; pid; at = now t });
       Status.in_progress
   end
   else reject t ~reason:Bad_range ~pid
@@ -1020,7 +997,7 @@ let handle t (txn : Txn.t) =
    extra fields are constant 0 and the encoding is as before, merging
    exactly the same states), mapped-out entries (sorted for canonicity)
    and the outbound network queue. Excludes diagnostics the simulated
-   programs cannot read back: event log, counters, trace sink, absolute
+   programs cannot read back: counters, trace sink, absolute
    timestamps. Note the remaining time is encoded *exactly*: bucketing
    it (e.g. to the timed backend's tick) would be unsound, because two
    states in the same bucket can diverge observably one tick later —
@@ -1167,11 +1144,8 @@ let map_out t ~src_page ~dst_page =
 
 let mapped_out_dst t ~src_page = Imap.find_opt (Layout.page_base src_page) t.mapped_out
 
-let events t = List.rev t.events
-
-let clear_events t = t.events <- []
-
 let transfers t = List.rev t.transfers
+let n_transfers t = t.n_transfers
 
 let take_outbound t =
   let packets = List.rev t.outbound in
@@ -1179,26 +1153,3 @@ let take_outbound t =
   packets
 
 let counters t = t.counters
-
-let pp_reject_reason ppf r =
-  Format.pp_print_string ppf
-    (match[@warning "+8"] r with
-    | Bad_key -> "bad key"
-    | No_context -> "no such register context"
-    | Wrong_context -> "wrong register context"
-    | Incomplete_arguments -> "incomplete arguments"
-    | Broken_sequence -> "broken access sequence"
-    | Bad_range -> "address range outside RAM"
-    | Not_mapped_out -> "page has no mapped-out twin"
-    | Wrong_pid -> "pending arguments belong to another process"
-    | Unsupported -> "operation unsupported by this mechanism"
-    | Not_present -> "IOMMU translation fault (page not present or wrong rights)"
-    | Bad_capability -> "unknown, foreign or under-privileged capability"
-    | Revoked_capability -> "capability has been revoked")
-
-let pp_event ppf = function
-  | Started tr -> Format.fprintf ppf "started: %a" Transfer.pp tr
-  | Rejected { reason; pid; at } ->
-    Format.fprintf ppf "rejected (%a) pid=%d at %a" pp_reject_reason reason pid Units.pp_time at
-  | Atomic_done { op; target; result; pid; _ } ->
-    Format.fprintf ppf "%a at %#x -> %d (pid %d)" Atomic_op.pp op target result pid

@@ -53,20 +53,7 @@ type reject_reason =
   | Bad_capability (** CAPIO: unknown, foreign or under-privileged value *)
   | Revoked_capability (** CAPIO: once-valid value used after revocation *)
 
-type event =
-  | Started of Transfer.t
-  | Rejected of { reason : reject_reason; pid : int; at : Uldma_util.Units.ps }
-  | Atomic_done of {
-      op : Atomic_op.t;
-      target : int;
-      result : int;
-      context : int option;
-      pid : int;
-      at : Uldma_util.Units.ps;
-    }
-
 type counters = {
-  mutable started : int;
   mutable rejected : int;
   mutable key_rejected : int;
   mutable atomics : int;
@@ -107,8 +94,10 @@ val contexts : t -> Context_file.t
 
 val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
 (** Attach a structured trace sink (default [Trace.null]): decodes,
-    matches, rejections, transfer start/completion and outbound packets
-    then emit typed events. Carried across [copy]. *)
+    matches, rejections ([Engine_reject], named by {!reject_name}),
+    transfer start/completion and outbound packets then emit typed
+    events. The sink is the engine's only event record. Carried across
+    [copy]. *)
 
 val device : t -> Uldma_bus.Bus.device
 (** Register with [Bus.register_device]. *)
@@ -164,14 +153,19 @@ val revoke_caps_range : t -> base:int -> len:int -> unit
 
 val capabilities : t -> Capability.t
 
-(** {1 Observation} *)
+(** {1 Observation}
 
-val events : t -> event list
-(** All events, oldest first. *)
+    The engine keeps only what its accounting needs: the started
+    transfers, the outbound queue and the {!counters}. Its event
+    history (rejections with their reasons, transfer starts) goes to
+    the trace sink attached with {!set_sink}. *)
 
-val clear_events : t -> unit
 val transfers : t -> Transfer.t list
 (** Started transfers, oldest first. *)
+
+val n_transfers : t -> int
+(** [List.length (transfers t)], in O(1): the engine's one count of
+    started transfers. *)
 
 val take_outbound : t -> outbound_packet list
 (** Drain the outbound network queue, oldest first. Remote-window
@@ -193,7 +187,7 @@ val encode : Uldma_util.Enc.t -> t -> unit
     backend the extra fields are constant and the encoding merges the
     same states it always did. Two engines with equal encodings are
     indistinguishable to the simulated programs and to the Fig. 8
-    oracle. Diagnostic state (event log, counters, trace sink, absolute
+    oracle. Diagnostic state (counters, trace sink, absolute
     timestamps) is excluded. A [Buf] sink gets every register; an [Fp]
     sink gets the two lanes of {!Seq_matcher.digest},
     {!Context_file.digest} and {!digest} in place of the registers and
@@ -231,5 +225,7 @@ val context_transfer_end : t -> int -> Uldma_util.Units.ps option
 (** Completion time of the context's last transfer (for sys_dma_wait). *)
 
 val last_transfer_end : t -> Uldma_util.Units.ps option
-val pp_reject_reason : Format.formatter -> reject_reason -> unit
-val pp_event : Format.formatter -> event -> unit
+
+val reject_name : reject_reason -> string
+(** The reason's snake_case name ("bad_key", "wrong_context", ...), as
+    carried by the [Engine_reject] trace event. *)

@@ -95,16 +95,8 @@ let register_machine t =
     id
   end
 
-(* Merge the events retained by [src] into [dst], preserving order
-   (dst's then src's) and accounting for src's drops. *)
-let absorb dst src =
-  if dst.permanent_off then invalid_arg "Trace.absorb: the null sink cannot absorb";
-  List.iter (fun r -> emit dst ~at:r.at ~machine:r.machine ~pid:r.pid r.kind) (events src);
-  dst.total <- dst.total + dropped src
-
 let ambient_sink = ref null
 let ambient () = !ambient_sink
-let set_ambient t = ambient_sink := t
 
 let with_ambient t f =
   let prev = !ambient_sink in

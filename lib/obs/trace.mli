@@ -5,6 +5,10 @@
     time in picoseconds, a machine id (one per kernel instance; cluster
     runs have several), the pid on whose behalf the event
     happened ([-1] for the kernel itself), and a typed {!kind} payload.
+    The sink is the machine's only event record: the bus and the DMA
+    engine keep no logs of their own, and the paper's interleaving
+    diagrams ([Scenario.access_timeline]) are read back from the
+    [Uncached_access] events of one machine id.
 
     Cost contract: when a sink is disabled ({!enabled} is [false] —
     the default, and always true of {!null}), the per-event cost in
@@ -75,12 +79,6 @@ val dropped : t -> int
 
 val clear : t -> unit
 
-val absorb : t -> t -> unit
-(** [absorb dst src] appends [src]'s retained events (oldest first)
-    into [dst] and carries over [src]'s drop count, so sinks filled
-    separately (one per domain, say) can be merged into one. Raises
-    [Invalid_argument] on {!null} as [dst]. *)
-
 val register_machine : t -> int
 (** Allocate the next machine id (0, 1, 2, ...) for a kernel attached
     to this sink. On a disabled sink always returns 0 so that untraced
@@ -88,9 +86,7 @@ val register_machine : t -> int
 
 val ambient : unit -> t
 (** The process-global default sink picked up by [Kernel.create];
-    {!null} unless {!set_ambient} installed another. *)
-
-val set_ambient : t -> unit
+    {!null} outside {!with_ambient}. *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a
 (** Run a thunk with the given ambient sink, restoring the previous one

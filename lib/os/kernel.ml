@@ -91,14 +91,13 @@ let install_wbuf_observer t =
           | Write_buffer.Collapsed { paddr } -> Uldma_obs.Trace.Wbuf_collapse { paddr }
           | Write_buffer.Drained { count } -> Uldma_obs.Trace.Wbuf_flush { drained = count }))
 
-let attach_sink t sink ~machine =
+let set_trace t sink =
+  let machine = Uldma_obs.Trace.register_machine sink in
   t.trace <- sink;
   t.machine <- machine;
   Bus.set_sink t.bus ~machine sink;
   Engine.set_sink t.engine ~machine sink;
   install_wbuf_observer t
-
-let set_trace t sink = attach_sink t sink ~machine:(Uldma_obs.Trace.register_machine sink)
 
 let trace t = t.trace
 let machine_id t = t.machine
@@ -148,8 +147,8 @@ let create config =
 
 (* Snapshot for explorer forks. RAM is shared copy-on-write
    (Phys_mem.copy is O(#pages)); the bus carries its timing model and
-   per-pid access counters but starts a fresh trace window; page tables
-   fork by persistent-map sharing inside Process.copy. The result is a
+   per-pid access counters; page tables fork by persistent-map sharing
+   inside Process.copy. The result is a
    fully independent kernel whose construction cost is proportional to
    the amount of live bookkeeping, not to RAM size. *)
 let copy t =
@@ -936,8 +935,6 @@ let state_key ?prefix ?relative_to ~paranoid t =
     (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp)
   end
 
-let attach_trace t sink ~machine = attach_sink t sink ~machine
-
 (* ------------------------------------------------------------------ *)
 (* Uniform named-counter snapshot *)
 
@@ -960,7 +957,7 @@ let counter_snapshot t =
         (Bus.pid_access_count t.bus p.Process.pid))
     t.procs;
   let e = Engine.counters t.engine in
-  C.add c "dma.transfers_started" e.Engine.started;
+  C.add c "dma.transfers_started" (Engine.n_transfers t.engine);
   C.add c "dma.rejected" e.Engine.rejected;
   C.add c "dma.key_rejected" e.Engine.key_rejected;
   C.add c "dma.atomics" e.Engine.atomics;

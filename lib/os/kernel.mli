@@ -51,8 +51,7 @@ val copy : t -> t
 (** Independent snapshot (explorer support): processes, engine, clock,
     scheduler and write buffer are duplicated; RAM and page tables are
     shared copy-on-write, so a snapshot costs O(live bookkeeping), not
-    O(RAM size). The bus carries timing and per-pid access counters but
-    starts an empty trace window. *)
+    O(RAM size). The bus carries timing and per-pid access counters. *)
 
 val snapshot : t -> t
 (** Alias for [copy]; the intent-revealing name for explorer forks. *)
@@ -88,12 +87,6 @@ val context_switches : t -> int
 val set_trace : t -> Uldma_obs.Trace.t -> unit
 (** Attach a sink after construction: registers a new machine id on it
     and rewires the bus, engine and write-buffer instrumentation. *)
-
-val attach_trace : t -> Uldma_obs.Trace.t -> machine:int -> unit
-(** Rewire the bus/engine/write-buffer instrumentation onto [sink]
-    under an existing machine id (no fresh registration). The parallel
-    explorer uses this to give each worker domain a private sink that
-    is merged into the root's at the end. *)
 
 val trace : t -> Uldma_obs.Trace.t
 val machine_id : t -> int

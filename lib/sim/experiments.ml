@@ -287,7 +287,7 @@ let fig2_shrimp () =
   tbl
 
 let attack_table ~title scenario schedule =
-  let s = scenario () in
+  let s = Scenario.traced scenario in
   Scenario.run_legs s schedule;
   Scenario.finish s ();
   let report = Scenario.report s in

@@ -53,7 +53,7 @@ let snapshot kernel =
     context_switches = Kernel.context_switches kernel;
     bus_busy_us = Units.to_us busy;
     bus_utilization = (if elapsed = 0 then 0.0 else float_of_int busy /. float_of_int elapsed);
-    transfers_started = counters.Engine.started;
+    transfers_started = Engine.n_transfers (Kernel.engine kernel);
     initiations_rejected = counters.Engine.rejected;
     atomics = counters.Engine.atomics;
     remote_sends = counters.Engine.remote_sends;

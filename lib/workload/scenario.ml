@@ -6,6 +6,7 @@ module Mech = Uldma.Mech
 module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
 module Stub = Uldma.Session.Stub
+module Trace = Uldma_obs.Trace
 
 type t = {
   kernel : Kernel.t;
@@ -40,19 +41,14 @@ let backend_of_net : Uldma_net.Backend.t option -> Kernel.backend_spec = functio
 (* A small machine is plenty for two processes and keeps
    explorer snapshots cheap. *)
 let make_kernel ?net mechanism =
-  let kernel =
-    Kernel.create
-      {
-        Kernel.default_config with
-        Kernel.ram_size = 64 * Layout.page_size;
-        mechanism;
-        sched = Sched.Round_robin { quantum = 50 };
-        backend = backend_of_net net;
-      }
-  in
-  (* record the engine-visible access stream for [access_timeline] *)
-  Uldma_bus.Bus.set_trace (Kernel.bus kernel) true;
-  kernel
+  Kernel.create
+    {
+      Kernel.default_config with
+      Kernel.ram_size = 64 * Layout.page_size;
+      mechanism;
+      sched = Sched.Round_robin { quantum = 50 };
+      backend = backend_of_net net;
+    }
 
 let page_label kernel p va name = (Layout.page_base (Kernel.user_paddr kernel p va), name)
 
@@ -625,27 +621,32 @@ let label_of_paddr t paddr =
       if Layout.in_mmio paddr then "engine_control_page"
       else describe (Layout.page_base paddr) (Layout.page_offset paddr))
 
+let traced f =
+  if Trace.enabled (Trace.ambient ()) then f () else Trace.with_ambient (Trace.create ()) f
+
 let access_timeline t =
+  let sink = Kernel.trace t.kernel in
+  if not (Trace.enabled sink) then
+    invalid_arg "Scenario.access_timeline: the kernel's trace sink is disabled (see traced)";
+  let machine = Kernel.machine_id t.kernel in
   let actor pid =
     if pid = t.victim.Process.pid then "victim"
     else if pid = t.attacker.Process.pid then "attacker"
-    else if pid < 0 then "kernel"
     else
       match List.find_opt (fun (p, _) -> p.Process.pid = pid) t.extras with
       | Some (p, _) -> p.Process.name
       | None -> Printf.sprintf "pid%d" pid
   in
   List.filter_map
-    (fun (txn : Uldma_bus.Txn.t) ->
-      if txn.Uldma_bus.Txn.pid < 0 then None
-      else
+    (fun (r : Trace.record) ->
+      match r.Trace.kind with
+      | Trace.Uncached_access { op; paddr; value }
+        when r.Trace.machine = machine && r.Trace.pid >= 0 ->
         let rendered =
-          match txn.Uldma_bus.Txn.op with
-          | Uldma_bus.Txn.Store ->
-            Printf.sprintf "STORE %#x TO %s" txn.Uldma_bus.Txn.value
-              (label_of_paddr t txn.Uldma_bus.Txn.paddr)
-          | Uldma_bus.Txn.Load ->
-            Printf.sprintf "LOAD FROM %s" (label_of_paddr t txn.Uldma_bus.Txn.paddr)
+          match op with
+          | `Store -> Printf.sprintf "STORE %#x TO %s" value (label_of_paddr t paddr)
+          | `Load -> Printf.sprintf "LOAD FROM %s" (label_of_paddr t paddr)
         in
-        Some (txn.Uldma_bus.Txn.at, actor txn.Uldma_bus.Txn.pid, rendered))
-    (Uldma_bus.Bus.trace (Kernel.bus t.kernel))
+        Some (r.Trace.at, actor r.Trace.pid, rendered)
+      | _ -> None)
+    (Trace.events sink)

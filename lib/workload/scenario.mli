@@ -187,12 +187,24 @@ val victim_successes : t -> int
 val victim_last_status : t -> int
 val transfers : t -> Uldma_dma.Transfer.t list
 
+val traced : (unit -> 'a) -> 'a
+(** [traced f] builds a scenario (or anything else that creates
+    kernels) under an enabled trace sink, so that {!access_timeline}
+    can read it back: the ambient sink when one is enabled (a
+    [--trace] run), otherwise a fresh private [Trace.create ()]
+    installed as ambient for the duration of [f]. *)
+
 val access_timeline : t -> (Uldma_util.Units.ps * string * string) list
 (** The engine-visible access stream of the run, in bus order, with
     symbolic page names (A, B, C, foo, D) — a regeneration of the
     paper's Fig. 5/6 interleaving diagrams. Each entry is
-    (time, actor, rendered access). Requires the scenario to have been
-    driven by [run_legs]/[finish] (tracing is on by default). *)
+    (time, actor, rendered access). It reads the kernel's trace sink:
+    the [Uncached_access] records stamped with this kernel's machine
+    id and a process pid (kernel accesses are left out), so other
+    kernels sharing the sink do not show. The scenario must have been
+    built under {!traced}, and the sink must still retain the run
+    (its default cap holds any scenario); raises [Invalid_argument]
+    when the sink is disabled. *)
 
 val label_of_paddr : t -> int -> string
 (** Symbolic name for a physical address ("A+0x40", "shadow(C)"), used
@@ -208,8 +220,9 @@ val transfer_size : int
 (** Bytes per DMA in every scenario (one cache-line-ish unit). *)
 
 val make_kernel : ?net:Uldma_net.Backend.t -> Uldma_dma.Engine.mechanism -> Uldma_os.Kernel.t
-(** A 64-page machine with round-robin scheduling, bus tracing on and
-    the given protection mechanism / net backend. *)
+(** A 64-page machine with round-robin scheduling and the given
+    protection mechanism / net backend. It adopts the ambient trace
+    sink like every [Kernel.create]. *)
 
 val make_victim :
   ?repeat:int ->

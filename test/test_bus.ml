@@ -210,10 +210,22 @@ let wbuf_model_fuzz =
 (* ------------------------------------------------------------------ *)
 (* Bus *)
 
-let make_bus ?trace_cap () =
+let make_bus () =
   let clock = Clock.create () in
   let ram = Phys_mem.create ~size:(4 * Layout.page_size) in
-  (Bus.create ?trace_cap ~clock ~timing:tm ~ram (), clock, ram)
+  (Bus.create ~clock ~timing:tm ~ram (), clock, ram)
+
+module Trace = Uldma_obs.Trace
+
+(* the bus's transactions as its sink recorded them *)
+let accesses sink =
+  List.filter_map
+    (fun (r : Trace.record) ->
+      match r.Trace.kind with
+      | Trace.Uncached_access { op; paddr; value } ->
+        Some (r.Trace.machine, r.Trace.pid, op, paddr, value, r.Trace.at)
+      | _ -> None)
+    (Trace.events sink)
 
 let test_bus_ram_roundtrip () =
   let bus, _, ram = make_bus () in
@@ -263,69 +275,26 @@ let test_bus_error () =
       ignore (Bus.load bus ~pid:1 ~cacheable:false beyond : int))
 
 let test_bus_trace () =
-  let bus, _, _ = make_bus () in
-  Bus.set_trace bus true;
-  Bus.store bus ~pid:1 ~cacheable:false 8 1;
+  let bus, clock, _ = make_bus () in
+  let sink = Trace.create () in
+  Bus.set_sink bus ~machine:3 sink;
+  Bus.store bus ~pid:1 ~cacheable:false 8 0x11;
+  let t_store = Clock.now clock in
   ignore (Bus.load bus ~pid:2 ~cacheable:false 8 : int);
-  (* cached accesses are not engine-visible and not traced *)
+  let t_load = Clock.now clock in
+  (* cached accesses are not engine-visible and emit nothing *)
   Bus.store bus ~pid:1 ~cacheable:true 16 1;
-  let trace = Bus.trace bus in
-  checki "two uncached txns" 2 (List.length trace);
-  (match trace with
-  | [ first; second ] ->
-    checkb "order preserved" true (first.Txn.op = Txn.Store && second.Txn.op = Txn.Load)
-  | _ -> Alcotest.fail "trace length");
-  Bus.clear_trace bus;
-  checki "cleared" 0 (List.length (Bus.trace bus))
-
-let test_bus_trace_ring () =
-  let bus, _, _ = make_bus ~trace_cap:4 () in
-  checki "cap recorded" 4 (Bus.trace_cap bus);
-  Bus.set_trace bus true;
-  for i = 1 to 7 do
-    Bus.store bus ~pid:1 ~cacheable:false (8 * i) i
-  done;
-  checki "all transactions counted" 7 (Bus.trace_len bus);
-  let trace = Bus.trace bus in
-  checki "retained window is capped" 4 (List.length trace);
-  Alcotest.(check (list int))
-    "window holds the newest, oldest first" [ 4; 5; 6; 7 ]
-    (List.map (fun t -> t.Txn.value) trace);
-  Bus.set_trace bus false;
-  checki "disabling clears the count" 0 (Bus.trace_len bus)
-
-let test_bus_trace_wraparound () =
-  let values bus = List.map (fun t -> t.Txn.value) (Bus.trace bus) in
-  let bus, _, _ = make_bus ~trace_cap:4 () in
-  Bus.set_trace bus true;
-  (* exactly at cap: the window still holds everything *)
-  for i = 1 to 4 do
-    Bus.store bus ~pid:1 ~cacheable:false (8 * i) i
-  done;
-  checki "at cap: counted" 4 (Bus.trace_len bus);
-  Alcotest.(check (list int)) "at cap: all retained" [ 1; 2; 3; 4 ] (values bus);
-  (* several full wraps past the cap: trace_len grows by exactly one
-     per transaction while the window slides *)
-  let prev = ref (Bus.trace_len bus) in
-  for i = 5 to 19 do
-    Bus.store bus ~pid:1 ~cacheable:false (8 * ((i mod 4) + 1)) i;
-    checki "trace_len monotone +1" (!prev + 1) (Bus.trace_len bus);
-    prev := Bus.trace_len bus
-  done;
-  checki "everything counted past cap" 19 (Bus.trace_len bus);
-  Alcotest.(check (list int)) "window slid to the newest" [ 16; 17; 18; 19 ] (values bus);
-  (* a copy keeps the cap and tracing flag, starts an empty window,
-     and wraps independently of the original *)
-  let clock = Clock.create () in
-  let ram = Phys_mem.create ~size:(4 * Layout.page_size) in
-  let snap = Bus.copy bus ~ram ~clock in
-  checki "copy keeps cap" 4 (Bus.trace_cap snap);
-  checki "copy window empty" 0 (List.length (Bus.trace snap));
-  for i = 1 to 6 do
-    Bus.store snap ~pid:1 ~cacheable:false 8 (100 + i)
-  done;
-  Alcotest.(check (list int)) "copy wraps on its own" [ 103; 104; 105; 106 ] (values snap);
-  Alcotest.(check (list int)) "original window unaffected" [ 16; 17; 18; 19 ] (values bus)
+  ignore (Bus.load bus ~pid:1 ~cacheable:true 16 : int);
+  Bus.store bus ~pid:(-1) ~cacheable:false 24 0x22;
+  let t_kernel = Clock.now clock in
+  checkb "uncached crossings in issue order, with pid, paddr, value and time" true
+    (accesses sink
+    = [
+        (3, 1, `Store, 8, 0x11, t_store);
+        (3, 2, `Load, 8, 0, t_load);
+        (3, -1, `Store, 24, 0x22, t_kernel);
+      ]);
+  checki "nothing else emitted" 3 (Trace.total sink)
 
 let test_bus_pid_counters () =
   let bus, _, _ = make_bus () in
@@ -365,7 +334,8 @@ let test_bus_device_dispatch_order () =
 
 let test_bus_copy_carries_accounting () =
   let bus, _, _ = make_bus () in
-  Bus.set_trace bus true;
+  let sink = Trace.create () in
+  Bus.set_sink bus ~machine:0 sink;
   Bus.store bus ~pid:1 ~cacheable:false 8 1;
   Bus.store bus ~pid:2 ~cacheable:false 16 2;
   let clock = Clock.create () in
@@ -374,13 +344,11 @@ let test_bus_copy_carries_accounting () =
   checki "busy_ps carried" (Bus.busy_ps bus) (Bus.busy_ps snap);
   checki "pid 1 counter carried" 1 (Bus.pid_access_count snap 1);
   checki "pid 2 counter carried" 1 (Bus.pid_access_count snap 2);
-  checki "trace window starts empty" 0 (List.length (Bus.trace snap));
   Bus.store snap ~pid:1 ~cacheable:false 8 3;
   checki "snap counter advances" 2 (Bus.pid_access_count snap 1);
   checki "original counter unaffected" 1 (Bus.pid_access_count bus 1);
-  (* tracing flag carried: the snapshot records its own transactions *)
-  checki "snap traces independently" 1 (List.length (Bus.trace snap));
-  checki "original trace intact" 2 (List.length (Bus.trace bus))
+  (* the sink is carried: the snapshot reports into it too *)
+  checki "snap emits into the shared sink" 3 (List.length (accesses sink))
 
 let () =
   Alcotest.run "bus"
@@ -414,8 +382,6 @@ let () =
           Alcotest.test_case "device claim" `Quick test_bus_device_claim;
           Alcotest.test_case "bus error" `Quick test_bus_error;
           Alcotest.test_case "trace" `Quick test_bus_trace;
-          Alcotest.test_case "trace ring cap" `Quick test_bus_trace_ring;
-          Alcotest.test_case "trace ring wraparound" `Quick test_bus_trace_wraparound;
           Alcotest.test_case "per-pid counters" `Quick test_bus_pid_counters;
           Alcotest.test_case "device dispatch order" `Quick test_bus_device_dispatch_order;
           Alcotest.test_case "copy carries accounting" `Quick test_bus_copy_carries_accounting;

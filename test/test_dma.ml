@@ -6,6 +6,7 @@ open Uldma_mem
 open Uldma_mmu
 open Uldma_bus
 open Uldma_dma
+module Trace = Uldma_obs.Trace
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -349,6 +350,22 @@ let dload ?(pid = 1) engine paddr =
 
 let control offset = Layout.kernel_control_page + offset
 
+(* an engine with a fresh trace sink attached: the sink is the engine's
+   only record of its rejections and transfer starts *)
+let traced_engine ?mechanism ?n_contexts () =
+  let engine, _, _ = make_engine ?mechanism ?n_contexts () in
+  let sink = Trace.create () in
+  Engine.set_sink engine ~machine:0 sink;
+  (engine, sink)
+
+let reject_names sink =
+  List.filter_map
+    (fun (r : Trace.record) ->
+      match r.Trace.kind with Trace.Engine_reject { reason } -> Some reason | _ -> None)
+    (Trace.events sink)
+
+let rejected sink reason = List.mem (Engine.reject_name reason) (reject_names sink)
+
 let started engine = List.length (Engine.transfers engine)
 
 let test_engine_claims () =
@@ -421,15 +438,10 @@ let test_engine_key_rejects_wrong_key () =
   checki "key rejections" 2 (Engine.counters engine).Engine.key_rejected
 
 let test_engine_key_rejects_bad_context () =
-  let engine, _, _ = make_engine ~mechanism:Engine.Key_based ~n_contexts:2 () in
+  let engine, sink = traced_engine ~mechanism:Engine.Key_based ~n_contexts:2 () in
   dstore engine (Shadow.encode 0x3000) (key_word 0 7);
   checki "nothing deposited" 0 (started engine);
-  checkb "no-context event" true
-    (List.exists
-       (function
-         | Engine.Rejected { reason = Engine.No_context; _ } -> true
-         | Engine.Rejected _ | Engine.Started _ | Engine.Atomic_done _ -> false)
-       (Engine.events engine))
+  checkb "no-context event" true (rejected sink Engine.No_context)
 
 let test_engine_key_shadow_load_unsupported () =
   let engine, _, _ = make_engine ~mechanism:Engine.Key_based () in
@@ -495,19 +507,14 @@ let test_engine_ext_stateless_pair () =
   checki "started" 1 (started engine)
 
 let test_engine_ext_stateless_mismatch () =
-  let engine, _, _ = make_engine ~mechanism:Engine.Ext_shadow_stateless () in
+  let engine, sink = traced_engine ~mechanism:Engine.Ext_shadow_stateless () in
   dstore engine ~pid:1 (Shadow.encode_ctx ~context:0 0x3000) 64;
   (* interloper's store replaces the pending pair half with ctx 1 *)
   dstore engine ~pid:2 (Shadow.encode_ctx ~context:1 0x5000) 64;
   checki "mismatched pair rejected" Status.failure
     (dload engine ~pid:1 (Shadow.encode_ctx ~context:0 0x1000));
   checki "nothing started" 0 (started engine);
-  checkb "wrong-context event" true
-    (List.exists
-       (function
-         | Engine.Rejected { reason = Engine.Wrong_context; _ } -> true
-         | Engine.Rejected _ | Engine.Started _ | Engine.Atomic_done _ -> false)
-       (Engine.events engine))
+  checkb "wrong-context event" true (rejected sink Engine.Wrong_context)
 
 let test_engine_shared_slot_atomic_stateless () =
   (* the shared atomic slot also serves the contextless engine (used
@@ -747,17 +754,27 @@ let test_engine_remote_dma_range_checked () =
   checki "nothing shipped" 0 (List.length (Engine.take_outbound engine))
 
 let test_engine_events_ordering () =
-  let engine, _, _ = make_engine () in
+  let engine, sink = traced_engine () in
   dstore engine (control Regmap.k_source) 0;
   dstore engine (control Regmap.k_dest) 64;
   dstore engine (control Regmap.k_size) 8;
   dstore engine (control Regmap.k_source) (1 lsl 40);
-  dstore engine (control Regmap.k_size) 8;
-  (match Engine.events engine with
-  | [ Engine.Started _; Engine.Rejected { reason = Engine.Bad_range; _ } ] -> ()
-  | _ -> Alcotest.fail "expected started-then-rejected");
-  Engine.clear_events engine;
-  checki "cleared" 0 (List.length (Engine.events engine))
+  dstore engine ~pid:2 (control Regmap.k_size) 8;
+  let outcomes =
+    List.filter_map
+      (fun (r : Trace.record) ->
+        match r.Trace.kind with
+        | Trace.Transfer_start { src; dst; size; _ } ->
+          Some (Printf.sprintf "pid%d start %#x -> %#x (%d B)" r.Trace.pid src dst size)
+        | Trace.Engine_reject { reason } ->
+          Some (Printf.sprintf "pid%d reject %s" r.Trace.pid reason)
+        | _ -> None)
+      (Trace.events sink)
+  in
+  Alcotest.(check (list string))
+    "started, then rejected"
+    [ "pid1 start 0 -> 0x40 (8 B)"; "pid2 reject " ^ Engine.reject_name Engine.Bad_range ]
+    outcomes
 
 (* fuzz: arbitrary user traffic through the user-reachable windows of a
    key-based engine, with no knowledge of the key, never starts a DMA *)
@@ -786,7 +803,7 @@ let engine_fuzz_key_no_transfers =
           if is_store then dstore engine ~pid:(2 + (value land 1)) paddr value
           else ignore (dload engine ~pid:(2 + (value land 1)) paddr : int))
         stream;
-      Engine.transfers engine = [] && (Engine.counters engine).Engine.started = 0)
+      Engine.transfers engine = [] && Engine.n_transfers engine = 0)
 
 (* fuzz: whatever traffic any mechanism sees, every started transfer
    stays within RAM and the counters agree with the log *)
@@ -821,7 +838,7 @@ let engine_fuzz_invariants =
           else ignore (dload engine ~pid:(1 + (value land 1)) paddr : int))
         stream;
       let transfers = Engine.transfers engine in
-      List.length transfers = (Engine.counters engine).Engine.started
+      List.length transfers = Engine.n_transfers engine
       && List.for_all
            (fun (tr : Transfer.t) ->
              tr.Transfer.size > 0
@@ -841,13 +858,6 @@ let iommu_fire ?(pid = 1) engine ~context ~vsrc ~vdst ~size =
   dstore ~pid engine (ctx_page context + Regmap.c_arg_dst) vdst;
   dstore ~pid engine (ctx_page context + Regmap.c_size) size;
   dload ~pid engine (ctx_page context)
-
-let reject_reasons engine =
-  List.filter_map
-    (function
-      | Engine.Rejected { reason; _ } -> Some reason
-      | Engine.Started _ | Engine.Atomic_done _ -> None)
-    (Engine.events engine)
 
 let iommu_table () =
   let pt = Page_table.create () in
@@ -876,32 +886,32 @@ let test_engine_iommu_path () =
   checki "no extra walks" 2 s.Uldma_mmu.Iotlb.misses
 
 let test_engine_iommu_not_present () =
-  let engine, _, _ = make_engine ~mechanism:Engine.Iommu () in
+  let engine, sink = traced_engine ~mechanism:Engine.Iommu () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
   Engine.iommu_bind engine ~context:1 ~table:(iommu_table ());
   checki "unmapped src fails" Status.failure
     (iommu_fire engine ~context:1 ~vsrc:(9 * Layout.page_size) ~vdst:(3 * Layout.page_size) ~size:64);
-  checkb "not-present reject" true (List.mem Engine.Not_present (reject_reasons engine));
+  checkb "not-present reject" true (rejected sink Engine.Not_present);
   checki "nothing started" 0 (started engine)
 
 let test_engine_iommu_rights () =
   (* a read-only destination page translates but fails the access
      check — also Not_present, like a real IOMMU's translation fault *)
-  let engine, _, _ = make_engine ~mechanism:Engine.Iommu () in
+  let engine, sink = traced_engine ~mechanism:Engine.Iommu () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
   let pt = iommu_table () in
   Page_table.map pt ~vpage:3 (Pte.make ~frame:4 ~perms:Perms.read_only ());
   Engine.iommu_bind engine ~context:1 ~table:pt;
   checki "read-only dst fails" Status.failure
     (iommu_fire engine ~context:1 ~vsrc:Layout.page_size ~vdst:(3 * Layout.page_size) ~size:64);
-  checkb "not-present reject" true (List.mem Engine.Not_present (reject_reasons engine))
+  checkb "not-present reject" true (rejected sink Engine.Not_present)
 
 let test_engine_iommu_unbound () =
-  let engine, _, _ = make_engine ~mechanism:Engine.Iommu () in
+  let engine, sink = traced_engine ~mechanism:Engine.Iommu () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
   checki "no table bound" Status.failure
     (iommu_fire engine ~context:1 ~vsrc:Layout.page_size ~vdst:(3 * Layout.page_size) ~size:64);
-  checkb "not-present reject" true (List.mem Engine.Not_present (reject_reasons engine))
+  checkb "not-present reject" true (rejected sink Engine.Not_present)
 
 let test_engine_iommu_invalidate_refetches () =
   let engine, _, _ = make_engine ~mechanism:Engine.Iommu () in
@@ -944,16 +954,16 @@ let capio_fire ?(pid = 1) engine ~context ~cap_src ~cap_dst ~size =
   dload ~pid engine (ctx_page context)
 
 let capio_engine () =
-  let engine, _, _ = make_engine ~mechanism:Engine.Capio ~n_contexts:4 () in
+  let engine, sink = traced_engine ~mechanism:Engine.Capio ~n_contexts:4 () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
   install_cap engine ~value:0xCAFE ~base:0x1000 ~len:128 ~context:1 ~pid:1 ~read:true
     ~write:false;
   install_cap engine ~value:0xD00D ~base:0x3000 ~len:128 ~context:1 ~pid:1 ~read:false
     ~write:true;
-  engine
+  (engine, sink)
 
 let test_engine_capio_path () =
-  let engine = capio_engine () in
+  let engine, _ = capio_engine () in
   checki "status" 0 (capio_fire engine ~context:1 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:128);
   match Engine.transfers engine with
   | [ tr ] ->
@@ -963,63 +973,63 @@ let test_engine_capio_path () =
   | _ -> Alcotest.fail "transfers"
 
 let test_engine_capio_forged () =
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   checki "forged value fails" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xBAD ~cap_dst:0xD00D ~size:64);
-  checkb "bad-capability reject" true (List.mem Engine.Bad_capability (reject_reasons engine));
+  checkb "bad-capability reject" true (rejected sink Engine.Bad_capability);
   checki "nothing started" 0 (started engine)
 
 let test_engine_capio_foreign_context () =
   (* the laundering move: a victim's capability replayed through the
      accomplice's own context is as bad as a forged one *)
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   Engine.set_context_owner engine ~context:2 ~pid:(Some 2);
   checki "foreign context fails" Status.failure
     (capio_fire ~pid:2 engine ~context:2 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:64);
-  checkb "bad-capability reject" true (List.mem Engine.Bad_capability (reject_reasons engine));
+  checkb "bad-capability reject" true (rejected sink Engine.Bad_capability);
   checki "nothing started" 0 (started engine)
 
 let test_engine_capio_revoked () =
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   dstore engine (control Regmap.k_cap_revoke) 0xCAFE;
   checki "revoked fails" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:64);
   checkb "revoked (not bad) reject" true
-    (List.mem Engine.Revoked_capability (reject_reasons engine));
+    (rejected sink Engine.Revoked_capability);
   checkb "no bad_capability mislabel" false
-    (List.mem Engine.Bad_capability (reject_reasons engine));
+    (rejected sink Engine.Bad_capability);
   checki "nothing started" 0 (started engine)
 
 let test_engine_capio_revoked_by_range () =
   (* unmap shootdown: revoking by physical range kills the cap *)
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   Engine.revoke_caps_range engine ~base:0x3000 ~len:Layout.page_size;
   checki "range-revoked fails" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:64);
-  checkb "revoked reject" true (List.mem Engine.Revoked_capability (reject_reasons engine))
+  checkb "revoked reject" true (rejected sink Engine.Revoked_capability)
 
 let test_engine_capio_out_of_range () =
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   checki "oversized fails" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:256);
-  checkb "bad-range reject" true (List.mem Engine.Bad_range (reject_reasons engine));
+  checkb "bad-range reject" true (rejected sink Engine.Bad_range);
   checki "nothing started" 0 (started engine)
 
 let test_engine_capio_rights () =
   (* the write-only cap cannot source a transfer, nor the read-only
      cap sink one *)
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   checki "write-only src fails" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xD00D ~cap_dst:0xCAFE ~size:64);
-  checkb "bad-capability reject" true (List.mem Engine.Bad_capability (reject_reasons engine));
+  checkb "bad-capability reject" true (rejected sink Engine.Bad_capability);
   checki "nothing started" 0 (started engine)
 
 let test_engine_capio_pid_revocation () =
-  let engine = capio_engine () in
+  let engine, sink = capio_engine () in
   Engine.revoke_caps_pid engine ~pid:1;
   checki "dead owner's caps fail" Status.failure
     (capio_fire engine ~context:1 ~cap_src:0xCAFE ~cap_dst:0xD00D ~size:64);
-  checkb "revoked reject" true (List.mem Engine.Revoked_capability (reject_reasons engine))
+  checkb "revoked reject" true (rejected sink Engine.Revoked_capability)
 
 let test_engine_copy_independent () =
   let engine, clock, ram = make_engine () in

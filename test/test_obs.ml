@@ -88,25 +88,6 @@ let test_trace_ambient () =
   (try Trace.with_ambient sink (fun () -> failwith "boom") with Failure _ -> ());
   checkb "restored after an exception" true (Trace.ambient () == Trace.null)
 
-let test_trace_absorb () =
-  let dst = Trace.create () and src = Trace.create () in
-  emit_n dst 2;
-  emit_n src 3;
-  Trace.absorb dst src;
-  checki "totals added" 5 (Trace.total dst);
-  Alcotest.(check (list int)) "events appended in order" [ 1; 2; 1; 2; 3 ] (steps dst);
-  checki "source unchanged" 3 (Trace.total src);
-  (* a disabled destination drops the absorbed events but still counts
-     them, like any other emission race with set_enabled *)
-  let off = Trace.create () in
-  Trace.set_enabled off false;
-  Trace.absorb off src;
-  checkb "null sink refuses" true
-    (try
-       Trace.absorb Trace.null src;
-       false
-     with Invalid_argument _ -> true)
-
 let test_trace_explorer_kinds () =
   let sink = Trace.create () in
   Trace.emit sink ~at:0 ~machine:0 ~pid:(-1) (Trace.Explorer_fork { depth = 2 });
@@ -320,7 +301,6 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_trace_ring_wraparound;
           Alcotest.test_case "machine registry" `Quick test_trace_machine_registry;
           Alcotest.test_case "ambient install/restore" `Quick test_trace_ambient;
-          Alcotest.test_case "absorb merges sinks" `Quick test_trace_absorb;
           Alcotest.test_case "explorer kinds" `Quick test_trace_explorer_kinds;
         ] );
       ( "counters",

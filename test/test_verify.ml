@@ -8,6 +8,7 @@ open Uldma_dma
 module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
 module Scenario = Uldma_workload.Scenario
+module Trace = Uldma_obs.Trace
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -214,23 +215,33 @@ let test_explorer_contested_mechanisms_safe () =
    through the accomplice's own register context must be rejected
    [Bad_capability] — and the attempt must actually reach the engine,
    otherwise this test would pass vacuously *)
-let launder_rejects engine ~pid:accomplice_pid reason =
+let launder_rejects sink ~pid:accomplice_pid reason =
   List.exists
-    (function
-      | Engine.Rejected { reason = r; pid; _ } -> r = reason && pid = accomplice_pid
-      | Engine.Started _ | Engine.Atomic_done _ -> false)
-    (Engine.events engine)
+    (fun (r : Trace.record) ->
+      match r.Trace.kind with
+      | Trace.Engine_reject { reason = name } ->
+        name = Engine.reject_name reason && r.Trace.pid = accomplice_pid
+      | _ -> false)
+    (Trace.events sink)
+
+(* the laundering scenario with a fresh sink on its engine, which
+   records the engine's rejections *)
+let capio_launder_traced () =
+  let s = Scenario.capio_launder () in
+  let sink = Trace.create () in
+  Engine.set_sink (Kernel.engine s.Scenario.kernel) ~machine:0 sink;
+  (s, sink)
 
 let test_capio_launder_rejected_concrete () =
   (* accomplice fires first, while the victim (and its caps) are alive:
      the context binding rejects the replay as Bad_capability *)
-  let s = Scenario.capio_launder () in
+  let s, sink = capio_launder_traced () in
   Scenario.run_legs s [ Scenario.M; Scenario.M; Scenario.M; Scenario.M ];
   Scenario.finish s ();
   let engine = Kernel.engine s.Scenario.kernel in
   let accomplice_pid = s.Scenario.attacker.Process.pid in
   checkb "laundering rejected Bad_capability" true
-    (launder_rejects engine ~pid:accomplice_pid Engine.Bad_capability);
+    (launder_rejects sink ~pid:accomplice_pid Engine.Bad_capability);
   checki "only the victim's transfer started" 1 (List.length (Engine.transfers engine));
   checkb "oracle clean" true (Oracle.ok (Scenario.report s))
 
@@ -238,12 +249,12 @@ let test_capio_launder_rejected_after_victim_exit () =
   (* the other phase: once the victim exits, its caps are revoked by
      pid, so a late replay is rejected Revoked_capability instead —
      still never fires *)
-  let s = Scenario.capio_launder () in
+  let s, sink = capio_launder_traced () in
   Scenario.finish s ();
   let engine = Kernel.engine s.Scenario.kernel in
   let accomplice_pid = s.Scenario.attacker.Process.pid in
   checkb "late replay rejected Revoked_capability" true
-    (launder_rejects engine ~pid:accomplice_pid Engine.Revoked_capability);
+    (launder_rejects sink ~pid:accomplice_pid Engine.Revoked_capability);
   checki "only the victim's transfer started" 1 (List.length (Engine.transfers engine))
 
 let test_explorer_capio_launder_safe () =
@@ -730,11 +741,15 @@ let test_kernel_snapshot_isolation () =
       checkb (name ^ ": sibling still runnable") true (Kernel.runnable_pids b <> []))
     [ ("fig5", (fun () -> Scenario.fig5 ())); ("rep5", (fun () -> Scenario.rep5 ())) ]
 
-let test_timeline_reproduces_fig5 () =
-  let s = Scenario.fig5 () in
+let fig5_timeline () =
+  let s = Scenario.traced Scenario.fig5 in
   Scenario.run_legs s Scenario.fig5_schedule;
   Scenario.finish s ();
-  let rendered = List.map (fun (_, actor, access) -> (actor, access)) (Scenario.access_timeline s) in
+  (s, Scenario.access_timeline s)
+
+let test_timeline_reproduces_fig5 () =
+  let _, timeline = fig5_timeline () in
+  let rendered = List.map (fun (_, actor, access) -> (actor, access)) timeline in
   Alcotest.(check (list (pair string string)))
     "the Fig. 5 interleaving diagram"
     [
@@ -747,6 +762,32 @@ let test_timeline_reproduces_fig5 () =
       ("victim", "LOAD FROM shadow(A)");
     ]
     rendered
+
+(* a --trace run renders the diagram from the ambient sink, which
+   already holds other kernels' accesses: the machine filter must keep
+   exactly fig5's own *)
+let test_timeline_shared_sink () =
+  let _, private_timeline = fig5_timeline () in
+  let ambient = Trace.create () in
+  let s, shared_timeline =
+    Trace.with_ambient ambient (fun () ->
+        let other = Scenario.traced Scenario.fig6 in
+        Scenario.finish other ();
+        fig5_timeline ())
+  in
+  checkb "fig5 wrote into the ambient sink" true (Kernel.trace s.Scenario.kernel == ambient);
+  checkb "another kernel's accesses precede it" true
+    (List.exists
+       (fun (r : Trace.record) ->
+         r.Trace.machine <> Kernel.machine_id s.Scenario.kernel
+         && match r.Trace.kind with Trace.Uncached_access _ -> r.Trace.pid >= 0 | _ -> false)
+       (Trace.events ambient));
+  checkb "same timeline as on a private sink" true (shared_timeline = private_timeline);
+  let untraced = Scenario.fig5 () in
+  Scenario.finish untraced ();
+  Alcotest.check_raises "an untraced scenario has no timeline"
+    (Invalid_argument "Scenario.access_timeline: the kernel's trace sink is disabled (see traced)")
+    (fun () -> ignore (Scenario.access_timeline untraced))
 
 let test_timeline_labels () =
   let s = Scenario.fig5 () in
@@ -1063,6 +1104,7 @@ let () =
             test_rep5_resists_fig5_schedule;
           Alcotest.test_case "timeline reproduces Fig. 5 diagram" `Quick
             test_timeline_reproduces_fig5;
+          Alcotest.test_case "timeline on a shared sink" `Quick test_timeline_shared_sink;
           Alcotest.test_case "timeline labels" `Quick test_timeline_labels;
         ] );
       ( "explorer",

@@ -203,7 +203,6 @@ let explore_checked ?dedup scenario =
 let () =
   (* 1. coverage of a traced run *)
   let sink = Trace.create () in
-  Trace.set_enabled sink true;
   Trace.with_ambient sink traced_workload;
   let kinds = Hashtbl.create 16 and layers = Hashtbl.create 8 in
   List.iter
