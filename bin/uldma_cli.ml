@@ -838,8 +838,10 @@ let campaign_cmd =
           ]
     in
     (* one shared table across the whole grid; each cell bumps the key
-       generation so cells can never alias each other's entries *)
-    let shared = Explorer.create_shared ~cap:(1 lsl 20) () in
+       generation so cells can never alias each other's entries. Only
+       the outer candidate domains share it, so it is locked only when
+       there are several. *)
+    let shared = Explorer.create_shared ~cap:(1 lsl 20) ~locked:(jobs > 1) () in
     let cells =
       List.concat_map
         (fun subject ->

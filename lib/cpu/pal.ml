@@ -1,11 +1,13 @@
-type t = { slots : Isa.instr array option array }
+(* The slot array is never written in place: [install] replaces it, so
+   copies share it freely. *)
+type t = { mutable slots : Isa.instr array option array }
 
 let max_instructions = 16
 let num_slots = 32
 
 let create () = { slots = Array.make num_slots None }
 
-let copy t = { slots = Array.copy t.slots }
+let copy t = { slots = t.slots }
 
 let check_instr len i =
   match i with
@@ -33,7 +35,9 @@ let install t ~index body =
     in
     match check 0 with
     | Ok () ->
-      t.slots.(index) <- Some (Array.copy body);
+      let slots = Array.copy t.slots in
+      slots.(index) <- Some (Array.copy body);
+      t.slots <- slots;
       Ok ()
     | Error _ as e -> e
 

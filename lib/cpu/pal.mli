@@ -18,12 +18,16 @@ val max_instructions : int
 val num_slots : int
 
 val create : unit -> t
+
 val copy : t -> t
+(** An independent registry in O(1): the copy shares [t]'s slot array,
+    which [install] replaces rather than writes. *)
 
 val install : t -> index:int -> Isa.instr array -> (unit, string) result
 (** Validates: index in range, body length within [max_instructions],
     no [Syscall] / [Call_pal] / [Halt] inside, and branch targets
-    within the body. *)
+    within the body. Copies the slot array (installs are rare and
+    privileged, forks are frequent). *)
 
 val get : t -> int -> Isa.instr array option
 val installed : t -> int list

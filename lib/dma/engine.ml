@@ -144,9 +144,11 @@ let tracing t = Uldma_obs.Trace.enabled t.sink
 
 let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~pid kind
 
-(* Engine snapshot for kernel forks. Everything mutable is duplicated;
-   transfers/outbound and the mapped-out map are immutable and
-   are shared. *)
+(* Engine snapshot for kernel forks. The register contexts, matcher,
+   capabilities, counters and digest are duplicated; the IOTLB is
+   shared copy-on-write (Iotlb.copy flags both sides, and the first
+   write copies); transfers/outbound and the mapped-out map are
+   immutable and are shared. *)
 let copy t ~clock ~backend =
   {
     t with

@@ -23,14 +23,26 @@ type entry = { vpage : int; pte : Pte.t }
 
 type stats = { hits : int; misses : int }
 
+(* The slot, cursor and digest arrays are copy-on-write, together:
+   [shared] means another instance may still read [tab], so the first
+   write through [own] copies all three. [blank] is the empty cache's
+   tables, shared by every copy of one IOTLB and never written, so
+   pointing [tab] at it (with [shared] set) is an allocation-free
+   flush. *)
+type tables = {
+  slots : entry option array; (* set s occupies [s*ways, (s+1)*ways) *)
+  victim : int array; (* per-set round-robin refill cursor *)
+  dg : int array; (* the two additive digest lanes of slots + cursors *)
+}
+
 type t = {
   sets : int;
   ways : int;
-  slots : entry option array; (* set s occupies [s*ways, (s+1)*ways) *)
-  victim : int array; (* per-set round-robin refill cursor *)
+  mutable tab : tables;
+  mutable shared : bool;
+  blank : tables;
   mutable hits : int;
   mutable misses : int;
-  dg : int array; (* the two additive digest lanes of slots + cursors *)
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -41,18 +53,24 @@ let default_ways = 4
 let create ?(sets = default_sets) ?(ways = default_ways) () =
   if not (is_power_of_two sets) then invalid_arg "Iotlb.create: sets must be a power of two";
   if ways < 1 then invalid_arg "Iotlb.create: ways must be positive";
-  {
-    sets;
-    ways;
-    slots = Array.make (sets * ways) None;
-    victim = Array.make sets 0;
-    hits = 0;
-    misses = 0;
-    dg = [| 0; 0 |];
-  }
+  let blank =
+    { slots = Array.make (sets * ways) None; victim = Array.make sets 0; dg = [| 0; 0 |] }
+  in
+  { sets; ways; tab = blank; shared = true; blank; hits = 0; misses = 0 }
 
+(* Both sides are flagged: the explorer keeps writing the parent after
+   forking it, and the child still reads the same tables. *)
 let copy t =
-  { t with slots = Array.copy t.slots; victim = Array.copy t.victim; dg = Array.copy t.dg }
+  t.shared <- true;
+  { t with shared = true }
+
+let own t =
+  if t.shared then begin
+    let tab = t.tab in
+    t.tab <-
+      { slots = Array.copy tab.slots; victim = Array.copy tab.victim; dg = Array.copy tab.dg };
+    t.shared <- false
+  end
 
 let set_of t vpage = vpage land (t.sets - 1)
 
@@ -61,7 +79,7 @@ let lookup t ~vpage =
   let rec probe w =
     if w >= t.ways then None
     else
-      match t.slots.(base + w) with
+      match t.tab.slots.(base + w) with
       | Some e when e.vpage = vpage -> Some e.pte
       | Some _ | None -> probe (w + 1)
   in
@@ -80,14 +98,18 @@ let field e f =
     match f with 0 -> e.vpage | 1 -> e.pte.Pte.frame | _ -> perm_bits e.pte lor 8)
 
 let set_slot t k e =
+  own t;
+  let tab = t.tab in
   for f = 0 to 2 do
-    Uldma_util.Fp128.replace_int t.dg 0 ((3 * k) + f) (field t.slots.(k) f) (field e f)
+    Uldma_util.Fp128.replace_int tab.dg 0 ((3 * k) + f) (field tab.slots.(k) f) (field e f)
   done;
-  t.slots.(k) <- e
+  tab.slots.(k) <- e
 
 let set_victim t set w =
-  Uldma_util.Fp128.replace_int t.dg 0 ((3 * Array.length t.slots) + set) t.victim.(set) w;
-  t.victim.(set) <- w
+  own t;
+  let tab = t.tab in
+  Uldma_util.Fp128.replace_int tab.dg 0 ((3 * Array.length tab.slots) + set) tab.victim.(set) w;
+  tab.victim.(set) <- w
 
 let fill t ~vpage pte =
   let set = set_of t vpage in
@@ -95,7 +117,7 @@ let fill t ~vpage pte =
   (* refill an existing entry for the page in place; otherwise take the
      set's round-robin victim way *)
   let rec existing w = if w >= t.ways then None
-    else match t.slots.(base + w) with
+    else match t.tab.slots.(base + w) with
       | Some e when e.vpage = vpage -> Some w
       | Some _ | None -> existing (w + 1)
   in
@@ -103,7 +125,7 @@ let fill t ~vpage pte =
     match existing 0 with
     | Some w -> w
     | None ->
-      let w = t.victim.(set) in
+      let w = t.tab.victim.(set) in
       set_victim t set ((w + 1) mod t.ways);
       w
   in
@@ -125,15 +147,16 @@ let translate t table ~vpage =
 let invalidate t ~vpage =
   let base = set_of t vpage * t.ways in
   for w = 0 to t.ways - 1 do
-    match t.slots.(base + w) with
+    match t.tab.slots.(base + w) with
     | Some e when e.vpage = vpage -> set_slot t (base + w) None
     | Some _ | None -> ()
   done
 
 let flush t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  Array.fill t.victim 0 (Array.length t.victim) 0;
-  Array.fill t.dg 0 2 0
+  if t.tab != t.blank then begin
+    t.tab <- t.blank;
+    t.shared <- true
+  end
 
 let stats t : stats = { hits = t.hits; misses = t.misses }
 
@@ -142,10 +165,10 @@ let reset_stats t =
   t.misses <- 0
 
 let entries t =
-  Array.to_list t.slots
+  Array.to_list t.tab.slots
   |> List.filter_map (fun e -> Option.map (fun e -> (e.vpage, e.pte)) e)
 
-let digest t = (t.dg.(0), t.dg.(1))
+let digest t = (t.tab.dg.(0), t.tab.dg.(1))
 
 (* Canonical encoding: slot layout plus the victim cursors. Replacement
    is deterministic, so equal encodings evolve identically; hit/miss
@@ -155,8 +178,8 @@ let encode enc t =
   let module E = Uldma_util.Enc in
   match enc with
   | E.Fp fp ->
-    Uldma_util.Fp128.add_int fp t.dg.(0);
-    Uldma_util.Fp128.add_int fp t.dg.(1)
+    Uldma_util.Fp128.add_int fp t.tab.dg.(0);
+    Uldma_util.Fp128.add_int fp t.tab.dg.(1)
   | E.Buf _ ->
     let i v = E.int enc v in
     Array.iter
@@ -167,5 +190,5 @@ let encode enc t =
           i e.vpage;
           i e.pte.Pte.frame;
           i (perm_bits e.pte))
-      t.slots;
-    Array.iter i t.victim
+      t.tab.slots;
+    Array.iter i t.tab.victim

@@ -20,6 +20,10 @@ val create : ?sets:int -> ?ways:int -> unit -> t
 (** [sets] defaults to 16 (must be a power of two), [ways] to 4. *)
 
 val copy : t -> t
+(** An independent IOTLB that shares its slots, victim cursors and
+    digest lanes with [t] until either side first writes them. O(1):
+    both instances are flagged shared, and the writer copies all
+    three. *)
 
 val lookup : t -> vpage:int -> Pte.t option
 (** Probe without filling or touching statistics. *)
@@ -37,7 +41,9 @@ val invalidate : t -> vpage:int -> unit
 (** Drop any entry for [vpage] (unmap shootdown). *)
 
 val flush : t -> unit
-(** Drop everything and reset the victim cursors (context switch). *)
+(** Drop everything and reset the victim cursors (context switch).
+    Allocates nothing: an empty cache is left as is, and a non-empty
+    one points at empty tables shared by every copy of it. *)
 
 val entries : t -> (int * Pte.t) list
 (** Live (vpage, pte) pairs in slot order, for tests. *)

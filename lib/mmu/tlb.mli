@@ -14,6 +14,9 @@ val create : ?slots:int -> unit -> t
 (** [slots] defaults to 64 and must be a power of two. *)
 
 val copy : t -> t
+(** An independent TLB that shares the slot array with [t] until either
+    side first writes it ([fill], or [invalidate] of a cached page).
+    O(1): both instances are flagged shared, and the writer copies. *)
 
 val lookup : t -> vpage:int -> Pte.t option
 (** Probe without filling. *)
@@ -28,7 +31,9 @@ val invalidate : t -> vpage:int -> unit
 (** Remove one entry if present (used when the OS revokes a mapping). *)
 
 val flush : t -> unit
-(** Drop everything (context switch). *)
+(** Drop everything (context switch). Allocates nothing: an empty TLB
+    is left as is, and a non-empty one points at an all-empty array
+    shared by every copy of it. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -59,6 +59,7 @@ type t = {
   disk : Uldma_io.Disk.t option;
   mutable trace : Uldma_obs.Trace.t;
   mutable machine : int;
+  mutable host : (Process.t * Cpu.host) option; (* [host_for]'s cache; a fork starts empty *)
 }
 
 let kernel_pid = -1
@@ -137,6 +138,7 @@ let create config =
       disk = Option.map Uldma_io.Disk.create config.disk;
       trace = Uldma_obs.Trace.null;
       machine = 0;
+      host = None;
     }
   in
   (* pick up the process-global ambient sink so that kernels built deep
@@ -145,12 +147,16 @@ let create config =
   set_trace t (Uldma_obs.Trace.ambient ());
   t
 
-(* Snapshot for explorer forks. RAM is shared copy-on-write
-   (Phys_mem.copy is O(#pages)); the bus carries its timing model and
-   per-pid access counters; page tables fork by persistent-map sharing
-   inside Process.copy. The result is a
-   fully independent kernel whose construction cost is proportional to
-   the amount of live bookkeeping, not to RAM size. *)
+(* Snapshot for explorer forks: a fully independent kernel whose
+   construction cost is proportional to the live bookkeeping, not to
+   RAM size or table capacity. What the next leg rarely writes is
+   shared, not copied: RAM copy-on-write by 512 B chunk (Phys_mem.copy
+   is O(#pages)); page tables as persistent maps inside Process.copy;
+   the per-process TLBs and the engine's IOTLB copy-on-write (both
+   sides flagged, since the explorer goes on writing the parent); the
+   PAL table, which [Pal.install] replaces rather than writes. The bus
+   carries its timing model and per-pid access counters. The CPU host
+   cache is dropped, because its closures capture the parent. *)
 let copy t =
   let clock = Clock.copy t.clock in
   let ram = Phys_mem.copy t.ram in
@@ -172,6 +178,7 @@ let copy t =
       rng = Rng.copy t.rng;
       procs = List.map Process.copy t.procs;
       disk = Option.map Uldma_io.Disk.copy t.disk;
+      host = None;
     }
   in
   (* forks share the parent's sink and machine id (the copied bus and
@@ -466,7 +473,7 @@ let context_switch t (next : Process.t) =
   t.running <- Some next.Process.pid;
   emit t (Uldma_obs.Trace.Ctx_switch { from_pid = prev_pid; to_pid = next.Process.pid })
 
-let host_for t (p : Process.t) =
+let build_host t (p : Process.t) =
   let tm = timing t in
   {
     Cpu.translate = (fun access vaddr -> Addr_space.translate p.Process.addr_space access vaddr);
@@ -490,6 +497,17 @@ let host_for t (p : Process.t) =
     tlb_miss_ps = Timing.tlb_miss_ps tm;
     memory_barrier_ps = Timing.memory_barrier_ps tm;
   }
+
+(* A host captures only [t]'s fixed parts and [p], so it is built once
+   per run of the same process (one explorer leg) instead of once per
+   instruction. *)
+let host_for t (p : Process.t) =
+  match t.host with
+  | Some (q, host) when q == p -> host
+  | Some _ | None ->
+    let host = build_host t p in
+    t.host <- Some (p, host);
+    host
 
 let regs (p : Process.t) = p.Process.ctx.Cpu.regs
 let reg p i = Regfile.get (regs p) i

@@ -48,10 +48,14 @@ type t
 val create : config -> t
 
 val copy : t -> t
-(** Independent snapshot (explorer support): processes, engine, clock,
-    scheduler and write buffer are duplicated; RAM and page tables are
-    shared copy-on-write, so a snapshot costs O(live bookkeeping), not
-    O(RAM size). The bus carries timing and per-pid access counters. *)
+(** Independent snapshot (explorer support). Process contexts, engine
+    registers, clock, scheduler and write buffer are duplicated. Tables
+    the next leg rarely writes are shared: RAM by 512 B copy-on-write
+    chunk, page tables as persistent maps, the TLBs and the IOTLB
+    copy-on-write (the first write on either side copies), and the PAL
+    table, which installs replace. So a snapshot costs O(live
+    bookkeeping), not O(RAM size) or O(table capacity). The bus carries
+    timing and per-pid access counters. *)
 
 val snapshot : t -> t
 (** Alias for [copy]; the intent-revealing name for explorer forks. *)

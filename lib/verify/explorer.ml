@@ -191,6 +191,25 @@ let store cx key s =
   | Some memo, Some k when not cx.truncated -> Memo.add memo k s
   | _ -> ()
 
+(* A node's legs in one pass: its runnable pids in [cx.pids] order,
+   then, with a transfer in flight, "wait for it" as one more explorable
+   leg — so a node is terminal only when nothing can run *and* nothing
+   is draining. *)
+let rec pid_runnable pid = function
+  | [] -> false
+  | (p : Process.t) :: rest ->
+    if p.Process.pid = pid then Process.is_runnable p else pid_runnable pid rest
+
+let rec runnable_legs procs tail = function
+  | [] -> tail
+  | pid :: rest ->
+    if pid_runnable pid procs then pid :: runnable_legs procs tail rest
+    else runnable_legs procs tail rest
+
+let node_legs cx kernel =
+  let tail = match Kernel.next_transfer_deadline kernel with Some _ -> [ wait_leg ] | None -> [] in
+  runnable_legs (Kernel.processes kernel) tail cx.pids
+
 (* Explore [kernel]'s subtree and return its summary, which is complete
    (and memoised) unless the budget ran out inside it. *)
 let rec explore_state cx kernel schedule_rev depth =
@@ -214,16 +233,7 @@ let rec explore_state cx kernel schedule_rev depth =
       s
     | Some _ | None -> (
       cx.visited <- cx.visited + 1;
-      let live = Kernel.runnable_pids kernel in
-      let runnable = List.filter (fun pid -> List.mem pid live) cx.pids in
-      (* with a transfer in flight, "wait for it" is one more explorable
-         leg, ordered after every real pid; a node is terminal only when
-         nothing can run *and* nothing is draining *)
-      let legs =
-        match Kernel.next_transfer_deadline kernel with
-        | Some _ -> runnable @ [ wait_leg ]
-        | None -> runnable
-      in
+      let legs = node_legs cx kernel in
       match legs with
       | [] ->
         cx.used <- cx.used + 1;

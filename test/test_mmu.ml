@@ -339,6 +339,163 @@ let iotlb_digest_matches_recomputed_prop =
       && (Iotlb.flush child;
           Iotlb.digest child = (0, 0)))
 
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write machine tables *)
+
+(* A random fork tree of up to four live machines, each a TLB, an
+   IOTLB and a PAL table. An op picks a machine and copies it (into a
+   free slot, or over another machine once four are live), or writes
+   one of its tables: fill, translate, invalidate or flush a TLB or the
+   IOTLB, or install a PAL body. Each machine is mirrored by the list
+   of writes that built it; the oracle's deep copy of a machine is a
+   fresh one that replays that list, so it shares nothing. A fixed
+   prelude makes sure every script has the risky cases: the parent
+   writing after a fork, copies of copies, flushes of shared tables,
+   and a fresh table flushed and refilled. Afterwards every machine must
+   answer every TLB lookup like its oracle, hold the same IOTLB entries,
+   encoding and digest (and that digest must equal one recomputed from
+   the encoding), and the same PAL slots. *)
+type cow_op =
+  | Fork of int * int (* source, destination slot *)
+  | Tlb_fill of int * int * int (* machine, vpage, frame *)
+  | Tlb_translate of int * int
+  | Tlb_invalidate of int * int
+  | Tlb_flush of int
+  | Io_fill of int * int * int
+  | Io_translate of int * int
+  | Io_invalidate of int * int
+  | Io_flush of int
+  | Pal_install of int * int * int (* machine, index, body tag *)
+
+let cow_tables_match_deep_copy_oracle =
+  let max_live = 4 and vpages = 16 and tlb_slots = 8 and io_sets = 4 and io_ways = 2 in
+  let pal_slots = 6 in
+  let pt = Page_table.create () in
+  for vpage = 0 to 11 do
+    Page_table.map pt ~vpage (pte (vpage + 300) Perms.read_write)
+  done;
+  let fresh () =
+    ( Tlb.create ~slots:tlb_slots (),
+      Iotlb.create ~sets:io_sets ~ways:io_ways (),
+      Uldma_cpu.Pal.create () )
+  in
+  let body tag = Array.init (1 + (tag mod 4)) (fun i -> Uldma_cpu.Isa.Li (i, tag)) in
+  let write (tlb, io, pal) = function
+    | Fork _ -> ()
+    | Tlb_fill (_, vpage, frame) -> Tlb.fill tlb ~vpage (pte frame Perms.read_write)
+    | Tlb_translate (_, vpage) -> ignore (Tlb.translate tlb pt ~vpage)
+    | Tlb_invalidate (_, vpage) -> Tlb.invalidate tlb ~vpage
+    | Tlb_flush _ -> Tlb.flush tlb
+    | Io_fill (_, vpage, frame) -> Iotlb.fill io ~vpage (pte frame Perms.read_only)
+    | Io_translate (_, vpage) -> ignore (Iotlb.translate io pt ~vpage)
+    | Io_invalidate (_, vpage) -> Iotlb.invalidate io ~vpage
+    | Io_flush _ -> Iotlb.flush io
+    | Pal_install (_, index, tag) ->
+      ignore (Uldma_cpu.Pal.install pal ~index (body tag) : (unit, string) result)
+  in
+  let machine_of = function
+    | Fork (k, _)
+    | Tlb_fill (k, _, _)
+    | Tlb_translate (k, _)
+    | Tlb_invalidate (k, _)
+    | Tlb_flush k
+    | Io_fill (k, _, _)
+    | Io_translate (k, _)
+    | Io_invalidate (k, _)
+    | Io_flush k
+    | Pal_install (k, _, _) -> k
+  in
+  (* live.(k): the machine and its writes, newest first *)
+  let apply live op =
+    match (op, live.(machine_of op)) with
+    | _, None -> ()
+    | Fork (_, d), Some ((tlb, io, pal), writes) ->
+      live.(d) <- Some ((Tlb.copy tlb, Iotlb.copy io, Uldma_cpu.Pal.copy pal), writes)
+    | op, Some (m, writes) ->
+      write m op;
+      live.(machine_of op) <- Some (m, op :: writes)
+  in
+  let same_pte a b =
+    match (a, b) with Some a, Some b -> Pte.equal a b | None, None -> true | _ -> false
+  in
+  let matches ((tlb, io, pal), writes) =
+    let ((otlb, oio, opal) as oracle) = fresh () in
+    List.iter (write oracle) (List.rev writes);
+    List.for_all
+      (fun vpage -> same_pte (Tlb.lookup tlb ~vpage) (Tlb.lookup otlb ~vpage))
+      (List.init vpages Fun.id)
+    && List.length (Iotlb.entries io) = List.length (Iotlb.entries oio)
+    && List.for_all2
+         (fun (v, p) (ov, op) -> v = ov && Pte.equal p op)
+         (Iotlb.entries io) (Iotlb.entries oio)
+    && String.equal (iotlb_encode_str io) (iotlb_encode_str oio)
+    && Iotlb.digest io = Iotlb.digest oio
+    && Iotlb.digest io = iotlb_digest_recomputed io ~slots:(io_sets * io_ways)
+    && Uldma_cpu.Pal.installed pal = Uldma_cpu.Pal.installed opal
+    && List.for_all
+         (fun i -> Uldma_cpu.Pal.get pal i = Uldma_cpu.Pal.get opal i)
+         (List.init pal_slots Fun.id)
+  in
+  let prelude =
+    [
+      Tlb_fill (0, 1, 5); Io_fill (0, 1, 5); Pal_install (0, 1, 2);
+      (* the parent writes after a fork *)
+      Fork (0, 1); Tlb_fill (0, 1, 6); Tlb_fill (0, 9, 7); Io_fill (0, 2, 7); Io_invalidate (0, 1);
+      Pal_install (0, 3, 1);
+      (* a copy of a copy, then the middle generation writes *)
+      Fork (1, 2); Tlb_invalidate (1, 1); Io_translate (1, 5); Pal_install (1, 1, 3);
+      (* flushes of shared tables, then writes on both sides *)
+      Fork (2, 3); Tlb_flush 2; Io_flush 2; Tlb_fill (2, 4, 4); Io_fill (3, 6, 6);
+      Tlb_translate (3, 3);
+      (* a fresh table flushed, forked and refilled *)
+      Tlb_flush 3; Io_flush 3; Fork (3, 0); Tlb_fill (3, 2, 8); Io_fill (0, 3, 9);
+    ]
+  in
+  let op_of (kind, k, a, b) =
+    let vpage = a mod vpages and frame = b mod 64 in
+    match kind with
+    | 0 -> Fork (k, (k + 1 + (a mod (max_live - 1))) mod max_live)
+    | 1 -> Tlb_fill (k, vpage, frame)
+    | 2 -> Tlb_translate (k, vpage)
+    | 3 -> Tlb_invalidate (k, vpage)
+    | 4 -> Tlb_flush k
+    | 5 -> Io_fill (k, vpage, frame)
+    | 6 -> Io_translate (k, vpage)
+    | 7 -> Io_invalidate (k, vpage)
+    | 8 -> Io_flush k
+    | _ -> Pal_install (k, a mod pal_slots, b)
+  in
+  let print_op = function
+    | Fork (k, d) -> Printf.sprintf "Fork (%d, %d)" k d
+    | Tlb_fill (k, v, f) -> Printf.sprintf "Tlb_fill (%d, %d, %d)" k v f
+    | Tlb_translate (k, v) -> Printf.sprintf "Tlb_translate (%d, %d)" k v
+    | Tlb_invalidate (k, v) -> Printf.sprintf "Tlb_invalidate (%d, %d)" k v
+    | Tlb_flush k -> Printf.sprintf "Tlb_flush %d" k
+    | Io_fill (k, v, f) -> Printf.sprintf "Io_fill (%d, %d, %d)" k v f
+    | Io_translate (k, v) -> Printf.sprintf "Io_translate (%d, %d)" k v
+    | Io_invalidate (k, v) -> Printf.sprintf "Io_invalidate (%d, %d)" k v
+    | Io_flush k -> Printf.sprintf "Io_flush %d" k
+    | Pal_install (k, i, t) -> Printf.sprintf "Pal_install (%d, %d, %d)" k i t
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      map op_of
+        (quad
+           (frequency [ (2, return 0); (6, int_range 1 8); (1, return 9) ])
+           (int_range 0 (max_live - 1))
+           (int_range 0 max_int) (int_range 0 max_int)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"tlb/iotlb/pal: fork tree matches deep-copy oracle" ~count:200
+       ~print:QCheck2.Print.(list print_op)
+       QCheck2.Gen.(list_size (int_range 0 80) gen_op)
+       (fun ops ->
+         let live = Array.make max_live None in
+         live.(0) <- Some (fresh (), []);
+         List.iter (apply live) prelude;
+         List.iter (apply live) ops;
+         Array.for_all (function None -> true | Some m -> matches m) live))
+
 let test_iotlb_untagged_flush_and_walk_cost () =
   (* flush resets contents *and* victim cursors: a post-flush refill
      re-derives everything from the table, and statistics record the
@@ -533,6 +690,7 @@ let () =
           iotlb_encode_iff_contents_prop;
           iotlb_digest_matches_recomputed_prop;
         ] );
+      ("cow", [ cow_tables_match_deep_copy_oracle ]);
       ( "addr_space",
         [
           Alcotest.test_case "translate" `Quick test_space_translate;

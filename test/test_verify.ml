@@ -1077,6 +1077,17 @@ let test_explorer_direct_major_per_state () =
   if words > 16 * states then
     Alcotest.failf "%d direct-major words over %d states (limit 16 per state)" words states
 
+(* A fork shares the tables its next leg rarely writes — the three
+   processes' TLBs, the IOTLB and the PAL table — instead of copying
+   them. One snapshot of this root measured 488 words; with eager table
+   copies it took 794. The bound is the measured value plus 10 %. *)
+let test_snapshot_words () =
+  let s = Scenario.ext_shadow_contested3 () in
+  let _, a = Uldma_obs.Alloc.measure (fun () -> Kernel.snapshot s.Scenario.kernel) in
+  let words = a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major and limit = 537 in
+  if words > limit then
+    Alcotest.failf "one snapshot allocated %d words (limit %d)" words limit
+
 let () =
   Alcotest.run "verify"
     [
@@ -1152,6 +1163,7 @@ let () =
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;
+          Alcotest.test_case "words per snapshot" `Quick test_snapshot_words;
         ] );
       ( "campaign-engine",
         [
