@@ -2,10 +2,6 @@ type op = Load | Store
 
 type t = { op : op; paddr : int; value : int; pid : int; at : Uldma_util.Units.ps }
 
-type view = { v_op : op; v_paddr : int; v_value : int }
-
-let view t = { v_op = t.op; v_paddr = t.paddr; v_value = t.value }
-
 let pp_op ppf = function
   | Load -> Format.pp_print_string ppf "LOAD"
   | Store -> Format.pp_print_string ppf "STORE"

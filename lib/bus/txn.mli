@@ -2,8 +2,9 @@
 
     A transaction carries the issuing process id as *provenance* for
     the test oracle and for the FLASH baseline (whose modified kernel
-    tells the engine who is running). Protection-mechanism decoders
-    must not see it: they receive a [view]. *)
+    tells the engine who is running). Devices receive the whole
+    transaction, but a user-level protection mechanism must not decide
+    on [pid]: real hardware would not see it. *)
 
 type op = Load | Store
 
@@ -15,8 +16,4 @@ type t = {
   at : Uldma_util.Units.ps; (** issue time *)
 }
 
-type view = { v_op : op; v_paddr : int; v_value : int }
-
-val view : t -> view
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

@@ -114,6 +114,8 @@ let key_prepared ~keyword ~context_page_va =
 
 (* ---------------- PAL-wrapped shared slot ---------------- *)
 
+(* PAL slots used by [Pal_initiated]: add/fetch_store and
+   compare-and-swap *)
 let pal_op_index = 3
 let pal_cas_index = 4
 

@@ -46,8 +46,3 @@ val prepare :
     atomic shadow window, allocates a context/key, installs the PAL
     functions — as each variant needs). *)
 
-val pal_op_index : int
-(** PAL slot used by [Pal_initiated] for add/fetch_store. *)
-
-val pal_cas_index : int
-(** PAL slot used by [Pal_initiated] for compare-and-swap. *)

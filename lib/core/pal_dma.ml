@@ -1,6 +1,7 @@
 open Uldma_cpu
 open Uldma_os
 
+(* the PAL slot the user-level-DMA function is installed in *)
 let pal_index = 1
 
 (* DMA(vsource, vdestination, size):

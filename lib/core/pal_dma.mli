@@ -9,9 +9,6 @@
     Installation of the PAL function is a privileged, one-time
     operation; invoking it is not. *)
 
-val pal_index : int
-(** The PAL slot the user-level-DMA function is installed in. *)
-
 val pal_body : Uldma_cpu.Isa.instr array
 (** The 4-instruction uninterruptible body. *)
 

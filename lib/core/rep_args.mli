@@ -22,11 +22,6 @@
 val mech : Mech.t
 val mech_of_variant : Uldma_dma.Seq_matcher.variant -> Mech.t
 
-val emit_dma_three : Uldma_cpu.Asm.t -> unit
-val emit_dma_four : Uldma_cpu.Asm.t -> unit
-val emit_dma_five : Uldma_cpu.Asm.t -> unit
-(** The Fig. 7 sequence, including the goto-on-failure retry loop. *)
-
 val emit_dma_five_no_retry : Uldma_cpu.Asm.t -> unit
 (** One pass of the five-access sequence without the retry loop — used
     by interleaving-exploration tests that need bounded programs. *)

@@ -1,8 +1,8 @@
-type reg = int [@@deriving show, eq]
+type reg = int [@@deriving show]
 
 let num_regs = 32
 
-type operand = Reg of reg | Imm of int [@@deriving show, eq]
+type operand = Reg of reg | Imm of int [@@deriving show]
 
 type instr =
   | Li of reg * int
@@ -25,7 +25,7 @@ type instr =
   | Call_pal of int
   | Nop
   | Halt
-[@@deriving show, eq]
+[@@deriving show]
 
 let is_branch = function
   | Beq _ | Bne _ | Blt _ | Jmp _ -> true
@@ -59,6 +59,7 @@ let pp_operand ppf = function
   | Reg r -> Format.fprintf ppf "r%d" r
   | Imm v -> if v >= 4096 then Format.fprintf ppf "%#x" v else Format.fprintf ppf "%d" v
 
+(* assembly-style rendering: [store [r20+0], r3], [beq r0, r24, 7] *)
 let pp_asm ppf = function
   | Li (rd, v) ->
     if v >= 4096 || v <= -4096 then Format.fprintf ppf "li    r%d, %#x" rd v

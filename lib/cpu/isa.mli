@@ -36,12 +36,7 @@ type instr =
   | Nop
   | Halt
 
-val pp_instr : Format.formatter -> instr -> unit
 val show_instr : instr -> string
-val equal_instr : instr -> instr -> bool
-
-val pp_asm : Format.formatter -> instr -> unit
-(** Assembly-style rendering: [store \[r20+0\], r3], [beq r0, r24, 7]. *)
 
 val pp_listing : Format.formatter -> instr array -> unit
 (** Numbered program listing with branch targets resolved to line

@@ -558,8 +558,6 @@ let fire_capio t ~context ~cap_src ~cap_dst ~size ~pid =
     | Error reason -> reject t ~reason ~pid
     | Ok dst -> start_transfer t ~src ~dst ~size ~context:(Some context) ~pid)
 
-let revoke_cap t ~value = Capability.revoke_value t.caps ~value
-let revoke_caps_ctx t ~context = Capability.revoke_ctx t.caps ~ctx:context
 let revoke_caps_pid t ~pid = Capability.revoke_pid t.caps ~pid
 let revoke_caps_range t ~base ~len = Capability.revoke_range t.caps ~base ~len
 let capabilities t = t.caps
@@ -1138,8 +1136,6 @@ let device t =
   }
 
 let set_context_owner t ~context ~pid = Context_file.set_owner t.contexts ~context ~pid
-
-let invalidate_pending t = set_pending t None
 
 let map_out t ~src_page ~dst_page =
   t.mapped_out <- Imap.add (Layout.page_base src_page) (Layout.page_base dst_page) t.mapped_out

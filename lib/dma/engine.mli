@@ -115,9 +115,6 @@ val copy : t -> clock:Uldma_bus.Clock.t -> backend:Transfer.backend -> t
 val set_context_owner : t -> context:int -> pid:int option -> unit
 (** Oracle metadata only (which process the OS gave the context to). *)
 
-val invalidate_pending : t -> unit
-(** SHRIMP-2 context-switch hook action. *)
-
 val set_current_pid : t -> int -> unit
 (** FLASH context-switch hook action. *)
 
@@ -141,8 +138,6 @@ val iotlb_invalidate : t -> vpage:int -> unit
 val iotlb_flush : t -> unit
 val iotlb_stats : t -> Uldma_mmu.Iotlb.stats
 
-val revoke_cap : t -> value:int -> unit
-val revoke_caps_ctx : t -> context:int -> unit
 val revoke_caps_pid : t -> pid:int -> unit
 (** Capio revocation on exit: every capability the process was granted
     dies with it. *)

@@ -3,4 +3,3 @@ let complete = 0
 let in_progress = -2
 
 let is_failure s = s < 0
-let is_success s = s >= 0

@@ -23,6 +23,3 @@ val in_progress : int
 
 val is_failure : int -> bool
 (** True for [failure] and [in_progress] — no transfer started. *)
-
-val is_success : int -> bool
-(** True iff a transfer started: the status is its remaining bytes. *)

@@ -11,6 +11,7 @@ let is_word_aligned addr = addr land (word_size - 1) = 0
 let max_contexts = 8
 
 let mmio_base = 1 lsl 32
+(* one page per register context plus one kernel-only control page *)
 let mmio_pages = max_contexts + 1
 let mmio_limit = mmio_base + (mmio_pages * page_size)
 

@@ -31,10 +31,6 @@ val is_word_aligned : int -> bool
 val mmio_base : int
 (** Base of the DMA engine register window (page-aligned, above RAM). *)
 
-val mmio_pages : int
-(** Number of pages in the register window: one per register context
-    (up to [max_contexts]) plus one kernel-only control page. *)
-
 val mmio_limit : int
 
 val max_contexts : int

@@ -98,8 +98,6 @@ let copy t =
   t.stamp <- s;
   { size = t.size; pages = Array.copy t.pages; stamp = s + 1; touched = t.touched }
 
-let page_count t = Array.length t.pages
-
 let owned_pages t =
   Array.fold_left (fun n p -> if p.owner = t.stamp then n + 1 else n) 0 t.pages
 

@@ -28,13 +28,10 @@ val size : t -> int
 val copy : t -> t
 (** Copy-on-write snapshot, for interleaving-explorer forks. It
     re-stamps the parent, then copies only the page-pointer array: at
-    most [page_count t + 16] words, no byte of RAM. Afterwards neither
-    side owns any page, so the first write on either side copies the
-    page's chunk directory and then the written chunk. Semantically
-    equivalent to a deep copy. *)
-
-val page_count : t -> int
-(** Number of page frames backing this RAM. *)
+    most one word per page frame plus 16, no byte of RAM. Afterwards
+    neither side owns any page, so the first write on either side
+    copies the page's chunk directory and then the written chunk.
+    Semantically equivalent to a deep copy. *)
 
 val owned_pages : t -> int
 (** Introspection for tests: how many page records bear this

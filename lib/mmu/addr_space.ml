@@ -57,8 +57,6 @@ let check_range t ~vaddr ~len ~perms = Page_table.mapped_range t.table ~vaddr ~l
 
 let flush_tlb t = Tlb.flush t.tlb
 
-let tlb_stats t = Tlb.stats t.tlb
-
 let pp_fault ppf = function
   | No_mapping v -> Format.fprintf ppf "no mapping for %#x" v
   | Protection (v, Read) -> Format.fprintf ppf "read protection fault at %#x" v

@@ -45,6 +45,5 @@ val check_range : t -> vaddr:int -> len:int -> perms:Uldma_mem.Perms.t -> bool
 (** Fig. 1's [check_size]: the whole range mapped with the perms. *)
 
 val flush_tlb : t -> unit
-val tlb_stats : t -> Tlb.stats
 
 val pp_fault : Format.formatter -> fault -> unit

@@ -34,6 +34,7 @@ let cache_key = function
   | Null -> "null"
   | Linked { link; tick_ps } -> Printf.sprintf "%s@%dps" link.Link.name tick_ps
 
+(* the CLI spellings accepted by [of_string] *)
 let all_names = [ "null"; "atm155"; "atm622"; "gigabit"; "hic" ]
 
 let of_string ?tick_ps s =

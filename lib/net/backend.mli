@@ -58,9 +58,6 @@ val cache_key : t -> string
     "ATM 155Mbps@1000000ps", ...): two backends with equal keys produce
     equal schedule trees, and the tick is part of the key. *)
 
-val all_names : string list
-(** The CLI spellings accepted by [of_string]. *)
-
 val of_string : ?tick_ps:Uldma_util.Units.ps -> string -> (t, string) result
 (** Parse a CLI spelling ([null], [atm155], [atm622], [gigabit],
     [hic]); [tick_ps] applies to the linked backends. Unknown names and

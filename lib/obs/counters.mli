@@ -46,9 +46,6 @@ val buckets : t -> string -> (int * int) list
 val counter_names : t -> string list
 (** Sorted. *)
 
-val histogram_names : t -> string list
-(** Sorted. *)
-
 val merge_into : dst:t -> t -> unit
 (** Add every counter and histogram of the source into [dst]. *)
 

@@ -10,9 +10,6 @@
       future-stamped completions keep per-machine timestamps monotone;
     - an ASCII per-layer summary table. *)
 
-val write_jsonl : out_channel -> Trace.t -> unit
-val write_chrome : out_channel -> Trace.t -> unit
-
 val to_file : [ `Jsonl | `Chrome ] -> string -> Trace.t -> unit
 (** Write the trace to a fresh file at the given path. *)
 

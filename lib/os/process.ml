@@ -20,6 +20,7 @@ type t = {
   mutable cpu_time_ps : Uldma_util.Units.ps;
 }
 
+(* first user virtual address handed out by [next_va] (64 KiB) *)
 let initial_va = 0x10000
 
 let make ~pid ~name ~program ~superuser =

@@ -42,6 +42,3 @@ val is_runnable : t -> bool
 val kill : t -> exit_reason -> unit
 val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit
-
-val initial_va : int
-(** First user virtual address handed out by [next_va] (64 KiB). *)

@@ -146,6 +146,8 @@ let matrix6 () =
 
 let bus_presets = [ ("12.5 MHz", Timing.alpha3000_300); ("33 MHz", Timing.pci33); ("66 MHz", Timing.pci66) ]
 
+(* §3.4's remark: Table 1 re-run at TurboChannel 12.5, PCI 33 and
+   PCI 66 MHz. *)
 let bus_sweep () =
   let tbl =
     Tbl.create ~title:"Bus-frequency sweep (sec. 3.4 remark: 'recent buses, like PCI, run at 66 MHz')"
@@ -167,6 +169,8 @@ let bus_sweep () =
     Api.table1;
   tbl
 
+(* §2.2's range: kernel-level initiation as the empty-syscall cost
+   sweeps 1000..5000 cycles; user-level mechanisms are unaffected. *)
 let os_sweep () =
   let tbl =
     Tbl.create
@@ -319,6 +323,8 @@ let fig6_attack4 () =
       "Fig. 6: attack on the 4-access variant — the DMA starts but the victim is told it failed"
     Scenario.fig6 Scenario.fig6_schedule
 
+(* The five-access method under heavy random preemption: retries
+   happen, the DMA still completes exactly once, oracle clean. *)
 let fig7_retry () =
   let tbl =
     Tbl.create
@@ -436,6 +442,10 @@ let atomics () =
 (* ------------------------------------------------------------------ *)
 (* Latency tails under contention *)
 
+(* One-initiation wall-clock latency distribution while a compute
+   process preempts at random: the retry-free mechanisms pay only for
+   lost quanta; the repeated-passing method also pays for broken
+   sequences. *)
 let latency_tail () =
   let tbl =
     Tbl.create
@@ -673,6 +683,9 @@ let pingpong_rtt ~link ~send ~rounds =
   | Uldma.Cluster.Max_steps | Uldma.Cluster.Predicate -> failwith "pingpong did not converge");
   Units.to_us (Uldma.Cluster.now_ps cluster) /. float_of_int rounds
 
+(* A two-node [Uldma.Cluster] exchanging 8-byte messages: round-trip
+   time when each message is launched by a Telegraphos remote store,
+   by ext-shadow user-level DMA, and by a kernel-level DMA syscall. *)
 let pingpong () =
   let tbl =
     Tbl.create
@@ -706,6 +719,8 @@ let pingpong () =
 (* ------------------------------------------------------------------ *)
 (* Key-width ablation: why "close to 60 bits" *)
 
+(* §3.1's "60 bits" sized empirically: brute-force acceptance rate as
+   the key field narrows. *)
 let ablate_key_width () =
   let tbl =
     Tbl.create
@@ -1001,6 +1016,9 @@ let ablate_wbuf () =
     stubs;
   tbl
 
+(* §3.1 "say 4 to 8": aggregate initiation throughput of 8 processes
+   as the number of register contexts varies (losers use the kernel
+   path). *)
 let ablate_contexts () =
   let tbl =
     Tbl.create
@@ -1078,6 +1096,8 @@ let ablate_contexts () =
     [ 0; 1; 2; 4; 8 ];
   tbl
 
+(* Preemption frequency vs rep-args retries: two five-access users
+   under quanta from 1 to 500 instructions. *)
 let ablate_quantum () =
   let tbl =
     Tbl.create

@@ -2,8 +2,10 @@
 
     Each experiment is a pure function producing a rendered table; the
     registry maps experiment ids (the ones DESIGN.md and EXPERIMENTS.md
-    use) to implementations. [bench/main.exe] runs all of them;
-    [bin/uldma_cli] runs them selectively. *)
+    use) to implementations. [uldma_cli all] prints every table, and
+    [uldma_cli run ID --csv _results/ID.csv] regenerates one committed
+    table. Experiments that no caller runs by name are reached only
+    through [all] and [find]. *)
 
 type experiment = {
   id : string;
@@ -23,14 +25,6 @@ val matrix6 : unit -> Uldma_util.Tbl.t
     protection/atomicity verdict and the slots-2 collusion-campaign
     cell (violating candidates / candidates, witness program). *)
 
-val bus_sweep : unit -> Uldma_util.Tbl.t
-(** §3.4's remark: Table 1 re-run at TurboChannel 12.5, PCI 33 and
-    PCI 66 MHz. *)
-
-val os_sweep : unit -> Uldma_util.Tbl.t
-(** §2.2's range: kernel-level initiation as the empty-syscall cost
-    sweeps 1000..5000 cycles; user-level mechanisms are unaffected. *)
-
 val crossover : unit -> Uldma_util.Tbl.t
 (** §1/§2.2 motivation: initiation overhead vs wire time across
     message sizes and networks; the regime where the OS overhead
@@ -42,10 +36,6 @@ val fig2_shrimp : unit -> Uldma_util.Tbl.t
 
 val fig5_attack3 : unit -> Uldma_util.Tbl.t
 val fig6_attack4 : unit -> Uldma_util.Tbl.t
-val fig7_retry : unit -> Uldma_util.Tbl.t
-(** The five-access method under heavy random preemption: retries
-    happen, the DMA still completes exactly once, oracle clean. *)
-
 val fig8_proof : unit -> Uldma_util.Tbl.t
 (** Exhaustive interleaving exploration of all three variants against
     the adversary: violations found for 3 and 4, none for 5. *)
@@ -68,12 +58,6 @@ type pingpong_send = Remote_store | Ext_shadow_dma | Kernel_dma
 val pingpong_rtt : link:Uldma_net.Link.t -> send:pingpong_send -> rounds:int -> float
 (** Round-trip time in µs per round (exposed for tests). *)
 
-val latency_tail : unit -> Uldma_util.Tbl.t
-(** One-initiation wall-clock latency distribution while a compute
-    process preempts at random: the retry-free mechanisms pay only for
-    lost quanta; the repeated-passing method also pays for broken
-    sequences. *)
-
 val disk_vs_net : unit -> Uldma_util.Tbl.t
 (** §1's opening contrast: initiation overhead as a fraction of the
     device service time — negligible for millisecond magnetic disks,
@@ -83,27 +67,9 @@ val accounting : unit -> Uldma_util.Tbl.t
 (** Machine accounting (Metrics) for a mixed DMA + compute workload:
     per-process CPU attribution, bus utilization, engine activity. *)
 
-val pingpong : unit -> Uldma_util.Tbl.t
-(** A two-node {!Uldma.Cluster} exchanging 8-byte messages: round-trip
-    time when each message is launched by a Telegraphos remote store,
-    by ext-shadow user-level DMA, and by a kernel-level DMA syscall. *)
-
-val ablate_key_width : unit -> Uldma_util.Tbl.t
-(** §3.1's "60 bits" sized empirically: brute-force acceptance rate as
-    the key field narrows. *)
-
 val ablate_wbuf : unit -> Uldma_util.Tbl.t
 (** Why the paper's memory barriers matter: mechanisms under a
     collapsing/forwarding write buffer, with and without barriers. *)
-
-val ablate_contexts : unit -> Uldma_util.Tbl.t
-(** §3.1 "say 4 to 8": aggregate initiation throughput of 8 processes
-    as the number of register contexts varies (losers use the kernel
-    path). *)
-
-val ablate_quantum : unit -> Uldma_util.Tbl.t
-(** Preemption frequency vs rep-args retries: two five-access users
-    under quanta from 1 to 500 instructions. *)
 
 val all : experiment list
 

@@ -104,6 +104,7 @@ let[@inline] fmix h =
 
 let lanes t = (fmix (t.a lxor t.fed), fmix (t.b + (t.fed * prime_a)))
 
+(* pack two already-finalised lanes into a 16-byte key *)
 let key_of_lanes lo hi =
   let b = Bytes.create 16 in
   Bytes.set_int64_le b 0 (Int64.of_int lo);

@@ -36,9 +36,6 @@ val key : t -> string
 (** 16-byte packed key of the finalised lanes — suitable as a compact
     hashtable key. *)
 
-val key_of_lanes : int -> int -> string
-(** Pack two already-finalised lanes into a 16-byte key. *)
-
 (** {1 Additive digests}
 
     Write-maintained digests of slot arrays (Zobrist / AdHash style).

@@ -43,7 +43,3 @@ let mean samples =
   match samples with
   | [] -> invalid_arg "Stats.mean: empty sample"
   | _ :: _ -> List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f"
-    s.n s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

@@ -21,5 +21,3 @@ val percentile : float array -> float -> float
     array. Raises [Invalid_argument] on an empty array. *)
 
 val mean : float list -> float
-
-val pp_summary : Format.formatter -> summary -> unit

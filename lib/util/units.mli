@@ -9,7 +9,6 @@ type ps = int
 (** Simulated time in picoseconds. *)
 
 val ps_per_ns : int
-val ps_per_us : int
 
 val ns : float -> ps
 (** Nanoseconds to picoseconds (rounded). *)

@@ -163,14 +163,11 @@ val explore_pids : t -> int list
 (** The pid list to hand to {!Uldma_verify.Explorer.explore} —
     [processes] projected to pids. *)
 
-val oracle_report : t -> Uldma_os.Kernel.t -> Uldma_verify.Oracle.report
-(** Audit an arbitrary kernel state (typically an explorer terminal
-    snapshot) against the scenario's intents, reading each reporting
-    process's success count out of that state. *)
-
 val oracle_check : t -> Uldma_os.Kernel.t -> Uldma_verify.Oracle.violation option
-(** [oracle_report] as an explorer [check]: the first violation, if
-    any. Pure — safe on worker domains. *)
+(** An explorer [check]: audit an arbitrary kernel state (typically an
+    explorer terminal snapshot) against the scenario's intents, reading
+    each reporting process's success count out of that state, and
+    return the first violation, if any. Pure — safe on worker domains. *)
 
 val run_legs : t -> leg list -> unit
 (** Advance the named process by one NI access per leg. *)

@@ -27,8 +27,6 @@
 
 type op = S of int | L of int  (** page index 0 or 1 *)
 
-val show_op : op -> string
-
 val mnemonic : op list -> string
 (** Stable program label, e.g. ["S0.L0.L1"]. *)
 
@@ -65,7 +63,6 @@ val subject_of_string : string -> subject option
     short spellings. *)
 
 val subject_mech : subject -> Uldma.Mech.t
-val subject_engine_mechanism : subject -> Uldma_dma.Engine.mechanism
 
 type base
 (** A base kernel: victim (one DMA through the cell's mechanism, the
@@ -86,9 +83,6 @@ val candidate : base -> op list -> Uldma_verify.Oracle.violation Uldma_verify.Ca
     NOT safe to call concurrently (snapshotting mutates the base's
     page-ownership flags): build all candidates sequentially, before
     {!Uldma_verify.Campaign.run} spawns domains. *)
-
-val variant_label : Uldma_dma.Seq_matcher.variant -> string
-(** ["rep3"] / ["rep4"] / ["rep5"]. *)
 
 val net_label : Uldma_net.Backend.t option -> string
 (** [Backend.cache_key], or ["null"]. *)
@@ -143,8 +137,7 @@ val run_cell :
     [shared] to chain several cells through one table (the generation
     bump keeps their key spaces disjoint). *)
 
-val catalogue_header : string
 val catalogue_row : cell -> string
 
 val write_catalogue : string -> cell list -> unit
-(** CSV: [catalogue_header] then one row per cell. *)
+(** CSV: a header line, then one [catalogue_row] per cell. *)

@@ -437,6 +437,14 @@ let test_explorer_bounded_memo_equivalence () =
     (capped.Explorer.states_visited >= base.Explorer.states_visited);
   checki "default cap evicts nothing here" 0 base.Explorer.evictions
 
+(* A clipped run on a tiny memo: the 3-process key-based tree is far
+   larger than 2000 schedules, so the budget clips it, and a 64-entry
+   table must evict on the way there. *)
+let test_explorer_clipped_under_eviction () =
+  let r = explore_with ~max_paths:2000 ~memo_cap:64 (fun () -> Scenario.key_contested3 ()) in
+  checkb "truncated" true r.Explorer.truncated;
+  checkb "evictions happened" true (r.Explorer.evictions > 0)
+
 (* Three-process contested tree (1680 schedules): dedup on and off
    must agree exactly. *)
 let test_explorer_3proc_determinism () =
@@ -1148,6 +1156,7 @@ let () =
             test_explorer_stuck_and_violation_order;
           Alcotest.test_case "bounded memo equivalence" `Slow
             test_explorer_bounded_memo_equivalence;
+          Alcotest.test_case "clipped under eviction" `Quick test_explorer_clipped_under_eviction;
           Alcotest.test_case "3-process determinism" `Slow test_explorer_3proc_determinism;
           Alcotest.test_case "rep5 vs two colluders: victim safe" `Slow
             test_explorer_rep5_contested3_victim_safe;

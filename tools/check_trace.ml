@@ -18,8 +18,9 @@
       schedules;
    5. re-measures explorer throughput with tracing disabled and
       compares against the recorded baseline (argv.(1), normally
-      _results/BENCH_explorer.json): fails only below baseline/5, a
-      deliberately loose bound so loaded CI machines do not flake. *)
+      _results/BENCH_explorer.json, which tools/bench_explorer.exe
+      writes): fails only below baseline/5, a deliberately loose bound
+      so loaded CI machines do not flake. *)
 
 module Trace = Uldma_obs.Trace
 module Export = Uldma_obs.Export
