@@ -14,9 +14,8 @@ val create : ?slots:int -> unit -> t
 (** [slots] defaults to 64 and must be a power of two. *)
 
 val copy : t -> t
-(** An independent TLB that shares the slot array with [t] until either
-    side first writes it ([fill], or [invalidate] of a cached page).
-    O(1): both instances are flagged shared, and the writer copies. *)
+(** An independent TLB. O(1): the filled slots are a persistent map,
+    which both instances share and neither ever writes in place. *)
 
 val lookup : t -> vpage:int -> Pte.t option
 (** Probe without filling. *)
@@ -31,9 +30,8 @@ val invalidate : t -> vpage:int -> unit
 (** Remove one entry if present (used when the OS revokes a mapping). *)
 
 val flush : t -> unit
-(** Drop everything (context switch). Allocates nothing: an empty TLB
-    is left as is, and a non-empty one points at an all-empty array
-    shared by every copy of it. *)
+(** Drop everything (context switch). Allocates nothing: the slot map
+    becomes the empty map. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

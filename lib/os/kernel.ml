@@ -80,6 +80,8 @@ let build_backend spec ram =
    running; [kernel_pid] when none is. *)
 let trace_pid t = match t.running with Some pid -> pid | None -> kernel_pid
 
+(* A caller that builds its payload first tests [Trace.enabled]
+   itself, so a disabled probe costs one load-and-branch. *)
 let emit t kind =
   if Uldma_obs.Trace.enabled t.trace then
     Uldma_obs.Trace.emit t.trace ~at:(Clock.now t.clock) ~machine:t.machine ~pid:(trace_pid t) kind
@@ -215,7 +217,13 @@ let timing t = Bus.timing t.bus
 let ram t = t.ram
 let pal t = t.pal
 let processes t = t.procs
-let find_process t pid = List.find_opt (fun p -> p.Process.pid = pid) t.procs
+(* The process with [pid]; raises [Not_found]. A direct walk, so the
+   per-instruction callers allocate no closure and no option. *)
+let rec process_of_pid pid = function
+  | [] -> raise Not_found
+  | (p : Process.t) :: rest -> if p.Process.pid = pid then p else process_of_pid pid rest
+
+let find_process t pid = try Some (process_of_pid pid t.procs) with Not_found -> None
 let runnable_pids t =
   List.filter_map (fun p -> if Process.is_runnable p then Some p.Process.pid else None) t.procs
 let running t = t.running
@@ -471,7 +479,8 @@ let context_switch t (next : Process.t) =
   Sched.note_switch t.sched;
   t.context_switches <- t.context_switches + 1;
   t.running <- Some next.Process.pid;
-  emit t (Uldma_obs.Trace.Ctx_switch { from_pid = prev_pid; to_pid = next.Process.pid })
+  if Uldma_obs.Trace.enabled t.trace then
+    emit t (Uldma_obs.Trace.Ctx_switch { from_pid = prev_pid; to_pid = next.Process.pid })
 
 let build_host t (p : Process.t) =
   let tm = timing t in
@@ -636,9 +645,9 @@ let rec handle_syscall t (p : Process.t) =
   flush_write_buffer t p.Process.pid;
   p.Process.syscalls <- p.Process.syscalls + 1;
   let number = reg p 0 in
-  emit t (Uldma_obs.Trace.Syscall_enter { sysno = number });
+  if Uldma_obs.Trace.enabled t.trace then emit t (Uldma_obs.Trace.Syscall_enter { sysno = number });
   dispatch_syscall t p number;
-  emit t (Uldma_obs.Trace.Syscall_exit { sysno = number })
+  if Uldma_obs.Trace.enabled t.trace then emit t (Uldma_obs.Trace.Syscall_exit { sysno = number })
 
 and sys_grant_dma_cap_impl t (p : Process.t) =
   let tm = timing t in
@@ -777,6 +786,8 @@ let soonest_wake t =
       | Process.Ready | Process.Exited _ -> acc)
     None t.procs
 
+let is_running t pid = match t.running with Some r -> r = pid | None -> false
+
 let rec step t =
   wake_sleepers t;
   let runnable = runnable_pids t in
@@ -799,20 +810,20 @@ let rec step t =
       step t
     | None -> `Idle)
   | Some pid -> (
-    match find_process t pid with
-    | None -> `Idle
-    | Some p ->
-      if t.running <> Some pid then context_switch t p;
+    match process_of_pid pid t.procs with
+    | exception Not_found -> `Idle
+    | p ->
+      if not (is_running t pid) then context_switch t p;
       exec_one t p;
       `Stepped pid)
 
 let step_pid t pid =
-  match find_process t pid with
-  | Some p when Process.is_runnable p ->
-    if t.running <> Some pid then context_switch t p;
+  match process_of_pid pid t.procs with
+  | p when Process.is_runnable p ->
+    if not (is_running t pid) then context_switch t p;
     exec_one t p;
     `Ok
-  | Some _ | None -> `Not_runnable
+  | _ | (exception Not_found) -> `Not_runnable
 
 type run_result = All_exited | Max_steps | Predicate
 

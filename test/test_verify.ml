@@ -1096,6 +1096,203 @@ let test_snapshot_words () =
   if words > limit then
     Alcotest.failf "one snapshot allocated %d words (limit %d)" words limit
 
+(* Words one leg allocates, averaged over a seeded random walk of
+   key-3 at 3/3: from the root, fork and run one random leg at a time
+   until none is left, [walks] times. Only [advance_one_leg] is
+   measured; a wait leg (none under this Null backend) is not. *)
+let key3_words_per_leg ~walks =
+  let s = Scenario.key_contested3 ~victim_repeat:3 ~tenant_repeat:3 () in
+  let pids = Scenario.explore_pids s in
+  let rng = Uldma_util.Rng.create ~seed:3 in
+  let words = ref 0 and legs = ref 0 in
+  let rec walk k =
+    let live = Kernel.runnable_pids k in
+    let runnable = List.filter (fun pid -> List.mem pid live) pids in
+    let choices =
+      match Kernel.next_transfer_deadline k with
+      | Some _ -> runnable @ [ Explorer.wait_leg ]
+      | None -> runnable
+    in
+    if choices <> [] then begin
+      let leg = List.nth choices (Uldma_util.Rng.int rng (List.length choices)) in
+      let fork = Kernel.snapshot k in
+      if leg = Explorer.wait_leg then (if Kernel.advance_to_next_completion fork then walk fork)
+      else
+        let outcome, a =
+          Uldma_obs.Alloc.measure (fun () ->
+              Explorer.advance_one_leg fork leg ~max_instructions:2000)
+        in
+        words := !words + a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major;
+        incr legs;
+        match outcome with `Progress | `Exited -> walk fork | `Stuck -> ()
+    end
+  in
+  for _ = 1 to walks do
+    walk (Kernel.snapshot s.Scenario.kernel)
+  done;
+  (float_of_int !words /. float_of_int !legs, !legs)
+
+(* The TLB's filled slots are a persistent map, so the first fill
+   after a context-switch flush adds one map node instead of copying a
+   64-slot array, and a kernel step finds its process without a
+   closure or an option. This walk (3,900 legs) measured 129.0 words
+   per leg; with the copy-on-write slot array and the closure-based
+   process lookup it took 216.7. The bound is the measured value plus
+   10 %. *)
+let test_leg_words () =
+  let words, legs = key3_words_per_leg ~walks:100 in
+  checkb "the walk ran legs" true (legs > 1000);
+  let limit = 142.0 in
+  if words > limit then
+    Alcotest.failf "one leg allocated %.1f words on average over %d legs (limit %.1f)" words legs
+      limit
+
+(* ------------------------------------------------------------------ *)
+(* Memo *)
+
+module Memo = Uldma_verify.Memo
+
+(* A rotation discards only the cold keys that hot does not also hold:
+   a cold hit's promoted copy lives on. *)
+let test_memo_evictions_exclude_promoted () =
+  let t = Memo.create ~shards:1 ~cap:4 ~locked:false in
+  List.iter (fun k -> Memo.add t k k) [ "a"; "b"; "c"; "d" ];
+  checkb "cold hit found" true (Memo.find t "a" = Some "a");
+  List.iter (fun k -> Memo.add t k k) [ "e"; "f"; "g" ];
+  checki "b, c and d evicted; promoted a survives" 3 (Memo.evictions t);
+  checkb "a still resident" true (Memo.find t "a" = Some "a");
+  checkb "b gone" true (Memo.find t "b" = None)
+
+(* The reference: the two-generation [Hashtbl] memo the flat table
+   replaced, with the same shard choice, the same rotation and
+   promotion rules, and evictions counted as cold keys absent from
+   hot. *)
+module Ref_memo = struct
+  type 'a shard = {
+    mutable hot : (string, 'a) Hashtbl.t;
+    mutable cold : (string, 'a) Hashtbl.t;
+  }
+
+  type 'a t = { shards : 'a shard array; cap : int; mutable evicted : int }
+
+  let create ~shards ~cap =
+    {
+      shards = Array.init shards (fun _ -> { hot = Hashtbl.create 8; cold = Hashtbl.create 0 });
+      cap = max 1 (cap / shards);
+      evicted = 0;
+    }
+
+  let shard t k = t.shards.(Memo.shard_of_string ~shards:(Array.length t.shards) k)
+  let cold_only sh = Hashtbl.fold (fun k _ n -> if Hashtbl.mem sh.hot k then n else n + 1) sh.cold 0
+
+  let find t k =
+    let sh = shard t k in
+    match Hashtbl.find_opt sh.hot k with
+    | Some _ as hit -> hit
+    | None -> (
+      match Hashtbl.find_opt sh.cold k with
+      | Some v as hit ->
+        Hashtbl.replace sh.hot k v;
+        hit
+      | None -> None)
+
+  let add t k v =
+    let sh = shard t k in
+    Hashtbl.replace sh.hot k v;
+    if Hashtbl.length sh.hot >= t.cap then begin
+      t.evicted <- t.evicted + cold_only sh;
+      sh.cold <- sh.hot;
+      sh.hot <- Hashtbl.create 8
+    end
+
+  let length t = Array.fold_left (fun n sh -> n + Hashtbl.length sh.hot + cold_only sh) 0 t.shards
+  let evictions t = t.evicted
+end
+
+(* Keys of three kinds: canonical fingerprints (small lanes too, which
+   share lanes with the side table's first ids), pairs of 16-byte keys
+   that differ only in bit 63 of one half, and strings of other
+   lengths. *)
+let gen_memo_keys =
+  let open QCheck2.Gen in
+  let lane = oneof [ int; int_range 0 3 ] in
+  (* two 63-bit lanes as int64 halves, as [Fp128.key] packs them *)
+  let key_of_lanes lo hi =
+    let b = Bytes.create 16 in
+    Bytes.set_int64_le b 0 (Int64.of_int lo);
+    Bytes.set_int64_le b 8 (Int64.of_int hi);
+    Bytes.to_string b
+  in
+  let canonical = map2 key_of_lanes lane lane in
+  let flip_top key half =
+    let b = Bytes.of_string key in
+    let i = (8 * half) + 7 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x80));
+    Bytes.to_string b
+  in
+  let kind =
+    oneof
+      [
+        map (fun k -> [ k ]) canonical;
+        map2 (fun k half -> [ k; flip_top k half ]) canonical (int_range 0 1);
+        map (fun s -> [ s ])
+          (string_size ~gen:(char_range 'a' 'd') (oneof [ int_range 0 15; int_range 17 40 ]));
+      ]
+  in
+  map (fun ks -> Array.of_list (List.concat ks)) (list_size (int_range 1 12) kind)
+
+type memo_op = Add of int * int | Find of int
+
+let gen_memo_run =
+  let open QCheck2.Gen in
+  let op = oneof [ map2 (fun k v -> Add (k, v)) nat small_nat; map (fun k -> Find k) nat ] in
+  quad (int_range 1 64) (oneofl [ 1; 4 ]) gen_memo_keys (list_size (int_range 0 300) op)
+
+let memo_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"memo matches a two-Hashtbl reference" ~count:300 gen_memo_run
+       (fun (cap, shards, keys, ops) ->
+         let m = Memo.create ~shards ~cap ~locked:false and r = Ref_memo.create ~shards ~cap in
+         List.for_all
+           (fun op ->
+             let same_find =
+               match op with
+               | Add (k, v) ->
+                 let key = keys.(k mod Array.length keys) in
+                 Memo.add m key v;
+                 Ref_memo.add r key v;
+                 true
+               | Find k ->
+                 let key = keys.(k mod Array.length keys) in
+                 Memo.find m key = Ref_memo.find r key
+             in
+             same_find
+             && Memo.length m = Ref_memo.length r
+             && Memo.evictions m = Ref_memo.evictions r)
+           ops))
+
+(* Words a memo holds per resident entry at its peak: one shard with
+   both generations full (cold at its 4096-key cap, hot one key short
+   of rotating), immediate values, random 16-byte keys. The two-Hashtbl
+   memo this table replaced held 8.75 words per entry here (a bucket
+   slot, a four-word cons cell and the four-word key string); the bound
+   is half of that. The flat table needs about 4.2: two lanes, a value
+   and a tag byte per slot, at a load of 3/4. *)
+let test_memo_words_per_resident_entry () =
+  let cap = 4096 in
+  let t = Memo.create ~shards:1 ~cap ~locked:false in
+  let rng = Uldma_util.Rng.create ~seed:5 in
+  for i = 1 to (2 * cap) - 1 do
+    Memo.add t (String.init 16 (fun _ -> Char.chr (Uldma_util.Rng.int rng 256))) i
+  done;
+  checki "both generations full" ((2 * cap) - 1) (Memo.length t);
+  let per_entry =
+    float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (Memo.length t)
+  in
+  let limit = 8.75 /. 2. in
+  if per_entry > limit then
+    Alcotest.failf "memo holds %.2f words per resident entry (limit %.3f)" per_entry limit
+
 let () =
   Alcotest.run "verify"
     [
@@ -1173,6 +1370,14 @@ let () =
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;
           Alcotest.test_case "words per snapshot" `Quick test_snapshot_words;
+          Alcotest.test_case "words per leg" `Quick test_leg_words;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "evictions exclude promoted keys" `Quick
+            test_memo_evictions_exclude_promoted;
+          memo_matches_reference;
+          Alcotest.test_case "words per resident entry" `Quick test_memo_words_per_resident_entry;
         ] );
       ( "campaign-engine",
         [
