@@ -739,7 +739,7 @@ let campaign_cmd =
   let doc =
     "Bounded adversary synthesis: enumerate every accomplice program up to --slots ops from the \
      S/L shadow-page grammar, explore each candidate exhaustively through the campaign engine \
-     (one cross-candidate shared memo, outer-level parallel fan-out), and write the collusion \
+     (one cross-candidate shared memo), and write the collusion \
      catalogue — which mechanism/backend cells admit collusion, with minimal witness programs."
   in
   let slots =
@@ -750,15 +750,6 @@ let campaign_cmd =
           ~doc:
             "Accomplice instruction slots: enumerate all canonical programs of 1..$(docv) ops \
              (4^n/2 per length n: 10 candidates at 2, 42 at 3, 682 at 5).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains: up to $(docv) domains each explore whole candidates off a shared \
-             queue (default 1).")
   in
   let max_paths =
     Arg.(
@@ -810,7 +801,7 @@ let campaign_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the collusion catalogue CSV to $(docv).")
   in
-  let run slots jobs max_paths mechs nets tick_ps out =
+  let run slots max_paths mechs nets tick_ps out =
     let nets =
       List.map
         (fun name ->
@@ -838,19 +829,15 @@ let campaign_cmd =
           ]
     in
     (* one shared table across the whole grid; each cell bumps the key
-       generation so cells can never alias each other's entries. Only
-       the outer candidate domains share it, so it is locked only when
-       there are several. *)
-    let shared = Explorer.create_shared ~cap:(1 lsl 20) ~locked:(jobs > 1) () in
+       generation so cells can never alias each other's entries *)
+    let shared = Explorer.create_shared ~cap:(1 lsl 20) () in
     let cells =
       List.concat_map
         (fun subject ->
           List.map
             (fun net ->
               let t0 = Unix.gettimeofday () in
-              let cr =
-                Synth.run_cell ?net ~slots ~jobs ~max_paths ~shared subject
-              in
+              let cr = Synth.run_cell ?net ~slots ~max_paths ~shared subject in
               let c = cr.Synth.cr_cell in
               Uldma_util.Tbl.add_row tbl
                 [
@@ -886,8 +873,7 @@ let campaign_cmd =
   in
   Cmd.v
     (Cmd.info "campaign" ~doc)
-    Term.(
-      const run $ slots $ jobs $ max_paths $ mechs $ nets $ tick_ps $ out)
+    Term.(const run $ slots $ max_paths $ mechs $ nets $ tick_ps $ out)
 
 let () =
   let doc = "User-level DMA without OS kernel modification - reproduction toolkit" in

@@ -64,9 +64,9 @@ type t = {
 
 exception Fault of int
 
-(* Stamps are never reused, across all domains. 0 is no instance's
+(* The next unused stamp: stamps are never reused. 0 is no instance's
    stamp, so a record stamped 0 is never mutated. *)
-let stamps = Atomic.make 1
+let stamps = ref 1
 
 (* The distinguished all-zero page. Shared by every never-written page
    of every instance; it is owned by no instance and has no private
@@ -79,6 +79,12 @@ let zero_page =
     own_chunks = 0;
   }
 
+(* The first of [n] fresh stamps. *)
+let fresh_stamps n =
+  let s = !stamps in
+  stamps := s + n;
+  s
+
 let create ~size =
   if size <= 0 || not (Layout.is_page_aligned size) then
     invalid_arg (Printf.sprintf "Phys_mem.create: size %d not page-aligned" size);
@@ -87,14 +93,14 @@ let create ~size =
   {
     size;
     pages = Array.make (size lsr Layout.page_shift) zero_page;
-    stamp = Atomic.fetch_and_add stamps 1;
+    stamp = fresh_stamps 1;
     touched = Iset.empty;
   }
 
 let size t = t.size
 
 let copy t =
-  let s = Atomic.fetch_and_add stamps 2 in
+  let s = fresh_stamps 2 in
   t.stamp <- s;
   { size = t.size; pages = Array.copy t.pages; stamp = s + 1; touched = t.touched }
 

@@ -224,8 +224,19 @@ let rec process_of_pid pid = function
   | (p : Process.t) :: rest -> if p.Process.pid = pid then p else process_of_pid pid rest
 
 let find_process t pid = try Some (process_of_pid pid t.procs) with Not_found -> None
-let runnable_pids t =
-  List.filter_map (fun p -> if Process.is_runnable p then Some p.Process.pid else None) t.procs
+
+(* The pids of the runnable processes other than [except], in process
+   order. A direct walk, so a step allocates no closure. *)
+let rec runnable_except except = function
+  | [] -> []
+  | (p : Process.t) :: rest ->
+    if Process.is_runnable p && p.Process.pid <> except then
+      p.Process.pid :: runnable_except except rest
+    else runnable_except except rest
+
+(* no process has the kernel's pid *)
+let runnable_pids t = runnable_except kernel_pid t.procs
+
 let running t = t.running
 let console t = List.rev t.console
 let context_switches t = t.context_switches
@@ -751,13 +762,15 @@ let exec_one t (p : Process.t) =
   | Cpu.Pal_trap index -> handle_pal t p index);
   p.Process.cpu_time_ps <- p.Process.cpu_time_ps + (now_ps t - t0)
 
-let wake_sleepers t =
-  List.iter
-    (fun (p : Process.t) ->
-      match p.Process.state with
-      | Process.Blocked_until at when at <= now_ps t -> p.Process.state <- Process.Ready
-      | Process.Blocked_until _ | Process.Ready | Process.Exited _ -> ())
-    t.procs
+let rec wake_until now = function
+  | [] -> ()
+  | (p : Process.t) :: rest ->
+    (match p.Process.state with
+    | Process.Blocked_until at when at <= now -> p.Process.state <- Process.Ready
+    | Process.Blocked_until _ | Process.Ready | Process.Exited _ -> ());
+    wake_until now rest
+
+let wake_sleepers t = wake_until (now_ps t) t.procs
 
 (* Next instant at which pure waiting changes an observable: the
    earliest in-flight transfer completion. Always None under the
@@ -790,16 +803,15 @@ let is_running t pid = match t.running with Some r -> r = pid | None -> false
 
 let rec step t =
   wake_sleepers t;
-  let runnable = runnable_pids t in
   let runnable =
-    if t.force_switch then begin
-      t.force_switch <- false;
-      match (t.running, runnable) with
-      | Some cur, _ :: _ :: _ -> List.filter (fun pid -> pid <> cur) runnable
-      | _, _ -> runnable
-    end
-    else runnable
+    match t.running with
+    | Some cur when t.force_switch -> (
+      (* a forced switch passes over the running process unless it is
+         the only runnable one *)
+      match runnable_except cur t.procs with [] -> runnable_pids t | others -> others)
+    | Some _ | None -> runnable_pids t
   in
+  t.force_switch <- false;
   match Sched.pick t.sched ~current:t.running ~runnable with
   | None -> (
     (* nothing runnable: if someone is sleeping, idle the machine

@@ -10,31 +10,25 @@
     speedup comes from — the post-exit and common-residual subtrees of
     near-identical programs collapse onto the same decorated keys.
 
-    {2 Fan-out}
+    {2 Order}
 
-    [jobs] domains each pull whole candidates off a shared queue
-    ([min jobs #candidates] of them, reported as [g_outer]); every
-    candidate is one sequential {!Explorer.explore}. The shared table
-    is locked whenever more than one domain uses it.
+    Candidates are explored one after another, in array order, on the
+    calling domain; every candidate is one {!Explorer.explore}.
 
     {2 Determinism}
 
     Per-candidate [paths], [violations] (list, order) and [truncated]
-    are independent of memo warmth, job counts and scheduling — the
-    explorer's dedup invariants — so a campaign's result array is
-    byte-identical at every [jobs] value, and identical to running
-    every candidate cold and sequentially. Warmth shows up only in cost
-    fields ([states_visited], [dedup_hits], timings).
+    are independent of memo warmth — the explorer's dedup invariants —
+    so a campaign's result array is byte-identical to running every
+    candidate cold, and does not depend on which cells ran before it
+    in a chained table. Warmth shows up only in cost fields
+    ([states_visited], [dedup_hits], timings).
 
-    {2 Safety requirements}
+    {2 Requirements}
 
-    - Candidate roots MUST be snapshotted from the baseline
-      {e sequentially, before [run]} (typically by the enumerator):
-      [Kernel.snapshot] clears the source's page-ownership flags, so
-      concurrent snapshots of one baseline race.
-    - The baseline must not be mutated while [run] executes (worker
-      domains read its pages as the shared encoding baseline).
-    - [check] must be pure (it runs on worker domains).
+    - The baseline must not be mutated while [run] executes (every
+      candidate's exploration reads its pages as the shared encoding
+      baseline).
     - Each candidate's [c_key_tag] must determine the residual
       behaviour of the process whose program varies (see
       {!Explorer.explore}'s [key_tag] doc). *)
@@ -51,7 +45,6 @@ type 'v candidate = {
 
 type stats = {
   g_candidates : int;
-  g_outer : int;  (** domains that explored candidates *)
   g_paths : int;  (** sum of per-candidate [paths] *)
   g_states : int;  (** sum of per-candidate [states_visited] *)
   g_hits : int;  (** sum of per-candidate [dedup_hits] *)
@@ -73,9 +66,14 @@ val run :
   check:(Kernel.t -> 'v option) ->
   unit ->
   'v Explorer.result array * stats
-(** Explore every candidate; [results.(i)] belongs to
+(** Explore every candidate in order; [results.(i)] belongs to
     [candidates.(i)]. A fresh shared memo ([memo_cap] summaries,
     default [2^20]) is created unless [shared] is passed — pass one to
     chain cells of a grid through a single table; the generation is
     bumped on entry either way, so a reused table never aliases a
-    previous cell's keys. *)
+    previous cell's keys.
+
+    [jobs] must be 1 (its default); any other value raises
+    [Invalid_argument]. It is left from the multi-domain fan-out and
+    stays only because [perfbench/] still passes [~jobs:1] (ROADMAP.md
+    lists its removal). *)

@@ -97,9 +97,9 @@ and 'v viols =
          leg order with the pid of the leg leading to each *)
 
 (* Ids only need to be unique among the nodes one exploration can reach,
-   but shared campaign tables outlive explorations and may be filled by
-   several domains, so they come from one process-wide counter. *)
-let next_node_id = Atomic.make 0
+   but shared campaign tables outlive explorations, so they come from
+   one process-wide counter. *)
+let next_node_id = ref 0
 
 type 'v ctx = {
   baseline : Kernel.t; (* encoding baseline: pages still shared with it are skipped *)
@@ -289,7 +289,10 @@ let rec explore_state cx kernel schedule_rev depth =
         let viols =
           match !kids with
           | [] -> V_none
-          | kids -> V_kids (Atomic.fetch_and_add next_node_id 1, List.rev kids)
+          | kids ->
+            let id = !next_node_id in
+            next_node_id := id + 1;
+            V_kids (id, List.rev kids)
         in
         let s = { s_paths = !paths; s_violations = viols; s_stuck = !stuck } in
         store cx key s;
@@ -311,8 +314,8 @@ let default_memo_cap = 1 lsl 18
 
 type 'v shared_memo = { sm_memo : 'v summary Memo.t; mutable sm_generation : int }
 
-let create_shared ?(cap = default_memo_cap) ?(locked = true) () =
-  { sm_memo = Memo.create ~shards:64 ~cap ~locked; sm_generation = 0 }
+let create_shared ?(cap = default_memo_cap) () =
+  { sm_memo = Memo.create ~shards:1 ~cap ~locked:false; sm_generation = 0 }
 
 let bump_generation sm = sm.sm_generation <- sm.sm_generation + 1
 let shared_length sm = Memo.length sm.sm_memo

@@ -54,7 +54,7 @@
 
     {2 One sequential search over one bounded table}
 
-    [explore] is a single depth-first search on the calling domain.
+    [explore] is a single depth-first search.
     Violations are recorded in DFS (pid-rank lexicographic) order as
     they are met. [max_paths] counts terminals, memo-hit subtrees
     included; a hit is taken only when its whole path count still fits
@@ -129,18 +129,17 @@ type 'v result = {
 
 type 'v shared_memo
 
-val create_shared : ?cap:int -> ?locked:bool -> unit -> 'v shared_memo
-(** A fresh shared table (64 shards, [cap] defaulting to the explore
-    default, [locked] defaulting to [true] — pass [false] only when a
-    single domain will ever touch it). *)
+val create_shared : ?cap:int -> unit -> 'v shared_memo
+(** A fresh shared table: one {!Memo} whose hot generation holds [cap]
+    summaries (default: the explore default). *)
 
 val bump_generation : 'v shared_memo -> unit
 (** Start a new key generation: every key minted afterwards is
     disjoint from every key minted before. Call between campaign cells
-    (baseline or backend change); never concurrently with [explore]. *)
+    (baseline or backend change), not while an [explore] runs. *)
 
 val shared_length : 'v shared_memo -> int
-(** Resident summaries (all generations); racy under concurrency. *)
+(** Resident summaries (all generations). *)
 
 val shared_evictions : 'v shared_memo -> int
 (** Cumulative evictions over the table's whole life. *)
@@ -171,8 +170,8 @@ val explore :
     [baseline] overrides the encoding baseline (default: [root]). A
     campaign passes the common base kernel all candidate roots were
     snapshotted from, so every candidate's keys live in one comparable
-    space; the baseline must not be mutated (or snapshotted from
-    another domain) while any exploration that uses it runs.
+    space; the baseline must not be mutated while any exploration
+    that uses it runs.
 
     [shared] routes all memo traffic through a cross-exploration table
     instead of a private one (see above); [memo_cap] is then ignored.

@@ -1,22 +1,5 @@
-(* Bounded two-generation sharded memo over flat open-addressed
-   tables; see the mli for the design contract. *)
-
-(* FNV-1a, 64-bit, over every byte of the string. Int64 arithmetic
-   keeps the full avalanche of the high bits (a native-int variant
-   would lose bit 63 and, on 32-bit, nearly everything). *)
-let fnv1a64 (s : string) : int64 =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to String.length s - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
-  done;
-  !h
-
-let shard_of_string ~shards s =
-  (* fold the high half in so the mask sees all 64 bits *)
-  let h = fnv1a64 s in
-  let folded = Int64.logxor h (Int64.shift_right_logical h 32) in
-  Int64.to_int folded land (shards - 1)
+(* Bounded two-generation memo over flat open-addressed tables; see
+   the mli for the design contract. *)
 
 (* One generation: an open-addressed table with linear probing. Slot
    [i] holds lanes a and b at [lanes.(2i)] and [lanes.(2i+1)], its tag
@@ -90,7 +73,7 @@ let set_slot tb i tag a b v =
 (* Load factor at most 3/4. *)
 let[@inline] fits size n = n * 4 <= size * 3
 
-(* Double, but stop at [max_size] (the size that holds the shard's
+(* Double, but stop at [max_size] (the size that holds the table's
    cap) when that is enough. Cold-hit promotions can push a generation
    past its cap, so doubling goes on beyond [max_size] if needed. *)
 let grow tb ~max_size =
@@ -143,8 +126,7 @@ let iter_absent tb other f =
     end
   done
 
-type 'a shard = {
-  lock : Mutex.t;
+type 'a t = {
   mutable hot : 'a table;
   mutable cold : 'a table;
   (* keys that are not 16 bytes long, interned to lane a; an id lives
@@ -152,122 +134,85 @@ type 'a shard = {
   ids : (string, int) Hashtbl.t;
   names : (int, string) Hashtbl.t;
   mutable next_id : int;
-}
-
-type 'a t = {
-  shards : 'a shard array;
-  cap : int; (* per-shard hot capacity *)
+  cap : int; (* hot capacity *)
   max_size : int; (* slots that hold [cap] keys at load 3/4 *)
-  locked : bool;
-  evicted : int Atomic.t;
+  mutable evicted : int;
 }
 
 let initial_size = 16
 
-let create ~shards ~cap ~locked =
-  if shards <= 0 || shards land (shards - 1) <> 0 then
-    invalid_arg "Memo.create: shards must be a positive power of two";
+(* [shards] and [locked] are ignored; see the mli. *)
+let create ~shards:_ ~cap ~locked:_ =
   if cap < 1 then invalid_arg "Memo.create: cap must be positive";
-  let per_shard = max 1 (cap / shards) in
-  let max_size = ((4 * per_shard) + 2) / 3 in
+  let max_size = ((4 * cap) + 2) / 3 in
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            lock = Mutex.create ();
-            hot = table (min initial_size max_size);
-            cold = table (min initial_size max_size);
-            ids = Hashtbl.create 0;
-            names = Hashtbl.create 0;
-            next_id = 0;
-          });
-    cap = per_shard;
+    hot = table (min initial_size max_size);
+    cold = table (min initial_size max_size);
+    ids = Hashtbl.create 0;
+    names = Hashtbl.create 0;
+    next_id = 0;
+    cap;
     max_size;
-    locked;
-    evicted = Atomic.make 0;
+    evicted = 0;
   }
 
-(* A one-shard table (a standalone exploration's) skips the hash: its
-   answer is always 0. *)
-let[@inline] shard t key =
-  let n = Array.length t.shards in
-  if n = 1 then t.shards.(0) else t.shards.(shard_of_string ~shards:n key)
-
-let find_lanes t sh tag a b =
-  let i = probe sh.hot tag a b in
-  if i >= 0 then Some (Array.unsafe_get sh.hot.vals i)
+let find_lanes t tag a b =
+  let i = probe t.hot tag a b in
+  if i >= 0 then Some (Array.unsafe_get t.hot.vals i)
   else
     (* a table that never rotated has an empty cold generation *)
-    let j = if sh.cold.count = 0 then -1 else probe sh.cold tag a b in
+    let j = if t.cold.count = 0 then -1 else probe t.cold tag a b in
     if j >= 0 then begin
-      let v = Array.unsafe_get sh.cold.vals j in
+      let v = Array.unsafe_get t.cold.vals j in
       (* promotion: a touched entry survives the next rotation *)
-      put sh.hot ~max_size:t.max_size tag a b v;
+      put t.hot ~max_size:t.max_size tag a b v;
       Some v
     end
     else None
 
-let find_in t sh key =
-  if String.length key = 16 then find_lanes t sh (tag16 key) (lane key 0) (lane key 8)
+let find t key =
+  if String.length key = 16 then find_lanes t (tag16 key) (lane key 0) (lane key 8)
   else
-    match Hashtbl.find sh.ids key with
-    | id -> find_lanes t sh long_tag id 0
+    match Hashtbl.find t.ids key with
+    | id -> find_lanes t long_tag id 0
     | exception Not_found -> None
 
-let find t key =
-  let sh = shard t key in
-  if t.locked then Mutex.lock sh.lock;
-  let r = find_in t sh key in
-  if t.locked then Mutex.unlock sh.lock;
-  r
-
-let intern sh key =
-  match Hashtbl.find sh.ids key with
+let intern t key =
+  match Hashtbl.find t.ids key with
   | id -> id
   | exception Not_found ->
-    let id = sh.next_id in
-    sh.next_id <- id + 1;
-    Hashtbl.replace sh.ids key id;
-    Hashtbl.replace sh.names id key;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    Hashtbl.replace t.ids key id;
+    Hashtbl.replace t.names id key;
     id
 
 (* Cold's keys that hot does not also hold are gone for good: count
    them and release their interned ids. Cold's arrays, cleared, are
    the next hot generation's. *)
-let rotate t sh =
-  let gone = ref 0 in
-  iter_absent sh.cold sh.hot (fun tag a _ ->
-      incr gone;
+let rotate t =
+  iter_absent t.cold t.hot (fun tag a _ ->
+      t.evicted <- t.evicted + 1;
       if tag = long_tag then begin
-        Hashtbl.remove sh.ids (Hashtbl.find sh.names a);
-        Hashtbl.remove sh.names a
+        Hashtbl.remove t.ids (Hashtbl.find t.names a);
+        Hashtbl.remove t.names a
       end);
-  ignore (Atomic.fetch_and_add t.evicted !gone : int);
-  let recycled = sh.cold in
+  let recycled = t.cold in
   clear recycled;
-  sh.cold <- sh.hot;
-  sh.hot <- recycled
-
-let add_in t sh key v =
-  if String.length key = 16 then
-    put sh.hot ~max_size:t.max_size (tag16 key) (lane key 0) (lane key 8) v
-  else put sh.hot ~max_size:t.max_size long_tag (intern sh key) 0 v;
-  if sh.hot.count >= t.cap then rotate t sh
+  t.cold <- t.hot;
+  t.hot <- recycled
 
 let add t key v =
-  let sh = shard t key in
-  if t.locked then Mutex.lock sh.lock;
-  add_in t sh key v;
-  if t.locked then Mutex.unlock sh.lock
+  if String.length key = 16 then
+    put t.hot ~max_size:t.max_size (tag16 key) (lane key 0) (lane key 8) v
+  else put t.hot ~max_size:t.max_size long_tag (intern t key) 0 v;
+  if t.hot.count >= t.cap then rotate t
 
-let evictions t = Atomic.get t.evicted
+let evictions t = t.evicted
 
 (* Distinct keys: a cold entry promoted back into hot (by [find])
    is alive in both generations and must not count twice. *)
 let length t =
-  Array.fold_left
-    (fun n sh ->
-      let cold_only = ref 0 in
-      iter_absent sh.cold sh.hot (fun _ _ _ -> incr cold_only);
-      n + sh.hot.count + !cold_only)
-    0 t.shards
+  let cold_only = ref 0 in
+  iter_absent t.cold t.hot (fun _ _ _ -> incr cold_only);
+  t.hot.count + !cold_only

@@ -1,7 +1,7 @@
-(** Bounded, sharded memoization table for the interleaving explorer.
+(** Bounded memoization table for the interleaving explorer.
 
-    {b Generations.} Each shard keeps a {e hot} and a {e cold}
-    generation. Inserts go to hot; when hot reaches the shard's
+    {b Generations.} The table keeps a {e hot} and a {e cold}
+    generation. Inserts go to hot; when hot reaches the table's
     capacity the generations rotate: cold is discarded, and every cold
     key that hot does not also hold counts as one eviction; hot becomes
     cold; cold's arrays, cleared, become the new hot. Lookups hit hot
@@ -27,38 +27,27 @@
     are their low 63 bits, and the tag carries each half's bit 63. So
     (tag, a, b) determines the key and no two 16-byte keys share a
     slot. A key of any other length (the paranoid full-encoding keys)
-    is interned in a side [Hashtbl] of its shard to an id that becomes
+    is interned in a side [Hashtbl] to an id that becomes
     lane a, under a tag bit no 16-byte key sets; the id is released
     when its key is evicted. Such keys therefore stay exact too and
     never alias a fingerprint.
 
     {b Growth.} A generation starts at 16 slots and doubles whenever an
     insert would take its load past 3/4, stopping at the size that
-    holds the shard's capacity at that load. Cold-hit promotions can
+    holds the table's capacity at that load. Cold-hit promotions can
     push hot past its capacity before the next insert rotates it; it
     then keeps doubling. A generation at capacity costs about 4.2
     words per key (two lanes, a value and a tag byte per slot, over a
-    load of 3/4).
-
-    A standalone exploration uses one unlocked shard. A campaign's
-    shared table is split into shards, each with its own mutex when
-    [locked:true], so candidates explored on several domains contend
-    per shard rather than on one lock; with [locked:false] the mutexes
-    are never taken.
-
-    Shard selection hashes the {e full} key with FNV-1a — unlike
-    [Hashtbl.hash], whose meaningful-nodes limit can truncate what it
-    reads of large structured keys, every byte of the encoding
-    participates, so long keys sharing a prefix still spread across
-    shards. Equality remains on the whole key: shard choice can affect
-    only balance, never answers. A one-shard table skips the hash. *)
+    load of 3/4). *)
 
 type 'a t
 
 val create : shards:int -> cap:int -> locked:bool -> 'a t
-(** [cap] is the {e total} hot-generation capacity, split evenly across
-    [shards] (at least one entry per shard). [shards] must be a power
-    of two. *)
+(** One table whose hot generation holds [cap] keys. [shards] and
+    [locked] have no effect. They are left from the mutex-guarded
+    shards of the multi-domain campaign, and stay only because
+    [perfbench/] still passes both labels (ROADMAP.md lists their
+    removal). *)
 
 val find : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> unit
@@ -69,13 +58,4 @@ val evictions : 'a t -> int
 
 val length : 'a t -> int
 (** Distinct keys currently resident: a key alive in both generations
-    (promoted from cold back into hot) counts once. Racy under
-    concurrency. *)
-
-val shard_of_string : shards:int -> string -> int
-(** The shard index [create] would use — exposed so tests can assert
-    balance. [shards] must be a power of two. *)
-
-val fnv1a64 : string -> int64
-(** FNV-1a over the whole string (the hash behind
-    [shard_of_string]). *)
+    (promoted from cold back into hot) counts once. *)

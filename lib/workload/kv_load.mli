@@ -106,8 +106,7 @@ val run : params -> cal:calibration -> net:Uldma_net.Backend.t -> result
 
 val sweep :
   params -> cal:calibration -> (string * Uldma_net.Backend.t) list -> (string * result) list
-(** [run] over several backends, one after another on the calling
-    domain. *)
+(** [run] over several backends, one after another. *)
 
 val transfers_per_s : result -> float
 val gbps : result -> float

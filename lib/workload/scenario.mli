@@ -167,7 +167,7 @@ val oracle_check : t -> Uldma_os.Kernel.t -> Uldma_verify.Oracle.violation optio
 (** An explorer [check]: audit an arbitrary kernel state (typically an
     explorer terminal snapshot) against the scenario's intents, reading
     each reporting process's success count out of that state, and
-    return the first violation, if any. Pure — safe on worker domains. *)
+    return the first violation, if any. Pure. *)
 
 val run_legs : t -> leg list -> unit
 (** Advance the named process by one NI access per leg. *)

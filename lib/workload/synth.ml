@@ -201,9 +201,6 @@ let residual_tags prog =
         Uldma_util.Fp128.key fp
       end)
 
-(* NOT domain-safe against its base: Kernel.snapshot clears the base's
-   page-ownership flags, so build all of a campaign's candidates
-   sequentially before Campaign.run spawns outer domains. *)
 let candidate base ops =
   let root = Kernel.snapshot base.b_scenario.Scenario.kernel in
   let prog = assemble base ops in
@@ -227,6 +224,11 @@ let candidate base ops =
 (* Cell runner and collusion catalogue. *)
 
 let kind_name = Oracle.kind_name
+
+let result_facts (r : Oracle.violation Explorer.result) =
+  ( r.Explorer.paths,
+    r.Explorer.truncated,
+    List.map (fun (v, schedule) -> (kind_name v, schedule)) r.Explorer.violations )
 
 (* Deterministic digest of one candidate's result: label, path count,
    truncation, and each violation's kind + schedule. Violation
@@ -317,15 +319,13 @@ let make_cell ~mech ~net ~slots ~ops ~results ~(stats : Campaign.stats) =
     cell_results_fp = hex (Uldma_util.Fp128.key fp);
   }
 
-let run_cell ?net ?repeat ?(slots = 3) ?exact ?(jobs = 1) ?(max_paths = 1_000_000) ?shared
-    subject =
+let run_cell ?net ?repeat ?(slots = 3) ?exact ?(max_paths = 1_000_000) ?shared subject =
   let base = make_base ?net ?repeat subject in
   let ops = enumerate ?exact ~slots () in
-  (* sequential on purpose; see [candidate] *)
   let candidates = Array.map (candidate base) ops in
   let results, stats =
     Campaign.run ~candidates ~pids:(Scenario.explore_pids base.b_scenario)
-      ~baseline:base.b_scenario.Scenario.kernel ~jobs ~max_paths ?shared
+      ~baseline:base.b_scenario.Scenario.kernel ~max_paths ?shared
       ~check:(Scenario.oracle_check base.b_scenario)
       ()
   in
@@ -338,11 +338,10 @@ let run_cell ?net ?repeat ?(slots = 3) ?exact ?(jobs = 1) ?(max_paths = 1_000_00
     cr_stats = stats;
   }
 
-(* The catalogue records only jobs- and warmth-independent facts, so
-   two catalogues from any --jobs settings diff byte-identical.
-   states/hits stay out: which domain first expands a state (and hence
-   who scores the memo hit) races across outer workers. The CLI table
-   still displays them from the cell. *)
+(* The catalogue records only warmth-independent facts, so a cell's row
+   does not depend on which cells ran before it in a chained table.
+   states/hits stay out: they are exactly what warmth changes. The CLI
+   table still displays them from the cell. *)
 let catalogue_header =
   "mech,net,slots,candidates,violating,truncated,paths,witness,witness_violations,witness_kinds,results_fp"
 

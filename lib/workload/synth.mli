@@ -79,16 +79,23 @@ val make_base : ?net:Uldma_net.Backend.t -> ?repeat:int -> subject -> base
 val base_scenario : base -> Scenario.t
 
 val candidate : base -> op list -> Uldma_verify.Oracle.violation Uldma_verify.Campaign.candidate
-(** Snapshot the base, install the program, attach the residual tag.
-    NOT safe to call concurrently (snapshotting mutates the base's
-    page-ownership flags): build all candidates sequentially, before
-    {!Uldma_verify.Campaign.run} spawns domains. *)
+(** Snapshot the base, install the program, attach the residual tag. *)
 
 val net_label : Uldma_net.Backend.t option -> string
 (** [Backend.cache_key], or ["null"]. *)
 
 val kind_name : Uldma_verify.Oracle.violation -> string
 (** Alias of {!Uldma_verify.Oracle.kind_name}. *)
+
+val result_facts :
+  Uldma_verify.Oracle.violation Uldma_verify.Explorer.result ->
+  int * bool * (string * int list) list
+(** The warmth-independent projection of one candidate's result:
+    [paths], [truncated], and each violation's kind and schedule, in
+    order. A shared-memo run and a cold run of the same candidate agree
+    on it exactly; violation payloads (simulated timestamps) are left
+    out because they depend on which prefix first reached a memoised
+    subtree. *)
 
 (** {2 Campaign cells and the collusion catalogue} *)
 
@@ -107,8 +114,8 @@ type cell = {
   cell_witness_kinds : string;
   cell_results_fp : string;
       (** hex digest of every candidate's (label, paths, truncated,
-          violation kinds + schedules) — the warmth- and
-          jobs-independent facts, so equal digests mean byte-identical
+          violation kinds + schedules) — the warmth-independent
+          facts, so equal digests mean byte-identical
           per-candidate results. Violation {e payloads} (simulated
           timestamps) are excluded: which schedule prefix first
           discovers a memoized subtree legitimately varies. *)
@@ -126,14 +133,13 @@ val run_cell :
   ?repeat:int ->
   ?slots:int ->
   ?exact:bool ->
-  ?jobs:int ->
   ?max_paths:int ->
   ?shared:Uldma_verify.Oracle.violation Uldma_verify.Explorer.shared_memo ->
   subject ->
   cell_run
 (** Build the base, enumerate, and run the whole candidate family
     through {!Uldma_verify.Campaign.run}. Defaults: [slots] 3 (49
-    candidates), [jobs] 1, [max_paths] 1e6 per candidate. Pass
+    candidates), [max_paths] 1e6 per candidate. Pass
     [shared] to chain several cells through one table (the generation
     bump keeps their key spaces disjoint). *)
 

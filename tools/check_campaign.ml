@@ -6,9 +6,9 @@
    1. shared-vs-cold soundness — every candidate's (paths, truncated,
       violations as kind + schedule) from a shared-memo campaign run
       equals a cold sequential Explorer.explore of the same candidate;
-   2. jobs determinism — campaign runs at --jobs 1 and --jobs 2 (twice)
-      produce identical per-candidate results and identical catalogue
-      rows (including the results fingerprint);
+   2. repeatability — a second campaign run on a fresh table produces
+      identical per-candidate results and an identical catalogue row
+      (including the results fingerprint);
    3. sharing actually shares — the shared run expands no more states
       than the cold runs did in aggregate, and strictly fewer when the
       family has more than a handful of candidates.
@@ -22,14 +22,13 @@ module Scenario = Uldma_workload.Scenario
 let slots = ref 2
 let exact = ref false
 let repeat = ref 1
-let jobs2 = ref 2
 let max_paths = ref 1_000_000
 let verbose = ref false
 let subject = ref (Synth.Rep Uldma_dma.Seq_matcher.Five)
 
 let usage () =
   prerr_endline
-    "usage: check_campaign [--slots N] [--exact] [--repeat N] [--jobs N] [--max-paths N] \
+    "usage: check_campaign [--slots N] [--exact] [--repeat N] [--max-paths N] \
      [--mech rep3|rep4|rep5|pal|key|ext|iommu|capio] [--verbose]";
   exit 2
 
@@ -49,9 +48,6 @@ let rec parse = function
   | "--repeat" :: v :: rest ->
     repeat := int_of_string v;
     parse rest
-  | "--jobs" :: v :: rest ->
-    jobs2 := int_of_string v;
-    parse rest
   | "--max-paths" :: v :: rest ->
     max_paths := int_of_string v;
     parse rest
@@ -59,12 +55,6 @@ let rec parse = function
     verbose := true;
     parse rest
   | _ -> usage ()
-
-(* the warmth- and jobs-independent projection of a result *)
-let canon (r : _ Explorer.result) =
-  ( r.Explorer.paths,
-    r.Explorer.truncated,
-    List.map (fun (v, sched) -> (Synth.kind_name v, sched)) r.Explorer.violations )
 
 let fail = ref false
 
@@ -101,39 +91,31 @@ let () =
         cold_hits := !cold_hits + r.Explorer.dedup_hits;
         cold_bytes := !cold_bytes + r.Explorer.bytes_hashed;
         cold_snaps := !cold_snaps + r.Explorer.snapshots;
-        canon r)
+        Synth.result_facts r)
       candidates
   in
   let cold_secs = Unix.gettimeofday () -. t0 in
-  let run_campaign jobs =
+  (* each run creates its own fresh shared table *)
+  let run_campaign () =
     let t0 = Unix.gettimeofday () in
     let cr =
-      Synth.run_cell ~repeat:!repeat ~slots:!slots ~exact:!exact ~jobs ~max_paths:!max_paths
-        subject
+      Synth.run_cell ~repeat:!repeat ~slots:!slots ~exact:!exact ~max_paths:!max_paths subject
     in
     (cr, Unix.gettimeofday () -. t0)
   in
-  let shared1, shared1_secs = run_campaign 1 in
-  let shared2, _ = run_campaign !jobs2 in
-  let shared2', _ = run_campaign !jobs2 in
+  let shared1, shared1_secs = run_campaign () in
+  let shared2, _ = run_campaign () in
   let n = Array.length candidates in
   for i = 0 to n - 1 do
-    let c1 = canon shared1.Synth.cr_results.(i) in
-    check_eq "shared(jobs=1) vs cold" i c1 cold.(i);
-    check_eq "shared(jobs=2) vs shared(jobs=1)" i (canon shared2.Synth.cr_results.(i)) c1;
-    check_eq "shared(jobs=2) repeat" i
-      (canon shared2'.Synth.cr_results.(i))
-      (canon shared2.Synth.cr_results.(i))
+    let c1 = Synth.result_facts shared1.Synth.cr_results.(i) in
+    check_eq "shared vs cold" i c1 cold.(i);
+    check_eq "shared repeat" i (Synth.result_facts shared2.Synth.cr_results.(i)) c1
   done;
   let row r = Synth.catalogue_row r.Synth.cr_cell in
   if row shared1 <> row shared2 then begin
     fail := true;
-    Printf.eprintf "MISMATCH: catalogue row jobs=1 vs jobs=%d\n  %s\n  %s\n%!" !jobs2
+    Printf.eprintf "MISMATCH: catalogue row not reproducible on a fresh table\n  %s\n  %s\n%!"
       (row shared1) (row shared2)
-  end;
-  if row shared2 <> row shared2' then begin
-    fail := true;
-    Printf.eprintf "MISMATCH: catalogue row not reproducible at jobs=%d\n%!" !jobs2
   end;
   let shared_states = shared1.Synth.cr_stats.Uldma_verify.Campaign.g_states in
   if shared_states > !cold_states then begin
@@ -173,7 +155,6 @@ let () =
       !cold_bytes shared_bytes !cold_snaps shared_snaps
   end;
   if !fail then exit 1;
-  Printf.printf "campaign differential OK: %d candidates, state ratio %.2fx, catalogue stable at jobs 1/%d\n%!"
-    n
+  Printf.printf
+    "campaign differential OK: %d candidates, state ratio %.2fx, catalogue repeatable\n%!" n
     (float_of_int !cold_states /. float_of_int (max 1 shared_states))
-    !jobs2
