@@ -2,27 +2,32 @@ open Uldma_mem
 
 exception Bus_error of int
 
-type device = { claims : int -> bool; handle : Txn.t -> int }
+type 'd device = {
+  claims : int -> bool;
+  handle : 'd -> Txn.op -> paddr:int -> value:int -> pid:int -> int;
+}
 
 (* Per-pid uncached-access counters, indexed by [pid + 1] so the
    kernel's pid -1 lands in slot 0. Maintained unconditionally (cheap),
    unlike the sink's events which are recorded only while it is enabled. *)
-type t = {
+type 'd t = {
   clock : Clock.t;
   timing : Timing.t;
   ram : Phys_mem.t;
-  mutable devices : device array; (* registration order *)
+  state : 'd; (* passed to every device handler *)
+  mutable devices : 'd device array; (* registration order; never written in place *)
   mutable busy_ps : int; (* cumulative uncached-crossing time *)
   mutable counts : int array; (* counts.(pid + 1) = uncached accesses *)
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
 }
 
-let create ~clock ~timing ~ram () =
+let create ~clock ~timing ~ram state =
   {
     clock;
     timing;
     ram;
+    state;
     devices = [||];
     busy_ps = 0;
     counts = Array.make 8 0;
@@ -39,12 +44,11 @@ let ram t = t.ram
 
 let register_device t d = t.devices <- Array.append t.devices [| d |]
 
+(* The index of the first device claiming [paddr]; -1 when none does. *)
 let find_device t paddr =
   let n = Array.length t.devices in
   let rec probe i =
-    if i >= n then None
-    else if (Array.unsafe_get t.devices i).claims paddr then Some t.devices.(i)
-    else probe (i + 1)
+    if i >= n then -1 else if (Array.unsafe_get t.devices i).claims paddr then i else probe (i + 1)
   in
   probe 0
 
@@ -65,22 +69,20 @@ let uncached_access t ~pid op paddr value =
   t.busy_ps <- t.busy_ps + Timing.uncached_ps t.timing op;
   Clock.advance t.clock (Timing.uncached_ps t.timing op);
   bump_count t pid;
-  let txn = { Txn.op; paddr; value; pid; at = Clock.now t.clock } in
   if Uldma_obs.Trace.enabled t.sink then
-    Uldma_obs.Trace.emit t.sink ~at:txn.Txn.at ~machine:t.machine ~pid
+    Uldma_obs.Trace.emit t.sink ~at:(Clock.now t.clock) ~machine:t.machine ~pid
       (Uldma_obs.Trace.Uncached_access
          { op = (match op with Txn.Load -> `Load | Txn.Store -> `Store); paddr; value });
-  match find_device t paddr with
-  | Some d -> d.handle txn
-  | None ->
-    if paddr >= 0 && paddr + Layout.word_size <= Phys_mem.size t.ram then begin
-      match op with
-      | Txn.Load -> Phys_mem.load_word t.ram paddr
-      | Txn.Store ->
-        Phys_mem.store_word t.ram paddr value;
-        0
-    end
-    else raise (Bus_error paddr)
+  let d = find_device t paddr in
+  if d >= 0 then t.devices.(d).handle t.state op ~paddr ~value ~pid
+  else if paddr >= 0 && paddr + Layout.word_size <= Phys_mem.size t.ram then begin
+    match op with
+    | Txn.Load -> Phys_mem.load_word t.ram paddr
+    | Txn.Store ->
+      Phys_mem.store_word t.ram paddr value;
+      0
+  end
+  else raise (Bus_error paddr)
 
 let load t ~pid ~cacheable paddr =
   if cacheable then begin
@@ -102,12 +104,13 @@ let store t ~pid ~cacheable paddr value =
 
 let busy_ps t = t.busy_ps
 
-let copy t ~ram ~clock =
+let copy t ~ram ~clock state =
   {
     clock;
     timing = t.timing;
     ram;
-    devices = [||];
+    state;
+    devices = t.devices;
     busy_ps = t.busy_ps;
     counts = Array.copy t.counts;
     sink = t.sink;

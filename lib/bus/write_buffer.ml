@@ -23,15 +23,22 @@ let mode t = t.mode
 
 let pending t = t.queue
 
-let drain_all t emit =
-  let n = List.length t.queue in
-  List.iter (fun (paddr, value) -> emit ~paddr ~value) t.queue;
-  t.queue <- [];
-  if n > 0 then notify t (Drained { count = n })
+let rec emit_all emit m n = function
+  | [] -> n
+  | (paddr, value) :: rest ->
+    emit m ~paddr ~value;
+    emit_all emit m (n + 1) rest
 
-let store t ~emit ~paddr ~value =
+let drain_all t emit m =
+  match t.queue with
+  | [] -> ()
+  | queue ->
+    t.queue <- [];
+    notify t (Drained { count = emit_all emit m 0 queue })
+
+let store t ~emit m ~paddr ~value =
   match t.mode with
-  | Ordered -> emit ~paddr ~value
+  | Ordered -> emit m ~paddr ~value
   | Bypass { collapse; _ } ->
     let collapsed =
       collapse && List.exists (fun (p, _) -> p = paddr) t.queue
@@ -46,7 +53,7 @@ let store t ~emit ~paddr ~value =
         match t.queue with
         | (p, v) :: rest ->
           t.queue <- rest;
-          emit ~paddr:p ~value:v
+          emit m ~paddr:p ~value:v
         | [] -> ()
     end
 
@@ -65,6 +72,6 @@ let load t ~paddr =
       match hit with Some v -> `Forwarded v | None -> `To_bus
     end
 
-let barrier t ~emit = drain_all t emit
+let barrier t ~emit m = drain_all t emit m
 
-let flush t ~emit = drain_all t emit
+let flush t ~emit m = drain_all t emit m

@@ -42,18 +42,20 @@ val mode : t -> mode
 val pending : t -> (int * int) list
 (** Buffered (paddr, value) pairs, oldest first. *)
 
-val store : t -> emit:(paddr:int -> value:int -> unit) -> paddr:int -> value:int -> unit
+val store : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> paddr:int -> value:int -> unit
 (** Process a store: in [Ordered] mode it is emitted at once; in
     [Bypass] mode it is buffered (collapsing if configured), draining
-    the oldest entry through [emit] on overflow. *)
+    the oldest entry through [emit] on overflow. [emit] is called with
+    the given machine ['m], so a caller passes one static function
+    instead of building a closure per store. *)
 
 val load : t -> paddr:int -> [ `Forwarded of int | `To_bus ]
 (** Process a load: [`Forwarded v] if a buffered store to the same
     address satisfies it (the device never sees the load); [`To_bus]
     otherwise — note the load then *overtakes* any buffered stores. *)
 
-val barrier : t -> emit:(paddr:int -> value:int -> unit) -> unit
+val barrier : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> unit
 (** [MB]: drain everything, oldest first. *)
 
-val flush : t -> emit:(paddr:int -> value:int -> unit) -> unit
+val flush : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> unit
 (** Same as [barrier]; used by the machine at traps and halts. *)

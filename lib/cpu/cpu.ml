@@ -8,82 +8,85 @@ let copy_ctx c = { regs = Regfile.copy c.regs; pc = c.pc; program = c.program }
 
 type outcome = Continue | Halted | Syscall_trap | Pal_trap of int | Fault of Addr_space.fault
 
-type host = {
-  translate : Addr_space.access -> int -> (Addr_space.translation, Addr_space.fault) result;
-  load : cacheable:bool -> int -> int;
-  store : cacheable:bool -> int -> int -> unit;
-  barrier : unit -> unit;
-  charge : Uldma_util.Units.ps -> unit;
-  instruction_ps : Uldma_util.Units.ps;
-  tlb_miss_ps : Uldma_util.Units.ps;
-  memory_barrier_ps : Uldma_util.Units.ps;
+type cost = Instruction | Tlb_miss | Barrier
+
+type 'm host = {
+  translate : 'm -> Addr_space.access -> int -> int;
+  load : 'm -> cacheable:bool -> int -> int;
+  store : 'm -> cacheable:bool -> int -> int -> unit;
+  barrier : 'm -> unit;
+  charge : 'm -> cost -> unit;
 }
 
 let operand_value regs = function Isa.Reg r -> Regfile.get regs r | Isa.Imm v -> v
 
-let memory_access host access vaddr =
-  match host.translate access vaddr with
-  | Error f -> Error f
-  | Ok tr ->
-    if tr.Addr_space.hit = `Miss then host.charge host.tlb_miss_ps;
-    Ok tr
+let[@inline] next ctx =
+  ctx.pc <- ctx.pc + 1;
+  Continue
 
-let step ctx host =
+(* The translation word of a data access, charging a TLB miss; a
+   negative word is a fault. *)
+let memory_access host m access vaddr =
+  let w = host.translate m access vaddr in
+  if w >= 0 && Addr_space.word_missed w then host.charge m Tlb_miss;
+  w
+
+let step ctx host m =
   if ctx.pc < 0 || ctx.pc >= Array.length ctx.program then Halted
   else begin
     let instr = ctx.program.(ctx.pc) in
-    host.charge host.instruction_ps;
+    host.charge m Instruction;
     let regs = ctx.regs in
-    let next () =
-      ctx.pc <- ctx.pc + 1;
-      Continue
-    in
     match instr with
     | Isa.Li (rd, v) ->
       Regfile.set regs rd v;
-      next ()
+      next ctx
     | Isa.Mov (rd, rs) ->
       Regfile.set regs rd (Regfile.get regs rs);
-      next ()
+      next ctx
     | Isa.Add (rd, rs, op) ->
       Regfile.set regs rd (Regfile.get regs rs + operand_value regs op);
-      next ()
+      next ctx
     | Isa.Sub (rd, rs, op) ->
       Regfile.set regs rd (Regfile.get regs rs - operand_value regs op);
-      next ()
+      next ctx
     | Isa.And_ (rd, rs, op) ->
       Regfile.set regs rd (Regfile.get regs rs land operand_value regs op);
-      next ()
+      next ctx
     | Isa.Or_ (rd, rs, op) ->
       Regfile.set regs rd (Regfile.get regs rs lor operand_value regs op);
-      next ()
+      next ctx
     | Isa.Xor (rd, rs, op) ->
       Regfile.set regs rd (Regfile.get regs rs lxor operand_value regs op);
-      next ()
+      next ctx
     | Isa.Shl (rd, rs, n) ->
       Regfile.set regs rd (Regfile.get regs rs lsl n);
-      next ()
+      next ctx
     | Isa.Shr (rd, rs, n) ->
       Regfile.set regs rd (Regfile.get regs rs lsr n);
-      next ()
-    | Isa.Load (rd, rb, off) -> (
+      next ctx
+    | Isa.Load (rd, rb, off) ->
       let vaddr = Regfile.get regs rb + off in
-      match memory_access host Addr_space.Read vaddr with
-      | Error f -> Fault f
-      | Ok tr ->
-        Regfile.set regs rd (host.load ~cacheable:tr.Addr_space.cacheable tr.Addr_space.paddr);
-        next ())
-    | Isa.Store (rb, off, rv) -> (
+      let w = memory_access host m Addr_space.Read vaddr in
+      if w < 0 then Fault (Addr_space.word_fault w Addr_space.Read vaddr)
+      else begin
+        Regfile.set regs rd
+          (host.load m ~cacheable:(Addr_space.word_cacheable w) (Addr_space.word_paddr w));
+        next ctx
+      end
+    | Isa.Store (rb, off, rv) ->
       let vaddr = Regfile.get regs rb + off in
-      match memory_access host Addr_space.Write vaddr with
-      | Error f -> Fault f
-      | Ok tr ->
-        host.store ~cacheable:tr.Addr_space.cacheable tr.Addr_space.paddr (Regfile.get regs rv);
-        next ())
+      let w = memory_access host m Addr_space.Write vaddr in
+      if w < 0 then Fault (Addr_space.word_fault w Addr_space.Write vaddr)
+      else begin
+        host.store m ~cacheable:(Addr_space.word_cacheable w) (Addr_space.word_paddr w)
+          (Regfile.get regs rv);
+        next ctx
+      end
     | Isa.Mb ->
-      host.charge host.memory_barrier_ps;
-      host.barrier ();
-      next ()
+      host.charge m Barrier;
+      host.barrier m;
+      next ctx
     | Isa.Beq (ra, rb, tgt) ->
       if Regfile.get regs ra = Regfile.get regs rb then ctx.pc <- tgt else ctx.pc <- ctx.pc + 1;
       Continue
@@ -102,14 +105,14 @@ let step ctx host =
     | Isa.Call_pal n ->
       ctx.pc <- ctx.pc + 1;
       Pal_trap n
-    | Isa.Nop -> next ()
+    | Isa.Nop -> next ctx
     | Isa.Halt -> Halted
   end
 
-let run_subprogram regs body host =
+let run_subprogram regs body host m =
   let ctx = { regs; pc = 0; program = body } in
   let rec loop () =
-    match step ctx host with
+    match step ctx host m with
     | Continue -> loop ()
     | Halted -> Halted
     | Fault _ as f -> f

@@ -1,9 +1,10 @@
 (** The instruction interpreter.
 
     [step] executes exactly one instruction of a context against a
-    [host] — the machine-provided view of translation, memory, time and
-    traps — and reports what happened. The machine (in the sim library)
-    owns the loop, the scheduler, and trap handling; keeping the
+    machine through its [host] — the machine-provided view of
+    translation, memory and time — and reports what happened. The
+    machine (the kernel) owns the loop, the scheduler, and trap
+    handling; keeping the
     interpreter to single steps is what makes instruction-granularity
     preemption, scripted interleavings, and exhaustive schedule
     exploration possible. *)
@@ -20,24 +21,31 @@ type outcome =
   | Pal_trap of int (** [Call_pal n] executed *)
   | Fault of Uldma_mmu.Addr_space.fault
 
-type host = {
-  translate :
-    Uldma_mmu.Addr_space.access -> int -> (Uldma_mmu.Addr_space.translation, Uldma_mmu.Addr_space.fault) result;
-  load : cacheable:bool -> int -> int; (** physical load (via write buffer + bus) *)
-  store : cacheable:bool -> int -> int -> unit;
-  barrier : unit -> unit; (** [Mb]: drain the write buffer *)
-  charge : Uldma_util.Units.ps -> unit; (** advance simulated time *)
-  instruction_ps : Uldma_util.Units.ps;
-  tlb_miss_ps : Uldma_util.Units.ps;
-  memory_barrier_ps : Uldma_util.Units.ps;
+type cost =
+  | Instruction (** issuing any instruction *)
+  | Tlb_miss (** a data access whose translation missed the TLB *)
+  | Barrier (** [Mb], on top of its issue cost *)
+
+type 'm host = {
+  translate : 'm -> Uldma_mmu.Addr_space.access -> int -> int;
+      (** a translation word ({!Uldma_mmu.Addr_space.translate_word}):
+          negative on a fault *)
+  load : 'm -> cacheable:bool -> int -> int; (** physical load (via write buffer + bus) *)
+  store : 'm -> cacheable:bool -> int -> int -> unit;
+  barrier : 'm -> unit; (** [Mb]: drain the write buffer *)
+  charge : 'm -> cost -> unit; (** advance simulated time by the cost's price *)
 }
+(** The machine's services, as functions of the machine ['m] that
+    {!step} is given: a machine builds one host, statically, and no
+    closure is built per instruction or per access. *)
 
-val step : ctx -> host -> outcome
-(** Execute one instruction, charging its cost. On [Fault] the pc is
-    left at the faulting instruction. [Syscall_trap]/[Pal_trap] return
-    with the pc already advanced past the trap instruction. *)
+val step : ctx -> 'm host -> 'm -> outcome
+(** Execute one instruction on the machine, charging its cost. On
+    [Fault] the pc is left at the faulting instruction.
+    [Syscall_trap]/[Pal_trap] return with the pc already advanced past
+    the trap instruction. Allocates nothing unless it faults. *)
 
-val run_subprogram : Regfile.t -> Isa.instr array -> host -> outcome
+val run_subprogram : Regfile.t -> Isa.instr array -> 'm host -> 'm -> outcome
 (** Execute a complete (trap-free) instruction sequence on the given
     registers without any possibility of preemption — the PAL-mode
     execution primitive. Returns [Halted] on normal completion, or the

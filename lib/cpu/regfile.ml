@@ -1,14 +1,20 @@
-(* Registers live in slots [0, num_regs); the two slots after them hold
+(* Registers live in cells [0, num_regs); the two cells after them hold
    the lanes of the file's additive digest (Fp128.int_term over the
-   registers, slot = register number), which [set] keeps current. One
-   flat array keeps [copy] a single block copy. *)
+   registers, register r at digest slot [base + r]), which [set] keeps
+   current, and the next one holds [base]. One flat array keeps [copy]
+   a single block copy. *)
 type t = int array
 
 let zero_reg = 31
 
 let lane_a = Isa.num_regs
+let base_cell = Isa.num_regs + 2
+let n_aux = 32
 
-let create () = Array.make (Isa.num_regs + 2) 0
+let create ?(slot_base = 0) () =
+  let t = Array.make (Isa.num_regs + 3) 0 in
+  t.(base_cell) <- slot_base;
+  t
 
 let copy = Array.copy
 
@@ -21,24 +27,26 @@ let get t r =
 let set t r v =
   check r;
   if r <> zero_reg then begin
-    Uldma_util.Fp128.replace_int t lane_a r t.(r) v;
+    Uldma_util.Fp128.replace_int t lane_a (t.(base_cell) + r) t.(r) v;
     t.(r) <- v
   end
+
+let slot_base t = t.(base_cell)
+
+let replace_aux t k old v =
+  if k < 0 || k >= n_aux then invalid_arg (Printf.sprintf "Regfile.replace_aux: slot %d" k);
+  Uldma_util.Fp128.replace_int t lane_a (t.(base_cell) + Isa.num_regs + k) old v
 
 let to_list t = List.init Isa.num_regs (fun r -> t.(r))
 
 let digest t = (t.(lane_a), t.(lane_a + 1))
 
+let digest_lane t lane = t.(lane_a + lane)
+
 let encode enc t =
-  let module E = Uldma_util.Enc in
-  match enc with
-  | E.Buf _ ->
-    for r = 0 to Isa.num_regs - 1 do
-      E.int enc t.(r)
-    done
-  | E.Fp fp ->
-    Uldma_util.Fp128.add_int fp t.(lane_a);
-    Uldma_util.Fp128.add_int fp t.(lane_a + 1)
+  for r = 0 to Isa.num_regs - 1 do
+    Uldma_util.Enc.int enc t.(r)
+  done
 
 let pp ppf t =
   for r = 0 to Isa.num_regs - 1 do

@@ -5,7 +5,11 @@ type t
 
 val zero_reg : int
 
-val create : unit -> t
+val create : ?slot_base:int -> unit -> t
+(** All registers zero. Register [r] enters the digest at slot
+    [slot_base + r] ([slot_base] defaults to 0), so files created with
+    distinct bases can share one digest sum. *)
+
 val copy : t -> t
 
 val get : t -> Isa.reg -> int
@@ -14,14 +18,26 @@ val set : t -> Isa.reg -> int -> unit
 
 val to_list : t -> int list
 
+val slot_base : t -> int
+
+val replace_aux : t -> int -> int -> int -> unit
+(** [replace_aux t k old v]: the owner's auxiliary value [k]
+    ([0 <= k < 32]), which shares the file's digest at slot
+    [slot_base + 32 + k], changes from [old] to [v]. The owner keeps
+    the values; the file keeps only their terms. *)
+
 val digest : t -> int * int
 (** The file's additive digest: the lane sums of
-    {!Uldma_util.Fp128.int_term_a}/[_b] over the registers (slot =
-    register number), kept current by [set] in O(1). An all-zero file
-    digests to [(0, 0)]. *)
+    {!Uldma_util.Fp128.int_term_a}/[_b] over the registers (register
+    [r] at slot [slot_base + r]) and the auxiliary values, kept current
+    by [set] and [replace_aux] in O(1). An all-zero file digests to
+    [(0, 0)]. *)
+
+val digest_lane : t -> int -> int
+(** [digest_lane t 0] and [digest_lane t 1] are the two components of
+    {!digest}, read without allocating. *)
 
 val encode : Uldma_util.Enc.t -> t -> unit
-(** Feed the registers to an encoder: every register value, in order,
-    into [Buf]; the two digest lanes into [Fp]. *)
+(** Feed every register value, in order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -36,7 +36,8 @@ let f_status = 6
 let f_atomic_target = 7
 let f_mailbox = 8
 let f_atomic_pending = 9 (* three slots *)
-let n_fields = 12
+let f_started = 12 (* 1 once a transfer was started through the context *)
+let n_fields = 13
 
 let slot_word = function Dest -> 0 | Src -> 1
 
@@ -79,7 +80,7 @@ let get t i =
     invalid_arg (Printf.sprintf "Context_file.get: context %d" i);
   t.(i)
 
-let get_opt t i = if i < 0 || i >= Array.length t then None else Some t.(i)
+let mem t i = i >= 0 && i < Array.length t
 
 let set_key t ~context ~key =
   let c = get t context in
@@ -111,7 +112,11 @@ let set_status c v =
   if built c then note c f_status (c.status lxor Status.complete) (v lxor Status.complete);
   c.status <- v
 
-let set_last_transfer c tr = c.last_transfer <- tr
+let started_word = function None -> 0 | Some _ -> 1
+
+let set_last_transfer c tr =
+  if built c then note c f_started (started_word c.last_transfer) (started_word tr);
+  c.last_transfer <- tr
 
 let set_atomic_target c v =
   if built c then note c f_atomic_target (Fp128.opt_value c.atomic_target) (Fp128.opt_value v);
@@ -170,6 +175,7 @@ let word c f =
   else if f = f_status then c.status lxor Status.complete
   else if f = f_atomic_target then Fp128.opt_value c.atomic_target
   else if f = f_mailbox then Fp128.opt_value c.mailbox
+  else if f = f_started then started_word c.last_transfer
   else Atomic_op.pending_word c.atomic_pending (f - f_atomic_pending)
 
 let scratch_digest t =
@@ -195,7 +201,10 @@ let digest t =
 (* Canonical encoding for state fingerprinting: the registers in
    [Buf] mode, the digest's two lanes in [Fp] mode. [last_transfer] is
    deliberately skipped: the engine encodes transfer observables
-   (including per-context status-at-now) itself, with clock access. *)
+   (including per-context status-at-now) itself, with clock access.
+   Whether a transfer was started through a context is in the digest,
+   so that once nothing is in flight a context's status as loads see
+   it is a function of digested fields. *)
 let encode enc t =
   let module E = Uldma_util.Enc in
   match enc with

@@ -44,7 +44,8 @@ val length : t -> int
 val get : t -> int -> context
 (** Raises [Invalid_argument] out of range. *)
 
-val get_opt : t -> int -> context option
+val mem : t -> int -> bool
+(** [mem t i]: [i] names one of the contexts. *)
 
 val set_key : t -> context:int -> key:int -> unit
 val set_owner : t -> context:int -> pid:int option -> unit
@@ -84,8 +85,10 @@ val digest : t -> int * int
 (** The two lanes of the file's write-maintained additive digest
     ({!Uldma_util.Fp128.replace_int}) over every field {!encode} feeds
     except [index], which picks the slots: field [f] of context [i] at
-    slot [16 i + f]. Each field enters as its value xor its reset value,
-    so a fresh file digests to [(0, 0)]. The
+    slot [16 i + f]; plus, as one more field, whether [last_transfer]
+    is set (a transfer was started through the context since its last
+    reset). Each field enters as its value xor its reset value, so a
+    fresh file digests to [(0, 0)]. The
     digest is built from scratch on the first call and maintained by
     the setters from then on; until then a write pays only the test of
     the built flag. *)

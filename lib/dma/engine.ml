@@ -88,6 +88,10 @@ type t = {
   mutable last_status : int;
   mutable transfers : Transfer.t list; (* newest first *)
   mutable n_transfers : int; (* length of [transfers] *)
+  mutable in_flight : (int * Transfer.t) list;
+      (* (ordinal, transfer) of the started transfers whose wire time had
+         not elapsed when last looked at, newest first; pruned lazily by
+         [live_transfers]. Always empty under a zero-duration backend. *)
   mutable outbound : outbound_packet list; (* newest first *)
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
@@ -126,6 +130,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     last_status = Status.failure;
     transfers = [];
     n_transfers = 0;
+    in_flight = [];
     counters = { rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
     sink = Uldma_obs.Trace.null;
@@ -147,8 +152,8 @@ let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~
 (* Engine snapshot for kernel forks. The register contexts, matcher,
    capabilities, counters and digest are duplicated; the IOTLB is
    shared copy-on-write (Iotlb.copy flags both sides, and the first
-   write copies); transfers/outbound and the mapped-out map are
-   immutable and are shared. *)
+   write copies); transfers, the in-flight list, outbound and the
+   mapped-out map are immutable and are shared. *)
 let copy t ~clock ~backend =
   {
     t with
@@ -290,7 +295,24 @@ let push_transfer t tr =
     note t s_n_transfers k (k + 1)
   end;
   t.transfers <- tr :: t.transfers;
-  t.n_transfers <- k + 1
+  t.n_transfers <- k + 1;
+  if Transfer.end_time tr > Clock.now t.clock then t.in_flight <- (k, tr) :: t.in_flight
+
+(* The in-flight list with the transfers completed by now dropped. It is
+   rebuilt only when one has completed, so a walk that finds every entry
+   still live allocates nothing. *)
+let rec all_live now = function
+  | [] -> true
+  | (_, tr) :: rest -> Transfer.end_time tr > now && all_live now rest
+
+let rec live now = function
+  | [] -> []
+  | ((_, tr) as e) :: rest -> if Transfer.end_time tr > now then e :: live now rest else live now rest
+
+let live_transfers t =
+  let now = Clock.now t.clock in
+  if not (all_live now t.in_flight) then t.in_flight <- live now t.in_flight;
+  t.in_flight
 
 let scratch_digest t =
   let d = [| 0; 0 |] in
@@ -322,13 +344,16 @@ let scratch_digest t =
     t.transfers;
   (d.(0), d.(1))
 
-let digest t =
+let build_digest t =
   if t.dg.(2) = 0 then begin
     let a, b = scratch_digest t in
     t.dg.(0) <- a;
     t.dg.(1) <- b;
     t.dg.(2) <- 1
-  end;
+  end
+
+let digest t =
+  build_digest t;
   (t.dg.(0), t.dg.(1))
 
 (* exhaustive by construction: a new [reject_reason] variant must be
@@ -720,18 +745,18 @@ let kernel_load t offset ~pid =
 let decodes_arg_regs t = match t.mechanism with Iommu | Capio -> true | _ -> false
 
 let context_page_store t context offset value ~pid =
-  match Context_file.get_opt t.contexts context with
-  | None -> ignore (reject t ~reason:No_context ~pid : int)
-  | Some c ->
+  if not (Context_file.mem t.contexts context) then ignore (reject t ~reason:No_context ~pid : int)
+  else
+    let c = Context_file.get t.contexts context in
     if offset = Regmap.c_atomic then context_atomic_store c None value
     else if decodes_arg_regs t && offset = Regmap.c_arg_src then Context_file.set_src c (Some value)
     else if decodes_arg_regs t && offset = Regmap.c_arg_dst then Context_file.set_dest c (Some value)
     else Context_file.set_size c (Some value)
 
 let context_page_load t context offset ~pid =
-  match Context_file.get_opt t.contexts context with
-  | None -> reject t ~reason:No_context ~pid
-  | Some c ->
+  if not (Context_file.mem t.contexts context) then reject t ~reason:No_context ~pid
+  else
+    let c = Context_file.get t.contexts context in
     if offset = Regmap.c_atomic then context_atomic_exec t c ~expected_target:None ~pid
     else begin
       match Context_file.args_ready c with
@@ -761,25 +786,30 @@ let context_page_load t context offset ~pid =
 (* ------------------------------------------------------------------ *)
 (* Shadow window: atomic accesses (§3.5) *)
 
-let decode_key value = (value asr 4, value land 0xf)
+(* A key-carrying store's value: the key above four bits of context id. *)
+let value_key value = value asr 4
+let value_context value = value land 0xf
 
-let shadow_atomic t (d : Shadow.decoded) (op : Txn.op) value ~pid =
+(* A shadow access names a context id [context] and, stripped of its
+   tags, a real physical address [arg]. *)
+let shadow_atomic t ~context ~arg (op : Txn.op) value ~pid =
   match (t.mechanism, op) with
   | Ext_shadow, Txn.Store ->
-    (match Context_file.get_opt t.contexts d.Shadow.context with
-    | None -> ignore (reject t ~reason:No_context ~pid : int)
-    | Some c -> context_atomic_store c (Some d.Shadow.paddr) value);
+    if Context_file.mem t.contexts context then
+      context_atomic_store (Context_file.get t.contexts context) (Some arg) value
+    else ignore (reject t ~reason:No_context ~pid : int);
     0
-  | Ext_shadow, Txn.Load -> (
-    match Context_file.get_opt t.contexts d.Shadow.context with
-    | None -> reject t ~reason:No_context ~pid
-    | Some c -> context_atomic_exec t c ~expected_target:(Some d.Shadow.paddr) ~pid)
+  | Ext_shadow, Txn.Load ->
+    if Context_file.mem t.contexts context then
+      context_atomic_exec t (Context_file.get t.contexts context) ~expected_target:(Some arg) ~pid
+    else reject t ~reason:No_context ~pid
   | Key_based, Txn.Store ->
-    (let key, context = decode_key value in
-     match Context_file.get_opt t.contexts context with
-     | None -> ignore (reject t ~reason:No_context ~pid : int)
-     | Some c ->
-       if c.Context_file.key = key then Context_file.set_atomic_target c (Some d.Shadow.paddr)
+    let context = value_context value in
+    (if not (Context_file.mem t.contexts context) then
+       ignore (reject t ~reason:No_context ~pid : int)
+     else
+       let c = Context_file.get t.contexts context in
+       if c.Context_file.key = value_key value then Context_file.set_atomic_target c (Some arg)
        else ignore (reject t ~reason:Bad_key ~pid : int));
     0
   | Key_based, Txn.Load -> reject t ~reason:Unsupported ~pid
@@ -787,13 +817,13 @@ let shadow_atomic t (d : Shadow.decoded) (op : Txn.op) value ~pid =
     (* the shared atomic slot: one (target, op) pair for the whole
        engine. Safe only when the two accesses cannot be interleaved,
        i.e. when issued from PAL mode (sec. 2.7 + 3.5). *)
-    set_g_atomic t (Some d.Shadow.paddr) (Atomic_op.accumulate t.g_atomic_pending value);
+    set_g_atomic t (Some arg) (Atomic_op.accumulate t.g_atomic_pending value);
     0
   | (Shrimp_two_step | Flash | Ext_shadow_stateless), Txn.Load -> (
     let target = t.g_atomic_target and pending = t.g_atomic_pending in
     set_g_atomic t None Atomic_op.P_none;
     match (target, pending) with
-    | Some target, Atomic_op.P_ready op when target = d.Shadow.paddr ->
+    | Some target, Atomic_op.P_ready op when target = arg ->
       run_atomic t ~op ~target ~context:None ~pid
     | _, _ -> reject t ~reason:Incomplete_arguments ~pid)
   | (Shrimp_mapped | Rep_args _ | Iommu | Capio), Txn.Load -> reject t ~reason:Unsupported ~pid
@@ -804,11 +834,11 @@ let shadow_atomic t (d : Shadow.decoded) (op : Txn.op) value ~pid =
 (* ------------------------------------------------------------------ *)
 (* Shadow window: DMA argument passing *)
 
-let shadow_store t (d : Shadow.decoded) value ~pid =
+let shadow_store t ~context ~arg value ~pid =
   let discard r = ignore (r : int) in
   match t.mechanism with
   | Shrimp_mapped -> (
-    let src = d.Shadow.paddr in
+    let src = arg in
     match Imap.find_opt (Layout.page_base src) t.mapped_out with
     | Some dst_page ->
       let dst = dst_page lor Layout.page_offset src in
@@ -818,27 +848,27 @@ let shadow_store t (d : Shadow.decoded) value ~pid =
       discard (reject t ~reason:Not_mapped_out ~pid))
   | Shrimp_two_step | Flash ->
     set_pending t
-      (Some { p_dest = d.Shadow.paddr; p_size = value; p_pid = t.current_pid; p_ctx = 0 })
+      (Some { p_dest = arg; p_size = value; p_pid = t.current_pid; p_ctx = 0 })
   | Ext_shadow_stateless ->
     (* sec. 3.2, no-register-context engine: remember the context id
        carried in the shadow physical address itself *)
     set_pending t
-      (Some { p_dest = d.Shadow.paddr; p_size = value; p_pid = 0; p_ctx = d.Shadow.context })
-  | Key_based -> (
-    let key, context = decode_key value in
-    match Context_file.get_opt t.contexts context with
-    | None -> discard (reject t ~reason:No_context ~pid)
-    | Some c ->
-      if c.Context_file.key = key then Context_file.push_address c d.Shadow.paddr
-      else discard (reject t ~reason:Bad_key ~pid))
-  | Ext_shadow -> (
-    match Context_file.get_opt t.contexts d.Shadow.context with
-    | None -> discard (reject t ~reason:No_context ~pid)
-    | Some c ->
-      Context_file.set_dest c (Some d.Shadow.paddr);
-      Context_file.set_size c (Some value))
+      (Some { p_dest = arg; p_size = value; p_pid = 0; p_ctx = context })
+  | Key_based ->
+    let context = value_context value in
+    if not (Context_file.mem t.contexts context) then discard (reject t ~reason:No_context ~pid)
+    else
+      let c = Context_file.get t.contexts context in
+      if c.Context_file.key = value_key value then Context_file.push_address c arg
+      else discard (reject t ~reason:Bad_key ~pid)
+  | Ext_shadow ->
+    if not (Context_file.mem t.contexts context) then discard (reject t ~reason:No_context ~pid)
+    else
+      let c = Context_file.get t.contexts context in
+      Context_file.set_dest c (Some arg);
+      Context_file.set_size c (Some value)
   | Rep_args _ -> (
-    match Seq_matcher.feed t.matcher Txn.Store ~paddr:d.Shadow.paddr ~value with
+    match Seq_matcher.feed t.matcher Txn.Store ~paddr:arg ~value with
     | Seq_matcher.Accepted ->
       if tracing t then
         trace t ~at:(now t) ~pid
@@ -852,14 +882,14 @@ let shadow_store t (d : Shadow.decoded) value ~pid =
        shadow window is not decoded by these mechanisms *)
     discard (reject t ~reason:Unsupported ~pid)
 
-let shadow_load t (d : Shadow.decoded) ~pid =
+let shadow_load t ~context ~arg ~pid =
   match t.mechanism with
   | Shrimp_mapped -> two_step_status t
   | Shrimp_two_step -> (
     match t.pending with
     | Some { p_dest; p_size; _ } ->
       set_pending t None;
-      let status = start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid in
+      let status = start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid in
       set_last_status t status;
       status
     | None ->
@@ -869,13 +899,13 @@ let shadow_load t (d : Shadow.decoded) ~pid =
     match t.pending with
     | Some { p_dest; p_size; p_ctx; _ } ->
       set_pending t None;
-      if p_ctx <> d.Shadow.context then begin
+      if p_ctx <> context then begin
         set_last_status t Status.failure;
         reject t ~reason:Wrong_context ~pid
       end
       else begin
         let status =
-          start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid
+          start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid
         in
         set_last_status t status;
         status
@@ -893,7 +923,7 @@ let shadow_load t (d : Shadow.decoded) ~pid =
       end
       else begin
         let status =
-          start_transfer t ~src:d.Shadow.paddr ~dst:p_dest ~size:p_size ~context:None ~pid
+          start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid
         in
         set_last_status t status;
         status
@@ -905,14 +935,12 @@ let shadow_load t (d : Shadow.decoded) ~pid =
     (* the key-based protocol never loads from the shadow window *)
     reject t ~reason:Unsupported ~pid
   | Ext_shadow -> (
-    match Context_file.get_opt t.contexts d.Shadow.context with
-    | None -> reject t ~reason:No_context ~pid
-    | Some c -> (
+    if not (Context_file.mem t.contexts context) then reject t ~reason:No_context ~pid
+    else
+      let c = Context_file.get t.contexts context in
       match (c.Context_file.dest, c.Context_file.size) with
       | Some dest, Some size ->
-        let status =
-          start_transfer t ~src:d.Shadow.paddr ~dst:dest ~size ~context:(Some d.Shadow.context) ~pid
-        in
+        let status = start_transfer t ~src:arg ~dst:dest ~size ~context:(Some context) ~pid in
         Context_file.clear_args c;
         Context_file.set_status c status;
         status
@@ -920,9 +948,9 @@ let shadow_load t (d : Shadow.decoded) ~pid =
         Context_file.clear_args c;
         let status = reject t ~reason:Incomplete_arguments ~pid in
         Context_file.set_status c status;
-        status))
+        status)
   | Rep_args _ -> (
-    match Seq_matcher.feed t.matcher Txn.Load ~paddr:d.Shadow.paddr ~value:0 with
+    match Seq_matcher.feed t.matcher Txn.Load ~paddr:arg ~value:0 with
     | Seq_matcher.Accepted ->
       if tracing t then
         trace t ~at:(now t) ~pid
@@ -940,50 +968,48 @@ let shadow_load t (d : Shadow.decoded) ~pid =
 (* Telegraphos remote write: an ordinary uncached store to a
    remote-window page becomes a single-word packet. Remote loads would
    need a round trip; like Telegraphos, we reject them. *)
-let handle_remote t (txn : Txn.t) =
-  match txn.Txn.op with
+let handle_remote t (op : Txn.op) ~paddr ~value ~pid =
+  match op with
   | Txn.Store ->
     let payload = Bytes.create Layout.word_size in
-    Bytes.set_int64_le payload 0 (Int64.of_int txn.Txn.value);
-    send_remote t ~remote_paddr:txn.Txn.paddr ~payload;
+    Bytes.set_int64_le payload 0 (Int64.of_int value);
+    send_remote t ~remote_paddr:paddr ~payload;
     0
-  | Txn.Load -> reject t ~reason:Unsupported ~pid:txn.Txn.pid
+  | Txn.Load -> reject t ~reason:Unsupported ~pid
 
-let handle t (txn : Txn.t) =
-  let pid = txn.Txn.pid in
-  if Layout.in_remote txn.Txn.paddr then handle_remote t txn
-  else if Layout.in_mmio txn.Txn.paddr then begin
-    let page = Layout.page_base txn.Txn.paddr and offset = Layout.page_offset txn.Txn.paddr in
+(* One bus access, decoded from its fields without allocating: a page
+   of the MMIO window past the control page is register context
+   [page index - 1]. *)
+let handle t (op : Txn.op) ~paddr ~value ~pid =
+  if Layout.in_remote paddr then handle_remote t op ~paddr ~value ~pid
+  else if Layout.in_mmio paddr then begin
+    let page = Layout.page_base paddr and offset = Layout.page_offset paddr in
     if page = Layout.kernel_control_page then
-      match txn.Txn.op with
+      match op with
       | Txn.Store ->
-        kernel_store t offset txn.Txn.value ~pid;
+        kernel_store t offset value ~pid;
         0
       | Txn.Load -> kernel_load t offset ~pid
     else
-      match Layout.context_of_mmio txn.Txn.paddr with
-      | Some context -> (
-        match txn.Txn.op with
-        | Txn.Store ->
-          context_page_store t context offset txn.Txn.value ~pid;
-          0
-        | Txn.Load -> context_page_load t context offset ~pid)
-      | None -> 0
+      let context = ((page - Layout.kernel_control_page) lsr Layout.page_shift) - 1 in
+      match op with
+      | Txn.Store ->
+        context_page_store t context offset value ~pid;
+        0
+      | Txn.Load -> context_page_load t context offset ~pid
   end
-  else
-    match Shadow.decode txn.Txn.paddr with
-    | Some d ->
-      if tracing t then
-        trace t ~at:txn.Txn.at ~pid (Uldma_obs.Trace.Engine_decode { paddr = txn.Txn.paddr });
-      if d.Shadow.atomic then shadow_atomic t d txn.Txn.op txn.Txn.value ~pid
-      else begin
-        match txn.Txn.op with
-        | Txn.Store ->
-          shadow_store t d txn.Txn.value ~pid;
-          0
-        | Txn.Load -> shadow_load t d ~pid
-      end
-    | None -> 0
+  else if Shadow.is_shadow paddr then begin
+    if tracing t then trace t ~at:(now t) ~pid (Uldma_obs.Trace.Engine_decode { paddr });
+    let context = Shadow.context_of paddr and arg = Shadow.strip paddr in
+    if Shadow.is_atomic paddr then shadow_atomic t ~context ~arg op value ~pid
+    else
+      match op with
+      | Txn.Store ->
+        shadow_store t ~context ~arg value ~pid;
+        0
+      | Txn.Load -> shadow_load t ~context ~arg ~pid
+  end
+  else 0
 
 (* Canonical encoding of the engine's observable state, for the
    explorer's state fingerprint. Includes everything a future load can
@@ -1007,31 +1033,48 @@ let handle t (txn : Txn.t) =
    [Buf] streams every register. [Fp] takes the two lanes of the
    matcher's, the contexts' and the engine's own digests in place of
    their registers and of the transfers' static fields, and feeds only
-   what depends on the clock: the statuses as loads see them now, the
-   last transfer's remaining bytes and each in-flight transfer's
-   (ordinal, remaining wire time). The capability table, the mapped-out
-   map and the outbound queue are usually empty and are walked in both
-   modes. *)
+   what depends on the clock, and only while a transfer is in flight:
+   the statuses as loads see them now, the last transfer's remaining
+   bytes and each in-flight transfer's (ordinal, remaining wire time).
+   With nothing in flight every remaining count is 0, so a status is
+   its context's status register unless that holds no failure and a
+   transfer was started through the context (then 0), and the last
+   transfer's remaining bytes are 0 unless no transfer was ever started
+   (then [min_int]): functions of digested fields, fed by the digests.
+   The capability table, the mapped-out map and the outbound queue are
+   usually empty and are walked in both modes. *)
 let encode enc t =
   let module E = Uldma_util.Enc in
   let i v = E.int enc v in
   let ch c = E.char enc c in
   let opt = function None -> min_int | Some v -> v in
   let paranoid = match enc with E.Buf _ -> true | E.Fp _ -> false in
+  (* what a status load on each context, and a two-step status load,
+     would see right now *)
+  let clock_view () =
+    ch 's';
+    for c = 0 to Context_file.length t.contexts - 1 do
+      i (context_status t c)
+    done
+  and last_remaining () =
+    i (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t))
+  in
+  let live = match enc with E.Fp _ -> live_transfers t | E.Buf _ -> [] in
   E.string enc "E:";
   Seq_matcher.encode enc t.matcher;
   Context_file.encode enc t.contexts;
-  (* per-context status as loads would see it right now *)
-  ch 's';
-  for c = 0 to Context_file.length t.contexts - 1 do
-    i (context_status t c)
-  done;
   (match enc with
   | E.Fp fp ->
-    let a, b = digest t in
-    Fp128.add_int fp a;
-    Fp128.add_int fp b
+    if live <> [] then begin
+      clock_view ();
+      ch 'l';
+      last_remaining ()
+    end;
+    build_digest t;
+    Fp128.add_int fp t.dg.(0);
+    Fp128.add_int fp t.dg.(1)
   | E.Buf _ ->
+    clock_view ();
     ch 'p';
     (match t.pending with
     | None -> ()
@@ -1049,10 +1092,10 @@ let encode enc t =
     Atomic_op.encode_pending enc t.k_atomic_pending;
     ch 'g';
     i (opt t.g_atomic_target);
-    Atomic_op.encode_pending enc t.g_atomic_pending);
-  ch 'l';
-  if paranoid then i t.last_status;
-  i (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t));
+    Atomic_op.encode_pending enc t.g_atomic_pending;
+    ch 'l';
+    i t.last_status;
+    last_remaining ());
   (* IOTLB contents + victim cursors and the capability table are
      engine-visible state: they decide future hit/miss charges and
      grant/reject outcomes. Under the paper's mechanisms both are
@@ -1084,15 +1127,12 @@ let encode enc t =
       ch ';'
   end
   else
-    List.iteri
-      (fun j tr ->
-        let r = Transfer.remaining_ps tr ~now:(now t) in
-        if r <> 0 then begin
-          ch 't';
-          i (t.n_transfers - 1 - j);
-          i r
-        end)
-      t.transfers;
+    List.iter
+      (fun (k, tr) ->
+        ch 't';
+        i k;
+        i (Transfer.remaining_ps tr ~now:(now t)))
+      live;
   Imap.iter
     (fun k v ->
       ch 'o';
@@ -1116,23 +1156,22 @@ let encode enc t =
     t.outbound
 
 (* Earliest future completion among in-flight transfers, if any. Under
-   a zero-duration backend every end_time equals its started_at, which
-   is never after now, so this is always None there. *)
+   a zero-duration backend no transfer is ever in flight, so this is
+   always None there. *)
 let next_transfer_deadline t =
-  let now = now t in
-  List.fold_left
-    (fun acc (tr : Transfer.t) ->
-      let fin = Transfer.end_time tr in
-      if fin > now then
-        match acc with Some best when best <= fin -> acc | _ -> Some fin
-      else acc)
-    None t.transfers
+  match live_transfers t with
+  | [] -> None
+  | (_, tr) :: rest ->
+    Some
+      (List.fold_left
+         (fun best (_, tr) -> min best (Transfer.end_time tr))
+         (Transfer.end_time tr) rest)
 
-let device t =
+let device =
   {
     Bus.claims =
       (fun paddr -> Layout.in_mmio paddr || Layout.is_shadow paddr || Layout.in_remote paddr);
-    Bus.handle = handle t;
+    Bus.handle = handle;
   }
 
 let set_context_owner t ~context ~pid = Context_file.set_owner t.contexts ~context ~pid

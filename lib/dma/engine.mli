@@ -99,8 +99,10 @@ val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
     events. The sink is the engine's only event record. Carried across
     [copy]. *)
 
-val device : t -> Uldma_bus.Bus.device
-(** Register with [Bus.register_device]. *)
+val device : t Uldma_bus.Bus.device
+(** The engine as a bus device over the bus's engine state: register it
+    with [Bus.register_device] on a bus created over the engine; a
+    [Bus.copy] over the copied engine carries it. *)
 
 val copy : t -> clock:Uldma_bus.Clock.t -> backend:Transfer.backend -> t
 (** Snapshot for the interleaving explorer; the caller supplies the
@@ -186,10 +188,14 @@ val encode : Uldma_util.Enc.t -> t -> unit
     timestamps) is excluded. A [Buf] sink gets every register; an [Fp]
     sink gets the two lanes of {!Seq_matcher.digest},
     {!Context_file.digest} and {!digest} in place of the registers and
-    the transfers' static fields, plus what depends on the clock: the
-    statuses as loads see them now, the last transfer's remaining
-    bytes and each in-flight transfer's (ordinal, remaining wire
-    time). *)
+    the transfers' static fields, plus, only while a transfer is in
+    flight, what depends on the clock: the statuses as loads see them
+    now, the last transfer's remaining bytes and each in-flight
+    transfer's (ordinal, remaining wire time). With nothing in flight
+    those are functions of digested fields ({!Context_file.digest}
+    covers whether a transfer was started through each context), so
+    an [Fp] key walks no transfer and no status; under a zero-duration
+    backend nothing is ever in flight. *)
 
 val digest : t -> int * int
 (** The two lanes of the write-maintained additive digest
@@ -214,7 +220,9 @@ val next_transfer_deadline : t -> Uldma_util.Units.ps option
 (** Earliest [end_time] strictly after [now] among started transfers —
     the next instant at which waiting (advancing the clock without
     running any process) changes an observable. [None] when nothing is
-    in flight, in particular always under a zero-duration backend. *)
+    in flight, in particular always under a zero-duration backend. The
+    engine keeps the transfers still in flight apart, so this walks
+    only those. *)
 
 val context_transfer_end : t -> int -> Uldma_util.Units.ps option
 (** Completion time of the context's last transfer (for sys_dma_wait). *)

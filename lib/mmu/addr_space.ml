@@ -29,19 +29,52 @@ let page_table t = t.table
 let permitted access (perms : Perms.t) =
   match access with Read -> perms.read | Write -> perms.write
 
-let translate t access vaddr =
+(* A translation word: the physical address, which stays below 2^42,
+   with the PTE's cacheable bit and the TLB outcome in two high bits;
+   a fault is a negative code. *)
+let cacheable_bit = 1 lsl 61
+let miss_bit = 1 lsl 60
+let no_mapping_code = -1
+let protection_code = -2
+
+let word ~paddr ~cacheable ~missed =
+  paddr lor (if cacheable then cacheable_bit else 0) lor if missed then miss_bit else 0
+
+let fault_word = function No_mapping _ -> no_mapping_code | Protection _ -> protection_code
+
+let word_of_pte access vaddr (pte : Pte.t) ~missed =
+  if not (permitted access pte.Pte.perms) then protection_code
+  else
+    word
+      ~paddr:((pte.Pte.frame lsl Layout.page_shift) lor Layout.page_offset vaddr)
+      ~cacheable:pte.Pte.cacheable ~missed
+
+let translate_word t access vaddr =
   let vpage = Layout.page_of vaddr in
-  match Tlb.translate t.tlb t.table ~vpage with
-  | None -> Error (No_mapping vaddr)
-  | Some (pte, hit) ->
-    if not (permitted access pte.Pte.perms) then Error (Protection (vaddr, access))
-    else
-      Ok
-        {
-          paddr = (pte.Pte.frame lsl Layout.page_shift) lor Layout.page_offset vaddr;
-          cacheable = pte.Pte.cacheable;
-          hit;
-        }
+  match Tlb.hit t.tlb ~vpage with
+  | pte -> word_of_pte access vaddr pte ~missed:false
+  | exception Not_found -> (
+    match Tlb.refill t.tlb t.table ~vpage with
+    | pte -> word_of_pte access vaddr pte ~missed:true
+    | exception Not_found -> no_mapping_code)
+
+let word_paddr w = w land (miss_bit - 1)
+let word_cacheable w = w land cacheable_bit <> 0
+let word_missed w = w land miss_bit <> 0
+
+let word_fault w access vaddr =
+  if w = protection_code then Protection (vaddr, access) else No_mapping vaddr
+
+let translate t access vaddr =
+  let w = translate_word t access vaddr in
+  if w < 0 then Error (word_fault w access vaddr)
+  else
+    Ok
+      {
+        paddr = word_paddr w;
+        cacheable = word_cacheable w;
+        hit = (if word_missed w then `Miss else `Hit);
+      }
 
 let translate_exn t access vaddr =
   match translate t access vaddr with

@@ -31,8 +31,31 @@ val unmap_page : t -> vpage:int -> unit
 val find_page : t -> vpage:int -> Pte.t option
 val page_table : t -> Page_table.t
 
+val translate_word : t -> access -> int -> int
+(** Translate one virtual address for the given access kind, with the
+    TLB effects of an access, allocating nothing. The result is a
+    translation word: non-negative on success (read it with
+    {!word_paddr}, {!word_cacheable} and {!word_missed}), negative on a
+    fault (decode it with {!word_fault}). *)
+
+val word_paddr : int -> int
+val word_cacheable : int -> bool
+val word_missed : int -> bool
+(** The TLB missed (the page table was walked and the entry filled). *)
+
+val word_fault : int -> access -> int -> fault
+(** [word_fault w access vaddr]: the fault of a negative word [w]
+    returned for [access] at [vaddr]. *)
+
+val word : paddr:int -> cacheable:bool -> missed:bool -> int
+(** The word of a successful translation ([0 <= paddr < 2^60]), for a
+    host that translates by other means. *)
+
+val fault_word : fault -> int
+(** The word of a failed translation. *)
+
 val translate : t -> access -> int -> (translation, fault) result
-(** Translate one virtual address for the given access kind. *)
+(** {!translate_word}, decoded. *)
 
 val translate_exn : t -> access -> int -> translation
 

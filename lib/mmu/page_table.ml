@@ -19,6 +19,8 @@ let unmap t ~vpage = t.entries <- Int_map.remove vpage t.entries
 
 let find t ~vpage = Int_map.find_opt vpage t.entries
 
+let find_exn t ~vpage = Int_map.find vpage t.entries
+
 let mem t ~vpage = Int_map.mem vpage t.entries
 
 let iter t f = Int_map.iter f t.entries

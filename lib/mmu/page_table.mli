@@ -16,6 +16,10 @@ val map : t -> vpage:int -> Pte.t -> unit
 
 val unmap : t -> vpage:int -> unit
 val find : t -> vpage:int -> Pte.t option
+
+val find_exn : t -> vpage:int -> Pte.t
+(** Raises [Not_found]; allocates nothing. *)
+
 val mem : t -> vpage:int -> bool
 val cardinal : t -> int
 

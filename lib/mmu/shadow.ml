@@ -23,15 +23,13 @@ let encode paddr = encode_ctx ~context:0 paddr
 
 let encode_atomic ~context paddr = encode_with ~tags:(tag lor atomic_tag) ~context paddr
 
+let context_of a = (a land ctx_mask) lsr ctx_shift
+let strip a = a land lnot (tag lor atomic_tag lor ctx_mask)
+let is_atomic a = a land atomic_tag <> 0
+
 let decode a =
   if not (is_shadow a) then None
-  else
-    Some
-      {
-        context = (a land ctx_mask) lsr ctx_shift;
-        paddr = a land lnot (tag lor atomic_tag lor ctx_mask);
-        atomic = a land atomic_tag <> 0;
-      }
+  else Some { context = context_of a; paddr = strip a; atomic = is_atomic a }
 
 let decode_exn a =
   match decode a with

@@ -41,6 +41,17 @@ val decode : int -> decoded option
 
 val decode_exn : int -> decoded
 
+(** {2 Field access without decoding}
+
+    The fields of {!decode}'s record, read straight off a shadow
+    address; they allocate nothing. *)
+
+val context_of : int -> int
+val strip : int -> int
+(** The embedded real physical address. *)
+
+val is_atomic : int -> bool
+
 val is_shadow : int -> bool
 
 val shadow_frame_of_frame : context:int -> int -> int

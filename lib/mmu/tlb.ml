@@ -24,31 +24,39 @@ let copy t = { t with slots = t.slots }
 
 let slot_of t vpage = vpage land t.mask
 
-let lookup t ~vpage =
-  match Slots.find (slot_of t vpage) t.slots with
-  | e when e.vpage = vpage -> Some e.pte
-  | _ -> None
-  | exception Not_found -> None
+(* The cached entry for [vpage]; raises [Not_found], allocating
+   nothing either way. *)
+let find t ~vpage =
+  let e = Slots.find (slot_of t vpage) t.slots in
+  if e.vpage = vpage then e.pte else raise_notrace Not_found
+
+let lookup t ~vpage = match find t ~vpage with pte -> Some pte | exception Not_found -> None
 
 let fill t ~vpage pte = t.slots <- Slots.add (slot_of t vpage) { vpage; pte } t.slots
 
+let hit t ~vpage =
+  let pte = find t ~vpage in
+  t.hits <- t.hits + 1;
+  pte
+
+let refill t page_table ~vpage =
+  t.misses <- t.misses + 1;
+  let pte = Page_table.find_exn page_table ~vpage in
+  fill t ~vpage pte;
+  pte
+
 let translate t page_table ~vpage =
-  match lookup t ~vpage with
-  | Some pte ->
-    t.hits <- t.hits + 1;
-    Some (pte, `Hit)
-  | None -> (
-    t.misses <- t.misses + 1;
-    match Page_table.find page_table ~vpage with
-    | Some pte ->
-      fill t ~vpage pte;
-      Some (pte, `Miss)
-    | None -> None)
+  match hit t ~vpage with
+  | pte -> Some (pte, `Hit)
+  | exception Not_found -> (
+    match refill t page_table ~vpage with
+    | pte -> Some (pte, `Miss)
+    | exception Not_found -> None)
 
 let invalidate t ~vpage =
-  match lookup t ~vpage with
-  | Some _ -> t.slots <- Slots.remove (slot_of t vpage) t.slots
-  | None -> ()
+  match find t ~vpage with
+  | _ -> t.slots <- Slots.remove (slot_of t vpage) t.slots
+  | exception Not_found -> ()
 
 let flush t = t.slots <- Slots.empty
 

@@ -22,9 +22,17 @@ val lookup : t -> vpage:int -> Pte.t option
 
 val fill : t -> vpage:int -> Pte.t -> unit
 
+val hit : t -> vpage:int -> Pte.t
+(** Probe, counting a hit; raises [Not_found] (counting nothing) when
+    the entry is not cached. Allocates nothing. *)
+
+val refill : t -> Page_table.t -> vpage:int -> Pte.t
+(** Count a miss, walk the page table and fill; raises [Not_found] if
+    the page table has no entry either. *)
+
 val translate : t -> Page_table.t -> vpage:int -> (Pte.t * [ `Hit | `Miss ]) option
-(** Probe, falling back to the page table and filling on a miss;
-    [None] if the page table has no entry either. *)
+(** [hit], falling back to [refill]; [None] if the page table has no
+    entry either. *)
 
 val invalidate : t -> vpage:int -> unit
 (** Remove one entry if present (used when the OS revokes a mapping). *)

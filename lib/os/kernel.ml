@@ -41,7 +41,7 @@ type t = {
   config : config;
   clock : Clock.t;
   ram : Phys_mem.t;
-  bus : Bus.t;
+  bus : Engine.t Bus.t; (* its device state is [engine] *)
   engine : Engine.t;
   write_buffer : Write_buffer.t;
   mutable sched : Sched.t;
@@ -50,7 +50,7 @@ type t = {
   rng : Rng.t;
   mutable procs : Process.t list; (* ascending pid *)
   mutable next_pid : int;
-  mutable running : int option;
+  mutable current : Process.t option; (* the running process, one of [procs] *)
   mutable force_switch : bool;
   mutable hooks : hook list;
   mutable console : (int * int) list; (* newest first *)
@@ -59,7 +59,6 @@ type t = {
   disk : Uldma_io.Disk.t option;
   mutable trace : Uldma_obs.Trace.t;
   mutable machine : int;
-  mutable host : (Process.t * Cpu.host) option; (* [host_for]'s cache; a fork starts empty *)
 }
 
 let kernel_pid = -1
@@ -78,7 +77,7 @@ let build_backend spec ram =
 
 (* The machine emits trace events on behalf of whichever process is
    running; [kernel_pid] when none is. *)
-let trace_pid t = match t.running with Some pid -> pid | None -> kernel_pid
+let trace_pid t = match t.current with Some p -> p.Process.pid | None -> kernel_pid
 
 (* A caller that builds its payload first tests [Trace.enabled]
    itself, so a disabled probe costs one load-and-branch. *)
@@ -108,14 +107,14 @@ let machine_id t = t.machine
 let create config =
   let clock = Clock.create () in
   let ram = Phys_mem.create ~size:config.ram_size in
-  let bus = Bus.create ~clock ~timing:config.timing ~ram () in
   let backend = build_backend config.backend ram in
   let engine =
     Engine.create ~clock ~backend ~ram_size:config.ram_size ~mechanism:config.mechanism
       ~n_contexts:config.n_contexts
       ~iotlb_walk_ps:(Timing.iotlb_walk_ps config.timing) ()
   in
-  Bus.register_device bus (Engine.device engine);
+  let bus = Bus.create ~clock ~timing:config.timing ~ram engine in
+  Bus.register_device bus Engine.device;
   let rec range i n = if i >= n then [] else i :: range (i + 1) n in
   let t =
     {
@@ -131,7 +130,7 @@ let create config =
       rng = Rng.create ~seed:config.seed;
       procs = [];
       next_pid = 1;
-      running = None;
+      current = None;
       force_switch = false;
       hooks = [];
       console = [];
@@ -140,7 +139,6 @@ let create config =
       disk = Option.map Uldma_io.Disk.create config.disk;
       trace = Uldma_obs.Trace.null;
       machine = 0;
-      host = None;
     }
   in
   (* pick up the process-global ambient sink so that kernels built deep
@@ -148,6 +146,12 @@ let create config =
      on the (disabled) null sink this is all free *)
   set_trace t (Uldma_obs.Trace.ambient ());
   t
+
+(* The process with [pid]; raises [Not_found]. A direct walk, so the
+   per-instruction callers allocate no closure and no option. *)
+let rec process_of_pid pid = function
+  | [] -> raise Not_found
+  | (p : Process.t) :: rest -> if p.Process.pid = pid then p else process_of_pid pid rest
 
 (* Snapshot for explorer forks: a fully independent kernel whose
    construction cost is proportional to the live bookkeeping, not to
@@ -157,15 +161,14 @@ let create config =
    the per-process TLBs and the engine's IOTLB copy-on-write (both
    sides flagged, since the explorer goes on writing the parent); the
    PAL table, which [Pal.install] replaces rather than writes. The bus
-   carries its timing model and per-pid access counters. The CPU host
-   cache is dropped, because its closures capture the parent. *)
+   carries its timing model, its devices and per-pid access counters. *)
 let copy t =
   let clock = Clock.copy t.clock in
   let ram = Phys_mem.copy t.ram in
-  let bus = Bus.copy t.bus ~ram ~clock in
   let backend = build_backend t.config.backend ram in
   let engine = Engine.copy t.engine ~clock ~backend in
-  Bus.register_device bus (Engine.device engine);
+  let bus = Bus.copy t.bus ~ram ~clock engine in
+  let procs = List.map Process.copy t.procs in
   let fork =
     {
       t with
@@ -178,9 +181,10 @@ let copy t =
       vm = Vm.copy t.vm;
       pal = Pal.copy t.pal;
       rng = Rng.copy t.rng;
-      procs = List.map Process.copy t.procs;
+      procs;
+      current =
+        (match t.current with Some p -> Some (process_of_pid p.Process.pid procs) | None -> None);
       disk = Option.map Uldma_io.Disk.copy t.disk;
-      host = None;
     }
   in
   (* forks share the parent's sink and machine id (the copied bus and
@@ -217,11 +221,6 @@ let timing t = Bus.timing t.bus
 let ram t = t.ram
 let pal t = t.pal
 let processes t = t.procs
-(* The process with [pid]; raises [Not_found]. A direct walk, so the
-   per-instruction callers allocate no closure and no option. *)
-let rec process_of_pid pid = function
-  | [] -> raise Not_found
-  | (p : Process.t) :: rest -> if p.Process.pid = pid then p else process_of_pid pid rest
 
 let find_process t pid = try Some (process_of_pid pid t.procs) with Not_found -> None
 
@@ -237,7 +236,7 @@ let rec runnable_except except = function
 (* no process has the kernel's pid *)
 let runnable_pids t = runnable_except kernel_pid t.procs
 
-let running t = t.running
+let running t = match t.current with Some p -> Some p.Process.pid | None -> None
 let console t = List.rev t.console
 let context_switches t = t.context_switches
 
@@ -351,8 +350,7 @@ let alloc_dma_context t (p : Process.t) =
     | Engine.Iommu ->
       Engine.iommu_bind t.engine ~context ~table:(Addr_space.page_table p.Process.addr_space)
     | _ -> ());
-    p.Process.dma_context <- Some context;
-    p.Process.dma_key <- Some key;
+    Process.set_dma p ~context:(Some context) ~key:(Some key);
     Some (context, key, Vm.context_page_va)
 
 let set_atomic_mailbox t (p : Process.t) ~vaddr =
@@ -387,8 +385,7 @@ let free_dma_context t (p : Process.t) =
     | _ -> ());
     Engine.set_context_owner t.engine ~context ~pid:None;
     Addr_space.unmap_page p.Process.addr_space ~vpage:(Layout.page_of Vm.context_page_va);
-    p.Process.dma_context <- None;
-    p.Process.dma_key <- None
+    Process.set_dma p ~context:None ~key:None
 
 (* CAPIO: mint an unforgeable capability over [len] bytes at [vaddr]
    and install it in the engine through the control page (value, base,
@@ -466,22 +463,28 @@ let kernel_modified t = t.hooks <> []
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let wbuf_emit t pid ~paddr ~value = Bus.store t.bus ~pid ~cacheable:false paddr value
+(* Buffered stores drain as the running process (the kernel when none
+   is): a store is always drained before the process that issued it
+   stops running, at a trap, an exit or a switch. *)
+let wbuf_emit t ~paddr ~value = Bus.store t.bus ~pid:(trace_pid t) ~cacheable:false paddr value
 
-let flush_write_buffer t pid = Write_buffer.flush t.write_buffer ~emit:(wbuf_emit t pid)
+let flush_write_buffer t = Write_buffer.flush t.write_buffer ~emit:wbuf_emit t
+
+(* A direct walk, so a switch builds no closure. *)
+let rec run_hooks t (next : Process.t) = function
+  | [] -> ()
+  | hook :: rest ->
+    (match hook with
+    | Shrimp_invalidate -> kstore t (Layout.kernel_control_page + Regmap.k_invalidate) 0
+    | Flash_inform -> kstore t (Layout.kernel_control_page + Regmap.k_current_pid) next.Process.pid);
+    run_hooks t next rest
 
 let context_switch t (next : Process.t) =
-  let prev_pid = match t.running with Some pid -> pid | None -> kernel_pid in
+  let prev_pid = trace_pid t in
   charge t (Timing.context_switch_ps (timing t));
-  flush_write_buffer t prev_pid;
+  flush_write_buffer t;
   Addr_space.flush_tlb next.Process.addr_space;
-  List.iter
-    (fun hook ->
-      match hook with
-      | Shrimp_invalidate -> kstore t (Layout.kernel_control_page + Regmap.k_invalidate) 0
-      | Flash_inform ->
-        kstore t (Layout.kernel_control_page + Regmap.k_current_pid) next.Process.pid)
-    t.hooks;
+  run_hooks t next t.hooks;
   (* the IOTLB is untagged, so a switch must flush it — part of the
      IOMMU mechanism's (kernel-modifying) context-switch cost *)
   (match t.config.mechanism with
@@ -489,45 +492,44 @@ let context_switch t (next : Process.t) =
   | _ -> ());
   Sched.note_switch t.sched;
   t.context_switches <- t.context_switches + 1;
-  t.running <- Some next.Process.pid;
+  t.current <- Some next;
   if Uldma_obs.Trace.enabled t.trace then
     emit t (Uldma_obs.Trace.Ctx_switch { from_pid = prev_pid; to_pid = next.Process.pid })
 
-let build_host t (p : Process.t) =
-  let tm = timing t in
+(* The CPU's view of the machine, on behalf of the running process:
+   one static record of functions of the kernel, so neither an
+   instruction nor an access builds a closure. *)
+let running_space t =
+  match t.current with
+  | Some p -> p.Process.addr_space
+  | None -> invalid_arg "Kernel: no running process"
+
+let host : t Cpu.host =
   {
-    Cpu.translate = (fun access vaddr -> Addr_space.translate p.Process.addr_space access vaddr);
+    Cpu.translate = (fun t access vaddr -> Addr_space.translate_word (running_space t) access vaddr);
     load =
-      (fun ~cacheable paddr ->
-        if cacheable then Bus.load t.bus ~pid:p.Process.pid ~cacheable:true paddr
+      (fun t ~cacheable paddr ->
+        if cacheable then Bus.load t.bus ~pid:(trace_pid t) ~cacheable:true paddr
         else
           match Write_buffer.load t.write_buffer ~paddr with
           | `Forwarded v ->
-            charge t (Timing.cached_access_ps tm);
+            charge t (Timing.cached_access_ps (timing t));
             v
-          | `To_bus -> Bus.load t.bus ~pid:p.Process.pid ~cacheable:false paddr);
+          | `To_bus -> Bus.load t.bus ~pid:(trace_pid t) ~cacheable:false paddr);
     store =
-      (fun ~cacheable paddr value ->
-        if cacheable then Bus.store t.bus ~pid:p.Process.pid ~cacheable:true paddr value
-        else
-          Write_buffer.store t.write_buffer ~emit:(wbuf_emit t p.Process.pid) ~paddr ~value);
-    barrier = (fun () -> Write_buffer.barrier t.write_buffer ~emit:(wbuf_emit t p.Process.pid));
-    charge = charge t;
-    instruction_ps = Timing.instruction_ps tm;
-    tlb_miss_ps = Timing.tlb_miss_ps tm;
-    memory_barrier_ps = Timing.memory_barrier_ps tm;
+      (fun t ~cacheable paddr value ->
+        if cacheable then Bus.store t.bus ~pid:(trace_pid t) ~cacheable:true paddr value
+        else Write_buffer.store t.write_buffer ~emit:wbuf_emit t ~paddr ~value);
+    barrier = (fun t -> Write_buffer.barrier t.write_buffer ~emit:wbuf_emit t);
+    charge =
+      (fun t cost ->
+        let tm = timing t in
+        charge t
+          (match cost with
+          | Cpu.Instruction -> Timing.instruction_ps tm
+          | Cpu.Tlb_miss -> Timing.tlb_miss_ps tm
+          | Cpu.Barrier -> Timing.memory_barrier_ps tm));
   }
-
-(* A host captures only [t]'s fixed parts and [p], so it is built once
-   per run of the same process (one explorer leg) instead of once per
-   instruction. *)
-let host_for t (p : Process.t) =
-  match t.host with
-  | Some (q, host) when q == p -> host
-  | Some _ | None ->
-    let host = build_host t p in
-    t.host <- Some (p, host);
-    host
 
 let regs (p : Process.t) = p.Process.ctx.Cpu.regs
 let reg p i = Regfile.get (regs p) i
@@ -588,7 +590,7 @@ let sys_atomic_impl t (p : Process.t) =
     else set_reg p 0 Status.failure
   | false, _ | _, None -> set_reg p 0 Status.failure
 
-let block_until t (p : Process.t) at = p.Process.state <- Process.Blocked_until (max at (now_ps t))
+let block_until t (p : Process.t) at = Process.set_state p (Process.Blocked_until (max at (now_ps t)))
 
 (* Centralised teardown for every exit path (sys_exit, halt, fault, bad
    syscall, missing PAL function): under CAPIO each capability minted
@@ -653,7 +655,7 @@ let sys_disk_impl t (p : Process.t) ~write =
 
 let rec handle_syscall t (p : Process.t) =
   charge t (Timing.syscall_ps (timing t));
-  flush_write_buffer t p.Process.pid;
+  flush_write_buffer t;
   p.Process.syscalls <- p.Process.syscalls + 1;
   let number = reg p 0 in
   if Uldma_obs.Trace.enabled t.trace then emit t (Uldma_obs.Trace.Syscall_enter { sysno = number });
@@ -702,12 +704,12 @@ let handle_pal t (p : Process.t) index =
   match
     Pal.invoke t.pal ~index ~sink:t.trace ~machine:t.machine ~pid:p.Process.pid
       ~now:(fun () -> now_ps t)
-      ~run:(fun body -> Cpu.run_subprogram (regs p) body (host_for t p))
+      ~run:(fun body -> Cpu.run_subprogram (regs p) body host t)
   with
   | None -> kill_process t p (Process.Killed (Printf.sprintf "PAL function %d not installed" index))
   | Some Cpu.Halted -> ()
   | Some (Cpu.Fault f) ->
-    flush_write_buffer t p.Process.pid;
+    flush_write_buffer t;
     kill_process t p (Process.Killed_fault f)
   | Some (Cpu.Continue | Cpu.Syscall_trap | Cpu.Pal_trap _) -> assert false
 
@@ -745,7 +747,7 @@ let exec_one t (p : Process.t) =
     end
     else None
   in
-  let outcome = Cpu.step p.Process.ctx (host_for t p) in
+  let outcome = Cpu.step p.Process.ctx host t in
   p.Process.instructions_retired <- p.Process.instructions_retired + 1;
   (match fetched with
   | Some instr -> emit t (Uldma_obs.Trace.Instr_retired { opcode = mnemonic instr })
@@ -753,10 +755,10 @@ let exec_one t (p : Process.t) =
   (match outcome with
   | Cpu.Continue -> ()
   | Cpu.Halted ->
-    flush_write_buffer t p.Process.pid;
+    flush_write_buffer t;
     kill_process t p Process.Normal
   | Cpu.Fault f ->
-    flush_write_buffer t p.Process.pid;
+    flush_write_buffer t;
     kill_process t p (Process.Killed_fault f)
   | Cpu.Syscall_trap -> handle_syscall t p
   | Cpu.Pal_trap index -> handle_pal t p index);
@@ -766,7 +768,7 @@ let rec wake_until now = function
   | [] -> ()
   | (p : Process.t) :: rest ->
     (match p.Process.state with
-    | Process.Blocked_until at when at <= now -> p.Process.state <- Process.Ready
+    | Process.Blocked_until at when at <= now -> Process.set_state p Process.Ready
     | Process.Blocked_until _ | Process.Ready | Process.Exited _ -> ());
     wake_until now rest
 
@@ -799,12 +801,25 @@ let soonest_wake t =
       | Process.Ready | Process.Exited _ -> acc)
     None t.procs
 
-let is_running t pid = match t.running with Some r -> r = pid | None -> false
+let is_running t pid = match t.current with Some p -> p.Process.pid = pid | None -> false
 
+(* Under [Run_to_completion], and under [Round_robin] before the quantum
+   expires, a runnable running process runs again whatever else is
+   runnable, so [step] asks the scheduler only that ([Sched.keeps_current])
+   and lists no runnable pids. [Scripted] and [Random_preempt] consume
+   their script or RNG on every pick, so they always take the list. *)
 let rec step t =
   wake_sleepers t;
+  match t.current with
+  | Some p when (not t.force_switch) && Process.is_runnable p && Sched.keeps_current t.sched ->
+    exec_one t p;
+    `Stepped p.Process.pid
+  | Some _ | None -> pick_and_step t
+
+and pick_and_step t =
+  let running = running t in
   let runnable =
-    match t.running with
+    match running with
     | Some cur when t.force_switch -> (
       (* a forced switch passes over the running process unless it is
          the only runnable one *)
@@ -812,7 +827,7 @@ let rec step t =
     | Some _ | None -> runnable_pids t
   in
   t.force_switch <- false;
-  match Sched.pick t.sched ~current:t.running ~runnable with
+  match Sched.pick t.sched ~current:running ~runnable with
   | None -> (
     (* nothing runnable: if someone is sleeping, idle the machine
        forward to the next wake time *)
@@ -899,28 +914,53 @@ let encode_state enc ?relative_to t =
   let i v = E.int enc v in
   let ch c = E.char enc c in
   ch 'K';
-  i (match t.running with None -> min_int | Some pid -> pid);
+  i (match t.current with None -> min_int | Some p -> p.Process.pid);
   if t.force_switch then ch 'F';
   List.iter (fun h -> ch (match h with Shrimp_invalidate -> 'S' | Flash_inform -> 'I')) t.hooks;
-  List.iter
-    (fun (p : Process.t) ->
-      ch 'P';
-      i p.Process.pid;
-      i
-        (match p.Process.state with
-        | Process.Ready -> 0
-        | Process.Blocked_until _ -> 1
-        | Process.Exited _ -> 2);
-      (* remaining sleep, not the absolute wake instant *)
-      (match p.Process.state with
-      | Process.Blocked_until at -> i (max 0 (at - now_ps t))
-      | Process.Ready | Process.Exited _ -> ());
-      i p.Process.ctx.Cpu.pc;
-      i (match p.Process.dma_context with None -> min_int | Some c -> c);
-      i (match p.Process.dma_key with None -> min_int | Some k -> k);
-      i (Bus.pid_access_count t.bus p.Process.pid);
-      Regfile.encode enc p.Process.ctx.Cpu.regs)
-    t.procs;
+  (* remaining sleep, not the absolute wake instant *)
+  let sleep (p : Process.t) =
+    match p.Process.state with
+    | Process.Blocked_until at -> i (max 0 (at - now_ps t))
+    | Process.Ready | Process.Exited _ -> ()
+  in
+  (match enc with
+  | E.Buf _ ->
+    List.iter
+      (fun (p : Process.t) ->
+        ch 'P';
+        i p.Process.pid;
+        i (Process.state_code p.Process.state);
+        sleep p;
+        i p.Process.ctx.Cpu.pc;
+        i (match p.Process.dma_context with None -> min_int | Some c -> c);
+        i (match p.Process.dma_key with None -> min_int | Some k -> k);
+        i (Bus.pid_access_count t.bus p.Process.pid);
+        Regfile.encode enc p.Process.ctx.Cpu.regs)
+      t.procs
+  | E.Fp fp ->
+    (* The process table as one digest: the lane sums of the processes'
+       pid-salted register-file digests, which cover registers, state
+       codes, DMA contexts and keys (Process.digest). Then only what the
+       digest does not hold, per process: pc and access count, which are
+       never negative, so the 'W' tag below ends the list, and a
+       sleeper's remaining time, whose presence the digest's state codes
+       tell. *)
+    ch 'P';
+    let rec lanes a b = function
+      | [] ->
+        Fp128.add_int fp a;
+        Fp128.add_int fp b
+      | (p : Process.t) :: rest ->
+        let regs = p.Process.ctx.Cpu.regs in
+        lanes (a + Regfile.digest_lane regs 0) (b + Regfile.digest_lane regs 1) rest
+    in
+    lanes 0 0 t.procs;
+    List.iter
+      (fun (p : Process.t) ->
+        i p.Process.ctx.Cpu.pc;
+        i (Bus.pid_access_count t.bus p.Process.pid);
+        sleep p)
+      t.procs);
   ch 'W';
   List.iter
     (fun (paddr, value) ->
@@ -956,8 +996,8 @@ let state_encoding ?relative_to t =
 
 (* Memo key for the explorer. Fingerprint mode streams [prefix] and the
    token walk into one two-lane 126-bit hash and returns its 16-byte
-   packed key — nothing is materialised; page contents, register files,
-   the IOTLB and the DMA engine's registers enter as their
+   packed key — nothing is materialised; page contents, the process
+   table, the IOTLB and the DMA engine's registers enter as their
    write-maintained digests — and reports
    how many bytes were streamed. Paranoid mode returns [prefix] followed
    by the full textual encoding, under which key equality is exactly

@@ -55,7 +55,7 @@ val copy : t -> t
     copy-on-write (the first write on either side copies), and the PAL
     table, which installs replace. So a snapshot costs O(live
     bookkeeping), not O(RAM size) or O(table capacity). The bus carries
-    timing and per-pid access counters. *)
+    timing, its device registration and per-pid access counters. *)
 
 val snapshot : t -> t
 (** Alias for [copy]; the intent-revealing name for explorer forks. *)
@@ -65,7 +65,7 @@ val snapshot : t -> t
 val config : t -> config
 val clock : t -> Uldma_bus.Clock.t
 val now_ps : t -> Uldma_util.Units.ps
-val bus : t -> Uldma_bus.Bus.t
+val bus : t -> Uldma_dma.Engine.t Uldma_bus.Bus.t
 val engine : t -> Uldma_dma.Engine.t
 val timing : t -> Uldma_bus.Timing.t
 val ram : t -> Uldma_mem.Phys_mem.t
@@ -123,17 +123,23 @@ val state_key : ?prefix:string -> ?relative_to:t -> paranoid:bool -> t -> string
     exploration mode) [prefix] and then the same token walk as
     [state_encoding] are streamed into one two-lane 126-bit fingerprint
     ({!Uldma_util.Fp128}) and the 16-byte packed key is returned — no
-    encoding string is materialised, and RAM pages, register files, the
-    IOTLB and the DMA engine's registers enter as their write-maintained
-    additive digests ({!Phys_mem.page_digest},
-    {!Uldma_cpu.Regfile.digest}, {!Uldma_mmu.Iotlb.digest},
+    encoding string is materialised, and RAM pages, the process table,
+    the IOTLB and the DMA engine's registers enter as their
+    write-maintained additive digests ({!Phys_mem.page_digest},
+    {!Process.digest}, {!Uldma_mmu.Iotlb.digest},
     {!Uldma_dma.Context_file.digest}, {!Uldma_dma.Seq_matcher.digest}
     and {!Uldma_dma.Engine.digest}, the last covering the engine's
     kernel-page and atomic registers and every started transfer's
     static fields), two ints each, so a key costs O(tokens streamed)
-    whatever was written since the last one. Of the engine only what
-    depends on the clock is streamed: the context statuses as loads see
-    them now and the remaining time of transfers still in flight. The
+    whatever was written since the last one. The process table enters
+    as one lane sum over every process's pid-salted digest (registers,
+    state code, DMA context and key), followed by each process's pc and
+    uncached-access count and a sleeper's remaining time. Of the engine
+    only what depends on the clock is streamed, and only while a
+    transfer is in flight: the context statuses as loads see them now
+    and the remaining time of each transfer still in flight (with
+    nothing in flight these are functions of digested fields, so a key
+    under the [Null] backend walks no transfer and no status). The
     byte count is exactly what was streamed here: digest upkeep is paid
     by the writes, not by the key. The engine's digests are built on
     the first key, so a machine that is never keyed pays only a flag

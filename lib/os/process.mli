@@ -18,9 +18,10 @@ type t = {
   ctx : Uldma_cpu.Cpu.ctx;
   addr_space : Uldma_mmu.Addr_space.t;
   superuser : bool;
-  mutable state : state;
-  mutable dma_context : int option; (** register context the OS assigned *)
-  mutable dma_key : int option; (** key for the key-based mechanism *)
+  mutable state : state; (** written only by {!set_state} and {!kill} *)
+  mutable dma_context : int option;
+      (** register context the OS assigned; written only by {!set_dma} *)
+  mutable dma_key : int option; (** key for the key-based mechanism; as [dma_context] *)
   mutable next_va : int; (** bump allocator for fresh virtual pages *)
   mutable instructions_retired : int;
   mutable syscalls : int;
@@ -30,6 +31,8 @@ type t = {
 }
 
 val make : pid:int -> name:string -> program:Uldma_cpu.Isa.instr array -> superuser:bool -> t
+(** A ready process whose register file digests at slots from
+    [pid * 64] (see {!digest}). *)
 
 val copy : t -> t
 
@@ -39,6 +42,31 @@ val set_program : t -> Uldma_cpu.Isa.instr array -> unit
     code embedding its results can be generated. *)
 
 val is_runnable : t -> bool
+
+val state_code : state -> int
+(** 0 ready, 1 blocked, 2 exited: the state as the state encoding
+    names it. *)
+
+val set_state : t -> state -> unit
+val set_dma : t -> context:int option -> key:int option -> unit
+
 val kill : t -> exit_reason -> unit
+(** [set_state] to [Exited]. *)
+
+(** {1 The process's digest}
+
+    A process's register file digest ({!Uldma_cpu.Regfile.digest})
+    covers its registers at slots [pid * 64 + r] and, at
+    [pid * 64 + 32 + k], its state code, DMA context and DMA key
+    ({!Uldma_util.Fp128.opt_value}), kept current by the setters above.
+    Slots are salted by pid, so the lane sums over all of a kernel's
+    processes digest its whole process table. *)
+
+val digest : t -> int * int
+
+val scratch_digest : t -> int * int
+(** {!digest} recomputed from the fields: the reference it must always
+    equal. *)
+
 val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

@@ -64,4 +64,14 @@ let pick t ~current ~runnable =
     | Some _ | None -> t.since_switch <- 1);
     Some chosen
 
+let keeps_current t =
+  let keep =
+    match t.policy with
+    | Run_to_completion -> true
+    | Round_robin { quantum } -> t.since_switch < quantum
+    | Scripted _ | Random_preempt _ -> false
+  in
+  if keep then t.since_switch <- t.since_switch + 1;
+  keep
+
 let note_switch t = t.since_switch <- max t.since_switch 1

@@ -32,6 +32,14 @@ val pick : t -> current:int option -> runnable:int list -> int option
 (** Choose the pid to execute the next instruction; [None] iff
     [runnable] is empty. [runnable] must be sorted ascending. *)
 
+val keeps_current : t -> bool
+(** Whether the policy runs the current process again, provided it is
+    still runnable and no switch is forced, without looking at what
+    else is runnable: always under [Run_to_completion], before the
+    quantum expires under [Round_robin], never under [Scripted] and
+    [Random_preempt], whose picks consume their script or RNG. When it
+    does, the instruction is counted as [pick] would count it. *)
+
 val note_switch : t -> unit
 (** Inform the scheduler a context switch took place (the quantum
     counter starts at the switched-to process's first instruction). *)

@@ -748,16 +748,10 @@ let ablate_key_width () =
       let mask = (1 lsl width) - 1 in
       let narrow_key = key land mask in
       let engine = Kernel.engine kernel in
-      let device = Engine.device engine in
       ignore
-        (device.Bus.handle
-           {
-             Txn.op = Txn.Store;
-             paddr = Layout.kernel_control_page + Regmap.key_offset ~context;
-             value = narrow_key;
-             pid = -1;
-             at = 0;
-           }
+        (Engine.device.Bus.handle engine Txn.Store
+           ~paddr:(Layout.kernel_control_page + Regmap.key_offset ~context)
+           ~value:narrow_key ~pid:(-1)
           : int);
       let shadow = Uldma_mmu.Shadow.encode (Kernel.user_paddr kernel p data) in
       let rng = Rng.create ~seed:(1000 + width) in
@@ -767,14 +761,9 @@ let ablate_key_width () =
         let c = Context_file.get (Engine.contexts engine) context in
         Context_file.clear_args c;
         ignore
-          (device.Bus.handle
-             {
-               Txn.op = Txn.Store;
-               paddr = shadow;
-               value = Uldma.Key_dma.key_context_word ~key:guess ~context;
-               pid = 99;
-               at = 0;
-             }
+          (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
+           ~value:(Uldma.Key_dma.key_context_word ~key:guess ~context)
+           ~pid:99
             : int);
         if c.Context_file.dest <> None then incr hits
       done;
@@ -898,7 +887,6 @@ let key_security () =
     match Kernel.alloc_dma_context kernel p with Some x -> x | None -> assert false
   in
   let engine = Kernel.engine kernel in
-  let device = Engine.device engine in
   let paddr = Kernel.user_paddr kernel p data in
   let shadow = Uldma_mmu.Shadow.encode paddr in
   let rng = Rng.create ~seed:7 in
@@ -906,27 +894,17 @@ let key_security () =
   for _ = 1 to guesses do
     let guess = Rng.dma_key rng in
     ignore
-      (device.Bus.handle
-         {
-           Txn.op = Txn.Store;
-           paddr = shadow;
-           value = Uldma.Key_dma.key_context_word ~key:guess ~context;
-           pid = 99;
-           at = 0;
-         }
+      (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
+         ~value:(Uldma.Key_dma.key_context_word ~key:guess ~context)
+         ~pid:99
         : int)
   done;
   let counters = Engine.counters engine in
   (* positive control: the real key is accepted *)
   ignore
-    (device.Bus.handle
-       {
-         Txn.op = Txn.Store;
-         paddr = shadow;
-         value = Uldma.Key_dma.key_context_word ~key ~context;
-         pid = p.Process.pid;
-         at = 0;
-       }
+    (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
+       ~value:(Uldma.Key_dma.key_context_word ~key ~context)
+       ~pid:p.Process.pid
       : int);
   let accepted_ctx = Context_file.get (Engine.contexts engine) context in
   Tbl.add_row tbl [ "key width (bits)"; "58" ];

@@ -30,16 +30,17 @@ let verdict r =
    irrelevant. *)
 let ni_accesses kernel pid = Bus.pid_access_count (Kernel.bus kernel) pid
 
+let rec leg_loop kernel pid ~start ~max_instructions n =
+  if n >= max_instructions then `Stuck
+  else
+    match Kernel.step_pid kernel pid with
+    | `Not_runnable -> `Exited
+    | `Ok ->
+      if ni_accesses kernel pid > start then `Progress
+      else leg_loop kernel pid ~start ~max_instructions (n + 1)
+
 let advance_one_leg kernel pid ~max_instructions =
-  let start = ni_accesses kernel pid in
-  let rec loop n =
-    if n >= max_instructions then `Stuck
-    else
-      match Kernel.step_pid kernel pid with
-      | `Not_runnable -> `Exited
-      | `Ok -> if ni_accesses kernel pid > start then `Progress else loop (n + 1)
-  in
-  loop 0
+  leg_loop kernel pid ~start:(ni_accesses kernel pid) ~max_instructions 0
 
 (* The pseudo-pid of the "let the wire drain" leg: instead of running a
    process to its next NI access, the machine idles forward to the next

@@ -58,7 +58,7 @@ let test_timing_with () =
 
 let collect () =
   let out = ref [] in
-  let emit ~paddr ~value = out := (paddr, value) :: !out in
+  let emit () ~paddr ~value = out := (paddr, value) :: !out in
   (out, emit)
 
 let emitted out = List.rev !out
@@ -66,8 +66,8 @@ let emitted out = List.rev !out
 let test_wbuf_ordered_passthrough () =
   let wb = Write_buffer.create Write_buffer.Ordered in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
-  Write_buffer.store wb ~emit ~paddr:16 ~value:2;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
   Alcotest.(check (list (pair int int))) "immediate" [ (8, 1); (16, 2) ] (emitted out);
   checkb "nothing pending" true (Write_buffer.pending wb = []);
   checkb "loads go to bus" true (Write_buffer.load wb ~paddr:8 = `To_bus)
@@ -77,25 +77,25 @@ let bypass = Write_buffer.Bypass { forward = true; collapse = true }
 let test_wbuf_bypass_buffers () =
   let wb = Write_buffer.create bypass in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Alcotest.(check (list (pair int int))) "nothing emitted" [] (emitted out);
   Alcotest.(check (list (pair int int))) "pending" [ (8, 1) ] (Write_buffer.pending wb)
 
 let test_wbuf_collapse () =
   let wb = Write_buffer.create bypass in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
-  Write_buffer.store wb ~emit ~paddr:8 ~value:2;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:2;
   Alcotest.(check (list (pair int int))) "collapsed" [ (8, 2) ] (Write_buffer.pending wb);
-  Write_buffer.barrier wb ~emit;
+  Write_buffer.barrier wb ~emit ();
   Alcotest.(check (list (pair int int))) "only latest value reaches the bus" [ (8, 2) ]
     (emitted out)
 
 let test_wbuf_no_collapse_mode () =
   let wb = Write_buffer.create (Write_buffer.Bypass { forward = true; collapse = false }) in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
-  Write_buffer.store wb ~emit ~paddr:8 ~value:2;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:2;
   Alcotest.(check (list (pair int int)))
     "both buffered" [ (8, 1); (8, 2) ] (Write_buffer.pending wb);
   ignore (emitted out)
@@ -103,7 +103,7 @@ let test_wbuf_no_collapse_mode () =
 let test_wbuf_forwarding () =
   let wb = Write_buffer.create bypass in
   let _, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:42;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:42;
   (match Write_buffer.load wb ~paddr:8 with
   | `Forwarded v -> checki "forwarded latest" 42 v
   | `To_bus -> Alcotest.fail "expected forwarding");
@@ -113,16 +113,16 @@ let test_wbuf_forwarding () =
 let test_wbuf_no_forward_mode () =
   let wb = Write_buffer.create (Write_buffer.Bypass { forward = false; collapse = true }) in
   let _, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:42;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:42;
   checkb "load bypasses without forwarding" true (Write_buffer.load wb ~paddr:8 = `To_bus)
 
 let test_wbuf_barrier_fifo () =
   let wb = Write_buffer.create bypass in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
-  Write_buffer.store wb ~emit ~paddr:16 ~value:2;
-  Write_buffer.store wb ~emit ~paddr:24 ~value:3;
-  Write_buffer.barrier wb ~emit;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
+  Write_buffer.store wb ~emit () ~paddr:24 ~value:3;
+  Write_buffer.barrier wb ~emit ();
   Alcotest.(check (list (pair int int)))
     "drained oldest first" [ (8, 1); (16, 2); (24, 3) ] (emitted out);
   checkb "empty after barrier" true (Write_buffer.pending wb = [])
@@ -130,9 +130,9 @@ let test_wbuf_barrier_fifo () =
 let test_wbuf_capacity_drain () =
   let wb = Write_buffer.create ~capacity:2 bypass in
   let out, emit = collect () in
-  Write_buffer.store wb ~emit ~paddr:8 ~value:1;
-  Write_buffer.store wb ~emit ~paddr:16 ~value:2;
-  Write_buffer.store wb ~emit ~paddr:24 ~value:3;
+  Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
+  Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
+  Write_buffer.store wb ~emit () ~paddr:24 ~value:3;
   Alcotest.(check (list (pair int int))) "oldest spilled" [ (8, 1) ] (emitted out);
   checki "two still pending" 2 (List.length (Write_buffer.pending wb))
 
@@ -142,8 +142,8 @@ let wbuf_barrier_empties =
     (fun stores ->
       let wb = Write_buffer.create bypass in
       let _, emit = collect () in
-      List.iter (fun (slot, value) -> Write_buffer.store wb ~emit ~paddr:(slot * 8) ~value) stores;
-      Write_buffer.barrier wb ~emit;
+      List.iter (fun (slot, value) -> Write_buffer.store wb ~emit () ~paddr:(slot * 8) ~value) stores;
+      Write_buffer.barrier wb ~emit ();
       Write_buffer.pending wb = [])
 
 let wbuf_forward_returns_latest =
@@ -152,7 +152,7 @@ let wbuf_forward_returns_latest =
     (fun values ->
       let wb = Write_buffer.create (Write_buffer.Bypass { forward = true; collapse = false }) in
       let _, emit = collect () in
-      List.iter (fun value -> Write_buffer.store wb ~emit ~paddr:8 ~value) values;
+      List.iter (fun value -> Write_buffer.store wb ~emit () ~paddr:8 ~value) values;
       match (Write_buffer.load wb ~paddr:8, List.rev values) with
       | `Forwarded v, last :: _ -> v = last
       | `To_bus, _ | `Forwarded _, [] -> false)
@@ -166,7 +166,7 @@ let wbuf_model_fuzz =
       let wb = Write_buffer.create ~capacity:4 bypass in
       let model = ref [] (* oldest first *) in
       let emitted_real = ref [] and emitted_model = ref [] in
-      let emit_real ~paddr ~value = emitted_real := (paddr, value) :: !emitted_real in
+      let emit_real () ~paddr ~value = emitted_real := (paddr, value) :: !emitted_real in
       let emit_model paddr value = emitted_model := (paddr, value) :: !emitted_model in
       let model_store paddr value =
         if List.mem_assoc paddr !model then
@@ -187,7 +187,7 @@ let wbuf_model_fuzz =
           let paddr = slot * 8 in
           match op with
           | 0 ->
-            Write_buffer.store wb ~emit:emit_real ~paddr ~value;
+            Write_buffer.store wb ~emit:emit_real () ~paddr ~value;
             model_store paddr value;
             true
           | 1 -> (
@@ -199,7 +199,7 @@ let wbuf_model_fuzz =
             | `To_bus, None -> true
             | `Forwarded _, None | `To_bus, Some _ -> false)
           | _ ->
-            Write_buffer.barrier wb ~emit:emit_real;
+            Write_buffer.barrier wb ~emit:emit_real ();
             List.iter (fun (p, v) -> emit_model p v) !model;
             model := [];
             true)
@@ -253,17 +253,17 @@ let test_bus_device_claim () =
     {
       Bus.claims = (fun paddr -> paddr >= 0x1000_0000);
       handle =
-        (fun txn ->
-          seen := txn :: !seen;
-          match txn.Txn.op with Txn.Load -> 99 | Txn.Store -> 0);
+        (fun () op ~paddr:_ ~value ~pid ->
+          seen := (value, pid) :: !seen;
+          match op with Txn.Load -> 99 | Txn.Store -> 0);
     };
   Bus.store bus ~pid:3 ~cacheable:false 0x1000_0008 5;
   checki "device load reply" 99 (Bus.load bus ~pid:3 ~cacheable:false 0x1000_0000);
   checki "device saw both" 2 (List.length !seen);
   (match !seen with
-  | [ load_txn; store_txn ] ->
-    checki "store value" 5 store_txn.Txn.value;
-    checki "provenance pid" 3 load_txn.Txn.pid
+  | [ (_, load_pid); (store_value, _) ] ->
+    checki "store value" 5 store_value;
+    checki "provenance pid" 3 load_pid
   | _ -> Alcotest.fail "expected two transactions");
   (* RAM unaffected by device-claimed access *)
   checki "ram untouched" 0 (Bus.load bus ~pid:3 ~cacheable:true 8)
@@ -320,7 +320,7 @@ let test_bus_device_dispatch_order () =
     {
       Bus.claims = (fun paddr -> paddr >= 0x1000_0000);
       handle =
-        (fun _ ->
+        (fun () _ ~paddr:_ ~value:_ ~pid:_ ->
           hits := tag :: !hits;
           tag);
     }
@@ -340,7 +340,7 @@ let test_bus_copy_carries_accounting () =
   Bus.store bus ~pid:2 ~cacheable:false 16 2;
   let clock = Clock.create () in
   let ram = Phys_mem.create ~size:(4 * Layout.page_size) in
-  let snap = Bus.copy bus ~ram ~clock in
+  let snap = Bus.copy bus ~ram ~clock () in
   checki "busy_ps carried" (Bus.busy_ps bus) (Bus.busy_ps snap);
   checki "pid 1 counter carried" 1 (Bus.pid_access_count snap 1);
   checki "pid 2 counter carried" 1 (Bus.pid_access_count snap 2);

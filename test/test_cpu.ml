@@ -7,8 +7,9 @@ open Uldma_cpu
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* A fake host: identity translation over one rw page at va 0, with a
-   hashtable as memory and a charge accumulator. *)
+(* A fake machine and its static host: identity translation over one
+   rw page at va 0, with a hashtable as memory and a charge
+   accumulator. *)
 type fake = {
   memory : (int, int) Hashtbl.t;
   mutable charged : int;
@@ -18,30 +19,29 @@ type fake = {
 
 let make_fake () = { memory = Hashtbl.create 16; charged = 0; barriers = 0; read_only = false }
 
-let host_of fake =
+let host : fake Cpu.host =
   {
     Cpu.translate =
-      (fun access vaddr ->
+      (fun fake access vaddr ->
         if vaddr < 0 || vaddr >= Uldma_mem.Layout.page_size then
-          Error (Addr_space.No_mapping vaddr)
+          Addr_space.fault_word (Addr_space.No_mapping vaddr)
         else if fake.read_only && access = Addr_space.Write then
-          Error (Addr_space.Protection (vaddr, access))
-        else Ok { Addr_space.paddr = vaddr; cacheable = true; hit = `Hit });
-    load = (fun ~cacheable:_ paddr -> try Hashtbl.find fake.memory paddr with Not_found -> 0);
-    store = (fun ~cacheable:_ paddr value -> Hashtbl.replace fake.memory paddr value);
-    barrier = (fun () -> fake.barriers <- fake.barriers + 1);
-    charge = (fun ps -> fake.charged <- fake.charged + ps);
-    instruction_ps = 10;
-    tlb_miss_ps = 100;
-    memory_barrier_ps = 5;
+          Addr_space.fault_word (Addr_space.Protection (vaddr, access))
+        else Addr_space.word ~paddr:vaddr ~cacheable:true ~missed:false);
+    load = (fun fake ~cacheable:_ paddr -> try Hashtbl.find fake.memory paddr with Not_found -> 0);
+    store = (fun fake ~cacheable:_ paddr value -> Hashtbl.replace fake.memory paddr value);
+    barrier = (fun fake -> fake.barriers <- fake.barriers + 1);
+    charge =
+      (fun fake cost ->
+        let ps = match cost with Cpu.Instruction -> 10 | Cpu.Tlb_miss -> 100 | Cpu.Barrier -> 5 in
+        fake.charged <- fake.charged + ps);
   }
 
 let run_program ?(fake = make_fake ()) instrs =
   let ctx = Cpu.make_ctx (Asm.assemble_list instrs) in
-  let host = host_of fake in
   let rec loop n =
     if n > 10_000 then Alcotest.fail "program did not halt";
-    match Cpu.step ctx host with
+    match Cpu.step ctx host fake with
     | Cpu.Continue -> loop (n + 1)
     | outcome -> outcome
   in
@@ -212,8 +212,8 @@ let test_cpu_loop () =
   Asm.blt asm 1 3 top;
   Asm.halt asm;
   let ctx = Cpu.make_ctx (Asm.assemble asm) in
-  let host = host_of (make_fake ()) in
-  let rec loop () = match Cpu.step ctx host with Cpu.Continue -> loop () | o -> o in
+  let fake = make_fake () in
+  let rec loop () = match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o in
   (match loop () with Cpu.Halted -> () | _ -> Alcotest.fail "no halt");
   checki "sum" 55 (Regfile.get ctx.Cpu.regs 2)
 
@@ -277,7 +277,7 @@ let test_cpu_run_subprogram () =
   let regs = Regfile.create () in
   Regfile.set regs 1 4;
   let body = Asm.assemble_list [ Isa.Add (1, 1, Isa.Imm 1); Isa.Add (1, 1, Isa.Imm 1) ] in
-  let outcome = Cpu.run_subprogram regs body (host_of (make_fake ())) in
+  let outcome = Cpu.run_subprogram regs body host (make_fake ()) in
   checkb "completes" true (outcome = Cpu.Halted);
   checki "effect" 6 (Regfile.get regs 1)
 
@@ -286,16 +286,16 @@ let test_cpu_run_subprogram_rejects_traps () =
   let body = Asm.assemble_list [ Isa.Syscall ] in
   checkb "trap rejected" true
     (try
-       ignore (Cpu.run_subprogram regs body (host_of (make_fake ())) : Cpu.outcome);
+       ignore (Cpu.run_subprogram regs body host (make_fake ()) : Cpu.outcome);
        false
      with Invalid_argument _ -> true)
 
 let test_cpu_copy_ctx () =
   let ctx = Cpu.make_ctx (Asm.assemble_list [ Isa.Li (1, 5); Isa.Halt ]) in
-  let host = host_of (make_fake ()) in
-  ignore (Cpu.step ctx host : Cpu.outcome);
+  let fake = make_fake () in
+  ignore (Cpu.step ctx host fake : Cpu.outcome);
   let snap = Cpu.copy_ctx ctx in
-  ignore (Cpu.step ctx host : Cpu.outcome);
+  ignore (Cpu.step ctx host fake : Cpu.outcome);
   checki "snapshot pc frozen" 1 snap.Cpu.pc;
   Regfile.set ctx.Cpu.regs 1 0;
   checki "snapshot regs frozen" 5 (Regfile.get snap.Cpu.regs 1)
@@ -377,9 +377,9 @@ let cpu_matches_reference =
        (fun ops ->
          let program = Asm.assemble_list (List.map instr_of ops @ [ Isa.Halt ]) in
          let ctx = Cpu.make_ctx program in
-         let host = host_of (make_fake ()) in
+         let fake = make_fake () in
          let rec loop () =
-           match Cpu.step ctx host with Cpu.Continue -> loop () | o -> o
+           match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o
          in
          (match loop () with Cpu.Halted -> () | _ -> failwith "no halt");
          let expected = reference_eval ops in
@@ -397,9 +397,8 @@ let cpu_instruction_count_charged =
          let program = Asm.assemble_list (List.map instr_of ops @ [ Isa.Halt ]) in
          let ctx = Cpu.make_ctx program in
          let fake = make_fake () in
-         let host = host_of fake in
          let rec loop () =
-           match Cpu.step ctx host with Cpu.Continue -> loop () | o -> o
+           match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o
          in
          ignore (loop () : Cpu.outcome);
          (* ops + Halt, 10 ps each, no memory traffic *)

@@ -241,8 +241,8 @@ let test_ctx_clear_and_reset () =
 
 let test_ctx_get_bounds () =
   let t = Context_file.create ~n:2 in
-  checkb "get_opt in range" true (Context_file.get_opt t 1 <> None);
-  checkb "get_opt out of range" true (Context_file.get_opt t 2 = None);
+  checkb "mem in range" true (Context_file.mem t 1);
+  checkb "mem out of range" false (Context_file.mem t 2);
   checkb "get raises" true
     (try
        ignore (Context_file.get t 5 : Context_file.context);
@@ -343,10 +343,9 @@ let make_engine ?(mechanism = Engine.Key_based) ?(local = false) ?n_contexts () 
   (engine, clock, ram)
 
 let dstore ?(pid = 1) engine paddr value =
-  ignore ((Engine.device engine).Bus.handle { Txn.op = Txn.Store; paddr; value; pid; at = 0 } : int)
+  ignore (Engine.device.Bus.handle engine Txn.Store ~paddr ~value ~pid : int)
 
-let dload ?(pid = 1) engine paddr =
-  (Engine.device engine).Bus.handle { Txn.op = Txn.Load; paddr; value = 0; pid; at = 0 }
+let dload ?(pid = 1) engine paddr = Engine.device.Bus.handle engine Txn.Load ~paddr ~value:0 ~pid
 
 let control offset = Layout.kernel_control_page + offset
 
@@ -369,8 +368,7 @@ let rejected sink reason = List.mem (Engine.reject_name reason) (reject_names si
 let started engine = List.length (Engine.transfers engine)
 
 let test_engine_claims () =
-  let engine, _, _ = make_engine () in
-  let d = Engine.device engine in
+  let d = Engine.device in
   checkb "mmio" true (d.Bus.claims Layout.mmio_base);
   checkb "shadow" true (d.Bus.claims (Shadow.encode 0x100));
   checkb "ram" false (d.Bus.claims 0x100)

@@ -554,17 +554,144 @@ let explorer_fp_iff_encoding =
          (* determinism: replaying a script reproduces its key *)
          key (build ops_a) = key a && same_enc = same_key))
 
+(* [n] processes on an atm155 extended-shadow machine, each starting a
+   DMA, blocking in sys_dma_wait until its wire time has elapsed,
+   sleeping 2 us, then starting and awaiting a second DMA: explorer
+   nodes hold processes blocked on a pending deadline, whose remaining
+   time the state key carries. *)
+let waiters ?(n = 2) () =
+  let module Asm = Uldma_cpu.Asm in
+  let net = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
+  let kernel = Scenario.make_kernel ~net Engine.Ext_shadow in
+  let spawn i =
+    let p = Kernel.spawn kernel ~name:(Printf.sprintf "waiter%d" i) ~program:[||] () in
+    let page () = Kernel.alloc_pages kernel p ~n:1 ~perms:Uldma_mem.Perms.read_write in
+    let src = page () and dst = page () in
+    (match Kernel.alloc_dma_context kernel p with
+    | Some _ -> ()
+    | None -> Alcotest.fail "no free register context");
+    List.iter
+      (fun va -> ignore (Kernel.map_shadow_alias kernel p ~vaddr:va ~n:1 ~window:`Dma : int))
+      [ src; dst ];
+    let asm = Asm.create () in
+    let dma_and_wait () =
+      Asm.li asm 1 src;
+      Asm.li asm 2 dst;
+      Asm.li asm 3 Scenario.transfer_size;
+      Uldma.Ext_shadow.emit_dma asm;
+      Asm.li asm 0 Sysno.sys_dma_wait;
+      Asm.syscall asm
+    in
+    dma_and_wait ();
+    Asm.li asm 0 Sysno.sys_sleep;
+    Asm.li asm 1 2_000 (* ns *);
+    Asm.syscall asm;
+    dma_and_wait ();
+    Asm.halt asm;
+    Process.set_program p (Asm.assemble asm);
+    p
+  in
+  let procs = List.init n spawn in
+  {
+    Scenario.kernel;
+    victim = List.hd procs;
+    attacker = List.nth procs 1;
+    intents = [];
+    victim_result_va = 0;
+    attacker_result_va = None;
+    extras = List.map (fun p -> (p, None)) (List.filteri (fun i _ -> i >= 2) procs);
+    transfer_size = Scenario.transfer_size;
+    labels = [];
+  }
+
+(* Fingerprint and paranoid keying expand the same states and take the
+   same memo hits on a tree whose nodes hold blocked processes. *)
+let test_explorer_waiters_paranoid_equivalence () =
+  let s = waiters () in
+  let fork = Kernel.snapshot s.Scenario.kernel in
+  let pid = s.Scenario.victim.Process.pid in
+  let rec until_blocked n =
+    if n > 0 then
+      match Explorer.advance_one_leg fork pid ~max_instructions:2000 with
+      | `Progress -> until_blocked (n - 1)
+      | `Exited | `Stuck -> ()
+  in
+  until_blocked 10;
+  (match (Option.get (Kernel.find_process fork pid)).Process.state with
+  | Process.Blocked_until at -> checkb "blocked on a future deadline" true (at > Kernel.now_ps fork)
+  | Process.Ready | Process.Exited _ -> Alcotest.fail "the waiter did not block");
+  let explore ?paranoid_memo () =
+    let s = waiters () in
+    Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?paranoid_memo
+      ~check:(fun _ -> None) ()
+  in
+  let fp = explore () and par = explore ~paranoid_memo:true () in
+  checkb "a tree to dedup" true (fp.Explorer.dedup_hits > 0);
+  checki "states equal" par.Explorer.states_visited fp.Explorer.states_visited;
+  checki "dedup hits equal" par.Explorer.dedup_hits fp.Explorer.dedup_hits;
+  checki "paths equal" par.Explorer.paths fp.Explorer.paths;
+  checkb "no violations" true (fp.Explorer.violations = [] && par.Explorer.violations = [])
+
+(* The process table's digest (each process's pid-salted register-file
+   digest, which also covers its state code, DMA context and key)
+   against random schedules of legs, wait legs, scheduler steps (which
+   idle the clock forward to wake sleepers), DMA-context frees and
+   re-allocations, and forks: at every node each process's maintained
+   digest, and so the table's lane sums, equal a from-scratch
+   recomputation. Programs exit, block in sys_dma_wait and sleep. *)
+let process_table_digest_schedules =
+  let table_ok k =
+    List.for_all (fun p -> Process.digest p = Process.scratch_digest p) (Kernel.processes k)
+  in
+  let act k (choice, who) =
+    let procs = Array.of_list (Kernel.processes k) in
+    let p = procs.(who mod Array.length procs) in
+    match choice with
+    | 0 -> ignore (Explorer.advance_one_leg k p.Process.pid ~max_instructions:2000 : [> `Progress ])
+    | 1 -> ignore (Kernel.advance_to_next_completion k : bool)
+    | 2 -> ignore (Kernel.step k : [ `Stepped of int | `Idle ])
+    | 3 -> Kernel.free_dma_context k p
+    | _ -> (
+      match p.Process.dma_context with
+      | Some _ -> ()
+      | None -> ignore (Kernel.alloc_dma_context k p : (int * int * int) option))
+  in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 40) (pair (int_range 0 4) (int_range 0 2)) |> pair (int_range 0 4))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"explorer: process-table digest over random schedules" ~count:100
+       gen
+       (fun (fork_every, actions) ->
+         let s = waiters ~n:3 () in
+         let k = ref (Kernel.snapshot s.Scenario.kernel) in
+         let ok = ref (table_ok !k) in
+         List.iteri
+           (fun i a ->
+             if fork_every > 0 && i mod fork_every = 0 then begin
+               let parent = !k in
+               k := Kernel.snapshot parent;
+               act !k a;
+               ok := !ok && table_ok parent
+             end
+             else act !k a;
+             ok := !ok && table_ok !k)
+           actions;
+         !ok))
+
 (* The DMA engine's digest against random leg schedules, on scenarios
    that between them drive every engine mechanism and register (and,
-   at atm155, in-flight transfers and the wait leg). Along a schedule
-   every node is keyed both ways relative to the root, as the explorer
-   keys it, and the property checks:
+   at atm155, in-flight transfers, the wait leg and blocked waiters).
+   Along a schedule every node is keyed both ways relative to the root,
+   as the explorer keys it, and the property checks:
    - fingerprint keys are equal iff paranoid encodings are equal, over
      every pair of nodes of two schedules;
    - keying after every leg (digests maintained by the writes) gives
      the same final key as replaying the schedule and keying once at
      the end (digests built from scratch), and the maintained engine
-     digest equals its from-scratch recomputation at every node;
+     and process digests equal their from-scratch recomputations at
+     every node;
    - a child's legs after [snapshot] never move the parent's key. *)
 let explorer_engine_digest_schedules =
   let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
@@ -587,6 +714,7 @@ let explorer_engine_digest_schedules =
       ("iommu@atm155", fun () -> Scenario.iommu_contested ~net:atm155 ());
       ("capio@atm155", fun () -> Scenario.capio_contested ~net:atm155 ());
       ("capio-launder@atm155", fun () -> Scenario.capio_launder ~net:atm155 ());
+      ("waiters@atm155", fun () -> waiters ());
     |]
   in
   let legs s k =
@@ -614,6 +742,9 @@ let explorer_engine_digest_schedules =
         let e = Kernel.engine k in
         ok :=
           !ok
+          && List.for_all
+               (fun p -> Process.digest p = Process.scratch_digest p)
+               (Kernel.processes k)
           && Engine.digest e = Engine.scratch_digest e
           && Context_file.digest (Engine.contexts e)
              = Context_file.scratch_digest (Engine.contexts e);
@@ -1118,29 +1249,31 @@ let key3_words_per_leg ~walks =
   done;
   (float_of_int !words /. float_of_int !legs, !legs)
 
-(* The TLB's filled slots are a persistent map, so the first fill
-   after a context-switch flush adds one map node instead of copying a
-   64-slot array, and a kernel step finds its process without a
-   closure or an option. This walk (3,900 legs) measured 129.0 words
-   per leg; with the copy-on-write slot array and the closure-based
-   process lookup it took 216.7. The bound is the measured value plus
-   10 %. *)
+(* The CPU runs on one static host, translation returns an immediate
+   word, the bus hands a device the access's fields, and the engine
+   decodes a shadow address without allocating; the TLB's filled slots
+   are a persistent map, so the first fill after a context-switch flush
+   adds one map node. This walk (3,900 legs) measured 30.3 words per
+   leg; with a host record and a translation record per access, a
+   closure per instruction and per uncached store, and a transaction
+   record and decode records per device access, it took 129.0. The
+   bound is the measured value plus 10 %. *)
 let test_leg_words () =
   let words, legs = key3_words_per_leg ~walks:100 in
   checkb "the walk ran legs" true (legs > 1000);
-  let limit = 142.0 in
+  let limit = 33.3 in
   if words > limit then
     Alcotest.failf "one leg allocated %.1f words on average over %d legs (limit %.1f)" words legs
       limit
 
 (* Words one [Kernel.step] allocates, averaged over two processes that
    each loop 500 times over a store, a load, a subtract and a branch,
-   round-robin with a quantum of 8, until both have exited. [step] wakes
-   sleepers, lists the runnable pids and applies a forced switch by
-   direct walks over the process list, with no closure per instruction.
-   These 4,008 steps measured 27.9 words per step; with a closure for
-   each of the three they took 35.9. The bound is the measured value
-   plus 10 %. *)
+   round-robin with a quantum of 8, until both have exited. Within a
+   quantum [step] runs the running process again without listing the
+   runnable pids or asking [Sched.pick], and the CPU runs on one static
+   host. These 4,008 steps measured 6.3 words per step; listing the
+   pids and picking on every step, with a host built per leg, they
+   took 27.9. The bound is the measured value plus 10 %. *)
 let test_kernel_step_words () =
   let kernel =
     Kernel.create
@@ -1168,7 +1301,7 @@ let test_kernel_step_words () =
   checki "steps" 4008 steps;
   let words =
     float_of_int (a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major) /. float_of_int steps
-  and limit = 30.7 in
+  and limit = 6.9 in
   if words > limit then
     Alcotest.failf "one kernel step allocated %.1f words on average over %d steps (limit %.1f)"
       words steps limit
@@ -1378,6 +1511,9 @@ let () =
           Alcotest.test_case "memo length counts distinct keys" `Quick test_memo_length_distinct;
           explorer_fp_iff_encoding;
           explorer_engine_digest_schedules;
+          Alcotest.test_case "blocked waiters: paranoid vs fingerprint keying" `Quick
+            test_explorer_waiters_paranoid_equivalence;
+          process_table_digest_schedules;
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
