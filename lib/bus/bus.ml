@@ -66,8 +66,13 @@ let pid_access_count t pid =
   if slot < 0 || slot >= Array.length t.counts then 0 else t.counts.(slot)
 
 let uncached_access t ~pid op paddr value =
-  t.busy_ps <- t.busy_ps + Timing.uncached_ps t.timing op;
-  Clock.advance t.clock (Timing.uncached_ps t.timing op);
+  let price =
+    match op with
+    | Txn.Store -> t.timing.Timing.uncached_store_ps
+    | Txn.Load -> t.timing.Timing.uncached_load_ps
+  in
+  t.busy_ps <- t.busy_ps + price;
+  Clock.advance t.clock price;
   bump_count t pid;
   if Uldma_obs.Trace.enabled t.sink then
     Uldma_obs.Trace.emit t.sink ~at:(Clock.now t.clock) ~machine:t.machine ~pid
@@ -86,7 +91,7 @@ let uncached_access t ~pid op paddr value =
 
 let load t ~pid ~cacheable paddr =
   if cacheable then begin
-    Clock.advance t.clock (Timing.cached_access_ps t.timing);
+    Clock.advance t.clock t.timing.Timing.cached_access_ps;
     if paddr >= 0 && paddr + Layout.word_size <= Phys_mem.size t.ram then
       Phys_mem.load_word t.ram paddr
     else raise (Bus_error paddr)
@@ -95,7 +100,7 @@ let load t ~pid ~cacheable paddr =
 
 let store t ~pid ~cacheable paddr value =
   if cacheable then begin
-    Clock.advance t.clock (Timing.cached_access_ps t.timing);
+    Clock.advance t.clock t.timing.Timing.cached_access_ps;
     if paddr >= 0 && paddr + Layout.word_size <= Phys_mem.size t.ram then
       Phys_mem.store_word t.ram paddr value
     else raise (Bus_error paddr)

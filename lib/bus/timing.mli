@@ -13,9 +13,18 @@
 
     §3.4's closing remark — "recent buses, like the PCI bus, run at
     frequencies as high as 66 MHz" — is covered by the [pci33] /
-    [pci66] presets used in the bus-sweep benchmark. *)
+    [pci66] presets used in the bus-sweep benchmark.
 
-type t = {
+    Prices are computed once, when a model is built: the presets,
+    {!with_bus_hz} and {!with_syscall_cycles} all go through one
+    constructor, which multiplies each cycle count by the cycle time of
+    its clock ({!Uldma_util.Units.cycle_ps}). A [*_ps] accessor, or the
+    field of the same name, is then a plain read, so the interpreter
+    charges an instruction, an access or a TLB miss without arithmetic.
+    The record is private: a model edited outside this module would
+    carry stale prices. *)
+
+type t = private {
   name : string;
   cpu_hz : int;
   bus_hz : int;
@@ -33,6 +42,20 @@ type t = {
   iotlb_walk_bus_cycles : int;
       (** IOMMU table walk serviced by the engine on an IOTLB miss *)
   dma_setup_ps : Uldma_util.Units.ps; (** engine latency before wire time *)
+  cpu_cycle_ps : Uldma_util.Units.ps;
+  bus_cycle_ps : Uldma_util.Units.ps;
+  instruction_ps : Uldma_util.Units.ps; (** [instruction_cpu_cycles] CPU cycles *)
+  cached_access_ps : Uldma_util.Units.ps;
+  uncached_store_ps : Uldma_util.Units.ps; (** [uncached_store_bus_cycles] bus cycles *)
+  uncached_load_ps : Uldma_util.Units.ps;
+  memory_barrier_ps : Uldma_util.Units.ps;
+  syscall_ps : Uldma_util.Units.ps;
+  translate_ps : Uldma_util.Units.ps;
+  check_size_ps : Uldma_util.Units.ps;
+  context_switch_ps : Uldma_util.Units.ps;
+  pal_call_ps : Uldma_util.Units.ps;
+  tlb_miss_ps : Uldma_util.Units.ps;
+  iotlb_walk_ps : Uldma_util.Units.ps; (** [iotlb_walk_bus_cycles] bus cycles *)
 }
 
 val alpha3000_300 : t

@@ -8,14 +8,12 @@ let copy_ctx c = { regs = Regfile.copy c.regs; pc = c.pc; program = c.program }
 
 type outcome = Continue | Halted | Syscall_trap | Pal_trap of int | Fault of Addr_space.fault
 
-type cost = Instruction | Tlb_miss | Barrier
+exception Access_fault of int
 
 type 'm host = {
-  translate : 'm -> Addr_space.access -> int -> int;
-  load : 'm -> cacheable:bool -> int -> int;
-  store : 'm -> cacheable:bool -> int -> int -> unit;
+  load : 'm -> int -> int;
+  store : 'm -> int -> int -> unit;
   barrier : 'm -> unit;
-  charge : 'm -> cost -> unit;
 }
 
 let operand_value regs = function Isa.Reg r -> Regfile.get regs r | Isa.Imm v -> v
@@ -24,18 +22,11 @@ let[@inline] next ctx =
   ctx.pc <- ctx.pc + 1;
   Continue
 
-(* The translation word of a data access, charging a TLB miss; a
-   negative word is a fault. *)
-let memory_access host m access vaddr =
-  let w = host.translate m access vaddr in
-  if w >= 0 && Addr_space.word_missed w then host.charge m Tlb_miss;
-  w
-
-let step ctx host m =
+let step ctx clock ~instr_ps host m =
   if ctx.pc < 0 || ctx.pc >= Array.length ctx.program then Halted
   else begin
     let instr = ctx.program.(ctx.pc) in
-    host.charge m Instruction;
+    Uldma_bus.Clock.advance clock instr_ps;
     let regs = ctx.regs in
     match instr with
     | Isa.Li (rd, v) ->
@@ -65,26 +56,19 @@ let step ctx host m =
     | Isa.Shr (rd, rs, n) ->
       Regfile.set regs rd (Regfile.get regs rs lsr n);
       next ctx
-    | Isa.Load (rd, rb, off) ->
+    | Isa.Load (rd, rb, off) -> (
       let vaddr = Regfile.get regs rb + off in
-      let w = memory_access host m Addr_space.Read vaddr in
-      if w < 0 then Fault (Addr_space.word_fault w Addr_space.Read vaddr)
-      else begin
-        Regfile.set regs rd
-          (host.load m ~cacheable:(Addr_space.word_cacheable w) (Addr_space.word_paddr w));
+      match host.load m vaddr with
+      | v ->
+        Regfile.set regs rd v;
         next ctx
-      end
-    | Isa.Store (rb, off, rv) ->
+      | exception Access_fault w -> Fault (Addr_space.word_fault w Addr_space.Read vaddr))
+    | Isa.Store (rb, off, rv) -> (
       let vaddr = Regfile.get regs rb + off in
-      let w = memory_access host m Addr_space.Write vaddr in
-      if w < 0 then Fault (Addr_space.word_fault w Addr_space.Write vaddr)
-      else begin
-        host.store m ~cacheable:(Addr_space.word_cacheable w) (Addr_space.word_paddr w)
-          (Regfile.get regs rv);
-        next ctx
-      end
+      match host.store m vaddr (Regfile.get regs rv) with
+      | () -> next ctx
+      | exception Access_fault w -> Fault (Addr_space.word_fault w Addr_space.Write vaddr))
     | Isa.Mb ->
-      host.charge m Barrier;
       host.barrier m;
       next ctx
     | Isa.Beq (ra, rb, tgt) ->
@@ -109,10 +93,10 @@ let step ctx host m =
     | Isa.Halt -> Halted
   end
 
-let run_subprogram regs body host m =
+let run_subprogram regs body clock ~instr_ps host m =
   let ctx = { regs; pc = 0; program = body } in
   let rec loop () =
-    match step ctx host m with
+    match step ctx clock ~instr_ps host m with
     | Continue -> loop ()
     | Halted -> Halted
     | Fault _ as f -> f

@@ -1049,32 +1049,28 @@ let encode enc t =
   let ch c = E.char enc c in
   let opt = function None -> min_int | Some v -> v in
   let paranoid = match enc with E.Buf _ -> true | E.Fp _ -> false in
-  (* what a status load on each context, and a two-step status load,
-     would see right now *)
-  let clock_view () =
-    ch 's';
-    for c = 0 to Context_file.length t.contexts - 1 do
-      i (context_status t c)
-    done
-  and last_remaining () =
-    i (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t))
-  in
   let live = match enc with E.Fp _ -> live_transfers t | E.Buf _ -> [] in
   E.string enc "E:";
   Seq_matcher.encode enc t.matcher;
   Context_file.encode enc t.contexts;
   (match enc with
   | E.Fp fp ->
-    if live <> [] then begin
-      clock_view ();
-      ch 'l';
-      last_remaining ()
-    end;
+    (* No status and no remaining bytes: a context's status is its
+       digested failure code or its newest transfer's remaining bytes,
+       the two-step status is the newest transfer's, and which transfer
+       is newest is digested (static fields by ordinal, the count, the
+       contexts' started flags); the in-flight ones' remaining wire
+       times follow below, and a completed one has no bytes left. *)
     build_digest t;
     Fp128.add_int fp t.dg.(0);
     Fp128.add_int fp t.dg.(1)
   | E.Buf _ ->
-    clock_view ();
+    (* what a status load on each context, and a two-step status load,
+       would see right now *)
+    ch 's';
+    for c = 0 to Context_file.length t.contexts - 1 do
+      i (context_status t c)
+    done;
     ch 'p';
     (match t.pending with
     | None -> ()
@@ -1095,7 +1091,8 @@ let encode enc t =
     Atomic_op.encode_pending enc t.g_atomic_pending;
     ch 'l';
     i t.last_status;
-    last_remaining ());
+    i
+      (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t)));
   (* IOTLB contents + victim cursors and the capability table are
      engine-visible state: they decide future hit/miss charges and
      grant/reject outcomes. Under the paper's mechanisms both are

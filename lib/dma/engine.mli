@@ -188,14 +188,15 @@ val encode : Uldma_util.Enc.t -> t -> unit
     timestamps) is excluded. A [Buf] sink gets every register; an [Fp]
     sink gets the two lanes of {!Seq_matcher.digest},
     {!Context_file.digest} and {!digest} in place of the registers and
-    the transfers' static fields, plus, only while a transfer is in
-    flight, what depends on the clock: the statuses as loads see them
-    now, the last transfer's remaining bytes and each in-flight
-    transfer's (ordinal, remaining wire time). With nothing in flight
-    those are functions of digested fields ({!Context_file.digest}
-    covers whether a transfer was started through each context), so
-    an [Fp] key walks no transfer and no status; under a zero-duration
-    backend nothing is ever in flight. *)
+    the transfers' static fields, plus what depends on the clock: each
+    in-flight transfer's (ordinal, remaining wire time). The statuses
+    as loads see them now and the last transfer's remaining bytes are
+    not fed: they are functions of those and of digested fields (a
+    context's status is its failure code or its newest transfer's
+    remaining bytes, and {!Context_file.digest} covers whether a
+    transfer was started through each context), so an [Fp] key walks
+    no status; under a zero-duration backend nothing is ever in
+    flight. *)
 
 val digest : t -> int * int
 (** The two lanes of the write-maintained additive digest

@@ -47,10 +47,6 @@ val word_fault : int -> access -> int -> fault
 (** [word_fault w access vaddr]: the fault of a negative word [w]
     returned for [access] at [vaddr]. *)
 
-val word : paddr:int -> cacheable:bool -> missed:bool -> int
-(** The word of a successful translation ([0 <= paddr < 2^60]), for a
-    host that translates by other means. *)
-
 val fault_word : fault -> int
 (** The word of a failed translation. *)
 

@@ -481,7 +481,7 @@ let rec run_hooks t (next : Process.t) = function
 
 let context_switch t (next : Process.t) =
   let prev_pid = trace_pid t in
-  charge t (Timing.context_switch_ps (timing t));
+  charge t t.config.timing.Timing.context_switch_ps;
   flush_write_buffer t;
   Addr_space.flush_tlb next.Process.addr_space;
   run_hooks t next t.hooks;
@@ -498,37 +498,46 @@ let context_switch t (next : Process.t) =
 
 (* The CPU's view of the machine, on behalf of the running process:
    one static record of functions of the kernel, so neither an
-   instruction nor an access builds a closure. *)
+   instruction nor an access builds a closure. A data access is one
+   call: translate for the running process, charge a TLB miss, then
+   serve it from cached RAM, the write buffer or the bus. *)
 let running_space t =
   match t.current with
   | Some p -> p.Process.addr_space
   | None -> invalid_arg "Kernel: no running process"
 
+(* The translation word of a data access at [vaddr], charging a TLB
+   miss; a fault leaves through [Cpu.Access_fault], charging nothing. *)
+let translate t access vaddr =
+  let w = Addr_space.translate_word (running_space t) access vaddr in
+  if w < 0 then raise_notrace (Cpu.Access_fault w);
+  if Addr_space.word_missed w then charge t t.config.timing.Timing.tlb_miss_ps;
+  w
+
 let host : t Cpu.host =
   {
-    Cpu.translate = (fun t access vaddr -> Addr_space.translate_word (running_space t) access vaddr);
-    load =
-      (fun t ~cacheable paddr ->
-        if cacheable then Bus.load t.bus ~pid:(trace_pid t) ~cacheable:true paddr
+    Cpu.load =
+      (fun t vaddr ->
+        let w = translate t Addr_space.Read vaddr in
+        let paddr = Addr_space.word_paddr w in
+        if Addr_space.word_cacheable w then Bus.load t.bus ~pid:(trace_pid t) ~cacheable:true paddr
         else
           match Write_buffer.load t.write_buffer ~paddr with
           | `Forwarded v ->
-            charge t (Timing.cached_access_ps (timing t));
+            charge t t.config.timing.Timing.cached_access_ps;
             v
           | `To_bus -> Bus.load t.bus ~pid:(trace_pid t) ~cacheable:false paddr);
     store =
-      (fun t ~cacheable paddr value ->
-        if cacheable then Bus.store t.bus ~pid:(trace_pid t) ~cacheable:true paddr value
+      (fun t vaddr value ->
+        let w = translate t Addr_space.Write vaddr in
+        let paddr = Addr_space.word_paddr w in
+        if Addr_space.word_cacheable w then
+          Bus.store t.bus ~pid:(trace_pid t) ~cacheable:true paddr value
         else Write_buffer.store t.write_buffer ~emit:wbuf_emit t ~paddr ~value);
-    barrier = (fun t -> Write_buffer.barrier t.write_buffer ~emit:wbuf_emit t);
-    charge =
-      (fun t cost ->
-        let tm = timing t in
-        charge t
-          (match cost with
-          | Cpu.Instruction -> Timing.instruction_ps tm
-          | Cpu.Tlb_miss -> Timing.tlb_miss_ps tm
-          | Cpu.Barrier -> Timing.memory_barrier_ps tm));
+    barrier =
+      (fun t ->
+        charge t t.config.timing.Timing.memory_barrier_ps;
+        Write_buffer.barrier t.write_buffer ~emit:wbuf_emit t);
   }
 
 let regs (p : Process.t) = p.Process.ctx.Cpu.regs
@@ -704,7 +713,9 @@ let handle_pal t (p : Process.t) index =
   match
     Pal.invoke t.pal ~index ~sink:t.trace ~machine:t.machine ~pid:p.Process.pid
       ~now:(fun () -> now_ps t)
-      ~run:(fun body -> Cpu.run_subprogram (regs p) body host t)
+      ~run:(fun body ->
+        Cpu.run_subprogram (regs p) body t.clock ~instr_ps:t.config.timing.Timing.instruction_ps
+          host t)
   with
   | None -> kill_process t p (Process.Killed (Printf.sprintf "PAL function %d not installed" index))
   | Some Cpu.Halted -> ()
@@ -747,7 +758,9 @@ let exec_one t (p : Process.t) =
     end
     else None
   in
-  let outcome = Cpu.step p.Process.ctx host t in
+  let outcome =
+    Cpu.step p.Process.ctx t.clock ~instr_ps:t.config.timing.Timing.instruction_ps host t
+  in
   p.Process.instructions_retired <- p.Process.instructions_retired + 1;
   (match fetched with
   | Some instr -> emit t (Uldma_obs.Trace.Instr_retired { opcode = mnemonic instr })
@@ -851,6 +864,31 @@ let step_pid t pid =
     exec_one t p;
     `Ok
   | _ | (exception Not_found) -> `Not_runnable
+
+(* The explorer's leg in one call: the process is found and switched to
+   once, then runs instruction by instruction until its uncached-access
+   count grows ([`Progress]), the budget is spent ([`Stuck]) or it stops
+   being runnable ([`Exited]), tested in that order after each
+   instruction. Nothing in [exec_one] changes the running process, so
+   the result equals [step_pid] repeated under the same tests. The loop
+   is a top-level function, so a leg allocates no closure. *)
+let rec leg_steps t (p : Process.t) ~start ~max_instructions n =
+  exec_one t p;
+  if Bus.pid_access_count t.bus p.Process.pid > start then `Progress
+  else if n >= max_instructions then `Stuck
+  else if not (Process.is_runnable p) then `Exited
+  else leg_steps t p ~start ~max_instructions (n + 1)
+
+let run_leg t pid ~max_instructions =
+  let start = Bus.pid_access_count t.bus pid in
+  if max_instructions <= 0 then `Stuck
+  else
+    match process_of_pid pid t.procs with
+    | exception Not_found -> `Exited
+    | p when not (Process.is_runnable p) -> `Exited
+    | p ->
+      if not (is_running t pid) then context_switch t p;
+      leg_steps t p ~start ~max_instructions 1
 
 type run_result = All_exited | Max_steps | Predicate
 

@@ -243,8 +243,18 @@ val step : t -> [ `Stepped of int | `Idle ]
     is runnable. *)
 
 val step_pid : t -> int -> [ `Ok | `Not_runnable ]
-(** Force one instruction of a specific process (interleaving
-    explorer); performs a context switch if needed. *)
+(** Force one instruction of a specific process; performs a context
+    switch if needed. *)
+
+val run_leg : t -> int -> max_instructions:int -> [ `Progress | `Exited | `Stuck ]
+(** One interleaving-explorer leg of a process: switch to it if it is
+    not running, then execute its instructions until its count of
+    uncached accesses ({!Uldma_bus.Bus.pid_access_count}) grows
+    ([`Progress]), [max_instructions] have run ([`Stuck]) or it is no
+    longer runnable ([`Exited]), testing them in that order after each
+    instruction. An unknown or non-runnable pid is [`Exited]; a budget
+    [<= 0] is [`Stuck] before anything runs. Equal, in every effect, to
+    calling {!step_pid} under the same tests until one holds. *)
 
 val next_transfer_deadline : t -> Uldma_util.Units.ps option
 (** Earliest in-flight transfer completion strictly after now — the

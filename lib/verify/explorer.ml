@@ -1,4 +1,3 @@
-open Uldma_bus
 open Uldma_os
 
 type 'v result = {
@@ -22,25 +21,11 @@ let verdict r =
   | [] -> if r.truncated then Inconclusive else Safe
   | vs -> Vulnerable (List.length vs)
 
-(* Engine-visible transactions issued by [pid] so far, from the bus's
-   O(1) per-pid counter. Kernel accesses (context-switch hooks, pid -1)
-   and other processes' drained stores live in other slots and so never
-   count as the leg's NI access. Only deltas within one leg matter, so
-   the counter's absolute value (which spans the snapshot lineage) is
-   irrelevant. *)
-let ni_accesses kernel pid = Bus.pid_access_count (Kernel.bus kernel) pid
-
-let rec leg_loop kernel pid ~start ~max_instructions n =
-  if n >= max_instructions then `Stuck
-  else
-    match Kernel.step_pid kernel pid with
-    | `Not_runnable -> `Exited
-    | `Ok ->
-      if ni_accesses kernel pid > start then `Progress
-      else leg_loop kernel pid ~start ~max_instructions (n + 1)
-
-let advance_one_leg kernel pid ~max_instructions =
-  leg_loop kernel pid ~start:(ni_accesses kernel pid) ~max_instructions 0
+(* A leg is one kernel call. Progress is measured on the bus's O(1)
+   per-pid counter, so kernel accesses (context-switch hooks, pid -1)
+   and other processes' drained stores never count as the leg's NI
+   access. *)
+let advance_one_leg kernel pid ~max_instructions = Kernel.run_leg kernel pid ~max_instructions
 
 (* The pseudo-pid of the "let the wire drain" leg: instead of running a
    process to its next NI access, the machine idles forward to the next

@@ -194,5 +194,5 @@ val wait_leg : int
     running a process. Never appears under the Null backend. *)
 
 val advance_one_leg : Uldma_os.Kernel.t -> int -> max_instructions:int -> [ `Progress | `Exited | `Stuck ]
-(** Run pid until its next NI access completes (or it exits). Exposed
-    for tests. *)
+(** Run pid until its next NI access completes (or it exits, or spends
+    [max_instructions]): one call of {!Uldma_os.Kernel.run_leg}. *)

@@ -53,6 +53,47 @@ let test_timing_with () =
   let t3 = Timing.with_syscall_cycles tm 5000 in
   checki "syscall set" 5000 t3.Timing.syscall_cpu_cycles
 
+(* Every stored price is its cycle count times the cycle time of the
+   right clock, for every preset and every derived model: prices are
+   computed once, by one constructor, and never drift from the counts. *)
+let test_timing_price_table () =
+  let models =
+    [
+      ("alpha3000_300", tm);
+      ("pci33", Timing.pci33);
+      ("pci66", Timing.pci66);
+      ("modern", Timing.modern);
+      ("with_bus_hz", Timing.with_bus_hz tm 50_000_000);
+      ("with_syscall_cycles", Timing.with_syscall_cycles tm 5000);
+      ("both", Timing.with_syscall_cycles (Timing.with_bus_hz Timing.pci66 25_000_000) 900);
+    ]
+  in
+  List.iter
+    (fun (name, (m : Timing.t)) ->
+      let cpu n = n * Units.cycle_ps ~hz:m.Timing.cpu_hz
+      and bus n = n * Units.cycle_ps ~hz:m.Timing.bus_hz in
+      let check field expected actual = checki (name ^ " " ^ field) expected actual in
+      check "cpu cycle" (cpu 1) m.Timing.cpu_cycle_ps;
+      check "bus cycle" (bus 1) m.Timing.bus_cycle_ps;
+      check "instruction" (cpu m.Timing.instruction_cpu_cycles) m.Timing.instruction_ps;
+      check "cached access" (cpu m.Timing.cached_access_cpu_cycles) m.Timing.cached_access_ps;
+      check "uncached store" (bus m.Timing.uncached_store_bus_cycles) m.Timing.uncached_store_ps;
+      check "uncached load" (bus m.Timing.uncached_load_bus_cycles) m.Timing.uncached_load_ps;
+      check "memory barrier" (cpu m.Timing.memory_barrier_cpu_cycles) m.Timing.memory_barrier_ps;
+      check "syscall" (cpu m.Timing.syscall_cpu_cycles) m.Timing.syscall_ps;
+      check "translate" (cpu m.Timing.translate_cpu_cycles) m.Timing.translate_ps;
+      check "check size" (cpu m.Timing.check_size_cpu_cycles) m.Timing.check_size_ps;
+      check "context switch" (cpu m.Timing.context_switch_cpu_cycles) m.Timing.context_switch_ps;
+      check "pal call" (cpu m.Timing.pal_call_cpu_cycles) m.Timing.pal_call_ps;
+      check "tlb miss" (cpu m.Timing.tlb_miss_cpu_cycles) m.Timing.tlb_miss_ps;
+      check "iotlb walk" (bus m.Timing.iotlb_walk_bus_cycles) m.Timing.iotlb_walk_ps;
+      (* the accessors read the same table *)
+      check "instruction_ps" m.Timing.instruction_ps (Timing.instruction_ps m);
+      check "uncached_ps store" m.Timing.uncached_store_ps (Timing.uncached_ps m Txn.Store);
+      check "uncached_ps load" m.Timing.uncached_load_ps (Timing.uncached_ps m Txn.Load);
+      check "syscall_ps" m.Timing.syscall_ps (Timing.syscall_ps m))
+    models
+
 (* ------------------------------------------------------------------ *)
 (* Write buffer *)
 
@@ -360,6 +401,7 @@ let () =
           Alcotest.test_case "kernel costs" `Quick test_timing_kernel_costs;
           Alcotest.test_case "presets" `Quick test_timing_presets;
           Alcotest.test_case "with_* combinators" `Quick test_timing_with;
+          Alcotest.test_case "price table" `Quick test_timing_price_table;
         ] );
       ( "write_buffer",
         [

@@ -8,40 +8,54 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 (* A fake machine and its static host: identity translation over one
-   rw page at va 0, with a hashtable as memory and a charge
-   accumulator. *)
+   rw page at va 0, with a hashtable as memory and a clock that every
+   instruction advances by 10 ps and every barrier by 5 ps. *)
 type fake = {
   memory : (int, int) Hashtbl.t;
-  mutable charged : int;
+  clock : Uldma_bus.Clock.t;
   mutable barriers : int;
   mutable read_only : bool;
 }
 
-let make_fake () = { memory = Hashtbl.create 16; charged = 0; barriers = 0; read_only = false }
+let make_fake () =
+  { memory = Hashtbl.create 16; clock = Uldma_bus.Clock.create (); barriers = 0; read_only = false }
+
+let charged fake = Uldma_bus.Clock.now fake.clock
+
+(* the fake's translation: raises the fault word like a machine's host *)
+let fake_translate fake access vaddr =
+  if vaddr < 0 || vaddr >= Uldma_mem.Layout.page_size then
+    raise (Cpu.Access_fault (Addr_space.fault_word (Addr_space.No_mapping vaddr)))
+  else if fake.read_only && access = Addr_space.Write then
+    raise (Cpu.Access_fault (Addr_space.fault_word (Addr_space.Protection (vaddr, access))))
+  else vaddr
 
 let host : fake Cpu.host =
   {
-    Cpu.translate =
-      (fun fake access vaddr ->
-        if vaddr < 0 || vaddr >= Uldma_mem.Layout.page_size then
-          Addr_space.fault_word (Addr_space.No_mapping vaddr)
-        else if fake.read_only && access = Addr_space.Write then
-          Addr_space.fault_word (Addr_space.Protection (vaddr, access))
-        else Addr_space.word ~paddr:vaddr ~cacheable:true ~missed:false);
-    load = (fun fake ~cacheable:_ paddr -> try Hashtbl.find fake.memory paddr with Not_found -> 0);
-    store = (fun fake ~cacheable:_ paddr value -> Hashtbl.replace fake.memory paddr value);
-    barrier = (fun fake -> fake.barriers <- fake.barriers + 1);
-    charge =
-      (fun fake cost ->
-        let ps = match cost with Cpu.Instruction -> 10 | Cpu.Tlb_miss -> 100 | Cpu.Barrier -> 5 in
-        fake.charged <- fake.charged + ps);
+    Cpu.load =
+      (fun fake vaddr ->
+        let paddr = fake_translate fake Addr_space.Read vaddr in
+        try Hashtbl.find fake.memory paddr with Not_found -> 0);
+    store =
+      (fun fake vaddr value ->
+        Hashtbl.replace fake.memory (fake_translate fake Addr_space.Write vaddr) value);
+    barrier =
+      (fun fake ->
+        Uldma_bus.Clock.advance fake.clock 5;
+        fake.barriers <- fake.barriers + 1);
   }
+
+let step ctx fake = Cpu.step ctx fake.clock ~instr_ps:10 host fake
+
+let run_subprogram regs body =
+  let fake = make_fake () in
+  Cpu.run_subprogram regs body fake.clock ~instr_ps:10 host fake
 
 let run_program ?(fake = make_fake ()) instrs =
   let ctx = Cpu.make_ctx (Asm.assemble_list instrs) in
   let rec loop n =
     if n > 10_000 then Alcotest.fail "program did not halt";
-    match Cpu.step ctx host fake with
+    match step ctx fake with
     | Cpu.Continue -> loop (n + 1)
     | outcome -> outcome
   in
@@ -213,7 +227,7 @@ let test_cpu_loop () =
   Asm.halt asm;
   let ctx = Cpu.make_ctx (Asm.assemble asm) in
   let fake = make_fake () in
-  let rec loop () = match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o in
+  let rec loop () = match step ctx fake with Cpu.Continue -> loop () | o -> o in
   (match loop () with Cpu.Halted -> () | _ -> Alcotest.fail "no halt");
   checki "sum" 55 (Regfile.get ctx.Cpu.regs 2)
 
@@ -267,17 +281,17 @@ let test_cpu_fault_protection () =
 let test_cpu_charges () =
   let _, fake = expect_halt [ Isa.Nop; Isa.Nop; Isa.Halt ] in
   (* 3 instructions x 10 ps *)
-  checki "instruction charges" 30 fake.charged
+  checki "instruction charges" 30 (charged fake)
 
 let test_cpu_mb_extra_charge () =
   let _, fake = expect_halt [ Isa.Mb; Isa.Halt ] in
-  checki "mb = instruction + barrier cost" 25 fake.charged
+  checki "mb = instruction + barrier cost" 25 (charged fake)
 
 let test_cpu_run_subprogram () =
   let regs = Regfile.create () in
   Regfile.set regs 1 4;
   let body = Asm.assemble_list [ Isa.Add (1, 1, Isa.Imm 1); Isa.Add (1, 1, Isa.Imm 1) ] in
-  let outcome = Cpu.run_subprogram regs body host (make_fake ()) in
+  let outcome = run_subprogram regs body in
   checkb "completes" true (outcome = Cpu.Halted);
   checki "effect" 6 (Regfile.get regs 1)
 
@@ -286,16 +300,16 @@ let test_cpu_run_subprogram_rejects_traps () =
   let body = Asm.assemble_list [ Isa.Syscall ] in
   checkb "trap rejected" true
     (try
-       ignore (Cpu.run_subprogram regs body host (make_fake ()) : Cpu.outcome);
+       ignore (run_subprogram regs body : Cpu.outcome);
        false
      with Invalid_argument _ -> true)
 
 let test_cpu_copy_ctx () =
   let ctx = Cpu.make_ctx (Asm.assemble_list [ Isa.Li (1, 5); Isa.Halt ]) in
   let fake = make_fake () in
-  ignore (Cpu.step ctx host fake : Cpu.outcome);
+  ignore (step ctx fake : Cpu.outcome);
   let snap = Cpu.copy_ctx ctx in
-  ignore (Cpu.step ctx host fake : Cpu.outcome);
+  ignore (step ctx fake : Cpu.outcome);
   checki "snapshot pc frozen" 1 snap.Cpu.pc;
   Regfile.set ctx.Cpu.regs 1 0;
   checki "snapshot regs frozen" 5 (Regfile.get snap.Cpu.regs 1)
@@ -379,7 +393,7 @@ let cpu_matches_reference =
          let ctx = Cpu.make_ctx program in
          let fake = make_fake () in
          let rec loop () =
-           match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o
+           match step ctx fake with Cpu.Continue -> loop () | o -> o
          in
          (match loop () with Cpu.Halted -> () | _ -> failwith "no halt");
          let expected = reference_eval ops in
@@ -398,11 +412,11 @@ let cpu_instruction_count_charged =
          let ctx = Cpu.make_ctx program in
          let fake = make_fake () in
          let rec loop () =
-           match Cpu.step ctx host fake with Cpu.Continue -> loop () | o -> o
+           match step ctx fake with Cpu.Continue -> loop () | o -> o
          in
          ignore (loop () : Cpu.outcome);
          (* ops + Halt, 10 ps each, no memory traffic *)
-         fake.charged = 10 * (List.length ops + 1)))
+         charged fake = 10 * (List.length ops + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* PAL *)

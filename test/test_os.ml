@@ -584,6 +584,34 @@ let test_kernel_step_pid () =
   checki "a untouched" 0 (Regfile.get a.Process.ctx.Cpu.regs 1);
   checkb "unknown pid" true (Kernel.step_pid kernel 99 = `Not_runnable)
 
+(* One data access is one host call that charges, in order, its TLB
+   miss (only when the translation missed) and its access: after the
+   switch flushes the TLB, the first load of a page pays the miss, the
+   second does not, and a faulting load pays only its instruction price. *)
+let test_kernel_access_charges () =
+  let kernel = fresh () in
+  let tm = Kernel.timing kernel in
+  let p = Kernel.spawn kernel ~name:"loads" ~program:[||] () in
+  let va = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
+  Process.set_program p
+    (Asm.assemble_list
+       Isa.[ Li (1, va); Load (2, 1, 0); Load (3, 1, 8); Li (4, 0); Load (5, 4, 0) ]);
+  let step () =
+    let t0 = Kernel.now_ps kernel in
+    checkb "stepped" true (Kernel.step_pid kernel p.Process.pid = `Ok);
+    Kernel.now_ps kernel - t0
+  in
+  ignore (step () : int);
+  let instr = Uldma_bus.Timing.instruction_ps tm
+  and hit = Uldma_bus.Timing.cached_access_ps tm
+  and miss = Uldma_bus.Timing.tlb_miss_ps tm in
+  checki "first load misses" (instr + miss + hit) (step ());
+  checki "second load hits" (instr + hit) (step ());
+  checki "li" instr (step ());
+  let faulting = step () in
+  checkb "fault kills" false (Process.is_runnable p);
+  checki "a fault charges only its instruction price" instr faulting
+
 let test_kernel_run_until () =
   let kernel = fresh () in
   ignore (spawn_with kernel [ Isa.Nop; Isa.Nop; Isa.Nop; Isa.Halt ]);
@@ -682,6 +710,7 @@ let () =
           Alcotest.test_case "fault kills" `Quick test_kernel_fault_kills;
           Alcotest.test_case "protection kills" `Quick test_kernel_protection_kills;
           Alcotest.test_case "step_pid" `Quick test_kernel_step_pid;
+          Alcotest.test_case "access charges" `Quick test_kernel_access_charges;
           Alcotest.test_case "run_until" `Quick test_kernel_run_until;
           Alcotest.test_case "max_steps" `Quick test_kernel_max_steps;
           Alcotest.test_case "copy independent" `Quick test_kernel_copy_independent;

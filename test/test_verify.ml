@@ -831,6 +831,119 @@ let test_advance_one_leg () =
   checkb "victim still mid-stub" true
     (List.mem s.Scenario.victim.Process.pid (Kernel.runnable_pids kernel))
 
+(* The leg the explorer runs before legs were one kernel call: one
+   [Kernel.step_pid] per instruction, with the budget tested before
+   each step and progress (the pid's uncached-access count growing)
+   after it. *)
+let reference_leg kernel pid ~max_instructions =
+  let accesses () = Uldma_bus.Bus.pid_access_count (Kernel.bus kernel) pid in
+  let start = accesses () in
+  let rec loop n =
+    if n >= max_instructions then `Stuck
+    else
+      match Kernel.step_pid kernel pid with
+      | `Not_runnable -> `Exited
+      | `Ok -> if accesses () > start then `Progress else loop (n + 1)
+  in
+  loop 0
+
+(* [s] plus two processes that fault: one loads a read-only page (a TLB
+   miss, then a hit) and stores to it, one loads an unmapped address. *)
+let with_faulters (s : Scenario.t) =
+  let k = s.Scenario.kernel in
+  let spawn name body =
+    let p = Kernel.spawn k ~name ~program:[||] () in
+    let va = Kernel.alloc_pages k p ~n:1 ~perms:Uldma_mem.Perms.read_only in
+    Process.set_program p (Uldma_cpu.Asm.assemble_list (body va));
+    p.Process.pid
+  in
+  let open Uldma_cpu.Isa in
+  let a =
+    spawn "protection" (fun va ->
+        [ Li (1, va); Load (2, 1, 0); Load (3, 1, 8); Store (1, 0, 2); Halt ])
+  in
+  let b = spawn "unmapped" (fun _ -> [ Li (1, 0x3f00_0000); Nop; Load (2, 1, 0); Halt ]) in
+  (s, Scenario.explore_pids s @ [ a; b ])
+
+(* [Explorer.advance_one_leg] (one kernel call per leg) against
+   [reference_leg] over random leg schedules: after every leg both
+   copies agree on the leg's outcome, the clock, the full paranoid
+   encoding and every counter (instructions, syscalls, context
+   switches, per-pid bus counts), for budgets of 1, 2 and 2000
+   instructions. Wait legs advance both copies alike. *)
+let explorer_leg_equivalence =
+  let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
+  let plain build () =
+    let s = build () in
+    (s, Scenario.explore_pids s)
+  in
+  let scenarios =
+    [|
+      ("key-3", plain (fun () -> Scenario.key_contested3 ()));
+      ("ext-shadow-3", plain (fun () -> Scenario.ext_shadow_contested3 ()));
+      ("rep5-3", plain Scenario.rep5_contested3);
+      ("fig5", plain (fun () -> Scenario.fig5 ()));
+      ("pal", plain Scenario.pal_contested);
+      ("iommu@atm155", plain (fun () -> Scenario.iommu_contested ~net:atm155 ()));
+      ("capio@atm155", plain (fun () -> Scenario.capio_contested ~net:atm155 ()));
+      ("faulters", fun () -> with_faulters (Scenario.rep5 ()));
+    |]
+  in
+  let budgets = [| 1; 2; 2000 |] in
+  let counters k =
+    let c = Kernel.counter_snapshot k in
+    List.map (fun n -> (n, Uldma_obs.Counters.value c n)) (Uldma_obs.Counters.counter_names c)
+  in
+  let same root a b =
+    Kernel.now_ps a = Kernel.now_ps b
+    && String.equal (Kernel.state_encoding ~relative_to:root a)
+         (Kernel.state_encoding ~relative_to:root b)
+    && counters a = counters b
+  in
+  let legs pids k =
+    let live = Kernel.runnable_pids k in
+    let runnable = List.filter (fun pid -> List.mem pid live) pids in
+    match Kernel.next_transfer_deadline k with
+    | Some _ -> runnable @ [ Explorer.wait_leg ]
+    | None -> runnable
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (int_range 0 (Array.length scenarios - 1))
+        (int_range 0 (Array.length budgets - 1))
+        (int_range 0 1_000_000))
+  in
+  let print (i, b, seed) =
+    Printf.sprintf "%s budget %d seed %d" (fst scenarios.(i)) budgets.(b) seed
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"explorer: one-call leg equals the step_pid reference" ~count:120
+       ~print gen
+       (fun (i, b, seed) ->
+         let s, pids = (snd scenarios.(i)) () in
+         let root = s.Scenario.kernel in
+         let max_instructions = budgets.(b) in
+         let rng = Uldma_util.Rng.create ~seed in
+         let a = Kernel.snapshot root and r = Kernel.snapshot root in
+         let rec walk n =
+           n = 0
+           ||
+           match legs pids a with
+           | [] -> true
+           | choices ->
+             let leg = List.nth choices (Uldma_util.Rng.int rng (List.length choices)) in
+             let agree =
+               if leg = Explorer.wait_leg then
+                 Kernel.advance_to_next_completion a = Kernel.advance_to_next_completion r
+               else
+                 Explorer.advance_one_leg a leg ~max_instructions
+                 = reference_leg r leg ~max_instructions
+             in
+             agree && same root a r && walk (n - 1)
+         in
+         walk 300))
+
 (* Kernel snapshots share RAM copy-on-write and page tables by
    persistent-map sharing; driving one fork through a whole scenario
    must leave the root and a sibling fork bit-identical. *)
@@ -1517,6 +1630,7 @@ let () =
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
+          explorer_leg_equivalence;
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;

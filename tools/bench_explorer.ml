@@ -1,4 +1,4 @@
-(* bench-explorer — writes _results/BENCH_explorer.json (schema v9),
+(* bench-explorer — writes _results/BENCH_explorer.json (schema v10),
    the machine-readable record of the interleaving explorer: the rep5
    headline with and without dedup and the memo-key cost, the
    3-process contested trees (with paranoid-keying and bounded-memo
@@ -10,7 +10,11 @@
 
    Every timed leg runs one untimed warmup in its own configuration and
    reports the minimum of its timed repetitions. Counts (paths, states,
-   hits, bytes hashed, words allocated) do not depend on timing.
+   hits, bytes hashed, words allocated) do not depend on timing. The
+   same run also times a host-speed reference loop (reference_ns, see
+   tools/reference_loop.ml), so the gates compare timings as multiples
+   of it, not as raw nanoseconds from whichever host phase a file was
+   written in.
 
    Run from the repository root: dune exec tools/bench_explorer.exe *)
 
@@ -166,6 +170,7 @@ let () =
   let reps = 9 in
   let r, secs = time_explore ~reps () in
   let r_nd, secs_nd = time_explore ~dedup:false ~reps () in
+  let reference_ns = Reference_loop.ns_per_op ~now in
   let initiation =
     List.map
       (fun name ->
@@ -174,8 +179,9 @@ let () =
       mechs
   in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"schema_version\": 9,\n";
+  Buffer.add_string buf "{\n  \"schema_version\": 10,\n";
   Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf buf "  \"reference_ns\": %.3f,\n" reference_ns;
   Buffer.add_string buf
     "  \"timing\": \"min of repetitions after one untimed same-config warmup (the rep5 headline: of batches of at least 20 ms on the monotonic clock); no persistent memo cache\",\n";
   Buffer.add_string buf "  \"explorer\": {\n";
@@ -314,6 +320,8 @@ let () =
       Printf.bprintf buf "      \"states_visited\": %d,\n" r.Explorer.states_visited;
       Printf.bprintf buf "      \"dedup_hits\": %d,\n" r.Explorer.dedup_hits;
       Printf.bprintf buf "      \"dedup_ratio\": %.4f,\n" (dedup_ratio r);
+      Printf.bprintf buf "      \"bytes_hashed_per_node\": %.1f,\n"
+        (per_node r r.Explorer.bytes_hashed);
       Printf.bprintf buf "      \"seconds\": %.6f,\n" s;
       Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r s);
       Printf.bprintf buf "      \"differential_identical\": %b\n"

@@ -19,8 +19,11 @@
    5. re-measures explorer throughput with tracing disabled and
       compares against the recorded baseline (argv.(1), normally
       _results/BENCH_explorer.json, which tools/bench_explorer.exe
-      writes): fails only below baseline/5, a deliberately loose bound
-      so loaded CI machines do not flake. *)
+      writes), both as paths per second times the same-run host-speed
+      reference (tools/reference_loop.ml), so the comparison does not
+      move with the host phase either file was written in: fails only
+      below baseline/5, a deliberately loose bound so loaded CI
+      machines do not flake. *)
 
 module Trace = Uldma_obs.Trace
 module Export = Uldma_obs.Export
@@ -341,13 +344,14 @@ let () =
     match baseline_file with
     | None -> None
     | Some path -> (
-      match member "paths_per_sec" (member "explorer" (parse_json (read_file path))) with
-      | Num f -> Some f
-      | _ -> fail "baseline %s: explorer.paths_per_sec not a number" path)
+      let json = parse_json (read_file path) in
+      match (member "paths_per_sec" (member "explorer" json), member "reference_ns" json) with
+      | Num f, Num ref_ns -> Some (f, ref_ns)
+      | _ -> fail "baseline %s: explorer.paths_per_sec or reference_ns not a number" path)
   in
   (match baseline with
   | None -> prerr_endline "check-trace: no baseline file; skipping throughput comparison"
-  | Some base ->
+  | Some (base, base_ref_ns) ->
     ignore (explore_rep5 () : _ Explorer.result) (* warm up *);
     (* best of five: one exploration takes about 1.5 ms, so a single
        timing can be cut by 5x by one descheduling while `dune runtest`
@@ -358,8 +362,16 @@ let () =
       float_of_int r.Explorer.paths /. (Unix.gettimeofday () -. t0)
     in
     let rate = List.fold_left (fun best _ -> Float.max best (rate ())) 0.0 (List.init 5 Fun.id) in
-    if rate < base /. 5.0 then
-      fail "explorer throughput collapsed: %.0f paths/s vs baseline %.0f" rate base;
-    Printf.printf "check-trace: explorer %.0f paths/s (baseline %.0f)\n" rate base);
+    let ref_ns = Reference_loop.ns_per_op ~now:Unix.gettimeofday in
+    (* paths per reference operation: paths/s x ns per operation *)
+    let norm = rate *. ref_ns and base_norm = base *. base_ref_ns in
+    if norm < base_norm /. 5.0 then
+      fail
+        "explorer throughput collapsed: %.0f paths/s at reference %.1f ns (%.0f) vs baseline %.0f \
+         at %.1f ns (%.0f)"
+        rate ref_ns norm base base_ref_ns base_norm;
+    Printf.printf
+      "check-trace: explorer %.0f paths/s at reference %.1f ns (baseline %.0f at %.1f ns)\n" rate
+      ref_ns base base_ref_ns);
   Printf.printf "check-trace ok: %d events, %d kinds, %d layers, Chrome export valid\n"
     (Trace.total sink) (Hashtbl.length kinds) (Hashtbl.length layers)
