@@ -734,12 +734,11 @@ let stub_cmd =
 
 let campaign_cmd =
   let module Synth = Uldma_workload.Synth in
-  let module Explorer = Uldma_verify.Explorer in
   let module Backend = Uldma_net.Backend in
   let doc =
     "Bounded adversary synthesis: enumerate every accomplice program up to --slots ops from the \
      S/L shadow-page grammar, explore each candidate exhaustively through the campaign engine \
-     (one cross-candidate shared memo), and write the collusion \
+     (one cross-candidate shared memo per cell), and write the collusion \
      catalogue — which mechanism/backend cells admit collusion, with minimal witness programs."
   in
   let slots =
@@ -828,16 +827,15 @@ let campaign_cmd =
             ("witness", Uldma_util.Tbl.Left);
           ]
     in
-    (* one shared table across the whole grid; each cell bumps the key
-       generation so cells can never alias each other's entries *)
-    let shared = Explorer.create_shared ~cap:(1 lsl 20) () in
+    (* each cell runs on a table of its own: keys are comparable only
+       under one baseline, and the cell's candidates share it *)
     let cells =
       List.concat_map
         (fun subject ->
           List.map
             (fun net ->
               let t0 = Unix.gettimeofday () in
-              let cr = Synth.run_cell ?net ~slots ~max_paths ~shared subject in
+              let cr = Synth.run_cell ?net ~slots ~max_paths subject in
               let c = cr.Synth.cr_cell in
               Uldma_util.Tbl.add_row tbl
                 [

@@ -160,10 +160,6 @@ let flush t =
 
 let stats t : stats = { hits = t.hits; misses = t.misses }
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 let entries t =
   Array.to_list t.tab.slots
   |> List.filter_map (fun e -> Option.map (fun e -> (e.vpage, e.pte)) e)

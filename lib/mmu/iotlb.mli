@@ -49,7 +49,6 @@ val entries : t -> (int * Pte.t) list
 (** Live (vpage, pte) pairs in slot order, for tests. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val digest : t -> int * int
 (** Additive digest ({!Uldma_util.Fp128.int_term_a}/[_b]) of slots +

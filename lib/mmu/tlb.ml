@@ -61,7 +61,3 @@ let invalidate t ~vpage =
 let flush t = t.slots <- Slots.empty
 
 let stats t : stats = { hits = t.hits; misses = t.misses }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

@@ -42,4 +42,3 @@ val flush : t -> unit
     becomes the empty map. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit

@@ -21,15 +21,12 @@ let duration_ps t n =
   | Null -> 0
   | Linked { link; tick_ps } -> quantise ~tick_ps (Link.wire_time_ps link n)
 
-let tick_ps = function Null -> 0 | Linked { tick_ps; _ } -> tick_ps
-
 let link = function Null -> None | Linked { link; _ } -> Some link
 
 let name = function Null -> "null" | Linked { link; _ } -> link.Link.name
 
-(* The canonical identity of a backend for persistent-cache keying:
-   same link, different tick => different schedule trees, so the tick
-   is part of the key. *)
+(* The backend's canonical label: same link, different tick =>
+   different schedule trees, so the tick is part of it. *)
 let cache_key = function
   | Null -> "null"
   | Linked { link; tick_ps } -> Printf.sprintf "%s@%dps" link.Link.name tick_ps

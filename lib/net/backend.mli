@@ -47,16 +47,14 @@ val quantise : tick_ps:Uldma_util.Units.ps -> Uldma_util.Units.ps -> Uldma_util.
     [0]; anything positive rounds to at least one tick). Exposed for
     the property tests. *)
 
-val tick_ps : t -> Uldma_util.Units.ps
-(** The backend's tick; 0 for [Null]. *)
-
 val link : t -> Link.t option
 val name : t -> string
 
 val cache_key : t -> string
-(** Canonical identity for persistent-cache keying ("null",
-    "ATM 155Mbps@1000000ps", ...): two backends with equal keys produce
-    equal schedule trees, and the tick is part of the key. *)
+(** Canonical label ("null", "ATM 155Mbps@1000000ps", ...) naming the
+    link and the tick: two backends with equal labels produce equal
+    schedule trees. Used as the scenario label and the collusion
+    catalogue's net column. *)
 
 val of_string : ?tick_ps:Uldma_util.Units.ps -> string -> (t, string) result
 (** Parse a CLI spelling ([null], [atm155], [atm622], [gigabit],

@@ -1,8 +1,8 @@
-(** Histogram-backed percentile estimation (HDR-histogram style).
+(** Histogram-backed percentile estimation (HDR-histogram style): the
+    program's one latency histogram.
 
-    {!Counters}'s power-of-two histograms are fine for order-of-
-    magnitude summaries but far too coarse for tail latency: a p999
-    read off octave buckets can be off by 2x. This reporter subdivides
+    Power-of-two buckets are too coarse for tail latency: a p999 read
+    off octave buckets can be off by 2x. This reporter subdivides
     every octave into [2^sub_bits] linear sub-buckets, bounding the
     relative quantisation error at [2^-sub_bits] (~3% at the default
     [sub_bits = 5]) while keeping memory constant (~2 KB) and

@@ -219,7 +219,6 @@ let bus t = t.bus
 let engine t = t.engine
 let timing t = Bus.timing t.bus
 let ram t = t.ram
-let pal t = t.pal
 let processes t = t.procs
 
 let find_process t pid = try Some (process_of_pid pid t.procs) with Not_found -> None
@@ -946,7 +945,50 @@ let write_user t p vaddr value = Phys_mem.store_word t.ram (user_paddr t p vaddr
    to pages that physically diverged from the root: pages still shared
    with the root are byte-identical in every fork, so skipping them is
    exact and keeps encodings proportional to the work done since the
-   root rather than to setup-time writes. *)
+   root rather than to setup-time writes. Program text is covered the
+   same way (see [encode_text]). *)
+
+let rec from_pid pid = function
+  | (b : Process.t) :: rest when b.Process.pid < pid -> from_pid pid rest
+  | procs -> procs
+
+(* Program text joins the encoding relative to the baseline, as RAM
+   does: a process whose program array is physically its baseline
+   process's feeds nothing, nor does an exited one; any other feeds
+   its residual text (Process.encode_text) behind a 'T' tag. Without a
+   baseline every live process's text is fed. Both process tables
+   ascend by pid, so [base] (the baseline's, from this pid's position
+   on) is walked once alongside them: the rest is returned for the next
+   process. *)
+let encode_text enc base (p : Process.t) =
+  let base = from_pid p.Process.pid base in
+  (match (p.Process.state, base) with
+  | Process.Exited _, _ -> ()
+  | _, b :: _
+    when b.Process.pid = p.Process.pid && b.Process.ctx.Cpu.program == p.Process.ctx.Cpu.program
+    ->
+    ()
+  | _ ->
+    Uldma_util.Enc.char enc 'T';
+    Process.encode_text enc p);
+  base
+
+(* remaining sleep, not the absolute wake instant *)
+let encode_sleep enc t (p : Process.t) =
+  match p.Process.state with
+  | Process.Blocked_until at -> Uldma_util.Enc.int enc (max 0 (at - now_ps t))
+  | Process.Ready | Process.Exited _ -> ()
+
+(* Fingerprint mode's per-process tokens: pc, access count, remaining
+   sleep and program text. *)
+let rec encode_procs_fp enc t base = function
+  | [] -> ()
+  | (p : Process.t) :: rest ->
+    Uldma_util.Enc.int enc p.Process.ctx.Cpu.pc;
+    Uldma_util.Enc.int enc (Bus.pid_access_count t.bus p.Process.pid);
+    encode_sleep enc t p;
+    encode_procs_fp enc t (encode_text enc base p) rest
+
 let encode_state enc ?relative_to t =
   let module E = Uldma_util.Enc in
   let i v = E.int enc v in
@@ -955,34 +997,32 @@ let encode_state enc ?relative_to t =
   i (match t.current with None -> min_int | Some p -> p.Process.pid);
   if t.force_switch then ch 'F';
   List.iter (fun h -> ch (match h with Shrimp_invalidate -> 'S' | Flash_inform -> 'I')) t.hooks;
-  (* remaining sleep, not the absolute wake instant *)
-  let sleep (p : Process.t) =
-    match p.Process.state with
-    | Process.Blocked_until at -> i (max 0 (at - now_ps t))
-    | Process.Ready | Process.Exited _ -> ()
-  in
+  let base = match relative_to with Some root -> root.procs | None -> [] in
   (match enc with
   | E.Buf _ ->
-    List.iter
-      (fun (p : Process.t) ->
-        ch 'P';
-        i p.Process.pid;
-        i (Process.state_code p.Process.state);
-        sleep p;
-        i p.Process.ctx.Cpu.pc;
-        i (match p.Process.dma_context with None -> min_int | Some c -> c);
-        i (match p.Process.dma_key with None -> min_int | Some k -> k);
-        i (Bus.pid_access_count t.bus p.Process.pid);
-        Regfile.encode enc p.Process.ctx.Cpu.regs)
-      t.procs
+    ignore
+      (List.fold_left
+         (fun base (p : Process.t) ->
+           ch 'P';
+           i p.Process.pid;
+           i (Process.state_code p.Process.state);
+           encode_sleep enc t p;
+           i p.Process.ctx.Cpu.pc;
+           i (match p.Process.dma_context with None -> min_int | Some c -> c);
+           i (match p.Process.dma_key with None -> min_int | Some k -> k);
+           i (Bus.pid_access_count t.bus p.Process.pid);
+           Regfile.encode enc p.Process.ctx.Cpu.regs;
+           encode_text enc base p)
+         base t.procs
+        : Process.t list)
   | E.Fp fp ->
     (* The process table as one digest: the lane sums of the processes'
        pid-salted register-file digests, which cover registers, state
        codes, DMA contexts and keys (Process.digest). Then only what the
        digest does not hold, per process: pc and access count, which are
-       never negative, so the 'W' tag below ends the list, and a
-       sleeper's remaining time, whose presence the digest's state codes
-       tell. *)
+       never negative, so the 'W' tag below ends the list, a sleeper's
+       remaining time, whose presence the digest's state codes tell, and
+       any program text behind its 'T' tag. *)
     ch 'P';
     let rec lanes a b = function
       | [] ->
@@ -993,12 +1033,7 @@ let encode_state enc ?relative_to t =
         lanes (a + Regfile.digest_lane regs 0) (b + Regfile.digest_lane regs 1) rest
     in
     lanes 0 0 t.procs;
-    List.iter
-      (fun (p : Process.t) ->
-        i p.Process.ctx.Cpu.pc;
-        i (Bus.pid_access_count t.bus p.Process.pid);
-        sleep p)
-      t.procs);
+    encode_procs_fp enc t base t.procs);
   ch 'W';
   List.iter
     (fun (paddr, value) ->
@@ -1032,24 +1067,21 @@ let state_encoding ?relative_to t =
   encode_state (Uldma_util.Enc.Buf buf) ?relative_to t;
   Buffer.contents buf
 
-(* Memo key for the explorer. Fingerprint mode streams [prefix] and the
-   token walk into one two-lane 126-bit hash and returns its 16-byte
-   packed key — nothing is materialised; page contents, the process
-   table, the IOTLB and the DMA engine's registers enter as their
-   write-maintained digests — and reports
-   how many bytes were streamed. Paranoid mode returns [prefix] followed
-   by the full textual encoding, under which key equality is exactly
-   state equality (given a fixed-width prefix). *)
-let state_key ?prefix ?relative_to ~paranoid t =
+(* Memo key for the explorer. Fingerprint mode streams the token walk
+   into one two-lane 126-bit hash and returns its 16-byte packed key —
+   nothing is materialised; page contents, the process table, the IOTLB,
+   the DMA engine's registers and program text enter as their digests —
+   and reports how many bytes were streamed. Paranoid mode returns the
+   full textual encoding, under which key equality is exactly state
+   equality. *)
+let state_key ?relative_to ~paranoid t =
   if paranoid then begin
     let buf = Buffer.create 1024 in
-    Option.iter (Buffer.add_string buf) prefix;
     encode_state (Uldma_util.Enc.Buf buf) ?relative_to t;
     (Buffer.contents buf, Buffer.length buf)
   end
   else begin
     let fp = Uldma_util.Fp128.create () in
-    (match prefix with Some p -> Uldma_util.Fp128.add_string fp p | None -> ());
     encode_state (Uldma_util.Enc.Fp fp) ?relative_to t;
     (Uldma_util.Fp128.key fp, Uldma_util.Fp128.fed fp)
   end

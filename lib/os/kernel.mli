@@ -69,11 +69,9 @@ val bus : t -> Uldma_dma.Engine.t Uldma_bus.Bus.t
 val engine : t -> Uldma_dma.Engine.t
 val timing : t -> Uldma_bus.Timing.t
 val ram : t -> Uldma_mem.Phys_mem.t
-val pal : t -> Uldma_cpu.Pal.t
 val processes : t -> Process.t list
 val find_process : t -> int -> Process.t option
 val runnable_pids : t -> int list
-val running : t -> int option
 val console : t -> (int * int) list
 (** (pid, value) pairs from [sys_print], oldest first. *)
 
@@ -115,13 +113,23 @@ val state_encoding : ?relative_to:t -> t -> string
     states. [relative_to] (a common snapshot ancestor, e.g. the
     explorer root) restricts the RAM part to pages physically diverged
     from it — exact, and O(work since the root) instead of O(all
-    setup-time writes). *)
+    setup-time writes).
 
-val state_key : ?prefix:string -> ?relative_to:t -> paranoid:bool -> t -> string * int
+    Program text is covered relative to [relative_to] the same way: a
+    live process whose program array is not physically its baseline
+    process's (same pid) adds its residual text
+    ({!Process.encode_text}) — the instruction suffix from pc for a
+    straight-line program, the whole program otherwise. An exited
+    process adds nothing, and without [relative_to] every live
+    process's text is added. Kernels snapshotted from one baseline
+    that differ only in a process's program therefore never share an
+    encoding while their residual texts differ. *)
+
+val state_key : ?relative_to:t -> paranoid:bool -> t -> string * int
 (** Memo key for the explorer, plus the number of bytes streamed at
     this call to produce it. With [~paranoid:false] (the default
-    exploration mode) [prefix] and then the same token walk as
-    [state_encoding] are streamed into one two-lane 126-bit fingerprint
+    exploration mode) the same token walk as [state_encoding] is
+    streamed into one two-lane 126-bit fingerprint
     ({!Uldma_util.Fp128}) and the 16-byte packed key is returned — no
     encoding string is materialised, and RAM pages, the process table,
     the IOTLB and the DMA engine's registers enter as their
@@ -143,13 +151,14 @@ val state_key : ?prefix:string -> ?relative_to:t -> paranoid:bool -> t -> string
     byte count is exactly what was streamed here: digest upkeep is paid
     by the writes, not by the key. The engine's digests are built on
     the first key, so a machine that is never keyed pays only a flag
-    test per register write. Two states with equal encodings (and equal
-    prefixes) always get equal keys; distinct states collide only if
-    both 63-bit lanes collide (~2^-126 — [tools/diff_explore] checks
-    fingerprint runs against paranoid runs differentially). With
-    [~paranoid:true] the key is [prefix] followed by the full
+    test per register write; a residual-text digest is built once per
+    program, on the first key that needs it, and fed as two ints. Two
+    states with equal encodings always get equal keys; distinct states
+    collide only if both 63-bit lanes collide (~2^-126 —
+    [tools/diff_explore] checks fingerprint runs against paranoid runs
+    differentially). With [~paranoid:true] the key is the full
     [state_encoding] string, under which key equality is exactly
-    encoding equality when the prefix has a fixed width. *)
+    encoding equality. *)
 
 val counter_snapshot : t -> Uldma_obs.Counters.t
 (** The machine's accounting as a uniform named-counter registry:

@@ -5,10 +5,18 @@ type exit_reason = Normal | Killed_fault of Addr_space.fault | Killed of string
 
 type state = Ready | Blocked_until of Uldma_util.Units.ps | Exited of exit_reason
 
+(* The program's residual text as the state key sees it. [digests]
+   holds, at [2 pc] and [2 pc + 1], the lanes of the digest of
+   instructions [pc..] (the empty suffix digests to (0, 0)), each
+   chained from the next one's, so the whole table costs one pass. It
+   is built on the first key and shared by copies. *)
+type text = { branchy : bool; digests : int array Lazy.t }
+
 type t = {
   pid : int;
   name : string;
   ctx : Cpu.ctx;
+  mutable text : text;
   addr_space : Addr_space.t;
   superuser : bool;
   mutable state : state;
@@ -33,11 +41,37 @@ let aux_key = 2
 
 let state_code = function Ready -> 0 | Blocked_until _ -> 1 | Exited _ -> 2
 
+(* One instruction, self-delimiting in both encodings. *)
+let encode_instr enc instr =
+  let s = Isa.show_instr instr in
+  Uldma_util.Enc.int enc (String.length s);
+  Uldma_util.Enc.string enc s
+
+let text_of program =
+  let module F = Uldma_util.Fp128 in
+  let digests =
+    lazy
+      (let n = Array.length program in
+       let d = Array.make (2 * (n + 1)) 0 and fp = F.create () in
+       for pc = n - 1 downto 0 do
+         F.reset fp;
+         encode_instr (Uldma_util.Enc.Fp fp) program.(pc);
+         F.add_int fp d.(2 * (pc + 1));
+         F.add_int fp d.((2 * (pc + 1)) + 1);
+         let a, b = F.lanes fp in
+         d.(2 * pc) <- a;
+         d.((2 * pc) + 1) <- b
+       done;
+       d)
+  in
+  { branchy = Array.exists Isa.is_branch program; digests }
+
 let make ~pid ~name ~program ~superuser =
   {
     pid;
     name;
     ctx = { Cpu.regs = Regfile.create ~slot_base:(pid * slots_per_pid) (); pc = 0; program };
+    text = text_of program;
     addr_space = Addr_space.create ();
     superuser;
     state = Ready;
@@ -54,7 +88,26 @@ let copy t =
 
 let set_program t program =
   t.ctx.Cpu.program <- program;
-  t.ctx.Cpu.pc <- 0
+  t.ctx.Cpu.pc <- 0;
+  t.text <- text_of program
+
+(* A straight-line program's future is its suffix from pc (a pc off the
+   program halts, like the empty suffix); a branch can reach any
+   instruction, so then the text is the whole program. *)
+let encode_text enc t =
+  let program = t.ctx.Cpu.program and pc = t.ctx.Cpu.pc in
+  let n = Array.length program in
+  let from = if t.text.branchy then 0 else if pc < 0 || pc > n then n else pc in
+  match enc with
+  | Uldma_util.Enc.Buf _ ->
+    Uldma_util.Enc.int enc (n - from);
+    for i = from to n - 1 do
+      encode_instr enc program.(i)
+    done
+  | Uldma_util.Enc.Fp fp ->
+    let d = Lazy.force t.text.digests in
+    Uldma_util.Fp128.add_int fp d.(2 * from);
+    Uldma_util.Fp128.add_int fp d.((2 * from) + 1)
 
 let is_runnable t = match t.state with Ready -> true | Blocked_until _ | Exited _ -> false
 

@@ -12,10 +12,15 @@ type state =
           clock reaches the wake time *)
   | Exited of exit_reason
 
+type text
+(** The program's residual-text digests, built on first use and shared
+    by copies (see {!encode_text}). *)
+
 type t = {
   pid : int;
   name : string;
   ctx : Uldma_cpu.Cpu.ctx;
+  mutable text : text; (** follows [ctx.program]; written only by {!set_program} *)
   addr_space : Uldma_mmu.Addr_space.t;
   superuser : bool;
   mutable state : state; (** written only by {!set_state} and {!kill} *)
@@ -40,6 +45,13 @@ val set_program : t -> Uldma_cpu.Isa.instr array -> unit
 (** Replace the program and reset the pc — used because mechanism setup
     (context allocation, shadow mappings) must happen before the stub
     code embedding its results can be generated. *)
+
+val encode_text : Uldma_util.Enc.t -> t -> unit
+(** Feed the process's residual program text: for a straight-line
+    program (no [Beq], [Bne], [Blt] or [Jmp]) the instructions from pc,
+    for any other program all of them (the pc is in the state key
+    already). [Buf] mode streams the instructions themselves, [Fp] mode
+    their 126-bit digest as two ints. *)
 
 val is_runnable : t -> bool
 

@@ -3,11 +3,7 @@
 
 open Uldma_os
 
-type 'v candidate = {
-  c_label : string;
-  c_root : Kernel.t;
-  c_key_tag : (Kernel.t -> string) option;
-}
+type 'v candidate = { c_label : string; c_root : Kernel.t }
 
 type stats = {
   g_candidates : int;
@@ -23,14 +19,13 @@ let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_instructions_per_leg = 200
     ?(memo_cap = 1 lsl 20) ?shared ~check () =
   if jobs <> 1 then invalid_arg "Campaign.run: jobs must be 1";
   let sm = match shared with Some sm -> sm | None -> Explorer.create_shared ~cap:memo_cap () in
-  (* fresh key generation for this cell: keys minted against an earlier
-     baseline/backend under the same table can never alias ours *)
-  Explorer.bump_generation sm;
+  (* keys are comparable only under one baseline: the cell owns its table *)
+  Explorer.clear_shared sm;
   let results =
     Array.map
       (fun c ->
         Explorer.explore ~root:c.c_root ~pids ~baseline ~max_instructions_per_leg ~max_paths
-          ~dedup ~paranoid_memo ~shared:sm ?key_tag:c.c_key_tag ~check ())
+          ~dedup ~paranoid_memo ~shared:sm ~check ())
       candidates
   in
   let total f = Array.fold_left (fun acc r -> acc + f r) 0 results in

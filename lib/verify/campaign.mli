@@ -8,7 +8,9 @@
     {!Explorer.shared_memo}: candidate N warm-starts from the
     in-memory union of candidates 1..N-1, which is where the campaign
     speedup comes from — the post-exit and common-residual subtrees of
-    near-identical programs collapse onto the same decorated keys.
+    near-identical programs collapse onto the same keys, because the
+    state key covers each program's residual text relative to the
+    baseline ({!Uldma_os.Kernel.state_key}).
 
     {2 Order}
 
@@ -20,27 +22,22 @@
     Per-candidate [paths], [violations] (list, order) and [truncated]
     are independent of memo warmth — the explorer's dedup invariants —
     so a campaign's result array is byte-identical to running every
-    candidate cold, and does not depend on which cells ran before it
-    in a chained table. Warmth shows up only in cost fields
-    ([states_visited], [dedup_hits], timings).
+    candidate cold. A cell empties its table first, so neither its
+    results nor its cost fields depend on the cells run before it.
 
     {2 Requirements}
 
-    - The baseline must not be mutated while [run] executes (every
-      candidate's exploration reads its pages as the shared encoding
-      baseline).
-    - Each candidate's [c_key_tag] must determine the residual
-      behaviour of the process whose program varies (see
-      {!Explorer.explore}'s [key_tag] doc). *)
+    The baseline must not be mutated while [run] executes (every
+    candidate's exploration reads its pages and programs as the shared
+    encoding baseline). *)
 
 open Uldma_os
 
+(** ['v], the oracle's violation type, no longer constrains a field; it
+    stays because [perfbench/] names [Oracle.violation candidate]. *)
 type 'v candidate = {
   c_label : string;  (** stable identifier, e.g. the program's mnemonic string *)
   c_root : Kernel.t;  (** private snapshot of the cell baseline, program installed *)
-  c_key_tag : (Kernel.t -> string) option;
-      (** fixed-width residual tag; [None] only if all candidates share
-          one program text *)
 }
 
 type stats = {
@@ -48,7 +45,7 @@ type stats = {
   g_paths : int;  (** sum of per-candidate [paths] *)
   g_states : int;  (** sum of per-candidate [states_visited] *)
   g_hits : int;  (** sum of per-candidate [dedup_hits] *)
-  g_memo_length : int;  (** summaries resident in the shared table after the run *)
+  g_memo_length : int;  (** summaries resident in the cell's table after the run *)
   g_memo_evictions : int;  (** cumulative evictions of the shared table *)
 }
 
@@ -68,10 +65,8 @@ val run :
   'v Explorer.result array * stats
 (** Explore every candidate in order; [results.(i)] belongs to
     [candidates.(i)]. A fresh shared memo ([memo_cap] summaries,
-    default [2^20]) is created unless [shared] is passed — pass one to
-    chain cells of a grid through a single table; the generation is
-    bumped on entry either way, so a reused table never aliases a
-    previous cell's keys.
+    default [2^20]) is created unless [shared] is passed; a passed
+    table is emptied on entry, so the cell owns it for the run.
 
     [jobs] must be 1 (its default); any other value raises
     [Invalid_argument]. It is left from the multi-domain fan-out and

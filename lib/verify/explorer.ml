@@ -88,15 +88,13 @@ and 'v viols =
 let next_node_id = ref 0
 
 type 'v ctx = {
-  baseline : Kernel.t; (* encoding baseline: pages still shared with it are skipped *)
+  baseline : Kernel.t; (* encoding baseline: pages and programs shared with it are skipped *)
   pids : int list;
   max_instructions : int;
   max_paths : int;
   paranoid : bool; (* memo keys are full encoding strings, not fingerprints *)
   check : Kernel.t -> 'v option;
   memo : 'v summary Memo.t option; (* [None]: dedup off *)
-  key_prefix : string; (* campaign generation tag; "" outside a campaign *)
-  key_tag : (Kernel.t -> string) option; (* per-state candidate-residual tag *)
   sink : Uldma_obs.Trace.t;
   machine : int;
   mutable used : int; (* terminals counted against [max_paths] *)
@@ -150,25 +148,8 @@ let rec suffixes cx s =
       Hashtbl.add cx.suffixes id l;
       l)
 
-(* Campaign decoration: a fixed-width generation prefix keeps key spaces
-   of different campaign cells (different baselines / backends) disjoint
-   inside one shared table, and the candidate tag folds in the part of
-   the future the engine state cannot see — the accomplice's residual
-   program text (programs live in Cpu.ctx, not RAM, so two candidates in
-   the same machine state are distinguished only by this tag). Both
-   decorations are fixed-width and lead the key: the paranoid key is the
-   exact concatenation prefix ^ tag ^ encoding (injective), and the
-   fingerprint key streams them through the same per-node hash as the
-   state walk, so a decorated key is 16 bytes like an undecorated one. *)
 let state_key cx kernel =
-  let prefix =
-    match cx.key_tag with
-    | None -> if cx.key_prefix = "" then None else Some cx.key_prefix
-    | Some tag -> Some (cx.key_prefix ^ tag kernel)
-  in
-  let key, bytes =
-    Kernel.state_key ?prefix ~relative_to:cx.baseline ~paranoid:cx.paranoid kernel
-  in
+  let key, bytes = Kernel.state_key ~relative_to:cx.baseline ~paranoid:cx.paranoid kernel in
   cx.hash_bytes <- cx.hash_bytes + bytes;
   key
 
@@ -291,34 +272,22 @@ let default_memo_cap = 1 lsl 18
 (* ------------------------------------------------------------------ *)
 (* Cross-exploration shared memo (campaign mode). One table outlives
    many [explore] calls in one process, so candidate N's exploration
-   warm-starts from the union of what candidates 1..N-1 memoized.
-   Soundness needs two decorations on every key (see [state_key]): a
-   per-cell generation prefix and a per-candidate residual tag. The
-   generation is bumped by the campaign driver whenever the baseline or
-   backend changes, making stale keys unreachable without clearing the
-   table. *)
+   warm-starts from the union of what candidates 1..N-1 memoized. The
+   key covers program text relative to the baseline, so sharing needs
+   no decoration; a table is emptied when the baseline changes. *)
 
-type 'v shared_memo = { sm_memo : 'v summary Memo.t; mutable sm_generation : int }
+type 'v shared_memo = 'v summary Memo.t
 
-let create_shared ?(cap = default_memo_cap) () =
-  { sm_memo = Memo.create ~shards:1 ~cap ~locked:false; sm_generation = 0 }
-
-let bump_generation sm = sm.sm_generation <- sm.sm_generation + 1
-let shared_length sm = Memo.length sm.sm_memo
-let shared_evictions sm = Memo.evictions sm.sm_memo
-
-let generation_prefix gen =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int gen);
-  Bytes.unsafe_to_string b
+let create_shared ?(cap = default_memo_cap) () = Memo.create ~shards:1 ~cap ~locked:false
+let clear_shared = Memo.clear
+let shared_length = Memo.length
+let shared_evictions = Memo.evictions
 
 let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths = 1_000_000)
-    ?(dedup = true) ?(paranoid_memo = false) ?(memo_cap = default_memo_cap) ?shared ?key_tag
+    ?(dedup = true) ?(paranoid_memo = false) ?(memo_cap = default_memo_cap) ?shared
     ~check () =
   let memo =
-    match shared with
-    | Some sm -> sm.sm_memo
-    | None -> Memo.create ~shards:1 ~cap:memo_cap ~locked:false
+    match shared with Some sm -> sm | None -> create_shared ~cap:memo_cap ()
   in
   (* a pre-warmed shared table carries eviction history from earlier
      candidates; report only this run's evictions *)
@@ -332,9 +301,6 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
       paranoid = paranoid_memo;
       check;
       memo = (if dedup then Some memo else None);
-      key_prefix =
-        (match shared with Some sm -> generation_prefix sm.sm_generation | None -> "");
-      key_tag;
       sink = Kernel.trace root;
       machine = Kernel.machine_id root;
       used = 0;

@@ -91,11 +91,11 @@ type 'v result = {
           and width-1 chains pay none. *)
   bytes_hashed : int;
       (** bytes streamed into memo keys at the nodes: walk tokens
-          (write-maintained component digests count as their two ints;
-          their upkeep is paid by the writes, not here) plus any
-          campaign decoration in fingerprint mode, full decorated
-          encoding lengths in [paranoid_memo] mode. The per-node ratio
-          is the bench's [bytes_hashed_per_node]. *)
+          (write-maintained component digests and residual-text digests
+          count as their two ints; their upkeep is paid by the writes,
+          not here) in fingerprint mode, full encoding lengths in
+          [paranoid_memo] mode. The per-node ratio is the bench's
+          [bytes_hashed_per_node]. *)
 }
 
 (** {2 Cross-exploration shared memo (campaign mode)}
@@ -105,27 +105,11 @@ type 'v result = {
     the in-memory union of what explorations 1..N-1 memoized — this is
     what makes a campaign of thousands of near-identical candidate
     programs cost far less than that many cold runs (see {!Campaign}).
-
-    Sharing across candidates is sound only with two key decorations,
-    both applied automatically when [?shared] is passed to [explore]:
-
-    - a fixed 8-byte {e generation} prefix. The campaign driver bumps
-      it ({!bump_generation}) whenever the root baseline or net
-      backend changes, so keys minted against one baseline can never
-      alias keys minted against another — root-relative encodings are
-      only comparable under one baseline. Bumping makes the old
-      generation's entries unreachable (they age out of the bounded
-      table) without a stop-the-world clear.
-    - a per-candidate [?key_tag]. Program text is deliberately absent
-      from [Kernel.state_encoding] (programs live in [Cpu.ctx], not
-      RAM), so two candidates that differ only in one process's
-      program can reach identical engine-visible states with different
-      futures. The tag must determine that process's residual
-      behaviour — for straight-line candidate programs, a fingerprint
-      of the instruction suffix from the current pc (equal once two
-      candidates' remaining code is equal, and constant after exit,
-      which is where most cross-candidate sharing comes from). The tag
-      must be fixed-width so key concatenation stays unambiguous. *)
+    The key ({!Uldma_os.Kernel.state_key}) covers program text relative
+    to the baseline, so explorations of candidates that differ in a
+    program share the table as they are; a key is comparable only
+    under one baseline, so a table is emptied ({!clear_shared}) before
+    it serves another. *)
 
 type 'v shared_memo
 
@@ -133,13 +117,12 @@ val create_shared : ?cap:int -> unit -> 'v shared_memo
 (** A fresh shared table: one {!Memo} whose hot generation holds [cap]
     summaries (default: the explore default). *)
 
-val bump_generation : 'v shared_memo -> unit
-(** Start a new key generation: every key minted afterwards is
-    disjoint from every key minted before. Call between campaign cells
-    (baseline or backend change), not while an [explore] runs. *)
+val clear_shared : 'v shared_memo -> unit
+(** Drop every summary. Call between campaign cells (baseline or
+    backend change), not while an [explore] runs. *)
 
 val shared_length : 'v shared_memo -> int
-(** Resident summaries (all generations). *)
+(** Resident summaries. *)
 
 val shared_evictions : 'v shared_memo -> int
 (** Cumulative evictions over the table's whole life. *)
@@ -154,7 +137,6 @@ val explore :
   ?paranoid_memo:bool ->
   ?memo_cap:int ->
   ?shared:'v shared_memo ->
-  ?key_tag:(Uldma_os.Kernel.t -> string) ->
   check:(Uldma_os.Kernel.t -> 'v option) ->
   unit ->
   'v result
@@ -174,9 +156,7 @@ val explore :
     that uses it runs.
 
     [shared] routes all memo traffic through a cross-exploration table
-    instead of a private one (see above); [memo_cap] is then ignored.
-    Pass [key_tag] (fixed-width, residual-behaviour-determining)
-    whenever candidates sharing the table differ in program text. *)
+    instead of a private one (see above); [memo_cap] is then ignored. *)
 
 type verdict =
   | Safe  (** complete, and no schedule violates *)

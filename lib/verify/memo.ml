@@ -210,6 +210,12 @@ let add t key v =
 
 let evictions t = t.evicted
 
+let clear t =
+  t.hot <- table (min initial_size t.max_size);
+  t.cold <- table (min initial_size t.max_size);
+  Hashtbl.reset t.ids;
+  Hashtbl.reset t.names
+
 (* Distinct keys: a cold entry promoted back into hot (by [find])
    is alive in both generations and must not count twice. *)
 let length t =

@@ -56,6 +56,10 @@ val evictions : 'a t -> int
 (** Entries discarded by generation rotation so far: cold keys that
     hot did not also hold when the generations rotated. *)
 
+val clear : 'a t -> unit
+(** Drop every entry; both generations shrink back to their initial
+    size. [evictions] keeps counting from where it was. *)
+
 val length : 'a t -> int
 (** Distinct keys currently resident: a key alive in both generations
     (promoted from cold back into hot) counts once. *)

@@ -148,7 +148,6 @@ type result = {
   wire_bytes : int;
   latency : Uldma_obs.Percentile.t;
   sim_ps : int;
-  counters : Uldma_obs.Counters.t;
 }
 
 let header_bytes = 32 (* request header: op, key, length, sequence *)
@@ -279,8 +278,6 @@ let run p ~cal ~net =
   let first_wire = clients and first_node = clients + (n * n) in
   let seq = ref 0 in
   let latency = Uldma_obs.Percentile.create () in
-  let counters = Uldma_obs.Counters.create () in
-  let latency_hist = Uldma_obs.Counters.histogram counters "kv.latency_ps" in
   let gets = ref 0 and puts = ref 0 and doorbells = ref 0 in
   let value_bytes = ref 0 and wire_bytes = ref 0 in
   let completed = ref 0 and sim_end = ref 0 in
@@ -438,7 +435,6 @@ let run p ~cal ~net =
       (* a response: the transfer is done *)
       let lat = now - slots.(si + s_submit) in
       Uldma_obs.Percentile.record latency lat;
-      Uldma_obs.Counters.record latency_hist lat;
       value_bytes := !value_bytes + p.value_size;
       let c = meta_client m in
       let ci = c * client_width in
@@ -473,12 +469,6 @@ let run p ~cal ~net =
     failwith
       (Printf.sprintf "Kv_load.run: internal stall (%d of %d transfers completed)" !completed
          total);
-  Uldma_obs.Counters.add counters "kv.requests" total;
-  Uldma_obs.Counters.add counters "kv.gets" !gets;
-  Uldma_obs.Counters.add counters "kv.puts" !puts;
-  Uldma_obs.Counters.add counters "kv.doorbells" !doorbells;
-  Uldma_obs.Counters.add counters "kv.wire_bytes" !wire_bytes;
-  Uldma_obs.Counters.add counters "kv.value_bytes" !value_bytes;
   {
     net_name = Backend.name net;
     transfers = total;
@@ -489,7 +479,6 @@ let run p ~cal ~net =
     wire_bytes = !wire_bytes;
     latency;
     sim_ps = !sim_end;
-    counters;
   }
 
 let sweep p ~cal backends = List.map (fun (name, net) -> (name, run p ~cal ~net)) backends

@@ -87,7 +87,6 @@ type result = {
   wire_bytes : int;  (** bytes on the wire incl. headers/acks *)
   latency : Uldma_obs.Percentile.t;  (** submit -> response, ps *)
   sim_ps : int;  (** simulated makespan *)
-  counters : Uldma_obs.Counters.t;  (** kv.* counters + pow2 histogram *)
 }
 
 val header_bytes : int

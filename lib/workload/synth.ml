@@ -183,42 +183,12 @@ let assemble base ops =
   Asm.halt asm;
   Asm.assemble asm
 
-let zero_tag = String.make 16 '\000'
-
-(* tags.(pc) = fingerprint of the instruction suffix from pc. The
-   candidate grammar is straight-line (no branches), so the residual
-   suffix fully determines the accomplice's future execution — exactly
-   the property Explorer.explore's [key_tag] contract needs. *)
-let residual_tags prog =
-  let n = Array.length prog in
-  Array.init (n + 1) (fun pc ->
-      if pc >= n then zero_tag
-      else begin
-        let fp = Uldma_util.Fp128.create () in
-        for i = pc to n - 1 do
-          Uldma_util.Fp128.add_string fp (Isa.show_instr prog.(i))
-        done;
-        Uldma_util.Fp128.key fp
-      end)
-
 let candidate base ops =
   let root = Kernel.snapshot base.b_scenario.Scenario.kernel in
-  let prog = assemble base ops in
   (match Kernel.find_process root base.b_pid with
-  | Some p -> Process.set_program p prog
+  | Some p -> Process.set_program p (assemble base ops)
   | None -> invalid_arg "Synth.candidate: accomplice not in base kernel");
-  let tags = residual_tags prog in
-  let n = Array.length prog in
-  let pid = base.b_pid in
-  let key_tag kernel =
-    match Kernel.find_process kernel pid with
-    | Some p -> (
-      match p.Process.state with
-      | Process.Exited _ -> zero_tag
-      | Process.Ready | Process.Blocked_until _ -> tags.(min p.Process.ctx.Cpu.pc n))
-    | None -> zero_tag
-  in
-  { Campaign.c_label = mnemonic ops; c_root = root; c_key_tag = Some key_tag }
+  { Campaign.c_label = mnemonic ops; c_root = root }
 
 (* ------------------------------------------------------------------ *)
 (* Cell runner and collusion catalogue. *)
@@ -319,13 +289,13 @@ let make_cell ~mech ~net ~slots ~ops ~results ~(stats : Campaign.stats) =
     cell_results_fp = hex (Uldma_util.Fp128.key fp);
   }
 
-let run_cell ?net ?repeat ?(slots = 3) ?exact ?(max_paths = 1_000_000) ?shared subject =
+let run_cell ?net ?repeat ?(slots = 3) ?exact ?(max_paths = 1_000_000) subject =
   let base = make_base ?net ?repeat subject in
   let ops = enumerate ?exact ~slots () in
   let candidates = Array.map (candidate base) ops in
   let results, stats =
     Campaign.run ~candidates ~pids:(Scenario.explore_pids base.b_scenario)
-      ~baseline:base.b_scenario.Scenario.kernel ~max_paths ?shared
+      ~baseline:base.b_scenario.Scenario.kernel ~max_paths
       ~check:(Scenario.oracle_check base.b_scenario)
       ()
   in
@@ -338,10 +308,10 @@ let run_cell ?net ?repeat ?(slots = 3) ?exact ?(max_paths = 1_000_000) ?shared s
     cr_stats = stats;
   }
 
-(* The catalogue records only warmth-independent facts, so a cell's row
-   does not depend on which cells ran before it in a chained table.
-   states/hits stay out: they are exactly what warmth changes. The CLI
-   table still displays them from the cell. *)
+(* The catalogue records only warmth-independent facts: states/hits
+   stay out, because they are exactly what memo warmth changes (a
+   cell's order of candidates, its table's capacity). The CLI table
+   still displays them from the cell. *)
 let catalogue_header =
   "mech,net,slots,candidates,violating,truncated,paths,witness,witness_violations,witness_kinds,results_fp"
 

@@ -17,9 +17,10 @@
     behaves identically to a canonical one). Each candidate becomes a
     {!Uldma_verify.Campaign.candidate}: a snapshot of a common base
     kernel (rep5-class victim + Fig. 5 attacker + accomplice slot)
-    with the candidate program installed and a residual-program
-    [key_tag] (a fingerprint of the instruction suffix from the
-    current pc — sound because the grammar is straight-line). The
+    with the candidate program installed. The state key covers the
+    accomplice's residual program — the grammar is straight-line, so
+    that is its instruction suffix from the pc — which lets candidates
+    share memo entries exactly where their futures agree. The
     campaign explores every candidate under every schedule, and a
     {e cell} summarises one (mechanism, net backend) pair into a row
     of the collusion catalogue, including a minimal witness program
@@ -79,7 +80,7 @@ val make_base : ?net:Uldma_net.Backend.t -> ?repeat:int -> subject -> base
 val base_scenario : base -> Scenario.t
 
 val candidate : base -> op list -> Uldma_verify.Oracle.violation Uldma_verify.Campaign.candidate
-(** Snapshot the base, install the program, attach the residual tag. *)
+(** Snapshot the base and install the program. *)
 
 val net_label : Uldma_net.Backend.t option -> string
 (** [Backend.cache_key], or ["null"]. *)
@@ -134,14 +135,12 @@ val run_cell :
   ?slots:int ->
   ?exact:bool ->
   ?max_paths:int ->
-  ?shared:Uldma_verify.Oracle.violation Uldma_verify.Explorer.shared_memo ->
   subject ->
   cell_run
 (** Build the base, enumerate, and run the whole candidate family
-    through {!Uldma_verify.Campaign.run}. Defaults: [slots] 3 (49
-    candidates), [max_paths] 1e6 per candidate. Pass
-    [shared] to chain several cells through one table (the generation
-    bump keeps their key spaces disjoint). *)
+    through {!Uldma_verify.Campaign.run} on a table of its own.
+    Defaults: [slots] 3 (42 candidates), [max_paths] 1e6 per
+    candidate. *)
 
 val catalogue_row : cell -> string
 

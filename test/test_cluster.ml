@@ -282,7 +282,6 @@ module Reference = struct
     let rngs = Array.init p.clients (fun c -> Rng.create ~seed:(p.seed + (31 * c) + 1)) in
     let heap = Pqueue.create () in
     let latency = Percentile.create () in
-    let counters = Uldma_obs.Counters.create () in
     let gets = ref 0 and puts = ref 0 and doorbells = ref 0 in
     let value_bytes = ref 0 and wire_bytes = ref 0 and sim_end = ref 0 in
     let send ~src ~dst ~now bytes =
@@ -362,7 +361,6 @@ module Reference = struct
         loop ()
       | Some (now, Done { dn_c; dn_submit }) ->
         Percentile.record latency (now - dn_submit);
-        Uldma_obs.Counters.observe counters "kv.latency_ps" (now - dn_submit);
         value_bytes := !value_bytes + p.value_size;
         outstanding.(dn_c) <- outstanding.(dn_c) - 1;
         if now > !sim_end then sim_end := now;
@@ -373,18 +371,18 @@ module Reference = struct
         loop ()
     in
     loop ();
-    (!gets, !puts, !doorbells, !value_bytes, !wire_bytes, !sim_end, latency, counters)
+    (!gets, !puts, !doorbells, !value_bytes, !wire_bytes, !sim_end, latency)
 end
 
 (* everything observable about a result, as one comparable value *)
-let facts (gets, puts, doorbells, value_bytes, wire_bytes, sim_ps, latency, counters) =
+let facts (gets, puts, doorbells, value_bytes, wire_bytes, sim_ps, latency) =
   ( (gets, puts, doorbells, value_bytes, wire_bytes, sim_ps),
     ( Percentile.count latency,
       Percentile.total latency,
       Percentile.min_value latency,
       Percentile.max_value latency,
-      List.map (Percentile.percentile latency) [ 0.0; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ] ),
-    Uldma_obs.Counters.buckets counters "kv.latency_ps" )
+      Percentile.mean latency,
+      List.map (Percentile.percentile latency) [ 0.0; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ] ) )
 
 let result_facts (r : Kv.result) =
   facts
@@ -394,8 +392,7 @@ let result_facts (r : Kv.result) =
       r.Kv.value_bytes,
       r.Kv.wire_bytes,
       r.Kv.sim_ps,
-      r.Kv.latency,
-      r.Kv.counters )
+      r.Kv.latency )
 
 let kv_params_gen =
   QCheck2.Gen.(

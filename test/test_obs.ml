@@ -118,57 +118,15 @@ let test_counters_basic () =
   Alcotest.(check (list string))
     "names sorted" [ "bus.busy_ps"; "os.syscalls" ] (Counters.counter_names c)
 
-let test_counters_histogram () =
-  let c = Counters.create () in
-  Alcotest.(check bool) "empty histogram" true (Counters.summarize c "lat" = None);
-  List.iter (Counters.observe c "lat") [ 1; 2; 3; 100; (-5) ];
-  (match Counters.summarize c "lat" with
-  | None -> Alcotest.fail "expected a summary"
-  | Some s ->
-    checki "count" 5 s.Counters.count;
-    checki "min clamps negatives to 0" 0 s.Counters.min;
-    checki "max" 100 s.Counters.max;
-    checki "sum" 106 s.Counters.sum);
-  checkb "buckets non-empty ascending" true
-    (let b = Counters.buckets c "lat" in
-     b <> [] && List.sort compare b = b)
-
-(* a handle records exactly what [observe] by name does, on both sides
-   of every power-of-two bucket edge *)
-let test_counters_histogram_handle () =
-  let a = Counters.create () and b = Counters.create () in
-  let h = Counters.histogram b "lat" in
-  let samples =
-    [ -3; 0; 1; 2; 3; 4; 5; 1023; 1024; 1025; max_int ]
-    @ List.concat_map
-        (fun i ->
-          let p = 1 lsl (i + 1) in
-          [ p - 1; p; p + 1 ])
-        (List.init 61 Fun.id)
-  in
-  List.iter
-    (fun v ->
-      Counters.observe a "lat" v;
-      Counters.record h v)
-    samples;
-  checkb "same summary" true (Counters.summarize a "lat" = Counters.summarize b "lat");
-  Alcotest.(check (list (pair int int)))
-    "same buckets" (Counters.buckets a "lat") (Counters.buckets b "lat");
-  checkb "2^i lands in bucket 2^i, 2^i + 1 in the next" true
-    (let c = Counters.create () in
-     Counters.observe c "x" 1024;
-     Counters.observe c "x" 1025;
-     Counters.buckets c "x" = [ (1024, 1); (2048, 1) ])
-
 let test_counters_merge_rows () =
   let a = Counters.create () and b = Counters.create () in
   Counters.incr a "x";
   Counters.add b "x" 4;
-  Counters.observe b "h" 7;
+  Counters.incr b "y";
   Counters.merge_into ~dst:a b;
   checki "merged counter" 5 (Counters.value a "x");
-  checkb "merged histogram" true (Counters.summarize a "h" <> None);
-  checkb "rows include both" true (List.length (Counters.rows a) = 2)
+  Alcotest.(check (list (pair string string)))
+    "rows sorted, both counters" [ ("x", "5"); ("y", "1") ] (Counters.rows a)
 
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
@@ -306,8 +264,6 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "counters" `Quick test_counters_basic;
-          Alcotest.test_case "histograms" `Quick test_counters_histogram;
-          Alcotest.test_case "histogram handle" `Quick test_counters_histogram_handle;
           Alcotest.test_case "merge and rows" `Quick test_counters_merge_rows;
         ] );
       ( "export",

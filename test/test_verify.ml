@@ -821,6 +821,66 @@ let test_kernel_fingerprint_stability () =
     (String.length (Kernel.state_encoding ~relative_to:a fork)
     < String.length (Kernel.state_encoding fork))
 
+(* Program text is part of the key, relative to the baseline. On one
+   machine state (the pal cell's base, snapshotted) the accomplice gets
+   programs that differ only in their first instruction: at pc 1 their
+   straight-line suffixes are equal and so are the keys, at pc 0 they
+   differ. A branch makes the whole program the residual text, so two
+   branchy programs with equal suffixes from pc keep different keys,
+   and either differs from the untouched snapshot. A program that is
+   physically the baseline's feeds nothing: reinstalling the victim's
+   own array leaves the key and its byte count as they were, while an
+   equal copy of it costs bytes. Both key modes. *)
+let test_state_key_program_text () =
+  let module Synth = Uldma_workload.Synth in
+  let base = Synth.make_base Synth.Pal in
+  let s = Synth.base_scenario base in
+  let baseline = s.Scenario.kernel in
+  (* the base spawns the accomplice last *)
+  let accomplice = (List.hd (List.rev (Kernel.processes baseline))).Process.pid in
+  let victim = s.Scenario.victim.Process.pid in
+  let open Uldma_cpu.Isa in
+  let with_program pid program ~pc =
+    let k = Kernel.snapshot baseline in
+    (match Kernel.find_process k pid with
+    | Some p ->
+      Process.set_program p program;
+      p.Process.ctx.Uldma_cpu.Cpu.pc <- pc
+    | None -> Alcotest.fail "no such process");
+    k
+  in
+  let straight first = [| Li (1, first); Nop; Halt |] in
+  let branchy first = [| Li (1, first); Jmp 2; Halt |] in
+  let victim_program =
+    (Option.get (Kernel.find_process baseline victim)).Process.ctx.Uldma_cpu.Cpu.program
+  in
+  List.iter
+    (fun paranoid ->
+      let mode = if paranoid then "paranoid" else "fingerprint" in
+      let key k = Kernel.state_key ~relative_to:baseline ~paranoid k in
+      let same what a b = Alcotest.(check string) (mode ^ ": " ^ what) (fst (key a)) (fst (key b)) in
+      let differ what a b = checkb (mode ^ ": " ^ what) false (String.equal (fst (key a)) (fst (key b))) in
+      same "equal straight-line suffixes"
+        (with_program accomplice (straight 5) ~pc:1)
+        (with_program accomplice (straight 7) ~pc:1);
+      differ "different straight-line suffixes"
+        (with_program accomplice (straight 5) ~pc:0)
+        (with_program accomplice (straight 7) ~pc:0);
+      differ "branchy programs, equal suffixes"
+        (with_program accomplice (branchy 5) ~pc:1)
+        (with_program accomplice (branchy 7) ~pc:1);
+      let untouched = Kernel.snapshot baseline in
+      differ "a branchy program against the baseline's"
+        (with_program accomplice (branchy 5) ~pc:1)
+        untouched;
+      let shared = with_program victim victim_program ~pc:0 in
+      same "the baseline's own program" shared untouched;
+      checki (mode ^ ": the baseline's own program adds 0 bytes") (snd (key untouched))
+        (snd (key shared));
+      checkb (mode ^ ": an equal copy of it adds bytes") true
+        (snd (key (with_program victim (Array.copy victim_program) ~pc:0)) > snd (key untouched)))
+    [ false; true ]
+
 let test_advance_one_leg () =
   let s = Scenario.rep5 () in
   let kernel = Kernel.copy s.Scenario.kernel in
@@ -1183,41 +1243,70 @@ let campaign_shared_vs_cold =
            Explorer.explore ~root:cand.Campaign.c_root ~pids ~check ()
          in
          let sm = Explorer.create_shared () in
-         Explorer.bump_generation sm;
          ignore
-           (Explorer.explore ~root:warm.Campaign.c_root ~pids ~baseline ~shared:sm
-              ?key_tag:warm.Campaign.c_key_tag ~check ()
+           (Explorer.explore ~root:warm.Campaign.c_root ~pids ~baseline ~shared:sm ~check ()
              : _ Explorer.result);
-         let shared =
-           Explorer.explore ~root:cand.Campaign.c_root ~pids ~baseline ~shared:sm
-             ?key_tag:cand.Campaign.c_key_tag ~check ()
-         in
+         let shared = Explorer.explore ~root:cand.Campaign.c_root ~pids ~baseline ~shared:sm ~check () in
          Synth.result_facts shared = Synth.result_facts cold))
 
-(* A cell's results and catalogue row do not depend on what the shared
-   table already holds: the slots-2 rep5 cell gives the same on a fresh
-   table and on one another cell (rep4) warmed first, and warm-starting
-   shows up as cross-candidate hits. The campaign runs on one domain:
-   [jobs] other than 1 is refused. *)
+(* The slots-2 family of [subject] through Campaign.run on table [sm]. *)
+let slots2_on_table sm subject =
+  let base = Synth.make_base subject in
+  let s = Synth.base_scenario base in
+  let candidates = Array.map (Synth.candidate base) (Synth.enumerate ~slots:2 ()) in
+  Campaign.run ~candidates ~pids:(Scenario.explore_pids s) ~baseline:s.Scenario.kernel ~shared:sm
+    ~check:(Scenario.oracle_check s) ()
+
+(* A cell's results do not depend on what a reused table held before:
+   the slots-2 rep5 cell gives the same results through Synth.run_cell's
+   own table and through a table another cell (rep4) filled first —
+   and, since the cell empties the table, the same states, hits and
+   residency too. Warm-starting shows up as cross-candidate hits. The
+   campaign runs on one domain: [jobs] other than 1 is refused. *)
 let test_campaign_catalogue_stability () =
-  let run shared =
-    let cr = Synth.run_cell ~slots:2 ?shared (Synth.Rep Seq_matcher.Five) in
-    (Array.map Synth.result_facts cr.Synth.cr_results, cr.Synth.cr_stats, cr.Synth.cr_cell)
-  in
-  let fresh, stats, cell = run None in
+  let cr = Synth.run_cell ~slots:2 (Synth.Rep Seq_matcher.Five) in
+  let fresh = Array.map Synth.result_facts cr.Synth.cr_results and stats = cr.Synth.cr_stats in
   let sm = Explorer.create_shared () in
-  ignore (Synth.run_cell ~slots:2 ~shared:sm (Synth.Rep Seq_matcher.Four) : Synth.cell_run);
-  let warmed, _, warmed_cell = run (Some sm) in
+  ignore (slots2_on_table sm (Synth.Rep Seq_matcher.Four) : _ * Campaign.stats);
+  let reused, reused_stats = slots2_on_table sm (Synth.Rep Seq_matcher.Five) in
+  let reused = Array.map Synth.result_facts reused in
   checki "family size" 10 (Array.length fresh);
-  checkb "results identical on a warmed table" true (fresh = warmed);
-  Alcotest.(check string) "catalogue row identical on a warmed table" (Synth.catalogue_row cell)
-    (Synth.catalogue_row warmed_cell);
+  checkb "results identical on a reused table" true (fresh = reused);
+  checki "states identical on a reused table" stats.Campaign.g_states
+    reused_stats.Campaign.g_states;
+  checki "hits identical on a reused table" stats.Campaign.g_hits reused_stats.Campaign.g_hits;
+  checki "the cell's own entries only" stats.Campaign.g_memo_length
+    (Explorer.shared_length sm);
   checkb "cross-candidate memo hits recorded" true (stats.Campaign.g_hits > 0);
   let base = Synth.make_base (Synth.Rep Seq_matcher.Five) in
   let baseline = (Synth.base_scenario base).Scenario.kernel in
   Alcotest.check_raises "jobs other than 1 rejected"
     (Invalid_argument "Campaign.run: jobs must be 1") (fun () ->
       ignore (Campaign.run ~candidates:[||] ~pids:[] ~baseline ~jobs:2 ~check:(fun _ -> None) ()))
+
+(* The state key alone keeps candidates apart: the slots-2 pal family,
+   explored in enumeration order through one table with only the
+   baseline passed, gives every candidate its cold result. Keys that
+   left program text out let S0.L0 hit S0's summaries (756 paths and
+   660 violations instead of 2520 and 2310). *)
+let test_campaign_pal_family_one_table () =
+  let base = Synth.make_base Synth.Pal in
+  let s = Synth.base_scenario base in
+  let pids = Scenario.explore_pids s and check = Scenario.oracle_check s in
+  let baseline = s.Scenario.kernel in
+  let candidates = Array.map (Synth.candidate base) (Synth.enumerate ~slots:2 ()) in
+  let sm = Explorer.create_shared () in
+  Array.iter
+    (fun (c : _ Campaign.candidate) ->
+      let shared = Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm ~check () in
+      let cold = Explorer.explore ~root:c.Campaign.c_root ~pids ~check () in
+      checkb (c.Campaign.c_label ^ ": one table = cold") true
+        (Synth.result_facts shared = Synth.result_facts cold);
+      if c.Campaign.c_label = "S0.L0" then begin
+        checki "S0.L0 paths" 2520 cold.Explorer.paths;
+        checki "S0.L0 violations" 2310 (List.length cold.Explorer.violations)
+      end)
+    candidates
 
 (* Clipping inside the violation region. At every budget a dedup run
    must equal the plain DFS clipped at the same budget: same [paths],
@@ -1265,10 +1354,8 @@ let test_explorer_clipping_differential () =
   let baseline = s.Scenario.kernel in
   let first = Synth.candidate base [ Synth.L 0 ] and second = Synth.candidate base [ Synth.L 1 ] in
   let sm = Explorer.create_shared () in
-  Explorer.bump_generation sm;
   let shared (c : _ Campaign.candidate) ?max_paths () =
-    Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm
-      ?key_tag:c.Campaign.c_key_tag ?max_paths ~check ()
+    Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm ?max_paths ~check ()
   in
   ignore (shared first () : _ Explorer.result);
   let full = shared second () in
@@ -1289,9 +1376,9 @@ let test_explorer_clipping_differential () =
    over a thousand words per entry here. *)
 let test_memo_words_per_entry () =
   let sm = Explorer.create_shared () in
-  let cr = Synth.run_cell ~slots:2 ~shared:sm Synth.Ext in
+  let results, _ = slots2_on_table sm Synth.Ext in
   checkb "every candidate violates" true
-    (Array.for_all (fun r -> r.Explorer.violations <> []) cr.Synth.cr_results);
+    (Array.for_all (fun r -> r.Explorer.violations <> []) results);
   let entries = Explorer.shared_length sm in
   let words = Obj.reachable_words (Obj.repr sm) in
   if words > 64 * entries then
@@ -1629,6 +1716,8 @@ let () =
           process_table_digest_schedules;
           Alcotest.test_case "kernel fingerprint stability" `Quick
             test_kernel_fingerprint_stability;
+          Alcotest.test_case "state key: program text relative to the baseline" `Quick
+            test_state_key_program_text;
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
           explorer_leg_equivalence;
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
@@ -1649,6 +1738,8 @@ let () =
         [
           campaign_shared_vs_cold;
           Alcotest.test_case "catalogue stability" `Slow test_campaign_catalogue_stability;
+          Alcotest.test_case "pal slots-2 family through one table" `Slow
+            test_campaign_pal_family_one_table;
           Alcotest.test_case "clipping differential, every budget" `Slow
             test_explorer_clipping_differential;
           Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
