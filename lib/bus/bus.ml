@@ -61,6 +61,8 @@ let bump_count t pid =
   end;
   t.counts.(slot) <- t.counts.(slot) + 1
 
+let access_counts t = t.counts
+
 let pid_access_count t pid =
   let slot = pid + 1 in
   if slot < 0 || slot >= Array.length t.counts then 0 else t.counts.(slot)

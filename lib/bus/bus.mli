@@ -43,6 +43,12 @@ val load : _ t -> pid:int -> cacheable:bool -> int -> int
 
 val store : _ t -> pid:int -> cacheable:bool -> int -> int -> unit
 
+val access_counts : _ t -> int array
+(** The counters {!pid_access_count} reads, indexed by pid + 1 (the
+    kernel, pid -1, at 0); a pid past the end has made no access. The
+    bus's own array, replaced when it grows: read it, do not keep or
+    write it. *)
+
 val pid_access_count : _ t -> int -> int
 (** O(1) count of uncached accesses issued on behalf of a pid (the
     kernel's pid -1 included) since the bus — or the snapshot lineage

@@ -42,6 +42,17 @@ val mode : t -> mode
 val pending : t -> (int * int) list
 (** Buffered (paddr, value) pairs, oldest first. *)
 
+val add_digest : t -> int array -> unit
+(** [add_digest t acc] adds the two lanes of the queue's additive
+    digest ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 6) into
+    [acc.(0)] and [acc.(1)] without allocating. The digest covers
+    {!pending}: its length, and each entry's paddr and value by
+    position. Every change of the queue keeps it current; the empty
+    queue digests to [(0, 0)]. *)
+
+val scratch_digest : t -> int * int
+(** The digest {!add_digest} adds, recomputed from {!pending}. *)
+
 val store : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> paddr:int -> value:int -> unit
 (** Process a store: in [Ordered] mode it is emitted at once; in
     [Bypass] mode it is buffered (collapsing if configured), draining

@@ -41,7 +41,9 @@ let to_list t = List.init Isa.num_regs (fun r -> t.(r))
 
 let digest t = (t.(lane_a), t.(lane_a + 1))
 
-let digest_lane t lane = t.(lane_a + lane)
+let add_digest t acc =
+  acc.(0) <- acc.(0) + t.(lane_a);
+  acc.(1) <- acc.(1) + t.(lane_a + 1)
 
 let encode enc t =
   for r = 0 to Isa.num_regs - 1 do

@@ -33,9 +33,9 @@ val digest : t -> int * int
     by [set] and [replace_aux] in O(1). An all-zero file digests to
     [(0, 0)]. *)
 
-val digest_lane : t -> int -> int
-(** [digest_lane t 0] and [digest_lane t 1] are the two components of
-    {!digest}, read without allocating. *)
+val add_digest : t -> int array -> unit
+(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
+    [acc.(1)] without allocating. *)
 
 val encode : Uldma_util.Enc.t -> t -> unit
 (** Feed every register value, in order. *)

@@ -174,10 +174,10 @@ val counters : t -> counters
 val context_status : t -> int -> int
 
 val encode : Uldma_util.Enc.t -> t -> unit
-(** Feed a canonical encoding of the engine's observable
-    state (matcher, contexts, pending deposits, atomic slots, transfer
-    observables, mapped-out table, outbound queue), for the explorer's
-    state fingerprint. In-flight transfers are encoded by their
+(** Append a canonical encoding of the engine's observable state
+    (matcher, contexts, pending deposits, atomic slots, transfer
+    observables, mapped-out table, outbound queue): the paranoid key's
+    engine part. In-flight transfers are encoded by their
     clock-relative view — exact remaining-wire-time-at-now plus total
     duration — so two engines that differ only in absolute clock but
     agree on every deadline encode identically; under a zero-duration
@@ -185,37 +185,42 @@ val encode : Uldma_util.Enc.t -> t -> unit
     same states it always did. Two engines with equal encodings are
     indistinguishable to the simulated programs and to the Fig. 8
     oracle. Diagnostic state (counters, trace sink, absolute
-    timestamps) is excluded. A [Buf] sink gets every register; an [Fp]
-    sink gets the two lanes of {!Seq_matcher.digest},
-    {!Context_file.digest} and {!digest} in place of the registers and
-    the transfers' static fields, plus what depends on the clock: each
-    in-flight transfer's (ordinal, remaining wire time). The statuses
-    as loads see them now and the last transfer's remaining bytes are
-    not fed: they are functions of those and of digested fields (a
-    context's status is its failure code or its newest transfer's
-    remaining bytes, and {!Context_file.digest} covers whether a
-    transfer was started through each context), so an [Fp] key walks
-    no status; under a zero-duration backend nothing is ever in
-    flight. *)
+    timestamps) is excluded. *)
 
 val digest : t -> int * int
-(** The two lanes of the write-maintained additive digest
-    ({!Uldma_util.Fp128.replace_int}) of the engine's own registers;
-    the register contexts and the matcher keep theirs
-    ({!Context_file.digest}, {!Seq_matcher.digest}). It covers the
-    registers that {!encode} streams in [Buf] mode — pending deposit,
-    kernel-page and atomic registers, last status, staged capability
-    and mapped-out page — plus each started transfer's static fields
-    (src, dst, size, pid, context, duration) at slots taken from its
-    ordinal, and the transfer count. Every value enters as value xor
-    its reset value, so a fresh engine digests to [(0, 0)]. Built from
-    scratch on the first call (a fingerprint {!encode}) and maintained
-    by every register write from then on; before that a write pays only
-    the test of the built flag. {!copy} copies it and the flag. *)
+(** The two lanes of the engine's write-maintained additive digest
+    ({!Uldma_util.Fp128.replace_int}): the sum of its own registers'
+    digest (slot domain 2) and the digests the register contexts, the
+    matcher and the IOTLB keep in domains of their own
+    ({!Context_file.digest}, {!Seq_matcher.digest},
+    {!Uldma_mmu.Iotlb.digest}). The engine's own part covers the
+    registers that {!encode} streams — pending deposit, kernel-page and
+    atomic registers, last status, staged capability and mapped-out
+    page — plus each started transfer's static fields (src, dst, size,
+    pid, context, duration) at slots taken from its ordinal, and the
+    transfer count. Every value enters as value xor its reset value, so
+    a fresh engine digests to [(0, 0)]. Built from scratch on the first
+    call and maintained by every register write from then on; before
+    that a write pays only the test of the built flag. {!copy} copies
+    it and the flag. *)
+
+val add_digest : t -> int array -> unit
+(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
+    [acc.(1)] without allocating. *)
 
 val scratch_digest : t -> int * int
 (** {!digest} recomputed from the registers, without touching the
     maintained one: the reference it must always equal. *)
+
+val add_live : Uldma_util.Fp128.t -> t -> unit
+(** Feed what the fingerprint key needs beyond {!digest}: each
+    in-flight transfer's (ordinal, remaining wire time), and the
+    paranoid text of the capability table, the mapped-out map and the
+    outbound queue when any of them is non-empty. A context's status as
+    loads see it and the last transfer's remaining bytes are functions
+    of these and of digested fields, so they are not fed; under a
+    zero-duration backend nothing is ever in flight and, with the
+    tables empty, nothing is fed at all. *)
 
 val next_transfer_deadline : t -> Uldma_util.Units.ps option
 (** Earliest [end_time] strictly after [now] among started transfers —

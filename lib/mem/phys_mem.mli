@@ -49,10 +49,36 @@ val page_digest : t -> int -> int * int
     A never-written or whole-page zero-filled page digests to
     [(0, 0)]. *)
 
-val encode_page : Uldma_util.Enc.t -> t -> int -> unit
-(** Feed page [i] to an encoder: its exact 8 KB of raw bytes into
-    [Buf], its two digest lanes into [Fp]. Equal bytes give equal digests, so both
-    modes observe the same page partition. *)
+val encode_page : Buffer.t -> t -> int -> unit
+(** Append page [i]'s exact 8 KB of raw bytes (the paranoid encoding). *)
+
+(** {1 The diverged-page sum}
+
+    The state key covers RAM relative to a baseline: the pages that are
+    touched and whose record is not the baseline's record
+    ({!iter_diverged}). An instance keyed to a baseline keeps, per lane,
+    the sum of {!Uldma_util.Fp128.page_term_a}/[_b] of
+    [(i, page_digest t i)] over those pages, so reading it is O(1): the
+    sum moves when a page first diverges, on every write into a
+    diverged page and when [fill] re-shares the zero page. The term of
+    a page that diverged to all zeros is nonzero, so the sum partitions
+    states exactly as a walk over the diverged pages does. *)
+
+val add_diverged : t -> baseline:t -> int array -> unit
+(** [add_diverged t ~baseline acc] adds the two lanes of the sum
+    relative to [baseline] into [acc.(0)] and [acc.(1)]. When [t] is
+    not keyed to [baseline] it is keyed first: the sum is set from
+    scratch, O(touched pages), and {!copy} inherits the baseline and
+    the sum; from then on the read is O(1) and allocates nothing. A
+    baseline that replaces a page record after that (an explorer's
+    baseline is never written) unkeys every instance keyed to it, and
+    the next call sets the sum again. Raises [Invalid_argument] on a
+    size mismatch or when [baseline] is [t]. *)
+
+val scratch_diverged : t -> baseline:t option -> int * int
+(** The sum recomputed from the page digests, O(touched): relative to
+    [Some b], or over every touched page with [None]. A keyed instance's
+    lanes must always equal [scratch_diverged] relative to its baseline. *)
 
 val touched_count : t -> int
 (** Number of pages ever written since [create] (inherited across

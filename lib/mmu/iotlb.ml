@@ -17,7 +17,8 @@
    its vpage, frame and permission bits at digest slots 3k, 3k+1 and
    3k+2 (the permission word carries a valid bit, so a present entry
    never digests like an empty slot), and set s's victim cursor at
-   slot 3 * (sets * ways) + s. The empty cache digests to (0, 0). *)
+   slot 3 * (sets * ways) + s, all in slot domain 5. The empty cache
+   digests to (0, 0). *)
 
 type entry = { vpage : int; pte : Pte.t }
 
@@ -97,18 +98,24 @@ let field e f =
   | Some e -> (
     match f with 0 -> e.vpage | 1 -> e.pte.Pte.frame | _ -> perm_bits e.pte lor 8)
 
+let slot_base = Uldma_util.Fp128.domain 5
+
 let set_slot t k e =
   own t;
   let tab = t.tab in
   for f = 0 to 2 do
-    Uldma_util.Fp128.replace_int tab.dg 0 ((3 * k) + f) (field tab.slots.(k) f) (field e f)
+    Uldma_util.Fp128.replace_int tab.dg 0
+      (slot_base + (3 * k) + f)
+      (field tab.slots.(k) f) (field e f)
   done;
   tab.slots.(k) <- e
+
+let victim_slot tab set = slot_base + (3 * Array.length tab.slots) + set
 
 let set_victim t set w =
   own t;
   let tab = t.tab in
-  Uldma_util.Fp128.replace_int tab.dg 0 ((3 * Array.length tab.slots) + set) tab.victim.(set) w;
+  Uldma_util.Fp128.replace_int tab.dg 0 (victim_slot tab set) tab.victim.(set) w;
   tab.victim.(set) <- w
 
 let fill t ~vpage pte =
@@ -165,26 +172,34 @@ let entries t =
   |> List.filter_map (fun e -> Option.map (fun e -> (e.vpage, e.pte)) e)
 
 let digest t = (t.tab.dg.(0), t.tab.dg.(1))
+let add_digest t acc =
+  acc.(0) <- acc.(0) + t.tab.dg.(0);
+  acc.(1) <- acc.(1) + t.tab.dg.(1)
+
+let scratch_digest t =
+  let tab = t.tab in
+  let d = [| 0; 0 |] in
+  Array.iteri
+    (fun k e ->
+      for f = 0 to 2 do
+        Uldma_util.Fp128.replace_int d 0 (slot_base + (3 * k) + f) 0 (field e f)
+      done)
+    tab.slots;
+  Array.iteri (fun set w -> Uldma_util.Fp128.replace_int d 0 (victim_slot tab set) 0 w) tab.victim;
+  (d.(0), d.(1))
 
 (* Canonical encoding: slot layout plus the victim cursors. Replacement
    is deterministic, so equal encodings evolve identically; hit/miss
-   counters are diagnostics and are excluded. A fingerprint encoder
-   gets the two digest lanes of the same state instead. *)
+   counters are diagnostics and are excluded. *)
 let encode enc t =
-  let module E = Uldma_util.Enc in
-  match enc with
-  | E.Fp fp ->
-    Uldma_util.Fp128.add_int fp t.tab.dg.(0);
-    Uldma_util.Fp128.add_int fp t.tab.dg.(1)
-  | E.Buf _ ->
-    let i v = E.int enc v in
-    Array.iter
-      (fun slot ->
-        match slot with
-        | None -> i min_int
-        | Some e ->
-          i e.vpage;
-          i e.pte.Pte.frame;
-          i (perm_bits e.pte))
-      t.tab.slots;
-    Array.iter i t.tab.victim
+  let i v = Uldma_util.Enc.int enc v in
+  Array.iter
+    (fun slot ->
+      match slot with
+      | None -> i min_int
+      | Some e ->
+        i e.vpage;
+        i e.pte.Pte.frame;
+        i (perm_bits e.pte))
+    t.tab.slots;
+  Array.iter i t.tab.victim

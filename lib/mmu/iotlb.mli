@@ -51,10 +51,18 @@ val entries : t -> (int * Pte.t) list
 val stats : t -> stats
 
 val digest : t -> int * int
-(** Additive digest ({!Uldma_util.Fp128.int_term_a}/[_b]) of slots +
-    victim cursors, kept current by [fill], [invalidate] and [flush].
-    The empty cache digests to [(0, 0)]. *)
+(** Additive digest ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain
+    5) of slots + victim cursors, kept current by [fill], [invalidate]
+    and [flush]. The empty cache digests to [(0, 0)]. *)
+
+val add_digest : t -> int array -> unit
+(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
+    [acc.(1)] without allocating. *)
+
+val scratch_digest : t -> int * int
+(** {!digest} recomputed from the slots and cursors: the reference it
+    must always equal. *)
 
 val encode : Uldma_util.Enc.t -> t -> unit
-(** Canonical encoding of slots + victim cursors (statistics excluded)
-    into [Buf]; the two {!digest} lanes into [Fp]. *)
+(** Canonical encoding of slots + victim cursors (statistics
+    excluded). *)

@@ -1,35 +1,14 @@
-(* Encoding sink for the canonical kernel-state walk.
+(* Text sink for the canonical kernel-state walk (paranoid keys,
+   debugging, the differential checks): ints are decimal with a
+   trailing ',', tags and raw bytes verbatim. The fingerprint key reads
+   the machine's write-maintained digests instead (Kernel.state_key). *)
 
-   The same token walk drives two consumers:
-   - [Buf]: the original textual encoding (paranoid mode, debugging,
-     the QCheck equivalence property) — bytes land in a [Buffer.t];
-   - [Fp]: a streaming 126-bit fingerprint — nothing is materialised.
+type t = Buffer.t
 
-   Keeping one walk for both modes is what makes the equivalence
-   argument local: the only divergence between a fingerprint key and a
-   paranoid string key is hash collision, never a difference in which
-   state components are observed. *)
+let int b v =
+  Buffer.add_string b (string_of_int v);
+  Buffer.add_char b ','
 
-type t = Buf of Buffer.t | Fp of Fp128.t
-
-let int t v =
-  match t with
-  | Buf b ->
-    Buffer.add_string b (string_of_int v);
-    Buffer.add_char b ','
-  | Fp f -> Fp128.add_int f v
-
-let char t c =
-  match t with
-  | Buf b -> Buffer.add_char b c
-  | Fp f -> Fp128.add_tag f c
-
-let string t s =
-  match t with
-  | Buf b -> Buffer.add_string b s
-  | Fp f -> Fp128.add_string f s
-
-let bytes t b =
-  match t with
-  | Buf buf -> Buffer.add_bytes buf b
-  | Fp f -> Fp128.add_bytes f b
+let char = Buffer.add_char
+let string = Buffer.add_string
+let bytes = Buffer.add_bytes

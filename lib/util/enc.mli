@@ -1,13 +1,12 @@
-(** Encoding sink: one canonical state walk, two consumers.
+(** Text sink of the canonical state walk: the paranoid encoding.
 
-    [Buf] appends the textual encoding to a buffer (the pre-v5 format:
-    ints are decimal with a trailing [','], tags and raw bytes verbatim).
-    [Fp] streams the same tokens into a {!Fp128} fingerprint without
-    materialising anything.  Encoders (kernel, DMA engine, matchers)
-    take an [Enc.t] so both modes are guaranteed to observe exactly the
-    same state components. *)
+    Ints are decimal with a trailing [','], tags and raw bytes are
+    verbatim. Encoders (kernel, DMA engine, matchers) append to one
+    buffer; the result is the paranoid memo key, under which key
+    equality is exactly encoding equality. The fingerprint key does not
+    walk this encoding: it reads write-maintained digests. *)
 
-type t = Buf of Buffer.t | Fp of Fp128.t
+type t = Buffer.t
 
 val int : t -> int -> unit
 val char : t -> char -> unit

@@ -10,7 +10,7 @@
     speedup comes from — the post-exit and common-residual subtrees of
     near-identical programs collapse onto the same keys, because the
     state key covers each program's residual text relative to the
-    baseline ({!Uldma_os.Kernel.state_key}).
+    baseline ({!Uldma_os.Kernel.fingerprint}).
 
     {2 Order}
 

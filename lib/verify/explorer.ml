@@ -45,16 +45,18 @@ let advance_leg kernel leg ~max_instructions =
 (* ------------------------------------------------------------------ *)
 (* State-deduplicated depth-first search over one bounded memo table.
 
-   The memo maps a state's key ([Kernel.state_key] over the canonical
-   encoding walk — the engine-visible state; the live-pid set, which is
-   the only schedule-relevant remainder, is part of it) to the
-   *summary* of its fully-explored subtree. The default key is a
-   streaming 16-byte/126-bit fingerprint (no encoding string is ever
-   built; pages, register files, the IOTLB and the DMA engine's
-   registers enter as write-maintained digests), under which a false merge requires both 63-bit lanes to
-   collide — ~2^-126, checked differentially by tools/diff_explore
-   against [paranoid_memo] runs, whose keys are the full encoding
-   strings and can never falsely merge.
+   The memo maps a state's key (of the engine-visible state; the
+   live-pid set, which is the only schedule-relevant remainder, is part
+   of it) to the *summary* of its fully-explored subtree. The default
+   key is [Kernel.fingerprint], the machine's maintained digest: two
+   126-bit lanes read from sums the writes keep current (RAM relative
+   to the baseline, the process table, the DMA engine), plus the few
+   clock-relative values, handed to the memo as two ints
+   ([Memo.find_fp]/[Memo.add_fp]) with no key string built. A false
+   merge requires both 63-bit lanes to collide — ~2^-126, checked
+   differentially by tools/diff_explore against [paranoid_memo] runs,
+   whose keys are the full encoding strings ([Kernel.state_key
+   ~paranoid:true]) and can never falsely merge.
 
    Violations are recorded in DFS (pid-rank lexicographic) order as the
    search meets them. A summary holds its violations as a DAG over its
@@ -148,15 +150,35 @@ let rec suffixes cx s =
       Hashtbl.add cx.suffixes id l;
       l)
 
-let state_key cx kernel =
-  let key, bytes = Kernel.state_key ~relative_to:cx.baseline ~paranoid:cx.paranoid kernel in
-  cx.hash_bytes <- cx.hash_bytes + bytes;
-  key
+(* A node's memo key is a fingerprint, [(a, b, bytes)] from
+   [Kernel.fingerprint], or in paranoid mode the encoding string. A
+   node computes the one its mode uses; the other stays [no_fp] or
+   [""]. *)
+let no_fp = (0, 0, 0)
 
-let store cx key s =
-  match (cx.memo, key) with
-  | Some memo, Some k when not cx.truncated -> Memo.add memo k s
-  | _ -> ()
+let fp_key cx kernel =
+  if cx.paranoid || Option.is_none cx.memo then no_fp
+  else begin
+    let (_, _, fed) as key = Kernel.fingerprint ~relative_to:cx.baseline kernel in
+    cx.hash_bytes <- cx.hash_bytes + fed;
+    key
+  end
+
+let string_key cx kernel =
+  if (not cx.paranoid) || Option.is_none cx.memo then ""
+  else begin
+    let s, bytes = Kernel.state_key ~relative_to:cx.baseline ~paranoid:true kernel in
+    cx.hash_bytes <- cx.hash_bytes + bytes;
+    s
+  end
+
+let find cx memo (a, b, _) s = if cx.paranoid then Memo.find memo s else Memo.find_fp memo a b
+
+let store cx (a, b, _) key s =
+  match cx.memo with
+  | Some memo when not cx.truncated ->
+    if cx.paranoid then Memo.add memo key s else Memo.add_fp memo a b s
+  | Some _ | None -> ()
 
 (* A node's legs in one pass: its runnable pids in [cx.pids] order,
    then, with a transfer in flight, "wait for it" as one more explorable
@@ -182,8 +204,8 @@ let node_legs cx kernel =
 let rec explore_state cx kernel schedule_rev depth =
   if out_of_budget cx kernel depth then { s_paths = 0; s_violations = V_none; s_stuck = 0 }
   else
-    let key = match cx.memo with Some _ -> Some (state_key cx kernel) | None -> None in
-    let hit = match (cx.memo, key) with Some m, Some k -> Memo.find m k | _ -> None in
+    let fp = fp_key cx kernel and key = string_key cx kernel in
+    let hit = match cx.memo with Some m -> find cx m fp key | None -> None in
     match hit with
     | Some s when cx.used + s.s_paths <= cx.max_paths ->
       cx.used <- cx.used + s.s_paths;
@@ -213,7 +235,7 @@ let rec explore_state cx kernel schedule_rev depth =
           | None -> V_none
         in
         let s = { s_paths = 1; s_violations = viols; s_stuck = 0 } in
-        store cx key s;
+        store cx fp key s;
         s
       | _ :: _ ->
         let paths = ref 0 and kids = ref [] and stuck = ref 0 in
@@ -262,7 +284,7 @@ let rec explore_state cx kernel schedule_rev depth =
             V_kids (id, List.rev kids)
         in
         let s = { s_paths = !paths; s_violations = viols; s_stuck = !stuck } in
-        store cx key s;
+        store cx fp key s;
         s)
 
 (* ------------------------------------------------------------------ *)

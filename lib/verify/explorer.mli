@@ -90,10 +90,11 @@ type 'v result = {
           after the expansion loop — so a width-w node pays w-1 copies
           and width-1 chains pay none. *)
   bytes_hashed : int;
-      (** bytes streamed into memo keys at the nodes: walk tokens
-          (write-maintained component digests and residual-text digests
-          count as their two ints; their upkeep is paid by the writes,
-          not here) in fingerprint mode, full encoding lengths in
+      (** bytes streamed into memo keys at the nodes: in fingerprint
+          mode the ints {!Uldma_os.Kernel.fingerprint} streams (the
+          running pid, a flags word, the maintained digest's two lanes
+          and the clock-relative values; the digest's upkeep is paid by
+          the writes, not here), full encoding lengths in
           [paranoid_memo] mode. The per-node ratio is the bench's
           [bytes_hashed_per_node]. *)
 }
@@ -105,7 +106,7 @@ type 'v result = {
     the in-memory union of what explorations 1..N-1 memoized — this is
     what makes a campaign of thousands of near-identical candidate
     programs cost far less than that many cold runs (see {!Campaign}).
-    The key ({!Uldma_os.Kernel.state_key}) covers program text relative
+    The key ({!Uldma_os.Kernel.fingerprint}) covers program text relative
     to the baseline, so explorations of candidates that differ in a
     program share the table as they are; a key is comparable only
     under one baseline, so a table is emptied ({!clear_shared}) before
@@ -144,7 +145,7 @@ val explore :
     stuck, and nothing in flight). Defaults: 2000 instructions per
     leg, 1_000_000 paths, [dedup] on, [paranoid_memo] off, [memo_cap]
     262144 summaries. [paranoid_memo] keys the memo on full encoding
-    strings instead of streamed 126-bit fingerprints: slower, but a key
+    strings instead of 126-bit fingerprints: slower, but a key
     equality is then exactly a state equality — the verification mode
     [tools/diff_explore] runs differentially against the fingerprint
     default. The root kernel is not mutated.

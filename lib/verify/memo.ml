@@ -43,6 +43,11 @@ let[@inline] top s off = Int64.to_int (Int64.shift_right_logical (get64u s off) 
 (* Call only on a 16-byte key. *)
 let[@inline] tag16 s = 1 lor (top s 0 lsl 1) lor (top s 8 lsl 2) lor filter_bits (lane s 8)
 
+(* The tag of the 16-byte key [Fp128.pack a b]: a lane's int64 half has
+   bit 63 set exactly when the lane is negative. *)
+let[@inline] tag_fp a b =
+  1 lor (Bool.to_int (a < 0) lsl 1) lor (Bool.to_int (b < 0) lsl 2) lor filter_bits b
+
 (* Home slot: a multiplicative mix of lane a, whose bits 32-61 scale
    onto [0, size) (size < 2^32). *)
 let[@inline] home a size = ((((a * 0x1e3779b97f4a7c15) lsr 32) land 0x3fff_ffff) * size) lsr 30
@@ -170,6 +175,8 @@ let find_lanes t tag a b =
     end
     else None
 
+let find_fp t a b = find_lanes t (tag_fp a b) a b
+
 let find t key =
   if String.length key = 16 then find_lanes t (tag16 key) (lane key 0) (lane key 8)
   else
@@ -206,6 +213,10 @@ let add t key v =
   if String.length key = 16 then
     put t.hot ~max_size:t.max_size (tag16 key) (lane key 0) (lane key 8) v
   else put t.hot ~max_size:t.max_size long_tag (intern t key) 0 v;
+  if t.hot.count >= t.cap then rotate t
+
+let add_fp t a b v =
+  put t.hot ~max_size:t.max_size (tag_fp a b) a b v;
   if t.hot.count >= t.cap then rotate t
 
 let evictions t = t.evicted

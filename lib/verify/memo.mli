@@ -52,6 +52,14 @@ val create : shards:int -> cap:int -> locked:bool -> 'a t
 val find : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> unit
 
+val find_fp : 'a t -> int -> int -> 'a option
+(** [find_fp t a b] is [find t (Uldma_util.Fp128.pack a b)] without
+    the string: the fingerprint's two finalised lanes are the slot's
+    lanes, and its tag is the packed key's. *)
+
+val add_fp : 'a t -> int -> int -> 'a -> unit
+(** [add_fp t a b v] is [add t (Uldma_util.Fp128.pack a b) v]. *)
+
 val evictions : 'a t -> int
 (** Entries discarded by generation rotation so far: cold keys that
     hot did not also hold when the generations rotated. *)

@@ -1139,12 +1139,15 @@ let test_engine_fp_sees_remaining_time () =
   let a = at 1 and b = at 2 in
   let fp e =
     let f = Fp128.create () in
-    Engine.encode (Enc.Fp f) e;
+    let a, b = Engine.digest e in
+    Fp128.add_int f a;
+    Fp128.add_int f b;
+    Engine.add_live f e;
     Fp128.key f
   in
   let text e =
     let buf = Buffer.create 256 in
-    Engine.encode (Enc.Buf buf) e;
+    Engine.encode buf e;
     Buffer.contents buf
   in
   let status e = dload e (control Regmap.k_status) in

@@ -417,6 +417,73 @@ let mem_digest_matches_recomputed =
       List.iter (apply m) parent_after;
       consistent m && consistent child)
 
+(* The diverged-page sum a keyed instance maintains, against the sum
+   recomputed from scratch ([scratch_diverged]), over every write path
+   of [mem_digest_matches_recomputed]. A baseline and a root are cut
+   from one instance; the baseline may then be written before the root
+   is keyed (so it is not the root's ancestor: a root page can diverge
+   to zeros where the baseline holds data), the root runs a script,
+   forking now and then and going on in the fork, and the baseline may
+   be written after the sum was set, after which a read must set it
+   again. *)
+let mem_diverged_sum_matches_recomputed =
+  let pages = 4 in
+  let size = pages * Layout.page_size in
+  (* the ops of mem_digest_matches_recomputed, and a store of the value
+     already there *)
+  let apply m (kind, a, b, len) =
+    let addr = a mod size in
+    match kind with
+    | 0 -> Phys_mem.store_word m (addr land lnot 7) b
+    | 1 -> Phys_mem.store_byte m addr (b land 0xff)
+    | 2 ->
+      let len = min (1 + (len mod 700)) (size - addr) in
+      Phys_mem.fill m ~addr ~len ~byte:(if b land 3 = 0 then 0 else b land 0xff)
+    | 3 ->
+      let page = a mod pages in
+      Phys_mem.fill m ~addr:(page * Layout.page_size) ~len:Layout.page_size ~byte:0
+    | 4 ->
+      let w = addr land lnot 7 in
+      Phys_mem.store_word m w (Phys_mem.load_word m w)
+    | _ ->
+      let len = 1 + (len mod 700) in
+      let src = addr mod (size - len) and dst = (b land max_int) mod (size - len) in
+      Phys_mem.blit m ~src ~dst ~len
+  in
+  let agrees m baseline =
+    let acc = [| 0; 0 |] in
+    Phys_mem.add_diverged m ~baseline acc;
+    (acc.(0), acc.(1)) = Phys_mem.scratch_diverged m ~baseline:(Some baseline)
+  in
+  let gen_op =
+    QCheck2.Gen.(quad (int_range 0 5) (int_range 0 (size - 1)) (int_range min_int max_int) nat)
+  in
+  let ops n = QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 n) gen_op in
+  qtest ~count:200 "phys_mem: maintained diverged sum equals recomputed"
+    QCheck2.Gen.(
+      pair
+        (triple (ops 12) (ops 6) (list_size (int_range 0 20) (pair gen_op bool)))
+        (option gen_op))
+    (fun ((setup, base_ops, script), late) ->
+      let m = Phys_mem.create ~size in
+      List.iter (apply m) setup;
+      let baseline = Phys_mem.copy m in
+      let root = Phys_mem.copy m in
+      List.iter (apply baseline) base_ops;
+      let cur = ref root and ok = ref (agrees root baseline) in
+      List.iter
+        (fun (op, fork) ->
+          if fork then cur := Phys_mem.copy !cur;
+          apply !cur op;
+          ok := !ok && agrees !cur baseline)
+        script;
+      (match late with
+      | Some op ->
+        apply baseline op;
+        ok := !ok && agrees !cur baseline && agrees root baseline
+      | None -> ());
+      !ok)
+
 (* A random fork tree of up to four live instances, each mirrored by
    its own eager Bytes oracle. An op picks an instance and copies it
    (into a free slot, or over another instance once four are live),
@@ -642,6 +709,7 @@ let () =
           Alcotest.test_case "digest cache survives copy" `Quick
             test_mem_digest_cache_survives_copy;
           mem_digest_matches_recomputed;
+          mem_diverged_sum_matches_recomputed;
           Alcotest.test_case "touched-page tracking" `Quick test_mem_touched_tracking;
           Alcotest.test_case "iter_diverged" `Quick test_mem_iter_diverged;
           Alcotest.test_case "copy allocation" `Quick test_mem_copy_alloc;

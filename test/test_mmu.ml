@@ -191,7 +191,7 @@ let test_tlb_power_of_two () =
 
 let iotlb_encode_str t =
   let b = Buffer.create 128 in
-  Uldma_util.Enc.(Iotlb.encode (Buf b) t);
+  Iotlb.encode b t;
   Buffer.contents b
 
 (* op scripts over a 64-vpage space: map (with OS shootdown), unmap
@@ -298,7 +298,8 @@ let iotlb_encode_iff_contents_prop =
    taken mid-script, each side's maintained digest equals the lane sums
    of [Fp128.int_term] recomputed from its canonical text encoding —
    slot k's vpage, frame and permission bits (plus the valid bit) at
-   digest slots 3k..3k+2, set s's victim cursor at 3 * slots + s *)
+   digest slots 3k..3k+2, set s's victim cursor at 3 * slots + s, all
+   in the IOTLB's slot domain (5) *)
 let iotlb_digest_recomputed t ~slots =
   let module F = Uldma_util.Fp128 in
   let tokens =
@@ -307,8 +308,8 @@ let iotlb_digest_recomputed t ~slots =
   in
   let a = ref 0 and b = ref 0 in
   let add slot v =
-    a := !a + F.int_term_a slot v;
-    b := !b + F.int_term_b slot v
+    a := !a + F.int_term_a (F.domain 5 + slot) v;
+    b := !b + F.int_term_b (F.domain 5 + slot) v
   in
   let rec entries k = function
     | rest when k = slots -> rest

@@ -553,31 +553,17 @@ let test_fp128_additive_collision_power () =
        (a - Fp128.word_term_a 0 lo hi, b - Fp128.word_term_b 0 lo hi)))
 
 (* ------------------------------------------------------------------ *)
-(* Enc (one state walk, text or fingerprint sink) *)
-
-let enc_walk e =
-  Enc.char e 'K';
-  Enc.int e 42;
-  Enc.int e (-7);
-  Enc.string e "pg";
-  Enc.bytes e (Bytes.of_string "\x00\xff")
+(* Enc (the paranoid encoding's text sink) *)
 
 let test_enc_text_format () =
   let b = Buffer.create 16 in
-  enc_walk (Enc.Buf b);
+  Enc.char b 'K';
+  Enc.int b 42;
+  Enc.int b (-7);
+  Enc.string b "pg";
+  Enc.bytes b (Bytes.of_string "\x00\xff");
   checks "ints decimal with ',', tags and raw bytes verbatim" "K42,-7,pg\x00\xff"
     (Buffer.contents b)
-
-let test_enc_fp_feeds_fp128 () =
-  let via_enc = Fp128.create () and direct = Fp128.create () in
-  enc_walk (Enc.Fp via_enc);
-  Fp128.add_tag direct 'K';
-  Fp128.add_int direct 42;
-  Fp128.add_int direct (-7);
-  Fp128.add_string direct "pg";
-  Fp128.add_bytes direct (Bytes.of_string "\x00\xff");
-  checks "same key as feeding Fp128 directly" (Fp128.key direct) (Fp128.key via_enc);
-  checki "same bytes accounted" (Fp128.fed direct) (Fp128.fed via_enc)
 
 let () =
   Alcotest.run "util"
@@ -622,7 +608,6 @@ let () =
       ( "encoding",
         [
           Alcotest.test_case "text format" `Quick test_enc_text_format;
-          Alcotest.test_case "fingerprint mode feeds Fp128" `Quick test_enc_fp_feeds_fp128;
         ] );
       ( "stats",
         [

@@ -1,4 +1,4 @@
-(* bench-explorer — writes _results/BENCH_explorer.json (schema v10),
+(* bench-explorer — writes _results/BENCH_explorer.json (schema v11),
    the machine-readable record of the interleaving explorer: the rep5
    headline with and without dedup and the memo-key cost, the
    3-process contested trees (with paranoid-keying and bounded-memo
@@ -70,16 +70,17 @@ let per_node (r : _ Explorer.result) total =
 let pps (r : _ Explorer.result) secs = float_of_int r.Explorer.paths /. secs
 
 (* Nanoseconds to compute one memo key on a fixed mid-exploration state
-   (rep5, every pid advanced one leg past the root, so the state has
-   live processes and diverged pages). The per-node encoding cost is
-   too small for per-call gettimeofday, so it is timed over a tight
-   loop, and reported as the minimum of [encode_loops] loops after one
-   warmup loop: with only two, three regenerations on one 2-vCPU host read
-   660, 881 and 837 ns. CI gates it against the committed file. *)
+   (by default rep5; every pid advanced one leg past the root, so the
+   state has live processes and diverged pages). The per-node encoding
+   cost is too small for per-call gettimeofday, so it is timed over a
+   tight loop, and reported as the minimum of [encode_loops] loops
+   after one warmup loop: with only two, three regenerations on one
+   2-vCPU host read 660, 881 and 837 ns. CI gates it against the
+   committed file. *)
 let encode_loops = 9
 
-let encode_ns_per_node ~paranoid =
-  let s = Scenario.rep5 () in
+let encode_ns_per_node ?(build = fun () -> Scenario.rep5 ()) ~paranoid () =
+  let s = build () in
   let root = s.Scenario.kernel in
   let k = Uldma_os.Kernel.snapshot root in
   List.iter
@@ -179,7 +180,7 @@ let () =
       mechs
   in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"schema_version\": 10,\n";
+  Buffer.add_string buf "{\n  \"schema_version\": 11,\n";
   Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   Printf.bprintf buf "  \"reference_ns\": %.3f,\n" reference_ns;
   Buffer.add_string buf
@@ -200,9 +201,9 @@ let () =
   Printf.bprintf buf "    \"snapshots_per_node\": %.3f,\n" (per_node r r.Explorer.snapshots);
   Printf.bprintf buf "    \"bytes_hashed\": %d,\n" r.Explorer.bytes_hashed;
   Printf.bprintf buf "    \"bytes_hashed_per_node\": %.1f,\n" (per_node r r.Explorer.bytes_hashed);
-  Printf.bprintf buf "    \"encode_ns_per_node\": %.1f,\n" (encode_ns_per_node ~paranoid:false);
+  Printf.bprintf buf "    \"encode_ns_per_node\": %.1f,\n" (encode_ns_per_node ~paranoid:false ());
   Printf.bprintf buf "    \"encode_ns_per_node_paranoid\": %.1f,\n"
-    (encode_ns_per_node ~paranoid:true);
+    (encode_ns_per_node ~paranoid:true ());
   Buffer.add_string buf "    \"no_dedup\": {\n";
   Printf.bprintf buf "      \"paths\": %d,\n" r_nd.Explorer.paths;
   Printf.bprintf buf "      \"states_visited\": %d,\n" r_nd.Explorer.states_visited;
@@ -210,15 +211,17 @@ let () =
   Printf.bprintf buf "      \"paths_per_sec\": %.1f\n" (pps r_nd secs_nd);
   Buffer.add_string buf "    }\n";
   Buffer.add_string buf "  },\n  \"scenarios3\": {\n";
+  (* the trees the perfbench [trees] workload spends its time in also
+     record their key cost *)
   let scenarios3 =
     [
-      ("key-3", fun () -> Scenario.key_contested3 ());
-      ("ext-shadow-3", fun () -> Scenario.ext_shadow_contested3 ());
-      ("rep5-3", Scenario.rep5_contested3);
+      ("key-3", (fun () -> Scenario.key_contested3 ()), true);
+      ("ext-shadow-3", (fun () -> Scenario.ext_shadow_contested3 ()), true);
+      ("rep5-3", Scenario.rep5_contested3, false);
     ]
   in
   List.iteri
-    (fun i (name, build) ->
+    (fun i (name, build, keyed) ->
       let explore_once ?paranoid_memo ?memo_cap () =
         let s = build () in
         let t0 = Unix.gettimeofday () in
@@ -254,6 +257,9 @@ let () =
         (per_node r1 r1.Explorer.snapshots);
       Printf.bprintf buf "      \"bytes_hashed_per_node\": %.1f,\n"
         (per_node r1 r1.Explorer.bytes_hashed);
+      if keyed then
+        Printf.bprintf buf "      \"encode_ns_per_node\": %.1f,\n"
+          (encode_ns_per_node ~build ~paranoid:false ());
       Printf.bprintf buf "      \"seconds\": %.6f,\n" s1;
       Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r1 s1);
       Printf.bprintf buf "      \"direct_major_words_per_state\": %.1f,\n"
