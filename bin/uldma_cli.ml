@@ -352,6 +352,10 @@ let explore_cmd =
     let module Explorer = Uldma_verify.Explorer in
     let module Oracle = Uldma_verify.Oracle in
     let module Backend = Uldma_net.Backend in
+    if memo_cap < 1 then begin
+      Printf.eprintf "memo_cap must be positive (got %d)\n" memo_cap;
+      exit 1
+    end;
     let which =
       match (which, mech_override) with
       | _, None -> which
@@ -801,6 +805,10 @@ let campaign_cmd =
           ~doc:"Write the collusion catalogue CSV to $(docv).")
   in
   let run slots max_paths mechs nets tick_ps out =
+    if slots < 1 then begin
+      Printf.eprintf "slots must be positive (got %d)\n" slots;
+      exit 1
+    end;
     let nets =
       List.map
         (fun name ->

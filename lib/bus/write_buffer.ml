@@ -7,34 +7,29 @@ type t = {
   capacity : int;
   mutable queue : (int * int) list; (* oldest first *)
   mutable observer : (event -> unit) option;
-  mutable dg_a : int;
-  mutable dg_b : int; (* the queue's digest, see [queue_digest] *)
+  dg : int array; (* the machine's digest cell *)
 }
 
-let create ?(capacity = 4) mode =
+let create ?(capacity = 4) ~dg mode =
   if capacity < 1 then invalid_arg "Write_buffer.create: capacity < 1";
-  { mode; capacity; queue = []; observer = None; dg_a = 0; dg_b = 0 }
+  { mode; capacity; queue = []; observer = None; dg }
 
-(* The queue's additive digest in slot domain 6: the sequence of its
-   entries' paddrs and values, oldest first. The queue holds at most
-   [capacity] entries; a change re-sums it. *)
+(* The queue's terms in the machine's digest cell, in slot domain 6:
+   the sequence of its entries' paddrs and values, oldest first. The
+   queue holds at most [capacity] entries; a change re-sums it. *)
 let queue_digest queue =
   Uldma_util.Fp128.seq_digest (Uldma_util.Fp128.domain 6)
     (List.concat_map (fun (paddr, value) -> [ paddr; value ]) queue)
 
 let set_queue t q =
-  t.queue <- q;
-  let a, b = queue_digest q in
-  t.dg_a <- a;
-  t.dg_b <- b
-
-let add_digest t acc =
-  acc.(0) <- acc.(0) + t.dg_a;
-  acc.(1) <- acc.(1) + t.dg_b
+  let oa, ob = queue_digest t.queue and na, nb = queue_digest q in
+  t.dg.(0) <- t.dg.(0) - oa + na;
+  t.dg.(1) <- t.dg.(1) - ob + nb;
+  t.queue <- q
 
 let scratch_digest t = queue_digest t.queue
 
-let copy t = { t with queue = t.queue; observer = None }
+let copy t ~dg = { t with observer = None; dg }
 
 let set_observer t f = t.observer <- Some f
 

@@ -26,13 +26,16 @@ type event = Collapsed of { paddr : int } | Drained of { count : int }
 
 type t
 
-val create : ?capacity:int -> mode -> t
+val create : ?capacity:int -> dg:int array -> mode -> t
 (** [capacity] (default 4) bounds the [Bypass] queue; an overflowing
-    store drains the oldest entry first. *)
+    store drains the oldest entry first. The queue's digest terms (see
+    {!scratch_digest}) live in [dg], the machine's digest cell; the
+    empty queue adds nothing. *)
 
-val copy : t -> t
+val copy : t -> dg:int array -> t
 (** Copies share the queue contents but drop the observer; the owner of
-    the copy installs its own. *)
+    the copy installs its own. The copy's terms live in [dg], which
+    must already hold them (the copy of the machine's cell). *)
 
 val set_observer : t -> (event -> unit) -> unit
 (** Install the single observer called on collapse and drain events
@@ -42,16 +45,12 @@ val mode : t -> mode
 val pending : t -> (int * int) list
 (** Buffered (paddr, value) pairs, oldest first. *)
 
-val add_digest : t -> int array -> unit
-(** [add_digest t acc] adds the two lanes of the queue's additive
-    digest ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 6) into
-    [acc.(0)] and [acc.(1)] without allocating. The digest covers
-    {!pending}: its length, and each entry's paddr and value by
-    position. Every change of the queue keeps it current; the empty
-    queue digests to [(0, 0)]. *)
-
 val scratch_digest : t -> int * int
-(** The digest {!add_digest} adds, recomputed from {!pending}. *)
+(** The queue's terms in the machine's digest cell
+    ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 6), recomputed
+    from {!pending}: its length, and each entry's paddr and value by
+    position. Every change of the queue keeps the cell's part equal to
+    this. *)
 
 val store : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> paddr:int -> value:int -> unit
 (** Process a store: in [Ordered] mode it is emitted at once; in

@@ -20,12 +20,10 @@ type context = {
 
 type t = context array
 
-(* The file's additive digest, shared by all its contexts: cells 0 and 1
-   are the two lanes, cell 2 is 1 once the digest has been built. Until
-   the first [digest] call writes pay only the cell-2 test; after it
-   every setter moves its field's term. Field [f] of context [i] sits
-   at slot [16 i + f] of slot domain 3 and enters as value xor its
-   reset value, so a fresh context contributes nothing. *)
+(* The contexts' terms in the machine's digest cell [dg], which every
+   context holds: each setter moves its field's term. Field [f] of
+   context [i] sits at slot [16 i + f] of slot domain 3 and enters as
+   value xor its reset value, so a fresh context contributes nothing. *)
 let f_key = 0
 let f_owner = 1
 let f_dest = 2
@@ -40,10 +38,6 @@ let f_started = 12 (* 1 once a transfer was started through the context *)
 let n_fields = 13
 
 let slot_word = function Dest -> 0 | Src -> 1
-
-(* Setters test [built] before computing any digest value, so until
-   the digest is built a write costs one load and compare. *)
-let[@inline] built c = c.dg.(2) <> 0
 
 let slot_base = Fp128.domain 3
 let[@inline] slot c f = slot_base + (16 * c.index) + f
@@ -66,14 +60,12 @@ let fresh dg index =
     dg;
   }
 
-let create ~n =
+let create ~n ~dg =
   if n < 1 || n > Uldma_mem.Layout.max_contexts then
     invalid_arg (Printf.sprintf "Context_file.create: %d contexts" n);
-  Array.init n (fresh [| 0; 0; 0 |])
+  Array.init n (fresh dg)
 
-let copy t =
-  let dg = Array.copy t.(0).dg in
-  Array.map (fun c -> { c with dg }) t
+let copy t ~dg = Array.map (fun c -> { c with dg }) t
 
 let length = Array.length
 
@@ -86,55 +78,54 @@ let mem t i = i >= 0 && i < Array.length t
 
 let set_key t ~context ~key =
   let c = get t context in
-  if built c then note c f_key c.key key;
+  note c f_key c.key key;
   c.key <- key
 
 let set_owner t ~context ~pid =
   let c = get t context in
-  if built c then note c f_owner (Fp128.opt_value c.owner_pid) (Fp128.opt_value pid);
+  note c f_owner (Fp128.opt_value c.owner_pid) (Fp128.opt_value pid);
   c.owner_pid <- pid
 
 let set_dest c v =
-  if built c then note c f_dest (Fp128.opt_value c.dest) (Fp128.opt_value v);
+  note c f_dest (Fp128.opt_value c.dest) (Fp128.opt_value v);
   c.dest <- v
 
 let set_src c v =
-  if built c then note c f_src (Fp128.opt_value c.src) (Fp128.opt_value v);
+  note c f_src (Fp128.opt_value c.src) (Fp128.opt_value v);
   c.src <- v
 
 let set_size c v =
-  if built c then note c f_size (Fp128.opt_value c.size) (Fp128.opt_value v);
+  note c f_size (Fp128.opt_value c.size) (Fp128.opt_value v);
   c.size <- v
 
 let set_next_slot c v =
-  if built c then note c f_next_slot (slot_word c.next_slot) (slot_word v);
+  note c f_next_slot (slot_word c.next_slot) (slot_word v);
   c.next_slot <- v
 
 let set_status c v =
-  if built c then note c f_status (c.status lxor Status.complete) (v lxor Status.complete);
+  note c f_status (c.status lxor Status.complete) (v lxor Status.complete);
   c.status <- v
 
 let started_word = function None -> 0 | Some _ -> 1
 
 let set_last_transfer c tr =
-  if built c then note c f_started (started_word c.last_transfer) (started_word tr);
+  note c f_started (started_word c.last_transfer) (started_word tr);
   c.last_transfer <- tr
 
 let set_atomic_target c v =
-  if built c then note c f_atomic_target (Fp128.opt_value c.atomic_target) (Fp128.opt_value v);
+  note c f_atomic_target (Fp128.opt_value c.atomic_target) (Fp128.opt_value v);
   c.atomic_target <- v
 
 let set_atomic_pending c p =
-  if built c then
-    for w = 0 to 2 do
-      note c (f_atomic_pending + w)
-        (Atomic_op.pending_word c.atomic_pending w)
-        (Atomic_op.pending_word p w)
-    done;
+  for w = 0 to 2 do
+    note c (f_atomic_pending + w)
+      (Atomic_op.pending_word c.atomic_pending w)
+      (Atomic_op.pending_word p w)
+  done;
   c.atomic_pending <- p
 
 let set_mailbox c v =
-  if built c then note c f_mailbox (Fp128.opt_value c.mailbox) (Fp128.opt_value v);
+  note c f_mailbox (Fp128.opt_value c.mailbox) (Fp128.opt_value v);
   c.mailbox <- v
 
 let push_address c paddr =
@@ -189,25 +180,6 @@ let scratch_digest t =
       done)
     t;
   (d.(0), d.(1))
-
-let built_digest t =
-  let dg = t.(0).dg in
-  if dg.(2) = 0 then begin
-    let a, b = scratch_digest t in
-    dg.(0) <- a;
-    dg.(1) <- b;
-    dg.(2) <- 1
-  end;
-  dg
-
-let digest t =
-  let dg = built_digest t in
-  (dg.(0), dg.(1))
-
-let add_digest t acc =
-  let dg = built_digest t in
-  acc.(0) <- acc.(0) + dg.(0);
-  acc.(1) <- acc.(1) + dg.(1)
 
 (* Canonical encoding of the registers, for the paranoid key.
    [last_transfer] is deliberately skipped: the engine encodes transfer

@@ -27,18 +27,22 @@ type context = private {
   mutable atomic_pending : Atomic_op.pending;
   mutable mailbox : int option;
       (** local physical word for remote-atomic replies (kernel-set) *)
-  dg : int array;  (** the file's digest cells, shared by its contexts *)
+  dg : int array;  (** the machine's digest cell *)
 }
 (** Fields are read directly but written only through the setters
-    below ([private]), which keep the file's digest current. *)
+    below ([private]), which keep their terms in the digest cell
+    current. *)
 
 type t
 
-val create : n:int -> t
-(** [n] contexts; 1 <= n <= [Uldma_mem.Layout.max_contexts]. *)
+val create : n:int -> dg:int array -> t
+(** [n] contexts; 1 <= n <= [Uldma_mem.Layout.max_contexts]. Their
+    digest terms live in [dg], the machine's digest cell; fresh
+    contexts add nothing to it. *)
 
-val copy : t -> t
-(** Copies the digest and its built flag with the registers. *)
+val copy : t -> dg:int array -> t
+(** Copies the registers; the copy's terms live in [dg], which must
+    already hold them (the copy of the machine's cell). *)
 
 val length : t -> int
 val get : t -> int -> context
@@ -53,7 +57,7 @@ val set_owner : t -> context:int -> pid:int option -> unit
 (** {1 Register writes}
 
     Every write goes through one of these; each moves the written
-    field's digest term once the digest has been built. *)
+    field's term in the digest cell. *)
 
 val set_dest : context -> int option -> unit
 val set_src : context -> int option -> unit
@@ -81,25 +85,15 @@ val reset : context -> unit
 
 (** {1 Fingerprinting} *)
 
-val digest : t -> int * int
-(** The two lanes of the file's write-maintained additive digest
-    ({!Uldma_util.Fp128.replace_int}) over every field {!encode} feeds
-    except [index], which picks the slots: field [f] of context [i] at
-    slot [16 i + f] of slot domain 3; plus, as one more field, whether
-    [last_transfer] is set (a transfer was started through the context
-    since its last reset). Each field enters as its value xor its reset value, so a
-    fresh file digests to [(0, 0)]. The
-    digest is built from scratch on the first call and maintained by
-    the setters from then on; until then a write pays only the test of
-    the built flag. *)
-
-val add_digest : t -> int array -> unit
-(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
-    [acc.(1)] without allocating. *)
-
 val scratch_digest : t -> int * int
-(** {!digest} recomputed from the registers, without touching the
-    maintained one: the reference it must always equal. *)
+(** The file's terms in the machine's digest cell, recomputed from the
+    registers: every field {!encode} feeds except [index], which picks
+    the slots (field [f] of context [i] at slot [16 i + f] of slot
+    domain 3), plus, as one more field, whether [last_transfer] is set
+    (a transfer was started through the context since its last
+    reset). Each field enters as its value xor its reset value, so a
+    fresh file adds nothing. The setters keep the cell's part equal to
+    this. *)
 
 val encode : Uldma_util.Enc.t -> t -> unit
 (** Feed a canonical encoding of every context's registers

@@ -96,22 +96,22 @@ type t = {
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
-  dg : int array; (* register digest lanes, then 1 once built (see [digest]) *)
+  dg : int array; (* the machine's digest cell *)
 }
 
-let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_ps = 0) () =
+let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_ps = 0) ~dg () =
   {
     clock;
     backend;
     ram_size;
     mechanism;
-    contexts = Context_file.create ~n:n_contexts;
+    contexts = Context_file.create ~n:n_contexts ~dg;
     matcher =
-      (match mechanism with Rep_args v -> Seq_matcher.create v | _ -> Seq_matcher.create Seq_matcher.Five);
+      Seq_matcher.create ~dg (match mechanism with Rep_args v -> v | _ -> Seq_matcher.Five);
     mapped_out = Imap.empty;
     map_out_staged = None;
     pending = None;
-    iotlb = Iotlb.create ();
+    iotlb = Iotlb.create ~dg ();
     iotlb_walk_ps;
     iommu_tables = [];
     caps = Capability.create ();
@@ -135,7 +135,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     outbound = [];
     sink = Uldma_obs.Trace.null;
     machine = 0;
-    dg = [| 0; 0; 0 |];
+    dg;
   }
 
 let mechanism t = t.mechanism
@@ -150,39 +150,39 @@ let tracing t = Uldma_obs.Trace.enabled t.sink
 let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~pid kind
 
 (* Engine snapshot for kernel forks. The register contexts, matcher,
-   capabilities, counters and digest are duplicated; the IOTLB is
-   shared copy-on-write (Iotlb.copy flags both sides, and the first
-   write copies); transfers, the in-flight list, outbound and the
-   mapped-out map are immutable and are shared. *)
-let copy t ~clock ~backend =
+   capabilities and counters are duplicated, and every part writes its
+   terms into the copied cell [dg]; the IOTLB is shared copy-on-write
+   (Iotlb.copy flags both sides, and the first write copies);
+   transfers, the in-flight list, outbound and the mapped-out map are
+   immutable and are shared. *)
+let copy t ~dg ~clock ~backend =
   {
     t with
     clock;
     backend;
-    contexts = Context_file.copy t.contexts;
-    matcher = Seq_matcher.copy t.matcher;
-    iotlb = Iotlb.copy t.iotlb;
+    contexts = Context_file.copy t.contexts ~dg;
+    matcher = Seq_matcher.copy t.matcher ~dg;
+    iotlb = Iotlb.copy t.iotlb ~dg;
     (* the bindings still point at the parent's page tables here; the
        kernel fork re-binds each live context to its copied table
        immediately after copying the processes *)
     iommu_tables = t.iommu_tables;
     caps = Capability.copy t.caps;
     counters = { t.counters with rejected = t.counters.rejected }; (* a fresh record *)
-    dg = Array.copy t.dg;
+    dg;
   }
 
 let now t = Clock.now t.clock
 
 (* ------------------------------------------------------------------ *)
-(* Register writes and the engine's additive digest *)
+(* Register writes and the engine's digest terms *)
 
 (* Digest slots of the engine's own registers, and six slots per
    started transfer from 32, by ordinal (oldest 0), in slot domain 2.
-   The register contexts, the matcher and the IOTLB keep digests of
-   their own, in domains of their own. Every value enters as value xor
-   its reset value, so a fresh engine digests to (0, 0). The lanes
-   live in [t.dg]; until the first [digest] call builds them a write
-   pays only the test of [t.dg.(2)]. *)
+   The register contexts, the matcher and the IOTLB put their terms in
+   domains of their own. Every value enters as value xor its reset
+   value, so a fresh engine adds nothing. Every setter moves its
+   register's terms in the machine's cell [t.dg]. *)
 let s_current_pid = Fp128.domain 2
 let s_k_src = s_current_pid + 1
 let s_k_dst = s_current_pid + 2
@@ -199,10 +199,6 @@ let s_map_out_staged = s_current_pid + 16
 let s_pending = s_current_pid + 17 (* five slots: present, dest, size, pid, context *)
 let s_n_transfers = s_current_pid + 22
 let s_transfer k = s_current_pid + 32 + (8 * k) (* six slots *)
-
-(* Setters test [built] before computing any digest value, so until
-   the digest is built a write costs one load and compare. *)
-let[@inline] built t = t.dg.(2) <> 0
 
 let[@inline] note t slot old v = Fp128.replace_int t.dg 0 slot old v
 
@@ -229,72 +225,67 @@ let transfer_word (tr : Transfer.t) f =
   | _ -> tr.Transfer.duration
 
 let set_current_pid t v =
-  if built t then note t s_current_pid (lnot t.current_pid) (lnot v);
+  note t s_current_pid (lnot t.current_pid) (lnot v);
   t.current_pid <- v
 
 let set_k_src t v =
-  if built t then note t s_k_src t.k_src v;
+  note t s_k_src t.k_src v;
   t.k_src <- v
 
 let set_k_dst t v =
-  if built t then note t s_k_dst t.k_dst v;
+  note t s_k_dst t.k_dst v;
   t.k_dst <- v
 
 let set_k_status t v =
-  if built t then note t s_k_status (t.k_status lxor Status.complete) (v lxor Status.complete);
+  note t s_k_status (t.k_status lxor Status.complete) (v lxor Status.complete);
   t.k_status <- v
 
 let set_k_atomic_target t v =
-  if built t then note t s_k_atomic_target t.k_atomic_target v;
+  note t s_k_atomic_target t.k_atomic_target v;
   t.k_atomic_target <- v
 
 let set_k_atomic_pending t p =
-  if built t then note_atomic t s_k_atomic_pending t.k_atomic_pending p;
+  note_atomic t s_k_atomic_pending t.k_atomic_pending p;
   t.k_atomic_pending <- p
 
 let set_g_atomic t target p =
-  if built t then begin
-    note t s_g_atomic_target (Fp128.opt_value t.g_atomic_target) (Fp128.opt_value target);
-    note_atomic t s_g_atomic_pending t.g_atomic_pending p
-  end;
+  note t s_g_atomic_target (Fp128.opt_value t.g_atomic_target) (Fp128.opt_value target);
+  note_atomic t s_g_atomic_pending t.g_atomic_pending p;
   t.g_atomic_target <- target;
   t.g_atomic_pending <- p
 
 let set_last_status t v =
-  if built t then note t s_last_status (t.last_status lxor Status.failure) (v lxor Status.failure);
+  note t s_last_status (t.last_status lxor Status.failure) (v lxor Status.failure);
   t.last_status <- v
 
 let set_cap_stage_value t v =
-  if built t then note t s_cap_stage_value t.cap_stage_value v;
+  note t s_cap_stage_value t.cap_stage_value v;
   t.cap_stage_value <- v
 
 let set_cap_stage_base t v =
-  if built t then note t s_cap_stage_base t.cap_stage_base v;
+  note t s_cap_stage_base t.cap_stage_base v;
   t.cap_stage_base <- v
 
 let set_cap_stage_len t v =
-  if built t then note t s_cap_stage_len t.cap_stage_len v;
+  note t s_cap_stage_len t.cap_stage_len v;
   t.cap_stage_len <- v
 
 let set_map_out_staged t v =
-  if built t then note t s_map_out_staged (Fp128.opt_value t.map_out_staged) (Fp128.opt_value v);
+  note t s_map_out_staged (Fp128.opt_value t.map_out_staged) (Fp128.opt_value v);
   t.map_out_staged <- v
 
 let set_pending t p =
-  if built t then
-    for w = 0 to 4 do
-      note t (s_pending + w) (deposit_word t.pending w) (deposit_word p w)
-    done;
+  for w = 0 to 4 do
+    note t (s_pending + w) (deposit_word t.pending w) (deposit_word p w)
+  done;
   t.pending <- p
 
 let push_transfer t tr =
   let k = t.n_transfers in
-  if built t then begin
-    for f = 0 to 5 do
-      note t (s_transfer k + f) 0 (transfer_word tr f)
-    done;
-    note t s_n_transfers k (k + 1)
-  end;
+  for f = 0 to 5 do
+    note t (s_transfer k + f) 0 (transfer_word tr f)
+  done;
+  note t s_n_transfers k (k + 1);
   t.transfers <- tr :: t.transfers;
   t.n_transfers <- k + 1;
   if Transfer.end_time tr > Clock.now t.clock then t.in_flight <- (k, tr) :: t.in_flight
@@ -344,29 +335,6 @@ let scratch_own t =
       done)
     t.transfers;
   (d.(0), d.(1))
-
-let build_digest t =
-  if t.dg.(2) = 0 then begin
-    let a, b = scratch_own t in
-    t.dg.(0) <- a;
-    t.dg.(1) <- b;
-    t.dg.(2) <- 1
-  end
-
-(* The whole engine's digest: its own lanes plus the contexts', the
-   matcher's and the IOTLB's, which live in slot domains of their own. *)
-let add_digest t acc =
-  build_digest t;
-  acc.(0) <- acc.(0) + t.dg.(0);
-  acc.(1) <- acc.(1) + t.dg.(1);
-  Context_file.add_digest t.contexts acc;
-  Seq_matcher.add_digest t.matcher acc;
-  Iotlb.add_digest t.iotlb acc
-
-let digest t =
-  let acc = [| 0; 0 |] in
-  add_digest t acc;
-  (acc.(0), acc.(1))
 
 let scratch_digest t =
   let oa, ob = scratch_own t

@@ -83,11 +83,14 @@ val create :
   mechanism:mechanism ->
   ?n_contexts:int ->
   ?iotlb_walk_ps:int ->
+  dg:int array ->
   unit ->
   t
 (** [n_contexts] defaults to 4 ("say 4 to 8", §3.1). [iotlb_walk_ps]
     (default 0) is charged on the machine clock for every IOTLB miss
-    under the [Iommu] mechanism. *)
+    under the [Iommu] mechanism. The engine, its register contexts,
+    matcher and IOTLB keep their digest terms (see {!scratch_digest})
+    in [dg], the machine's two-lane digest cell. *)
 
 val mechanism : t -> mechanism
 val contexts : t -> Context_file.t
@@ -104,9 +107,10 @@ val device : t Uldma_bus.Bus.device
     with [Bus.register_device] on a bus created over the engine; a
     [Bus.copy] over the copied engine carries it. *)
 
-val copy : t -> clock:Uldma_bus.Clock.t -> backend:Transfer.backend -> t
+val copy : t -> dg:int array -> clock:Uldma_bus.Clock.t -> backend:Transfer.backend -> t
 (** Snapshot for the interleaving explorer; the caller supplies the
-    copied clock and a backend bound to the copied RAM. *)
+    copied digest cell, the copied clock and a backend bound to the
+    copied RAM. *)
 
 (** {1 Privileged operations}
 
@@ -187,33 +191,24 @@ val encode : Uldma_util.Enc.t -> t -> unit
     oracle. Diagnostic state (counters, trace sink, absolute
     timestamps) is excluded. *)
 
-val digest : t -> int * int
-(** The two lanes of the engine's write-maintained additive digest
-    ({!Uldma_util.Fp128.replace_int}): the sum of its own registers'
-    digest (slot domain 2) and the digests the register contexts, the
-    matcher and the IOTLB keep in domains of their own
-    ({!Context_file.digest}, {!Seq_matcher.digest},
-    {!Uldma_mmu.Iotlb.digest}). The engine's own part covers the
-    registers that {!encode} streams — pending deposit, kernel-page and
-    atomic registers, last status, staged capability and mapped-out
-    page — plus each started transfer's static fields (src, dst, size,
-    pid, context, duration) at slots taken from its ordinal, and the
-    transfer count. Every value enters as value xor its reset value, so
-    a fresh engine digests to [(0, 0)]. Built from scratch on the first
-    call and maintained by every register write from then on; before
-    that a write pays only the test of the built flag. {!copy} copies
-    it and the flag. *)
-
-val add_digest : t -> int array -> unit
-(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
-    [acc.(1)] without allocating. *)
-
 val scratch_digest : t -> int * int
-(** {!digest} recomputed from the registers, without touching the
-    maintained one: the reference it must always equal. *)
+(** The engine's terms in the machine's digest cell, recomputed from
+    the registers: the sum of its own registers' terms (slot domain 2)
+    and those its register contexts, matcher and IOTLB put in domains
+    of their own ({!Context_file.scratch_digest},
+    {!Seq_matcher.scratch_digest}, {!Uldma_mmu.Iotlb.scratch_digest}).
+    The engine's own part covers the registers that {!encode} streams —
+    pending deposit, kernel-page and atomic registers, last status,
+    staged capability and mapped-out page — plus each started
+    transfer's static fields (src, dst, size, pid, context, duration)
+    at slots taken from its ordinal, and the transfer count. Every
+    value enters as value xor its reset value, so a fresh engine with
+    a [Five] matcher adds nothing. Every register write moves its terms
+    in the cell, so the cell's part must always equal this. *)
 
 val add_live : Uldma_util.Fp128.t -> t -> unit
-(** Feed what the fingerprint key needs beyond {!digest}: each
+(** Feed what the fingerprint key needs beyond the engine's digest
+    terms: each
     in-flight transfer's (ordinal, remaining wire time), and the
     paranoid text of the capability table, the mapped-out map and the
     outbound queue when any of them is non-empty. A context's status as

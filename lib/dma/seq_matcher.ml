@@ -42,14 +42,13 @@ type t = {
   mutable dest : int;
   mutable src : int;
   mutable size : int;
-  dg : int array;
+  dg : int array; (* the machine's digest cell *)
 }
 
-(* The matcher's additive digest: cells 0 and 1 are the lanes, cell 2
-   is 1 once built (see [digest]). Variant, index, dest, src and size
-   sit at slots 0..4 of slot domain 4, each as value xor its reset
-   value (variant [Five], the engine's default matcher; index 0;
-   bindings -1), so a fresh [Five] matcher digests to (0, 0). *)
+(* The matcher's terms in the machine's digest cell: variant, index,
+   dest, src and size at slots 0..4 of slot domain 4, each as value xor
+   its reset value (variant [Five], the engine's default matcher;
+   index 0; bindings -1), so a fresh [Five] matcher adds nothing. *)
 let s_variant = Uldma_util.Fp128.domain 4
 let s_index = s_variant + 1
 let s_dest = s_variant + 2
@@ -58,32 +57,30 @@ let s_size = s_variant + 4
 
 let variant_code = function Three -> 3 | Four -> 4 | Five -> 5
 
-(* Setters test [built] before computing any digest value, so until
-   the digest is built a write costs one load and compare. *)
-let[@inline] built t = t.dg.(2) <> 0
-
 let[@inline] note t slot old v = Uldma_util.Fp128.replace_int t.dg 0 slot old v
 
 let set_index t v =
-  if built t then note t s_index t.index v;
+  note t s_index t.index v;
   t.index <- v
 
 let set_dest t v =
-  if built t then note t s_dest (lnot t.dest) (lnot v);
+  note t s_dest (lnot t.dest) (lnot v);
   t.dest <- v
 
 let set_src t v =
-  if built t then note t s_src (lnot t.src) (lnot v);
+  note t s_src (lnot t.src) (lnot v);
   t.src <- v
 
 let set_size t v =
-  if built t then note t s_size (lnot t.size) (lnot v);
+  note t s_size (lnot t.size) (lnot v);
   t.size <- v
 
-let create variant =
-  { variant; steps = pattern variant; index = 0; dest = -1; src = -1; size = -1; dg = [| 0; 0; 0 |] }
+(* only the variant differs from its reset value at creation *)
+let create ~dg variant =
+  Uldma_util.Fp128.replace_int dg 0 s_variant 0 (variant_code variant lxor 5);
+  { variant; steps = pattern variant; index = 0; dest = -1; src = -1; size = -1; dg }
 
-let copy t = { t with dg = Array.copy t.dg }
+let copy t ~dg = { t with dg }
 
 let variant t = t.variant
 
@@ -109,23 +106,6 @@ let scratch_digest t =
       (s_size, lnot t.size);
     ];
   (d.(0), d.(1))
-
-let build t =
-  if t.dg.(2) = 0 then begin
-    let a, b = scratch_digest t in
-    t.dg.(0) <- a;
-    t.dg.(1) <- b;
-    t.dg.(2) <- 1
-  end
-
-let digest t =
-  build t;
-  (t.dg.(0), t.dg.(1))
-
-let add_digest t acc =
-  build t;
-  acc.(0) <- acc.(0) + t.dg.(0);
-  acc.(1) <- acc.(1) + t.dg.(1)
 
 (* Canonical encoding of the matcher's mutable registers. [steps] is a
    pure function of [variant]. *)

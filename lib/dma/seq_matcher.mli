@@ -31,8 +31,14 @@ type reply =
 
 type t
 
-val create : variant -> t
-val copy : t -> t
+val create : dg:int array -> variant -> t
+(** A matcher whose digest terms live in [dg], the machine's digest
+    cell (see {!scratch_digest}); [create] adds the variant's term. *)
+
+val copy : t -> dg:int array -> t
+(** A copy whose terms live in [dg], which must already hold them (the
+    copy of the machine's cell). *)
+
 val variant : t -> variant
 
 val sequence_length : variant -> int
@@ -51,19 +57,10 @@ val encode : Uldma_util.Enc.t -> t -> unit
     fingerprinting: two matchers with equal encodings behave
     identically on every future access stream (the paranoid key). *)
 
-val digest : t -> int * int
-(** The two lanes of the matcher's write-maintained additive digest
-    over the same five values, at slots 0..4 of slot domain 4, each as
-    value xor its reset value (the variant's reset value is [Five], the
-    matcher of every non-[Rep_args] engine), so a fresh [Five] matcher
-    digests to [(0, 0)]. Built from scratch on the
-    first call and maintained by every write from then on; {!copy}
-    copies it and its built flag. *)
-
-val add_digest : t -> int array -> unit
-(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
-    [acc.(1)] without allocating. *)
-
 val scratch_digest : t -> int * int
-(** {!digest} recomputed from the registers: the reference it must
-    always equal. *)
+(** The matcher's terms in the machine's digest cell, recomputed from
+    the registers: the five values {!encode} feeds, at slots 0..4 of
+    slot domain 4, each as value xor its reset value (the variant's
+    reset value is [Five], the matcher of every non-[Rep_args] engine),
+    so a fresh [Five] matcher adds nothing. Every write moves its
+    term in the cell, so the cell's part must always equal this. *)

@@ -12,19 +12,20 @@
    cursors can diverge observably (a future hit vs miss changes charged
    walk time), and merging them would be unsound.
 
-   [fill], [invalidate] and [flush] keep an additive digest of that
-   same state current (Fp128.int_term): an entry in slot k contributes
+   [fill], [invalidate] and [flush] keep the additive digest terms of
+   that same state current in the machine's digest cell (Fp128.int_term,
+   see [note]): an entry in slot k contributes
    its vpage, frame and permission bits at digest slots 3k, 3k+1 and
    3k+2 (the permission word carries a valid bit, so a present entry
    never digests like an empty slot), and set s's victim cursor at
    slot 3 * (sets * ways) + s, all in slot domain 5. The empty cache
-   digests to (0, 0). *)
+   adds nothing. *)
 
 type entry = { vpage : int; pte : Pte.t }
 
 type stats = { hits : int; misses : int }
 
-(* The slot, cursor and digest arrays are copy-on-write, together:
+(* The slot, cursor and lane arrays are copy-on-write, together:
    [shared] means another instance may still read [tab], so the first
    write through [own] copies all three. [blank] is the empty cache's
    tables, shared by every copy of one IOTLB and never written, so
@@ -33,7 +34,7 @@ type stats = { hits : int; misses : int }
 type tables = {
   slots : entry option array; (* set s occupies [s*ways, (s+1)*ways) *)
   victim : int array; (* per-set round-robin refill cursor *)
-  dg : int array; (* the two additive digest lanes of slots + cursors *)
+  lanes : int array; (* the tables' own terms, summed: what a flush retires *)
 }
 
 type t = {
@@ -44,6 +45,7 @@ type t = {
   blank : tables;
   mutable hits : int;
   mutable misses : int;
+  dg : int array; (* the machine's digest cell *)
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -51,25 +53,25 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 let default_sets = 16
 let default_ways = 4
 
-let create ?(sets = default_sets) ?(ways = default_ways) () =
+let create ?(sets = default_sets) ?(ways = default_ways) ~dg () =
   if not (is_power_of_two sets) then invalid_arg "Iotlb.create: sets must be a power of two";
   if ways < 1 then invalid_arg "Iotlb.create: ways must be positive";
   let blank =
-    { slots = Array.make (sets * ways) None; victim = Array.make sets 0; dg = [| 0; 0 |] }
+    { slots = Array.make (sets * ways) None; victim = Array.make sets 0; lanes = [| 0; 0 |] }
   in
-  { sets; ways; tab = blank; shared = true; blank; hits = 0; misses = 0 }
+  { sets; ways; tab = blank; shared = true; blank; hits = 0; misses = 0; dg }
 
 (* Both sides are flagged: the explorer keeps writing the parent after
    forking it, and the child still reads the same tables. *)
-let copy t =
+let copy t ~dg =
   t.shared <- true;
-  { t with shared = true }
+  { t with shared = true; dg }
 
 let own t =
   if t.shared then begin
     let tab = t.tab in
     t.tab <-
-      { slots = Array.copy tab.slots; victim = Array.copy tab.victim; dg = Array.copy tab.dg };
+      { slots = Array.copy tab.slots; victim = Array.copy tab.victim; lanes = Array.copy tab.lanes };
     t.shared <- false
   end
 
@@ -100,13 +102,20 @@ let field e f =
 
 let slot_base = Uldma_util.Fp128.domain 5
 
+(* Move a term in the owned tables' lanes and by the same amount in the
+   machine's cell, so a flush can retire the tables' whole sum at once. *)
+let note t slot old v =
+  let l = t.tab.lanes in
+  let a = l.(0) and b = l.(1) in
+  Uldma_util.Fp128.replace_int l 0 slot old v;
+  t.dg.(0) <- t.dg.(0) + (l.(0) - a);
+  t.dg.(1) <- t.dg.(1) + (l.(1) - b)
+
 let set_slot t k e =
   own t;
   let tab = t.tab in
   for f = 0 to 2 do
-    Uldma_util.Fp128.replace_int tab.dg 0
-      (slot_base + (3 * k) + f)
-      (field tab.slots.(k) f) (field e f)
+    note t (slot_base + (3 * k) + f) (field tab.slots.(k) f) (field e f)
   done;
   tab.slots.(k) <- e
 
@@ -115,7 +124,7 @@ let victim_slot tab set = slot_base + (3 * Array.length tab.slots) + set
 let set_victim t set w =
   own t;
   let tab = t.tab in
-  Uldma_util.Fp128.replace_int tab.dg 0 (victim_slot tab set) tab.victim.(set) w;
+  note t (victim_slot tab set) tab.victim.(set) w;
   tab.victim.(set) <- w
 
 let fill t ~vpage pte =
@@ -161,6 +170,8 @@ let invalidate t ~vpage =
 
 let flush t =
   if t.tab != t.blank then begin
+    t.dg.(0) <- t.dg.(0) - t.tab.lanes.(0);
+    t.dg.(1) <- t.dg.(1) - t.tab.lanes.(1);
     t.tab <- t.blank;
     t.shared <- true
   end
@@ -170,11 +181,6 @@ let stats t : stats = { hits = t.hits; misses = t.misses }
 let entries t =
   Array.to_list t.tab.slots
   |> List.filter_map (fun e -> Option.map (fun e -> (e.vpage, e.pte)) e)
-
-let digest t = (t.tab.dg.(0), t.tab.dg.(1))
-let add_digest t acc =
-  acc.(0) <- acc.(0) + t.tab.dg.(0);
-  acc.(1) <- acc.(1) + t.tab.dg.(1)
 
 let scratch_digest t =
   let tab = t.tab in

@@ -16,14 +16,17 @@ type t
 
 type stats = { hits : int; misses : int }
 
-val create : ?sets:int -> ?ways:int -> unit -> t
-(** [sets] defaults to 16 (must be a power of two), [ways] to 4. *)
+val create : ?sets:int -> ?ways:int -> dg:int array -> unit -> t
+(** [sets] defaults to 16 (must be a power of two), [ways] to 4. The
+    cache's digest terms (see {!scratch_digest}) live in [dg], the
+    machine's digest cell; the empty cache adds nothing. *)
 
-val copy : t -> t
-(** An independent IOTLB that shares its slots, victim cursors and
-    digest lanes with [t] until either side first writes them. O(1):
-    both instances are flagged shared, and the writer copies all
-    three. *)
+val copy : t -> dg:int array -> t
+(** An independent IOTLB that shares its slots and victim cursors with
+    [t] until either side first writes them. O(1): both instances are
+    flagged shared, and the writer copies the tables. The copy's terms
+    live in [dg], which must already hold them (the copy of the
+    machine's cell). *)
 
 val lookup : t -> vpage:int -> Pte.t option
 (** Probe without filling or touching statistics. *)
@@ -42,26 +45,21 @@ val invalidate : t -> vpage:int -> unit
 
 val flush : t -> unit
 (** Drop everything and reset the victim cursors (context switch).
-    Allocates nothing: an empty cache is left as is, and a non-empty
-    one points at empty tables shared by every copy of it. *)
+    O(1) and allocates nothing: an empty cache is left as is, and a
+    non-empty one points at empty tables shared by every copy of it,
+    after retiring from the digest cell the running sum of its terms
+    that its tables carry. *)
 
 val entries : t -> (int * Pte.t) list
 (** Live (vpage, pte) pairs in slot order, for tests. *)
 
 val stats : t -> stats
 
-val digest : t -> int * int
-(** Additive digest ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain
-    5) of slots + victim cursors, kept current by [fill], [invalidate]
-    and [flush]. The empty cache digests to [(0, 0)]. *)
-
-val add_digest : t -> int array -> unit
-(** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
-    [acc.(1)] without allocating. *)
-
 val scratch_digest : t -> int * int
-(** {!digest} recomputed from the slots and cursors: the reference it
-    must always equal. *)
+(** The cache's terms in the machine's digest cell
+    ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 5), recomputed
+    from the slots and victim cursors. [fill], [invalidate] and [flush]
+    keep the cell's part equal to this. *)
 
 val encode : Uldma_util.Enc.t -> t -> unit
 (** Canonical encoding of slots + victim cursors (statistics

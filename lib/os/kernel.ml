@@ -56,8 +56,7 @@ type t = {
   mutable console : (int * int) list; (* newest first *)
   mutable context_switches : int;
   mutable contexts_free : int list;
-  mutable misc_a : int;
-  mutable misc_b : int; (* digest of [console] and [contexts_free], see [misc_digest] *)
+  dg : int array; (* the machine's digest cell, see [fingerprint] *)
   disk : Uldma_io.Disk.t option;
   mutable trace : Uldma_obs.Trace.t;
   mutable machine : int;
@@ -65,11 +64,12 @@ type t = {
 
 let kernel_pid = -1
 
-(* The console and the free-context list as one additive digest: the
-   console as the sequence of its entries' pids and values, oldest
-   first, in domain 7; the free list as the sequence of its contexts,
-   head first, in domain 8 (Fp128.seq_digest). A print adds one entry's
-   terms; a free-list change re-sums that (short) list. *)
+(* The console's and the free-context list's terms in the machine's
+   digest cell: the console as the sequence of its entries' pids and
+   values, oldest first, in domain 7; the free list as the sequence of
+   its contexts, head first, in domain 8 (Fp128.seq_digest). A print
+   adds one entry's terms; a free-list change re-sums that (short)
+   list. [misc_digest] recomputes both from scratch. *)
 let console_base = Fp128.domain 7
 let free_digest = Fp128.seq_digest (Fp128.domain 8)
 
@@ -79,6 +79,12 @@ let misc_digest ~console ~contexts_free =
       (List.concat_map (fun (pid, value) -> [ pid; value ]) (List.rev console))
   and fa, fb = free_digest contexts_free in
   (ca + fa, cb + fb)
+
+let set_contexts_free t l =
+  let oa, ob = free_digest t.contexts_free and na, nb = free_digest l in
+  t.dg.(0) <- t.dg.(0) - oa + na;
+  t.dg.(1) <- t.dg.(1) - ob + nb;
+  t.contexts_free <- l
 
 let build_backend spec ram =
   match spec with
@@ -125,16 +131,14 @@ let create config =
   let clock = Clock.create () in
   let ram = Phys_mem.create ~size:config.ram_size in
   let backend = build_backend config.backend ram in
+  let dg = [| 0; 0 |] in
   let engine =
     Engine.create ~clock ~backend ~ram_size:config.ram_size ~mechanism:config.mechanism
       ~n_contexts:config.n_contexts
-      ~iotlb_walk_ps:(Timing.iotlb_walk_ps config.timing) ()
+      ~iotlb_walk_ps:(Timing.iotlb_walk_ps config.timing) ~dg ()
   in
   let bus = Bus.create ~clock ~timing:config.timing ~ram engine in
   Bus.register_device bus Engine.device;
-  let rec range i n = if i >= n then [] else i :: range (i + 1) n in
-  let contexts_free = range 0 config.n_contexts in
-  let misc_a, misc_b = misc_digest ~console:[] ~contexts_free in
   let t =
     {
       config;
@@ -142,7 +146,7 @@ let create config =
       ram;
       bus;
       engine;
-      write_buffer = Write_buffer.create config.write_buffer;
+      write_buffer = Write_buffer.create ~dg config.write_buffer;
       sched = Sched.create config.sched;
       vm = Vm.create ~ram_size:config.ram_size;
       pal = Pal.create ();
@@ -154,14 +158,15 @@ let create config =
       hooks = [];
       console = [];
       context_switches = 0;
-      contexts_free;
-      misc_a;
-      misc_b;
+      contexts_free = [];
+      dg;
       disk = Option.map Uldma_io.Disk.create config.disk;
       trace = Uldma_obs.Trace.null;
       machine = 0;
     }
   in
+  let rec range i n = if i >= n then [] else i :: range (i + 1) n in
+  set_contexts_free t (range 0 config.n_contexts);
   (* pick up the process-global ambient sink so that kernels built deep
      inside experiment harnesses are traced without parameter threading;
      on the (disabled) null sink this is all free *)
@@ -187,7 +192,8 @@ let copy t =
   let clock = Clock.copy t.clock in
   let ram = Phys_mem.copy t.ram in
   let backend = build_backend t.config.backend ram in
-  let engine = Engine.copy t.engine ~clock ~backend in
+  let dg = Array.copy t.dg in
+  let engine = Engine.copy t.engine ~dg ~clock ~backend in
   let bus = Bus.copy t.bus ~ram ~clock engine in
   let procs = List.map Process.copy t.procs in
   let fork =
@@ -197,7 +203,7 @@ let copy t =
       ram;
       bus;
       engine;
-      write_buffer = Write_buffer.copy t.write_buffer;
+      write_buffer = Write_buffer.copy t.write_buffer ~dg;
       sched = Sched.copy t.sched;
       vm = Vm.copy t.vm;
       pal = Pal.copy t.pal;
@@ -206,6 +212,7 @@ let copy t =
       current =
         (match t.current with Some p -> Some (process_of_pid p.Process.pid procs) | None -> None);
       disk = Option.map Uldma_io.Disk.copy t.disk;
+      dg;
     }
   in
   (* forks share the parent's sink and machine id (the copied bus and
@@ -353,12 +360,6 @@ let map_shadow_alias t (p : Process.t) ~vaddr ~n ~window =
            ~perms:pte.Pte.perms ())
   done;
   vaddr + va_offset
-
-let set_contexts_free t l =
-  let oa, ob = free_digest t.contexts_free and na, nb = free_digest l in
-  t.misc_a <- t.misc_a - oa + na;
-  t.misc_b <- t.misc_b - ob + nb;
-  t.contexts_free <- l
 
 let alloc_dma_context t (p : Process.t) =
   match t.contexts_free with
@@ -696,8 +697,8 @@ let print t pid value =
     + f (console_base + n + 1) pid
     + f (console_base + n + 2) value
   in
-  t.misc_a <- t.misc_a + term Fp128.int_term_a;
-  t.misc_b <- t.misc_b + term Fp128.int_term_b;
+  t.dg.(0) <- t.dg.(0) + term Fp128.int_term_a;
+  t.dg.(1) <- t.dg.(1) + term Fp128.int_term_b;
   t.console <- (pid, value) :: t.console
 
 let rec handle_syscall t (p : Process.t) =
@@ -1070,11 +1071,13 @@ let state_encoding ?relative_to t =
   Buffer.contents buf
 
 (* The fingerprint key. Everything that has a write-maintained additive
-   digest enters as one sum over disjoint slot domains: the process
-   table (Process.digest, with pc, access count and residual text
-   folded in here), the DMA engine (Engine.digest), the write buffer,
-   the console and free-context list, and the RAM pages diverged from
-   the baseline (Phys_mem.add_diverged). The sum is streamed after the
+   digest enters as one sum over disjoint slot domains: the machine's
+   digest cell [t.dg], into which the DMA engine (with its contexts,
+   matcher and IOTLB), the write buffer, the console and the
+   free-context list write their terms; the process table
+   (Process.digest, with pc, access count and residual text folded in
+   here); and the RAM pages diverged from the baseline
+   (Phys_mem.add_diverged). The sum is streamed after the
    running pid and a flags word (force-switch, hooks), followed only
    by what depends on the clock: each sleeper's remaining time (which
    processes sleep is digested) and the engine's in-flight transfers
@@ -1123,6 +1126,14 @@ let rec fold_procs counts base acc = function
 (* The machine digest's lane accumulator, reused like [key_stream]. *)
 let key_acc = [| 0; 0 |]
 
+let digest_cell t = (t.dg.(0), t.dg.(1))
+
+let scratch_digest_cell t =
+  let ea, eb = Engine.scratch_digest t.engine in
+  let wa, wb = Write_buffer.scratch_digest t.write_buffer in
+  let ma, mb = misc_digest ~console:t.console ~contexts_free:t.contexts_free in
+  (ea + wa + ma, eb + wb + mb)
+
 let scratch_fingerprint ?relative_to t =
   let rec procs base a b = function
     | [] -> (a, b)
@@ -1136,23 +1147,19 @@ let scratch_fingerprint ?relative_to t =
       procs base (a + pa) (b + pb) rest
   in
   let pa, pb = procs (match relative_to with Some root -> root.procs | None -> []) 0 0 t.procs in
-  let ea, eb = Engine.scratch_digest t.engine in
-  let wa, wb = Write_buffer.scratch_digest t.write_buffer in
-  let ma, mb = misc_digest ~console:t.console ~contexts_free:t.contexts_free in
+  let ca, cb = scratch_digest_cell t in
   let ra, rb =
     Phys_mem.scratch_diverged t.ram ~baseline:(Option.map (fun root -> root.ram) relative_to)
   in
-  finish t (pa + ea + wa + ma + ra) (pb + eb + wb + mb + rb)
+  finish t (pa + ca + ra) (pb + cb + rb)
 
 let fingerprint ?relative_to t =
   match relative_to with
   | Some root when root.ram != t.ram ->
     let acc = key_acc in
-    acc.(0) <- t.misc_a;
-    acc.(1) <- t.misc_b;
+    acc.(0) <- t.dg.(0);
+    acc.(1) <- t.dg.(1);
     fold_procs (Bus.access_counts t.bus) root.procs acc t.procs;
-    Engine.add_digest t.engine acc;
-    Write_buffer.add_digest t.write_buffer acc;
     Phys_mem.add_diverged t.ram ~baseline:root.ram acc;
     finish t acc.(0) acc.(1)
   | Some _ | None -> scratch_fingerprint ?relative_to t

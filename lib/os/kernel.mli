@@ -49,7 +49,8 @@ val create : config -> t
 
 val copy : t -> t
 (** Independent snapshot (explorer support). Process contexts, engine
-    registers, clock, scheduler and write buffer are duplicated. Tables
+    registers, clock, scheduler and write buffer are duplicated, and
+    the digest cell ({!digest_cell}) they write is copied once. Tables
     the next leg rarely writes are shared: RAM by 512 B copy-on-write
     chunk, page tables as persistent maps, the TLBs and the IOTLB
     copy-on-write (the first write on either side copies), and the PAL
@@ -125,17 +126,30 @@ val state_encoding : ?relative_to:t -> t -> string
     that differ only in a process's program therefore never share an
     encoding while their residual texts differ. *)
 
+val digest_cell : t -> int * int
+(** The two lanes of the machine's digest cell: one two-lane int array
+    that {!create} allocates and {!copy} copies, into which the DMA
+    engine (with its register contexts, matcher and IOTLB), the write
+    buffer, the console and the free-context list write their additive
+    terms ({!Uldma_util.Fp128.replace_int}) on every change, from
+    creation on. *)
+
+val scratch_digest_cell : t -> int * int
+(** {!digest_cell} recomputed from those components' [scratch_digest]s
+    and the console and free list: the reference it must always
+    equal. *)
+
 val fingerprint : ?relative_to:t -> t -> int * int * int
 (** The explorer's memo key: the two finalised lanes of a 126-bit
     fingerprint of the state {!state_encoding} encodes, and the bytes
     streamed to make it. The key is the machine's maintained digest:
     every component with a write-maintained additive digest enters as
     one sum over disjoint slot domains ({!Uldma_util.Fp128.domain}) —
-    the process table ({!Process.digest}, into which each process's pc,
-    uncached-access count and residual text are folded here, only when
-    they changed), the DMA engine ({!Uldma_dma.Engine.digest}), the
-    write buffer, the console and free-context list, and the RAM pages
-    diverged from [relative_to] ({!Phys_mem.add_diverged}). Only the
+    the digest cell ({!digest_cell}); the process table
+    ({!Process.digest}, into which each process's pc, uncached-access
+    count and residual text are folded here, only when they changed);
+    and the RAM pages diverged from [relative_to]
+    ({!Phys_mem.add_diverged}). Only the
     running pid, a flags word (force-switch, hooks), that sum and what
     depends on the clock are streamed: each sleeper's remaining time
     and each in-flight transfer's, plus the engine's capability,

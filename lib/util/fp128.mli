@@ -98,7 +98,12 @@ val seq_digest : int -> int list -> int * int
     lost. *)
 
 (** Upkeep. A digest lives in two adjacent cells [d.(i)] (lane a) and
-    [d.(i + 1)] (lane b) of an int array; each call updates both. *)
+    [d.(i + 1)] (lane b) of an int array; each call updates both. A
+    machine keeps one such cell, from creation on: the DMA engine (with
+    its register contexts, matcher and IOTLB), the write buffer, the
+    console and the free-context list all add their terms to it
+    directly. Each process's register file and each RAM page keep lanes
+    of their own, which the key folds in. *)
 
 val replace_int : int array -> int -> int -> int -> int -> unit
 (** [replace_int d i slot old v]: [slot]'s native-int value changes

@@ -105,7 +105,7 @@ let collect () =
 let emitted out = List.rev !out
 
 let test_wbuf_ordered_passthrough () =
-  let wb = Write_buffer.create Write_buffer.Ordered in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] Write_buffer.Ordered in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
@@ -116,14 +116,14 @@ let test_wbuf_ordered_passthrough () =
 let bypass = Write_buffer.Bypass { forward = true; collapse = true }
 
 let test_wbuf_bypass_buffers () =
-  let wb = Write_buffer.create bypass in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] bypass in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Alcotest.(check (list (pair int int))) "nothing emitted" [] (emitted out);
   Alcotest.(check (list (pair int int))) "pending" [ (8, 1) ] (Write_buffer.pending wb)
 
 let test_wbuf_collapse () =
-  let wb = Write_buffer.create bypass in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] bypass in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Write_buffer.store wb ~emit () ~paddr:8 ~value:2;
@@ -133,7 +133,7 @@ let test_wbuf_collapse () =
     (emitted out)
 
 let test_wbuf_no_collapse_mode () =
-  let wb = Write_buffer.create (Write_buffer.Bypass { forward = true; collapse = false }) in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] (Write_buffer.Bypass { forward = true; collapse = false }) in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Write_buffer.store wb ~emit () ~paddr:8 ~value:2;
@@ -142,7 +142,7 @@ let test_wbuf_no_collapse_mode () =
   ignore (emitted out)
 
 let test_wbuf_forwarding () =
-  let wb = Write_buffer.create bypass in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] bypass in
   let _, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:42;
   (match Write_buffer.load wb ~paddr:8 with
@@ -152,13 +152,13 @@ let test_wbuf_forwarding () =
   checkb "store stays buffered after forward" true (Write_buffer.pending wb <> [])
 
 let test_wbuf_no_forward_mode () =
-  let wb = Write_buffer.create (Write_buffer.Bypass { forward = false; collapse = true }) in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] (Write_buffer.Bypass { forward = false; collapse = true }) in
   let _, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:42;
   checkb "load bypasses without forwarding" true (Write_buffer.load wb ~paddr:8 = `To_bus)
 
 let test_wbuf_barrier_fifo () =
-  let wb = Write_buffer.create bypass in
+  let wb = Write_buffer.create ~dg:[| 0; 0 |] bypass in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
@@ -169,7 +169,7 @@ let test_wbuf_barrier_fifo () =
   checkb "empty after barrier" true (Write_buffer.pending wb = [])
 
 let test_wbuf_capacity_drain () =
-  let wb = Write_buffer.create ~capacity:2 bypass in
+  let wb = Write_buffer.create ~capacity:2 ~dg:[| 0; 0 |] bypass in
   let out, emit = collect () in
   Write_buffer.store wb ~emit () ~paddr:8 ~value:1;
   Write_buffer.store wb ~emit () ~paddr:16 ~value:2;
@@ -181,7 +181,7 @@ let wbuf_barrier_empties =
   qtest "write_buffer: after a barrier nothing is pending"
     QCheck2.Gen.(list_size (int_range 0 20) (pair (int_range 0 7) (int_range 0 100)))
     (fun stores ->
-      let wb = Write_buffer.create bypass in
+      let wb = Write_buffer.create ~dg:[| 0; 0 |] bypass in
       let _, emit = collect () in
       List.iter (fun (slot, value) -> Write_buffer.store wb ~emit () ~paddr:(slot * 8) ~value) stores;
       Write_buffer.barrier wb ~emit ();
@@ -191,7 +191,7 @@ let wbuf_forward_returns_latest =
   qtest "write_buffer: forwarding returns the most recent store"
     QCheck2.Gen.(list_size (int_range 1 4) (int_range 0 100))
     (fun values ->
-      let wb = Write_buffer.create (Write_buffer.Bypass { forward = true; collapse = false }) in
+      let wb = Write_buffer.create ~dg:[| 0; 0 |] (Write_buffer.Bypass { forward = true; collapse = false }) in
       let _, emit = collect () in
       List.iter (fun value -> Write_buffer.store wb ~emit () ~paddr:8 ~value) values;
       match (Write_buffer.load wb ~paddr:8, List.rev values) with
@@ -199,12 +199,15 @@ let wbuf_forward_returns_latest =
       | `To_bus, _ | `Forwarded _, [] -> false)
 
 (* model-based fuzz for the bypass buffer: compare against a reference
-   bounded FIFO with collapse and store-to-load forwarding *)
+   bounded FIFO with collapse and store-to-load forwarding; after every
+   op the buffer's digest cell must equal the digest recomputed from
+   its queue *)
 let wbuf_model_fuzz =
   qtest "write_buffer: agrees with a reference queue" ~count:300
     QCheck2.Gen.(list_size (int_range 1 40) (triple (int_range 0 2) (int_range 0 5) (int_range 0 99)))
     (fun script ->
-      let wb = Write_buffer.create ~capacity:4 bypass in
+      let dg = [| 0; 0 |] in
+      let wb = Write_buffer.create ~capacity:4 ~dg bypass in
       let model = ref [] (* oldest first *) in
       let emitted_real = ref [] and emitted_model = ref [] in
       let emit_real () ~paddr ~value = emitted_real := (paddr, value) :: !emitted_real in
@@ -226,7 +229,7 @@ let wbuf_model_fuzz =
       List.for_all
         (fun (op, slot, value) ->
           let paddr = slot * 8 in
-          match op with
+          (match op with
           | 0 ->
             Write_buffer.store wb ~emit:emit_real () ~paddr ~value;
             model_store paddr value;
@@ -244,6 +247,7 @@ let wbuf_model_fuzz =
             List.iter (fun (p, v) -> emit_model p v) !model;
             model := [];
             true)
+          && (dg.(0), dg.(1)) = Write_buffer.scratch_digest wb)
         script
       && !emitted_real = !emitted_model
       && Write_buffer.pending wb = !model)

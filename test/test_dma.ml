@@ -13,15 +13,21 @@ let checkb = Alcotest.(check bool)
 let qtest ?(count = 300) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
+(* A machine's two-lane digest cell, and its lanes as a pair. *)
+let cell () = [| 0; 0 |]
+let lanes dg = (dg.(0), dg.(1))
+
 (* ------------------------------------------------------------------ *)
 (* Seq_matcher *)
 
 let feed m op paddr value = Seq_matcher.feed m op ~paddr ~value
 
+let matcher ?(dg = cell ()) variant = Seq_matcher.create ~dg variant
+
 let fired = function Seq_matcher.Fired _ -> true | Seq_matcher.Accepted | Seq_matcher.Rejected -> false
 
 let test_matcher_five_happy () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let m = matcher Seq_matcher.Five in
   let d = 0x1000 and s = 0x2000 and size = 64 in
   checkb "s1" true (feed m Txn.Store d size = Seq_matcher.Accepted);
   checkb "l2" true (feed m Txn.Load s 0 = Seq_matcher.Accepted);
@@ -36,14 +42,14 @@ let test_matcher_five_happy () =
   | Seq_matcher.Accepted | Seq_matcher.Rejected -> Alcotest.fail "expected fire"
 
 let test_matcher_three_happy () =
-  let m = Seq_matcher.create Seq_matcher.Three in
+  let m = matcher Seq_matcher.Three in
   let d = 0x1000 and s = 0x2000 in
   ignore (feed m Txn.Load s 0);
   ignore (feed m Txn.Store d 32);
   checkb "fires" true (fired (feed m Txn.Load s 0))
 
 let test_matcher_four_happy () =
-  let m = Seq_matcher.create Seq_matcher.Four in
+  let m = matcher Seq_matcher.Four in
   let d = 0x1000 and s = 0x2000 in
   ignore (feed m Txn.Store d 32);
   ignore (feed m Txn.Load s 0);
@@ -56,7 +62,7 @@ let test_matcher_lengths () =
   checki "five" 5 (Seq_matcher.sequence_length Seq_matcher.Five)
 
 let test_matcher_wrong_address_resets () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let m = matcher Seq_matcher.Five in
   ignore (feed m Txn.Store 0x1000 64);
   ignore (feed m Txn.Load 0x2000 0);
   (* third access to a different destination: reset *)
@@ -65,13 +71,13 @@ let test_matcher_wrong_address_resets () =
   checki "position 1" 1 (Seq_matcher.position m)
 
 let test_matcher_size_mismatch_resets () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let m = matcher Seq_matcher.Five in
   ignore (feed m Txn.Store 0x1000 64);
   ignore (feed m Txn.Load 0x2000 0);
   checkb "size changed" true (feed m Txn.Store 0x1000 65 = Seq_matcher.Rejected)
 
 let test_matcher_wrong_op_resets () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let m = matcher Seq_matcher.Five in
   ignore (feed m Txn.Store 0x1000 64);
   (* second access must be a load *)
   checkb "store rejected" true (feed m Txn.Store 0x2000 64 = Seq_matcher.Rejected);
@@ -82,13 +88,13 @@ let test_matcher_wrong_op_resets () =
   checkb "new sequence completes" true (fired (feed m Txn.Load 0x2000 0))
 
 let test_matcher_load_cannot_seed_five () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let m = matcher Seq_matcher.Five in
   checkb "lone load rejected" true (feed m Txn.Load 0x1000 0 = Seq_matcher.Rejected);
   checki "no seed" 0 (Seq_matcher.position m)
 
 let test_matcher_fig5_stream () =
   (* the Fig. 5 interleaving at transaction level (Three variant) *)
-  let m = Seq_matcher.create Seq_matcher.Three in
+  let m = matcher Seq_matcher.Three in
   let a = 0x1000 and b = 0x2000 and c = 0x3000 and foo = 0x4000 in
   ignore (feed m Txn.Load a 0) (* V: 1 *);
   ignore (feed m Txn.Store foo 8 (* M *));
@@ -102,7 +108,7 @@ let test_matcher_fig5_stream () =
   | Seq_matcher.Accepted | Seq_matcher.Rejected -> Alcotest.fail "Fig. 5 attack should fire"
 
 let test_matcher_fig6_stream () =
-  let m = Seq_matcher.create Seq_matcher.Four in
+  let m = matcher Seq_matcher.Four in
   let a = 0x1000 and b = 0x2000 in
   ignore (feed m Txn.Store b 64 (* V *));
   ignore (feed m Txn.Load a 0 (* V *));
@@ -112,9 +118,10 @@ let test_matcher_fig6_stream () =
   checkb "victim told failure" true (feed m Txn.Load a 0 = Seq_matcher.Rejected)
 
 let test_matcher_copy_independent () =
-  let m = Seq_matcher.create Seq_matcher.Five in
+  let dg = cell () in
+  let m = matcher ~dg Seq_matcher.Five in
   ignore (feed m Txn.Store 0x1000 64);
-  let m2 = Seq_matcher.copy m in
+  let m2 = Seq_matcher.copy m ~dg:(Array.copy dg) in
   Seq_matcher.reset m2;
   checki "original keeps position" 1 (Seq_matcher.position m);
   checki "copy reset" 0 (Seq_matcher.position m2)
@@ -125,7 +132,7 @@ let matcher_clean_sequence_fires =
   qtest "seq_matcher: clean sequence fires after disjoint noise"
     QCheck2.Gen.(list_size (int_range 0 12) (pair bool (int_range 0 7)))
     (fun noise ->
-      let m = Seq_matcher.create Seq_matcher.Five in
+      let m = matcher Seq_matcher.Five in
       List.iter
         (fun (is_store, slot) ->
           let paddr = 0x10_0000 + (slot * 8) in
@@ -145,7 +152,7 @@ let matcher_fire_implies_pattern =
   qtest "seq_matcher: Fired implies a well-formed suffix" ~count:500
     QCheck2.Gen.(list_size (int_range 5 40) (triple bool (int_range 0 3) (int_range 1 4)))
     (fun stream ->
-      let m = Seq_matcher.create Seq_matcher.Five in
+      let m = matcher Seq_matcher.Five in
       let history = ref [] in
       List.for_all
         (fun (is_store, slot, size) ->
@@ -179,17 +186,16 @@ let matcher_digest_matches_recomputed =
     QCheck2.Gen.(
       pair
         (oneofl Seq_matcher.[ Three; Four; Five ])
-        (quad gen_stream gen_stream gen_stream gen_stream))
-    (fun (variant, (unbuilt, before, parent_after, child_after)) ->
-      let m = Seq_matcher.create variant in
-      List.iter (apply m) unbuilt;
-      ignore (Seq_matcher.digest m : int * int);
+        (triple gen_stream gen_stream gen_stream))
+    (fun (variant, (before, parent_after, child_after)) ->
+      let dg = cell () in
+      let m = matcher ~dg variant in
       List.iter (apply m) before;
-      let c = Seq_matcher.copy m in
+      let cdg = Array.copy dg in
+      let c = Seq_matcher.copy m ~dg:cdg in
       List.iter (apply c) child_after;
       List.iter (apply m) parent_after;
-      Seq_matcher.digest m = Seq_matcher.scratch_digest m
-      && Seq_matcher.digest c = Seq_matcher.scratch_digest c)
+      lanes dg = Seq_matcher.scratch_digest m && lanes cdg = Seq_matcher.scratch_digest c)
 
 (* ------------------------------------------------------------------ *)
 (* Context_file *)
@@ -197,18 +203,18 @@ let matcher_digest_matches_recomputed =
 let test_ctx_create_bounds () =
   checkb "zero rejected" true
     (try
-       ignore (Context_file.create ~n:0 : Context_file.t);
+       ignore (Context_file.create ~n:0 ~dg:(cell ()) : Context_file.t);
        false
      with Invalid_argument _ -> true);
   checkb "nine rejected" true
     (try
-       ignore (Context_file.create ~n:9 : Context_file.t);
+       ignore (Context_file.create ~n:9 ~dg:(cell ()) : Context_file.t);
        false
      with Invalid_argument _ -> true);
-  checki "length" 4 (Context_file.length (Context_file.create ~n:4))
+  checki "length" 4 (Context_file.length (Context_file.create ~n:4 ~dg:(cell ())))
 
 let test_ctx_slots_alternate () =
-  let t = Context_file.create ~n:2 in
+  let t = Context_file.create ~n:2 ~dg:(cell ()) in
   let c = Context_file.get t 0 in
   Context_file.push_address c 0x100;
   Context_file.push_address c 0x200;
@@ -220,13 +226,13 @@ let test_ctx_slots_alternate () =
     "ready" (Some (0x200, 0x100, 64)) (Context_file.args_ready c)
 
 let test_ctx_third_push_wraps () =
-  let t = Context_file.create ~n:1 in
+  let t = Context_file.create ~n:1 ~dg:(cell ()) in
   let c = Context_file.get t 0 in
   List.iter (Context_file.push_address c) [ 1; 2; 3 ];
   Alcotest.(check (option int)) "dest overwritten" (Some 3) c.Context_file.dest
 
 let test_ctx_clear_and_reset () =
-  let t = Context_file.create ~n:1 in
+  let t = Context_file.create ~n:1 ~dg:(cell ()) in
   let c = Context_file.get t 0 in
   Context_file.set_key t ~context:0 ~key:42;
   Context_file.push_address c 0x100;
@@ -240,7 +246,7 @@ let test_ctx_clear_and_reset () =
   checki "status reset" 0 c.Context_file.status
 
 let test_ctx_get_bounds () =
-  let t = Context_file.create ~n:2 in
+  let t = Context_file.create ~n:2 ~dg:(cell ()) in
   checkb "mem in range" true (Context_file.mem t 1);
   checkb "mem out of range" false (Context_file.mem t 2);
   checkb "get raises" true
@@ -250,9 +256,10 @@ let test_ctx_get_bounds () =
      with Invalid_argument _ -> true)
 
 let test_ctx_copy_independent () =
-  let t = Context_file.create ~n:2 in
+  let dg = cell () in
+  let t = Context_file.create ~n:2 ~dg in
   Context_file.set_key t ~context:0 ~key:7;
-  let t2 = Context_file.copy t in
+  let t2 = Context_file.copy t ~dg:(Array.copy dg) in
   Context_file.set_key t2 ~context:0 ~key:9;
   checki "original key" 7 (Context_file.get t 0).Context_file.key
 
@@ -330,7 +337,7 @@ let test_transfer_local_backend () =
 
 let ram_pages = 16
 
-let make_engine ?(mechanism = Engine.Key_based) ?(local = false) ?n_contexts () =
+let make_engine ?(mechanism = Engine.Key_based) ?(local = false) ?n_contexts ?(dg = cell ()) () =
   let clock = Clock.create () in
   let ram = Phys_mem.create ~size:(ram_pages * Layout.page_size) in
   let backend =
@@ -338,7 +345,7 @@ let make_engine ?(mechanism = Engine.Key_based) ?(local = false) ?n_contexts () 
     else Transfer.null_backend
   in
   let engine =
-    Engine.create ~clock ~backend ~ram_size:(Phys_mem.size ram) ~mechanism ?n_contexts ()
+    Engine.create ~clock ~backend ~ram_size:(Phys_mem.size ram) ~mechanism ?n_contexts ~dg ()
   in
   (engine, clock, ram)
 
@@ -1030,10 +1037,11 @@ let test_engine_capio_pid_revocation () =
   checkb "revoked reject" true (rejected sink Engine.Revoked_capability)
 
 let test_engine_copy_independent () =
-  let engine, clock, ram = make_engine () in
+  let dg = cell () in
+  let engine, clock, ram = make_engine ~dg () in
   dstore engine (Shadow.encode 0x3000) (key_word 0 0);
   let copy =
-    Engine.copy engine ~clock:(Clock.copy clock)
+    Engine.copy engine ~dg:(Array.copy dg) ~clock:(Clock.copy clock)
       ~backend:(Transfer.local_backend (Phys_mem.copy ram) ~setup_ps:0 ~bytes_per_s:1e9)
   in
   dstore copy (control Regmap.k_source) 0;
@@ -1044,10 +1052,10 @@ let test_engine_copy_independent () =
 
 (* Digest upkeep against the from-scratch builder: random transaction
    scripts on every mechanism (kernel page, context pages and the
-   shadow window, atomic forms included), with the digest first built
-   at a random point of the script, then a copy taken and both sides
-   written on. Each side's maintained digest must equal its
-   recomputation, and so must its context file's. *)
+   shadow window, atomic forms included), then a copy taken with a copy
+   of the cell and both sides written on. Each side's cell must equal
+   its engine's recomputation, which sums the engine's own terms and
+   its contexts', matcher's and IOTLB's. *)
 let engine_digest_matches_recomputed =
   let mechanisms =
     Engine.
@@ -1098,26 +1106,22 @@ let engine_digest_matches_recomputed =
   let apply e (store, paddr, value) =
     if store then dstore e paddr value else ignore (dload e paddr : int)
   in
-  let consistent e =
-    Engine.digest e = Engine.scratch_digest e
-    && Context_file.digest (Engine.contexts e) = Context_file.scratch_digest (Engine.contexts e)
-  in
+  let consistent dg e = lanes dg = Engine.scratch_digest e in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"engine: maintained digest equals recomputed digest"
        QCheck2.Gen.(
          pair
            (pair (oneofl mechanisms) bool)
-           (quad gen_script gen_script gen_script gen_script))
-       (fun ((mechanism, local), (unbuilt, before, parent_after, child_after)) ->
-         let e, clock, _ = make_engine ~mechanism ~local () in
-         List.iter (apply e) unbuilt;
-         ignore (Engine.digest e : int * int);
-         ignore (Context_file.digest (Engine.contexts e) : int * int);
+           (triple gen_script gen_script gen_script))
+       (fun ((mechanism, local), (before, parent_after, child_after)) ->
+         let dg = cell () in
+         let e, clock, _ = make_engine ~mechanism ~local ~dg () in
          List.iter (apply e) before;
-         let c = Engine.copy e ~clock:(Clock.copy clock) ~backend:Transfer.null_backend in
+         let cdg = Array.copy dg in
+         let c = Engine.copy e ~dg:cdg ~clock:(Clock.copy clock) ~backend:Transfer.null_backend in
          List.iter (apply c) child_after;
          List.iter (apply e) parent_after;
-         consistent e && consistent c))
+         consistent dg e && consistent cdg c))
 
 (* The clock-relative view is fed at key time, outside the digest: two
    engines whose only difference is how long ago a slow transfer
@@ -1126,22 +1130,22 @@ let engine_digest_matches_recomputed =
 let test_engine_fp_sees_remaining_time () =
   let clock = Clock.create () in
   let backend = { Transfer.null_backend with Transfer.duration_ps = (fun _ -> 1_000_000) } in
+  let dg = cell () in
   let e = Engine.create ~clock ~backend ~ram_size:(ram_pages * Layout.page_size)
-      ~mechanism:Engine.Key_based () in
+      ~mechanism:Engine.Key_based ~dg () in
   dstore e (control Regmap.k_source) 0;
   dstore e (control Regmap.k_dest) 64;
   dstore e (control Regmap.k_size) 8;
   let at dt =
-    let clock = Clock.copy clock in
+    let clock = Clock.copy clock and dg = Array.copy dg in
     Clock.advance clock dt;
-    Engine.copy e ~clock ~backend
+    (Engine.copy e ~dg ~clock ~backend, dg)
   in
-  let a = at 1 and b = at 2 in
-  let fp e =
+  let (a, adg) = at 1 and (b, bdg) = at 2 in
+  let fp e dg =
     let f = Fp128.create () in
-    let a, b = Engine.digest e in
-    Fp128.add_int f a;
-    Fp128.add_int f b;
+    Fp128.add_int f dg.(0);
+    Fp128.add_int f dg.(1);
     Engine.add_live f e;
     Fp128.key f
   in
@@ -1153,23 +1157,29 @@ let test_engine_fp_sees_remaining_time () =
   let status e = dload e (control Regmap.k_status) in
   checki "same remaining bytes" (status a) (status b);
   checkb "paranoid encodings differ" true (text a <> text b);
-  checkb "fingerprints differ" true (fp a <> fp b)
+  checkb "fingerprints differ" true (fp a adg <> fp b bdg)
 
 (* Fresh registers digest to (0, 0): every register enters as value
-   xor its reset value, and the matcher's reset variant is [Five]. *)
+   xor its reset value, and the matcher's reset variant is [Five]. A
+   [Three] matcher adds its variant's term to the cell at [create]. *)
 let test_engine_fresh_digest_zero () =
   List.iter
     (fun mechanism ->
-      let e, _, _ = make_engine ~mechanism () in
+      let dg = cell () in
+      let e, _, _ = make_engine ~mechanism ~dg () in
       checkb "fresh engine digests to zero" true (Engine.scratch_digest e = (0, 0));
-      checkb "built digest agrees" true (Engine.digest e = (0, 0));
+      checkb "its cell agrees" true (lanes dg = (0, 0));
       checkb "fresh contexts digest to zero" true
-        (Context_file.digest (Engine.contexts e) = (0, 0)))
+        (Context_file.scratch_digest (Engine.contexts e) = (0, 0)))
     Engine.[ Shrimp_mapped; Flash; Key_based; Ext_shadow; Rep_args Seq_matcher.Five; Capio ];
+  let dg = cell () in
+  let m = matcher ~dg Seq_matcher.Five in
   checkb "fresh Five matcher digests to zero" true
-    (Seq_matcher.digest (Seq_matcher.create Seq_matcher.Five) = (0, 0));
-  checkb "a Three matcher does not" true
-    (Seq_matcher.digest (Seq_matcher.create Seq_matcher.Three) <> (0, 0))
+    (lanes dg = (0, 0) && Seq_matcher.scratch_digest m = (0, 0));
+  let dg = cell () in
+  let m = matcher ~dg Seq_matcher.Three in
+  checkb "a Three matcher does not" true (lanes dg <> (0, 0));
+  checkb "and seeds its cell at create" true (lanes dg = Seq_matcher.scratch_digest m)
 
 let () =
   Alcotest.run "dma"

@@ -225,7 +225,7 @@ let iotlb_apply iotlb pt = function
    direct page-table walk — hit, miss-and-fill, or fault alike *)
 let iotlb_agrees_with_walk_prop =
   qtest "iotlb: translate agrees with direct walk" iotlb_script_with_flush_gen (fun script ->
-      let iotlb = Iotlb.create ~sets:4 ~ways:2 () in
+      let iotlb = Iotlb.create ~sets:4 ~ways:2 ~dg:[| 0; 0 |] () in
       let pt = Page_table.create () in
       List.for_all
         (fun op ->
@@ -255,7 +255,7 @@ let iotlb_agrees_with_walk_prop =
 let iotlb_determinism_prop =
   qtest "iotlb: refill/invalidate deterministic" iotlb_script_with_flush_gen (fun script ->
       let run () =
-        let iotlb = Iotlb.create ~sets:4 ~ways:2 () in
+        let iotlb = Iotlb.create ~sets:4 ~ways:2 ~dg:[| 0; 0 |] () in
         let pt = Page_table.create () in
         List.iter (fun op -> iotlb_apply iotlb pt op) script;
         (iotlb, pt)
@@ -273,10 +273,11 @@ let iotlb_encode_iff_contents_prop =
   qtest "iotlb: encode equality iff same contents"
     QCheck2.Gen.(pair iotlb_script_with_flush_gen (list_size (int_range 1 30) (int_range 0 63)))
     (fun (script, probes) ->
-      let iotlb = Iotlb.create ~sets:4 ~ways:2 () in
+      let dg = [| 0; 0 |] in
+      let iotlb = Iotlb.create ~sets:4 ~ways:2 ~dg () in
       let pt = Page_table.create () in
       List.iter (fun op -> iotlb_apply iotlb pt op) script;
-      let snap = Iotlb.copy iotlb in
+      let snap = Iotlb.copy iotlb ~dg:(Array.copy dg) in
       String.equal (iotlb_encode_str snap) (iotlb_encode_str iotlb)
       && (* equal encodings evolve identically: same hit/miss stream *)
       List.for_all
@@ -295,7 +296,8 @@ let iotlb_encode_iff_contents_prop =
 
 (* 4. digest upkeep against a from-scratch recomputation: after any
    script (fills, invalidations, flushes) on a cache and on a copy
-   taken mid-script, each side's maintained digest equals the lane sums
+   taken mid-script with a copy of the cell, each side's cell equals
+   both its [scratch_digest] and the lane sums
    of [Fp128.int_term] recomputed from its canonical text encoding —
    slot k's vpage, frame and permission bits (plus the valid bit) at
    digest slots 3k..3k+2, set s's victim cursor at 3 * slots + s, all
@@ -329,16 +331,21 @@ let iotlb_digest_matches_recomputed_prop =
     QCheck2.Gen.(
       triple iotlb_script_with_flush_gen iotlb_script_with_flush_gen iotlb_script_with_flush_gen)
     (fun (before, parent_after, child_after) ->
-      let iotlb = Iotlb.create ~sets:4 ~ways:2 () in
+      let dg = [| 0; 0 |] in
+      let iotlb = Iotlb.create ~sets:4 ~ways:2 ~dg () in
       let pt = Page_table.create () in
       List.iter (iotlb_apply iotlb pt) before;
-      let child = Iotlb.copy iotlb and cpt = Page_table.copy pt in
+      let cdg = Array.copy dg in
+      let child = Iotlb.copy iotlb ~dg:cdg and cpt = Page_table.copy pt in
       List.iter (iotlb_apply child cpt) child_after;
       List.iter (iotlb_apply iotlb pt) parent_after;
-      Iotlb.digest iotlb = iotlb_digest_recomputed iotlb ~slots:8
-      && Iotlb.digest child = iotlb_digest_recomputed child ~slots:8
+      let consistent dg t =
+        (dg.(0), dg.(1)) = iotlb_digest_recomputed t ~slots:8
+        && (dg.(0), dg.(1)) = Iotlb.scratch_digest t
+      in
+      consistent dg iotlb && consistent cdg child
       && (Iotlb.flush child;
-          Iotlb.digest child = (0, 0)))
+          (cdg.(0), cdg.(1)) = (0, 0)))
 
 (* ------------------------------------------------------------------ *)
 (* Copy-on-write machine tables *)
@@ -354,8 +361,9 @@ let iotlb_digest_matches_recomputed_prop =
    writing after a fork, copies of copies, flushes of shared tables,
    and a fresh table flushed and refilled. Afterwards every machine must
    answer every TLB lookup like its oracle, hold the same IOTLB entries,
-   encoding and digest (and that digest must equal one recomputed from
-   the encoding), and the same PAL slots. *)
+   encoding and digest cell (each machine has its own, copied at a
+   fork, and it must equal one recomputed from the encoding), and the
+   same PAL slots. *)
 type cow_op =
   | Fork of int * int (* source, destination slot *)
   | Tlb_fill of int * int * int (* machine, vpage, frame *)
@@ -376,12 +384,14 @@ let cow_tables_match_deep_copy_oracle =
     Page_table.map pt ~vpage (pte (vpage + 300) Perms.read_write)
   done;
   let fresh () =
+    let dg = [| 0; 0 |] in
     ( Tlb.create ~slots:tlb_slots (),
-      Iotlb.create ~sets:io_sets ~ways:io_ways (),
-      Uldma_cpu.Pal.create () )
+      Iotlb.create ~sets:io_sets ~ways:io_ways ~dg (),
+      Uldma_cpu.Pal.create (),
+      dg )
   in
   let body tag = Array.init (1 + (tag mod 4)) (fun i -> Uldma_cpu.Isa.Li (i, tag)) in
-  let write (tlb, io, pal) = function
+  let write (tlb, io, pal, _) = function
     | Fork _ -> ()
     | Tlb_fill (_, vpage, frame) -> Tlb.fill tlb ~vpage (pte frame Perms.read_write)
     | Tlb_translate (_, vpage) -> ignore (Tlb.translate tlb pt ~vpage)
@@ -410,8 +420,9 @@ let cow_tables_match_deep_copy_oracle =
   let apply live op =
     match (op, live.(machine_of op)) with
     | _, None -> ()
-    | Fork (_, d), Some ((tlb, io, pal), writes) ->
-      live.(d) <- Some ((Tlb.copy tlb, Iotlb.copy io, Uldma_cpu.Pal.copy pal), writes)
+    | Fork (_, d), Some ((tlb, io, pal, dg), writes) ->
+      let dg = Array.copy dg in
+      live.(d) <- Some ((Tlb.copy tlb, Iotlb.copy io ~dg, Uldma_cpu.Pal.copy pal, dg), writes)
     | op, Some (m, writes) ->
       write m op;
       live.(machine_of op) <- Some (m, op :: writes)
@@ -419,8 +430,8 @@ let cow_tables_match_deep_copy_oracle =
   let same_pte a b =
     match (a, b) with Some a, Some b -> Pte.equal a b | None, None -> true | _ -> false
   in
-  let matches ((tlb, io, pal), writes) =
-    let ((otlb, oio, opal) as oracle) = fresh () in
+  let matches ((tlb, io, pal, dg), writes) =
+    let ((otlb, oio, opal, odg) as oracle) = fresh () in
     List.iter (write oracle) (List.rev writes);
     List.for_all
       (fun vpage -> same_pte (Tlb.lookup tlb ~vpage) (Tlb.lookup otlb ~vpage))
@@ -430,8 +441,8 @@ let cow_tables_match_deep_copy_oracle =
          (fun (v, p) (ov, op) -> v = ov && Pte.equal p op)
          (Iotlb.entries io) (Iotlb.entries oio)
     && String.equal (iotlb_encode_str io) (iotlb_encode_str oio)
-    && Iotlb.digest io = Iotlb.digest oio
-    && Iotlb.digest io = iotlb_digest_recomputed io ~slots:(io_sets * io_ways)
+    && dg = odg
+    && (dg.(0), dg.(1)) = iotlb_digest_recomputed io ~slots:(io_sets * io_ways)
     && Uldma_cpu.Pal.installed pal = Uldma_cpu.Pal.installed opal
     && List.for_all
          (fun i -> Uldma_cpu.Pal.get pal i = Uldma_cpu.Pal.get opal i)
@@ -501,7 +512,7 @@ let test_iotlb_untagged_flush_and_walk_cost () =
   (* flush resets contents *and* victim cursors: a post-flush refill
      re-derives everything from the table, and statistics record the
      charged walks *)
-  let iotlb = Iotlb.create () in
+  let iotlb = Iotlb.create ~dg:[| 0; 0 |] () in
   let pt = Page_table.create () in
   Page_table.map pt ~vpage:7 (pte 3 Perms.read_write);
   (match Iotlb.translate iotlb pt ~vpage:7 with
