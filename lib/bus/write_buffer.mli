@@ -24,7 +24,14 @@ type event = Collapsed of { paddr : int } | Drained of { count : int }
     (the device will never see the first value), or a barrier/overflow
     drained [count] buffered stores. *)
 
-type t
+type t = private {
+  mode : mode;
+  capacity : int;
+  mutable queue : (int * int) list;  (** {!pending}'s entries *)
+  mutable observer : (event -> unit) option;
+  dg : int array;
+}
+(** Read-only outside: the state key tests [queue] without a call. *)
 
 val create : ?capacity:int -> dg:int array -> mode -> t
 (** [capacity] (default 4) bounds the [Bypass] queue; an overflowing

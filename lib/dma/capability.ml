@@ -47,8 +47,6 @@ let revoke_range t ~base ~len =
 
 let live t = List.filter (fun c -> not c.revoked) t.caps
 
-let length t = List.length t.caps
-
 (* Canonical encoding in table order (installation history is
    deterministic, so table order is too). Every field a future check
    can observe is included — notably [revoked], which decides between

@@ -17,7 +17,7 @@ type cap = {
   mutable revoked : bool;
 }
 
-type t
+type t = private { mutable caps : cap list (** newest first *) }
 
 val create : unit -> t
 val copy : t -> t
@@ -37,8 +37,6 @@ val revoke_range : t -> base:int -> len:int -> unit
 
 val live : t -> cap list
 (** Unrevoked entries, newest first. *)
-
-val length : t -> int
 
 val encode : Uldma_util.Enc.t -> t -> unit
 (** Canonical encoding in table order, including revocation flags. *)

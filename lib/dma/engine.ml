@@ -306,6 +306,9 @@ let live_transfers t =
   if not (all_live now t.in_flight) then t.in_flight <- live now t.in_flight;
   t.in_flight
 
+let transfer_in_flight t =
+  match t.in_flight with [] -> false | _ :: _ -> live_transfers t <> []
+
 let scratch_own t =
   let d = [| 0; 0 |] in
   let add slot v = Fp128.replace_int d 0 slot 0 v in
@@ -1127,10 +1130,11 @@ let rec add_in_flight fp now = function
 
 let add_live fp t =
   (match t.in_flight with [] -> () | _ :: _ -> add_in_flight fp (now t) (live_transfers t));
+  (* the tables' fields read in place: no call when all are empty *)
   let tables =
-    match t.outbound with
-    | _ :: _ -> true
-    | [] -> Capability.length t.caps > 0 || not (Imap.is_empty t.mapped_out)
+    match (t.outbound, t.caps.Capability.caps) with
+    | [], [] -> t.mapped_out != Imap.empty
+    | _ :: _, _ | _, _ :: _ -> true
   in
   if tables then begin
     let buf = Buffer.create 64 in

@@ -217,6 +217,11 @@ val add_live : Uldma_util.Fp128.t -> t -> unit
     zero-duration backend nothing is ever in flight and, with the
     tables empty, nothing is fed at all. *)
 
+val transfer_in_flight : t -> bool
+(** A started transfer's wire time has not elapsed: the clock then
+    reaches a keyed value, its remaining time. Never true under a
+    zero-duration backend. *)
+
 val next_transfer_deadline : t -> Uldma_util.Units.ps option
 (** Earliest [end_time] strictly after [now] among started transfers —
     the next instant at which waiting (advancing the clock without

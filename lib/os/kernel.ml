@@ -960,7 +960,8 @@ let write_user t p vaddr value = Phys_mem.store_word t.ram (user_paddr t p vaddr
 (* Engine-visible state fingerprint (explorer dedup support) *)
 
 (* Canonical encoding of everything the simulated programs and the
-   Fig. 8 oracle can observe: the running pid and pending force-switch,
+   Fig. 8 oracle can observe: the running pid where a context switch
+   can reach keyed state ([keyed_pid]), pending force-switch,
    installed hooks, per-process control state (state tag, pc, register
    file, DMA context/key, uncached-access progress), the write-buffer
    drain frontier, console output, the context free list, the DMA
@@ -1011,12 +1012,39 @@ let remaining_sleep t (p : Process.t) =
   | Process.Blocked_until at -> max 0 (at - now_ps t)
   | Process.Ready | Process.Exited _ -> min_int
 
+(* The running pid as the key holds it: the pid when a context switch
+   can reach keyed state, else [min_int], as when nothing runs. A
+   switch charges time, flushes the next process's TLB, drains the
+   write buffer as the previous pid, runs the hooks and, under the
+   IOMMU, invalidates the IOTLB. The first two move only the clock,
+   which is keyed only as a sleeper's remaining sleep and an in-flight
+   transfer's remaining wire time ([timed]: some process sleeps or a
+   transfer is in flight). So with no hook, no IOMMU, an empty write
+   buffer and nothing timed, whether the next leg switches changes
+   nothing keyed, and states that differ only in which process ran
+   last merge. *)
+let keyed_pid t ~timed =
+  match t.current with
+  | Some p
+    when timed || t.hooks <> []
+         || (match t.config.mechanism with Engine.Iommu -> true | _ -> false)
+         || t.write_buffer.Write_buffer.queue <> [] ->
+    p.Process.pid
+  | Some _ | None -> min_int
+
+let rec any_blocked = function
+  | [] -> false
+  | (p : Process.t) :: rest -> (
+    match p.Process.state with
+    | Process.Blocked_until _ -> true
+    | Process.Ready | Process.Exited _ -> any_blocked rest)
+
 let encode_state buf ?relative_to t =
   let module E = Uldma_util.Enc in
   let i v = E.int buf v in
   let ch c = E.char buf c in
   ch 'K';
-  i (match t.current with None -> min_int | Some p -> p.Process.pid);
+  i (keyed_pid t ~timed:(any_blocked t.procs || Engine.transfer_in_flight t.engine));
   if t.force_switch then ch 'F';
   List.iter (fun h -> ch (match h with Shrimp_invalidate -> 'S' | Flash_inform -> 'I')) t.hooks;
   let base = match relative_to with Some root -> root.procs | None -> [] in
@@ -1077,10 +1105,10 @@ let state_encoding ?relative_to t =
    free-context list write their terms; the process table
    (Process.digest, with pc, access count and residual text folded in
    here); and the RAM pages diverged from the baseline
-   (Phys_mem.add_diverged). The sum is streamed after the
-   running pid and a flags word (force-switch, hooks), followed only
-   by what depends on the clock: each sleeper's remaining time (which
-   processes sleep is digested) and the engine's in-flight transfers
+   (Phys_mem.add_diverged). The sum is streamed after a flags word
+   (force-switch, hooks), followed by each sleeper's remaining time
+   (which processes sleep is digested), the running pid as
+   [keyed_pid] keys it and the engine's in-flight transfers
    (Engine.add_live). *)
 
 (* force-switch in bit 0, then the hook list as a bijective base-3
@@ -1092,13 +1120,15 @@ let rec hook_numeral acc = function
 
 let flags t = (hook_numeral 0 t.hooks * 2) + if t.force_switch then 1 else 0
 
-let rec add_sleepers fp t = function
-  | [] -> ()
-  | (p : Process.t) :: rest ->
-    (match p.Process.state with
-    | Process.Blocked_until _ -> Fp128.add_int fp (remaining_sleep t p)
-    | Process.Ready | Process.Exited _ -> ());
-    add_sleepers fp t rest
+(* Feeds each sleeper's remaining time; true when there was one. *)
+let rec add_sleepers fp t blocked = function
+  | [] -> blocked
+  | (p : Process.t) :: rest -> (
+    match p.Process.state with
+    | Process.Blocked_until _ ->
+      Fp128.add_int fp (remaining_sleep t p);
+      add_sleepers fp t true rest
+    | Process.Ready | Process.Exited _ -> add_sleepers fp t blocked rest)
 
 (* One stream for every key: a key is a leaf computation and the
    program runs on one domain. *)
@@ -1106,8 +1136,9 @@ let key_stream = Fp128.create ()
 
 let finish t a b =
   let fp = key_stream in
-  Fp128.start fp (match t.current with None -> min_int | Some p -> p.Process.pid) (flags t) a b;
-  add_sleepers fp t t.procs;
+  Fp128.start fp (flags t) a b;
+  let blocked = add_sleepers fp t false t.procs in
+  Fp128.add_int fp (keyed_pid t ~timed:(blocked || Engine.transfer_in_flight t.engine));
   Engine.add_live fp t.engine;
   (Fp128.lane fp 0, Fp128.lane fp 1, Fp128.fed fp)
 

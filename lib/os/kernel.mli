@@ -95,8 +95,12 @@ val trace : t -> Uldma_obs.Trace.t
 val machine_id : t -> int
 
 val state_encoding : ?relative_to:t -> t -> string
-(** Canonical encoding of the machine's engine-visible state: running
-    pid, per-process control state (state tag, pc, registers, DMA
+(** Canonical encoding of the machine's engine-visible state: the
+    running pid where a context switch can reach keyed state (a hook
+    is installed, the mechanism is [Iommu], the write buffer holds an
+    entry, a transfer is in flight or a process sleeps; otherwise the
+    pid is keyed as [min_int], as when nothing runs), per-process
+    control state (state tag, pc, registers, DMA
     context/key, uncached-access count), write-buffer drain frontier,
     console, DMA engine observables and RAM pages dirtied since the
     root (O(dirtied), not O(RAM)). Cost bookkeeping (clock, charged bus
@@ -149,10 +153,10 @@ val fingerprint : ?relative_to:t -> t -> int * int * int
     ({!Process.digest}, into which each process's pc, uncached-access
     count and residual text are folded here, only when they changed);
     and the RAM pages diverged from [relative_to]
-    ({!Phys_mem.add_diverged}). Only the
-    running pid, a flags word (force-switch, hooks), that sum and what
-    depends on the clock are streamed: each sleeper's remaining time
-    and each in-flight transfer's, plus the engine's capability,
+    ({!Phys_mem.add_diverged}). Only a flags word (force-switch,
+    hooks), that sum, the running pid as {!state_encoding} keys it and
+    what depends on the clock are streamed: each sleeper's remaining
+    time and each in-flight transfer's, plus the engine's capability,
     mapped-out and outbound tables when any is non-empty
     ({!Uldma_dma.Engine.add_live}). Under the [Null] backend a key
     streams four ints and reads O(processes) words.

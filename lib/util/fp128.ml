@@ -44,10 +44,10 @@ let reset t =
 
 let fed t = t.fed
 
-let start t v w x y =
-  t.a <- mix_a (mix_a (mix_a (mix_a seed_a v) w) x) y;
-  t.b <- mix_b (mix_b (mix_b (mix_b seed_b v) w) x) y;
-  t.fed <- 32
+let start t v w x =
+  t.a <- mix_a (mix_a (mix_a seed_a v) w) x;
+  t.b <- mix_b (mix_b (mix_b seed_b v) w) x;
+  t.fed <- 24
 
 let[@inline] add_int t v =
   t.a <- mix_a t.a v;

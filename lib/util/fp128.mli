@@ -14,9 +14,9 @@ val reset : t -> unit
 val add_int : t -> int -> unit
 (** Feed one integer word. *)
 
-val start : t -> int -> int -> int -> int -> unit
-(** [start t a b c d] is [reset t] followed by [add_int t] of [a], [b],
-    [c] and [d], in one call. *)
+val start : t -> int -> int -> int -> unit
+(** [start t a b c] is [reset t] followed by [add_int t] of [a], [b]
+    and [c], in one call. *)
 
 val add_tag : t -> char -> unit
 (** Feed a section-tag character, domain-separated from [add_int] values

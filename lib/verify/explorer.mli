@@ -91,12 +91,13 @@ type 'v result = {
           and width-1 chains pay none. *)
   bytes_hashed : int;
       (** bytes streamed into memo keys at the nodes: in fingerprint
-          mode the ints {!Uldma_os.Kernel.fingerprint} streams (the
-          running pid, a flags word, the maintained digest's two lanes
-          and the clock-relative values; the digest's upkeep is paid by
-          the writes, not here), full encoding lengths in
-          [paranoid_memo] mode. The per-node ratio is the bench's
-          [bytes_hashed_per_node]. *)
+          mode the ints {!Uldma_os.Kernel.fingerprint} streams (a
+          flags word, the maintained digest's two lanes, the running
+          pid where a context switch can reach keyed state, else
+          [min_int], and the clock-relative values; the digest's
+          upkeep is paid by the writes, not here), full encoding
+          lengths in [paranoid_memo] mode. The per-node ratio is the
+          bench's [bytes_hashed_per_node]. *)
 }
 
 (** {2 Cross-exploration shared memo (campaign mode)}

@@ -438,10 +438,11 @@ let test_explorer_bounded_memo_equivalence () =
   checki "default cap evicts nothing here" 0 base.Explorer.evictions
 
 (* A clipped run on a tiny memo: the 3-process key-based tree is far
-   larger than 2000 schedules, so the budget clips it, and a 64-entry
-   table must evict on the way there. *)
+   larger than 2000 schedules, so the budget clips it, and a 32-entry
+   table must evict on the way there (the 88 states it visits fit in
+   64). *)
 let test_explorer_clipped_under_eviction () =
-  let r = explore_with ~max_paths:2000 ~memo_cap:64 (fun () -> Scenario.key_contested3 ()) in
+  let r = explore_with ~max_paths:2000 ~memo_cap:32 (fun () -> Scenario.key_contested3 ()) in
   checkb "truncated" true r.Explorer.truncated;
   checkb "evictions happened" true (r.Explorer.evictions > 0)
 
@@ -556,12 +557,12 @@ let explorer_fp_iff_encoding =
 
 (* [n] processes on an atm155 extended-shadow machine, each starting a
    DMA, blocking in sys_dma_wait until its wire time has elapsed,
-   sleeping 2 us, then starting and awaiting a second DMA: explorer
-   nodes hold processes blocked on a pending deadline, whose remaining
-   time the state key carries. *)
-let waiters ?(n = 2) () =
+   sleeping [sleep_ns] (2 us), then starting and awaiting a second DMA:
+   explorer nodes hold processes blocked on a pending deadline, whose
+   remaining time the state key carries. *)
+let waiters ?(n = 2) ?(net = Uldma_net.Backend.linked Uldma_net.Link.atm155) ?(sleep_ns = 2_000)
+    () =
   let module Asm = Uldma_cpu.Asm in
-  let net = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
   let kernel = Scenario.make_kernel ~net Engine.Ext_shadow in
   let spawn i =
     let p = Kernel.spawn kernel ~name:(Printf.sprintf "waiter%d" i) ~program:[||] () in
@@ -584,7 +585,7 @@ let waiters ?(n = 2) () =
     in
     dma_and_wait ();
     Asm.li asm 0 Sysno.sys_sleep;
-    Asm.li asm 1 2_000 (* ns *);
+    Asm.li asm 1 sleep_ns;
     Asm.syscall asm;
     dma_and_wait ();
     Asm.halt asm;
@@ -1009,6 +1010,126 @@ let state_key_maintained_equals_scratch =
                ok := !ok && agrees baseline k)
            steps;
          !ok))
+
+(* Key congruence: the memo may merge two arrivals only if every
+   future is the same from both. A dedup walk over a small tree keys
+   each arrival and records its outcome: at a terminal the oracle's
+   verdict, else each leg's result and its child's key. An arrival
+   whose key was seen is not expanded again, but its outcome must equal
+   the first arrival's; by induction equal keys then root equal trees.
+   The machines cover every mechanism with a scenario at Null and the
+   timed ones at atm155, context-switch hooks, a write buffer that
+   holds entries across legs ([key_corners]) and sleepers at Null and
+   at atm155. Returns (states, repeated arrivals, incongruent ones). *)
+let key_congruence ~root ~pids ~check =
+  let key k =
+    let a, b, _ = Kernel.fingerprint ~relative_to:root k in
+    (a, b)
+  in
+  let legs k =
+    let live = Kernel.runnable_pids k in
+    let runnable = List.filter (fun pid -> List.mem pid live) pids in
+    match Kernel.next_transfer_deadline k with
+    | Some _ -> runnable @ [ Explorer.wait_leg ]
+    | None -> runnable
+  in
+  let seen = Hashtbl.create 1024 and repeats = ref 0 and bad = ref 0 in
+  let rec visit k =
+    let kk = key k in
+    let outcome () =
+      match legs k with
+      | [] -> (Option.map Oracle.kind_name (check k), [])
+      | ls ->
+        ( None,
+          List.map
+            (fun leg ->
+              let child = Kernel.snapshot k in
+              let r =
+                if leg = Explorer.wait_leg then
+                  if Kernel.advance_to_next_completion child then `Progress else `Stuck
+                else Explorer.advance_one_leg child leg ~max_instructions:2000
+              in
+              (leg, r, key child, child))
+            ls )
+    in
+    let strip (verdict, kids) = (verdict, List.map (fun (leg, r, ck, _) -> (leg, r, ck)) kids) in
+    match Hashtbl.find_opt seen kk with
+    | Some first ->
+      incr repeats;
+      if strip (outcome ()) <> first then incr bad
+    | None ->
+      let ((_, kids) as o) = outcome () in
+      Hashtbl.add seen kk (strip o);
+      List.iter
+        (fun (_, r, _, child) -> match r with `Progress | `Exited -> visit child | `Stuck -> ())
+        kids
+  in
+  visit (Kernel.snapshot root);
+  (Hashtbl.length seen, !repeats, !bad)
+
+let test_key_congruence () =
+  let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
+  let of_scenario ?(oracle = true) name build =
+    ( name,
+      fun () ->
+        let s = build () in
+        ( s.Scenario.kernel,
+          Scenario.explore_pids s,
+          if oracle then Scenario.oracle_check s else fun _ -> None ) )
+  in
+  let timed (name, build) =
+    [
+      of_scenario name (fun () -> build None);
+      of_scenario (name ^ "@atm155") (fun () -> build (Some atm155));
+    ]
+  in
+  let machines =
+    [
+      of_scenario "fig6" Scenario.fig6;
+      of_scenario "shrimp2" (fun () -> Scenario.shrimp2_race ~hook:false);
+      of_scenario "shrimp2+hook" (fun () -> Scenario.shrimp2_race ~hook:true);
+      of_scenario "flash" (fun () -> Scenario.flash_race ~hook:false);
+      of_scenario "flash+hook" (fun () -> Scenario.flash_race ~hook:true);
+      of_scenario "ext-stateless" Scenario.ext_stateless_race;
+      of_scenario "ext-shadow" Scenario.ext_shadow_contested;
+      of_scenario "pal" Scenario.pal_contested;
+      of_scenario "rep5-retry" Scenario.rep5_with_retry;
+      of_scenario "rep5-splice" Scenario.rep5_splice;
+      of_scenario "key-3" (Scenario.key_contested3 ~victim_repeat:1 ~tenant_repeat:1);
+      of_scenario "ext-shadow-3" (Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1);
+      of_scenario "iommu-3" (Scenario.iommu_contested3 ~victim_repeat:1 ~tenant_repeat:1);
+      of_scenario "capio-3" (Scenario.capio_contested3 ~victim_repeat:1 ~tenant_repeat:1);
+      of_scenario ~oracle:false "bypass write buffer" key_corners;
+      (* a sleep no tree outlasts, so each switch's charge stays in the
+         remaining sleep instead of running out at zero *)
+      of_scenario ~oracle:false "sleepers" (fun () ->
+          waiters ~n:3 ~net:Uldma_net.Backend.null ~sleep_ns:1_000_000 ());
+      of_scenario ~oracle:false "sleepers@atm155" (fun () -> waiters ());
+    ]
+    @ List.concat_map timed
+        [
+          ("fig5", fun net -> Scenario.fig5 ?net ());
+          ("rep5", fun net -> Scenario.rep5 ?net ());
+          ("key", fun net -> Scenario.key_contested ?net ());
+          ("iommu", fun net -> Scenario.iommu_contested ?net ());
+          ("capio", fun net -> Scenario.capio_contested ?net ());
+          ("iommu-fig5", fun net -> Scenario.iommu_fig5 ?net ());
+          ("capio-fig5", fun net -> Scenario.capio_fig5 ?net ());
+          ("capio-launder", fun net -> Scenario.capio_launder ?net ());
+        ]
+  in
+  let repeats =
+    List.fold_left
+      (fun total (name, build) ->
+        let root, pids, check = build () in
+        let states, repeats, bad = key_congruence ~root ~pids ~check in
+        if bad > 0 then
+          Alcotest.failf "%s: %d of %d repeated arrivals (%d states) reach different futures" name
+            bad repeats states;
+        total + repeats)
+      0 machines
+  in
+  checkb "arrivals repeat" true (repeats > 0)
 
 (* The fingerprint key hashes only engine-visible state: two
    independently built copies of a scenario agree, and advancing one
@@ -1616,7 +1737,7 @@ let test_explorer_direct_major_per_state () =
         Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
           ~check:(Scenario.oracle_check s) ())
   in
-  checki "states" 4333 r.Explorer.states_visited;
+  checki "states" 2168 r.Explorer.states_visited;
   let words = a.Uldma_obs.Alloc.direct_major and states = r.Explorer.states_visited in
   if words > 16 * states then
     Alcotest.failf "%d direct-major words over %d states (limit 16 per state)" words states
@@ -1957,6 +2078,8 @@ let () =
           state_key_maintained_equals_scratch;
           Alcotest.test_case "process: wide pc and access fold exactly" `Quick
             test_process_fold_wide;
+          Alcotest.test_case "key congruence: equal keys, equal futures" `Quick
+            test_key_congruence;
           Alcotest.test_case "blocked waiters: paranoid vs fingerprint keying" `Quick
             test_explorer_waiters_paranoid_equivalence;
           process_table_digest_schedules;

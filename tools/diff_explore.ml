@@ -115,10 +115,17 @@ let scenarios =
     ("iommu-fig5", `Timed (fun net -> Scenario.iommu_fig5 ?net ()));
     ("capio-fig5", `Timed (fun net -> Scenario.capio_fig5 ?net ()));
     ("capio-launder", `Timed (fun net -> Scenario.capio_launder ?net ()));
+    (* the two-step races with and without their context-switch hooks
+       (the only hooked kernels), and the stateless shadow race *)
+    ("shrimp2-race", `Untimed (fun () -> Scenario.shrimp2_race ~hook:false));
+    ("shrimp2-race-hook", `Untimed (fun () -> Scenario.shrimp2_race ~hook:true));
+    ("flash-race", `Untimed (fun () -> Scenario.flash_race ~hook:false));
+    ("flash-race-hook", `Untimed (fun () -> Scenario.flash_race ~hook:true));
+    ("ext-stateless-race", `Untimed (fun () -> Scenario.ext_stateless_race ()));
   ]
 
-(* the --quick sample: one cell per matrix mechanism (null backend)
-   plus two timed cells, sized for `dune runtest` *)
+(* the --quick sample: one cell per matrix mechanism (null backend),
+   two timed cells and the hook cells, sized for `dune runtest` *)
 let quick_cells =
   [
     ("rep5", "null");
@@ -129,6 +136,8 @@ let quick_cells =
     ("iommu", "atm155");
     ("capio", "null");
     ("capio-launder", "null");
+    ("shrimp2-race-hook", "null");
+    ("flash-race-hook", "null");
   ]
 
 let backends ~tick_ps =
@@ -142,7 +151,8 @@ let backends ~tick_ps =
 let usage () =
   prerr_endline
     "usage: diff_explore [--quick] [--scenario \
-     fig5|rep5|key-based|pal|ext-shadow|iommu|capio|iommu-fig5|capio-fig5|capio-launder|all] \
+     fig5|rep5|key-based|pal|ext-shadow|iommu|capio|iommu-fig5|capio-fig5|capio-launder|\
+     shrimp2-race|shrimp2-race-hook|flash-race|flash-race-hook|ext-stateless-race|all] \
      [--net null|atm155|atm622|gigabit|hic|all] [--tick-ps N] [--max-paths N] \
      [--allow-truncated] [--paranoid-vs-fingerprint]";
   exit 2
