@@ -14,20 +14,19 @@ let create ?(capacity = 4) ~dg mode =
   if capacity < 1 then invalid_arg "Write_buffer.create: capacity < 1";
   { mode; capacity; queue = []; observer = None; dg }
 
-(* The queue's terms in the machine's digest cell, in slot domain 6:
-   the sequence of its entries' paddrs and values, oldest first. The
-   queue holds at most [capacity] entries; a change re-sums it. *)
-let queue_digest queue =
-  Uldma_util.Fp128.seq_digest (Uldma_util.Fp128.domain 6)
-    (List.concat_map (fun (paddr, value) -> [ paddr; value ]) queue)
+(* The queue's terms, in slot domain 6: the sequence of its entries'
+   paddrs and values, oldest first. The queue holds at most [capacity]
+   entries; a change re-sums it in the machine's digest cell. *)
+let queue_base = Uldma_util.Fp128.domain 6
+let queue_words queue = List.concat_map (fun (paddr, value) -> [ paddr; value ]) queue
+let queue_digest queue = Uldma_util.Fp128.seq_digest queue_base (queue_words queue)
+let iter_terms f t = Uldma_util.Fp128.iter_seq queue_base f (queue_words t.queue)
 
 let set_queue t q =
   let oa, ob = queue_digest t.queue and na, nb = queue_digest q in
   t.dg.(0) <- t.dg.(0) - oa + na;
   t.dg.(1) <- t.dg.(1) - ob + nb;
   t.queue <- q
-
-let scratch_digest t = queue_digest t.queue
 
 let copy t ~dg = { t with observer = None; dg }
 

@@ -35,8 +35,8 @@ type t = private {
 
 val create : ?capacity:int -> dg:int array -> mode -> t
 (** [capacity] (default 4) bounds the [Bypass] queue; an overflowing
-    store drains the oldest entry first. The queue's digest terms (see
-    {!scratch_digest}) live in [dg], the machine's digest cell; the
+    store drains the oldest entry first. The sum of the queue's terms
+    ({!iter_terms}) is kept in [dg], the machine's digest cell; the
     empty queue adds nothing. *)
 
 val copy : t -> dg:int array -> t
@@ -52,12 +52,11 @@ val mode : t -> mode
 val pending : t -> (int * int) list
 (** Buffered (paddr, value) pairs, oldest first. *)
 
-val scratch_digest : t -> int * int
-(** The queue's terms in the machine's digest cell
-    ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 6), recomputed
-    from {!pending}: its length, and each entry's paddr and value by
-    position. Every change of the queue keeps the cell's part equal to
-    this. *)
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** The queue's keyed words as (slot, word) terms in slot domain 6
+    ({!Uldma_util.Fp128.iter_seq}): its length, and each entry's paddr
+    and value by position, oldest first. Every change of the queue
+    moves their sum in the cell. *)
 
 val store : t -> emit:('m -> paddr:int -> value:int -> unit) -> 'm -> paddr:int -> value:int -> unit
 (** Process a store: in [Ordered] mode it is emitted at once; in

@@ -45,9 +45,9 @@ let add_digest t acc =
   acc.(0) <- acc.(0) + t.(lane_a);
   acc.(1) <- acc.(1) + t.(lane_a + 1)
 
-let encode enc t =
+let iter_terms f t =
   for r = 0 to Isa.num_regs - 1 do
-    Uldma_util.Enc.int enc t.(r)
+    f (t.(base_cell) + r) t.(r)
   done
 
 let pp ppf t =

@@ -20,6 +20,11 @@ val to_list : t -> int list
 
 val slot_base : t -> int
 
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** [iter_terms f t] calls [f (slot_base t + r) v] for every register
+    [r] and its value [v]: the file's own keyed words. The owner
+    enumerates its auxiliary values after them. *)
+
 val replace_aux : t -> int -> int -> int -> unit
 (** [replace_aux t k old v]: the owner's auxiliary value [k]
     ([0 <= k < 32]), which shares the file's digest at slot
@@ -27,17 +32,12 @@ val replace_aux : t -> int -> int -> int -> unit
     the values; the file keeps only their terms. *)
 
 val digest : t -> int * int
-(** The file's additive digest: the lane sums of
-    {!Uldma_util.Fp128.int_term_a}/[_b] over the registers (register
-    [r] at slot [slot_base + r]) and the auxiliary values, kept current
-    by [set] and [replace_aux] in O(1). An all-zero file digests to
-    [(0, 0)]. *)
+(** The file's additive digest: {!iter_terms}'s terms and the
+    auxiliary values', kept current by [set] and [replace_aux] in
+    O(1). An all-zero file digests to [(0, 0)]. *)
 
 val add_digest : t -> int array -> unit
 (** [add_digest t acc] adds {!digest}'s two lanes into [acc.(0)] and
     [acc.(1)] without allocating. *)
-
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Feed every register value, in order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -33,27 +33,6 @@ let execute t ~read ~write ~target =
   | Cas { expected; new_value } -> if old_value = expected then write target new_value);
   old_value
 
-let encode_value enc = function
-  | Add v ->
-    Uldma_util.Enc.char enc 'a';
-    Uldma_util.Enc.int enc v
-  | Fetch_store v ->
-    Uldma_util.Enc.char enc 'f';
-    Uldma_util.Enc.int enc v
-  | Cas { expected; new_value } ->
-    Uldma_util.Enc.char enc 'c';
-    Uldma_util.Enc.int enc expected;
-    Uldma_util.Enc.int enc new_value
-
-let encode_pending enc = function
-  | P_none -> Uldma_util.Enc.char enc 'n'
-  | P_cas_expected e ->
-    Uldma_util.Enc.char enc 'e';
-    Uldma_util.Enc.int enc e
-  | P_ready op ->
-    Uldma_util.Enc.char enc 'r';
-    encode_value enc op
-
 let pending_word p w =
   match (p, w) with
   | P_none, _ -> 0

@@ -34,12 +34,6 @@ val accumulate : pending -> int -> pending
 val execute : t -> read:(int -> int) -> write:(int -> int -> unit) -> target:int -> int
 (** Perform the operation on memory; returns the old value. *)
 
-val encode_value : Uldma_util.Enc.t -> t -> unit
-(** Feed a canonical encoding of the operation, for state
-    fingerprinting. Injective per constructor. *)
-
-val encode_pending : Uldma_util.Enc.t -> pending -> unit
-
 val pending_word : pending -> int -> int
 (** [pending_word p w], [w] in 0..2: the pending state as three digest
     values (constructor, first operand, CAS new value). [P_none] is

@@ -46,21 +46,3 @@ let revoke_range t ~base ~len =
     t.caps
 
 let live t = List.filter (fun c -> not c.revoked) t.caps
-
-(* Canonical encoding in table order (installation history is
-   deterministic, so table order is too). Every field a future check
-   can observe is included — notably [revoked], which decides between
-   two distinct reject paths. *)
-let encode enc t =
-  let i v = Uldma_util.Enc.int enc v in
-  List.iter
-    (fun c ->
-      Uldma_util.Enc.char enc 'y';
-      i c.value;
-      i c.ctx;
-      i c.pid;
-      i c.base;
-      i c.len;
-      i ((if c.rights.Perms.read then 1 else 0) lor if c.rights.Perms.write then 2 else 0);
-      i (if c.revoked then 1 else 0))
-    t.caps

@@ -37,6 +37,3 @@ val revoke_range : t -> base:int -> len:int -> unit
 
 val live : t -> cap list
 (** Unrevoked entries, newest first. *)
-
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Canonical encoding in table order, including revocation flags. *)

@@ -156,8 +156,8 @@ let reset c =
   set_atomic_pending c Atomic_op.P_none;
   set_mailbox c None
 
-(* Field [f] of [c] as the digest sees it; the setters above compute
-   the same values. *)
+(* Field [f] of [c] as the key sees it; the setters above compute the
+   same values. *)
 let word c f =
   if f = f_key then c.key
   else if f = f_owner then Fp128.opt_value c.owner_pid
@@ -171,36 +171,10 @@ let word c f =
   else if f = f_started then started_word c.last_transfer
   else Atomic_op.pending_word c.atomic_pending (f - f_atomic_pending)
 
-let scratch_digest t =
-  let d = [| 0; 0 |] in
+let iter_terms f t =
   Array.iter
     (fun c ->
-      for f = 0 to n_fields - 1 do
-        Fp128.replace_int d 0 (slot c f) 0 (word c f)
+      for fld = 0 to n_fields - 1 do
+        f (slot c fld) (word c fld)
       done)
-    t;
-  (d.(0), d.(1))
-
-(* Canonical encoding of the registers, for the paranoid key.
-   [last_transfer] is deliberately skipped: the engine encodes transfer
-   observables (including per-context status-at-now) itself, with clock
-   access. *)
-let encode enc t =
-  let module E = Uldma_util.Enc in
-  let i v = E.int enc v in
-  let opt = function None -> min_int | Some v -> v in
-  Array.iter
-    (fun c ->
-      E.char enc 'c';
-      i c.index;
-      i c.key;
-      i (opt c.owner_pid);
-      i (opt c.dest);
-      i (opt c.src);
-      i (opt c.size);
-      i (match c.next_slot with Dest -> 0 | Src -> 1);
-      i c.status;
-      i (opt c.atomic_target);
-      i (opt c.mailbox);
-      Atomic_op.encode_pending enc c.atomic_pending)
     t

@@ -83,20 +83,15 @@ val reset : context -> unit
 (** Full reset including status and pending atomics (context switch of
     ownership). *)
 
-(** {1 Fingerprinting} *)
+(** {1 Keyed words} *)
 
-val scratch_digest : t -> int * int
-(** The file's terms in the machine's digest cell, recomputed from the
-    registers: every field {!encode} feeds except [index], which picks
-    the slots (field [f] of context [i] at slot [16 i + f] of slot
-    domain 3), plus, as one more field, whether [last_transfer] is set
-    (a transfer was started through the context since its last
-    reset). Each field enters as its value xor its reset value, so a
-    fresh file adds nothing. The setters keep the cell's part equal to
-    this. *)
-
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Feed a canonical encoding of every context's registers
-    (key, owner, args, status, pending atomic, mailbox), for the
-    paranoid key. [last_transfer] is excluded — the engine encodes
-    transfer observables itself. *)
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** The file's keyed words as (slot, word) terms: field [f] of context
+    [i] at slot [16 i + f] of slot domain 3 ([index] picks the slots),
+    each as its value xor its reset value, so a fresh file has no
+    nonzero word. The fields are key, owner, dest, src, size, next
+    slot, status, atomic target, mailbox, the pending atomic (three
+    words) and whether [last_transfer] is set (a transfer was started
+    through the context since its last reset; which one, and what is
+    left of it, the engine keys). The setters keep the machine's cell
+    holding these terms' sum. *)

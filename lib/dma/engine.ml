@@ -309,42 +309,39 @@ let live_transfers t =
 let transfer_in_flight t =
   match t.in_flight with [] -> false | _ :: _ -> live_transfers t <> []
 
-let scratch_own t =
-  let d = [| 0; 0 |] in
-  let add slot v = Fp128.replace_int d 0 slot 0 v in
-  add s_current_pid (lnot t.current_pid);
-  add s_k_src t.k_src;
-  add s_k_dst t.k_dst;
-  add s_k_status (t.k_status lxor Status.complete);
-  add s_k_atomic_target t.k_atomic_target;
-  add s_g_atomic_target (Fp128.opt_value t.g_atomic_target);
+(* The engine's keyed words, in slot order: its own registers and
+   started transfers, then its contexts, matcher and IOTLB. *)
+let iter_terms f t =
+  f s_current_pid (lnot t.current_pid);
+  f s_k_src t.k_src;
+  f s_k_dst t.k_dst;
+  f s_k_status (t.k_status lxor Status.complete);
+  f s_k_atomic_target t.k_atomic_target;
   for w = 0 to 2 do
-    add (s_k_atomic_pending + w) (Atomic_op.pending_word t.k_atomic_pending w);
-    add (s_g_atomic_pending + w) (Atomic_op.pending_word t.g_atomic_pending w)
+    f (s_k_atomic_pending + w) (Atomic_op.pending_word t.k_atomic_pending w)
   done;
-  add s_last_status (t.last_status lxor Status.failure);
-  add s_cap_stage_value t.cap_stage_value;
-  add s_cap_stage_base t.cap_stage_base;
-  add s_cap_stage_len t.cap_stage_len;
-  add s_map_out_staged (Fp128.opt_value t.map_out_staged);
+  f s_g_atomic_target (Fp128.opt_value t.g_atomic_target);
+  for w = 0 to 2 do
+    f (s_g_atomic_pending + w) (Atomic_op.pending_word t.g_atomic_pending w)
+  done;
+  f s_last_status (t.last_status lxor Status.failure);
+  f s_cap_stage_value t.cap_stage_value;
+  f s_cap_stage_base t.cap_stage_base;
+  f s_cap_stage_len t.cap_stage_len;
+  f s_map_out_staged (Fp128.opt_value t.map_out_staged);
   for w = 0 to 4 do
-    add (s_pending + w) (deposit_word t.pending w)
+    f (s_pending + w) (deposit_word t.pending w)
   done;
-  add s_n_transfers t.n_transfers;
+  f s_n_transfers t.n_transfers;
   List.iteri
-    (fun j tr ->
-      for f = 0 to 5 do
-        add (s_transfer (t.n_transfers - 1 - j) + f) (transfer_word tr f)
+    (fun k tr ->
+      for fld = 0 to 5 do
+        f (s_transfer k + fld) (transfer_word tr fld)
       done)
-    t.transfers;
-  (d.(0), d.(1))
-
-let scratch_digest t =
-  let oa, ob = scratch_own t
-  and ca, cb = Context_file.scratch_digest t.contexts
-  and ma, mb = Seq_matcher.scratch_digest t.matcher
-  and ia, ib = Iotlb.scratch_digest t.iotlb in
-  (oa + ca + ma + ia, ob + cb + mb + ib)
+    (List.rev t.transfers);
+  Context_file.iter_terms f t.contexts;
+  Seq_matcher.iter_terms f t.matcher;
+  Iotlb.iter_terms f t.iotlb
 
 (* exhaustive by construction: a new [reject_reason] variant must be
    named here, it cannot fall through a wildcard *)
@@ -1001,12 +998,26 @@ let handle t (op : Txn.op) ~paddr ~value ~pid =
   end
   else 0
 
-(* the tables that are usually empty: capabilities, mapped-out entries
-   and the outbound queue *)
-let encode_tables enc t =
-  let module E = Uldma_util.Enc in
-  let i v = E.int enc v in
-  let ch c = E.char enc c in
+(* The tables that are usually empty, as the text both keys carry:
+   each capability with its revocation flag (which decides between two
+   reject paths), the mapped-out entries in page order and the
+   outbound queue, newest first. *)
+let tables_text t =
+  let buf = Buffer.create 64 in
+  let enc = Enc.Buf buf in
+  let i v = Enc.int enc v and ch c = Enc.tag enc c in
+  List.iter
+    (fun (c : Capability.cap) ->
+      ch 'y';
+      i c.Capability.value;
+      i c.Capability.ctx;
+      i c.Capability.pid;
+      i c.Capability.base;
+      i c.Capability.len;
+      i ((if c.Capability.rights.Perms.read then 1 else 0)
+        lor if c.Capability.rights.Perms.write then 2 else 0);
+      i (if c.Capability.revoked then 1 else 0))
+    t.caps.Capability.caps;
   Imap.iter
     (fun k v ->
       ch 'o';
@@ -1018,118 +1029,47 @@ let encode_tables enc t =
     (fun p ->
       ch 'w';
       i p.remote_addr;
-      E.string enc (Bytes.to_string p.payload |> String.escaped);
+      Buffer.add_string buf (Bytes.to_string p.payload |> String.escaped);
       ch ',';
       match p.kind with
       | Remote_write -> ch ';'
       | Remote_atomic { op; reply_paddr } ->
-        Atomic_op.encode_value enc op;
+        (match op with
+        | Atomic_op.Add v ->
+          ch 'a';
+          i v
+        | Atomic_op.Fetch_store v ->
+          ch 'f';
+          i v
+        | Atomic_op.Cas { expected; new_value } ->
+          ch 'c';
+          i expected;
+          i new_value);
         ch '@';
         i reply_paddr;
         ch ';')
-    t.outbound
+    t.outbound;
+  Buffer.contents buf
 
-(* Canonical encoding of the engine's observable state, for the
-   explorer's paranoid key. Includes everything a future load can
-   reveal: matcher/context registers, the pending two-step deposit, the
-   kernel-page registers, atomic slots, started transfers (src/dst/
-   size/pid/context plus the clock-relative in-flight view:
-   remaining-wire-time-at-now and total duration — remaining bytes are
-   a pure function of size/duration/remaining_ps, so two states that
-   agree on those agree on every future status load however the
-   absolute clock differs; under the zero-duration Null backend both
-   extra fields are constant 0 and the encoding is as before, merging
-   exactly the same states), mapped-out entries (sorted for canonicity)
-   and the outbound network queue. Excludes diagnostics the simulated
-   programs cannot read back: counters, trace sink, absolute
-   timestamps. Note the remaining time is encoded *exactly*: bucketing
-   it (e.g. to the timed backend's tick) would be unsound, because two
-   states in the same bucket can diverge observably one tick later —
-   quantisation belongs in the backend's duration_ps, where it shrinks
-   the set of deadlines without ever merging distinct ones. *)
-let encode enc t =
-  let module E = Uldma_util.Enc in
-  let i v = E.int enc v in
-  let ch c = E.char enc c in
-  let opt = function None -> min_int | Some v -> v in
-  E.string enc "E:";
-  Seq_matcher.encode enc t.matcher;
-  Context_file.encode enc t.contexts;
-  (* what a status load on each context, and a two-step status load,
-     would see right now *)
-  ch 's';
-  for c = 0 to Context_file.length t.contexts - 1 do
-    i (context_status t c)
-  done;
-  ch 'p';
-  (match t.pending with
-  | None -> ()
-  | Some { p_dest; p_size; p_pid; p_ctx } ->
-    i p_dest;
-    i p_size;
-    i p_pid;
-    i p_ctx);
-  ch 'k';
-  i t.current_pid;
-  i t.k_src;
-  i t.k_dst;
-  i t.k_status;
-  i t.k_atomic_target;
-  Atomic_op.encode_pending enc t.k_atomic_pending;
-  ch 'g';
-  i (opt t.g_atomic_target);
-  Atomic_op.encode_pending enc t.g_atomic_pending;
-  ch 'l';
-  i t.last_status;
-  i (match t.last_transfer with None -> min_int | Some tr -> Transfer.remaining tr ~now:(now t));
-  (* IOTLB contents + victim cursors and the capability table are
-     engine-visible state: they decide future hit/miss charges and
-     grant/reject outcomes. Under the paper's mechanisms both are
-     empty/constant and the encoding partitions states as before. *)
-  ch 'I';
-  Iotlb.encode enc t.iotlb;
-  ch 'C';
-  Capability.encode enc t.caps;
-  i t.cap_stage_value;
-  i t.cap_stage_base;
-  i t.cap_stage_len;
-  List.iter
-    (fun (tr : Transfer.t) ->
-      ch 't';
-      i tr.Transfer.src;
-      i tr.Transfer.dst;
-      i tr.Transfer.size;
-      i tr.Transfer.pid;
-      i (opt tr.Transfer.context);
-      i (Transfer.remaining_ps tr ~now:(now t));
-      i tr.Transfer.duration)
-    t.transfers;
-  (match t.map_out_staged with
-  | None -> ()
-  | Some p ->
-    ch 'M';
-    i p;
-    ch ';');
-  encode_tables enc t
-
-(* The fingerprint's engine part beyond [digest]: what depends on the
-   clock, and the tables that are usually empty. A context's status as
-   loads see it is its digested failure code or its newest transfer's
-   remaining bytes, the two-step status is the newest transfer's, and
-   which transfer is newest is digested (static fields by ordinal, the
-   count, the contexts' started flags); so only each in-flight
-   transfer's (ordinal, remaining wire time) is fed, and a completed
-   one has no bytes left. The tables enter as their paranoid text. *)
-let rec add_in_flight fp now = function
+(* What a key writes beyond the engine's terms: what depends on the
+   clock, and the tables. A context's status as loads see it is its
+   keyed failure code or its newest transfer's remaining bytes, the
+   two-step status is the newest transfer's, and which transfer is
+   newest is keyed (static fields by ordinal, the count, the contexts'
+   started flags); so only each in-flight transfer's (ordinal,
+   remaining wire time) is written, and a completed one has no bytes
+   left. The remaining time is exact: bucketing it would merge states
+   that diverge one tick later. *)
+let rec add_in_flight enc now = function
   | [] -> ()
   | (k, tr) :: rest ->
-    Fp128.add_tag fp 't';
-    Fp128.add_int fp k;
-    Fp128.add_int fp (Transfer.remaining_ps tr ~now);
-    add_in_flight fp now rest
+    Enc.tag enc 't';
+    Enc.int enc k;
+    Enc.int enc (Transfer.remaining_ps tr ~now);
+    add_in_flight enc now rest
 
-let add_live fp t =
-  (match t.in_flight with [] -> () | _ :: _ -> add_in_flight fp (now t) (live_transfers t));
+let add_live enc t =
+  (match t.in_flight with [] -> () | _ :: _ -> add_in_flight enc (now t) (live_transfers t));
   (* the tables' fields read in place: no call when all are empty *)
   let tables =
     match (t.outbound, t.caps.Capability.caps) with
@@ -1137,11 +1077,8 @@ let add_live fp t =
     | _ :: _, _ | _, _ :: _ -> true
   in
   if tables then begin
-    let buf = Buffer.create 64 in
-    Capability.encode buf t.caps;
-    encode_tables buf t;
-    Fp128.add_tag fp 'X';
-    Fp128.add_string fp (Buffer.contents buf)
+    Enc.tag enc 'X';
+    Enc.string enc (tables_text t)
   end
 
 (* Earliest future completion among in-flight transfers, if any. Under

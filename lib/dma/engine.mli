@@ -89,8 +89,8 @@ val create :
 (** [n_contexts] defaults to 4 ("say 4 to 8", §3.1). [iotlb_walk_ps]
     (default 0) is charged on the machine clock for every IOTLB miss
     under the [Iommu] mechanism. The engine, its register contexts,
-    matcher and IOTLB keep their digest terms (see {!scratch_digest})
-    in [dg], the machine's two-lane digest cell. *)
+    matcher and IOTLB keep the sum of their terms ({!iter_terms}) in
+    [dg], the machine's two-lane digest cell. *)
 
 val mechanism : t -> mechanism
 val contexts : t -> Context_file.t
@@ -177,45 +177,29 @@ val take_outbound : t -> outbound_packet list
 val counters : t -> counters
 val context_status : t -> int -> int
 
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Append a canonical encoding of the engine's observable state
-    (matcher, contexts, pending deposits, atomic slots, transfer
-    observables, mapped-out table, outbound queue): the paranoid key's
-    engine part. In-flight transfers are encoded by their
-    clock-relative view — exact remaining-wire-time-at-now plus total
-    duration — so two engines that differ only in absolute clock but
-    agree on every deadline encode identically; under a zero-duration
-    backend the extra fields are constant and the encoding merges the
-    same states it always did. Two engines with equal encodings are
-    indistinguishable to the simulated programs and to the Fig. 8
-    oracle. Diagnostic state (counters, trace sink, absolute
-    timestamps) is excluded. *)
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** The engine's keyed words as (slot, word) terms: in slot domain 2
+    its own registers — pending deposit, [current_pid], kernel-page and
+    atomic registers, last status, staged capability, staged mapped-out
+    page, the transfer count — and each started transfer's static
+    fields (src, dst, size, pid, context, duration) at slots from its
+    ordinal, oldest first; then the terms of its register contexts,
+    matcher and IOTLB ({!Context_file.iter_terms},
+    {!Seq_matcher.iter_terms}, {!Uldma_mmu.Iotlb.iter_terms}). Every
+    word is its value xor its reset value, so a fresh engine with a
+    [Five] matcher has no nonzero word. Every register write moves its
+    terms in the cell. Counters, the trace sink and absolute times are
+    not keyed: the simulated programs cannot read them back. *)
 
-val scratch_digest : t -> int * int
-(** The engine's terms in the machine's digest cell, recomputed from
-    the registers: the sum of its own registers' terms (slot domain 2)
-    and those its register contexts, matcher and IOTLB put in domains
-    of their own ({!Context_file.scratch_digest},
-    {!Seq_matcher.scratch_digest}, {!Uldma_mmu.Iotlb.scratch_digest}).
-    The engine's own part covers the registers that {!encode} streams —
-    pending deposit, kernel-page and atomic registers, last status,
-    staged capability and mapped-out page — plus each started
-    transfer's static fields (src, dst, size, pid, context, duration)
-    at slots taken from its ordinal, and the transfer count. Every
-    value enters as value xor its reset value, so a fresh engine with
-    a [Five] matcher adds nothing. Every register write moves its terms
-    in the cell, so the cell's part must always equal this. *)
-
-val add_live : Uldma_util.Fp128.t -> t -> unit
-(** Feed what the fingerprint key needs beyond the engine's digest
-    terms: each
-    in-flight transfer's (ordinal, remaining wire time), and the
-    paranoid text of the capability table, the mapped-out map and the
-    outbound queue when any of them is non-empty. A context's status as
-    loads see it and the last transfer's remaining bytes are functions
-    of these and of digested fields, so they are not fed; under a
-    zero-duration backend nothing is ever in flight and, with the
-    tables empty, nothing is fed at all. *)
+val add_live : Uldma_util.Enc.t -> t -> unit
+(** Write what a key needs beyond {!iter_terms}: each in-flight
+    transfer's (ordinal, remaining wire time), and the text of the
+    capability table, the mapped-out map and the outbound queue when
+    any of them is non-empty. A context's status as loads see it and
+    the last transfer's remaining bytes are functions of these and of
+    keyed words, so they are not written; under a zero-duration
+    backend nothing is ever in flight and, with the tables empty,
+    nothing is written at all. *)
 
 val transfer_in_flight : t -> bool
 (** A started transfer's wire time has not elapsed: the clock then

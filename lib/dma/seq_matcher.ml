@@ -94,31 +94,12 @@ let reset t =
 
 let position t = t.index
 
-let scratch_digest t =
-  let d = [| 0; 0 |] in
-  List.iter
-    (fun (slot, v) -> Uldma_util.Fp128.replace_int d 0 slot 0 v)
-    [
-      (s_variant, variant_code t.variant lxor 5);
-      (s_index, t.index);
-      (s_dest, lnot t.dest);
-      (s_src, lnot t.src);
-      (s_size, lnot t.size);
-    ];
-  (d.(0), d.(1))
-
-(* Canonical encoding of the matcher's mutable registers. [steps] is a
-   pure function of [variant]. *)
-let encode enc t =
-  let module E = Uldma_util.Enc in
-  let i v = E.int enc v in
-  E.char enc 'm';
-  i (variant_code t.variant);
-  i t.index;
-  i t.dest;
-  i t.src;
-  i t.size;
-  E.char enc ';'
+let iter_terms f t =
+  f s_variant (variant_code t.variant lxor 5);
+  f s_index t.index;
+  f s_dest (lnot t.dest);
+  f s_src (lnot t.src);
+  f s_size (lnot t.size)
 
 (* Try to accept [op/paddr/value] as step [t.index]. *)
 let accept t op paddr value =

@@ -32,8 +32,8 @@ type reply =
 type t
 
 val create : dg:int array -> variant -> t
-(** A matcher whose digest terms live in [dg], the machine's digest
-    cell (see {!scratch_digest}); [create] adds the variant's term. *)
+(** A matcher whose terms ({!iter_terms}) are summed in [dg], the
+    machine's digest cell; [create] adds the variant's term. *)
 
 val copy : t -> dg:int array -> t
 (** A copy whose terms live in [dg], which must already hold them (the
@@ -51,16 +51,11 @@ val position : t -> int
 (** How many accesses of the current candidate sequence have been
     accepted (0 = idle). *)
 
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Feed a canonical encoding of the matcher's mutable
-    registers (variant, position, bound dest/src/size), for state
-    fingerprinting: two matchers with equal encodings behave
-    identically on every future access stream (the paranoid key). *)
-
-val scratch_digest : t -> int * int
-(** The matcher's terms in the machine's digest cell, recomputed from
-    the registers: the five values {!encode} feeds, at slots 0..4 of
-    slot domain 4, each as value xor its reset value (the variant's
-    reset value is [Five], the matcher of every non-[Rep_args] engine),
-    so a fresh [Five] matcher adds nothing. Every write moves its
-    term in the cell, so the cell's part must always equal this. *)
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** The matcher's keyed words as (slot, word) terms: variant, position
+    and bound dest, src and size at slots 0..4 of slot domain 4, each
+    as value xor its reset value (the variant's reset value is [Five],
+    the matcher of every non-[Rep_args] engine), so a fresh [Five]
+    matcher has no nonzero word. Two matchers with equal words behave
+    identically on every future access stream. Every write moves its
+    term in the machine's cell. *)

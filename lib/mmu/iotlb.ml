@@ -7,19 +7,16 @@
 
    Replacement is per-set round robin: a mutable victim cursor per set,
    advanced on every fill. Both the slot contents and the cursors are
-   part of the canonical encoding — the cursor decides which entry the
-   *next* fill evicts, so two caches with equal slots but different
-   cursors can diverge observably (a future hit vs miss changes charged
-   walk time), and merging them would be unsound.
-
-   [fill], [invalidate] and [flush] keep the additive digest terms of
-   that same state current in the machine's digest cell (Fp128.int_term,
-   see [note]): an entry in slot k contributes
-   its vpage, frame and permission bits at digest slots 3k, 3k+1 and
-   3k+2 (the permission word carries a valid bit, so a present entry
-   never digests like an empty slot), and set s's victim cursor at
-   slot 3 * (sets * ways) + s, all in slot domain 5. The empty cache
-   adds nothing. *)
+   keyed ([iter_terms]) — the cursor decides which entry the *next*
+   fill evicts, so two caches with equal slots but different cursors
+   can diverge observably (a future hit vs miss changes charged walk
+   time), and merging them would be unsound. An entry in slot k
+   contributes its vpage, frame and permission bits at slots 3k, 3k+1
+   and 3k+2 (the permission word carries a valid bit, so a present
+   entry never keys like an empty slot), and set s's victim cursor at
+   slot 3 * (sets * ways) + s, all in slot domain 5. [fill],
+   [invalidate] and [flush] keep those terms' sum current in the
+   machine's digest cell (see [note]); the empty cache adds nothing. *)
 
 type entry = { vpage : int; pte : Pte.t }
 
@@ -182,30 +179,12 @@ let entries t =
   Array.to_list t.tab.slots
   |> List.filter_map (fun e -> Option.map (fun e -> (e.vpage, e.pte)) e)
 
-let scratch_digest t =
+let iter_terms f t =
   let tab = t.tab in
-  let d = [| 0; 0 |] in
   Array.iteri
     (fun k e ->
-      for f = 0 to 2 do
-        Uldma_util.Fp128.replace_int d 0 (slot_base + (3 * k) + f) 0 (field e f)
+      for fld = 0 to 2 do
+        f (slot_base + (3 * k) + fld) (field e fld)
       done)
     tab.slots;
-  Array.iteri (fun set w -> Uldma_util.Fp128.replace_int d 0 (victim_slot tab set) 0 w) tab.victim;
-  (d.(0), d.(1))
-
-(* Canonical encoding: slot layout plus the victim cursors. Replacement
-   is deterministic, so equal encodings evolve identically; hit/miss
-   counters are diagnostics and are excluded. *)
-let encode enc t =
-  let i v = Uldma_util.Enc.int enc v in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | None -> i min_int
-      | Some e ->
-        i e.vpage;
-        i e.pte.Pte.frame;
-        i (perm_bits e.pte))
-    t.tab.slots;
-  Array.iter i t.tab.victim
+  Array.iteri (fun set w -> f (victim_slot tab set) w) tab.victim

@@ -9,8 +9,8 @@
 
     Both slot contents and the per-set victim cursors are observable
     state (they decide future hit/miss behaviour and thus charged walk
-    time), so {!encode} streams both; equal encodings evolve
-    identically under identical future request streams. *)
+    time), so {!iter_terms} keys both; caches with equal keyed words
+    evolve identically under identical future request streams. *)
 
 type t
 
@@ -18,7 +18,7 @@ type stats = { hits : int; misses : int }
 
 val create : ?sets:int -> ?ways:int -> dg:int array -> unit -> t
 (** [sets] defaults to 16 (must be a power of two), [ways] to 4. The
-    cache's digest terms (see {!scratch_digest}) live in [dg], the
+    sum of the cache's terms ({!iter_terms}) is kept in [dg], the
     machine's digest cell; the empty cache adds nothing. *)
 
 val copy : t -> dg:int array -> t
@@ -55,12 +55,9 @@ val entries : t -> (int * Pte.t) list
 
 val stats : t -> stats
 
-val scratch_digest : t -> int * int
-(** The cache's terms in the machine's digest cell
-    ({!Uldma_util.Fp128.int_term_a}/[_b], slot domain 5), recomputed
-    from the slots and victim cursors. [fill], [invalidate] and [flush]
-    keep the cell's part equal to this. *)
-
-val encode : Uldma_util.Enc.t -> t -> unit
-(** Canonical encoding of slots + victim cursors (statistics
-    excluded). *)
+val iter_terms : (int -> int -> unit) -> t -> unit
+(** The cache's keyed words as (slot, word) terms in slot domain 5:
+    slot [k]'s vpage, frame and permission bits (with a valid bit) at
+    [3k .. 3k + 2], set [s]'s victim cursor at [3 * sets * ways + s].
+    Statistics are not keyed. [fill], [invalidate] and [flush] keep
+    the cell holding these terms' sum. *)

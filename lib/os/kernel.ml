@@ -64,21 +64,16 @@ type t = {
 
 let kernel_pid = -1
 
-(* The console's and the free-context list's terms in the machine's
-   digest cell: the console as the sequence of its entries' pids and
-   values, oldest first, in domain 7; the free list as the sequence of
-   its contexts, head first, in domain 8 (Fp128.seq_digest). A print
-   adds one entry's terms; a free-list change re-sums that (short)
-   list. [misc_digest] recomputes both from scratch. *)
+(* The console's and the free-context list's terms: the console as the
+   sequence of its entries' pids and values, oldest first, in domain 7;
+   the free list as the sequence of its contexts, head first, in
+   domain 8 (Fp128.iter_seq). In the machine's digest cell a print adds
+   one entry's terms and a free-list change re-sums that (short)
+   list. *)
 let console_base = Fp128.domain 7
-let free_digest = Fp128.seq_digest (Fp128.domain 8)
-
-let misc_digest ~console ~contexts_free =
-  let ca, cb =
-    Fp128.seq_digest console_base
-      (List.concat_map (fun (pid, value) -> [ pid; value ]) (List.rev console))
-  and fa, fb = free_digest contexts_free in
-  (ca + fa, cb + fb)
+let console_words console = List.concat_map (fun (pid, value) -> [ pid; value ]) (List.rev console)
+let free_base = Fp128.domain 8
+let free_digest = Fp128.seq_digest free_base
 
 let set_contexts_free t l =
   let oa, ob = free_digest t.contexts_free and na, nb = free_digest l in
@@ -959,35 +954,32 @@ let write_user t p vaddr value = Phys_mem.store_word t.ram (user_paddr t p vaddr
 (* ------------------------------------------------------------------ *)
 (* Engine-visible state fingerprint (explorer dedup support) *)
 
-(* Canonical encoding of everything the simulated programs and the
-   Fig. 8 oracle can observe: the running pid where a context switch
-   can reach keyed state ([keyed_pid]), pending force-switch,
-   installed hooks, per-process control state (state tag, pc, register
-   file, DMA context/key, uncached-access progress), the write-buffer
-   drain frontier, console output, the context free list, the DMA
-   engine's observable registers and the RAM pages dirtied since the
-   root snapshot (O(dirtied) via Phys_mem.iter_touched). Deliberately
-   *excluded*: clocks, charged bus time, context-switch and
-   instruction counters, trace state — pure cost bookkeeping that
+(* The state key: everything the simulated programs and the Fig. 8
+   oracle can observe. Each keyed component enumerates its words as
+   (slot, word) terms over disjoint slot domains ([iter_terms]); the
+   fingerprint keys their sum, which the writers keep in the machine's
+   digest cell [t.dg] and the processes' register files, and the
+   paranoid key ([state_encoding]) writes them out. Around them both keys
+   write the same flags word and live part ([add_live]), over one
+   [Enc] sink; what enters as text (tables, program text, RAM pages)
+   is produced once and hashed by the fingerprint.
+
+   Deliberately *excluded*: clocks, charged bus time, context-switch
+   and instruction counters, trace state — pure cost bookkeeping that
    differs between commuting schedule prefixes but cannot influence
-   any future observable step. Time-dependent observables are folded
-   in *relative to now* rather than excluded: in-flight transfers by
-   their exact remaining-wire-time and duration (Engine.encode), and a
-   blocked process by its remaining sleep. Thus two kernels that
-   differ only by an absolute clock offset but agree on every pending
-   deadline still merge — the offset cannot influence any future
-   observable — while states whose deadlines genuinely differ never
-   do. Under the zero-duration Null backend all these relative fields
-   are constants and the encoding partitions states exactly as it did
-   before timed backends existed. Two kernels with equal encodings
-   evolve identically under identical future schedules.
+   any future observable step. What depends on the clock is keyed
+   *relative to now*: each sleeper's remaining sleep and each in-flight
+   transfer's remaining wire time. So two kernels that differ only by
+   an absolute clock offset but agree on every pending deadline merge,
+   while states whose deadlines genuinely differ never do; under the
+   zero-duration Null backend nothing of this kind is ever written.
 
    [relative_to] (the explorer's root snapshot) restricts the RAM part
    to pages that physically diverged from the root: pages still shared
    with the root are byte-identical in every fork, so skipping them is
-   exact and keeps encodings proportional to the work done since the
-   root rather than to setup-time writes. Program text is covered the
-   same way (see [text_keyed]). *)
+   exact and keeps keys proportional to the work done since the root
+   rather than to setup-time writes. Program text is covered the same
+   way (see [text_keyed]). *)
 
 let rec from_pid pid = function
   | (b : Process.t) :: rest when b.Process.pid < pid -> from_pid pid rest
@@ -1005,6 +997,27 @@ let text_keyed base (p : Process.t) =
   | _, (b : Process.t) :: _ ->
     not (b.Process.pid = p.Process.pid && b.Process.ctx.Cpu.program == p.Process.ctx.Cpu.program)
   | _, [] -> true
+
+let baseline_procs = function Some root -> root.procs | None -> []
+
+(* [f p ~access ~text] for each process, with its uncached-access count
+   and whether its text is keyed. *)
+let iter_procs ?relative_to f t =
+  ignore
+    (List.fold_left
+       (fun base (p : Process.t) ->
+         let base = from_pid p.Process.pid base in
+         f p ~access:(Bus.pid_access_count t.bus p.Process.pid) ~text:(text_keyed base p);
+         base)
+       (baseline_procs relative_to) t.procs
+      : Process.t list)
+
+let iter_terms ?relative_to f t =
+  iter_procs ?relative_to (fun p ~access ~text -> Process.iter_terms ~access ~text f p) t;
+  Engine.iter_terms f t.engine;
+  Write_buffer.iter_terms f t.write_buffer;
+  Fp128.iter_seq console_base f (console_words t.console);
+  Fp128.iter_seq free_base f t.contexts_free
 
 (* remaining sleep, not the absolute wake instant *)
 let remaining_sleep t (p : Process.t) =
@@ -1032,85 +1045,6 @@ let keyed_pid t ~timed =
     p.Process.pid
   | Some _ | None -> min_int
 
-let rec any_blocked = function
-  | [] -> false
-  | (p : Process.t) :: rest -> (
-    match p.Process.state with
-    | Process.Blocked_until _ -> true
-    | Process.Ready | Process.Exited _ -> any_blocked rest)
-
-let encode_state buf ?relative_to t =
-  let module E = Uldma_util.Enc in
-  let i v = E.int buf v in
-  let ch c = E.char buf c in
-  ch 'K';
-  i (keyed_pid t ~timed:(any_blocked t.procs || Engine.transfer_in_flight t.engine));
-  if t.force_switch then ch 'F';
-  List.iter (fun h -> ch (match h with Shrimp_invalidate -> 'S' | Flash_inform -> 'I')) t.hooks;
-  let base = match relative_to with Some root -> root.procs | None -> [] in
-  ignore
-    (List.fold_left
-       (fun base (p : Process.t) ->
-         ch 'P';
-         i p.Process.pid;
-         i (Process.state_code p.Process.state);
-         (match p.Process.state with Process.Blocked_until _ -> i (remaining_sleep t p) | _ -> ());
-         i p.Process.ctx.Cpu.pc;
-         i (match p.Process.dma_context with None -> min_int | Some c -> c);
-         i (match p.Process.dma_key with None -> min_int | Some k -> k);
-         i (Bus.pid_access_count t.bus p.Process.pid);
-         Regfile.encode buf p.Process.ctx.Cpu.regs;
-         let base = from_pid p.Process.pid base in
-         if text_keyed base p then begin
-           ch 'T';
-           Process.encode_text buf p
-         end;
-         base)
-       base t.procs
-      : Process.t list);
-  ch 'W';
-  List.iter
-    (fun (paddr, value) ->
-      i paddr;
-      i value)
-    (Write_buffer.pending t.write_buffer);
-  ch 'o';
-  List.iter
-    (fun (pid, value) ->
-      i pid;
-      i value)
-    t.console;
-  ch 'f';
-  List.iter i t.contexts_free;
-  Engine.encode buf t.engine;
-  ch 'R';
-  (* the raw page bytes: the key *is* the state *)
-  let add_page idx =
-    i idx;
-    Phys_mem.encode_page buf t.ram idx
-  in
-  match relative_to with
-  | Some root -> Phys_mem.iter_diverged t.ram ~baseline:root.ram add_page
-  | None -> Phys_mem.iter_touched t.ram add_page
-
-let state_encoding ?relative_to t =
-  let buf = Buffer.create 1024 in
-  encode_state buf ?relative_to t;
-  Buffer.contents buf
-
-(* The fingerprint key. Everything that has a write-maintained additive
-   digest enters as one sum over disjoint slot domains: the machine's
-   digest cell [t.dg], into which the DMA engine (with its contexts,
-   matcher and IOTLB), the write buffer, the console and the
-   free-context list write their terms; the process table
-   (Process.digest, with pc, access count and residual text folded in
-   here); and the RAM pages diverged from the baseline
-   (Phys_mem.add_diverged). The sum is streamed after a flags word
-   (force-switch, hooks), followed by each sleeper's remaining time
-   (which processes sleep is digested), the running pid as
-   [keyed_pid] keys it and the engine's in-flight transfers
-   (Engine.add_live). *)
-
 (* force-switch in bit 0, then the hook list as a bijective base-3
    numeral (digits 1 and 2), so distinct lists give distinct words *)
 let rec hook_numeral acc = function
@@ -1120,27 +1054,35 @@ let rec hook_numeral acc = function
 
 let flags t = (hook_numeral 0 t.hooks * 2) + if t.force_switch then 1 else 0
 
-(* Feeds each sleeper's remaining time; true when there was one. *)
-let rec add_sleepers fp t blocked = function
+(* Writes each sleeper's remaining time (which processes sleep is
+   keyed); true when there was one. *)
+let rec add_sleepers enc t blocked = function
   | [] -> blocked
   | (p : Process.t) :: rest -> (
     match p.Process.state with
     | Process.Blocked_until _ ->
-      Fp128.add_int fp (remaining_sleep t p);
-      add_sleepers fp t true rest
-    | Process.Ready | Process.Exited _ -> add_sleepers fp t blocked rest)
+      Enc.int enc (remaining_sleep t p);
+      add_sleepers enc t true rest
+    | Process.Ready | Process.Exited _ -> add_sleepers enc t blocked rest)
+
+(* The live part: each sleeper's remaining time, the running pid as
+   [keyed_pid] keys it (after the sleepers, whose walk tells whether
+   anyone is blocked), and the engine's in-flight transfers and
+   tables. *)
+let add_live enc t =
+  let blocked = add_sleepers enc t false t.procs in
+  Enc.int enc (keyed_pid t ~timed:(blocked || Engine.transfer_in_flight t.engine));
+  Engine.add_live enc t.engine
 
 (* One stream for every key: a key is a leaf computation and the
    program runs on one domain. *)
 let key_stream = Fp128.create ()
+let key_sink = Enc.Fp key_stream
 
 let finish t a b =
-  let fp = key_stream in
-  Fp128.start fp (flags t) a b;
-  let blocked = add_sleepers fp t false t.procs in
-  Fp128.add_int fp (keyed_pid t ~timed:(blocked || Engine.transfer_in_flight t.engine));
-  Engine.add_live fp t.engine;
-  (Fp128.lane fp 0, Fp128.lane fp 1, Fp128.fed fp)
+  Fp128.start key_stream (flags t) a b;
+  add_live key_sink t;
+  (Fp128.lane key_stream 0, Fp128.lane key_stream 1, Fp128.fed key_stream)
 
 (* Fold every process's pc, access count and text into its digest, and
    add the digests into [acc]. *)
@@ -1154,35 +1096,20 @@ let rec fold_procs counts base acc = function
       ~text:(text_keyed base p) acc;
     fold_procs counts base acc rest
 
+let digest ?relative_to t =
+  let acc = [| t.dg.(0); t.dg.(1) |] in
+  fold_procs (Bus.access_counts t.bus) (baseline_procs relative_to) acc t.procs;
+  (acc.(0), acc.(1))
+
 (* The machine digest's lane accumulator, reused like [key_stream]. *)
 let key_acc = [| 0; 0 |]
 
-let digest_cell t = (t.dg.(0), t.dg.(1))
-
-let scratch_digest_cell t =
-  let ea, eb = Engine.scratch_digest t.engine in
-  let wa, wb = Write_buffer.scratch_digest t.write_buffer in
-  let ma, mb = misc_digest ~console:t.console ~contexts_free:t.contexts_free in
-  (ea + wa + ma, eb + wb + mb)
-
 let scratch_fingerprint ?relative_to t =
-  let rec procs base a b = function
-    | [] -> (a, b)
-    | (p : Process.t) :: rest ->
-      let base = from_pid p.Process.pid base in
-      let pa, pb =
-        Process.scratch_key_digest p
-          ~access:(Bus.pid_access_count t.bus p.Process.pid)
-          ~text:(text_keyed base p)
-      in
-      procs base (a + pa) (b + pb) rest
-  in
-  let pa, pb = procs (match relative_to with Some root -> root.procs | None -> []) 0 0 t.procs in
-  let ca, cb = scratch_digest_cell t in
+  let a, b = Fp128.sum_terms (iter_terms ?relative_to) t in
   let ra, rb =
     Phys_mem.scratch_diverged t.ram ~baseline:(Option.map (fun root -> root.ram) relative_to)
   in
-  finish t (pa + ca + ra) (pb + cb + rb)
+  finish t (a + ra) (b + rb)
 
 let fingerprint ?relative_to t =
   match relative_to with
@@ -1195,12 +1122,39 @@ let fingerprint ?relative_to t =
     finish t acc.(0) acc.(1)
   | Some _ | None -> scratch_fingerprint ?relative_to t
 
+(* The fingerprint's content, unhashed: the flags, every term, the live
+   part, then what the fingerprint hashes as text — each keyed
+   program's residual text and the raw bytes of each RAM page (fixed
+   length, so the page list can end the key). *)
+let state_encoding ?relative_to t =
+  let buf = Buffer.create 1024 in
+  let enc = Enc.Buf buf in
+  Enc.int enc (flags t);
+  Enc.terms enc (iter_terms ?relative_to) t;
+  Enc.tag enc ';';
+  add_live enc t;
+  iter_procs ?relative_to
+    (fun p ~access:_ ~text ->
+      if text then begin
+        Enc.tag enc 'T';
+        Enc.int enc p.Process.pid;
+        Process.encode_text enc p
+      end)
+    t;
+  Enc.tag enc 'R';
+  let add_page idx =
+    Enc.int enc idx;
+    Phys_mem.encode_page buf t.ram idx
+  in
+  (match relative_to with
+  | Some root -> Phys_mem.iter_diverged t.ram ~baseline:root.ram add_page
+  | None -> Phys_mem.iter_touched t.ram add_page);
+  Buffer.contents buf
+
 let state_key ?relative_to ~paranoid t =
-  if paranoid then begin
-    let buf = Buffer.create 1024 in
-    encode_state buf ?relative_to t;
-    (Buffer.contents buf, Buffer.length buf)
-  end
+  if paranoid then
+    let s = state_encoding ?relative_to t in
+    (s, String.length s)
   else
     let a, b, fed = fingerprint ?relative_to t in
     (Fp128.pack a b, fed)

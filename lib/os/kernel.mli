@@ -50,7 +50,7 @@ val create : config -> t
 val copy : t -> t
 (** Independent snapshot (explorer support). Process contexts, engine
     registers, clock, scheduler and write buffer are duplicated, and
-    the digest cell ({!digest_cell}) they write is copied once. Tables
+    the digest cell they write (see {!digest}) is copied once. Tables
     the next leg rarely writes are shared: RAM by 512 B copy-on-write
     chunk, page tables as persistent maps, the TLBs and the IOTLB
     copy-on-write (the first write on either side copies), and the PAL
@@ -94,98 +94,87 @@ val set_trace : t -> Uldma_obs.Trace.t -> unit
 val trace : t -> Uldma_obs.Trace.t
 val machine_id : t -> int
 
-val state_encoding : ?relative_to:t -> t -> string
-(** Canonical encoding of the machine's engine-visible state: the
-    running pid where a context switch can reach keyed state (a hook
-    is installed, the mechanism is [Iommu], the write buffer holds an
-    entry, a transfer is in flight or a process sleeps; otherwise the
-    pid is keyed as [min_int], as when nothing runs), per-process
-    control state (state tag, pc, registers, DMA
-    context/key, uncached-access count), write-buffer drain frontier,
-    console, DMA engine observables and RAM pages dirtied since the
-    root (O(dirtied), not O(RAM)). Cost bookkeeping (clock, charged bus
-    time, switch/instruction counters, trace state) is excluded: it
-    differs between commuting schedule prefixes but cannot influence
-    future observable steps. Time-dependent observables are folded in
-    {e relative to now}: each in-flight transfer's exact remaining wire
-    time and duration, and each blocked process's remaining sleep — so
-    states differing only by an absolute clock offset merge while
-    states with genuinely different pending deadlines never do. Under
-    the [Null] backend these fields are constants and the encoding
-    partitions states exactly as before. Equal encodings => identical
-    evolution under identical schedules; the explorer's paranoid memo
-    keys on this string, so dedup can miss a merge but never merge
-    distinct states. [relative_to] (a common snapshot ancestor, e.g.
-    the explorer root) restricts the RAM part to pages physically
-    diverged from it — exact, and O(work since the root) instead of
-    O(all setup-time writes).
+(** {1 The state key}
 
-    Program text is covered relative to [relative_to] the same way: a
-    live process whose program array is not physically its baseline
-    process's (same pid) adds its residual text
-    ({!Process.encode_text}) — the instruction suffix from pc for a
-    straight-line program, the whole program otherwise. An exited
-    process adds nothing, and without [relative_to] every live
-    process's text is added. Kernels snapshotted from one baseline
-    that differ only in a process's program therefore never share an
-    encoding while their residual texts differ. *)
+    Everything the simulated programs and the Fig. 8 oracle can observe
+    is keyed; cost bookkeeping (clock, charged bus time,
+    switch/instruction counters, trace state) is not: it differs
+    between commuting schedule prefixes but cannot influence future
+    observable steps. Time-dependent observables are keyed {e relative
+    to now}: each in-flight transfer's exact remaining wire time and
+    each blocked process's remaining sleep, so states differing only
+    by an absolute clock offset merge while states with genuinely
+    different pending deadlines never do. [relative_to] (a common
+    snapshot ancestor, e.g. the explorer root) restricts the RAM part
+    to pages physically diverged from it — exact, and O(work since the
+    root) instead of O(all setup-time writes) — and program text the
+    same way: a live process whose program array is not physically its
+    baseline process's (same pid) keys its residual text
+    ({!Process.encode_text}); an exited process keys none, and without
+    [relative_to] every live process keys its text. *)
 
-val digest_cell : t -> int * int
-(** The two lanes of the machine's digest cell: one two-lane int array
-    that {!create} allocates and {!copy} copies, into which the DMA
-    engine (with its register contexts, matcher and IOTLB), the write
-    buffer, the console and the free-context list write their additive
-    terms ({!Uldma_util.Fp128.replace_int}) on every change, from
-    creation on. *)
+val iter_terms : ?relative_to:t -> (int -> int -> unit) -> t -> unit
+(** The machine's keyed words as (slot, word) terms over disjoint slot
+    domains ({!Uldma_util.Fp128.domain}), in slot order: each process's
+    ({!Process.iter_terms}, with its uncached-access count and its text
+    keyed as above), the DMA engine's ({!Uldma_dma.Engine.iter_terms}),
+    the write buffer's, the console's and the free-context list's. *)
 
-val scratch_digest_cell : t -> int * int
-(** {!digest_cell} recomputed from those components' [scratch_digest]s
-    and the console and free list: the reference it must always
-    equal. *)
+val digest : ?relative_to:t -> t -> int * int
+(** The maintained digest of {!iter_terms}'s terms: the machine's
+    digest cell, into which the engine, write buffer, console and
+    free-context list write their terms on every change from creation
+    on, plus each process's register-file lanes after folding its pc,
+    access count and text ({!Process.fold_key}). It must always equal
+    [Fp128.sum_terms (iter_terms ?relative_to) t]. *)
 
 val fingerprint : ?relative_to:t -> t -> int * int * int
 (** The explorer's memo key: the two finalised lanes of a 126-bit
-    fingerprint of the state {!state_encoding} encodes, and the bytes
-    streamed to make it. The key is the machine's maintained digest:
-    every component with a write-maintained additive digest enters as
-    one sum over disjoint slot domains ({!Uldma_util.Fp128.domain}) —
-    the digest cell ({!digest_cell}); the process table
-    ({!Process.digest}, into which each process's pc, uncached-access
-    count and residual text are folded here, only when they changed);
-    and the RAM pages diverged from [relative_to]
-    ({!Phys_mem.add_diverged}). Only a flags word (force-switch,
-    hooks), that sum, the running pid as {!state_encoding} keys it and
-    what depends on the clock are streamed: each sleeper's remaining
-    time and each in-flight transfer's, plus the engine's capability,
-    mapped-out and outbound tables when any is non-empty
-    ({!Uldma_dma.Engine.add_live}). Under the [Null] backend a key
-    streams four ints and reads O(processes) words.
+    fingerprint of the state {!state_encoding} writes, and the bytes
+    streamed to make it. It streams a flags word (force-switch, hooks)
+    and the lane sums of {!digest} and of the RAM pages diverged from
+    [relative_to] ({!Phys_mem.add_diverged}), then the live part: each
+    sleeper's remaining time, the running pid where a context switch
+    can reach keyed state (a hook is installed, the mechanism is
+    [Iommu], the write buffer holds an entry, a transfer is in flight
+    or a process sleeps; else [min_int]) and the engine's in-flight
+    transfers and tables ({!Uldma_dma.Engine.add_live}). Under the
+    [Null] backend a key streams four ints and reads O(processes)
+    words.
 
-    RAM is keyed relative to the baseline as {!state_encoding} keys it:
-    the sum is over the touched pages whose record is not the
-    baseline's, and a page that diverged to zeros has a nonzero term.
-    The kernel's RAM keeps that sum relative to one baseline (see
-    {!Phys_mem.add_diverged}); a key relative to another baseline first
+    RAM is keyed relative to the baseline: the sum is over the touched
+    pages whose record is not the baseline's, and a page that diverged
+    to zeros has a nonzero term. The kernel's RAM keeps that sum
+    relative to one baseline; a key relative to another baseline first
     re-keys it, O(touched pages), and snapshots inherit it. A key
     without [relative_to], or relative to the kernel itself, is
-    {!scratch_fingerprint}. Equal encodings
-    always give equal keys; distinct states collide only if both 63-bit
-    lanes collide (~2^-126 — [tools/diff_explore] checks fingerprint
-    runs against paranoid runs differentially). *)
+    {!scratch_fingerprint}. Equal encodings always give equal keys;
+    distinct ones collide only if both 63-bit lanes collide (~2^-126 —
+    [tools/diff_explore] checks fingerprint runs against paranoid runs
+    differentially). *)
 
 val scratch_fingerprint : ?relative_to:t -> t -> int * int * int
-(** {!fingerprint} rebuilt from scratch: every component's
-    [scratch_digest] (processes with their live pc, access count and
-    text), and the RAM sum from a walk over the touched pages. It
+(** {!fingerprint} from the enumeration: the sum of {!iter_terms}'s
+    terms, and the RAM sum from a walk over the touched pages. It
     changes nothing in the kernel, and {!fingerprint} must always equal
     it. *)
+
+val state_encoding : ?relative_to:t -> t -> string
+(** The paranoid key: {!fingerprint}'s content, unhashed. The flags
+    word, every nonzero term of {!iter_terms} as a (slot, word) pair
+    ({!Uldma_util.Enc.terms}), the live part written by the same code
+    over the text sink, then what the fingerprint hashes as text: each
+    keyed program's residual text and the raw bytes of each keyed RAM
+    page. Equal encodings mean equal keyed state exactly, so the
+    explorer's paranoid memo can miss a merge but never merge distinct
+    states. *)
 
 val state_key : ?relative_to:t -> paranoid:bool -> t -> string * int
 (** Memo key as a string, plus the number of bytes streamed at this
     call to produce it. With [~paranoid:false] it is {!fingerprint}'s
     lanes packed into 16 bytes ({!Uldma_util.Fp128.pack}); the explorer
     passes the lanes to the memo directly. With [~paranoid:true] the
-    key is the full [state_encoding] string, under which key equality
+    key is the full {!state_encoding} string, under which key equality
     is exactly encoding equality. *)
 
 val counter_snapshot : t -> Uldma_obs.Counters.t

@@ -61,12 +61,6 @@ let pos ~pc ~access =
 
 let state_code = function Ready -> 0 | Blocked_until _ -> 1 | Exited _ -> 2
 
-(* One instruction, self-delimiting. *)
-let encode_instr enc instr =
-  let s = Isa.show_instr instr in
-  Uldma_util.Enc.int enc (String.length s);
-  Uldma_util.Enc.string enc s
-
 let text_of program =
   let module F = Uldma_util.Fp128 in
   let digests =
@@ -130,7 +124,7 @@ let encode_text enc t =
   let from = text_from t in
   Uldma_util.Enc.int enc (n - from);
   for i = from to n - 1 do
-    encode_instr enc program.(i)
+    Uldma_util.Enc.string enc (Isa.show_instr program.(i))
   done
 
 (* Auxiliary value [k] (the flag or a lane) of the text keyed from index
@@ -188,40 +182,21 @@ let fold_key t ~access ~text acc =
   fold_text t (if text then text_from t else -1);
   Regfile.add_digest regs acc
 
-(* The digest from the fields, with [pos], [pc], [access] and the text
-   keyed from [from] as the auxiliary values at [aux_pos] on. *)
-let sum_digest t ~pos ~pc ~access ~from =
-  let module F = Uldma_util.Fp128 in
+let iter_terms ~access ~text f t =
   let regs = t.ctx.Cpu.regs in
-  let base = Regfile.slot_base regs in
-  let a = ref 0 and b = ref 0 in
-  let add slot v =
-    a := !a + F.int_term_a slot v;
-    b := !b + F.int_term_b slot v
-  in
-  List.iteri (fun r v -> add (base + r) v) (Regfile.to_list regs);
-  let aux k v = add (base + Isa.num_regs + k) v in
+  let aux k v = f (Regfile.slot_base regs + Isa.num_regs + k) v in
+  let pc = t.ctx.Cpu.pc in
+  let pos = pos ~pc ~access and from = if text then text_from t else -1 in
+  Regfile.iter_terms f regs;
   aux aux_state (state_code t.state);
-  aux aux_context (F.opt_value t.dma_context);
-  aux aux_key (F.opt_value t.dma_key);
+  aux aux_context (Uldma_util.Fp128.opt_value t.dma_context);
+  aux aux_key (Uldma_util.Fp128.opt_value t.dma_key);
   aux aux_pos pos;
-  aux aux_pc pc;
-  aux aux_access access;
+  aux aux_pc (if pos < 0 then pc else 0);
+  aux aux_access (if pos < 0 then access else 0);
   for k = aux_text to aux_text_b do
     aux k (text_value t from k)
-  done;
-  (!a, !b)
-
-let scratch_digest t =
-  sum_digest t ~pos:t.f_pos ~pc:t.f_pc ~access:t.f_access ~from:t.f_text
-
-let scratch_key_digest t ~access ~text =
-  let pc = t.ctx.Cpu.pc in
-  let pos = pos ~pc ~access in
-  sum_digest t ~pos
-    ~pc:(if pos < 0 then pc else 0)
-    ~access:(if pos < 0 then access else 0)
-    ~from:(if text then text_from t else -1)
+  done
 
 let pp_state ppf = function
   | Ready -> Format.pp_print_string ppf "ready"

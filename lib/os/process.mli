@@ -55,11 +55,11 @@ val set_program : t -> Uldma_cpu.Isa.instr array -> unit
     code embedding its results can be generated. *)
 
 val encode_text : Uldma_util.Enc.t -> t -> unit
-(** Append the process's residual program text: for a straight-line
-    program (no [Beq], [Bne], [Blt] or [Jmp]) the instructions from pc,
-    for any other program all of them (the pc is in the state key
-    already). The fingerprint key folds the same text's 126-bit digest
-    instead (see {!fold_key}). *)
+(** Write the process's residual program text, the paranoid key's form
+    of it: for a straight-line program (no [Beq], [Bne], [Blt] or
+    [Jmp]) the instructions from pc, for any other program all of them
+    (the pc is keyed already). The fingerprint keys the same text's
+    126-bit digest instead (see {!iter_terms}). *)
 
 val is_runnable : t -> bool
 
@@ -73,39 +73,37 @@ val set_dma : t -> context:int option -> key:int option -> unit
 val kill : t -> exit_reason -> unit
 (** [set_state] to [Exited]. *)
 
-(** {1 The process's digest}
+(** {1 The process's keyed words}
 
     A process's register file digest ({!Uldma_cpu.Regfile.digest})
-    covers its registers at slots [pid * 64 + r] of slot domain 1 and,
-    at [pid * 64 + 32 + k], nine auxiliary values: its state code,
-    DMA context and DMA key ({!Uldma_util.Fp128.opt_value}), kept
-    current by the setters above, then its pc and uncached-access count
-    (packed into one value while both fit 31 bits, as two values of
-    their own otherwise), whether its residual text is keyed, and that
-    text's two digest lanes, which {!fold_key} brings up to date. Slots are salted
-    by pid, so the lane sums over all of a kernel's processes digest
-    its whole process table. *)
+    covers the terms {!iter_terms} enumerates. The setters above keep
+    the state code, DMA context and key current; {!fold_key} brings the
+    pc, access count and text up to date at key time. *)
+
+val iter_terms : access:int -> text:bool -> (int -> int -> unit) -> t -> unit
+(** [iter_terms ~access ~text f t] enumerates the process's keyed words
+    as (slot, word) terms, slots salted by pid so a kernel's processes
+    never share one: its registers at [pid * 64 + r] of slot domain 1,
+    then at [pid * 64 + 32 + k] its state code, DMA context and DMA key
+    ({!Uldma_util.Fp128.opt_value}), its pc and uncached-access count
+    [access] (packed into one word while both fit 31 bits, as two words
+    of their own otherwise), and, with [text], a keyed-text flag and the
+    two digest lanes of the residual text {!encode_text} writes
+    (zeros without it). *)
 
 val digest : t -> int * int
+(** The maintained digest: after [fold_key t ~access ~text], the sum of
+    [iter_terms ~access ~text]'s terms
+    ({!Uldma_util.Fp128.sum_terms}). *)
 
 val fold_key : t -> access:int -> text:bool -> int array -> unit
 (** [fold_key t ~access ~text acc] folds the live pc, uncached-access
     count [access] and residual text into {!digest}, then adds the
     digest's lanes into [acc.(0)] and [acc.(1)]. Each value whose
     folded copy differs moves its term, so a call after which nothing
-    changed costs compares only.
-    With [text] the residual text's digest is keyed (lanes of the
-    instruction suffix {!encode_text} appends), without it the text
-    enters as zeros. The kernel calls this at key time, so the key is
-    exact whatever changed the process since the last one. *)
-
-val scratch_digest : t -> int * int
-(** {!digest} recomputed from the fields and the folded copies: the
-    reference it must always equal. *)
-
-val scratch_key_digest : t -> access:int -> text:bool -> int * int
-(** What {!digest} is after [fold_key t ~access ~text], computed from
-    the fields without folding anything. *)
+    changed costs compares only. The kernel calls this at key time, so
+    the key is exact whatever changed the process since the last
+    one. *)
 
 val pp_state : Format.formatter -> state -> unit
 val pp : Format.formatter -> t -> unit

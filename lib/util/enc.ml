@@ -1,14 +1,30 @@
-(* Text sink for the canonical kernel-state walk (paranoid keys,
-   debugging, the differential checks): ints are decimal with a
-   trailing ',', tags and raw bytes verbatim. The fingerprint key reads
-   the machine's write-maintained digests instead (Kernel.state_key). *)
+(* One sink for what a state key streams: the fingerprint's Fp128 lanes
+   or the paranoid key's text (ints decimal with a trailing ',', tags
+   verbatim, strings after their length). *)
 
-type t = Buffer.t
+type t = Fp of Fp128.t | Buf of Buffer.t
 
-let int b v =
-  Buffer.add_string b (string_of_int v);
-  Buffer.add_char b ','
+let int t v =
+  match t with
+  | Fp fp -> Fp128.add_int fp v
+  | Buf b ->
+    Buffer.add_string b (string_of_int v);
+    Buffer.add_char b ','
 
-let char = Buffer.add_char
-let string = Buffer.add_string
-let bytes = Buffer.add_bytes
+let tag t c = match t with Fp fp -> Fp128.add_tag fp c | Buf b -> Buffer.add_char b c
+
+let string t s =
+  match t with
+  | Fp fp -> Fp128.add_string fp s
+  | Buf b ->
+    int t (String.length s);
+    Buffer.add_string b s
+
+let terms t iter x =
+  iter
+    (fun slot v ->
+      if v <> 0 then begin
+        int t slot;
+        int t v
+      end)
+    x

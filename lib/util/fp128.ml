@@ -169,14 +169,20 @@ let domain d =
 let[@inline] int_term_a slot v = word_term_a slot (v land 0xffff_ffff) (v asr 32)
 let[@inline] int_term_b slot v = word_term_b slot (v land 0xffff_ffff) (v asr 32)
 
-let seq_digest base l =
-  let rec go k a b = function
-    | [] -> (a + int_term_a base k, b + int_term_b base k)
-    | v :: rest ->
-      let slot = base + 1 + k in
-      go (k + 1) (a + int_term_a slot v) (b + int_term_b slot v) rest
-  in
-  go 0 0 0 l
+let sum_terms iter x =
+  let a = ref 0 and b = ref 0 in
+  iter
+    (fun slot v ->
+      a := !a + int_term_a slot v;
+      b := !b + int_term_b slot v)
+    x;
+  (!a, !b)
+
+let iter_seq base f l =
+  f base (List.length l);
+  List.iteri (fun k v -> f (base + 1 + k) v) l
+
+let seq_digest base l = sum_terms (iter_seq base) l
 
 (* The upkeep entry points take the digest as two adjacent cells of an
    int array, so that one call updates both lanes: the four (or, per

@@ -1,8 +1,8 @@
 (** Streaming two-lane 126-bit fingerprint.
 
     Allocation-free on the hot path: both lanes are native 63-bit ints
-    mixed word-at-a-time.  Used by [Kernel.state_key] to fingerprint
-    canonical state walks without materialising the encoding string.
+    mixed word-at-a-time.  Used by [Kernel.fingerprint] to hash what a
+    key streams without materialising it.
     Also home of the additive digest primitive ({!word_term_a} and
     friends) that mutable components maintain on every write. *)
 
@@ -87,15 +87,27 @@ val int_term_b : int -> int -> int
 
 val opt_value : int option -> int
 (** The digest value of an optional register whose reset value is
-    [None]: 0 for [None], [v lxor min_int] for [Some v]. That is the
-    paranoid walk's token ([min_int] for [None]) xor the reset state's
-    token, so a register at reset contributes no term. *)
+    [None]: 0 for [None], [v lxor min_int] for [Some v]. The map is
+    injective and only [None] maps to 0, so a register at reset
+    contributes no term. *)
 
-val seq_digest : int -> int list -> int * int
-(** [seq_digest base l] is the additive digest of the sequence [l]: its
+val sum_terms : ((int -> int -> unit) -> 'a -> unit) -> 'a -> int * int
+(** [sum_terms iter x] is the additive digest of the (slot, word) terms
+    that [iter] enumerates over [x]: the lane sums of {!int_term_a} and
+    {!int_term_b}. A keyed component's [iter_terms] is the one
+    definition of its keyed words; the digest its writes maintain must
+    always equal this sum, and {!Enc.terms} streams the same terms as
+    the paranoid key. *)
+
+val iter_seq : int -> (int -> int -> unit) -> int list -> unit
+(** [iter_seq base f l] enumerates the sequence [l] as terms: its
     length at slot [base] and its k-th element at slot [base + 1 + k].
     The length fixes which elements exist, so a zero element is not
     lost. *)
+
+val seq_digest : int -> int list -> int * int
+(** [seq_digest base l] is [sum_terms (iter_seq base) l]: what a writer
+    of a short list moves. *)
 
 (** Upkeep. A digest lives in two adjacent cells [d.(i)] (lane a) and
     [d.(i + 1)] (lane b) of an int array; each call updates both. A

@@ -247,7 +247,7 @@ let wbuf_model_fuzz =
             List.iter (fun (p, v) -> emit_model p v) !model;
             model := [];
             true)
-          && (dg.(0), dg.(1)) = Write_buffer.scratch_digest wb)
+          && (dg.(0), dg.(1)) = Fp128.sum_terms Write_buffer.iter_terms wb)
         script
       && !emitted_real = !emitted_model
       && Write_buffer.pending wb = !model)

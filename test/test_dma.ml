@@ -170,9 +170,8 @@ let matcher_fire_implies_pattern =
           | Seq_matcher.Accepted | Seq_matcher.Rejected -> true)
         stream)
 
-(* Digest upkeep against the from-scratch builder: random access
-   streams on each variant, the digest first built at a random point,
-   then a copy taken and both sides fed. *)
+(* Digest upkeep against the sum of the enumerated terms: random access
+   streams on each variant, then a copy taken and both sides fed. *)
 let matcher_digest_matches_recomputed =
   let gen_access =
     QCheck2.Gen.(
@@ -195,7 +194,8 @@ let matcher_digest_matches_recomputed =
       let c = Seq_matcher.copy m ~dg:cdg in
       List.iter (apply c) child_after;
       List.iter (apply m) parent_after;
-      lanes dg = Seq_matcher.scratch_digest m && lanes cdg = Seq_matcher.scratch_digest c)
+      lanes dg = Fp128.sum_terms Seq_matcher.iter_terms m
+      && lanes cdg = Fp128.sum_terms Seq_matcher.iter_terms c)
 
 (* ------------------------------------------------------------------ *)
 (* Context_file *)
@@ -1106,7 +1106,7 @@ let engine_digest_matches_recomputed =
   let apply e (store, paddr, value) =
     if store then dstore e paddr value else ignore (dload e paddr : int)
   in
-  let consistent dg e = lanes dg = Engine.scratch_digest e in
+  let consistent dg e = lanes dg = Fp128.sum_terms Engine.iter_terms e in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"engine: maintained digest equals recomputed digest"
        QCheck2.Gen.(
@@ -1146,12 +1146,13 @@ let test_engine_fp_sees_remaining_time () =
     let f = Fp128.create () in
     Fp128.add_int f dg.(0);
     Fp128.add_int f dg.(1);
-    Engine.add_live f e;
+    Engine.add_live (Enc.Fp f) e;
     Fp128.key f
   in
   let text e =
     let buf = Buffer.create 256 in
-    Engine.encode buf e;
+    Enc.terms (Enc.Buf buf) Engine.iter_terms e;
+    Engine.add_live (Enc.Buf buf) e;
     Buffer.contents buf
   in
   let status e = dload e (control Regmap.k_status) in
@@ -1167,19 +1168,19 @@ let test_engine_fresh_digest_zero () =
     (fun mechanism ->
       let dg = cell () in
       let e, _, _ = make_engine ~mechanism ~dg () in
-      checkb "fresh engine digests to zero" true (Engine.scratch_digest e = (0, 0));
+      checkb "fresh engine digests to zero" true (Fp128.sum_terms Engine.iter_terms e = (0, 0));
       checkb "its cell agrees" true (lanes dg = (0, 0));
       checkb "fresh contexts digest to zero" true
-        (Context_file.scratch_digest (Engine.contexts e) = (0, 0)))
+        (Fp128.sum_terms Context_file.iter_terms (Engine.contexts e) = (0, 0)))
     Engine.[ Shrimp_mapped; Flash; Key_based; Ext_shadow; Rep_args Seq_matcher.Five; Capio ];
   let dg = cell () in
   let m = matcher ~dg Seq_matcher.Five in
   checkb "fresh Five matcher digests to zero" true
-    (lanes dg = (0, 0) && Seq_matcher.scratch_digest m = (0, 0));
+    (lanes dg = (0, 0) && Fp128.sum_terms Seq_matcher.iter_terms m = (0, 0));
   let dg = cell () in
   let m = matcher ~dg Seq_matcher.Three in
   checkb "a Three matcher does not" true (lanes dg <> (0, 0));
-  checkb "and seeds its cell at create" true (lanes dg = Seq_matcher.scratch_digest m)
+  checkb "and seeds its cell at create" true (lanes dg = Fp128.sum_terms Seq_matcher.iter_terms m)
 
 let () =
   Alcotest.run "dma"

@@ -189,9 +189,11 @@ let test_tlb_power_of_two () =
 (* ------------------------------------------------------------------ *)
 (* Iotlb *)
 
+(* the IOTLB's part of the paranoid key: its nonzero terms as
+   "slot,word," pairs *)
 let iotlb_encode_str t =
   let b = Buffer.create 128 in
-  Iotlb.encode b t;
+  Uldma_util.Enc.terms (Uldma_util.Enc.Buf b) Iotlb.iter_terms t;
   Buffer.contents b
 
 (* op scripts over a 64-vpage space: map (with OS shootdown), unmap
@@ -294,37 +296,28 @@ let iotlb_encode_iff_contents_prop =
       Iotlb.fill iotlb ~vpage:999 (pte 999 Perms.read_write);
       not (String.equal before (iotlb_encode_str iotlb)))
 
-(* 4. digest upkeep against a from-scratch recomputation: after any
-   script (fills, invalidations, flushes) on a cache and on a copy
-   taken mid-script with a copy of the cell, each side's cell equals
-   both its [scratch_digest] and the lane sums
-   of [Fp128.int_term] recomputed from its canonical text encoding —
-   slot k's vpage, frame and permission bits (plus the valid bit) at
-   digest slots 3k..3k+2, set s's victim cursor at 3 * slots + s, all
-   in the IOTLB's slot domain (5) *)
+(* 4. digest upkeep against the enumeration: after any script (fills,
+   invalidations, flushes) on a cache and on a copy taken mid-script
+   with a copy of the cell, each side's cell equals both the sum of its
+   [iter_terms] and the lane sums of [Fp128.int_term] recomputed from
+   the (slot, word) pairs of its paranoid key. Each pair must sit in
+   the layout: slot k's vpage, frame and permission bits (the last with
+   the valid bit) at 3k..3k+2, set s's victim cursor at 3 * slots + s,
+   all in the IOTLB's slot domain (5) *)
 let iotlb_digest_recomputed t ~slots =
   let module F = Uldma_util.Fp128 in
-  let tokens =
-    iotlb_encode_str t |> String.split_on_char ',' |> List.filter (( <> ) "")
-    |> List.map int_of_string
+  let rec pairs a b = function
+    | [] -> (a, b)
+    | slot :: v :: rest ->
+      let s = slot - F.domain 5 in
+      if s < 0 || s >= 4 * slots then invalid_arg "iotlb_digest_recomputed: slot out of layout";
+      if s < 3 * slots && s mod 3 = 2 && v land 8 = 0 then
+        invalid_arg "iotlb_digest_recomputed: entry without its valid bit";
+      pairs (a + F.int_term_a slot v) (b + F.int_term_b slot v) rest
+    | [ _ ] -> invalid_arg "iotlb_digest_recomputed: odd key"
   in
-  let a = ref 0 and b = ref 0 in
-  let add slot v =
-    a := !a + F.int_term_a (F.domain 5 + slot) v;
-    b := !b + F.int_term_b (F.domain 5 + slot) v
-  in
-  let rec entries k = function
-    | rest when k = slots -> rest
-    | v :: rest when v = min_int -> entries (k + 1) rest
-    | vpage :: frame :: perms :: rest ->
-      add (3 * k) vpage;
-      add ((3 * k) + 1) frame;
-      add ((3 * k) + 2) (perms lor 8);
-      entries (k + 1) rest
-    | _ -> invalid_arg "iotlb_digest_recomputed: short encoding"
-  in
-  List.iteri (fun s v -> add ((3 * slots) + s) v) (entries 0 tokens);
-  (!a, !b)
+  iotlb_encode_str t |> String.split_on_char ',' |> List.filter (( <> ) "")
+  |> List.map int_of_string |> pairs 0 0
 
 let iotlb_digest_matches_recomputed_prop =
   qtest "iotlb: maintained digest equals recomputed digest"
@@ -341,7 +334,7 @@ let iotlb_digest_matches_recomputed_prop =
       List.iter (iotlb_apply iotlb pt) parent_after;
       let consistent dg t =
         (dg.(0), dg.(1)) = iotlb_digest_recomputed t ~slots:8
-        && (dg.(0), dg.(1)) = Iotlb.scratch_digest t
+        && (dg.(0), dg.(1)) = Uldma_util.Fp128.sum_terms Iotlb.iter_terms t
       in
       consistent dg iotlb && consistent cdg child
       && (Iotlb.flush child;

@@ -553,17 +553,18 @@ let test_fp128_additive_collision_power () =
        (a - Fp128.word_term_a 0 lo hi, b - Fp128.word_term_b 0 lo hi)))
 
 (* ------------------------------------------------------------------ *)
-(* Enc (the paranoid encoding's text sink) *)
+(* Enc (the key's sink: Fp128 stream or paranoid text) *)
 
 let test_enc_text_format () =
   let b = Buffer.create 16 in
-  Enc.char b 'K';
-  Enc.int b 42;
-  Enc.int b (-7);
-  Enc.string b "pg";
-  Enc.bytes b (Bytes.of_string "\x00\xff");
-  checks "ints decimal with ',', tags and raw bytes verbatim" "K42,-7,pg\x00\xff"
-    (Buffer.contents b)
+  let enc = Enc.Buf b in
+  Enc.tag enc 'K';
+  Enc.int enc 42;
+  Enc.int enc (-7);
+  Enc.string enc "p,g";
+  Enc.terms enc (fun f () -> f 5 0; f 6 (-1)) ();
+  checks "ints decimal with ',', tags verbatim, strings after their length, zero terms dropped"
+    "K42,-7,3,p,g6,-1," (Buffer.contents b)
 
 let () =
   Alcotest.run "util"

@@ -525,35 +525,66 @@ let test_memo_length_distinct () =
 
 (* Fingerprint keys and encoding strings must induce the same equality
    relation on states. Randomized: two kernels built from the same
-   scenario, each mutated by a random word-store script, agree on their
-   encodings iff they agree on their fingerprint keys; and replaying
-   one script must reproduce its key exactly. A fingerprint collision
-   between distinct encodings would need both 63-bit lanes to collide
-   (~2^-126), far below what this test could ever draw. *)
+   machine (rep5 at Null, or rep5 at atm155 with a transfer in flight),
+   each mutated by a random script of RAM word stores, register writes
+   and stores to the engine's shadow window, agree on their encodings
+   iff they agree on their fingerprint keys, keyed with and without the
+   machine's root as baseline; and replaying one script must reproduce
+   its key exactly. A fingerprint collision between distinct encodings
+   would need both 63-bit lanes to collide (~2^-126), far below what
+   this test could ever draw. *)
 let explorer_fp_iff_encoding =
-  let build ops =
-    let s = Scenario.rep5 () in
-    let k = s.Scenario.kernel in
+  let build (timed, ops) =
+    let s =
+      if timed then begin
+        let s = Scenario.rep5 ~net:(Uldma_net.Backend.linked Uldma_net.Link.atm155) () in
+        Scenario.run_legs s Scenario.[ V; V; V; V; V ];
+        s
+      end
+      else Scenario.rep5 ()
+    in
+    let root = s.Scenario.kernel in
+    let k = Kernel.snapshot root in
     let ram = Kernel.ram k in
     let nslots = Uldma_mem.Phys_mem.size ram / 8 in
+    let procs = Array.of_list (Kernel.processes k) in
     List.iter
-      (fun (slot, v) -> Uldma_mem.Phys_mem.store_word ram (slot mod nslots * 8) v)
+      (fun (op, (a, b, v)) ->
+        match op with
+        | 0 -> Uldma_mem.Phys_mem.store_word ram (a mod nslots * 8) v
+        | 1 ->
+          let p = procs.(a mod Array.length procs) in
+          Uldma_cpu.Regfile.set p.Process.ctx.Uldma_cpu.Cpu.regs (b mod 4) v
+        | _ ->
+          let paddr = Uldma_mmu.Shadow.encode_ctx ~context:(a land 3) ((b land 7) * 64) in
+          ignore
+            (Engine.device.Uldma_bus.Bus.handle (Kernel.engine k) Uldma_bus.Txn.Store ~paddr
+               ~value:v ~pid:1
+              : int))
       ops;
-    k
+    (root, k)
   in
-  let key k = fst (Kernel.state_key ~paranoid:false k) in
+  let keys (root, k) =
+    ( fst (Kernel.state_key ~paranoid:false k),
+      fst (Kernel.state_key ~relative_to:root ~paranoid:false k) )
+  in
+  let encodings (root, k) = (Kernel.state_encoding k, Kernel.state_encoding ~relative_to:root k) in
   let gen_ops =
-    QCheck2.Gen.(list_size (int_range 0 10) (pair nat (int_range 0 0xffff)))
+    QCheck2.Gen.(
+      list_size (int_range 0 10)
+        (pair (int_range 0 2) (triple (int_range 0 0xff) (int_range 0 7) (int_range 0 3))))
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"explorer: fingerprint equality iff encoding equality" ~count:60
-       (QCheck2.Gen.pair gen_ops gen_ops)
-       (fun (ops_a, ops_b) ->
-         let a = build ops_a and b = build ops_b in
-         let same_enc = Kernel.state_encoding a = Kernel.state_encoding b in
-         let same_key = key a = key b in
-         (* determinism: replaying a script reproduces its key *)
-         key (build ops_a) = key a && same_enc = same_key))
+       QCheck2.Gen.(pair bool (pair gen_ops gen_ops))
+       (fun (timed, (ops_a, ops_b)) ->
+         let a = build (timed, ops_a) and b = build (timed, ops_b) in
+         let (ea, ra) = encodings a and (eb, rb) = encodings b in
+         let (ka, kra) = keys a and (kb, krb) = keys b in
+         (* determinism: replaying a script reproduces its keys *)
+         keys (build (timed, ops_a)) = keys a
+         && (ea = eb) = (ka = kb)
+         && (ra = rb) = (kra = krb)))
 
 (* [n] processes on an atm155 extended-shadow machine, each starting a
    DMA, blocking in sys_dma_wait until its wire time has elapsed,
@@ -637,13 +668,12 @@ let test_explorer_waiters_paranoid_equivalence () =
    digest, which also covers its state code, DMA context and key)
    against random schedules of legs, wait legs, scheduler steps (which
    idle the clock forward to wake sleepers), DMA-context frees and
-   re-allocations, and forks: at every node each process's maintained
-   digest, and so the table's lane sums, equal a from-scratch
-   recomputation. Programs exit, block in sys_dma_wait and sleep. *)
+   re-allocations, and forks: at every node the machine's maintained
+   digest (the processes' lanes, folded, and the digest cell) equals
+   the sum of the terms the machine enumerates. Programs exit, block in
+   sys_dma_wait and sleep. *)
 let process_table_digest_schedules =
-  let table_ok k =
-    List.for_all (fun p -> Process.digest p = Process.scratch_digest p) (Kernel.processes k)
-  in
+  let table_ok k = Kernel.digest k = Uldma_util.Fp128.sum_terms Kernel.iter_terms k in
   let act k (choice, who) =
     let procs = Array.of_list (Kernel.processes k) in
     let p = procs.(who mod Array.length procs) in
@@ -690,8 +720,9 @@ let process_table_digest_schedules =
      every pair of nodes of two schedules;
    - keying after every leg gives the same final key as replaying the
      schedule and keying once at the end (the process folds then move
-     once), and the machine's digest cell and the process digests
-     equal their from-scratch recomputations at every node;
+     once), and the machine's maintained digest (digest cell and
+     process digests) equals the sum of its enumerated terms at every
+     node;
    - a child's legs after [snapshot] never move the parent's key. *)
 let explorer_engine_digest_schedules =
   let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
@@ -741,10 +772,8 @@ let explorer_engine_digest_schedules =
         let key = fp root k in
         ok :=
           !ok
-          && List.for_all
-               (fun p -> Process.digest p = Process.scratch_digest p)
-               (Kernel.processes k)
-          && Kernel.digest_cell k = Kernel.scratch_digest_cell k;
+          && Kernel.digest ~relative_to:root k
+             = Uldma_util.Fp128.sum_terms (Kernel.iter_terms ~relative_to:root) k;
         (match legs s k with
         | leg :: _ ->
           let child = Kernel.snapshot k in
@@ -870,11 +899,128 @@ let key_corners () =
     labels = [];
   }
 
+(* The paranoid key is exact because of one property: a state's keyed
+   words are written as (slot, word) pairs, each slot once and in slot
+   order, and what enters as text is written whole. So on machines
+   that between them fill every keyed component (fig5's Three matcher;
+   the IOMMU's IOTLB; capio's capability table with transfers in flight
+   at atm155; waiters' sleepers; key_corners' write buffer, console and
+   free list), after random legs: the machine's enumeration ascends
+   strictly by slot; replacing any one enumerated word by another value
+   changes the term stream; and changing one entry of a text-form table
+   (a capability, a mapped-out entry, an outbound packet), one RAM word
+   or one instruction of a live program changes the whole paranoid
+   key. *)
+let paranoid_key_injective =
+  let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
+  let machines =
+    [|
+      (fun () -> Scenario.fig5 ());
+      (fun () -> Scenario.iommu_contested ());
+      (fun () -> Scenario.capio_contested ~net:atm155 ());
+      (fun () -> waiters ());
+      key_corners;
+    |]
+  in
+  let terms root k =
+    let l = ref [] in
+    Kernel.iter_terms ~relative_to:root (fun slot w -> l := (slot, w) :: !l) k;
+    List.rev !l
+  in
+  let stream l =
+    let b = Buffer.create 256 in
+    Uldma_util.Enc.terms (Uldma_util.Enc.Buf b)
+      (fun f l -> List.iter (fun (slot, w) -> f slot w) l)
+      l;
+    Buffer.contents b
+  in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  (* one entry of a text-form part changed on [k] *)
+  let perturb_text k which v =
+    let e = Kernel.engine k in
+    match which with
+    | 0 ->
+      Capability.install (Engine.capabilities e)
+        {
+          Capability.value = 0x5000 + v;
+          ctx = 0;
+          pid = 1;
+          base = 0;
+          len = 64;
+          rights = Uldma_mem.Perms.read_write;
+          revoked = false;
+        }
+    | 1 -> Engine.map_out e ~src_page:(v land 15) ~dst_page:(16 + (v land 15))
+    | 2 ->
+      ignore
+        (Engine.device.Uldma_bus.Bus.handle e Uldma_bus.Txn.Store
+           ~paddr:(Uldma_mem.Layout.remote_base + (8 * (v land 63)))
+           ~value:v ~pid:1
+          : int)
+    | 3 ->
+      let ram = Kernel.ram k in
+      let a = 8 * (v land 0xfff) in
+      Uldma_mem.Phys_mem.store_word ram a (Uldma_mem.Phys_mem.load_word ram a + 1)
+    | _ -> (
+      match List.filter Process.is_runnable (Kernel.processes k) with
+      | p :: _ ->
+        let program = Array.copy p.Process.ctx.Uldma_cpu.Cpu.program in
+        let pc = max 0 (min p.Process.ctx.Uldma_cpu.Cpu.pc (Array.length program - 1)) in
+        if Array.length program > 0 then begin
+          program.(pc) <- Uldma_cpu.Isa.Li (30, v + 1);
+          let saved = p.Process.ctx.Uldma_cpu.Cpu.pc in
+          Process.set_program p program;
+          p.Process.ctx.Uldma_cpu.Cpu.pc <- saved
+        end
+      | [] -> ())
+  in
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (pair (int_range 0 (Array.length machines - 1)) (list_size (int_range 0 8) (int_range 0 3)))
+        (triple nat (int_range 0 4) (int_range 0 0xffff)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"paranoid key: one changed word or table entry changes the key"
+       ~count:200 gen
+       (fun ((i, choices), (pick, which, v)) ->
+         let s = machines.(i) () in
+         let root = s.Scenario.kernel in
+         let k = Kernel.snapshot root in
+         List.iter
+           (fun c ->
+             match Kernel.runnable_pids k with
+             | [] -> ()
+             | pids ->
+               ignore
+                 (Explorer.advance_one_leg k (List.nth pids (c mod List.length pids))
+                    ~max_instructions:2000
+                   : [> `Progress ]))
+           choices;
+         let l = terms root k in
+         let j = pick mod List.length l in
+         let changed =
+           List.mapi
+             (fun n (slot, w) -> if n = j then (slot, if w = v then w + 1 else v) else (slot, w))
+             l
+         in
+         let before = Kernel.state_encoding ~relative_to:root k in
+         let k' = Kernel.snapshot k in
+         perturb_text k' which v;
+         let runnable = Kernel.runnable_pids k <> [] in
+         ascending l
+         && stream changed <> stream l
+         && (which = 4 && not runnable
+            || not (String.equal before (Kernel.state_encoding ~relative_to:root k')))))
+
 (* A pc and access count that do not both fit 31 bits fold as two
    values of their own; moving between the packed and the wide form,
    keying the text and replacing the program must keep the digest equal
-   to the one recomputed from the fields, and distinct positions must
-   digest apart. *)
+   to the sum of the process's enumerated terms, and distinct positions
+   must digest apart. *)
 let test_process_fold_wide () =
   let open Uldma_cpu.Isa in
   let p = Process.make ~pid:3 ~name:"wide" ~program:[| Nop; Nop; Halt |] ~superuser:false in
@@ -883,8 +1029,7 @@ let test_process_fold_wide () =
     p.Process.ctx.Uldma_cpu.Cpu.pc <- pc;
     Process.fold_key p ~access ~text acc;
     checkb (Printf.sprintf "pc %d, access %d" pc access) true
-      (Process.digest p = Process.scratch_key_digest p ~access ~text
-      && Process.digest p = Process.scratch_digest p);
+      (Process.digest p = Uldma_util.Fp128.sum_terms (Process.iter_terms ~access ~text) p);
     Process.digest p
   in
   let small = fold 1 2 in
@@ -910,7 +1055,7 @@ let key_corners_apart () =
   (Kernel.snapshot a, baseline, Scenario.explore_pids s)
 
 (* The maintained key against the key rebuilt from scratch
-   (Kernel.scratch_fingerprint: every component's scratch digest and a
+   (Kernel.scratch_fingerprint: the sum of every enumerated term and a
    walk over the touched pages), at every node of random leg
    schedules, with a child snapshot taken and advanced at random nodes
    (it inherits every maintained sum). The machines cover every
@@ -2076,6 +2221,7 @@ let () =
           explorer_fp_iff_encoding;
           explorer_engine_digest_schedules;
           state_key_maintained_equals_scratch;
+          paranoid_key_injective;
           Alcotest.test_case "process: wide pc and access fold exactly" `Quick
             test_process_fold_wide;
           Alcotest.test_case "key congruence: equal keys, equal futures" `Quick
