@@ -19,13 +19,10 @@ let create ?(capacity = 4) ~dg mode =
    entries; a change re-sums it in the machine's digest cell. *)
 let queue_base = Uldma_util.Fp128.domain 6
 let queue_words queue = List.concat_map (fun (paddr, value) -> [ paddr; value ]) queue
-let queue_digest queue = Uldma_util.Fp128.seq_digest queue_base (queue_words queue)
 let iter_terms f t = Uldma_util.Fp128.iter_seq queue_base f (queue_words t.queue)
 
 let set_queue t q =
-  let oa, ob = queue_digest t.queue and na, nb = queue_digest q in
-  t.dg.(0) <- t.dg.(0) - oa + na;
-  t.dg.(1) <- t.dg.(1) - ob + nb;
+  Uldma_util.Fp128.replace_seq t.dg 0 queue_base (queue_words t.queue) (queue_words q);
   t.queue <- q
 
 let copy t ~dg = { t with observer = None; dg }

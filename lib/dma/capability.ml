@@ -6,7 +6,9 @@ open Uldma_mem
    are *kept* (flagged) rather than removed so the engine can tell a
    once-valid capability used after revocation ([Revoked_capability])
    from a value that was never minted ([Bad_capability]) — the two
-   failures mean different things to the oracle and to the tests. *)
+   failures mean different things to the oracle and to the tests.
+   Entries are immutable: every change builds a new table, so forks
+   share it. *)
 
 type cap = {
   value : int;
@@ -15,34 +17,28 @@ type cap = {
   base : int; (* physical *)
   len : int;
   rights : Perms.t;
-  mutable revoked : bool;
+  revoked : bool;
 }
 
-type t = { mutable caps : cap list (* newest first *) }
-
-let create () = { caps = [] }
-
-(* entries carry a mutable [revoked] flag, so forks deep-copy them *)
-let copy t = { caps = List.map (fun c -> { c with value = c.value }) t.caps }
-
-let install t cap =
+let install caps cap =
   (* re-minting an existing value supersedes the old entry *)
-  t.caps <- cap :: List.filter (fun c -> c.value <> cap.value) t.caps
+  cap :: List.filter (fun c -> c.value <> cap.value) caps
 
-let find t ~value = List.find_opt (fun c -> c.value = value) t.caps
+let find caps ~value = List.find_opt (fun c -> c.value = value) caps
 
-let revoke_value t ~value =
-  match find t ~value with Some c -> c.revoked <- true | None -> ()
+(* the table itself when no live entry matches, so an idle revocation
+   leaves it physically unchanged *)
+let revoke_if p caps =
+  let dies c = p c && not c.revoked in
+  if List.exists dies caps then
+    List.map (fun c -> if dies c then { c with revoked = true } else c) caps
+  else caps
 
-let revoke_ctx t ~ctx =
-  List.iter (fun c -> if c.ctx = ctx then c.revoked <- true) t.caps
+let revoke_value caps ~value = revoke_if (fun c -> c.value = value) caps
+let revoke_ctx caps ~ctx = revoke_if (fun c -> c.ctx = ctx) caps
+let revoke_pid caps ~pid = revoke_if (fun c -> c.pid = pid) caps
 
-let revoke_pid t ~pid =
-  List.iter (fun c -> if c.pid = pid then c.revoked <- true) t.caps
+let revoke_range caps ~base ~len =
+  revoke_if (fun c -> c.base < base + len && base < c.base + c.len) caps
 
-let revoke_range t ~base ~len =
-  List.iter
-    (fun c -> if c.base < base + len && base < c.base + c.len then c.revoked <- true)
-    t.caps
-
-let live t = List.filter (fun c -> not c.revoked) t.caps
+let live caps = List.filter (fun c -> not c.revoked) caps

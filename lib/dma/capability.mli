@@ -5,7 +5,8 @@
     control page; the engine checks every [Capio]-mechanism initiation
     against this table. Revoked entries are retained (flagged) so a
     once-valid capability replayed after revocation is distinguishable
-    from a value that was never minted. *)
+    from a value that was never minted. A table is an immutable list,
+    newest first: every change returns a new one. *)
 
 type cap = {
   value : int;
@@ -14,26 +15,24 @@ type cap = {
   base : int; (** physical base of the granted range *)
   len : int;
   rights : Uldma_mem.Perms.t;
-  mutable revoked : bool;
+  revoked : bool;
 }
 
-type t = private { mutable caps : cap list (** newest first *) }
-
-val create : unit -> t
-val copy : t -> t
-
-val install : t -> cap -> unit
+val install : cap list -> cap -> cap list
 (** Add an entry (a re-minted value supersedes the old entry). *)
 
-val find : t -> value:int -> cap option
+val find : cap list -> value:int -> cap option
 
-val revoke_value : t -> value:int -> unit
-val revoke_ctx : t -> ctx:int -> unit
-val revoke_pid : t -> pid:int -> unit
+(** The revocations flag every matching live entry; with none, they
+    return the table itself. *)
 
-val revoke_range : t -> base:int -> len:int -> unit
+val revoke_value : cap list -> value:int -> cap list
+val revoke_ctx : cap list -> ctx:int -> cap list
+val revoke_pid : cap list -> pid:int -> cap list
+
+val revoke_range : cap list -> base:int -> len:int -> cap list
 (** Revoke every capability whose physical range overlaps
     [[base, base+len)] — the unmap hook. *)
 
-val live : t -> cap list
+val live : cap list -> cap list
 (** Unrevoked entries, newest first. *)

@@ -80,7 +80,7 @@ type t = {
   iotlb : Iotlb.t; (* Iommu: device-side translation cache *)
   iotlb_walk_ps : int; (* cost of one table walk on a miss *)
   mutable iommu_tables : (int * Page_table.t) list; (* context -> bound table *)
-  caps : Capability.t; (* Capio: the engine's capability table *)
+  mutable caps : Capability.cap list; (* Capio: the engine's capability table *)
   mutable cap_stage_value : int; (* staged grant (committed by k_cap_commit) *)
   mutable cap_stage_base : int;
   mutable cap_stage_len : int;
@@ -93,6 +93,7 @@ type t = {
          not elapsed when last looked at, newest first; pruned lazily by
          [live_transfers]. Always empty under a zero-duration backend. *)
   mutable outbound : outbound_packet list; (* newest first *)
+  mutable outbound_len : int; (* length of the queue's word sequence *)
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
@@ -114,7 +115,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     iotlb = Iotlb.create ~dg ();
     iotlb_walk_ps;
     iommu_tables = [];
-    caps = Capability.create ();
+    caps = [];
     cap_stage_value = 0;
     cap_stage_base = 0;
     cap_stage_len = 0;
@@ -133,6 +134,7 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     in_flight = [];
     counters = { rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
+    outbound_len = 0;
     sink = Uldma_obs.Trace.null;
     machine = 0;
     dg;
@@ -149,12 +151,11 @@ let tracing t = Uldma_obs.Trace.enabled t.sink
 
 let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~pid kind
 
-(* Engine snapshot for kernel forks. The register contexts, matcher,
-   capabilities and counters are duplicated, and every part writes its
-   terms into the copied cell [dg]; the IOTLB is shared copy-on-write
-   (Iotlb.copy flags both sides, and the first write copies);
-   transfers, the in-flight list, outbound and the mapped-out map are
-   immutable and are shared. *)
+(* Engine snapshot for kernel forks. The register contexts, matcher
+   and counters are duplicated, and every part writes its terms into
+   the copied cell [dg]; the IOTLB is shared copy-on-write (Iotlb.copy
+   flags both sides, and the first write copies); transfers, the
+   in-flight list and the three tables are immutable and are shared. *)
 let copy t ~dg ~clock ~backend =
   {
     t with
@@ -167,7 +168,6 @@ let copy t ~dg ~clock ~backend =
        kernel fork re-binds each live context to its copied table
        immediately after copying the processes *)
     iommu_tables = t.iommu_tables;
-    caps = Capability.copy t.caps;
     counters = { t.counters with rejected = t.counters.rejected }; (* a fresh record *)
     dg;
   }
@@ -290,6 +290,67 @@ let push_transfer t tr =
   t.n_transfers <- k + 1;
   if Transfer.end_time tr > Clock.now t.clock then t.in_flight <- (k, tr) :: t.in_flight
 
+(* The tables' terms: each table is a sequence (as Fp128.iter_seq lays
+   one out) in a domain of its own. Domain 9 holds the capabilities,
+   newest first, seven words each: value, context, pid, base, length,
+   rights code and the revoked flag (which decides between two reject
+   paths). Domain 10 holds the mapped-out entries as (source,
+   destination) pairs in page order, and domain 11 the outbound
+   packets, oldest first. The capabilities and the mapped-out map
+   change only at set-up and at revocation, and their setters re-sum
+   them; a send adds one packet's terms, and a drain subtracts the
+   queue's. *)
+let caps_base = Fp128.domain 9
+let mapped_out_base = Fp128.domain 10
+let outbound_base = Fp128.domain 11
+
+let cap_words (c : Capability.cap) rest =
+  let rights = Bool.to_int c.rights.Perms.read lor (2 * Bool.to_int c.rights.Perms.write) in
+  c.value :: c.ctx :: c.pid :: c.base :: c.len :: rights :: Bool.to_int c.revoked :: rest
+
+let caps_words caps = List.fold_right cap_words caps []
+let mapped_out_words m = List.concat_map (fun (src, dst) -> [ src; dst ]) (Imap.bindings m)
+
+(* [k]-th 32-bit little-endian word of [b], zero-padded past its end *)
+let payload_word b k =
+  let w = ref 0 in
+  for j = min 3 (Bytes.length b - 1 - (4 * k)) downto 0 do
+    w := (!w lsl 8) lor Bytes.get_uint8 b ((4 * k) + j)
+  done;
+  !w
+
+(* Packet [p]'s words as terms from queue position [k] on (the queue
+   is one sequence): remote address, the atomic op's kind and operands
+   (all 0 for a write), reply address, byte length, then the payload's
+   32-bit words, so no bit is dropped; the send time is not keyed.
+   Returns the position after the packet. *)
+let packet_terms f k p =
+  let w i v = f (outbound_base + 1 + k + i) v in
+  w 0 p.remote_addr;
+  (match p.kind with
+  | Remote_write -> ()
+  | Remote_atomic { op; reply_paddr } ->
+    for i = 0 to 2 do
+      w (1 + i) (Atomic_op.pending_word (Atomic_op.P_ready op) i)
+    done;
+    w 4 reply_paddr);
+  let len = Bytes.length p.payload in
+  w 5 len;
+  for j = 0 to ((len + 3) / 4) - 1 do
+    w (6 + j) (payload_word p.payload j)
+  done;
+  k + 6 + ((len + 3) / 4)
+
+let set_caps t caps =
+  if caps != t.caps then begin
+    Fp128.replace_seq t.dg 0 caps_base (caps_words t.caps) (caps_words caps);
+    t.caps <- caps
+  end
+
+let set_mapped_out t m =
+  Fp128.replace_seq t.dg 0 mapped_out_base (mapped_out_words t.mapped_out) (mapped_out_words m);
+  t.mapped_out <- m
+
 (* The in-flight list with the transfers completed by now dropped. It is
    rebuilt only when one has completed, so a walk that finds every entry
    still live allocates nothing. *)
@@ -310,8 +371,9 @@ let transfer_in_flight t =
   match t.in_flight with [] -> false | _ :: _ -> live_transfers t <> []
 
 (* The engine's keyed words, in slot order: its own registers and
-   started transfers, then its contexts, matcher and IOTLB. *)
-let iter_terms f t =
+   started transfers, then its contexts, matcher and IOTLB; then the
+   tables. *)
+let iter_register_terms f t =
   f s_current_pid (lnot t.current_pid);
   f s_k_src t.k_src;
   f s_k_dst t.k_dst;
@@ -343,6 +405,16 @@ let iter_terms f t =
   Seq_matcher.iter_terms f t.matcher;
   Iotlb.iter_terms f t.iotlb
 
+let iter_table_terms f t =
+  Fp128.iter_seq caps_base f (caps_words t.caps);
+  Fp128.iter_seq mapped_out_base f (mapped_out_words t.mapped_out);
+  f outbound_base t.outbound_len;
+  ignore (List.fold_left (packet_terms f) 0 (List.rev t.outbound) : int)
+
+let iter_terms f t =
+  iter_register_terms f t;
+  iter_table_terms f t
+
 (* exhaustive by construction: a new [reject_reason] variant must be
    named here, it cannot fall through a wildcard *)
 let reject_name r =
@@ -373,9 +445,12 @@ let in_remote_range addr size =
   Layout.in_remote addr && size >= 0 && addr + size <= Layout.remote_limit
 
 let send_remote ?(kind = Remote_write) t ~remote_paddr ~payload =
-  t.outbound <-
-    { remote_addr = Layout.remote_offset remote_paddr; payload; sent_at = now t; kind }
-    :: t.outbound;
+  let p = { remote_addr = Layout.remote_offset remote_paddr; payload; sent_at = now t; kind } in
+  let n = t.outbound_len in
+  let m = packet_terms (fun slot v -> Fp128.replace_int t.dg 0 slot 0 v) n p in
+  Fp128.replace_int t.dg 0 outbound_base n m;
+  t.outbound_len <- m;
+  t.outbound <- p :: t.outbound;
   t.counters.remote_sends <- t.counters.remote_sends + 1;
   if tracing t then
     trace t ~at:(now t) ~pid:t.current_pid
@@ -527,40 +602,27 @@ let fire_iommu t ~context ~vsrc ~vdst ~size ~pid =
 (* CAPIO: capability-checked initiation *)
 
 let cap_check t ~value ~context ~size ~access ~pid =
-  let verdict ok = if tracing t then trace t ~at:(now t) ~pid (Uldma_obs.Trace.Cap_check { cap = value; ok }) in
-  match Capability.find t.caps ~value with
-  | None ->
-    verdict false;
-    Error Bad_capability
-  | Some cap ->
-    if cap.Capability.revoked then begin
-      verdict false;
-      Error Revoked_capability
-    end
-    else if cap.Capability.ctx <> context then begin
-      (* a capability laundered into a context it was not granted to
-         (e.g. an accomplice replaying a victim's value) is as bad as a
-         forged one *)
-      verdict false;
-      Error Bad_capability
-    end
-    else if
-      not
-        (match access with
-        | `Read -> Perms.allows_read cap.Capability.rights
-        | `Write -> Perms.allows_write cap.Capability.rights)
-    then begin
-      verdict false;
-      Error Bad_capability
-    end
-    else if size <= 0 || size > cap.Capability.len then begin
-      verdict false;
-      Error Bad_range
-    end
-    else begin
-      verdict true;
-      Ok cap.Capability.base
-    end
+  let verdict =
+    match Capability.find t.caps ~value with
+    | None -> Error Bad_capability
+    | Some (cap : Capability.cap) ->
+      let permitted =
+        match access with
+        | `Read -> Perms.allows_read cap.rights
+        | `Write -> Perms.allows_write cap.rights
+      in
+      if cap.revoked then Error Revoked_capability
+      else if cap.ctx <> context || not permitted then
+        (* a capability laundered into a context it was not granted to
+           (e.g. an accomplice replaying a victim's value) is as bad as
+           a forged one *)
+        Error Bad_capability
+      else if size <= 0 || size > cap.len then Error Bad_range
+      else Ok cap.base
+  in
+  if tracing t then
+    trace t ~at:(now t) ~pid (Uldma_obs.Trace.Cap_check { cap = value; ok = Result.is_ok verdict });
+  verdict
 
 let fire_capio t ~context ~cap_src ~cap_dst ~size ~pid =
   match cap_check t ~value:cap_src ~context ~size ~access:`Read ~pid with
@@ -570,9 +632,13 @@ let fire_capio t ~context ~cap_src ~cap_dst ~size ~pid =
     | Error reason -> reject t ~reason ~pid
     | Ok dst -> start_transfer t ~src ~dst ~size ~context:(Some context) ~pid)
 
-let revoke_caps_pid t ~pid = Capability.revoke_pid t.caps ~pid
-let revoke_caps_range t ~base ~len = Capability.revoke_range t.caps ~base ~len
+let revoke_caps_pid t ~pid = set_caps t (Capability.revoke_pid t.caps ~pid)
+let revoke_caps_range t ~base ~len = set_caps t (Capability.revoke_range t.caps ~base ~len)
 let capabilities t = t.caps
+
+let map_out t ~src_page ~dst_page =
+  set_mapped_out t
+    (Imap.add (Layout.page_base src_page) (Layout.page_base dst_page) t.mapped_out)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic unit *)
@@ -647,7 +713,7 @@ let kernel_store t offset value ~pid =
   else if offset = Regmap.k_map_out_dst then begin
     match t.map_out_staged with
     | Some src_page ->
-      t.mapped_out <- Imap.add src_page (Layout.page_base value) t.mapped_out;
+      map_out t ~src_page ~dst_page:value;
       set_map_out_staged t None
     | None -> ()
   end
@@ -667,21 +733,22 @@ let kernel_store t offset value ~pid =
     in
     let owner = value asr 16 in
     if t.cap_stage_value <> 0 then
-      Capability.install t.caps
-        {
-          Capability.value = t.cap_stage_value;
-          ctx;
-          pid = owner;
-          base = t.cap_stage_base;
-          len = t.cap_stage_len;
-          rights;
-          revoked = false;
-        };
+      set_caps t
+        (Capability.install t.caps
+           {
+             Capability.value = t.cap_stage_value;
+             ctx;
+             pid = owner;
+             base = t.cap_stage_base;
+             len = t.cap_stage_len;
+             rights;
+             revoked = false;
+           });
     set_cap_stage_value t 0;
     set_cap_stage_base t 0;
     set_cap_stage_len t 0
   end
-  else if offset = Regmap.k_cap_revoke then Capability.revoke_value t.caps ~value
+  else if offset = Regmap.k_cap_revoke then set_caps t (Capability.revoke_value t.caps ~value)
   else if offset = Regmap.k_iotlb_invalidate then begin
     if value < 0 then Iotlb.flush t.iotlb else Iotlb.invalidate t.iotlb ~vpage:value
   end
@@ -703,7 +770,7 @@ let kernel_store t offset value ~pid =
     Context_file.set_key t.contexts ~context ~key:value;
     (* and for the same reason, capabilities granted to the previous
        owner of the context die with the ownership change *)
-    Capability.revoke_ctx t.caps ~ctx:context
+    set_caps t (Capability.revoke_ctx t.caps ~ctx:context)
   end
 
 let kernel_load t offset ~pid =
@@ -869,55 +936,33 @@ let shadow_store t ~context ~arg value ~pid =
        shadow window is not decoded by these mechanisms *)
     discard (reject t ~reason:Unsupported ~pid)
 
+(* A two-step load takes the deposit and, unless [check] names a
+   reason to reject it, fires it from [arg]; the outcome is the last
+   status. *)
+let fire_deposit t ~arg ~pid check =
+  match t.pending with
+  | Some p -> (
+    set_pending t None;
+    match check p with
+    | Some reason ->
+      set_last_status t Status.failure;
+      reject t ~reason ~pid
+    | None ->
+      let status = start_transfer t ~src:arg ~dst:p.p_dest ~size:p.p_size ~context:None ~pid in
+      set_last_status t status;
+      status)
+  | None ->
+    set_last_status t Status.failure;
+    reject t ~reason:Incomplete_arguments ~pid
+
 let shadow_load t ~context ~arg ~pid =
   match t.mechanism with
   | Shrimp_mapped -> two_step_status t
-  | Shrimp_two_step -> (
-    match t.pending with
-    | Some { p_dest; p_size; _ } ->
-      set_pending t None;
-      let status = start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid in
-      set_last_status t status;
-      status
-    | None ->
-      set_last_status t Status.failure;
-      reject t ~reason:Incomplete_arguments ~pid)
-  | Ext_shadow_stateless -> (
-    match t.pending with
-    | Some { p_dest; p_size; p_ctx; _ } ->
-      set_pending t None;
-      if p_ctx <> context then begin
-        set_last_status t Status.failure;
-        reject t ~reason:Wrong_context ~pid
-      end
-      else begin
-        let status =
-          start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid
-        in
-        set_last_status t status;
-        status
-      end
-    | None ->
-      set_last_status t Status.failure;
-      reject t ~reason:Incomplete_arguments ~pid)
-  | Flash -> (
-    match t.pending with
-    | Some { p_dest; p_size; p_pid; _ } ->
-      set_pending t None;
-      if p_pid <> t.current_pid then begin
-        set_last_status t Status.failure;
-        reject t ~reason:Wrong_pid ~pid
-      end
-      else begin
-        let status =
-          start_transfer t ~src:arg ~dst:p_dest ~size:p_size ~context:None ~pid
-        in
-        set_last_status t status;
-        status
-      end
-    | None ->
-      set_last_status t Status.failure;
-      reject t ~reason:Incomplete_arguments ~pid)
+  | Shrimp_two_step -> fire_deposit t ~arg ~pid (fun _ -> None)
+  | Ext_shadow_stateless ->
+    fire_deposit t ~arg ~pid (fun p -> if p.p_ctx <> context then Some Wrong_context else None)
+  | Flash ->
+    fire_deposit t ~arg ~pid (fun p -> if p.p_pid <> t.current_pid then Some Wrong_pid else None)
   | Key_based ->
     (* the key-based protocol never loads from the shadow window *)
     reject t ~reason:Unsupported ~pid
@@ -998,61 +1043,8 @@ let handle t (op : Txn.op) ~paddr ~value ~pid =
   end
   else 0
 
-(* The tables that are usually empty, as the text both keys carry:
-   each capability with its revocation flag (which decides between two
-   reject paths), the mapped-out entries in page order and the
-   outbound queue, newest first. *)
-let tables_text t =
-  let buf = Buffer.create 64 in
-  let enc = Enc.Buf buf in
-  let i v = Enc.int enc v and ch c = Enc.tag enc c in
-  List.iter
-    (fun (c : Capability.cap) ->
-      ch 'y';
-      i c.Capability.value;
-      i c.Capability.ctx;
-      i c.Capability.pid;
-      i c.Capability.base;
-      i c.Capability.len;
-      i ((if c.Capability.rights.Perms.read then 1 else 0)
-        lor if c.Capability.rights.Perms.write then 2 else 0);
-      i (if c.Capability.revoked then 1 else 0))
-    t.caps.Capability.caps;
-  Imap.iter
-    (fun k v ->
-      ch 'o';
-      i k;
-      i v;
-      ch ';')
-    t.mapped_out;
-  List.iter
-    (fun p ->
-      ch 'w';
-      i p.remote_addr;
-      Buffer.add_string buf (Bytes.to_string p.payload |> String.escaped);
-      ch ',';
-      match p.kind with
-      | Remote_write -> ch ';'
-      | Remote_atomic { op; reply_paddr } ->
-        (match op with
-        | Atomic_op.Add v ->
-          ch 'a';
-          i v
-        | Atomic_op.Fetch_store v ->
-          ch 'f';
-          i v
-        | Atomic_op.Cas { expected; new_value } ->
-          ch 'c';
-          i expected;
-          i new_value);
-        ch '@';
-        i reply_paddr;
-        ch ';')
-    t.outbound;
-  Buffer.contents buf
-
 (* What a key writes beyond the engine's terms: what depends on the
-   clock, and the tables. A context's status as loads see it is its
+   clock. A context's status as loads see it is its
    keyed failure code or its newest transfer's remaining bytes, the
    two-step status is the newest transfer's, and which transfer is
    newest is keyed (static fields by ordinal, the count, the contexts'
@@ -1069,17 +1061,7 @@ let rec add_in_flight enc now = function
     add_in_flight enc now rest
 
 let add_live enc t =
-  (match t.in_flight with [] -> () | _ :: _ -> add_in_flight enc (now t) (live_transfers t));
-  (* the tables' fields read in place: no call when all are empty *)
-  let tables =
-    match (t.outbound, t.caps.Capability.caps) with
-    | [], [] -> t.mapped_out != Imap.empty
-    | _ :: _, _ | _, _ :: _ -> true
-  in
-  if tables then begin
-    Enc.tag enc 'X';
-    Enc.string enc (tables_text t)
-  end
+  match t.in_flight with [] -> () | _ :: _ -> add_in_flight enc (now t) (live_transfers t)
 
 (* Earliest future completion among in-flight transfers, if any. Under
    a zero-duration backend no transfer is ever in flight, so this is
@@ -1102,17 +1084,21 @@ let device =
 
 let set_context_owner t ~context ~pid = Context_file.set_owner t.contexts ~context ~pid
 
-let map_out t ~src_page ~dst_page =
-  t.mapped_out <- Imap.add (Layout.page_base src_page) (Layout.page_base dst_page) t.mapped_out
-
 let mapped_out_dst t ~src_page = Imap.find_opt (Layout.page_base src_page) t.mapped_out
 
 let transfers t = List.rev t.transfers
 let n_transfers t = t.n_transfers
 
 let take_outbound t =
-  let packets = List.rev t.outbound in
-  t.outbound <- [];
-  packets
+  match t.outbound with
+  | [] -> []
+  | queue ->
+    let packets = List.rev queue in
+    let drop slot v = Fp128.replace_int t.dg 0 slot v 0 in
+    ignore (List.fold_left (packet_terms drop) 0 packets : int);
+    Fp128.replace_int t.dg 0 outbound_base t.outbound_len 0;
+    t.outbound <- [];
+    t.outbound_len <- 0;
+    packets
 
 let counters t = t.counters

@@ -152,7 +152,8 @@ val revoke_caps_range : t -> base:int -> len:int -> unit
 (** Capio revocation on unmap: kill capabilities overlapping the
     physical range. *)
 
-val capabilities : t -> Capability.t
+val capabilities : t -> Capability.cap list
+(** The capability table, newest first. *)
 
 (** {1 Observation}
 
@@ -178,28 +179,35 @@ val counters : t -> counters
 val context_status : t -> int -> int
 
 val iter_terms : (int -> int -> unit) -> t -> unit
-(** The engine's keyed words as (slot, word) terms: in slot domain 2
-    its own registers — pending deposit, [current_pid], kernel-page and
-    atomic registers, last status, staged capability, staged mapped-out
-    page, the transfer count — and each started transfer's static
-    fields (src, dst, size, pid, context, duration) at slots from its
-    ordinal, oldest first; then the terms of its register contexts,
-    matcher and IOTLB ({!Context_file.iter_terms},
-    {!Seq_matcher.iter_terms}, {!Uldma_mmu.Iotlb.iter_terms}). Every
-    word is its value xor its reset value, so a fresh engine with a
-    [Five] matcher has no nonzero word. Every register write moves its
-    terms in the cell. Counters, the trace sink and absolute times are
-    not keyed: the simulated programs cannot read them back. *)
+(** The engine's keyed words as (slot, word) terms:
+    {!iter_register_terms}, then {!iter_table_terms}. Every word is its
+    value xor its reset value, so a fresh engine with a [Five] matcher
+    has no nonzero word, and every write moves its terms in the cell.
+    Counters, the trace sink and absolute times are not keyed: the
+    simulated programs cannot read them back. *)
+
+val iter_register_terms : (int -> int -> unit) -> t -> unit
+(** In slot domain 2 the engine's own registers — pending deposit,
+    [current_pid], kernel-page and atomic registers, last status,
+    staged capability, staged mapped-out page, the transfer count — and
+    each started transfer's static fields (src, dst, size, pid,
+    context, duration) at slots from its ordinal, oldest first; then
+    the terms of its register contexts, matcher and IOTLB
+    ({!Context_file.iter_terms}, {!Seq_matcher.iter_terms},
+    {!Uldma_mmu.Iotlb.iter_terms}). *)
+
+val iter_table_terms : (int -> int -> unit) -> t -> unit
+(** The capability table, the mapped-out map and the outbound queue,
+    each a sequence ({!Uldma_util.Fp128.iter_seq}) in slot domains 9,
+    10 and 11; a packet's send time is not keyed. *)
 
 val add_live : Uldma_util.Enc.t -> t -> unit
 (** Write what a key needs beyond {!iter_terms}: each in-flight
-    transfer's (ordinal, remaining wire time), and the text of the
-    capability table, the mapped-out map and the outbound queue when
-    any of them is non-empty. A context's status as loads see it and
-    the last transfer's remaining bytes are functions of these and of
-    keyed words, so they are not written; under a zero-duration
-    backend nothing is ever in flight and, with the tables empty,
-    nothing is written at all. *)
+    transfer's (ordinal, remaining wire time), the engine's only
+    clock-relative values. A context's status as loads see it and the
+    last transfer's remaining bytes are functions of these and of keyed
+    words, so they are not written; under a zero-duration backend
+    nothing is ever in flight and nothing is written at all. *)
 
 val transfer_in_flight : t -> bool
 (** A started transfer's wire time has not elapsed: the clock then

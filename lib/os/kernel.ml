@@ -8,7 +8,7 @@ open Uldma_dma
 type backend_spec =
   | Null
   | Local of { bytes_per_s : float }
-  | Timed of { label : string; duration_of_bytes : int -> int }
+  | Timed of { duration_of_bytes : int -> int }
 
 type config = {
   timing : Timing.t;
@@ -73,19 +73,16 @@ let kernel_pid = -1
 let console_base = Fp128.domain 7
 let console_words console = List.concat_map (fun (pid, value) -> [ pid; value ]) (List.rev console)
 let free_base = Fp128.domain 8
-let free_digest = Fp128.seq_digest free_base
 
 let set_contexts_free t l =
-  let oa, ob = free_digest t.contexts_free and na, nb = free_digest l in
-  t.dg.(0) <- t.dg.(0) - oa + na;
-  t.dg.(1) <- t.dg.(1) - ob + nb;
+  Fp128.replace_seq t.dg 0 free_base t.contexts_free l;
   t.contexts_free <- l
 
 let build_backend spec ram =
   match spec with
   | Null -> Transfer.null_backend
   | Local { bytes_per_s } -> Transfer.local_backend ram ~setup_ps:(Units.ns 400.0) ~bytes_per_s
-  | Timed { duration_of_bytes; _ } ->
+  | Timed { duration_of_bytes } ->
     (* Null's no-data-movement semantics (Table 1 methodology), but
        with a real wire time: status loads taken before the deadline
        see bytes remaining, and sys_dma_wait genuinely blocks. The
@@ -686,14 +683,7 @@ let sys_disk_impl t (p : Process.t) ~write =
 
 (* sys_print: the console's sequence grows by two elements *)
 let print t pid value =
-  let n = 2 * List.length t.console in
-  let term f =
-    f console_base (n + 2) - f console_base n
-    + f (console_base + n + 1) pid
-    + f (console_base + n + 2) value
-  in
-  t.dg.(0) <- t.dg.(0) + term Fp128.int_term_a;
-  t.dg.(1) <- t.dg.(1) + term Fp128.int_term_b;
+  Fp128.extend_seq t.dg 0 console_base (2 * List.length t.console) [ pid; value ];
   t.console <- (pid, value) :: t.console
 
 let rec handle_syscall t (p : Process.t) =
@@ -959,10 +949,12 @@ let write_user t p vaddr value = Phys_mem.store_word t.ram (user_paddr t p vaddr
    (slot, word) terms over disjoint slot domains ([iter_terms]); the
    fingerprint keys their sum, which the writers keep in the machine's
    digest cell [t.dg] and the processes' register files, and the
-   paranoid key ([state_encoding]) writes them out. Around them both keys
-   write the same flags word and live part ([add_live]), over one
-   [Enc] sink; what enters as text (tables, program text, RAM pages)
-   is produced once and hashed by the fingerprint.
+   paranoid key ([state_encoding]) writes them out; the engine's tables
+   are terms too. Around them both keys write the same flags word and
+   live part ([add_live]: the clock-relative values and the running
+   pid), over one [Enc] sink; what the paranoid key holds as text
+   (program text, RAM pages) is produced once and hashed by the
+   fingerprint.
 
    Deliberately *excluded*: clocks, charged bus time, context-switch
    and instruction counters, trace state — pure cost bookkeeping that
@@ -1014,10 +1006,11 @@ let iter_procs ?relative_to f t =
 
 let iter_terms ?relative_to f t =
   iter_procs ?relative_to (fun p ~access ~text -> Process.iter_terms ~access ~text f p) t;
-  Engine.iter_terms f t.engine;
+  Engine.iter_register_terms f t.engine;
   Write_buffer.iter_terms f t.write_buffer;
   Fp128.iter_seq console_base f (console_words t.console);
-  Fp128.iter_seq free_base f t.contexts_free
+  Fp128.iter_seq free_base f t.contexts_free;
+  Engine.iter_table_terms f t.engine
 
 (* remaining sleep, not the absolute wake instant *)
 let remaining_sleep t (p : Process.t) =
@@ -1067,8 +1060,7 @@ let rec add_sleepers enc t blocked = function
 
 (* The live part: each sleeper's remaining time, the running pid as
    [keyed_pid] keys it (after the sleepers, whose walk tells whether
-   anyone is blocked), and the engine's in-flight transfers and
-   tables. *)
+   anyone is blocked), and the engine's in-flight transfers. *)
 let add_live enc t =
   let blocked = add_sleepers enc t false t.procs in
   Enc.int enc (keyed_pid t ~timed:(blocked || Engine.transfer_in_flight t.engine));

@@ -17,11 +17,10 @@
 type backend_spec =
   | Null  (** zero-duration, no data movement (Table 1 methodology) *)
   | Local of { bytes_per_s : float }  (** real copies within local RAM *)
-  | Timed of { label : string; duration_of_bytes : int -> int }
+  | Timed of { duration_of_bytes : int -> int }
       (** Null's no-data-movement semantics with a real wire time:
-          [duration_of_bytes n] picoseconds for an [n]-byte transfer.
-          [label] names the model (e.g. a net backend's cache key) for
-          reporting; [duration_of_bytes] must be pure. This is how
+          [duration_of_bytes n] picoseconds for an [n]-byte transfer;
+          [duration_of_bytes] must be pure. This is how
           [Uldma_net.Backend] plugs into the kernel without [lib/os]
           depending on [lib/net]. *)
 
@@ -117,8 +116,10 @@ val iter_terms : ?relative_to:t -> (int -> int -> unit) -> t -> unit
 (** The machine's keyed words as (slot, word) terms over disjoint slot
     domains ({!Uldma_util.Fp128.domain}), in slot order: each process's
     ({!Process.iter_terms}, with its uncached-access count and its text
-    keyed as above), the DMA engine's ({!Uldma_dma.Engine.iter_terms}),
-    the write buffer's, the console's and the free-context list's. *)
+    keyed as above), the DMA engine's registers, transfers and units
+    ({!Uldma_dma.Engine.iter_register_terms}), the write buffer's, the
+    console's, the free-context list's and the engine's tables
+    ({!Uldma_dma.Engine.iter_table_terms}). *)
 
 val digest : ?relative_to:t -> t -> int * int
 (** The maintained digest of {!iter_terms}'s terms: the machine's
@@ -138,7 +139,7 @@ val fingerprint : ?relative_to:t -> t -> int * int * int
     can reach keyed state (a hook is installed, the mechanism is
     [Iommu], the write buffer holds an entry, a transfer is in flight
     or a process sleeps; else [min_int]) and the engine's in-flight
-    transfers and tables ({!Uldma_dma.Engine.add_live}). Under the
+    transfers ({!Uldma_dma.Engine.add_live}). Under the
     [Null] backend a key streams four ints and reads O(processes)
     words.
 

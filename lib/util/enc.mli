@@ -1,11 +1,10 @@
 (** The sink of a state key's streamed part: the fingerprint's
     {!Fp128} stream or the paranoid key's text buffer.
 
-    A key's live part (what depends on the clock, and the tables that
-    enter as text) is written once, over this sink, and so holds the
-    same content in both keys. In [Buf], ints are decimal with a
-    trailing [','], tags are verbatim and strings are length-prefixed,
-    so the text is injective. *)
+    A key's live part (what depends on the clock) is written once,
+    over this sink, and so holds the same content in both keys. In
+    [Buf], ints are decimal with a trailing [','], tags are verbatim
+    and strings are length-prefixed, so the text is injective. *)
 
 type t = Fp of Fp128.t | Buf of Buffer.t
 

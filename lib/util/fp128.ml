@@ -182,8 +182,6 @@ let iter_seq base f l =
   f base (List.length l);
   List.iteri (fun k v -> f (base + 1 + k) v) l
 
-let seq_digest base l = sum_terms (iter_seq base) l
-
 (* The upkeep entry points take the digest as two adjacent cells of an
    int array, so that one call updates both lanes: the four (or, per
    word, two) term computations are independent and overlap. *)
@@ -192,6 +190,22 @@ let replace_int d i slot old v =
     d.(i) <- d.(i) - int_term_a slot old + int_term_a slot v;
     d.(i + 1) <- d.(i + 1) - int_term_b slot old + int_term_b slot v
   end
+
+(* [sign] times the terms of the sequence [l] at [base] *)
+let add_seq d i sign base l =
+  iter_seq base
+    (fun slot v ->
+      d.(i) <- d.(i) + (sign * int_term_a slot v);
+      d.(i + 1) <- d.(i + 1) + (sign * int_term_b slot v))
+    l
+
+let replace_seq d i base old l =
+  add_seq d i (-1) base old;
+  add_seq d i 1 base l
+
+let extend_seq d i base n l =
+  List.iteri (fun k v -> replace_int d i (base + 1 + n + k) 0 v) l;
+  replace_int d i base n (n + List.length l)
 
 let[@inline] lo32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
 

@@ -77,7 +77,9 @@ val domain : int -> int
     1 process register files (and their auxiliary values), 2 the DMA
     engine's own registers and started transfers, 3 its register
     contexts, 4 its sequence matcher, 5 its IOTLB, 6 the write buffer,
-    7 the console, 8 the free DMA-context list. *)
+    7 the console, 8 the free DMA-context list, and the engine's
+    tables: 9 its capabilities, 10 its mapped-out map, 11 its outbound
+    queue. *)
 
 val int_term_a : int -> int -> int
 (** [int_term_a slot v] is lane a's term of the native int [v] at
@@ -105,10 +107,6 @@ val iter_seq : int -> (int -> int -> unit) -> int list -> unit
     The length fixes which elements exist, so a zero element is not
     lost. *)
 
-val seq_digest : int -> int list -> int * int
-(** [seq_digest base l] is [sum_terms (iter_seq base) l]: what a writer
-    of a short list moves. *)
-
 (** Upkeep. A digest lives in two adjacent cells [d.(i)] (lane a) and
     [d.(i + 1)] (lane b) of an int array; each call updates both. A
     machine keeps one such cell, from creation on: the DMA engine (with
@@ -120,6 +118,16 @@ val seq_digest : int -> int list -> int * int
 val replace_int : int array -> int -> int -> int -> int -> unit
 (** [replace_int d i slot old v]: [slot]'s native-int value changes
     from [old] to [v]. *)
+
+val replace_seq : int array -> int -> int -> int list -> int list -> unit
+(** [replace_seq d i base old l]: the sequence at [base] ({!iter_seq})
+    changes from [old] to [l]. Both are re-summed, so this suits a
+    short list or a rare write. *)
+
+val extend_seq : int array -> int -> int -> int -> int list -> unit
+(** [extend_seq d i base n l]: the sequence at [base], of length [n],
+    gains the elements [l] at its end, in O(length of [l]) whatever
+    [n]. *)
 
 val sum_words :
   int array -> int -> int -> bytes -> base:int -> first:int -> last:int -> unit

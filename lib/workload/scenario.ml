@@ -31,12 +31,7 @@ let transfer_size = 256
    explicitly passing Backend.null is byte-identical to the default. *)
 let backend_of_net : Uldma_net.Backend.t option -> Kernel.backend_spec = function
   | None | Some Uldma_net.Backend.Null -> Kernel.Null
-  | Some b ->
-    Kernel.Timed
-      {
-        label = Uldma_net.Backend.cache_key b;
-        duration_of_bytes = Uldma_net.Backend.duration_ps b;
-      }
+  | Some b -> Kernel.Timed { duration_of_bytes = Uldma_net.Backend.duration_ps b }
 
 (* A small machine is plenty for two processes and keeps
    explorer snapshots cheap. *)

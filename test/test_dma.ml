@@ -732,6 +732,20 @@ let test_engine_remote_word_store () =
   checki "drained" 0 (List.length (Engine.take_outbound engine));
   checki "counted" 1 (Engine.counters engine).Engine.remote_sends
 
+(* An outbound packet is keyed whole: two remote DMAs from zeroed RAM
+   whose payloads differ only in length (5 and 8 zero bytes) give the
+   outbound queue different terms. *)
+let test_engine_packet_length_keyed () =
+  let table_terms size =
+    let engine, _, _ = make_engine ~local:true () in
+    dstore engine (control Regmap.k_source) 0;
+    dstore engine (control Regmap.k_dest) (Layout.remote_base + 0x4000);
+    dstore engine (control Regmap.k_size) size;
+    checki "one packet queued" 1 (Engine.counters engine).Engine.remote_sends;
+    Fp128.sum_terms Engine.iter_table_terms engine
+  in
+  checkb "lengths key apart" true (table_terms 5 <> table_terms 8)
+
 let test_engine_remote_load_rejected () =
   let engine, _, _ = make_engine () in
   checki "remote load fails" Status.failure (dload engine (Layout.remote_base + 0x4000))
@@ -1284,6 +1298,7 @@ let () =
           Alcotest.test_case "shrimp-1 remote twin" `Quick test_engine_shrimp1_remote_twin;
           Alcotest.test_case "mailbox register" `Quick test_engine_mailbox_register;
           Alcotest.test_case "remote word store" `Quick test_engine_remote_word_store;
+          Alcotest.test_case "packet length keyed" `Quick test_engine_packet_length_keyed;
           Alcotest.test_case "remote load rejected" `Quick test_engine_remote_load_rejected;
           Alcotest.test_case "remote DMA ships payload" `Quick test_engine_remote_dma_ships_payload;
           Alcotest.test_case "remote DMA range checked" `Quick test_engine_remote_dma_range_checked;

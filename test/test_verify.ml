@@ -907,10 +907,10 @@ let key_corners () =
    at atm155; waiters' sleepers; key_corners' write buffer, console and
    free list), after random legs: the machine's enumeration ascends
    strictly by slot; replacing any one enumerated word by another value
-   changes the term stream; and changing one entry of a text-form table
-   (a capability, a mapped-out entry, an outbound packet), one RAM word
-   or one instruction of a live program changes the whole paranoid
-   key. *)
+   changes the term stream; and changing one table entry through the
+   engine (a capability grant, a mapped-out entry, an outbound packet),
+   one RAM word or one instruction of a live program changes the whole
+   paranoid key. *)
 let paranoid_key_injective =
   let atm155 = Uldma_net.Backend.linked Uldma_net.Link.atm155 in
   let machines =
@@ -938,28 +938,22 @@ let paranoid_key_injective =
     | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
     | [ _ ] | [] -> true
   in
-  (* one entry of a text-form part changed on [k] *)
-  let perturb_text k which v =
+  (* one table entry, RAM word or instruction changed on [k]; the
+     tables change through the engine, which keeps their terms *)
+  let perturb k which v =
     let e = Kernel.engine k in
+    let store paddr value =
+      ignore (Engine.device.Uldma_bus.Bus.handle e Uldma_bus.Txn.Store ~paddr ~value ~pid:1 : int)
+    in
+    let control offset = Uldma_mem.Layout.kernel_control_page + offset in
     match which with
     | 0 ->
-      Capability.install (Engine.capabilities e)
-        {
-          Capability.value = 0x5000 + v;
-          ctx = 0;
-          pid = 1;
-          base = 0;
-          len = 64;
-          rights = Uldma_mem.Perms.read_write;
-          revoked = false;
-        }
+      (* grant value 0x5000 + v over [0, 64) to context 0 of pid 1, read-write *)
+      store (control Regmap.k_cap_value) (0x5000 + v);
+      store (control Regmap.k_cap_len) 64;
+      store (control Regmap.k_cap_commit) (0x300 lor (1 lsl 16))
     | 1 -> Engine.map_out e ~src_page:(v land 15) ~dst_page:(16 + (v land 15))
-    | 2 ->
-      ignore
-        (Engine.device.Uldma_bus.Bus.handle e Uldma_bus.Txn.Store
-           ~paddr:(Uldma_mem.Layout.remote_base + (8 * (v land 63)))
-           ~value:v ~pid:1
-          : int)
+    | 2 -> store (Uldma_mem.Layout.remote_base + (8 * (v land 63))) v
     | 3 ->
       let ram = Kernel.ram k in
       let a = 8 * (v land 0xfff) in
@@ -1009,12 +1003,102 @@ let paranoid_key_injective =
          in
          let before = Kernel.state_encoding ~relative_to:root k in
          let k' = Kernel.snapshot k in
-         perturb_text k' which v;
+         perturb k' which v;
          let runnable = Kernel.runnable_pids k <> [] in
          ascending l
          && stream changed <> stream l
          && (which = 4 && not runnable
             || not (String.equal before (Kernel.state_encoding ~relative_to:root k')))))
+
+(* The engine's tables against their enumeration, on a CAPIO and an
+   extended-shadow machine, over random sequences of: capability grants
+   (control-page stores); the four revocations (by value, by a
+   context's key rotation, on process exit, on unmap); map-outs,
+   through the control page and directly; remote stores, remote DMA
+   and remote atomics (the CAPIO engine rejects the atomics: it has no
+   shadow window); and drains of the outbound queue. After every step
+   the machine's maintained digest equals the sum of its enumerated
+   terms. At random steps the step runs on a snapshot instead, and the
+   parent's key and digest must not move. *)
+let table_upkeep_schedules =
+  let module Layout = Uldma_mem.Layout in
+  let machine mechanism =
+    let k = Scenario.make_kernel mechanism in
+    let p = Kernel.spawn k ~name:"p" ~program:[||] () in
+    let va = Kernel.alloc_pages k p ~n:4 ~perms:Uldma_mem.Perms.read_write in
+    (match Kernel.alloc_dma_context k p with
+    | Some _ -> ()
+    | None -> Alcotest.fail "no free register context");
+    (k, p.Process.pid, va)
+  in
+  let store k paddr value = Uldma_bus.Bus.store (Kernel.bus k) ~pid:1 ~cacheable:false paddr value in
+  let control k offset value = store k (Layout.kernel_control_page + offset) value in
+  let step (k, pid, va) (op, v) =
+    let e = Kernel.engine k in
+    let p = Option.get (Kernel.find_process k pid) in
+    let ctx = Option.value p.Process.dma_context ~default:0 in
+    let page = va + (Layout.page_size * (v land 3)) and remote = Layout.remote_base + (8 * (v land 63)) in
+    match op with
+    | 0 ->
+      ignore
+        (Kernel.grant_dma_cap k p ~vaddr:page ~len:(1 + (v land 0x1fff))
+           ~rights:(if v land 1 = 0 then Uldma_mem.Perms.read_write else Uldma_mem.Perms.read_only)
+          : int option)
+    | 1 -> (
+      match Engine.capabilities e with
+      | [] -> control k Regmap.k_cap_revoke v
+      | caps -> control k Regmap.k_cap_revoke (List.nth caps (v mod List.length caps)).Capability.value)
+    | 2 -> control k (Regmap.k_key_base + (8 * ctx)) (v + 1)
+    | 3 -> Engine.revoke_caps_pid e ~pid
+    | 4 -> Kernel.unmap_pages k p ~vaddr:page ~n:1
+    | 5 -> (
+      try Kernel.map_out_page k p ~vaddr:page ~dst_paddr:(Layout.page_size * (8 + (v land 7)))
+      with Failure _ -> (* the page was unmapped *) ())
+    | 6 -> Engine.map_out e ~src_page:(Layout.page_size * (v land 7)) ~dst_page:(v land 0xfff0)
+    | 7 -> store k remote v
+    | 8 ->
+      control k Regmap.k_source 0;
+      control k Regmap.k_dest remote;
+      control k Regmap.k_size (1 + (v land 31))
+    | 9 ->
+      control k (Regmap.k_mailbox_base + (8 * ctx)) 0x100;
+      let alias = Uldma_mmu.Shadow.encode_atomic ~context:ctx remote in
+      (match v mod 3 with
+      | 0 -> store k alias (Atomic_op.encode_add v)
+      | 1 -> store k alias (Atomic_op.encode_fetch_store v)
+      | _ ->
+        store k alias (Atomic_op.encode_cas_expected v);
+        store k alias (Atomic_op.encode_cas_new (v + 1)));
+      ignore (Uldma_bus.Bus.load (Kernel.bus k) ~pid:1 ~cacheable:false alias : int)
+    | _ -> ignore (Engine.take_outbound e : Engine.outbound_packet list)
+  in
+  let consistent k = Kernel.digest k = Uldma_util.Fp128.sum_terms Kernel.iter_terms k in
+  let gen =
+    QCheck2.Gen.(
+      pair bool (list_size (int_range 1 40) (triple (int_range 0 10) (int_range 0 0xffff) bool)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"engine tables: maintained terms over random table writes" ~count:200
+       gen
+       (fun (capio, steps) ->
+         let k, pid, va = machine (if capio then Engine.Capio else Engine.Ext_shadow) in
+         let k = ref k in
+         List.for_all
+           (fun (op, v, fork) ->
+             if fork then begin
+               let parent = !k in
+               let before = Kernel.state_encoding parent and digest = Kernel.digest parent in
+               k := Kernel.snapshot parent;
+               step (!k, pid, va) (op, v);
+               consistent !k
+               && String.equal before (Kernel.state_encoding parent)
+               && Kernel.digest parent = digest
+             end
+             else begin
+               step (!k, pid, va) (op, v);
+               consistent !k
+             end)
+           steps))
 
 (* A pc and access count that do not both fit 31 bits fold as two
    values of their own; moving between the packed and the wide form,
@@ -1888,17 +1972,45 @@ let test_explorer_direct_major_per_state () =
     Alcotest.failf "%d direct-major words over %d states (limit 16 per state)" words states
 
 (* A fork shares the tables its next leg rarely writes — the three
-   processes' TLBs, the IOTLB and the PAL table — instead of copying
-   them, and copies the machine's one digest cell once. One snapshot of
-   this root measured 487 words (497 with a digest array per engine
-   component); with eager table copies it took 794. The bound is the
-   measured value plus 10 %. *)
+   processes' TLBs, the IOTLB, the PAL table and the engine's
+   capability table — instead of copying them, and copies the machine's
+   one digest cell once. One snapshot of the ext-shadow-3 root measured
+   487 words (497 with a digest array per engine component); with
+   eager table copies it took 794. One of the capio-3 root measured
+   486; with its capability table deep-copied it took 553. Each bound
+   is the measured value plus 10 %. *)
 let test_snapshot_words () =
-  let s = Scenario.ext_shadow_contested3 () in
-  let _, a = Uldma_obs.Alloc.measure (fun () -> Kernel.snapshot s.Scenario.kernel) in
-  let words = a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major and limit = 536 in
-  if words > limit then
-    Alcotest.failf "one snapshot allocated %d words (limit %d)" words limit
+  let check name s limit =
+    let _, a = Uldma_obs.Alloc.measure (fun () -> Kernel.snapshot s.Scenario.kernel) in
+    let words = a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major in
+    if words > limit then
+      Alcotest.failf "one snapshot of %s allocated %d words (limit %d)" name words limit
+  in
+  check "ext-shadow-3" (Scenario.ext_shadow_contested3 ()) 536;
+  check "capio-3" (Scenario.capio_contested3 ()) 535
+
+(* The most words one fingerprint allocates, keyed relative to the
+   root, over the nodes one leg past the root (one per pid). *)
+let key_words s =
+  let root = s.Scenario.kernel in
+  List.fold_left
+    (fun most pid ->
+      let k = Kernel.snapshot root in
+      ignore (Explorer.advance_one_leg k pid ~max_instructions:2000 : [> `Progress ]);
+      let _, a = Uldma_obs.Alloc.measure (fun () -> Kernel.fingerprint ~relative_to:root k) in
+      max most (a.Uldma_obs.Alloc.minor + a.Uldma_obs.Alloc.direct_major))
+    0 (Scenario.explore_pids s)
+
+(* A key of a machine with a capability table costs what any other
+   key costs: the table is terms in the machine's digest cell, not
+   text printed and hashed at every key. One fingerprint one leg past
+   the capio-3 root measured 6 words, as on key-3; with the table
+   hashed as text it took 235. *)
+let test_capio_key_words () =
+  let key3 = key_words (Scenario.key_contested3 ())
+  and capio3 = key_words (Scenario.capio_contested3 ()) in
+  if capio3 > key3 then
+    Alcotest.failf "one capio-3 key allocated %d words, one key-3 key %d" capio3 key3
 
 (* Words one leg allocates, averaged over a seeded random walk of
    key-3 at 3/3: from the root, fork and run one random leg at a time
@@ -2222,6 +2334,7 @@ let () =
           explorer_engine_digest_schedules;
           state_key_maintained_equals_scratch;
           paranoid_key_injective;
+          table_upkeep_schedules;
           Alcotest.test_case "process: wide pc and access fold exactly" `Quick
             test_process_fold_wide;
           Alcotest.test_case "key congruence: equal keys, equal futures" `Quick
@@ -2239,6 +2352,7 @@ let () =
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;
           Alcotest.test_case "words per snapshot" `Quick test_snapshot_words;
+          Alcotest.test_case "capio key words" `Quick test_capio_key_words;
           Alcotest.test_case "words per leg" `Quick test_leg_words;
           Alcotest.test_case "words per kernel step" `Quick test_kernel_step_words;
         ] );

@@ -125,7 +125,8 @@ let scenarios =
   ]
 
 (* the --quick sample: one cell per matrix mechanism (null backend),
-   two timed cells and the hook cells, sized for `dune runtest` *)
+   four timed cells (timed capio revokes capabilities mid-tree) and the
+   hook cells, sized for `dune runtest` *)
 let quick_cells =
   [
     ("rep5", "null");
@@ -136,6 +137,8 @@ let quick_cells =
     ("iommu", "atm155");
     ("capio", "null");
     ("capio-launder", "null");
+    ("capio", "atm155");
+    ("capio-launder", "atm155");
     ("shrimp2-race-hook", "null");
     ("flash-race-hook", "null");
   ]
