@@ -12,6 +12,8 @@ module Api = Uldma.Api
 module Mech = Uldma.Mech
 module Trace = Uldma_obs.Trace
 module Export = Uldma_obs.Export
+module Scenario = Uldma_workload.Scenario
+module Backend = Uldma_net.Backend
 open Cmdliner
 
 (* --trace support: install an enabled ambient sink around the body so
@@ -211,20 +213,19 @@ let timeline_cmd =
   let which =
     Arg.(
       required
-      & pos 0 (some (enum [ ("fig5", `Fig5); ("fig6", `Fig6); ("shrimp2", `Shrimp2); ("rep5", `Rep5) ])) None
+      & pos 0
+          (some
+             (enum
+                (List.filter_map
+                   (fun (e : Scenario.entry) ->
+                     Option.map (fun legs -> (e.Scenario.name, (e, legs))) e.Scenario.schedule)
+                   Scenario.catalogue)))
+          None
       & info [] ~docv:"SCENARIO")
   in
-  let run which trace_file trace_format =
+  let run (e, schedule) trace_file trace_format =
     with_trace trace_file trace_format @@ fun () ->
-    let module Scenario = Uldma_workload.Scenario in
-    let s, schedule =
-      Scenario.traced (fun () ->
-          match which with
-          | `Fig5 -> (Scenario.fig5 (), Scenario.fig5_schedule)
-          | `Fig6 -> (Scenario.fig6 (), Scenario.fig6_schedule)
-          | `Shrimp2 -> (Scenario.shrimp2_race ~hook:false, Scenario.shrimp2_schedule)
-          | `Rep5 -> (Scenario.rep5 (), Scenario.fig5_schedule))
-    in
+    let s = Scenario.traced (fun () -> Scenario.instance e) in
     Scenario.run_legs s schedule;
     Scenario.finish s ();
     let tbl =
@@ -255,27 +256,7 @@ let explore_cmd =
     Arg.(
       required
       & pos 0
-          (some
-             (enum
-                [
-                  ("fig5", `Fig5);
-                  ("fig6", `Fig6);
-                  ("rep5", `Rep5);
-                  ("splice", `Splice);
-                  ("ext-shadow", `Ext_shadow);
-                  ("key-based", `Key_based);
-                  ("pal", `Pal);
-                  ("key-3", `Key3);
-                  ("ext-shadow-3", `Ext_shadow3);
-                  ("rep5-3", `Rep5_3);
-                  ("iommu", `Iommu);
-                  ("capio", `Capio);
-                  ("iommu-fig5", `Iommu_fig5);
-                  ("capio-fig5", `Capio_fig5);
-                  ("capio-launder", `Capio_launder);
-                  ("iommu-3", `Iommu3);
-                  ("capio-3", `Capio3);
-                ]))
+          (some (enum (List.map (fun (e : Scenario.entry) -> (e.Scenario.name, e)) Scenario.catalogue)))
           None
       & info [] ~docv:"SCENARIO")
   in
@@ -313,17 +294,26 @@ let explore_cmd =
              are evicted and their states re-expanded on re-encounter. Results are unchanged; \
              only peak memory and time move.")
   in
+  let timed_names =
+    List.filter_map
+      (fun (e : Scenario.entry) ->
+        match e.Scenario.build with
+        | Scenario.Timed _ -> Some e.Scenario.name
+        | Scenario.Untimed _ -> None)
+      Scenario.catalogue
+  in
   let net =
     Arg.(
       value
       & opt string "null"
       & info [ "net" ] ~docv:"BACKEND"
           ~doc:
-            "DMA wire-time model: $(b,null) (transfers complete instantly, the default), or a \
+            ("DMA wire-time model: $(b,null) (transfers complete instantly, the default), or a \
              latency-modelling link — $(b,atm155), $(b,atm622), $(b,gigabit), $(b,hic). Timed \
-             backends are supported on the fig5, rep5, key-based, iommu, capio, iommu-fig5, \
-             capio-fig5 and capio-launder scenarios; with one, transfer completion becomes an \
-             explorable scheduling leg (pseudo-pid -2 in schedules).")
+             backends are supported on the scenarios "
+           ^ String.concat ", " timed_names
+           ^ "; with one, transfer completion becomes an explorable scheduling leg (pseudo-pid -2 \
+              in schedules)."))
   in
   let tick_ps =
     Arg.(
@@ -335,36 +325,15 @@ let explore_cmd =
              (default 1000000 = 1us). Coarser ticks merge more states; durations are never \
              rounded down to zero.")
   in
-  let mech_override =
-    Arg.(
-      value
-      & opt (some (enum [ ("iommu", `Iommu); ("capio", `Capio) ])) None
-      & info [ "mech" ] ~docv:"MECH"
-          ~doc:
-            "Re-target the $(b,fig5) splicer at another victim mechanism: $(b,iommu) or \
-             $(b,capio) (equivalent to the iommu-fig5 / capio-fig5 scenarios). Only valid with \
-             the fig5 scenario.")
-  in
-  let run which mech_override no_dedup paranoid_memo max_paths memo_cap net tick_ps trace_file
+  let run (e : Scenario.entry) no_dedup paranoid_memo max_paths memo_cap net tick_ps trace_file
       trace_format =
     with_trace trace_file trace_format @@ fun () ->
-    let module Scenario = Uldma_workload.Scenario in
     let module Explorer = Uldma_verify.Explorer in
     let module Oracle = Uldma_verify.Oracle in
-    let module Backend = Uldma_net.Backend in
     if memo_cap < 1 then begin
       Printf.eprintf "memo_cap must be positive (got %d)\n" memo_cap;
       exit 1
     end;
-    let which =
-      match (which, mech_override) with
-      | _, None -> which
-      | `Fig5, Some `Iommu -> `Iommu_fig5
-      | `Fig5, Some `Capio -> `Capio_fig5
-      | _, Some _ ->
-        prerr_endline "--mech only applies to the fig5 scenario";
-        exit 1
-    in
     let backend =
       match Backend.of_string ~tick_ps net with
       | Ok b -> b
@@ -372,68 +341,11 @@ let explore_cmd =
         prerr_endline msg;
         exit 1
     in
-    (* fig5/rep5/key-based have timed variants; the rest run Null only *)
-    let name, short, scenario =
-      match which with
-      | `Fig5 -> ("rep-args-3 (Fig. 5)", "fig5", `Timed (fun ?net () -> Scenario.fig5 ?net ()))
-      | `Fig6 -> ("rep-args-4 (Fig. 6)", "fig6", `Untimed (fun () -> Scenario.fig6 ()))
-      | `Rep5 -> ("rep-args-5 (Fig. 7)", "rep5", `Timed (fun ?net () -> Scenario.rep5 ?net ()))
-      | `Splice ->
-        ("rep-args-5 vs store-splice", "splice", `Untimed (fun () -> Scenario.rep5_splice ()))
-      | `Ext_shadow ->
-        ( "ext-shadow, two tenants",
-          "ext-shadow",
-          `Untimed (fun () -> Scenario.ext_shadow_contested ()) )
-      | `Key_based ->
-        ( "key-based, two tenants",
-          "key-based",
-          `Timed (fun ?net () -> Scenario.key_contested ?net ()) )
-      | `Pal -> ("pal, two tenants", "pal", `Untimed (fun () -> Scenario.pal_contested ()))
-      | `Key3 ->
-        ( "key-based, three contested processes",
-          "key-3",
-          `Untimed (fun () -> Scenario.key_contested3 ()) )
-      | `Ext_shadow3 ->
-        ( "ext-shadow, three contested processes",
-          "ext-shadow-3",
-          `Untimed (fun () -> Scenario.ext_shadow_contested3 ()) )
-      | `Rep5_3 ->
-        ("rep-args-5 vs two attackers", "rep5-3", `Untimed (fun () -> Scenario.rep5_contested3 ()))
-      | `Iommu ->
-        ( "iommu, two tenants",
-          "iommu",
-          `Timed (fun ?net () -> Scenario.iommu_contested ?net ()) )
-      | `Capio ->
-        ( "capio, two tenants",
-          "capio",
-          `Timed (fun ?net () -> Scenario.capio_contested ?net ()) )
-      | `Iommu_fig5 ->
-        ( "iommu vs Fig. 5 splicer",
-          "iommu-fig5",
-          `Timed (fun ?net () -> Scenario.iommu_fig5 ?net ()) )
-      | `Capio_fig5 ->
-        ( "capio vs Fig. 5 splicer",
-          "capio-fig5",
-          `Timed (fun ?net () -> Scenario.capio_fig5 ?net ()) )
-      | `Capio_launder ->
-        ( "capio vs capability launderer",
-          "capio-launder",
-          `Timed (fun ?net () -> Scenario.capio_launder ?net ()) )
-      | `Iommu3 ->
-        ( "iommu, three contested processes",
-          "iommu-3",
-          `Untimed (fun () -> Scenario.iommu_contested3 ()) )
-      | `Capio3 ->
-        ( "capio, three contested processes",
-          "capio-3",
-          `Untimed (fun () -> Scenario.capio_contested3 ()) )
-    in
     let s =
-      match (scenario, backend) with
-      | `Timed f, _ -> f ~net:backend ()
-      | `Untimed f, Backend.Null -> f ()
-      | `Untimed _, Backend.Linked _ ->
-        Printf.eprintf "scenario %s has no timed variant; --net must be null\n" short;
+      match Scenario.instance ~net:backend e with
+      | s -> s
+      | exception Invalid_argument msg ->
+        prerr_endline msg;
         exit 1
     in
     let t0 = Unix.gettimeofday () in
@@ -444,7 +356,7 @@ let explore_cmd =
     let secs = Unix.gettimeofday () -. t0 in
     let tbl =
       Uldma_util.Tbl.create
-        ~title:(Printf.sprintf "interleaving exploration: %s" name)
+        ~title:(Printf.sprintf "interleaving exploration: %s" e.Scenario.title)
         ~columns:[ ("metric", Uldma_util.Tbl.Left); ("value", Uldma_util.Tbl.Right) ]
     in
     let row k v = Uldma_util.Tbl.add_row tbl [ k; v ] in
@@ -486,7 +398,7 @@ let explore_cmd =
   Cmd.v
     (Cmd.info "explore" ~doc)
     Term.(
-      const run $ which $ mech_override $ no_dedup $ paranoid_memo $ max_paths $ memo_cap $ net
+      const run $ which $ no_dedup $ paranoid_memo $ max_paths $ memo_cap $ net
       $ tick_ps $ trace_file_arg $ trace_format_arg)
 
 let cluster_cmd =

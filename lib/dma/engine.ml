@@ -94,6 +94,8 @@ type t = {
          [live_transfers]. Always empty under a zero-duration backend. *)
   mutable outbound : outbound_packet list; (* newest first *)
   mutable outbound_len : int; (* length of the queue's word sequence *)
+  mutable outbound_a : int; (* the two lane sums of the queued packets' terms *)
+  mutable outbound_b : int;
   counters : counters;
   mutable sink : Uldma_obs.Trace.t;
   mutable machine : int;
@@ -135,6 +137,8 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     counters = { rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
     outbound_len = 0;
+    outbound_a = 0;
+    outbound_b = 0;
     sink = Uldma_obs.Trace.null;
     machine = 0;
     dg;
@@ -298,8 +302,8 @@ let push_transfer t tr =
    destination) pairs in page order, and domain 11 the outbound
    packets, oldest first. The capabilities and the mapped-out map
    change only at set-up and at revocation, and their setters re-sum
-   them; a send adds one packet's terms, and a drain subtracts the
-   queue's. *)
+   them; a send adds one packet's terms, to the cell and to the queue's
+   own lane sums, and a drain subtracts those sums. *)
 let caps_base = Fp128.domain 9
 let mapped_out_base = Fp128.domain 10
 let outbound_base = Fp128.domain 11
@@ -446,8 +450,16 @@ let in_remote_range addr size =
 
 let send_remote ?(kind = Remote_write) t ~remote_paddr ~payload =
   let p = { remote_addr = Layout.remote_offset remote_paddr; payload; sent_at = now t; kind } in
-  let n = t.outbound_len in
-  let m = packet_terms (fun slot v -> Fp128.replace_int t.dg 0 slot 0 v) n p in
+  let n = t.outbound_len and a = t.outbound_a and b = t.outbound_b in
+  let m =
+    packet_terms
+      (fun slot v ->
+        t.outbound_a <- t.outbound_a + Fp128.int_term_a slot v;
+        t.outbound_b <- t.outbound_b + Fp128.int_term_b slot v)
+      n p
+  in
+  t.dg.(0) <- t.dg.(0) + t.outbound_a - a;
+  t.dg.(1) <- t.dg.(1) + t.outbound_b - b;
   Fp128.replace_int t.dg 0 outbound_base n m;
   t.outbound_len <- m;
   t.outbound <- p :: t.outbound;
@@ -1093,12 +1105,13 @@ let take_outbound t =
   match t.outbound with
   | [] -> []
   | queue ->
-    let packets = List.rev queue in
-    let drop slot v = Fp128.replace_int t.dg 0 slot v 0 in
-    ignore (List.fold_left (packet_terms drop) 0 packets : int);
+    t.dg.(0) <- t.dg.(0) - t.outbound_a;
+    t.dg.(1) <- t.dg.(1) - t.outbound_b;
     Fp128.replace_int t.dg 0 outbound_base t.outbound_len 0;
     t.outbound <- [];
     t.outbound_len <- 0;
-    packets
+    t.outbound_a <- 0;
+    t.outbound_b <- 0;
+    List.rev queue
 
 let counters t = t.counters

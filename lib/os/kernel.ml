@@ -843,8 +843,8 @@ let is_running t pid = match t.current with Some p -> p.Process.pid = pid | None
 (* Under [Run_to_completion], and under [Round_robin] before the quantum
    expires, a runnable running process runs again whatever else is
    runnable, so [step] asks the scheduler only that ([Sched.keeps_current])
-   and lists no runnable pids. [Scripted] and [Random_preempt] consume
-   their script or RNG on every pick, so they always take the list. *)
+   and lists no runnable pids. [Random_preempt] consumes its RNG on
+   every pick, so it always takes the list. *)
 let rec step t =
   wake_sleepers t;
   match t.current with

@@ -3,20 +3,17 @@ open Uldma_util
 type policy =
   | Run_to_completion
   | Round_robin of { quantum : int }
-  | Scripted of int list
   | Random_preempt of { probability : float; seed : int }
 
 type t = {
   policy : policy;
   mutable since_switch : int;
-  mutable script : int list;
   rng : Rng.t;
 }
 
 let create policy =
   let seed = match policy with Random_preempt { seed; _ } -> seed | _ -> 0 in
-  let script = match policy with Scripted s -> s | _ -> [] in
-  { policy; since_switch = 0; script; rng = Rng.create ~seed }
+  { policy; since_switch = 0; rng = Rng.create ~seed }
 
 let copy t = { t with rng = Rng.copy t.rng }
 
@@ -46,12 +43,6 @@ let pick t ~current ~runnable =
         | Some cur when List.mem cur runnable -> cur
         | Some _ | None -> List.hd runnable)
       | Round_robin { quantum } -> round_robin t ~quantum ~current ~runnable
-      | Scripted _ -> (
-        match t.script with
-        | pid :: rest ->
-          t.script <- rest;
-          if List.mem pid runnable then pid else round_robin t ~quantum:1 ~current ~runnable
-        | [] -> round_robin t ~quantum:1 ~current ~runnable)
       | Random_preempt { probability; _ } -> (
         match current with
         | Some cur when List.mem cur runnable ->
@@ -69,7 +60,7 @@ let keeps_current t =
     match t.policy with
     | Run_to_completion -> true
     | Round_robin { quantum } -> t.since_switch < quantum
-    | Scripted _ | Random_preempt _ -> false
+    | Random_preempt _ -> false
   in
   if keep then t.since_switch <- t.since_switch + 1;
   keep

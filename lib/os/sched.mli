@@ -8,10 +8,6 @@
     - [Run_to_completion]: no preemption (single-process latency runs).
     - [Round_robin]: preempt every [quantum] instructions, cycling
       through runnable pids in pid order.
-    - [Scripted]: an explicit pid per step — the tool for reproducing
-      Fig. 5 / Fig. 6 interleavings exactly. When the script runs out,
-      scheduling continues round-robin with quantum 1. A scripted pid
-      that is not runnable falls through to the round-robin choice.
     - [Random_preempt]: before each instruction, switch to a uniformly
       random runnable process with probability [probability]
       (deterministic in [seed]) — the randomized attack campaigns. *)
@@ -19,7 +15,6 @@
 type policy =
   | Run_to_completion
   | Round_robin of { quantum : int }
-  | Scripted of int list
   | Random_preempt of { probability : float; seed : int }
 
 type t
@@ -36,8 +31,8 @@ val keeps_current : t -> bool
 (** Whether the policy runs the current process again, provided it is
     still runnable and no switch is forced, without looking at what
     else is runnable: always under [Run_to_completion], before the
-    quantum expires under [Round_robin], never under [Scripted] and
-    [Random_preempt], whose picks consume their script or RNG. When it
+    quantum expires under [Round_robin], never under [Random_preempt],
+    whose picks consume its RNG. When it
     does, the instruction is counted as [pick] would count it. *)
 
 val note_switch : t -> unit

@@ -39,12 +39,10 @@ let table1 ?(iterations = 1000) () =
           ("kernel modification", Tbl.Left);
         ]
   in
-  let kernel_us = ref 0.0 in
   let row (m : Mech.t) =
     let r = Measure.initiation ~iterations m in
     if r.Measure.successes <> r.Measure.iterations then
       failwith (Printf.sprintf "table1: %s had failures" m.Mech.name);
-    if m.Mech.name = "kernel" then kernel_us := r.Measure.us_per_initiation;
     Tbl.add_row tbl
       [
         m.Mech.name;
@@ -57,7 +55,6 @@ let table1 ?(iterations = 1000) () =
   List.iter row Api.table1;
   Tbl.add_rule tbl;
   List.iter row extra_rows;
-  ignore !kernel_us;
   tbl
 
 (* ------------------------------------------------------------------ *)
@@ -111,12 +108,12 @@ let matrix6 () =
         Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
           ~max_paths:1_000_000 ~check:(Scenario.oracle_check s) ()
       in
-      if er.Explorer.truncated then
-        failwith (Printf.sprintf "matrix6: %s exploration truncated" m.Mech.name);
       let verdict =
-        match er.Explorer.violations with
-        | [] -> "SAFE (exactly-once)"
-        | vs -> Printf.sprintf "VULNERABLE (%d)" (List.length vs)
+        match (er.Explorer.truncated, Explorer.verdict er) with
+        | false, Explorer.Safe -> "SAFE (exactly-once)"
+        | false, Explorer.Vulnerable n -> Printf.sprintf "VULNERABLE (%d)" n
+        | true, _ | _, Explorer.Inconclusive ->
+          failwith (Printf.sprintf "matrix6: %s exploration truncated" m.Mech.name)
       in
       let cr = Synth.run_cell ~slots:2 subject in
       let cell = cr.Synth.cr_cell in
@@ -376,8 +373,9 @@ let fig8_proof () =
           ("verdict", Tbl.Left);
         ]
   in
-  let explore name scenario =
-    let s = scenario () in
+  let explore name =
+    let e = Option.get (Scenario.find name) in
+    let s = Scenario.instance e in
     let r =
       Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
         ~max_paths:fig8_max_paths ~check:(Scenario.oracle_check s) ()
@@ -385,7 +383,7 @@ let fig8_proof () =
     let n_viol = List.length r.Explorer.violations in
     Tbl.add_row tbl
       [
-        name;
+        e.Scenario.title;
         string_of_int r.Explorer.paths;
         string_of_int n_viol;
         (if r.Explorer.truncated then "TRUNCATED" else "yes");
@@ -395,13 +393,7 @@ let fig8_proof () =
         | Explorer.Inconclusive -> "INCONCLUSIVE");
       ]
   in
-  explore "rep-args-3 (Fig. 5)" (fun () -> Scenario.fig5 ());
-  explore "rep-args-4 (Fig. 6)" Scenario.fig6;
-  explore "rep-args-5 (Fig. 7)" (fun () -> Scenario.rep5 ());
-  explore "rep-args-5 vs store-splice" Scenario.rep5_splice;
-  explore "ext-shadow, two tenants" Scenario.ext_shadow_contested;
-  explore "key-based, two tenants" (fun () -> Scenario.key_contested ());
-  explore "pal, two tenants" Scenario.pal_contested;
+  List.iter explore [ "fig5"; "fig6"; "rep5"; "splice"; "ext-shadow"; "key-based"; "pal" ];
   tbl
 
 (* ------------------------------------------------------------------ *)

@@ -7,6 +7,7 @@ module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
 module Stub = Uldma.Session.Stub
 module Trace = Uldma_obs.Trace
+module Backend = Uldma_net.Backend
 
 type t = {
   kernel : Kernel.t;
@@ -29,9 +30,9 @@ let transfer_size = 256
 (* A timed scenario swaps the default Null backend for a Kernel.Timed
    spec carrying the net backend's (tick-quantised) wire-time model;
    explicitly passing Backend.null is byte-identical to the default. *)
-let backend_of_net : Uldma_net.Backend.t option -> Kernel.backend_spec = function
-  | None | Some Uldma_net.Backend.Null -> Kernel.Null
-  | Some b -> Kernel.Timed { duration_of_bytes = Uldma_net.Backend.duration_ps b }
+let backend_of_net : Backend.t option -> Kernel.backend_spec = function
+  | None | Some Backend.Null -> Kernel.Null
+  | Some b -> Kernel.Timed { duration_of_bytes = Backend.duration_ps b }
 
 (* A small machine is plenty for two processes and keeps
    explorer snapshots cheap. *)
@@ -47,338 +48,190 @@ let make_kernel ?net mechanism =
 
 let page_label kernel p va name = (Layout.page_base (Kernel.user_paddr kernel p va), name)
 
-(* Victim: [repeat] DMAs A -> B through [mech], reporting its result. *)
-let make_victim ?(repeat = 1) kernel (mech : Mech.t) ~emit_override =
-  let victim = Kernel.spawn kernel ~name:"victim" ~program:[||] () in
-  let a = Kernel.alloc_pages kernel victim ~n:1 ~perms:Perms.read_write in
-  let b = Kernel.alloc_pages kernel victim ~n:1 ~perms:Perms.read_write in
-  let result = Kernel.alloc_pages kernel victim ~n:1 ~perms:Perms.read_write in
+(* ------------------------------------------------------------------ *)
+(* Processes: every machine is a victim through one mechanism plus the
+   processes that race it. *)
+
+(* A process that initiates [repeat] DMAs between two fresh pages
+   through [mech] (emitting [emit] when given), counting its successes
+   into a third page. The victim and every tenant are one. *)
+let initiator ?(repeat = 1) ?emit kernel (mech : Mech.t) name =
+  let p = Kernel.spawn kernel ~name ~program:[||] () in
+  let src = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
+  let dst = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
+  let result = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let prepared =
-    mech.Mech.prepare kernel victim ~src:{ Mech.vaddr = a; pages = 1 }
-      ~dst:{ Mech.vaddr = b; pages = 1 }
+    mech.Mech.prepare kernel p ~src:{ Mech.vaddr = src; pages = 1 }
+      ~dst:{ Mech.vaddr = dst; pages = 1 }
   in
-  let emit = match emit_override with Some e -> e | None -> prepared.Mech.emit_dma in
-  Process.set_program victim
-    (Stub.build_repeat ~n:repeat ~vsrc:a ~vdst:b ~size:transfer_size ~result_va:result
+  let emit = Option.value emit ~default:prepared.Mech.emit_dma in
+  Process.set_program p
+    (Stub.build_repeat ~n:repeat ~vsrc:src ~vdst:dst ~size:transfer_size ~result_va:result
        ~emit_dma:emit);
   let intent =
-    Oracle.intent_of_regions kernel victim ~vsrc:a ~vdst:b ~size:transfer_size ~requests:repeat
+    Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:transfer_size ~requests:repeat
   in
-  (victim, a, b, result, intent)
+  (p, src, dst, result, intent)
 
-let shadow reg_data reg_shadow asm =
-  Asm.add asm reg_shadow reg_data (Isa.Imm Vm.shadow_va_offset)
+type victim = {
+  process : Process.t;
+  result_va : int;
+  intent : Oracle.intent;
+  pages : (int * string) list; (* A and B *)
+}
 
-(* The Fig. 5 attacker: S(foo) L(foo) L(C) L(C) over its own pages.
-   [with_context] allocates it a register context first — required
-   before shadow-mapping under the extended-shadow mechanism. *)
-let fig5_attacker ?(with_context = false) kernel =
-  let attacker = Kernel.spawn kernel ~name:"attacker" ~program:[||] () in
-  if with_context then (
-    match Kernel.alloc_dma_context kernel attacker with
-    | Some _ -> ()
-    | None -> failwith "Scenario.fig5_attacker: no free register context");
-  let foo = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  let c = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:foo ~n:1 ~window:`Dma : int);
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:c ~n:1 ~window:`Dma : int);
+let engine_mechanism (mech : Mech.t) =
+  match mech.Mech.engine_mechanism with
+  | Some m -> m
+  | None -> invalid_arg ("Scenario: " ^ mech.Mech.name ^ " drives no engine")
+
+let with_victim ?net ?repeat ?emit mech =
+  let kernel = make_kernel ?net (engine_mechanism mech) in
+  let process, a, b, result_va, intent = initiator ?repeat ?emit kernel mech "victim" in
+  let pages = [ page_label kernel process a "A"; page_label kernel process b "B" ] in
+  (kernel, { process; result_va; intent; pages })
+
+let victim_labels v = v.pages
+
+type op = S of int | L of int
+
+let shadow_program ?(sized = true) vas ops =
   let asm = Asm.create () in
-  Asm.li asm 12 foo;
-  Asm.li asm 13 c;
-  shadow 12 20 asm;
-  shadow 13 21 asm;
-  Asm.li asm 3 transfer_size;
-  Asm.store asm ~base:20 ~off:0 3 (* STORE foo-sized TO shadow(foo) *);
-  Asm.mb asm;
-  Asm.load asm 4 ~base:20 ~off:0 (* LOAD FROM shadow(foo) *);
-  Asm.load asm 4 ~base:21 ~off:0 (* LOAD FROM shadow(C) *);
-  Asm.load asm 4 ~base:21 ~off:0 (* LOAD FROM shadow(C) - fires C->B *);
+  List.iteri (fun i va -> Asm.li asm (12 + i) va) vas;
+  List.iteri (fun i _ -> Asm.add asm (20 + i) (12 + i) (Isa.Imm Vm.shadow_va_offset)) vas;
+  if sized then Asm.li asm 3 transfer_size;
+  List.iter
+    (function
+      | S p ->
+        Asm.store asm ~base:(20 + p) ~off:0 3;
+        Asm.mb asm
+      | L p -> Asm.load asm 4 ~base:(20 + p) ~off:0)
+    ops;
   Asm.halt asm;
-  Process.set_program attacker (Asm.assemble asm);
-  (attacker, [ page_label kernel attacker foo "foo"; page_label kernel attacker c "C" ])
+  Asm.assemble asm
 
-let fig5 ?net () =
-  let mech = Uldma.Rep_args.mech_of_variant Seq_matcher.Three in
-  let kernel = make_kernel ?net (Engine.Rep_args Seq_matcher.Three) in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:None in
-  let attacker, attacker_labels = fig5_attacker kernel in
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      page_label kernel victim a "A" :: page_label kernel victim b "B" :: attacker_labels;
-  }
+(* The adversaries' programs. Fig. 5: S(foo) L(foo) L(C) L(C), the
+   last load firing C -> B. Sec. 2.5: one store overwriting the pending
+   (dest, size) slot. Sec. 3.3.1: S(X) S(X) L(X), hoping the victim's
+   loads fill the sequence's load slots. *)
+let fig5_splice = [ S 0; L 0; L 1; L 1 ]
+let overwrite = [ S 0 ]
+let store_splice = [ S 0; S 0; L 0 ]
+
+let adversary ?(with_context = false) ?ops kernel name pages =
+  let p = Kernel.spawn kernel ~name ~program:[||] () in
+  if with_context then (
+    match Kernel.alloc_dma_context kernel p with
+    | Some _ -> ()
+    | None -> failwith ("Scenario.adversary: no free register context for " ^ name));
+  let vas = List.map (fun _ -> Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write) pages in
+  List.iter
+    (fun va -> ignore (Kernel.map_shadow_alias kernel p ~vaddr:va ~n:1 ~window:`Dma : int))
+    vas;
+  Option.iter (fun ops -> Process.set_program p (shadow_program vas ops)) ops;
+  (p, vas, List.map2 (page_label kernel p) vas pages)
+
+let fig5_attacker ?with_context kernel =
+  let p, _, labels = adversary ?with_context ~ops:fig5_splice kernel "attacker" [ "foo"; "C" ] in
+  (p, labels)
+
+let make kernel v ?(intents = []) procs labels =
+  match procs with
+  | [] -> invalid_arg "Scenario.make: no process beside the victim"
+  | (attacker, attacker_result_va) :: extras ->
+    {
+      kernel;
+      victim = v.process;
+      attacker;
+      intents = v.intent :: intents;
+      victim_result_va = v.result_va;
+      attacker_result_va;
+      extras;
+      transfer_size;
+      labels;
+    }
+
+(* ------------------------------------------------------------------ *)
+(* The adversary shapes, each against the mechanisms it is raced with *)
+
+(* The Fig. 5 splicer. Against an IOMMU or CAPIO victim, whose
+   initiation never touches the shadow window, every attacker access is
+   rejected [Unsupported], so every schedule must be SAFE. *)
+let fig5_vs ?net ?emit mech =
+  let kernel, v = with_victim ?net ?emit mech in
+  let attacker, labels = fig5_attacker kernel in
+  make kernel v [ (attacker, None) ] (victim_labels v @ labels)
+
+let fig5 ?net () = fig5_vs ?net (Uldma.Rep_args.mech_of_variant Seq_matcher.Three)
+
+(* the five-access method without its retry loop, for bounded
+   exploration *)
+let rep5_emit = Uldma.Rep_args.emit_dma_five_no_retry
+let rep5 ?net () = fig5_vs ?net ~emit:rep5_emit Uldma.Rep_args.mech
+let rep5_with_retry () = fig5_vs Uldma.Rep_args.mech
+let iommu_fig5 ?net () = fig5_vs ?net Uldma.Iommu_dma.mech
+let capio_fig5 ?net () = fig5_vs ?net Uldma.Capio_dma.mech
 
 (* V's accesses: L(A) S(B) L(A); M's: S(foo) L(foo) L(C) L(C). *)
 let fig5_schedule = [ V; M; M; M; V; M; V ]
 
 (* The Fig. 6 attacker: a single LOAD from shadow(A), where it has
-   legitimate read access to A. *)
+   legitimate read access to A (the victim's source page). *)
 let fig6 () =
-  let mech = Uldma.Rep_args.mech_of_variant Seq_matcher.Four in
-  let kernel = make_kernel (Engine.Rep_args Seq_matcher.Four) in
-  let victim, a, _b, result, intent = make_victim kernel mech ~emit_override:None in
+  let kernel, v = with_victim (Uldma.Rep_args.mech_of_variant Seq_matcher.Four) in
   let attacker = Kernel.spawn kernel ~name:"attacker" ~program:[||] () in
-  let a_shared =
-    Kernel.share_pages kernel ~from_process:victim ~vaddr:a ~n:1 ~into:attacker
-      ~perms:Perms.read_only
+  let a =
+    Kernel.share_pages kernel ~from_process:v.process ~vaddr:v.intent.Oracle.vsrc ~n:1
+      ~into:attacker ~perms:Perms.read_only
   in
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:a_shared ~n:1 ~window:`Dma : int);
-  let asm = Asm.create () in
-  Asm.li asm 12 a_shared;
-  shadow 12 20 asm;
-  Asm.load asm 4 ~base:20 ~off:0 (* LOAD FROM shadow(A): completes V's sequence *);
-  Asm.halt asm;
-  Process.set_program attacker (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      [
-        page_label kernel victim a "A";
-        page_label kernel victim _b "B";
-      ];
-  }
+  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:a ~n:1 ~window:`Dma : int);
+  Process.set_program attacker (shadow_program ~sized:false [ a ] [ L 0 ]);
+  make kernel v [ (attacker, None) ] (victim_labels v)
 
 (* V's accesses: S(B) L(A) S(B) [M: L(A) fires] V: L(A) rejected. *)
 let fig6_schedule = [ V; V; V; M; V ]
 
-(* The §2.5 race: the attacker overwrites the single pending
-   (dest,size) slot between the victim's store and load. *)
-let two_step_race ~mech ~mechanism ~hook =
-  let kernel = make_kernel mechanism in
-  let victim, _a, _b, result, intent =
-    make_victim kernel
-      {
-        mech with
-        Mech.prepare =
-          (fun k p ~src ~dst ->
-            match mechanism with
-            | Engine.Shrimp_two_step -> Uldma.Shrimp2.prepare_raw ~install_hook:hook k p ~src ~dst
-            | Engine.Flash -> Uldma.Flash.prepare_raw ~install_hook:hook k p ~src ~dst
-            | _ -> mech.Mech.prepare k p ~src ~dst);
-      }
-      ~emit_override:None
-  in
-  let attacker = Kernel.spawn kernel ~name:"attacker" ~program:[||] () in
-  let d = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:d ~n:1 ~window:`Dma : int);
-  let asm = Asm.create () in
-  Asm.li asm 12 d;
-  shadow 12 20 asm;
-  Asm.li asm 3 transfer_size;
-  Asm.store asm ~base:20 ~off:0 3 (* STORE size TO shadow(D): overwrites pending dest *);
-  Asm.mb asm;
-  Asm.halt asm;
-  Process.set_program attacker (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels = [ page_label kernel attacker d "D" ];
-  }
+(* The sec. 2.5 race: the attacker overwrites the single pending
+   (dest,size) slot between the victim's store and load. The victim
+   sets up through [prepare_raw], installing the mechanism's
+   context-switch hook only when [hook]. *)
+let two_step_race (mech : Mech.t) prepare_raw ~hook =
+  let kernel, v = with_victim { mech with Mech.prepare = prepare_raw ~install_hook:hook } in
+  let attacker, _, labels = adversary ~ops:overwrite kernel "attacker" [ "D" ] in
+  make kernel v [ (attacker, None) ] labels
 
-let shrimp2_race ~hook = two_step_race ~mech:Uldma.Shrimp2.mech ~mechanism:Engine.Shrimp_two_step ~hook
-
-let flash_race ~hook = two_step_race ~mech:Uldma.Flash.mech ~mechanism:Engine.Flash ~hook
-
+let shrimp2_race ~hook = two_step_race Uldma.Shrimp2.mech Uldma.Shrimp2.prepare_raw ~hook
+let flash_race ~hook = two_step_race Uldma.Flash.mech Uldma.Flash.prepare_raw ~hook
 let shrimp2_schedule = [ V; M; V ]
 
-(* The same three-leg race against the contextless extended-shadow
-   engine: the interloper's store carries ITS context bits, so the
-   victim's load makes a mismatched pair and the engine refuses —
-   safety without any kernel hook (sec. 3.2). *)
+(* The same race against the contextless extended-shadow engine: the
+   interloper's store carries ITS context bits, so the victim's load
+   makes a mismatched pair and the engine refuses — safety without any
+   kernel hook (sec. 3.2). *)
 let ext_stateless_race () =
-  let mech = Uldma.Ext_shadow.mech_stateless in
-  let kernel = make_kernel Engine.Ext_shadow_stateless in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:None in
-  let attacker = Kernel.spawn kernel ~name:"attacker" ~program:[||] () in
-  (match Kernel.alloc_dma_context kernel attacker with
-  | Some _ -> ()
-  | None -> failwith "no context for attacker");
-  let d = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:d ~n:1 ~window:`Dma : int);
-  let asm = Asm.create () in
-  Asm.li asm 12 d;
-  shadow 12 20 asm;
-  Asm.li asm 3 transfer_size;
-  Asm.store asm ~base:20 ~off:0 3;
-  Asm.mb asm;
-  Asm.halt asm;
-  Process.set_program attacker (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      [
-        page_label kernel victim a "A";
-        page_label kernel victim b "B";
-        page_label kernel attacker d "D";
-      ];
-  }
+  let kernel, v = with_victim Uldma.Ext_shadow.mech_stateless in
+  let attacker, _, labels =
+    adversary ~with_context:true ~ops:overwrite kernel "attacker" [ "D" ]
+  in
+  make kernel v [ (attacker, None) ] (victim_labels v @ labels)
 
-let rep5_scenario ?net ~emit () =
-  let mech = Uldma.Rep_args.mech in
-  let kernel = make_kernel ?net (Engine.Rep_args Seq_matcher.Five) in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:emit in
-  let attacker, attacker_labels = fig5_attacker kernel in
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      page_label kernel victim a "A" :: page_label kernel victim b "B" :: attacker_labels;
-  }
-
-let rep5 ?net () = rep5_scenario ?net ~emit:(Some Uldma.Rep_args.emit_dma_five_no_retry) ()
-
-(* A second adversary shape against the five-access method: the
-   attacker issues S(X) S(X) L(X) on its own page X, trying to splice
-   the victim's loads of A into steps 2/4 of its own sequence and so
-   exfiltrate A into X. The victim's interleaved stores make this
-   impossible (sec. 3.3.1), which the explorer verifies. *)
+(* The store-splice against the five-access method: the victim's
+   interleaved stores make it impossible (sec. 3.3.1), which the
+   explorer verifies. *)
 let rep5_splice () =
-  let mech = Uldma.Rep_args.mech in
-  let kernel = make_kernel (Engine.Rep_args Seq_matcher.Five) in
-  let victim, a, b, result, intent =
-    make_victim kernel mech ~emit_override:(Some Uldma.Rep_args.emit_dma_five_no_retry)
-  in
-  let attacker = Kernel.spawn kernel ~name:"attacker" ~program:[||] () in
-  let x = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel attacker ~vaddr:x ~n:1 ~window:`Dma : int);
-  let asm = Asm.create () in
-  Asm.li asm 12 x;
-  shadow 12 20 asm;
-  Asm.li asm 3 transfer_size;
-  Asm.store asm ~base:20 ~off:0 3;
-  Asm.mb asm;
-  Asm.store asm ~base:20 ~off:0 3;
-  Asm.mb asm;
-  Asm.load asm 4 ~base:20 ~off:0;
-  Asm.halt asm;
-  Process.set_program attacker (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      [
-        page_label kernel victim a "A";
-        page_label kernel victim b "B";
-        page_label kernel attacker x "X";
-      ];
-  }
+  let kernel, v = with_victim ~emit:rep5_emit Uldma.Rep_args.mech in
+  let attacker, _, labels = adversary ~ops:store_splice kernel "attacker" [ "X" ] in
+  make kernel v [ (attacker, None) ] (victim_labels v @ labels)
 
-let rep5_with_retry () = rep5_scenario ~emit:None ()
-
-(* Both processes legitimately use the same mechanism on their own
-   buffers; the "attacker" here is just a concurrent tenant. Safety =
-   both DMAs happen exactly once with no argument mixing, under every
-   schedule — the atomicity claim of sec. 3.1/3.2. *)
-let contested ?net (mech : Mech.t) mechanism =
-  let kernel = make_kernel ?net mechanism in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:None in
-  let attacker = Kernel.spawn kernel ~name:"tenant" ~program:[||] () in
-  let c = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  let d = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  let tenant_result = Kernel.alloc_pages kernel attacker ~n:1 ~perms:Perms.read_write in
-  let prepared =
-    mech.Mech.prepare kernel attacker ~src:{ Mech.vaddr = c; pages = 1 }
-      ~dst:{ Mech.vaddr = d; pages = 1 }
-  in
-  Process.set_program attacker
-    (Stub.build_single ~vsrc:c ~vdst:d ~size:transfer_size ~result_va:tenant_result
-       ~emit_dma:prepared.Mech.emit_dma);
-  let tenant_intent =
-    Oracle.intent_of_regions kernel attacker ~vsrc:c ~vdst:d ~size:transfer_size ~requests:1
-  in
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent; tenant_intent ];
-    victim_result_va = result;
-    attacker_result_va = Some tenant_result;
-    extras = [];
-    transfer_size;
-    labels =
-      [
-        page_label kernel victim a "A";
-        page_label kernel victim b "B";
-        page_label kernel attacker c "C";
-        page_label kernel attacker d "D";
-      ];
-  }
-
-let ext_shadow_contested () = contested Uldma.Ext_shadow.mech Engine.Ext_shadow
-
-let key_contested ?net () = contested ?net Uldma.Key_dma.mech Engine.Key_based
-
-let pal_contested () = contested Uldma.Pal_dma.mech Engine.Shrimp_two_step
-
-let iommu_contested ?net () = contested ?net Uldma.Iommu_dma.mech Engine.Iommu
-
-let capio_contested ?net () = contested ?net Uldma.Capio_dma.mech Engine.Capio
-
-(* ------------------------------------------------------------------ *)
-(* The Fig. 5 splicer against a mechanism whose initiation never
-   touches the shadow window (IOMMU / CAPIO): every attacker shadow
-   access is rejected [Unsupported], so exploration must find every
-   schedule SAFE — there is no argument stream to splice into. *)
-
-let fig5_vs ?net (mech : Mech.t) mechanism =
-  let kernel = make_kernel ?net mechanism in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:None in
+(* Both shapes at once: the Fig. 5 splicer and the store-splice
+   attacker race one rep5 victim. Neither attacker reports an outcome;
+   safety is the victim's DMA happening exactly once with no argument
+   mixing under every three-way interleaving. *)
+let rep5_contested3 () =
+  let kernel, v = with_victim ~emit:rep5_emit Uldma.Rep_args.mech in
   let attacker, attacker_labels = fig5_attacker kernel in
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels =
-      page_label kernel victim a "A" :: page_label kernel victim b "B" :: attacker_labels;
-  }
-
-let iommu_fig5 ?net () = fig5_vs ?net Uldma.Iommu_dma.mech Engine.Iommu
-
-let capio_fig5 ?net () = fig5_vs ?net Uldma.Capio_dma.mech Engine.Capio
+  let splicer, _, labels = adversary ~ops:store_splice kernel "splicer" [ "X" ] in
+  make kernel v [ (attacker, None); (splicer, None) ] (victim_labels v @ labels @ attacker_labels)
 
 (* The rep5-style accomplice, retargeted at CAPIO: the accomplice has
    somehow learned the victim's capability *values* (they are plain
@@ -386,9 +239,7 @@ let capio_fig5 ?net () = fig5_vs ?net Uldma.Capio_dma.mech Engine.Capio
    OWN register context. The engine's context binding must reject the
    laundering attempt with [Bad_capability] under every schedule. *)
 let capio_launder ?net () =
-  let mech = Uldma.Capio_dma.mech in
-  let kernel = make_kernel ?net Engine.Capio in
-  let victim, a, b, result, intent = make_victim kernel mech ~emit_override:None in
+  let kernel, v = with_victim ?net Uldma.Capio_dma.mech in
   let victim_caps = Capability.live (Engine.capabilities (Kernel.engine kernel)) in
   let cap_with pred =
     match List.find_opt pred victim_caps with
@@ -408,128 +259,108 @@ let capio_launder ?net () =
   Uldma.Capio_dma.emit_dma_with ~cap_src ~cap_dst ~context_page_va asm;
   Asm.halt asm;
   Process.set_program accomplice (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker = accomplice;
-    intents = [ intent ];
-    victim_result_va = result;
-    transfer_size;
-    attacker_result_va = None;
-    extras = [];
-    labels = [ page_label kernel victim a "A"; page_label kernel victim b "B" ];
-  }
+  make kernel v [ (accomplice, None) ] (victim_labels v)
 
-(* ------------------------------------------------------------------ *)
-(* Three-process contested workloads. Two-process trees top out around
-   10^2..10^3 schedules — too small to stress dedup. A third
-   process and repeated initiations push the tree to 10^5..10^6
-   schedules (the multinomial of the three leg counts), which is where
-   state dedup and the bounded memo earn their keep. Safety is the
-   same atomicity claim as [contested], now with three concurrent
-   register-context users. *)
-
-let contested3 ?(victim_repeat = 2) ?(tenant_repeat = 2) (mech : Mech.t) mechanism =
-  let kernel = make_kernel mechanism in
-  let victim, a, b, result, intent =
-    make_victim ~repeat:victim_repeat kernel mech ~emit_override:None
+(* Tenants: every process legitimately uses [mech] on its own buffers,
+   each tenant [tenant_repeat] times, and reports its outcome. Safety =
+   every DMA happens exactly its requested number of times with no
+   argument mixing, under every schedule — the atomicity claim of sec.
+   3.1/3.2. Two-process trees top out around 10^2..10^3 schedules; a
+   third process and repeated initiations push the tree to 10^5..10^6
+   (the multinomial of the leg counts), which is where state dedup and
+   the bounded memo earn their keep. *)
+let contested ?net ?(victim_repeat = 1) ?(tenant_repeat = 1) mech tenants =
+  let kernel, v = with_victim ?net ~repeat:victim_repeat mech in
+  let tenants =
+    List.map
+      (fun (name, src_name, dst_name) ->
+        let p, src, dst, result, intent = initiator ~repeat:tenant_repeat kernel mech name in
+        let labels = [ page_label kernel p src src_name; page_label kernel p dst dst_name ] in
+        ((p, Some result), intent, labels))
+      tenants
   in
-  let spawn_tenant name =
-    let p = Kernel.spawn kernel ~name ~program:[||] () in
-    let src = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
-    let dst = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
-    let res = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
-    let prepared =
-      mech.Mech.prepare kernel p ~src:{ Mech.vaddr = src; pages = 1 }
-        ~dst:{ Mech.vaddr = dst; pages = 1 }
-    in
-    Process.set_program p
-      (Stub.build_repeat ~n:tenant_repeat ~vsrc:src ~vdst:dst ~size:transfer_size
-         ~result_va:res ~emit_dma:prepared.Mech.emit_dma);
-    let intent =
-      Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:transfer_size
-        ~requests:tenant_repeat
-    in
-    (p, src, dst, res, intent)
-  in
-  let t1, c, d, r1, i1 = spawn_tenant "tenant1" in
-  let t2, e, f, r2, i2 = spawn_tenant "tenant2" in
-  {
-    kernel;
-    victim;
-    attacker = t1;
-    intents = [ intent; i1; i2 ];
-    victim_result_va = result;
-    attacker_result_va = Some r1;
-    extras = [ (t2, Some r2) ];
-    transfer_size;
-    labels =
-      [
-        page_label kernel victim a "A";
-        page_label kernel victim b "B";
-        page_label kernel t1 c "C";
-        page_label kernel t1 d "D";
-        page_label kernel t2 e "E";
-        page_label kernel t2 f "F";
-      ];
-  }
+  make kernel v
+    ~intents:(List.map (fun (_, i, _) -> i) tenants)
+    (List.map (fun (p, _, _) -> p) tenants)
+    (victim_labels v @ List.concat_map (fun (_, _, l) -> l) tenants)
 
-(* Key-based initiation costs 4 NI accesses, so even a single
+let one_tenant = [ ("tenant", "C", "D") ]
+let two_tenants = [ ("tenant1", "C", "D"); ("tenant2", "E", "F") ]
+let ext_shadow_contested () = contested Uldma.Ext_shadow.mech one_tenant
+let key_contested ?net () = contested ?net Uldma.Key_dma.mech one_tenant
+let pal_contested () = contested Uldma.Pal_dma.mech one_tenant
+let iommu_contested ?net () = contested ?net Uldma.Iommu_dma.mech one_tenant
+let capio_contested ?net () = contested ?net Uldma.Capio_dma.mech one_tenant
+
+(* Key-based and IOMMU initiation cost 4 NI accesses, so even a single
    initiation per process (5 legs each) already yields ~7.6e5
    schedules; repeats would blow past any practical path budget. *)
-let key_contested3 ?(victim_repeat = 1) ?(tenant_repeat = 1) () =
-  contested3 ~victim_repeat ~tenant_repeat Uldma.Key_dma.mech Engine.Key_based
+let key_contested3 ?victim_repeat ?tenant_repeat () =
+  contested ?victim_repeat ?tenant_repeat Uldma.Key_dma.mech two_tenants
 
-let ext_shadow_contested3 ?victim_repeat ?tenant_repeat () =
-  contested3 ?victim_repeat ?tenant_repeat Uldma.Ext_shadow.mech Engine.Ext_shadow
+let ext_shadow_contested3 ?(victim_repeat = 2) ?(tenant_repeat = 2) () =
+  contested ~victim_repeat ~tenant_repeat Uldma.Ext_shadow.mech two_tenants
 
-(* IOMMU initiation is also 4 NI accesses; one initiation per process
-   keeps the tree in the same ~7.6e5-schedule band as key_contested3. *)
-let iommu_contested3 ?(victim_repeat = 1) ?(tenant_repeat = 1) () =
-  contested3 ~victim_repeat ~tenant_repeat Uldma.Iommu_dma.mech Engine.Iommu
+let iommu_contested3 ?victim_repeat ?tenant_repeat () =
+  contested ?victim_repeat ?tenant_repeat Uldma.Iommu_dma.mech two_tenants
 
-let capio_contested3 ?(victim_repeat = 1) ?(tenant_repeat = 1) () =
-  contested3 ~victim_repeat ~tenant_repeat Uldma.Capio_dma.mech Engine.Capio
+let capio_contested3 ?victim_repeat ?tenant_repeat () =
+  contested ?victim_repeat ?tenant_repeat Uldma.Capio_dma.mech two_tenants
 
-(* The five-access method against BOTH adversary shapes at once: the
-   Fig. 5 splicer and the store-splice attacker race one rep5 victim.
-   Neither attacker reports an outcome; safety is the victim's DMA
-   happening exactly once with no argument mixing under every
-   three-way interleaving. *)
-let rep5_contested3 () =
-  let mech = Uldma.Rep_args.mech in
-  let kernel = make_kernel (Engine.Rep_args Seq_matcher.Five) in
-  let victim, a, b, result, intent =
-    make_victim kernel mech ~emit_override:(Some Uldma.Rep_args.emit_dma_five_no_retry)
-  in
-  let attacker, attacker_labels = fig5_attacker kernel in
-  let splicer = Kernel.spawn kernel ~name:"splicer" ~program:[||] () in
-  let x = Kernel.alloc_pages kernel splicer ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel splicer ~vaddr:x ~n:1 ~window:`Dma : int);
-  let asm = Asm.create () in
-  Asm.li asm 12 x;
-  shadow 12 20 asm;
-  Asm.li asm 3 transfer_size;
-  Asm.store asm ~base:20 ~off:0 3;
-  Asm.mb asm;
-  Asm.store asm ~base:20 ~off:0 3;
-  Asm.mb asm;
-  Asm.load asm 4 ~base:20 ~off:0;
-  Asm.halt asm;
-  Process.set_program splicer (Asm.assemble asm);
-  {
-    kernel;
-    victim;
-    attacker;
-    intents = [ intent ];
-    victim_result_va = result;
-    attacker_result_va = None;
-    extras = [ (splicer, None) ];
-    transfer_size;
-    labels =
-      page_label kernel victim a "A" :: page_label kernel victim b "B"
-      :: page_label kernel splicer x "X" :: attacker_labels;
-  }
+(* ------------------------------------------------------------------ *)
+(* The catalogue: every explorable machine, named once *)
+
+type build = Timed of (?net:Backend.t -> unit -> t) | Untimed of (unit -> t)
+type entry = { name : string; title : string; build : build; schedule : leg list option }
+
+let catalogue =
+  let e ?schedule name title build = { name; title; build; schedule } in
+  [
+    e "fig5" "rep-args-3 (Fig. 5)" (Timed fig5) ~schedule:fig5_schedule;
+    e "fig6" "rep-args-4 (Fig. 6)" (Untimed fig6) ~schedule:fig6_schedule;
+    e "rep5" "rep-args-5 (Fig. 7)" (Timed rep5) ~schedule:fig5_schedule;
+    e "splice" "rep-args-5 vs store-splice" (Untimed rep5_splice);
+    e "key-based" "key-based, two tenants" (Timed key_contested);
+    e "pal" "pal, two tenants" (Untimed pal_contested);
+    e "ext-shadow" "ext-shadow, two tenants" (Untimed ext_shadow_contested);
+    e "iommu" "iommu, two tenants" (Timed iommu_contested);
+    e "capio" "capio, two tenants" (Timed capio_contested);
+    e "iommu-fig5" "iommu vs Fig. 5 splicer" (Timed iommu_fig5);
+    e "capio-fig5" "capio vs Fig. 5 splicer" (Timed capio_fig5);
+    e "capio-launder" "capio vs capability launderer" (Timed capio_launder);
+    (* the two-step races with and without their context-switch hooks
+       (the only hooked kernels), and the stateless shadow race *)
+    e "shrimp2-race" "shrimp-2 vs overwriter, unmodified kernel"
+      (Untimed (fun () -> shrimp2_race ~hook:false))
+      ~schedule:shrimp2_schedule;
+    e "shrimp2-race-hook" "shrimp-2 vs overwriter, switch hook"
+      (Untimed (fun () -> shrimp2_race ~hook:true));
+    e "flash-race" "flash vs overwriter, unmodified kernel"
+      (Untimed (fun () -> flash_race ~hook:false));
+    e "flash-race-hook" "flash vs overwriter, switch hook"
+      (Untimed (fun () -> flash_race ~hook:true));
+    e "ext-stateless-race" "contextless ext-shadow vs overwriter" (Untimed ext_stateless_race);
+    e "key-3" "key-based, three contested processes" (Untimed (fun () -> key_contested3 ()));
+    e "ext-shadow-3" "ext-shadow, three contested processes"
+      (Untimed (fun () -> ext_shadow_contested3 ()));
+    e "rep5-3" "rep-args-5 vs two attackers" (Untimed rep5_contested3);
+    e "iommu-3" "iommu, three contested processes" (Untimed (fun () -> iommu_contested3 ()));
+    e "capio-3" "capio, three contested processes" (Untimed (fun () -> capio_contested3 ()));
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) catalogue
+
+let instance ?net e =
+  match (e.build, net) with
+  | Timed f, _ -> f ?net ()
+  | Untimed f, (None | Some Backend.Null) -> f ()
+  | Untimed _, Some (Backend.Linked _) ->
+    invalid_arg (Printf.sprintf "scenario %s has no timed variant; --net must be null" e.name)
+
+let named ?net name =
+  match find name with
+  | Some e -> instance ?net e
+  | None -> invalid_arg ("Scenario.named: no scenario " ^ name)
 
 (* ------------------------------------------------------------------ *)
 (* Explorer plumbing shared by every consumer (experiments, CLI,

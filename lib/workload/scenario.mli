@@ -1,8 +1,10 @@
-(** Two-process attack scenarios reproducing the paper's interleaving
-    figures, plus randomized adversarial campaigns.
+(** Attack scenarios reproducing the paper's interleaving figures,
+    plus randomized adversarial campaigns, and the {!catalogue} that
+    names every explorable machine once.
 
     A scenario holds a victim that initiates one DMA (A -> B) with some
-    mechanism, and an attacker running an adversarial access sequence.
+    mechanism, and an attacker running an adversarial access sequence
+    (or tenants running the same mechanism).
     [run_legs] drives an exact interleaving at NI-access granularity
     (the granularity of the paper's Fig. 5/6/8 diagrams); [finish] lets
     both run to completion afterwards; [report] audits the run with the
@@ -28,8 +30,8 @@ type t = {
 
 type leg = V | M
 
-(** The [?net] parameter on {!fig5}, {!rep5} and {!key_contested}
-    selects the DMA wire-time model ({!Uldma_net.Backend}): omitted or
+(** The [?net] parameter on {!fig5}, {!rep5} and the other builders
+    that take one selects the DMA wire-time model ({!Uldma_net.Backend}): omitted or
     [Backend.Null], transfers complete instantly (the Table-1
     methodology every golden output uses — passing [Backend.null]
     explicitly is byte-identical to the default); a [Backend.Linked]
@@ -207,11 +209,45 @@ val label_of_paddr : t -> int -> string
 (** Symbolic name for a physical address ("A+0x40", "shadow(C)"), used
     by [access_timeline]. *)
 
+(** {2 The catalogue}
+
+    Every explorable machine, named once: the CLI's [explore] and
+    [timeline], [tools/diff_explore], [tools/check_trace] and
+    [tools/bench_explorer] all read their machines from here. *)
+
+type build =
+  | Timed of (?net:Uldma_net.Backend.t -> unit -> t)
+      (** has a wire-time variant (see {!fig5}'s [?net]) *)
+  | Untimed of (unit -> t)  (** runs under the Null backend only *)
+
+type entry = {
+  name : string;  (** as spelled on the command line, e.g. ["iommu-fig5"] *)
+  title : string;  (** what [explore] prints, e.g. ["iommu vs Fig. 5 splicer"] *)
+  build : build;
+  schedule : leg list option;  (** the paper's interleaving, where it draws one *)
+}
+
+val catalogue : entry list
+(** The 17 [explore] machines and the five two-step races, in the
+    order [tools/diff_explore] runs them. *)
+
+val find : string -> entry option
+
+val instance : ?net:Uldma_net.Backend.t -> entry -> t
+(** The entry's machine, at [net] when it is timed (default Null).
+    Raises [Invalid_argument "scenario NAME has no timed variant; --net
+    must be null"] for an untimed entry given a linked backend. *)
+
+val named : ?net:Uldma_net.Backend.t -> string -> t
+(** {!find} then {!instance}; raises [Invalid_argument] for an unknown
+    name. *)
+
 (** {2 Scenario building blocks}
 
-    The pieces the hand-built scenarios above are assembled from,
-    exposed so program synthesis ({!Synth}) can build whole families
-    of scenarios that differ only in one process's program. *)
+    Every machine is a victim through one mechanism plus the processes
+    that race it. The pieces are exposed so program synthesis
+    ({!Synth}) can build whole families of machines that differ only in
+    one process's program. *)
 
 val transfer_size : int
 (** Bytes per DMA in every scenario (one cache-line-ish unit). *)
@@ -221,25 +257,59 @@ val make_kernel : ?net:Uldma_net.Backend.t -> Uldma_dma.Engine.mechanism -> Uldm
     protection mechanism / net backend. It adopts the ambient trace
     sink like every [Kernel.create]. *)
 
-val make_victim :
+type victim
+
+val with_victim :
+  ?net:Uldma_net.Backend.t ->
   ?repeat:int ->
-  Uldma_os.Kernel.t ->
+  ?emit:(Uldma_cpu.Asm.t -> unit) ->
   Uldma.Mech.t ->
-  emit_override:(Uldma_cpu.Asm.t -> unit) option ->
-  Uldma_os.Process.t * int * int * int * Uldma_verify.Oracle.intent
-(** Spawn the standard victim ([repeat] DMAs A -> B, reporting into a
-    result page): [(victim, a_va, b_va, result_va, intent)]. *)
+  Uldma_os.Kernel.t * victim
+(** A {!make_kernel} machine running [mech]'s engine personality
+    ([Mech.t.engine_mechanism]) and the standard victim: [repeat]
+    (default 1) DMAs A -> B through [mech], emitted by [emit] when
+    given, reporting into a result page. *)
+
+val victim_labels : victim -> (int * string) list
+(** The victim's pages A and B, for the [labels] field. *)
+
+type op = S of int | L of int
+(** An adversary's shadow-window access to its page [p]: [S p] stores
+    the transfer size to the page's shadow alias and drains the write
+    buffer (the store idiom of an initiation), [L p] loads from it. *)
+
+val shadow_program : ?sized:bool -> int list -> op list -> Uldma_cpu.Isa.instr array
+(** [shadow_program vas ops]: page [i]'s va into r[12+i], its shadow
+    alias into r[20+i], the transfer size into r3 (unless [sized] is
+    false), then [ops] and a halt. *)
+
+val adversary :
+  ?with_context:bool ->
+  ?ops:op list ->
+  Uldma_os.Kernel.t ->
+  string ->
+  string list ->
+  Uldma_os.Process.t * int list * (int * string) list
+(** [adversary kernel name pages] spawns [name] with one fresh
+    shadow-mapped page per entry of [pages] (named by it), running
+    {!shadow_program} of [ops] when given, else an empty program:
+    [(process, page vas, labels)]. [with_context] (default false)
+    allocates it a register context first — required before
+    shadow-mapping under the extended-shadow mechanism. *)
 
 val fig5_attacker :
   ?with_context:bool -> Uldma_os.Kernel.t -> Uldma_os.Process.t * (int * string) list
-(** Spawn the Fig. 5 attacker (S(foo) L(foo) L(C) L(C) over its own
-    shadow-mapped pages): [(attacker, page labels)]. [with_context]
-    (default false) allocates it a register context first — required
-    before shadow-mapping under the extended-shadow mechanism. *)
+(** The Fig. 5 attacker (S(foo) L(foo) L(C) L(C) over its own
+    shadow-mapped pages): [(attacker, page labels)]. *)
 
-val shadow : int -> int -> Uldma_cpu.Asm.t -> unit
-(** [shadow rd rs asm]: emit [rs := rd + shadow_va_offset], turning a
-    data va in [rd] into its DMA-window shadow alias in [rs]. *)
-
-val page_label : Uldma_os.Kernel.t -> Uldma_os.Process.t -> int -> string -> int * string
-(** [(physical page base of va, name)] for the [labels] field. *)
+val make :
+  Uldma_os.Kernel.t ->
+  victim ->
+  ?intents:Uldma_verify.Oracle.intent list ->
+  (Uldma_os.Process.t * int option) list ->
+  (int * string) list ->
+  t
+(** The one constructor: [make kernel victim ~intents procs labels].
+    The first of [procs] is the attacker, the rest are [extras], each
+    with its result page when it reports; [intents] are declared beside
+    the victim's. *)

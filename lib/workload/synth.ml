@@ -3,15 +3,13 @@
    page renaming, and drive the whole family through the campaign
    engine. See the mli for the contract. *)
 
-open Uldma_mem
-open Uldma_cpu
 open Uldma_os
 open Uldma_dma
 module Oracle = Uldma_verify.Oracle
 module Explorer = Uldma_verify.Explorer
 module Campaign = Uldma_verify.Campaign
 
-type op = S of int | L of int
+type op = Scenario.op = S of int | L of int
 
 let pages = 2
 
@@ -52,8 +50,7 @@ let enumerate ?(exact = false) ~slots () =
 type base = {
   b_scenario : Scenario.t;
   b_pid : int; (* the accomplice's pid *)
-  b_p0 : int; (* its two data page vas (shadow-mapped at spawn) *)
-  b_p1 : int;
+  b_pages : int list; (* its two data page vas (shadow-mapped at spawn) *)
 }
 
 let variant_label = function
@@ -99,11 +96,6 @@ let subject_mech = function
   | Iommu -> Uldma.Iommu_dma.mech
   | Capio -> Uldma.Capio_dma.mech
 
-let subject_engine_mechanism subject =
-  match (subject_mech subject).Uldma.Mech.engine_mechanism with
-  | Some m -> m
-  | None -> invalid_arg "Synth.subject_engine_mechanism: mechanism drives no engine"
-
 let net_label = function
   | None -> "null"
   | Some b -> Uldma_net.Backend.cache_key b
@@ -117,9 +109,7 @@ let net_label = function
    [Unsupported]), which is exactly the differential fact the
    six-mechanism catalogue is after. *)
 let make_base ?net ?repeat subject =
-  let mech = subject_mech subject in
-  let kernel = Scenario.make_kernel ?net (subject_engine_mechanism subject) in
-  let emit_override =
+  let emit =
     (* the retrying five-access stub spins forever under exploration *)
     match subject with
     | Rep Seq_matcher.Five -> Some Uldma.Rep_args.emit_dma_five_no_retry
@@ -127,66 +117,27 @@ let make_base ?net ?repeat subject =
   in
   (* extended shadow addressing encodes the register context in the
      alias, so the adversaries need contexts before they can map *)
-  let needs_context = match subject with Ext -> true | _ -> false in
-  let victim, a, b, result, intent = Scenario.make_victim ?repeat kernel mech ~emit_override in
-  let attacker, attacker_labels = Scenario.fig5_attacker ~with_context:needs_context kernel in
-  let accomplice = Kernel.spawn kernel ~name:"accomplice" ~program:[||] () in
-  if needs_context then (
-    match Kernel.alloc_dma_context kernel accomplice with
-    | Some _ -> ()
-    | None -> failwith "Synth.make_base: no free context for the accomplice");
-  let p0 = Kernel.alloc_pages kernel accomplice ~n:1 ~perms:Perms.read_write in
-  let p1 = Kernel.alloc_pages kernel accomplice ~n:1 ~perms:Perms.read_write in
-  ignore (Kernel.map_shadow_alias kernel accomplice ~vaddr:p0 ~n:1 ~window:`Dma : int);
-  ignore (Kernel.map_shadow_alias kernel accomplice ~vaddr:p1 ~n:1 ~window:`Dma : int);
-  let scenario =
-    {
-      Scenario.kernel;
-      victim;
-      attacker;
-      intents = [ intent ];
-      victim_result_va = result;
-      attacker_result_va = None;
-      extras = [ (accomplice, None) ];
-      transfer_size = Scenario.transfer_size;
-      labels =
-        Scenario.page_label kernel victim a "A"
-        :: Scenario.page_label kernel victim b "B"
-        :: Scenario.page_label kernel accomplice p0 "P0"
-        :: Scenario.page_label kernel accomplice p1 "P1"
-        :: attacker_labels;
-    }
+  let with_context = match subject with Ext -> true | _ -> false in
+  let kernel, victim = Scenario.with_victim ?net ?repeat ?emit (subject_mech subject) in
+  let attacker, attacker_labels = Scenario.fig5_attacker ~with_context kernel in
+  let accomplice, pages, labels =
+    Scenario.adversary ~with_context kernel "accomplice" [ "P0"; "P1" ]
   in
-  { b_scenario = scenario; b_pid = accomplice.Process.pid; b_p0 = p0; b_p1 = p1 }
+  let scenario =
+    Scenario.make kernel victim
+      [ (attacker, None); (accomplice, None) ]
+      (Scenario.victim_labels victim @ labels @ attacker_labels)
+  in
+  { b_scenario = scenario; b_pid = accomplice.Process.pid; b_pages = pages }
 
 let base_scenario base = base.b_scenario
 
-(* Accomplice program: the same prologue for every candidate (page vas
-   into 12/13, shadow aliases into 20/21, the transfer size into 3),
-   then the ops — S p initiates on page p like the Fig. 5 attacker's
-   store (store + mb), L p reads the page's shadow alias. *)
-let assemble base ops =
-  let asm = Asm.create () in
-  Asm.li asm 12 base.b_p0;
-  Asm.li asm 13 base.b_p1;
-  Scenario.shadow 12 20 asm;
-  Scenario.shadow 13 21 asm;
-  Asm.li asm 3 Scenario.transfer_size;
-  List.iter
-    (fun op ->
-      match op with
-      | S p ->
-        Asm.store asm ~base:(20 + p) ~off:0 3;
-        Asm.mb asm
-      | L p -> Asm.load asm 4 ~base:(20 + p) ~off:0)
-    ops;
-  Asm.halt asm;
-  Asm.assemble asm
-
+(* The accomplice's program is [Scenario.shadow_program] over its two
+   pages: the same prologue for every candidate, then the ops. *)
 let candidate base ops =
   let root = Kernel.snapshot base.b_scenario.Scenario.kernel in
   (match Kernel.find_process root base.b_pid with
-  | Some p -> Process.set_program p (assemble base ops)
+  | Some p -> Process.set_program p (Scenario.shadow_program base.b_pages ops)
   | None -> invalid_arg "Synth.candidate: accomplice not in base kernel");
   { Campaign.c_label = mnemonic ops; c_root = root }
 

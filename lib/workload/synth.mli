@@ -26,7 +26,7 @@
     of the collusion catalogue, including a minimal witness program
     when the cell admits collusion. *)
 
-type op = S of int | L of int  (** page index 0 or 1 *)
+type op = Scenario.op = S of int | L of int  (** page index 0 or 1 *)
 
 val mnemonic : op list -> string
 (** Stable program label, e.g. ["S0.L0.L1"]. *)

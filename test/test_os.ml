@@ -51,20 +51,6 @@ let test_sched_round_robin_cycles () =
   (* quantum 1: every instruction goes to the next process *)
   Alcotest.(check (list int)) "rotation" [ 1; 2; 3; 1; 2; 3 ] (List.rev !seq)
 
-let test_sched_scripted () =
-  let s = Sched.create (Sched.Scripted [ 2; 2; 1 ]) in
-  Alcotest.(check (option int)) "first" (Some 2) (pick s ~current:None ~runnable:[ 1; 2 ]);
-  Alcotest.(check (option int)) "second" (Some 2) (pick s ~current:(Some 2) ~runnable:[ 1; 2 ]);
-  Alcotest.(check (option int)) "third" (Some 1) (pick s ~current:(Some 2) ~runnable:[ 1; 2 ]);
-  (* script exhausted: falls back to quantum-1 round robin *)
-  Alcotest.(check (option int)) "fallback" (Some 2) (pick s ~current:(Some 1) ~runnable:[ 1; 2 ])
-
-let test_sched_scripted_skips_dead () =
-  let s = Sched.create (Sched.Scripted [ 9 ]) in
-  match pick s ~current:None ~runnable:[ 1 ] with
-  | Some 1 -> ()
-  | Some _ | None -> Alcotest.fail "should fall back to a runnable pid"
-
 let test_sched_random_deterministic () =
   let run () =
     let s = Sched.create (Sched.Random_preempt { probability = 0.5; seed = 3 }) in
@@ -82,13 +68,16 @@ let test_sched_random_deterministic () =
   Alcotest.(check (list int)) "same seed, same schedule" (run ()) (run ())
 
 let test_sched_copy () =
-  let s = Sched.create (Sched.Scripted [ 1; 2 ]) in
-  ignore (pick s ~current:None ~runnable:[ 1; 2 ]);
+  let s = Sched.create (Sched.Random_preempt { probability = 0.5; seed = 5 }) in
+  ignore (pick s ~current:None ~runnable:[ 1; 2; 3 ]);
   let s2 = Sched.copy s in
-  Alcotest.(check (option int)) "copy continues script" (Some 2)
-    (pick s2 ~current:(Some 1) ~runnable:[ 1; 2 ]);
-  Alcotest.(check (option int)) "original unaffected" (Some 2)
-    (pick s ~current:(Some 1) ~runnable:[ 1; 2 ])
+  let picks s =
+    List.init 20 (fun _ -> pick s ~current:(Some 1) ~runnable:[ 1; 2; 3 ])
+  in
+  let copied = picks s2 in
+  (* the copy continues from the original's RNG state, and drawing from
+     it leaves the original's stream alone *)
+  Alcotest.(check (list (option int))) "original unaffected" copied (picks s)
 
 let test_sched_full_coverage_under_random () =
   (* under random preemption every runnable pid eventually runs *)
@@ -690,8 +679,6 @@ let () =
           Alcotest.test_case "run to completion" `Quick test_sched_run_to_completion;
           Alcotest.test_case "round robin quantum" `Quick test_sched_round_robin;
           Alcotest.test_case "round robin cycles" `Quick test_sched_round_robin_cycles;
-          Alcotest.test_case "scripted" `Quick test_sched_scripted;
-          Alcotest.test_case "scripted skips dead" `Quick test_sched_scripted_skips_dead;
           Alcotest.test_case "random deterministic" `Quick test_sched_random_deterministic;
           Alcotest.test_case "copy" `Quick test_sched_copy;
           Alcotest.test_case "random covers all pids" `Quick test_sched_full_coverage_under_random;

@@ -447,7 +447,7 @@ let test_explorer_clipped_under_eviction () =
   checkb "evictions happened" true (r.Explorer.evictions > 0)
 
 (* Three-process contested tree (1680 schedules): dedup on and off
-   must agree exactly. *)
+   must agree exactly, paths and violation lists alike. *)
 let test_explorer_3proc_determinism () =
   let small () = Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1 () in
   let seq = explore small in
@@ -455,6 +455,8 @@ let test_explorer_3proc_determinism () =
   checki "safe" 0 (List.length seq.Explorer.violations);
   let nodedup = explore_with ~dedup:false small in
   checki "no-dedup paths" seq.Explorer.paths nodedup.Explorer.paths;
+  checkb "no-dedup violations identical" true
+    (canon_violations seq = canon_violations nodedup);
   checkb "no-dedup complete" false nodedup.Explorer.truncated
 
 (* rep5 vs two colluding adversaries: the victim's §3.3.1 property

@@ -182,6 +182,166 @@ let test_build_single_shape () =
   checkb "non-trivial program" true (Array.length program > 8);
   checkb "ends with halt" true (program.(Array.length program - 1) = Uldma_cpu.Isa.Halt)
 
+(* ------------------------------------------------------------------ *)
+(* The scenario catalogue *)
+
+module Scenario = Uldma_workload.Scenario
+module Backend = Uldma_net.Backend
+
+let names = List.map (fun (e : Scenario.entry) -> e.Scenario.name) Scenario.catalogue
+
+let test_catalogue_names () =
+  checki "names unique" (List.length names) (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun name ->
+      match Scenario.find name with
+      | Some e -> Alcotest.(check string) "find round-trips" name e.Scenario.name
+      | None -> Alcotest.failf "find %s" name)
+    names;
+  checkb "unknown name" true (Scenario.find "no-such-machine" = None)
+
+let encoding (s : Scenario.t) = Kernel.state_encoding s.Scenario.kernel
+
+(* Every entry builds, and a timed entry given Backend.null is its Null
+   default: the same root state. *)
+let test_catalogue_builds () =
+  List.iter
+    (fun (e : Scenario.entry) ->
+      let s = Scenario.instance e in
+      checkb (e.Scenario.name ^ " has a victim and an attacker") true
+        (List.length (Scenario.explore_pids s) >= 2);
+      match e.Scenario.build with
+      | Scenario.Timed _ ->
+        Alcotest.(check string)
+          (e.Scenario.name ^ " at Backend.null")
+          (Digest.to_hex (Digest.string (encoding s)))
+          (Digest.to_hex (Digest.string (encoding (Scenario.instance ~net:Backend.null e))))
+      | Scenario.Untimed _ ->
+        Alcotest.check_raises (e.Scenario.name ^ " refuses a linked net")
+          (Invalid_argument
+             (Printf.sprintf "scenario %s has no timed variant; --net must be null" e.Scenario.name))
+          (fun () ->
+            ignore (Scenario.instance ~net:(Backend.linked Uldma_net.Link.atm155) e : Scenario.t)))
+    Scenario.catalogue
+
+(* Each root as it was when every machine had a builder of its own: the
+   MD5 of its state encoding, its explored pids and its page names. *)
+let pinned_roots =
+  [
+    ( "fig5",
+      "c988d15a741cae5b878179c9f9852b2b",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "foo"); (0x28000, "C") ] );
+    ( "fig6",
+      "fa93d4e68f6ed13e82db98fda0280b20",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B") ] );
+    ( "rep5",
+      "bddfb35d03f2ec736b7d9169422df8b9",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "foo"); (0x28000, "C") ] );
+    ( "splice",
+      "bbcb7cf4a45ac87844341e061393b7c1",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "X") ] );
+    ( "key-based",
+      "c622a0f44438e8f0c172c03b8d3b4d14",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "C"); (0x28000, "D") ] );
+    ( "pal",
+      "c3f37a2624f77bace10b5741c508a977",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "C"); (0x28000, "D") ] );
+    ( "ext-shadow",
+      "b73e6da71ec930e1c9c340e33edb039d",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "C"); (0x28000, "D") ] );
+    ( "iommu",
+      "92cbf82be632a8042ed69a52c7ed5ee5",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "C"); (0x28000, "D") ] );
+    ( "capio",
+      "1959d92327f9a8e98bb88950658eef47",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "C"); (0x28000, "D") ] );
+    ( "iommu-fig5",
+      "9671ce2c74512940b2602cb5563d10e2",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "foo"); (0x28000, "C") ] );
+    ( "capio-fig5",
+      "d2c58c7d8a25bb4493c03a839affbe4f",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "foo"); (0x28000, "C") ] );
+    ( "capio-launder",
+      "3c3a204201a699f41ef94b91560d472c",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B") ] );
+    ( "shrimp2-race",
+      "a4247b68e18ecb0987470059b580b568",
+      [ 1; 2 ],
+      [ (0x26000, "D") ] );
+    ( "shrimp2-race-hook",
+      "851fbc2d492960e1a62df88b9e7f7ad7",
+      [ 1; 2 ],
+      [ (0x26000, "D") ] );
+    ( "flash-race",
+      "a4247b68e18ecb0987470059b580b568",
+      [ 1; 2 ],
+      [ (0x26000, "D") ] );
+    ( "flash-race-hook",
+      "3599ef4d1835c459b18f7d5c6ecc36ca",
+      [ 1; 2 ],
+      [ (0x26000, "D") ] );
+    ( "ext-stateless-race",
+      "29cdcd116d894e1681faf0fc9092a153",
+      [ 1; 2 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x26000, "D") ] );
+    ( "key-3",
+      "613ea5f7693352f60fa553902b514c41",
+      [ 1; 2; 3 ],
+      [
+        (0x20000, "A"); (0x22000, "B"); (0x26000, "C");
+        (0x28000, "D"); (0x2c000, "E"); (0x2e000, "F");
+      ] );
+    ( "ext-shadow-3",
+      "d5378ee3eca3ae879b5e5c63acde9ab6",
+      [ 1; 2; 3 ],
+      [
+        (0x20000, "A"); (0x22000, "B"); (0x26000, "C");
+        (0x28000, "D"); (0x2c000, "E"); (0x2e000, "F");
+      ] );
+    ( "rep5-3",
+      "e408a5e57f67b5f555b7e6f82c5826e4",
+      [ 1; 2; 3 ],
+      [ (0x20000, "A"); (0x22000, "B"); (0x2a000, "X"); (0x26000, "foo"); (0x28000, "C") ] );
+    ( "iommu-3",
+      "5b2794b6475dac9cc0a46a193af40fd7",
+      [ 1; 2; 3 ],
+      [
+        (0x20000, "A"); (0x22000, "B"); (0x26000, "C");
+        (0x28000, "D"); (0x2c000, "E"); (0x2e000, "F");
+      ] );
+    ( "capio-3",
+      "340e3c101b1bf8dad9c94ca9d12ca8e0",
+      [ 1; 2; 3 ],
+      [
+        (0x20000, "A"); (0x22000, "B"); (0x26000, "C");
+        (0x28000, "D"); (0x2c000, "E"); (0x2e000, "F");
+      ] );
+  ]
+
+let test_catalogue_pinned () =
+  checki "every entry pinned" (List.length names) (List.length pinned_roots);
+  List.iter
+    (fun (name, digest, pids, labels) ->
+      let s = Scenario.named name in
+      Alcotest.(check string)
+        (name ^ " encoding") digest
+        (Digest.to_hex (Digest.string (encoding s)));
+      Alcotest.(check (list int)) (name ^ " pids") pids (Scenario.explore_pids s);
+      Alcotest.(check (list (pair int string))) (name ^ " labels") labels s.Scenario.labels)
+    pinned_roots
+
 let () =
   Alcotest.run "workload"
     [
@@ -206,5 +366,11 @@ let () =
         [
           Alcotest.test_case "rejects bad pages" `Quick test_build_loop_rejects_bad_pages;
           Alcotest.test_case "single-shot shape" `Quick test_build_single_shape;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "names" `Quick test_catalogue_names;
+          Alcotest.test_case "every entry builds" `Quick test_catalogue_builds;
+          Alcotest.test_case "roots pinned" `Quick test_catalogue_pinned;
         ] );
     ]

@@ -25,7 +25,7 @@ module Sim_measure = Uldma_sim.Measure
 let results_dir = "_results"
 
 let explore_rep5 ?dedup ~max_paths () =
-  let s = Scenario.rep5 () in
+  let s = Scenario.named "rep5" in
   Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup ~max_paths
     ~check:(fun _ -> None) ()
 
@@ -79,8 +79,8 @@ let pps (r : _ Explorer.result) secs = float_of_int r.Explorer.paths /. secs
    committed file. *)
 let encode_loops = 9
 
-let encode_ns_per_node ?(build = fun () -> Scenario.rep5 ()) ~paranoid () =
-  let s = build () in
+let encode_ns_per_node ?(name = "rep5") ~paranoid () =
+  let s = Scenario.named name in
   let root = s.Scenario.kernel in
   let k = Uldma_os.Kernel.snapshot root in
   List.iter
@@ -215,15 +215,15 @@ let () =
      record their key cost *)
   let scenarios3 =
     [
-      ("key-3", (fun () -> Scenario.key_contested3 ()), true);
-      ("ext-shadow-3", (fun () -> Scenario.ext_shadow_contested3 ()), true);
-      ("rep5-3", Scenario.rep5_contested3, false);
+      ("key-3", true);
+      ("ext-shadow-3", true);
+      ("rep5-3", false);
     ]
   in
   List.iteri
-    (fun i (name, build, keyed) ->
+    (fun i (name, keyed) ->
       let explore_once ?paranoid_memo ?memo_cap () =
-        let s = build () in
+        let s = Scenario.named name in
         let t0 = Unix.gettimeofday () in
         let r, alloc =
           Uldma_obs.Alloc.measure (fun () ->
@@ -259,7 +259,7 @@ let () =
         (per_node r1 r1.Explorer.bytes_hashed);
       if keyed then
         Printf.bprintf buf "      \"encode_ns_per_node\": %.1f,\n"
-          (encode_ns_per_node ~build ~paranoid:false ());
+          (encode_ns_per_node ~name ~paranoid:false ());
       Printf.bprintf buf "      \"seconds\": %.6f,\n" s1;
       Printf.bprintf buf "      \"paths_per_sec\": %.1f,\n" (pps r1 s1);
       Printf.bprintf buf "      \"direct_major_words_per_state\": %.1f,\n"
@@ -302,7 +302,7 @@ let () =
     (fun i (name, link) ->
       let net = Uldma_net.Backend.linked link in
       let explore ?dedup () =
-        let s = Scenario.rep5 ~net () in
+        let s = Scenario.named ~net "rep5" in
         let t0 = Unix.gettimeofday () in
         let r =
           Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)

@@ -10,13 +10,7 @@
    2. exports the Chrome trace_event JSON, re-parses it with a local
       JSON reader and checks timestamps are monotone per machine (pid);
    3. checks the disabled path really is a no-op (no events recorded);
-   4. checks the explorer's dedup soundness invariant: with the real
-      Fig. 8 oracle attached, dedup on/off must report identical path
-      counts and identical (sorted) violation sets on fig5 (violating),
-      rep5 (safe) and a small three-process contested workload, and
-      rep5 dedup must visit strictly fewer states than it counts
-      schedules;
-   5. re-measures explorer throughput with tracing disabled and
+   4. re-measures explorer throughput with tracing disabled and
       compares against the recorded baseline (argv.(1), normally
       _results/BENCH_explorer.json, which tools/bench_explorer.exe
       writes), both as paths per second times the same-run host-speed
@@ -159,6 +153,11 @@ let read_file path =
 
 (* ------------------------------------------------------------------ *)
 
+let explore_rep5 ~max_paths =
+  let s = Scenario.named "rep5" in
+  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ~max_paths
+    ~check:(fun _ -> None) ()
+
 let traced_workload () =
   ignore
     (Uldma_sim.Measure.initiation ~iterations:20 (Uldma.Api.find_exn "ext-shadow")
@@ -176,33 +175,13 @@ let traced_workload () =
       : Uldma_sim.Measure.result);
   (* and a denied cap_check plus its engine_reject: the laundering
      accomplice fires first, while the victim's caps are live *)
-  let l = Scenario.capio_launder () in
+  let l = Scenario.named "capio-launder" in
   Scenario.run_legs l [ Scenario.M; Scenario.M; Scenario.M; Scenario.M ];
   Scenario.finish l ();
-  let s = Scenario.fig5 () in
+  let s = Scenario.named "fig5" in
   Scenario.run_legs s Scenario.fig5_schedule;
   Scenario.finish s ();
-  let r = Scenario.rep5 () in
-  let pids =
-    [ r.Scenario.victim.Uldma_os.Process.pid; r.Scenario.attacker.Uldma_os.Process.pid ]
-  in
-  ignore
-    (Explorer.explore ~root:r.Scenario.kernel ~pids ~max_paths:50 ~check:(fun _ -> None) ()
-      : _ Explorer.result)
-
-let explore_rep5 () =
-  let s = Scenario.rep5 () in
-  let pids =
-    [ s.Scenario.victim.Uldma_os.Process.pid; s.Scenario.attacker.Uldma_os.Process.pid ]
-  in
-  Explorer.explore ~root:s.Scenario.kernel ~pids ~max_paths:1_000_000 ~check:(fun _ -> None) ()
-
-(* Exploration with the full Fig. 8 oracle attached, so the soundness
-   invariant below compares real violation sets, not just path counts. *)
-let explore_checked ?dedup scenario =
-  let s = scenario () in
-  Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s) ?dedup
-    ~max_paths:1_000_000 ~check:(Scenario.oracle_check s) ()
+  ignore (explore_rep5 ~max_paths:50 : _ Explorer.result)
 
 let () =
   (* 1. coverage of a traced run *)
@@ -262,66 +241,7 @@ let () =
           : Uldma_sim.Measure.result));
   if Trace.total off <> 0 then fail "disabled sink recorded %d events" (Trace.total off);
 
-  (* 4. soundness invariant of the dedup explorer: turning memoization
-     off must change neither the number of schedules nor the (sorted)
-     violation set.
-     fig5 exercises the violating side of the oracle, rep5 the safe
-     side; rep5 additionally demonstrates that memoization visits
-     strictly fewer states than there are schedules. *)
-  List.iter
-    (fun (name, scenario, expect_violations) ->
-      let base = explore_checked scenario in
-      let nodedup = explore_checked ~dedup:false scenario in
-      (* compare violation kinds + schedules, not payloads: a memo hit
-         re-emits the first-discovered prefix's violation value, whose
-         simulated timestamps legitimately differ between commuting
-         prefixes that dedup merges *)
-      let canon (r : _ Explorer.result) =
-        List.sort compare
-          (List.map
-             (fun (v, schedule) -> (Uldma_verify.Oracle.kind_name v, schedule))
-             r.Explorer.violations)
-      in
-      if nodedup.Explorer.paths <> base.Explorer.paths then
-        fail "%s: dedup changed the path count (%d with, %d without)" name base.Explorer.paths
-          nodedup.Explorer.paths;
-      if canon nodedup <> canon base then fail "%s: dedup changed the violation set" name;
-      if expect_violations && base.Explorer.violations = [] then
-        fail "%s: oracle found no violations (expected some)" name;
-      if (not expect_violations) && base.Explorer.violations <> [] then
-        fail "%s: oracle found %d violations (expected none)" name
-          (List.length base.Explorer.violations);
-      Printf.printf
-        "check-trace: %s invariant ok (%d paths, %d violations; %d states with dedup, %d without)\n"
-        name base.Explorer.paths
-        (List.length base.Explorer.violations)
-        base.Explorer.states_visited nodedup.Explorer.states_visited)
-    [
-      ("fig5", (fun () -> Scenario.fig5 ()), true);
-      ("rep5", (fun () -> Scenario.rep5 ()), false);
-      (* three processes, at a size small enough for runtest *)
-      ( "ext-shadow-3 (small)",
-        (fun () -> Scenario.ext_shadow_contested3 ~victim_repeat:1 ~tenant_repeat:1 ()),
-        false );
-      (* a timed backend: transfers have real (tick-quantised) wire
-         time, so the tree gains transfer-completion wait legs and the
-         encoding's relative-deadline fields do real work; the same
-         dedup agreement must hold *)
-      ( "rep5 --net atm155 (timed)",
-        (fun () -> Scenario.rep5 ~net:(Uldma_net.Backend.linked Uldma_net.Link.atm155) ()),
-        false );
-      (* the two kernel-modification mechanisms: IOTLB state must not
-         leak through the dedup encoding (iommu), and the laundering
-         accomplice must be rejected under every schedule (capio) *)
-      ("iommu (contested)", (fun () -> Scenario.iommu_contested ()), false);
-      ("capio-launder", (fun () -> Scenario.capio_launder ()), false);
-    ];
-  let r5 = explore_checked (fun () -> Scenario.rep5 ()) in
-  if r5.Explorer.states_visited >= r5.Explorer.paths then
-    fail "rep5: dedup visited %d states for %d paths (expected strictly fewer)"
-      r5.Explorer.states_visited r5.Explorer.paths;
-
-  (* 5. tracing-disabled explorer throughput vs the recorded baseline.
+  (* 4. tracing-disabled explorer throughput vs the recorded baseline.
      [_results/] is invisible to dune (leading underscore), so locate
      the baseline by walking up from the cwd (which, under `dune
      runtest`, is inside _build/) unless a path was given. *)
@@ -352,13 +272,13 @@ let () =
   (match baseline with
   | None -> prerr_endline "check-trace: no baseline file; skipping throughput comparison"
   | Some (base, base_ref_ns) ->
-    ignore (explore_rep5 () : _ Explorer.result) (* warm up *);
+    ignore (explore_rep5 ~max_paths:1_000_000 : _ Explorer.result) (* warm up *);
     (* best of five: one exploration takes about 1.5 ms, so a single
        timing can be cut by 5x by one descheduling while `dune runtest`
        runs other tests beside it *)
     let rate () =
       let t0 = Unix.gettimeofday () in
-      let r = explore_rep5 () in
+      let r = explore_rep5 ~max_paths:1_000_000 in
       float_of_int r.Explorer.paths /. (Unix.gettimeofday () -. t0)
     in
     let rate = List.fold_left (fun best _ -> Float.max best (rate ())) 0.0 (List.init 5 Fun.id) in

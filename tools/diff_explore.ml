@@ -100,40 +100,26 @@ let run_cell ~label ~max_paths ~same_states ~allow_truncated build =
     (List.length brute.Explorer.violations)
     dedup.Explorer.states_visited paths_per_state brute.Explorer.states_visited
 
-(* the six-mechanism matrix plus the dedicated adversarial scenarios.
-   `Timed scenarios run under every backend; `Untimed ones have no
-   wire-time variant and contribute only their null cell. *)
+(* the catalogue's two-process machines. Timed entries run under
+   every backend; untimed ones have no wire-time variant and contribute
+   only their null cell. *)
 let scenarios =
-  [
-    ("fig5", `Timed (fun net -> Scenario.fig5 ?net ()));
-    ("rep5", `Timed (fun net -> Scenario.rep5 ?net ()));
-    ("key-based", `Timed (fun net -> Scenario.key_contested ?net ()));
-    ("pal", `Untimed (fun () -> Scenario.pal_contested ()));
-    ("ext-shadow", `Untimed (fun () -> Scenario.ext_shadow_contested ()));
-    ("iommu", `Timed (fun net -> Scenario.iommu_contested ?net ()));
-    ("capio", `Timed (fun net -> Scenario.capio_contested ?net ()));
-    ("iommu-fig5", `Timed (fun net -> Scenario.iommu_fig5 ?net ()));
-    ("capio-fig5", `Timed (fun net -> Scenario.capio_fig5 ?net ()));
-    ("capio-launder", `Timed (fun net -> Scenario.capio_launder ?net ()));
-    (* the two-step races with and without their context-switch hooks
-       (the only hooked kernels), and the stateless shadow race *)
-    ("shrimp2-race", `Untimed (fun () -> Scenario.shrimp2_race ~hook:false));
-    ("shrimp2-race-hook", `Untimed (fun () -> Scenario.shrimp2_race ~hook:true));
-    ("flash-race", `Untimed (fun () -> Scenario.flash_race ~hook:false));
-    ("flash-race-hook", `Untimed (fun () -> Scenario.flash_race ~hook:true));
-    ("ext-stateless-race", `Untimed (fun () -> Scenario.ext_stateless_race ()));
-  ]
+  List.filter
+    (fun (e : Scenario.entry) -> (Scenario.instance e).Scenario.extras = [])
+    Scenario.catalogue
 
 (* the --quick sample: one cell per matrix mechanism (null backend),
-   four timed cells (timed capio revokes capabilities mid-tree) and the
-   hook cells, sized for `dune runtest` *)
+   four timed cells (timed capio revokes capabilities mid-tree), the
+   hook cells and the violating fig5 cell, sized for `dune runtest` *)
 let quick_cells =
   [
+    ("fig5", "null");
     ("rep5", "null");
     ("rep5", "atm155");
     ("key-based", "null");
     ("pal", "null");
     ("ext-shadow", "null");
+    ("iommu", "null");
     ("iommu", "atm155");
     ("capio", "null");
     ("capio-launder", "null");
@@ -152,12 +138,10 @@ let backends ~tick_ps =
   ]
 
 let usage () =
-  prerr_endline
-    "usage: diff_explore [--quick] [--scenario \
-     fig5|rep5|key-based|pal|ext-shadow|iommu|capio|iommu-fig5|capio-fig5|capio-launder|\
-     shrimp2-race|shrimp2-race-hook|flash-race|flash-race-hook|ext-stateless-race|all] \
-     [--net null|atm155|atm622|gigabit|hic|all] [--tick-ps N] [--max-paths N] \
-     [--allow-truncated] [--paranoid-vs-fingerprint]";
+  Printf.eprintf
+    "usage: diff_explore [--quick] [--scenario %s|all] [--net null|atm155|atm622|gigabit|hic|all] \
+     [--tick-ps N] [--max-paths N] [--allow-truncated] [--paranoid-vs-fingerprint]\n"
+    (String.concat "|" (List.map (fun (e : Scenario.entry) -> e.Scenario.name) scenarios));
   exit 2
 
 let () =
@@ -199,9 +183,10 @@ let () =
   let scenarios =
     if !scenario_filter = "all" then scenarios
     else
-      match List.assoc_opt !scenario_filter scenarios with
-      | Some f -> [ (!scenario_filter, f) ]
-      | None -> usage ()
+      let chosen (e : Scenario.entry) = e.Scenario.name = !scenario_filter in
+      match List.filter chosen scenarios with
+      | [] -> usage ()
+      | l -> l
   in
   let backends =
     let all = backends ~tick_ps:!tick_ps in
@@ -218,12 +203,11 @@ let () =
      have their null cell *)
   let cells =
     List.concat_map
-      (fun (sname, kind) ->
-        match kind with
-        | `Timed f ->
-          List.map (fun (bname, net) -> (sname, bname, fun () -> f net)) backends
-        | `Untimed f ->
-          if List.mem_assoc "null" backends then [ (sname, "null", fun () -> f ()) ] else [])
+      (fun (e : Scenario.entry) ->
+        let cell (bname, net) = (e.Scenario.name, bname, fun () -> Scenario.instance ?net e) in
+        match e.Scenario.build with
+        | Scenario.Timed _ -> List.map cell backends
+        | Scenario.Untimed _ -> List.map cell (List.filter (fun (b, _) -> b = "null") backends))
       scenarios
   in
   let cells =
