@@ -28,6 +28,8 @@ let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_instructions_per_leg = 200
           ~dedup ~paranoid_memo ~shared:sm ~check ())
       candidates
   in
+  (* the results keep their schedules' cells; the trie goes *)
+  Explorer.drop_schedules sm;
   let total f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let stats =
     {

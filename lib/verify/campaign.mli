@@ -23,7 +23,11 @@
     are independent of memo warmth — the explorer's dedup invariants —
     so a campaign's result array is byte-identical to running every
     candidate cold. A cell empties its table first, so neither its
-    results nor its cost fields depend on the cells run before it.
+    results nor its cost fields depend on the cells run before it. The
+    candidates' violating schedules are interned in the table's suffix
+    trie, so the results share their list cells (equal as values to
+    cold copies); [run] drops the trie when the cell returns, leaving
+    the table's summaries and the results' lists.
 
     {2 Requirements}
 
@@ -66,7 +70,8 @@ val run :
 (** Explore every candidate in order; [results.(i)] belongs to
     [candidates.(i)]. A fresh shared memo ([memo_cap] summaries,
     default [2^20]) is created unless [shared] is passed; a passed
-    table is emptied on entry, so the cell owns it for the run.
+    table is emptied on entry, so the cell owns it for the run, and its
+    schedule store is dropped on return ({!Explorer.drop_schedules}).
 
     [jobs] must be 1 (its default); any other value raises
     [Invalid_argument]. It is left from the multi-domain fan-out and

@@ -64,6 +64,9 @@ let advance_leg kernel leg ~max_instructions =
    hit materialises them under the current prefix, in their original
    discovery order — so dedup on/off produce the identical [paths]
    count, the identical violation list, and even the identical order.
+   Through a shared table the materialised schedules are interned in
+   the table's suffix trie, so they share their cells across the
+   explorations that use the table.
 
    [max_paths] counts terminals, memo-hit subtrees included. A hit is
    taken only when its whole path count still fits the budget;
@@ -89,6 +92,42 @@ and 'v viols =
    one process-wide counter. *)
 let next_node_id = ref 0
 
+(* A node of a suffix trie is one distinct schedule suffix, and
+   [child n pid] is the node of [pid :: n.sched], made once; a node has
+   at most one kid per leg. Schedules read from the trie share every
+   common tail. *)
+type tnode = { sched : int list; mutable kids : tnode list }
+
+let rec find_kid n pid = function
+  | [] ->
+    let c = { sched = pid :: n.sched; kids = [] } in
+    n.kids <- c :: n.kids;
+    c
+  | c :: rest -> ( match c.sched with p :: _ when p = pid -> c | _ -> find_kid n pid rest)
+
+let child n pid = find_kid n pid n.kids
+
+(* The schedule store a shared table owns: the trie of every schedule
+   emitted through the table, and each [V_kids] node's violations with
+   their suffix nodes, built once per table. *)
+type 'v store = {
+  root : tnode; (* the empty schedule *)
+  interned : (int, 'v array * tnode array) Hashtbl.t; (* V_kids id -> violations, suffixes *)
+}
+
+let new_store () = { root = { sched = []; kids = [] }; interned = Hashtbl.create 64 }
+
+(* Where emitted schedules come from. A private exploration copies each
+   hit's prefix onto suffix lists it caches for itself; an exploration
+   through a shared table interns into the table's store, so the
+   schedules of every exploration through the table share their cells.
+   Interning costs a trie step per prefix leg of every emitted
+   schedule, which pays only when other explorations emit the same
+   suffixes. *)
+type 'v schedules =
+  | Copied of (int, ('v * int list) list) Hashtbl.t (* V_kids id -> its schedule suffixes *)
+  | Interned of 'v store
+
 type 'v ctx = {
   baseline : Kernel.t; (* encoding baseline: pages and programs shared with it are skipped *)
   pids : int list;
@@ -107,7 +146,7 @@ type 'v ctx = {
   mutable snapshots : int; (* Kernel.snapshot calls (elided last legs don't count) *)
   mutable hash_bytes : int; (* bytes streamed into memo keys *)
   mutable rev_violations : ('v * int list) list;
-  suffixes : (int, ('v * int list) list) Hashtbl.t; (* V_kids id -> its schedules *)
+  schedules : 'v schedules;
 }
 
 let note cx kernel depth kind =
@@ -131,24 +170,67 @@ let out_of_budget cx kernel depth =
     true
   end
 
-(* A summary's violations as (violation, schedule suffix) pairs. Each
-   node's list is built at most once per exploration, so schedules
-   emitted through a node reached twice share their tails. *)
-let rec suffixes cx s =
+(* A summary's violations as (violation, schedule suffix) pairs, in
+   discovery order. Each node's list is built at most once per cache,
+   so schedules emitted through a node reached twice share their
+   tails. *)
+let rec copied cache s =
   match s.s_violations with
   | V_none -> []
   | V_here v -> [ (v, []) ]
   | V_kids (id, kids) -> (
-    match Hashtbl.find_opt cx.suffixes id with
+    match Hashtbl.find_opt cache id with
     | Some l -> l
     | None ->
       let l =
         List.concat_map
-          (fun (pid, c) -> List.map (fun (v, sfx) -> (v, pid :: sfx)) (suffixes cx c))
+          (fun (pid, c) -> List.map (fun (v, sfx) -> (v, pid :: sfx)) (copied cache c))
           kids
       in
-      Hashtbl.add cx.suffixes id l;
+      Hashtbl.add cache id l;
       l)
+
+(* The same pairs with each suffix a trie node, as two arrays, which
+   hold a cached node's violations in 2 words each instead of a list's
+   6. *)
+let rec interned st s =
+  match s.s_violations with
+  | V_none -> ([||], [||])
+  | V_here v -> ([| v |], [| st.root |])
+  | V_kids (id, kids) -> (
+    match Hashtbl.find_opt st.interned id with
+    | Some l -> l
+    | None ->
+      let parts = List.map (fun (pid, c) -> (pid, interned st c)) kids in
+      let vs = Array.concat (List.map (fun (_, (vs, _)) -> vs) parts) in
+      let ns = Array.make (Array.length vs) st.root in
+      ignore
+        (List.fold_left
+           (fun at (pid, (_, kid_ns)) ->
+             Array.iteri (fun i n -> ns.(at + i) <- child n pid) kid_ns;
+             at + Array.length kid_ns)
+           0 parts
+          : int);
+      Hashtbl.add st.interned id (vs, ns);
+      (vs, ns))
+
+(* Record [s]'s violations under the prefix [schedule_rev] (most recent
+   leg first): the one emission path, for a violating terminal and for
+   a memo hit alike. *)
+let emit cx s schedule_rev =
+  match (s.s_violations, cx.schedules) with
+  | V_none, _ -> ()
+  | (V_here _ | V_kids _), Copied cache ->
+    List.iter
+      (fun (v, sfx) ->
+        cx.rev_violations <- (v, List.rev_append schedule_rev sfx) :: cx.rev_violations)
+      (copied cache s)
+  | (V_here _ | V_kids _), Interned st ->
+    let vs, ns = interned st s in
+    for i = 0 to Array.length vs - 1 do
+      cx.rev_violations <-
+        (vs.(i), (List.fold_left child ns.(i) schedule_rev).sched) :: cx.rev_violations
+    done
 
 (* A node's memo key is a fingerprint, [(a, b, bytes)] from
    [Kernel.fingerprint], or in paranoid mode the encoding string. A
@@ -212,13 +294,7 @@ let rec explore_state cx kernel schedule_rev depth =
       cx.stuck <- cx.stuck + s.s_stuck;
       cx.hits <- cx.hits + 1;
       note cx kernel depth `Dedup;
-      (match s.s_violations with
-      | V_none -> ()
-      | V_here _ | V_kids _ ->
-        let prefix = List.rev schedule_rev in
-        List.iter
-          (fun (v, sfx) -> cx.rev_violations <- (v, prefix @ sfx) :: cx.rev_violations)
-          (suffixes cx s));
+      emit cx s schedule_rev;
       s
     | Some _ | None -> (
       cx.visited <- cx.visited + 1;
@@ -230,11 +306,11 @@ let rec explore_state cx kernel schedule_rev depth =
           match cx.check kernel with
           | Some v ->
             note cx kernel depth (`Violation "oracle check failed on a completed schedule");
-            cx.rev_violations <- (v, List.rev schedule_rev) :: cx.rev_violations;
             V_here v
           | None -> V_none
         in
         let s = { s_paths = 1; s_violations = viols; s_stuck = 0 } in
+        emit cx s schedule_rev;
         store cx fp key s;
         s
       | _ :: _ ->
@@ -298,18 +374,28 @@ let default_memo_cap = 1 lsl 18
    key covers program text relative to the baseline, so sharing needs
    no decoration; a table is emptied when the baseline changes. *)
 
-type 'v shared_memo = 'v summary Memo.t
+type 'v shared_memo = { memo : 'v summary Memo.t; mutable store : 'v store }
 
-let create_shared ?(cap = default_memo_cap) () = Memo.create ~shards:1 ~cap ~locked:false
-let clear_shared = Memo.clear
-let shared_length = Memo.length
-let shared_evictions = Memo.evictions
+let create_shared ?(cap = default_memo_cap) () =
+  { memo = Memo.create ~shards:1 ~cap ~locked:false; store = new_store () }
+
+let drop_schedules sm = sm.store <- new_store ()
+
+let clear_shared sm =
+  Memo.clear sm.memo;
+  drop_schedules sm
+
+let shared_length sm = Memo.length sm.memo
+let shared_evictions sm = Memo.evictions sm.memo
 
 let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths = 1_000_000)
     ?(dedup = true) ?(paranoid_memo = false) ?(memo_cap = default_memo_cap) ?shared
     ~check () =
-  let memo =
-    match shared with Some sm -> sm | None -> create_shared ~cap:memo_cap ()
+  (* only explorations that share a table intern their schedules *)
+  let memo, schedules =
+    match shared with
+    | Some sm -> (sm.memo, Interned sm.store)
+    | None -> (Memo.create ~shards:1 ~cap:memo_cap ~locked:false, Copied (Hashtbl.create 64))
   in
   (* a pre-warmed shared table carries eviction history from earlier
      candidates; report only this run's evictions *)
@@ -335,7 +421,7 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
       snapshots = 1;
       hash_bytes = 0;
       rev_violations = [];
-      suffixes = Hashtbl.create 64;
+      schedules;
     }
   in
   ignore (explore_state cx (Kernel.snapshot root) [] 0 : _ summary);

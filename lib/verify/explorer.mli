@@ -47,10 +47,18 @@
     subtree's violations under the current prefix, so deduplication
     changes cost, never results: [paths], the violating schedules, and
     even their order are identical with [dedup] on or off — including
-    under truncation. One caveat: a memo hit re-emits the ['v] value
-    computed on the first-discovered prefix, so payload fields outside
-    the dedup abstraction — simulated timestamps, chiefly — may differ
-    from what a brute-force run would compute for the same schedule.
+    under truncation. An exploration through a [shared] table interns
+    the schedules it returns in a suffix trie the table owns, so equal
+    tails across all of the table's explorations are one list and a
+    campaign cell's results retain a few words per violation; a
+    private exploration copies each schedule instead, because interning
+    costs a trie step per prefix leg and pays only when other
+    explorations emit the same suffixes. Interning changes which cells
+    are shared, never a schedule. One caveat: a memo hit re-emits the
+    ['v] value computed on the first-discovered prefix, so payload
+    fields outside the dedup abstraction — simulated timestamps,
+    chiefly — may differ from what a brute-force run would compute for
+    the same schedule.
 
     {2 One sequential search over one bounded table}
 
@@ -111,7 +119,9 @@ type 'v result = {
     to the baseline, so explorations of candidates that differ in a
     program share the table as they are; a key is comparable only
     under one baseline, so a table is emptied ({!clear_shared}) before
-    it serves another. *)
+    it serves another. The table also owns the store its explorations
+    intern their violating schedules in: a suffix trie and a per-node
+    suffix cache, kept until {!drop_schedules} or {!clear_shared}. *)
 
 type 'v shared_memo
 
@@ -120,8 +130,14 @@ val create_shared : ?cap:int -> unit -> 'v shared_memo
     summaries (default: the explore default). *)
 
 val clear_shared : 'v shared_memo -> unit
-(** Drop every summary. Call between campaign cells (baseline or
-    backend change), not while an [explore] runs. *)
+(** Drop every summary and the schedule store. Call between campaign
+    cells (baseline or backend change), not while an [explore] runs. *)
+
+val drop_schedules : 'v shared_memo -> unit
+(** Drop the schedule store (see [violations]) and keep the summaries.
+    Schedules already returned keep their cells; later explorations
+    through the table intern into a fresh store. {!Campaign.run} calls
+    it when a cell returns, so the table is O(states) again. *)
 
 val shared_length : 'v shared_memo -> int
 (** Resident summaries. *)

@@ -198,7 +198,7 @@ let fig6_schedule = [ V; V; V; M; V ]
 let two_step_race (mech : Mech.t) prepare_raw ~hook =
   let kernel, v = with_victim { mech with Mech.prepare = prepare_raw ~install_hook:hook } in
   let attacker, _, labels = adversary ~ops:overwrite kernel "attacker" [ "D" ] in
-  make kernel v [ (attacker, None) ] labels
+  make kernel v [ (attacker, None) ] (victim_labels v @ labels)
 
 let shrimp2_race ~hook = two_step_race Uldma.Shrimp2.mech Uldma.Shrimp2.prepare_raw ~hook
 let flash_race ~hook = two_step_race Uldma.Flash.mech Uldma.Flash.prepare_raw ~hook

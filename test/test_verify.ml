@@ -1957,6 +1957,40 @@ let test_memo_words_per_entry () =
       entries
       (float_of_int words /. float_of_int entries)
 
+(* Schedules found through a shared table are interned in the table's
+   suffix trie, so the violation lists of a cell's results share their
+   cells across candidates. The ext-shadow slots-2 cell's 78,960
+   violations retained 7.14 words each (18.69 when every candidate
+   copied its schedules); the bound is the measured value plus 10 %.
+   Sharing the cells changes no result: each candidate's equals its
+   cold standalone exploration. *)
+let test_shared_schedule_words () =
+  let sm = Explorer.create_shared () in
+  let results, _ = slots2_on_table sm Synth.Ext in
+  let violations = Array.map (fun r -> r.Explorer.violations) results in
+  let count = Array.fold_left (fun n vs -> n + List.length vs) 0 violations in
+  let per_violation =
+    float_of_int (Obj.reachable_words (Obj.repr violations)) /. float_of_int count
+  in
+  let base = Synth.make_base Synth.Ext in
+  let s = Synth.base_scenario base in
+  let pids = Scenario.explore_pids s and check = Scenario.oracle_check s in
+  let cold =
+    Array.map
+      (fun ops ->
+        let c = Synth.candidate base ops in
+        Explorer.explore ~root:c.Campaign.c_root ~pids ~check ())
+      (Synth.enumerate ~slots:2 ())
+  in
+  Array.iteri
+    (fun i r ->
+      checkb (Printf.sprintf "candidate %d: shared = cold" i) true
+        (Synth.result_facts r = Synth.result_facts cold.(i)))
+    results;
+  let limit = 7.85 in
+  if per_violation > limit then
+    Alcotest.failf "%d violations retain %.2f words each (limit %.2f)" count per_violation limit
+
 (* A fork's first write copies a 512 B chunk and its page's chunk
    directory in the minor heap, not a whole 8 KB page straight into the
    major heap. What is left of direct-major allocation per state is the
@@ -2374,6 +2408,8 @@ let () =
           Alcotest.test_case "clipping differential, every budget" `Slow
             test_explorer_clipping_differential;
           Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
+          Alcotest.test_case "shared schedule words per violation" `Quick
+            test_shared_schedule_words;
         ] );
       ( "campaigns",
         [

@@ -11,7 +11,13 @@
       (including the results fingerprint);
    3. sharing actually shares — the shared run expands no more states
       than the cold runs did in aggregate, and strictly fewer when the
-      family has more than a handful of candidates.
+      family has more than a handful of candidates;
+   4. schedules are shared — when the family violates, the shared run's
+      results retain at most 3/4 of the words per violation that the
+      cold runs' results retain, whose schedules are copied per
+      candidate (measured: 0.38 on ext-shadow at slots 2, 0.60 on rep5
+      at slots 3; a shared table that copied read 0.997 on ext-shadow,
+      so "fewer" alone would pass it).
 
    Exit 0 on success, 1 on any mismatch. *)
 
@@ -80,7 +86,7 @@ let () =
   let cold_bytes = ref 0 in
   let cold_snaps = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let cold =
+  let cold_results =
     Array.map
       (fun (c : _ Uldma_verify.Campaign.candidate) ->
         let r =
@@ -91,10 +97,11 @@ let () =
         cold_hits := !cold_hits + r.Explorer.dedup_hits;
         cold_bytes := !cold_bytes + r.Explorer.bytes_hashed;
         cold_snaps := !cold_snaps + r.Explorer.snapshots;
-        Synth.result_facts r)
+        r)
       candidates
   in
   let cold_secs = Unix.gettimeofday () -. t0 in
+  let cold = Array.map Synth.result_facts cold_results in
   (* each run creates its own fresh shared table *)
   let run_campaign () =
     let t0 = Unix.gettimeofday () in
@@ -128,6 +135,21 @@ let () =
     Printf.eprintf "REGRESSION: no cross-candidate sharing (%d shared vs %d cold states)\n%!"
       shared_states !cold_states
   end;
+  (* words the violation lists retain, over the number of violations *)
+  let per_violation results =
+    let lists = Array.map (fun (r : _ Explorer.result) -> r.Explorer.violations) results in
+    let count = Array.fold_left (fun n vs -> n + List.length vs) 0 lists in
+    (count, float_of_int (Obj.reachable_words (Obj.repr lists)) /. float_of_int (max 1 count))
+  in
+  let violations, cold_words = per_violation cold_results in
+  let _, shared_words = per_violation shared1.Synth.cr_results in
+  if violations > 0 && shared_words > 0.75 *. cold_words then begin
+    fail := true;
+    Printf.eprintf
+      "REGRESSION: shared results retain %.2f words per violation, over 3/4 of cold's %.2f (%d \
+       violations)\n%!"
+      shared_words cold_words violations
+  end;
   if !verbose || !fail then
     Printf.printf
       "check_campaign: %d candidates, cold %d states %.2fs, shared %d states %.2fs (%.2fx states, \
@@ -152,7 +174,10 @@ let () =
     in
     Printf.printf
       "check_campaign: hashed cold %d B, shared %d B; snapshots cold %d, shared %d\n%!"
-      !cold_bytes shared_bytes !cold_snaps shared_snaps
+      !cold_bytes shared_bytes !cold_snaps shared_snaps;
+    if violations > 0 then
+      Printf.printf "check_campaign: %d violations, %.2f words each cold, %.2f shared\n%!"
+        violations cold_words shared_words
   end;
   if !fail then exit 1;
   Printf.printf
