@@ -88,10 +88,17 @@ type t = {
   mutable last_status : int;
   mutable transfers : Transfer.t list; (* newest first *)
   mutable n_transfers : int; (* length of [transfers] *)
-  mutable in_flight : (int * Transfer.t) list;
-      (* (ordinal, transfer) of the started transfers whose wire time had
-         not elapsed when last looked at, newest first; pruned lazily by
-         [live_transfers]. Always empty under a zero-duration backend. *)
+  mutable by_key : Transfer.t list;
+      (* the keyed view: the oldest [n_keyed] started transfers sorted by
+         their static fields, equal ones in start order; brought up to
+         date by [sync] when a key reads it *)
+  mutable n_keyed : int;
+  mutable history_a : int; (* the two lane sums of [by_key]'s terms *)
+  mutable history_b : int;
+  mutable in_flight : Transfer.t list;
+      (* the started transfers whose wire time had not elapsed when last
+         looked at, newest first; pruned lazily by [live_transfers].
+         Always empty under a zero-duration backend. *)
   mutable outbound : outbound_packet list; (* newest first *)
   mutable outbound_len : int; (* length of the queue's word sequence *)
   mutable outbound_a : int; (* the two lane sums of the queued packets' terms *)
@@ -133,6 +140,10 @@ let create ~clock ~backend ~ram_size ~mechanism ?(n_contexts = 4) ?(iotlb_walk_p
     last_status = Status.failure;
     transfers = [];
     n_transfers = 0;
+    by_key = [];
+    n_keyed = 0;
+    history_a = 0;
+    history_b = 0;
     in_flight = [];
     counters = { rejected = 0; key_rejected = 0; atomics = 0; remote_sends = 0 };
     outbound = [];
@@ -159,7 +170,8 @@ let trace t ~at ~pid kind = Uldma_obs.Trace.emit t.sink ~at ~machine:t.machine ~
    and counters are duplicated, and every part writes its terms into
    the copied cell [dg]; the IOTLB is shared copy-on-write (Iotlb.copy
    flags both sides, and the first write copies); transfers, the
-   in-flight list and the three tables are immutable and are shared. *)
+   in-flight list, the keyed view and the three tables are immutable and
+   are shared. *)
 let copy t ~dg ~clock ~backend =
   {
     t with
@@ -182,11 +194,12 @@ let now t = Clock.now t.clock
 (* Register writes and the engine's digest terms *)
 
 (* Digest slots of the engine's own registers, and six slots per
-   started transfer from 32, by ordinal (oldest 0), in slot domain 2.
-   The register contexts, the matcher and the IOTLB put their terms in
-   domains of their own. Every value enters as value xor its reset
-   value, so a fresh engine adds nothing. Every setter moves its
-   register's terms in the machine's cell [t.dg]. *)
+   started transfer from 32, by rank in the keyed view (see [sync]), in
+   slot domain 2. The register contexts, the matcher and the IOTLB put
+   their terms in domains of their own. Every value enters as value xor
+   its reset value, so a fresh engine adds nothing. Every setter moves
+   its register's terms in the machine's cell [t.dg]; the transfers'
+   terms are summed apart ([add_history]). *)
 let s_current_pid = Fp128.domain 2
 let s_k_src = s_current_pid + 1
 let s_k_dst = s_current_pid + 2
@@ -285,14 +298,55 @@ let set_pending t p =
   t.pending <- p
 
 let push_transfer t tr =
-  let k = t.n_transfers in
-  for f = 0 to 5 do
-    note t (s_transfer k + f) 0 (transfer_word tr f)
-  done;
-  note t s_n_transfers k (k + 1);
   t.transfers <- tr :: t.transfers;
-  t.n_transfers <- k + 1;
-  if Transfer.end_time tr > Clock.now t.clock then t.in_flight <- (k, tr) :: t.in_flight
+  t.n_transfers <- t.n_transfers + 1;
+  if Transfer.end_time tr > Clock.now t.clock then t.in_flight <- tr :: t.in_flight
+
+(* The started transfers as a key holds them: a multiset. No program
+   and no oracle check can tell in which order two transfers started
+   (DESIGN.md 5c), so the keyed view holds them sorted by their static
+   fields, and its terms sit at slots by rank; states that differ only
+   in which process's transfer started first share a key. The view is
+   synced lazily: a key inserts the transfers started since the last
+   key and re-sums the view's terms, so a machine that is never keyed
+   pays nothing for them. *)
+let rec compare_from f a b =
+  if f > 5 then 0
+  else
+    let c = Int.compare (transfer_word a f) (transfer_word b f) in
+    if c <> 0 then c else compare_from (f + 1) a b
+
+(* [tr] into the sorted [l], after every transfer equal to it *)
+let rec insert l tr =
+  match l with x :: rest when compare_from 0 x tr <= 0 -> x :: insert rest tr | _ -> tr :: l
+
+(* the first [n] of the newest-first [l], oldest first, onto [acc] *)
+let rec oldest_first n l acc =
+  match l with x :: rest when n > 0 -> oldest_first (n - 1) rest (x :: acc) | _ -> acc
+
+let iter_history f t =
+  f s_n_transfers t.n_keyed;
+  List.iteri
+    (fun r tr ->
+      for fld = 0 to 5 do
+        f (s_transfer r + fld) (transfer_word tr fld)
+      done)
+    t.by_key
+
+let sync t =
+  if t.n_keyed < t.n_transfers then begin
+    t.by_key <-
+      List.fold_left insert t.by_key (oldest_first (t.n_transfers - t.n_keyed) t.transfers []);
+    t.n_keyed <- t.n_transfers;
+    let a, b = Fp128.sum_terms iter_history t in
+    t.history_a <- a;
+    t.history_b <- b
+  end
+
+let add_history t acc =
+  sync t;
+  acc.(0) <- acc.(0) + t.history_a;
+  acc.(1) <- acc.(1) + t.history_b
 
 (* The tables' terms: each table is a sequence (as Fp128.iter_seq lays
    one out) in a domain of its own. Domain 9 holds the capabilities,
@@ -360,11 +414,11 @@ let set_mapped_out t m =
    still live allocates nothing. *)
 let rec all_live now = function
   | [] -> true
-  | (_, tr) :: rest -> Transfer.end_time tr > now && all_live now rest
+  | tr :: rest -> Transfer.end_time tr > now && all_live now rest
 
 let rec live now = function
   | [] -> []
-  | ((_, tr) as e) :: rest -> if Transfer.end_time tr > now then e :: live now rest else live now rest
+  | tr :: rest -> if Transfer.end_time tr > now then tr :: live now rest else live now rest
 
 let live_transfers t =
   let now = Clock.now t.clock in
@@ -398,13 +452,8 @@ let iter_register_terms f t =
   for w = 0 to 4 do
     f (s_pending + w) (deposit_word t.pending w)
   done;
-  f s_n_transfers t.n_transfers;
-  List.iteri
-    (fun k tr ->
-      for fld = 0 to 5 do
-        f (s_transfer k + fld) (transfer_word tr fld)
-      done)
-    (List.rev t.transfers);
+  sync t;
+  iter_history f t;
   Context_file.iter_terms f t.contexts;
   Seq_matcher.iter_terms f t.matcher;
   Iotlb.iter_terms f t.iotlb
@@ -1056,24 +1105,40 @@ let handle t (op : Txn.op) ~paddr ~value ~pid =
   else 0
 
 (* What a key writes beyond the engine's terms: what depends on the
-   clock. A context's status as loads see it is its
-   keyed failure code or its newest transfer's remaining bytes, the
-   two-step status is the newest transfer's, and which transfer is
-   newest is keyed (static fields by ordinal, the count, the contexts'
-   started flags); so only each in-flight transfer's (ordinal,
-   remaining wire time) is written, and a completed one has no bytes
-   left. The remaining time is exact: bucketing it would merge states
-   that diverge one tick later. *)
-let rec add_in_flight enc now = function
+   clock. A context's status as loads see it is its keyed failure code
+   or its newest transfer's remaining bytes, the two-step status is the
+   engine's newest transfer's, and [sys_dma_wait] waits for one of the
+   two; a completed transfer has no bytes or time left, and whether
+   there is a newest transfer at all is keyed (the count, the contexts'
+   started flags). So each in-flight transfer is written, in rank order,
+   as its rank with two flags below it (bit 0: the engine's newest, bit
+   1: its context's newest) and its remaining wire time. The remaining
+   time is exact: bucketing it would merge states that diverge one tick
+   later. *)
+let is_newest tr = function Some l -> l == tr | None -> false
+
+let newest_flags t tr =
+  Bool.to_int (is_newest tr t.last_transfer)
+  lor
+  match tr.Transfer.context with
+  | Some i -> 2 * Bool.to_int (is_newest tr (Context_file.get t.contexts i).Context_file.last_transfer)
+  | None -> 0
+
+let rec add_in_flight enc t now r = function
   | [] -> ()
-  | (k, tr) :: rest ->
-    Enc.tag enc 't';
-    Enc.int enc k;
-    Enc.int enc (Transfer.remaining_ps tr ~now);
-    add_in_flight enc now rest
+  | tr :: rest ->
+    if Transfer.end_time tr > now then begin
+      Enc.tag enc 't';
+      Enc.int enc ((r lsl 2) lor newest_flags t tr);
+      Enc.int enc (Transfer.remaining_ps tr ~now)
+    end;
+    add_in_flight enc t now (r + 1) rest
 
 let add_live enc t =
-  match t.in_flight with [] -> () | _ :: _ -> add_in_flight enc (now t) (live_transfers t)
+  if transfer_in_flight t then begin
+    sync t;
+    add_in_flight enc t (now t) 0 t.by_key
+  end
 
 (* Earliest future completion among in-flight transfers, if any. Under
    a zero-duration backend no transfer is ever in flight, so this is
@@ -1081,11 +1146,8 @@ let add_live enc t =
 let next_transfer_deadline t =
   match live_transfers t with
   | [] -> None
-  | (_, tr) :: rest ->
-    Some
-      (List.fold_left
-         (fun best (_, tr) -> min best (Transfer.end_time tr))
-         (Transfer.end_time tr) rest)
+  | tr :: rest ->
+    Some (List.fold_left (fun best tr -> min best (Transfer.end_time tr)) (Transfer.end_time tr) rest)
 
 let device =
   {

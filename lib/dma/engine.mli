@@ -182,19 +182,31 @@ val iter_terms : (int -> int -> unit) -> t -> unit
 (** The engine's keyed words as (slot, word) terms:
     {!iter_register_terms}, then {!iter_table_terms}. Every word is its
     value xor its reset value, so a fresh engine with a [Five] matcher
-    has no nonzero word, and every write moves its terms in the cell.
+    has no nonzero word, and every write moves its terms in the cell,
+    except the started transfers' ({!add_history}).
     Counters, the trace sink and absolute times are not keyed: the
     simulated programs cannot read them back. *)
 
 val iter_register_terms : (int -> int -> unit) -> t -> unit
 (** In slot domain 2 the engine's own registers — pending deposit,
     [current_pid], kernel-page and atomic registers, last status,
-    staged capability, staged mapped-out page, the transfer count — and
-    each started transfer's static fields (src, dst, size, pid,
-    context, duration) at slots from its ordinal, oldest first; then
-    the terms of its register contexts, matcher and IOTLB
+    staged capability, staged mapped-out page — then the started
+    transfers as a multiset: their count, and each transfer's static
+    fields (src, dst, size, pid, context, duration) at slots from its
+    rank in the order of those fields (equal transfers in start order);
+    then the terms of its register contexts, matcher and IOTLB
     ({!Context_file.iter_terms}, {!Seq_matcher.iter_terms},
-    {!Uldma_mmu.Iotlb.iter_terms}). *)
+    {!Uldma_mmu.Iotlb.iter_terms}). Start order is not keyed: no
+    program and no oracle check can observe it. *)
+
+val add_history : t -> int array -> unit
+(** [add_history t acc] adds the lane sums of the started transfers'
+    terms (the count and the ranked static fields above) into [acc.(0)]
+    and [acc.(1)]. They are kept apart from the digest cell and brought
+    up to date only when a key reads them: the transfers started since
+    the last key are sorted in and the terms re-summed. So the cell plus
+    [add_history] is the sum of {!iter_terms}, and a machine that is
+    never keyed pays nothing for its transfers' terms. *)
 
 val iter_table_terms : (int -> int -> unit) -> t -> unit
 (** The capability table, the mapped-out map and the outbound queue,
@@ -203,11 +215,13 @@ val iter_table_terms : (int -> int -> unit) -> t -> unit
 
 val add_live : Uldma_util.Enc.t -> t -> unit
 (** Write what a key needs beyond {!iter_terms}: each in-flight
-    transfer's (ordinal, remaining wire time), the engine's only
-    clock-relative values. A context's status as loads see it and the
-    last transfer's remaining bytes are functions of these and of keyed
-    words, so they are not written; under a zero-duration backend
-    nothing is ever in flight and nothing is written at all. *)
+    transfer, in rank order, as its rank with two flags (the engine's
+    newest transfer, its context's newest transfer) and its remaining
+    wire time, the engine's only clock-relative values. A context's
+    status as loads see it and the newest transfer's remaining bytes
+    are functions of these and of keyed words, so they are not written;
+    under a zero-duration backend nothing is ever in flight and nothing
+    is written at all. *)
 
 val transfer_in_flight : t -> bool
 (** A started transfer's wire time has not elapsed: the clock then

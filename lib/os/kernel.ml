@@ -948,9 +948,10 @@ let write_user t p vaddr value = Phys_mem.store_word t.ram (user_paddr t p vaddr
    oracle can observe. Each keyed component enumerates its words as
    (slot, word) terms over disjoint slot domains ([iter_terms]); the
    fingerprint keys their sum, which the writers keep in the machine's
-   digest cell [t.dg] and the processes' register files, and the
-   paranoid key ([state_encoding]) writes them out; the engine's tables
-   are terms too. Around them both keys write the same flags word and
+   digest cell [t.dg] and the processes' register files and the engine
+   brings up to date for its started transfers when a key reads them
+   ([Engine.add_history]), and the paranoid key ([state_encoding])
+   writes them out; the engine's tables are terms too. Around them both keys write the same flags word and
    live part ([add_live]: the clock-relative values and the running
    pid), over one [Enc] sink; what the paranoid key holds as text
    (program text, RAM pages) is produced once and hashed by the
@@ -1028,13 +1029,18 @@ let remaining_sleep t (p : Process.t) =
    transfer is in flight). So with no hook, no IOMMU, an empty write
    buffer and nothing timed, whether the next leg switches changes
    nothing keyed, and states that differ only in which process ran
-   last merge. *)
+   last merge. A running process that has exited cannot run again, so
+   every next leg switches, and the switch does the same whoever ran
+   before, except that a buffered store drains as the previous pid
+   (only a call to a missing PAL function exits without draining). *)
 let keyed_pid t ~timed =
+  let buffered = t.write_buffer.Write_buffer.queue <> [] in
   match t.current with
+  | Some { Process.state = Process.Exited _; pid; _ } -> if buffered then pid else min_int
   | Some p
     when timed || t.hooks <> []
          || (match t.config.mechanism with Engine.Iommu -> true | _ -> false)
-         || t.write_buffer.Write_buffer.queue <> [] ->
+         || buffered ->
     p.Process.pid
   | Some _ | None -> min_int
 
@@ -1090,6 +1096,7 @@ let rec fold_procs counts base acc = function
 
 let digest ?relative_to t =
   let acc = [| t.dg.(0); t.dg.(1) |] in
+  Engine.add_history t.engine acc;
   fold_procs (Bus.access_counts t.bus) (baseline_procs relative_to) acc t.procs;
   (acc.(0), acc.(1))
 
@@ -1109,6 +1116,7 @@ let fingerprint ?relative_to t =
     let acc = key_acc in
     acc.(0) <- t.dg.(0);
     acc.(1) <- t.dg.(1);
+    Engine.add_history t.engine acc;
     fold_procs (Bus.access_counts t.bus) root.procs acc t.procs;
     Phys_mem.add_diverged t.ram ~baseline:root.ram acc;
     finish t acc.(0) acc.(1)

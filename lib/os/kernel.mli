@@ -125,20 +125,24 @@ val digest : ?relative_to:t -> t -> int * int
 (** The maintained digest of {!iter_terms}'s terms: the machine's
     digest cell, into which the engine, write buffer, console and
     free-context list write their terms on every change from creation
-    on, plus each process's register-file lanes after folding its pc,
-    access count and text ({!Process.fold_key}). It must always equal
+    on, plus the engine's started transfers
+    ({!Uldma_dma.Engine.add_history}), plus each process's
+    register-file lanes after folding its pc, access count and text
+    ({!Process.fold_key}). It must always equal
     [Fp128.sum_terms (iter_terms ?relative_to) t]. *)
 
 val fingerprint : ?relative_to:t -> t -> int * int * int
 (** The explorer's memo key: the two finalised lanes of a 126-bit
     fingerprint of the state {!state_encoding} writes, and the bytes
     streamed to make it. It streams a flags word (force-switch, hooks)
-    and the lane sums of {!digest} and of the RAM pages diverged from
+    and the lane sums of {!digest} (the started transfers keyed as a
+    multiset) and of the RAM pages diverged from
     [relative_to] ({!Phys_mem.add_diverged}), then the live part: each
     sleeper's remaining time, the running pid where a context switch
     can reach keyed state (a hook is installed, the mechanism is
     [Iommu], the write buffer holds an entry, a transfer is in flight
-    or a process sleeps; else [min_int]) and the engine's in-flight
+    or a process sleeps; else, and for an exited process unless the
+    write buffer holds an entry, [min_int]) and the engine's in-flight
     transfers ({!Uldma_dma.Engine.add_live}). Under the
     [Null] backend a key streams four ints and reads O(processes)
     words.
@@ -157,8 +161,9 @@ val fingerprint : ?relative_to:t -> t -> int * int * int
 val scratch_fingerprint : ?relative_to:t -> t -> int * int * int
 (** {!fingerprint} from the enumeration: the sum of {!iter_terms}'s
     terms, and the RAM sum from a walk over the touched pages. It
-    changes nothing in the kernel, and {!fingerprint} must always equal
-    it. *)
+    changes no keyed state (the enumeration may bring the engine's
+    keyed view of its started transfers up to date), and
+    {!fingerprint} must always equal it. *)
 
 val state_encoding : ?relative_to:t -> t -> string
 (** The paranoid key: {!fingerprint}'s content, unhashed. The flags

@@ -52,10 +52,11 @@ let page_label kernel p va name = (Layout.page_base (Kernel.user_paddr kernel p 
 (* Processes: every machine is a victim through one mechanism plus the
    processes that race it. *)
 
-(* A process that initiates [repeat] DMAs between two fresh pages
-   through [mech] (emitting [emit] when given), counting its successes
-   into a third page. The victim and every tenant are one. *)
-let initiator ?(repeat = 1) ?emit kernel (mech : Mech.t) name =
+(* A process that initiates [repeat] DMAs of [size] bytes between two
+   fresh pages through [mech] (emitting [emit] when given), counting
+   its successes into a third page. The victim and every tenant are
+   one. *)
+let initiator ?(repeat = 1) ?(size = transfer_size) ?emit kernel (mech : Mech.t) name =
   let p = Kernel.spawn kernel ~name ~program:[||] () in
   let src = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
   let dst = Kernel.alloc_pages kernel p ~n:1 ~perms:Perms.read_write in
@@ -66,11 +67,8 @@ let initiator ?(repeat = 1) ?emit kernel (mech : Mech.t) name =
   in
   let emit = Option.value emit ~default:prepared.Mech.emit_dma in
   Process.set_program p
-    (Stub.build_repeat ~n:repeat ~vsrc:src ~vdst:dst ~size:transfer_size ~result_va:result
-       ~emit_dma:emit);
-  let intent =
-    Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size:transfer_size ~requests:repeat
-  in
+    (Stub.build_repeat ~n:repeat ~vsrc:src ~vdst:dst ~size ~result_va:result ~emit_dma:emit);
+  let intent = Oracle.intent_of_regions kernel p ~vsrc:src ~vdst:dst ~size ~requests:repeat in
   (p, src, dst, result, intent)
 
 type victim = {
@@ -85,9 +83,9 @@ let engine_mechanism (mech : Mech.t) =
   | Some m -> m
   | None -> invalid_arg ("Scenario: " ^ mech.Mech.name ^ " drives no engine")
 
-let with_victim ?net ?repeat ?emit mech =
+let with_victim ?net ?repeat ?size ?emit mech =
   let kernel = make_kernel ?net (engine_mechanism mech) in
-  let process, a, b, result_va, intent = initiator ?repeat ?emit kernel mech "victim" in
+  let process, a, b, result_va, intent = initiator ?repeat ?size ?emit kernel mech "victim" in
   let pages = [ page_label kernel process a "A"; page_label kernel process b "B" ] in
   (kernel, { process; result_va; intent; pages })
 
@@ -214,6 +212,49 @@ let ext_stateless_race () =
     adversary ~with_context:true ~ops:overwrite kernel "attacker" [ "D" ]
   in
   make kernel v [ (attacker, None) ] (victim_labels v @ labels)
+
+(* Which started transfer is the engine's newest decides what a
+   contextless sys_dma_wait waits for. On the unhooked SHRIMP-2 engine
+   the victim runs a two-step DMA of 4 KB and then a status load that
+   finds no deposit, which sets the engine's last status to failure; a
+   waiter runs a two-step DMA of 8 bytes and then waits for the
+   engine's newest transfer, not its own; a third process runs a
+   64-byte DMA through sys_dma, which sets no last status. Where the
+   waiter's transfer starts after the kernel-path one and completes
+   first, the wait returns at once; where it starts first, the wait
+   blocks until the kernel-path transfer completes. Under a timed
+   backend the two orders reach states equal in everything else the
+   key holds, so only the key's newest flag keeps them apart. *)
+let newest_wait ?net () =
+  let shrimp2 =
+    { Uldma.Shrimp2.mech with Mech.prepare = Uldma.Shrimp2.prepare_raw ~install_hook:false }
+  in
+  let failed_status_load asm =
+    Uldma.Shrimp2.emit_dma asm;
+    Asm.load asm Mech.reg_scratch0 ~base:Mech.reg_shadow_src ~off:0
+  in
+  let dma_then_wait asm =
+    Uldma.Shrimp2.emit_dma asm;
+    Asm.mov asm Mech.reg_scratch0 Mech.reg_status;
+    Asm.li asm Mech.reg_status Sysno.sys_dma_wait;
+    Asm.syscall asm;
+    Asm.mov asm Mech.reg_status Mech.reg_scratch0
+  in
+  let kernel, v = with_victim ?net ~size:4096 ~emit:failed_status_load shrimp2 in
+  let party name size emit mech src_name dst_name =
+    let p, src, dst, result, intent = initiator ~size ?emit kernel mech name in
+    ((p, Some result), intent, [ page_label kernel p src src_name; page_label kernel p dst dst_name ])
+  in
+  let parties =
+    [
+      party "waiter" 8 (Some dma_then_wait) shrimp2 "C" "D";
+      party "kernel" 64 None Uldma.Kernel_dma.mech "E" "F";
+    ]
+  in
+  make kernel v
+    ~intents:(List.map (fun (_, i, _) -> i) parties)
+    (List.map (fun (p, _, _) -> p) parties)
+    (victim_labels v @ List.concat_map (fun (_, _, l) -> l) parties)
 
 (* The store-splice against the five-access method: the victim's
    interleaved stores make it impossible (sec. 3.3.1), which the

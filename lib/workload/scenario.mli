@@ -66,6 +66,19 @@ val ext_stateless_race : unit -> t
     safe with an unmodified kernel, because the attacker's store
     carries its own context bits and the pair mismatches. *)
 
+val newest_wait : ?net:Uldma_net.Backend.t -> unit -> t
+(** Three processes on the unhooked SHRIMP-2 engine whose futures
+    depend on which started transfer is the engine's newest: a 4 KB
+    two-step DMA followed by a status load that finds no deposit (the
+    engine's last status then reads failure), an 8-byte two-step DMA
+    followed by sys_dma_wait, which waits for the engine's newest
+    transfer, and a 64-byte kernel-path DMA, which sets no last status.
+    Under a timed backend the short and the kernel-path transfer start
+    in either order, and states that differ only in which of them is
+    newest reach equal keys unless the key marks the newest in-flight
+    transfer ({!Uldma_dma.Engine.add_live}). Not in the {!catalogue};
+    [tools/diff_explore] runs it. *)
+
 val flash_race : hook:bool -> t
 (** Same race against the FLASH mechanism; safe only with the
     kernel-maintained current-process register ([hook:true]). *)
@@ -262,13 +275,15 @@ type victim
 val with_victim :
   ?net:Uldma_net.Backend.t ->
   ?repeat:int ->
+  ?size:int ->
   ?emit:(Uldma_cpu.Asm.t -> unit) ->
   Uldma.Mech.t ->
   Uldma_os.Kernel.t * victim
 (** A {!make_kernel} machine running [mech]'s engine personality
     ([Mech.t.engine_mechanism]) and the standard victim: [repeat]
-    (default 1) DMAs A -> B through [mech], emitted by [emit] when
-    given, reporting into a result page. *)
+    (default 1) DMAs of [size] bytes (default 256) A -> B through
+    [mech], emitted by [emit] when given, reporting into a result
+    page. *)
 
 val victim_labels : victim -> (int * string) list
 (** The victim's pages A and B, for the [labels] field. *)

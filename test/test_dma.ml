@@ -1067,9 +1067,13 @@ let test_engine_copy_independent () =
 (* Digest upkeep against the from-scratch builder: random transaction
    scripts on every mechanism (kernel page, context pages and the
    shadow window, atomic forms included), then a copy taken with a copy
-   of the cell and both sides written on. Each side's cell must equal
-   its engine's recomputation, which sums the engine's own terms and
-   its contexts', matcher's and IOTLB's. *)
+   of the cell and both sides written on. Each side's cell plus its
+   started transfers' history lanes must equal its engine's
+   recomputation, which sums the engine's own terms, its transfers'
+   and its contexts', matcher's and IOTLB's. The history is synced
+   lazily, so the parent is keyed before the copy in half the cases:
+   then the two sides start from one shared keyed view and each sorts
+   its own later transfers in. *)
 let engine_digest_matches_recomputed =
   let mechanisms =
     Engine.
@@ -1120,17 +1124,22 @@ let engine_digest_matches_recomputed =
   let apply e (store, paddr, value) =
     if store then dstore e paddr value else ignore (dload e paddr : int)
   in
-  let consistent dg e = lanes dg = Fp128.sum_terms Engine.iter_terms e in
+  let consistent dg e =
+    let acc = Array.copy dg in
+    Engine.add_history e acc;
+    lanes acc = Fp128.sum_terms Engine.iter_terms e
+  in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"engine: maintained digest equals recomputed digest"
        QCheck2.Gen.(
          pair
-           (pair (oneofl mechanisms) bool)
+           (triple (oneofl mechanisms) bool bool)
            (triple gen_script gen_script gen_script))
-       (fun ((mechanism, local), (before, parent_after, child_after)) ->
+       (fun ((mechanism, local, keyed), (before, parent_after, child_after)) ->
          let dg = cell () in
          let e, clock, _ = make_engine ~mechanism ~local ~dg () in
          List.iter (apply e) before;
+         if keyed then Engine.add_history e (cell ());
          let cdg = Array.copy dg in
          let c = Engine.copy e ~dg:cdg ~clock:(Clock.copy clock) ~backend:Transfer.null_backend in
          List.iter (apply c) child_after;

@@ -1336,6 +1336,8 @@ let test_key_congruence () =
       of_scenario ~oracle:false "sleepers" (fun () ->
           waiters ~n:3 ~net:Uldma_net.Backend.null ~sleep_ns:1_000_000 ());
       of_scenario ~oracle:false "sleepers@atm155" (fun () -> waiters ());
+      (* which transfer is newest decides what the waiter waits for *)
+      of_scenario "newest-wait@atm155" (fun () -> Scenario.newest_wait ~net:atm155 ());
     ]
     @ List.concat_map timed
         [
@@ -1991,6 +1993,98 @@ let test_shared_schedule_words () =
   if per_violation > limit then
     Alcotest.failf "%d violations retain %.2f words each (limit %.2f)" count per_violation limit
 
+(* The started transfers are keyed as a multiset: starting the same
+   completed transfers in two orders gives equal fingerprints and
+   paranoid keys, and changing one field (source, destination, size,
+   pid or register context) of one transfer changes both. Each transfer
+   starts through the kernel control page or through an
+   extended-shadow context's store/load pair, on snapshots of one Null
+   machine; the first order is keyed after every start, so its keyed
+   view is synced once per transfer, the second only at the end. *)
+let start_order_unkeyed =
+  let module Layout = Uldma_mem.Layout in
+  let module Shadow = Uldma_mmu.Shadow in
+  let start k (ctx, src, dst, size, pid) =
+    let e = Kernel.engine k in
+    let handle op paddr value = Engine.device.Uldma_bus.Bus.handle e op ~paddr ~value ~pid in
+    let control offset value =
+      ignore (handle Uldma_bus.Txn.Store (Layout.kernel_control_page + offset) value : int)
+    in
+    match ctx with
+    | None ->
+      control Regmap.k_source src;
+      control Regmap.k_dest dst;
+      control Regmap.k_size size;
+      (* the argument registers keep the last arguments, keyed as they
+         should be; zeroed, they leave only the transfer behind *)
+      control Regmap.k_source 0;
+      control Regmap.k_dest 0
+    | Some c ->
+      ignore (handle Uldma_bus.Txn.Store (Shadow.encode_ctx ~context:c dst) size : int);
+      ignore (handle Uldma_bus.Txn.Load (Shadow.encode_ctx ~context:c src) 0 : int)
+  in
+  let gen_transfer =
+    QCheck2.Gen.(
+      map
+        (fun ((ctx, src, dst), (size, pid)) -> (ctx, 64 * src, 64 * dst, size, pid))
+        (pair
+           (triple (opt (int_range 0 3)) (int_range 0 15) (int_range 16 31))
+           (pair (int_range 1 64) (int_range 0 2))))
+  in
+  (* each transfer with a sort key for the second order, then which
+     transfer and which field to change *)
+  let gen =
+    QCheck2.Gen.(
+      pair (list_size (int_range 2 5) (pair gen_transfer nat)) (pair nat (int_range 0 4)))
+  in
+  (* field [f] of a transfer moved to another valid value *)
+  let change (ctx, src, dst, size, pid) f =
+    match f with
+    | 0 -> (ctx, src + 8, dst, size, pid)
+    | 1 -> (ctx, src, dst + 8, size, pid)
+    | 2 -> (ctx, src, dst, size + 1, pid)
+    | 3 -> (ctx, src, dst, size, pid + 1)
+    | _ ->
+      let ctx = match ctx with None -> Some 0 | Some 3 -> None | Some c -> Some (c + 1) in
+      (ctx, src, dst, size, pid)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"state key: started transfers keyed as a multiset" ~count:200 gen
+       (fun (transfers, (pick, field)) ->
+         let root = Scenario.make_kernel Engine.Ext_shadow in
+         let keys ~each order =
+           let k = Kernel.snapshot root in
+           List.iter
+             (fun tr ->
+               start k tr;
+               if each then ignore (Kernel.fingerprint ~relative_to:root k : int * int * int))
+             order;
+           (Kernel.fingerprint ~relative_to:root k, Kernel.state_encoding ~relative_to:root k)
+         in
+         let order = List.map fst transfers in
+         let shuffled = List.map fst (List.stable_sort (fun (_, a) (_, b) -> compare a b) transfers) in
+         let j = pick mod List.length order in
+         let changed = List.mapi (fun n tr -> if n = j then change tr field else tr) order in
+         let fp, text = keys ~each:true order
+         and fp', text' = keys ~each:false shuffled
+         and cfp, ctext = keys ~each:false changed in
+         fp = fp' && String.equal text text' && fp <> cfp && not (String.equal text ctext)))
+
+(* Start order is not keyed, so the contested three-process trees
+   collapse to their program-position grids: at 3/3 a key-3 process
+   passes 14 positions and an ext-shadow-3 one 8, and the trees expand
+   14^3 and 8^3 states. With the transfers keyed by start ordinal they
+   expanded 101,728 and 41,984. *)
+let test_contested3_states () =
+  let states (build : ?victim_repeat:int -> ?tenant_repeat:int -> unit -> Scenario.t) =
+    let s = build ~victim_repeat:3 ~tenant_repeat:3 () in
+    (Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
+       ~max_paths:max_int ~check:(Scenario.oracle_check s) ())
+      .Explorer.states_visited
+  in
+  checki "key-3 at 3/3" 2744 (states Scenario.key_contested3);
+  checki "ext-shadow-3 at 3/3" 512 (states Scenario.ext_shadow_contested3)
+
 (* A fork's first write copies a 512 B chunk and its page's chunk
    directory in the minor heap, not a whole 8 KB page straight into the
    major heap. What is left of direct-major allocation per state is the
@@ -2002,7 +2096,7 @@ let test_explorer_direct_major_per_state () =
         Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
           ~check:(Scenario.oracle_check s) ())
   in
-  checki "states" 2168 r.Explorer.states_visited;
+  checki "states" 216 r.Explorer.states_visited;
   let words = a.Uldma_obs.Alloc.direct_major and states = r.Explorer.states_visited in
   if words > 16 * states then
     Alcotest.failf "%d direct-major words over %d states (limit 16 per state)" words states
@@ -2385,6 +2479,8 @@ let () =
           Alcotest.test_case "advance_one_leg" `Quick test_advance_one_leg;
           explorer_leg_equivalence;
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
+          start_order_unkeyed;
+          Alcotest.test_case "contested3 states at 3/3" `Quick test_contested3_states;
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;
           Alcotest.test_case "words per snapshot" `Quick test_snapshot_words;

@@ -100,17 +100,29 @@ let run_cell ~label ~max_paths ~same_states ~allow_truncated build =
     (List.length brute.Explorer.violations)
     dedup.Explorer.states_visited paths_per_state brute.Explorer.states_visited
 
-(* the catalogue's two-process machines. Timed entries run under
-   every backend; untimed ones have no wire-time variant and contribute
-   only their null cell. *)
+(* the catalogue's two-process machines, and the three-process
+   newest-transfer race, the one machine here whose answers depend on
+   the key marking the engine's newest transfer (a search over small
+   two-process machines found none). Timed entries run under every
+   backend; untimed ones have no wire-time variant and contribute only
+   their null cell. *)
 let scenarios =
   List.filter
     (fun (e : Scenario.entry) -> (Scenario.instance e).Scenario.extras = [])
     Scenario.catalogue
+  @ [
+      {
+        Scenario.name = "newest-wait";
+        title = "sys_dma_wait on the newest transfer";
+        build = Scenario.Timed Scenario.newest_wait;
+        schedule = None;
+      };
+    ]
 
 (* the --quick sample: one cell per matrix mechanism (null backend),
    four timed cells (timed capio revokes capabilities mid-tree), the
-   hook cells and the violating fig5 cell, sized for `dune runtest` *)
+   hook cells, the violating fig5 cell and the timed newest-transfer
+   race, sized for `dune runtest` *)
 let quick_cells =
   [
     ("fig5", "null");
@@ -127,6 +139,7 @@ let quick_cells =
     ("capio-launder", "atm155");
     ("shrimp2-race-hook", "null");
     ("flash-race-hook", "null");
+    ("newest-wait", "atm155");
   ]
 
 let backends ~tick_ps =
