@@ -24,10 +24,11 @@
     so a campaign's result array is byte-identical to running every
     candidate cold. A cell empties its table first, so neither its
     results nor its cost fields depend on the cells run before it. The
-    candidates' violating schedules are interned in the table's suffix
-    trie, so the results share their list cells (equal as values to
-    cold copies); [run] drops the trie when the cell returns, leaving
-    the table's summaries and the results' lists.
+    candidates' results are hash-consed in the table's store
+    ({!Explorer.explore}): equal violations, schedules, (violation,
+    schedule) pairs and whole violation lists are one value across the
+    cell, equal as values to cold copies. [run] drops the store when
+    the cell returns, leaving the table's summaries and the results.
 
     {2 Requirements}
 

@@ -43,32 +43,47 @@
     A memoized subtree summary references its violating children's
     summaries instead of copying their schedules, so it costs O(1)
     words beyond children that already exist, and memo memory grows
-    with states, not with violations × depth. A hit re-emits the
-    subtree's violations under the current prefix, so deduplication
-    changes cost, never results: [paths], the violating schedules, and
-    even their order are identical with [dedup] on or off — including
-    under truncation. An exploration through a [shared] table interns
-    the schedules it returns in a suffix trie the table owns, so equal
-    tails across all of the table's explorations are one list and a
-    campaign cell's results retain a few words per violation; a
-    private exploration copies each schedule instead, because interning
-    costs a trie step per prefix leg and pays only when other
-    explorations emit the same suffixes. Interning changes which cells
-    are shared, never a schedule. One caveat: a memo hit re-emits the
-    ['v] value computed on the first-discovered prefix, so payload
-    fields outside the dedup abstraction — simulated timestamps,
-    chiefly — may differ from what a brute-force run would compute for
-    the same schedule.
+    with states, not with violations × depth. The search itself emits
+    nothing: the root's summary holds every violation the search met,
+    memo hits included, and the result's [violations] is one bottom-up
+    flatten of it after the search, each summary node built once per
+    exploration. So deduplication changes cost, never results:
+    [paths], the violating schedules, and even their order are
+    identical with [dedup] on or off — including under truncation.
+
+    An exploration through a [shared] table hash-conses what it
+    returns in a store the table owns: each violation value is
+    interned structurally (once per expanded violating terminal, before
+    its summary is stored), each schedule is a node of a suffix trie,
+    each (violation, schedule) pair is made once on its node, and a
+    violation list equal to one an earlier exploration through the
+    table returned is that earlier list. A campaign cell's results
+    therefore retain about two words per violation. A shared table's
+    ['v] must be structurally comparable and hashable ([compare] and
+    [Hashtbl.hash]: no functional values, no cycles); {!Oracle.violation}
+    is. A private exploration copies its schedules instead, as nobody
+    else would share its values: its flatten walks the root top-down
+    in the search's order, copying each memo hit's prefix onto the
+    hit's suffix list (built once), so schedules through one hit share
+    their tails. Interning changes which cells are shared,
+    never a value. One caveat: a memo hit reuses the ['v] value
+    computed on the first-discovered prefix, so payload fields outside
+    the dedup abstraction — simulated timestamps, chiefly — may differ
+    from what a brute-force run would compute for the same schedule.
 
     {2 One sequential search over one bounded table}
 
     [explore] is a single depth-first search.
-    Violations are recorded in DFS (pid-rank lexicographic) order as
-    they are met. [max_paths] counts terminals, memo-hit subtrees
-    included; a hit is taken only when its whole path count still fits
-    the budget, otherwise the state is re-expanded, so a clipped run
-    stops exactly where the plain tree walk would and reports exactly
-    what that walk found before the budget ran out.
+    Violations are listed in DFS (pid-rank lexicographic) order.
+    [max_paths] counts terminals, memo-hit subtrees included; a hit is
+    taken only when its whole path count still fits the budget,
+    otherwise the state is re-expanded, so a clipped run stops exactly
+    where the plain tree walk would and reports exactly what that walk
+    found before the budget ran out. No path count wraps: no count can
+    pass the budget, and every add saturates at [max_int], so a tree
+    of more than [max_int] paths under a [max_int] budget reads
+    [truncated] with [paths = max_int], never SAFE with a wrapped
+    count.
 
     The memo table is {e bounded} ([memo_cap] summaries in the hot
     generation; two-generation rotation with promotion on touch — see
@@ -77,7 +92,10 @@
     capped. [evictions] in the result counts discarded summaries. *)
 
 type 'v result = {
-  paths : int; (** complete schedules explored (counted through the DAG) *)
+  paths : int;
+      (** complete schedules explored (counted through the DAG); never
+          wraps — a tree of more than [max_int] paths reads [max_int],
+          truncated *)
   violations : ('v * int list) list;
       (** violation + the pid schedule (one pid per leg) that reached it *)
   truncated : bool; (** the path budget was hit; exploration is incomplete *)
@@ -120,8 +138,9 @@ type 'v result = {
     program share the table as they are; a key is comparable only
     under one baseline, so a table is emptied ({!clear_shared}) before
     it serves another. The table also owns the store its explorations
-    intern their violating schedules in: a suffix trie and a per-node
-    suffix cache, kept until {!drop_schedules} or {!clear_shared}. *)
+    hash-cons their results in (violation values, the schedule trie,
+    pairs and whole lists; see above), kept until {!drop_schedules} or
+    {!clear_shared}. *)
 
 type 'v shared_memo
 
@@ -134,10 +153,11 @@ val clear_shared : 'v shared_memo -> unit
     cells (baseline or backend change), not while an [explore] runs. *)
 
 val drop_schedules : 'v shared_memo -> unit
-(** Drop the schedule store (see [violations]) and keep the summaries.
-    Schedules already returned keep their cells; later explorations
-    through the table intern into a fresh store. {!Campaign.run} calls
-    it when a cell returns, so the table is O(states) again. *)
+(** Drop the store (see [violations]) and keep the summaries. Results
+    already returned keep their values; later explorations through the
+    table intern into a fresh store, so their results share nothing
+    with earlier ones. {!Campaign.run} calls it when a cell returns, so
+    the table is O(states) again. *)
 
 val shared_length : 'v shared_memo -> int
 (** Resident summaries. *)

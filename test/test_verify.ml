@@ -1941,6 +1941,69 @@ let test_explorer_clipping_differential () =
       (Explorer.explore ~root:second.Campaign.c_root ~pids ~dedup:false ~max_paths:b ~check ())
   done
 
+(* Clipping through a warm table and its store. The ext-shadow slots-1
+   family (S0 and L0, 2,520 paths each, every path violating) is
+   explored in full through one shared table; then both candidates run
+   through that table at every budget, and each must equal the plain
+   DFS clipped at the same budget. A [~dedup:false] run clipped at [b]
+   meets exactly the first [b] terminals of the full one in the same
+   order, so one full brute-force run per candidate, with each
+   violation tagged by its terminal's index, gives the clipped answer
+   at every budget; real clipped brute-force runs check that reading
+   at a few budgets. The schedule store is dropped every 64 budgets,
+   as a campaign cell drops it when it returns, so it holds at most 64
+   budgets' lists at a time. *)
+let test_clipping_warm_ext_slots1 () =
+  let base = Synth.make_base Synth.Ext in
+  let s = Synth.base_scenario base in
+  let pids = Scenario.explore_pids s and check = Scenario.oracle_check s in
+  let baseline = s.Scenario.kernel in
+  let cands = Array.map (Synth.candidate base) (Synth.enumerate ~slots:1 ()) in
+  let brute (c : _ Campaign.candidate) ?max_paths () =
+    let terminal = ref 0 in
+    let indexed k =
+      let i = !terminal in
+      incr terminal;
+      Option.map (fun v -> (i, v)) (check k)
+    in
+    Explorer.explore ~root:c.Campaign.c_root ~pids ~dedup:false ?max_paths ~check:indexed ()
+  in
+  let canon vs = List.map (fun ((_, v), sched) -> (Oracle.kind_name v, sched)) vs in
+  let full = Array.map (fun c -> brute c ()) cands in
+  let prefix (r : _ Explorer.result) b =
+    List.filter (fun ((i, _), _) -> i < b) r.Explorer.violations
+  in
+  let sm = Explorer.create_shared () in
+  let shared (c : _ Campaign.candidate) ?max_paths () =
+    Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm ?max_paths ~check ()
+  in
+  Array.iter (fun c -> ignore (shared c () : _ Explorer.result)) cands;
+  checki "family size" 2 (Array.length cands);
+  Array.iteri
+    (fun j c ->
+      let total = full.(j).Explorer.paths in
+      checkb "every path violates" true (List.length full.(j).Explorer.violations = total);
+      List.iter
+        (fun b ->
+          checkb
+            (Printf.sprintf "%s max_paths=%d: the prefix reading" c.Campaign.c_label b)
+            true
+            (canon (brute c ~max_paths:b ()).Explorer.violations = canon (prefix full.(j) b)))
+        [ 1; 2; total / 3; total - 1; total ])
+    cands;
+  for b = 1 to full.(0).Explorer.paths do
+    Array.iteri
+      (fun j c ->
+        let r = shared c ~max_paths:b () and total = full.(j).Explorer.paths in
+        let name what = Printf.sprintf "%s max_paths=%d %s" c.Campaign.c_label b what in
+        checki (name "paths") (min b total) r.Explorer.paths;
+        checkb (name "truncated") (b < total) r.Explorer.truncated;
+        if canon_violations r <> canon (prefix full.(j) b) then
+          Alcotest.failf "%s" (name "violations differ from the clipped plain DFS"))
+      cands;
+    if b mod 64 = 0 then Explorer.drop_schedules sm
+  done
+
 (* Violation storage is O(states): a summary references its violating
    children instead of copying their schedules, so a violating cell's
    memo costs a few words per resident summary. The ext-shadow slots-2
@@ -1959,13 +2022,14 @@ let test_memo_words_per_entry () =
       entries
       (float_of_int words /. float_of_int entries)
 
-(* Schedules found through a shared table are interned in the table's
-   suffix trie, so the violation lists of a cell's results share their
-   cells across candidates. The ext-shadow slots-2 cell's 78,960
-   violations retained 7.14 words each (18.69 when every candidate
-   copied its schedules); the bound is the measured value plus 10 %.
-   Sharing the cells changes no result: each candidate's equals its
-   cold standalone exploration. *)
+(* A shared table hash-conses what its explorations return: equal
+   schedules, (violation, schedule) pairs and whole lists are one value
+   across the cell. The ext-shadow slots-2 cell's 78,960 violations
+   retain 2.03 words each (7.14 with only the suffix trie, 18.69 when
+   every candidate copied its schedules): its 10 candidates return 2
+   distinct lists over 11,760 distinct pairs. The bound is the measured
+   value plus 10 %. Sharing the cells changes no result: each
+   candidate's equals its cold standalone exploration. *)
 let test_shared_schedule_words () =
   let sm = Explorer.create_shared () in
   let results, _ = slots2_on_table sm Synth.Ext in
@@ -1989,9 +2053,51 @@ let test_shared_schedule_words () =
       checkb (Printf.sprintf "candidate %d: shared = cold" i) true
         (Synth.result_facts r = Synth.result_facts cold.(i)))
     results;
-  let limit = 7.85 in
+  let limit = 2.23 in
   if per_violation > limit then
     Alcotest.failf "%d violations retain %.2f words each (limit %.2f)" count per_violation limit
+
+(* Hash-consing across a cell, pair by pair: in the rep3 slots-2
+   cell, every (violation, schedule) pair equal to an earlier
+   one is that earlier pair, and every violation list equal to an
+   earlier candidate's is that list — its 24,024 pairs hold 15,531
+   distinct ones, and two of its candidates return equal lists. Each
+   candidate still equals its cold explore. *)
+let test_shared_pairs_physical () =
+  let subject = Synth.Rep Seq_matcher.Three in
+  let sm = Explorer.create_shared () in
+  let results, _ = slots2_on_table sm subject in
+  let pairs = Hashtbl.create 4096 and total = ref 0 and repeated_lists = ref 0 in
+  Array.iteri
+    (fun i (r : _ Explorer.result) ->
+      List.iter
+        (fun p ->
+          incr total;
+          match Hashtbl.find_opt pairs p with
+          | Some q -> if q != p then Alcotest.failf "candidate %d: an equal pair is a copy" i
+          | None -> Hashtbl.add pairs p p)
+        r.Explorer.violations;
+      for j = 0 to i - 1 do
+        let earlier = results.(j).Explorer.violations in
+        if r.Explorer.violations <> [] && earlier = r.Explorer.violations then begin
+          incr repeated_lists;
+          if earlier != r.Explorer.violations then
+            Alcotest.failf "candidates %d and %d: equal lists are two copies" j i
+        end
+      done)
+    results;
+  checkb "pairs repeat across the cell" true (Hashtbl.length pairs < !total);
+  checkb "a list repeats across the cell" true (!repeated_lists > 0);
+  let base = Synth.make_base subject in
+  let s = Synth.base_scenario base in
+  let pids = Scenario.explore_pids s and check = Scenario.oracle_check s in
+  Array.iteri
+    (fun i ops ->
+      let c = Synth.candidate base ops in
+      let cold = Explorer.explore ~root:c.Campaign.c_root ~pids ~check () in
+      checkb (Printf.sprintf "candidate %d: shared = cold" i) true
+        (Synth.result_facts results.(i) = Synth.result_facts cold))
+    (Synth.enumerate ~slots:2 ())
 
 (* The started transfers are keyed as a multiset: starting the same
    completed transfers in two orders gives equal fingerprints and
@@ -2084,6 +2190,52 @@ let test_contested3_states () =
   in
   checki "key-3 at 3/3" 2744 (states Scenario.key_contested3);
   checki "ext-shadow-3 at 3/3" 512 (states Scenario.ext_shadow_contested3)
+
+(* Path counts never wrap. Each contested3 tree interleaves three
+   processes of [l] legs each, so it has (3l)!/(l!)^3 paths: exact at
+   3/3, and past [max_int] for key-3 at 4/4 and ext-shadow-3 at 8/8
+   (both 51!/(17!)^3). Past [max_int] the run spends a [max_int]
+   budget and reads truncated, never SAFE. *)
+let test_path_counts_never_wrap () =
+  let choose n k =
+    let c = ref 1 in
+    for i = 0 to k - 1 do
+      c := !c * (n - i) / (i + 1)
+    done;
+    !c
+  in
+  (* (3l)!/(l!)^3 = C(3l, l) * C(2l, l), or [None] past [max_int] *)
+  let multinomial l =
+    let a = choose (3 * l) l and b = choose (2 * l) l in
+    if a > max_int / b then None else Some (a * b)
+  in
+  List.iter
+    (fun ( label,
+           (build : ?victim_repeat:int -> ?tenant_repeat:int -> unit -> Scenario.t),
+           k,
+           legs ) ->
+      let s = build ~victim_repeat:k ~tenant_repeat:k () in
+      let r =
+        Explorer.explore ~root:s.Scenario.kernel ~pids:(Scenario.explore_pids s)
+          ~max_paths:max_int ~check:(Scenario.oracle_check s) ()
+      in
+      let name what = Printf.sprintf "%s at %d/%d %s" label k k what in
+      match multinomial legs with
+      | Some n ->
+        checki (name "paths") n r.Explorer.paths;
+        checkb (name "complete") false r.Explorer.truncated
+      | None ->
+        checki (name "paths clamp") max_int r.Explorer.paths;
+        checkb (name "truncated") true r.Explorer.truncated;
+        checkb (name "not SAFE") true (Explorer.verdict r = Explorer.Inconclusive))
+    [
+      ("key-3", Scenario.key_contested3, 3, 13);
+      ("key-3", Scenario.key_contested3, 4, 17);
+      ("ext-shadow-3", Scenario.ext_shadow_contested3, 3, 7);
+      ("ext-shadow-3", Scenario.ext_shadow_contested3, 8, 17);
+    ];
+  checki "key-3 at 3/3 is 39!/(13!)^3" 84_478_098_072_866_400 (Option.get (multinomial 13));
+  checkb "51!/(17!)^3 passes max_int" true (multinomial 17 = None)
 
 (* A fork's first write copies a 512 B chunk and its page's chunk
    directory in the minor heap, not a whole 8 KB page straight into the
@@ -2481,6 +2633,7 @@ let () =
           Alcotest.test_case "kernel snapshot isolation" `Quick test_kernel_snapshot_isolation;
           start_order_unkeyed;
           Alcotest.test_case "contested3 states at 3/3" `Quick test_contested3_states;
+          Alcotest.test_case "path counts never wrap" `Quick test_path_counts_never_wrap;
           Alcotest.test_case "direct-major words per state" `Quick
             test_explorer_direct_major_per_state;
           Alcotest.test_case "words per snapshot" `Quick test_snapshot_words;
@@ -2503,7 +2656,10 @@ let () =
             test_campaign_pal_family_one_table;
           Alcotest.test_case "clipping differential, every budget" `Slow
             test_explorer_clipping_differential;
+          Alcotest.test_case "clipping through a warm table, ext slots-1" `Slow
+            test_clipping_warm_ext_slots1;
           Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
+          Alcotest.test_case "shared pairs are one value" `Quick test_shared_pairs_physical;
           Alcotest.test_case "shared schedule words per violation" `Quick
             test_shared_schedule_words;
         ] );

@@ -15,9 +15,11 @@
    4. schedules are shared — when the family violates, the shared run's
       results retain at most 3/4 of the words per violation that the
       cold runs' results retain, whose schedules are copied per
-      candidate (measured: 0.38 on ext-shadow at slots 2, 0.60 on rep5
-      at slots 3; a shared table that copied read 0.997 on ext-shadow,
-      so "fewer" alone would pass it).
+      candidate (measured: 0.11 on ext-shadow at slots 2, whose equal
+      pairs and lists are one value, and 0.60 on rep5 at slots 3, whose
+      1,407 pairs are all distinct schedules; a shared table that
+      copied read 0.997 on ext-shadow, so "fewer" alone would pass
+      it).
 
    Exit 0 on success, 1 on any mismatch. *)
 
