@@ -23,6 +23,10 @@ let k_key_base = 0x80
 
 let key_offset ~context = k_key_base + (8 * context)
 
+let key_word ~key ~context = (key lsl 4) lor context
+let key_of_word w = w asr 4
+let context_of_word w = w land 0xf
+
 let k_mailbox_base = 0x100
 
 let mailbox_offset ~context = k_mailbox_base + (8 * context)

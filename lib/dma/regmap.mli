@@ -57,6 +57,16 @@ val k_key_base : int
 
 val key_offset : context:int -> int
 
+val key_word : key:int -> context:int -> int
+(** The KEY#CONTEXT_ID data word a key-based store carries (§3.1,
+    Fig. 3): [(key lsl 4) lor context], the key above four bits of
+    context id. *)
+
+val key_of_word : int -> int
+val context_of_word : int -> int
+(** The two fields of a KEY#CONTEXT_ID word, as the engine decodes
+    them. *)
+
 val k_mailbox_base : int
 (** [k_mailbox_base + 8*i] holds register context [i]'s atomic reply
     mailbox: the *local physical* word where the old value of a remote

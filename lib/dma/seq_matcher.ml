@@ -117,9 +117,11 @@ let accept t op paddr value =
       | Dest_match -> paddr = t.dest
       | Src_match -> paddr = t.src
     in
+    (* the store that binds the destination binds the size; every later
+       store must repeat it, whatever its sign *)
     let size_ok =
       if not step.carries_size then true
-      else if t.size < 0 then begin
+      else if step.role = Dest_set then begin
         set_size t value;
         true
       end

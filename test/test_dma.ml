@@ -76,6 +76,14 @@ let test_matcher_size_mismatch_resets () =
   ignore (feed m Txn.Load 0x2000 0);
   checkb "size changed" true (feed m Txn.Store 0x1000 65 = Seq_matcher.Rejected)
 
+(* a negative size is still the sequence's size: a later store with
+   another size breaks the sequence instead of rebinding it *)
+let test_matcher_negative_size_binds () =
+  let m = matcher Seq_matcher.Four in
+  ignore (feed m Txn.Store 0x1000 (-1));
+  ignore (feed m Txn.Load 0x2000 0);
+  checkb "other size rejected" true (feed m Txn.Store 0x1000 64 = Seq_matcher.Rejected)
+
 let test_matcher_wrong_op_resets () =
   let m = matcher Seq_matcher.Five in
   ignore (feed m Txn.Store 0x1000 64);
@@ -374,6 +382,151 @@ let rejected sink reason = List.mem (Engine.reject_name reason) (reject_names si
 
 let started engine = List.length (Engine.transfers engine)
 
+let mechanisms =
+  Engine.
+    [
+      Shrimp_mapped; Shrimp_two_step; Flash; Key_based; Ext_shadow; Ext_shadow_stateless;
+      Rep_args Seq_matcher.Three; Rep_args Seq_matcher.Four; Rep_args Seq_matcher.Five; Iommu;
+      Capio;
+    ]
+
+(* One access to the engine: store or load, physical address, value.
+   The accesses cover every window on every mechanism: the kernel
+   control page, the register context pages (one past the four
+   contexts), and the shadow window with and without its atomic tag.
+   The values mix small sizes, KEY#CONTEXT_ID words (context 4 names
+   no context), atomic-op words, page-straddling addresses and
+   arbitrary ints. *)
+let gen_ctx = QCheck2.Gen.int_range 0 Shadow.max_context
+let gen_paddr = QCheck2.Gen.(map (fun w -> w * 64) (int_range 0 40))
+
+let gen_value =
+  let open QCheck2.Gen in
+  oneof
+    [
+      int_range 0 256;
+      map2 (fun key context -> Regmap.key_word ~key ~context) (int_range 0 2) (int_range 0 4);
+      map Atomic_op.encode_add (int_range (-3) 3);
+      map Atomic_op.encode_cas_expected (int_range 0 3);
+      map Atomic_op.encode_cas_new (int_range 0 3);
+      map (fun p -> (p * Layout.page_size) - 64) (int_range 1 3);
+      int_range min_int max_int;
+    ]
+
+let gen_txn =
+  let open QCheck2.Gen in
+  let addr =
+    oneof
+      [
+        map control
+          (oneofl
+             Regmap.
+               [
+                 k_source; k_dest; k_size; k_status; k_current_pid; k_invalidate;
+                 k_map_out_src; k_map_out_dst; k_atomic_target; k_atomic_op; k_cap_value;
+                 k_cap_base; k_cap_len; k_cap_commit; k_cap_revoke; k_iotlb_invalidate;
+               ]);
+        map (fun c -> control (Regmap.key_offset ~context:c)) (int_range 0 3);
+        map (fun c -> control (Regmap.mailbox_offset ~context:c)) (int_range 0 3);
+        map2
+          (fun c o -> Layout.context_page c + o)
+          (int_range 0 4)
+          (oneofl Regmap.[ c_size; c_atomic; c_arg_src; c_arg_dst ]);
+        map2 (fun c p -> Shadow.encode_ctx ~context:c p) gen_ctx gen_paddr;
+        map2 (fun c p -> Shadow.encode_atomic ~context:c p) gen_ctx gen_paddr;
+      ]
+  in
+  triple bool addr gen_value
+
+(* One process's initiation in some mechanism's shape, its arguments
+   drawn from the same pools: the kernel's and the register context's
+   argument registers written first and a size or a load that starts
+   the DMA (readwriteDMA.c's shape), the key-based, extended-shadow,
+   two-step and repeated-passing sequences, and the atomic forms. Its
+   arguments may name anything, as dma-attack.c's control block does:
+   addresses, values, or the capabilities of [prologue]. The FLASH
+   kernel's context-switch hook (a new pid register) is a shape too. *)
+let gen_burst =
+  let open QCheck2.Gen in
+  let arg = frequency [ (1, gen_paddr); (1, gen_value); (2, oneofl [ 17; 18; 33; 34 ]) ] in
+  let* d = gen_paddr and* s = gen_paddr and* n = gen_value and* c = gen_ctx and* v = gen_value
+  and* a = arg and* b = arg and* pid_reg = int_range 0 2 in
+  let sh p = Shadow.encode_ctx ~context:c p and at p = Shadow.encode_atomic ~context:c p in
+  let page o = Layout.context_page c + o in
+  let st a v = (true, a, v) and ld a = (false, a, 0) in
+  oneofl
+    [
+      [ st (control Regmap.k_source) s; st (control Regmap.k_dest) d; st (control Regmap.k_size) n ];
+      [ st (page Regmap.c_arg_src) a; st (page Regmap.c_arg_dst) b; st (page Regmap.c_size) n;
+        ld (page 0) ];
+      [ st (sh d) v; st (sh s) v; st (page Regmap.c_size) n; ld (page 0) ];
+      [ st (sh d) n; ld (sh s) ];
+      [ ld (sh s); st (sh d) n; ld (sh s) ];
+      [ st (sh d) n; ld (sh s); st (sh d) n; ld (sh s) ];
+      [ st (sh d) n; ld (sh s); st (sh d) n; ld (sh s); ld (sh d) ];
+      [ st (at d) v; ld (at d) ];
+      [ st (at d) v; ld (at s) ];
+      [ st (at d) v; st (page Regmap.c_atomic) n; ld (page Regmap.c_atomic) ];
+      [ st (control Regmap.k_current_pid) pid_reg ];
+    ]
+
+(* Two processes' streams of single accesses and initiations, each
+   process's accesses in its order, interleaved by a random merge *)
+let gen_stream =
+  let open QCheck2.Gen in
+  let own = list_size (int_range 0 6) (oneof [ map (fun t -> [ t ]) gen_txn; gen_burst ]) in
+  let* a = own and* b = own and* order = list_repeat 600 bool in
+  let tag pid l = List.map (fun t -> (pid, t)) (List.concat l) in
+  let rec merge a b order =
+    match (a, b, order) with
+    | [], rest, _ | rest, [], _ -> rest
+    | x :: a', _, true :: order -> x :: merge a' b order
+    | _, y :: b', _ :: order -> y :: merge a b' order
+    | _, _, [] -> a @ b
+  in
+  return (merge (tag 1 a) (tag 2 b) order)
+
+let apply ?pid e (store, paddr, value) =
+  if store then dstore ?pid e paddr value else ignore (dload ?pid e paddr : int)
+
+(* The set-up every stream starts from, through the kernel control
+   page: keys 0, 1, 2, 0 for the four contexts; context 1's reply
+   mailbox; page 0 mapped out to page 2; FLASH's pid register at 1;
+   capabilities 17 (context 0, read, 128 B at 0x200), 18 (context 0,
+   write, 256 B at 0x2000), 33 (context 1, read-write, 64 B at 0x4000)
+   and 34 (context 0, read-write, a page at 0x6000, then revoked); and
+   an IOMMU table bound to contexts 0 and 1 that maps virtual page 0 to
+   frame 3 and pages 1 and 2 to frames 7 and 8, page 2 read-only, so a
+   range across pages 0 and 1 is not contiguous. [gen_burst] names the
+   four capabilities as arguments. *)
+let prologue =
+  let k offset value = (true, control offset, value) in
+  let cap ~value ~base ~len ~meta =
+    [ k Regmap.k_cap_value value; k Regmap.k_cap_base base; k Regmap.k_cap_len len;
+      k Regmap.k_cap_commit meta ]
+  in
+  List.init 4 (fun c -> k (Regmap.key_offset ~context:c) (c mod 3))
+  @ [
+      k (Regmap.mailbox_offset ~context:1) 0x1f00; k Regmap.k_map_out_src 0;
+      k Regmap.k_map_out_dst 0x4000; k Regmap.k_current_pid 1;
+    ]
+  @ cap ~value:17 ~base:0x200 ~len:128 ~meta:(0x100 lor (1 lsl 16))
+  @ cap ~value:18 ~base:0x2000 ~len:256 ~meta:(0x200 lor (1 lsl 16))
+  @ cap ~value:33 ~base:0x4000 ~len:64 ~meta:(1 lor 0x300 lor (2 lsl 16))
+  @ cap ~value:34 ~base:0x6000 ~len:Layout.page_size ~meta:(0x300 lor (2 lsl 16))
+  @ [ k Regmap.k_cap_revoke 34 ]
+
+let prologue_tables () =
+  let pt = Page_table.create () in
+  Page_table.map pt ~vpage:0 (Pte.make ~frame:3 ~perms:Perms.read_write ());
+  Page_table.map pt ~vpage:1 (Pte.make ~frame:7 ~perms:Perms.read_write ());
+  Page_table.map pt ~vpage:2 (Pte.make ~frame:8 ~perms:Perms.read_only ());
+  [ (0, pt); (1, pt) ]
+
+let set_up e tables =
+  List.iter (fun (context, table) -> Engine.iommu_bind e ~context ~table) tables;
+  List.iter (apply ~pid:0 e) prologue
+
 let test_engine_claims () =
   let d = Engine.device in
   checkb "mmio" true (d.Bus.claims Layout.mmio_base);
@@ -404,6 +557,16 @@ let test_engine_kernel_bad_range () =
   checki "status failure" Status.failure (dload engine (control Regmap.k_status));
   checki "rejected counter" 1 (Engine.counters engine).Engine.rejected
 
+(* a size so large that address + size wraps past max_int names no
+   range in RAM: the copy unit's range check must not overflow *)
+let test_engine_kernel_huge_size () =
+  let engine, sink = traced_engine () in
+  dstore engine (control Regmap.k_source) 0x40;
+  dstore engine (control Regmap.k_dest) 0x2000;
+  dstore engine (control Regmap.k_size) (max_int - 0x20);
+  checki "nothing started" 0 (started engine);
+  checkb "bad-range reject" true (rejected sink Engine.Bad_range)
+
 let test_engine_kernel_zero_size () =
   let engine, _, _ = make_engine () in
   dstore engine (control Regmap.k_source) 0;
@@ -411,15 +574,13 @@ let test_engine_kernel_zero_size () =
   dstore engine (control Regmap.k_size) 0;
   checki "zero size rejected" 0 (started engine)
 
-let key_word key context = (key lsl 4) lor context
-
 let test_engine_key_path () =
   let engine, _, _ = make_engine ~mechanism:Engine.Key_based () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
   dstore engine (control (Regmap.key_offset ~context:1)) 0xbeef;
   (* dest then src through the shadow window *)
-  dstore engine (Shadow.encode 0x3000) (key_word 0xbeef 1);
-  dstore engine (Shadow.encode 0x1000) (key_word 0xbeef 1);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:0xbeef ~context:1);
+  dstore engine (Shadow.encode 0x1000) (Regmap.key_word ~key:0xbeef ~context:1);
   (* size through the context page, then the initiating load *)
   dstore engine (Layout.context_page 1 + Regmap.c_size) 128;
   let status = dload engine (Layout.context_page 1) in
@@ -435,8 +596,8 @@ let test_engine_key_path () =
 let test_engine_key_rejects_wrong_key () =
   let engine, _, _ = make_engine ~mechanism:Engine.Key_based () in
   dstore engine (control (Regmap.key_offset ~context:0)) 0xbeef;
-  dstore engine (Shadow.encode 0x3000) (key_word 0xdead 0);
-  dstore engine (Shadow.encode 0x1000) (key_word 0xdead 0);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:0xdead ~context:0);
+  dstore engine (Shadow.encode 0x1000) (Regmap.key_word ~key:0xdead ~context:0);
   dstore engine (Layout.context_page 0) 128;
   checki "go load fails" Status.failure (dload engine (Layout.context_page 0));
   checki "nothing started" 0 (started engine);
@@ -444,7 +605,7 @@ let test_engine_key_rejects_wrong_key () =
 
 let test_engine_key_rejects_bad_context () =
   let engine, sink = traced_engine ~mechanism:Engine.Key_based ~n_contexts:2 () in
-  dstore engine (Shadow.encode 0x3000) (key_word 0 7);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:0 ~context:7);
   checki "nothing deposited" 0 (started engine);
   checkb "no-context event" true (rejected sink Engine.No_context)
 
@@ -459,14 +620,14 @@ let test_engine_key_interrupted_resumes () =
   let engine, _, _ = make_engine ~mechanism:Engine.Key_based () in
   dstore engine (control (Regmap.key_offset ~context:0)) 111;
   dstore engine (control (Regmap.key_offset ~context:1)) 222;
-  dstore engine (Shadow.encode 0x3000) (key_word 111 0);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:111 ~context:0);
   (* other process's full initiation on context 1 *)
-  dstore engine ~pid:2 (Shadow.encode 0x5000) (key_word 222 1);
-  dstore engine ~pid:2 (Shadow.encode 0x4000) (key_word 222 1);
+  dstore engine ~pid:2 (Shadow.encode 0x5000) (Regmap.key_word ~key:222 ~context:1);
+  dstore engine ~pid:2 (Shadow.encode 0x4000) (Regmap.key_word ~key:222 ~context:1);
   dstore engine ~pid:2 (Layout.context_page 1) 32;
   checki "ctx1 started" 0 (dload engine ~pid:2 (Layout.context_page 1));
   (* original process resumes *)
-  dstore engine (Shadow.encode 0x1000) (key_word 111 0);
+  dstore engine (Shadow.encode 0x1000) (Regmap.key_word ~key:111 ~context:0);
   dstore engine (Layout.context_page 0) 64;
   checki "ctx0 started" 0 (dload engine (Layout.context_page 0));
   checki "both transfers" 2 (started engine);
@@ -668,10 +829,21 @@ let test_engine_atomic_key_window () =
   let engine, _, ram = make_engine ~mechanism:Engine.Key_based ~local:true () in
   Phys_mem.store_word ram 0x800 50;
   dstore engine (control (Regmap.key_offset ~context:0)) 0xfeed;
-  dstore engine (Shadow.encode_atomic ~context:0 0x800) (key_word 0xfeed 0);
+  dstore engine (Shadow.encode_atomic ~context:0 0x800) (Regmap.key_word ~key:0xfeed ~context:0);
   dstore engine (Layout.context_page 0 + Regmap.c_atomic) (Atomic_op.encode_fetch_store 3);
   checki "old via context page" 50 (dload engine (Layout.context_page 0 + Regmap.c_atomic));
   checki "swapped" 3 (Phys_mem.load_word ram 0x800)
+
+(* a wrong key on the atomic window is a forged context: it must not
+   name the context's atomic target, or the owner's next atomic
+   operation runs on the forger's word *)
+let test_engine_atomic_key_window_bad_key () =
+  let engine, sink = traced_engine ~mechanism:Engine.Key_based () in
+  dstore engine (control (Regmap.key_offset ~context:0)) 0xfeed;
+  dstore engine ~pid:2 (Shadow.encode_atomic ~context:0 0x800) (Regmap.key_word ~key:0xbeef ~context:0);
+  checkb "bad-key reject" true (rejected sink Engine.Bad_key);
+  checkb "no atomic target" true
+    ((Context_file.get (Engine.contexts engine) 0).Context_file.atomic_target = None)
 
 let test_engine_atomic_unaligned_rejected () =
   let engine, _, _ = make_engine ~local:true () in
@@ -683,8 +855,8 @@ let test_engine_key_change_wipes_context () =
   let engine, _, _ = make_engine ~mechanism:Engine.Key_based () in
   dstore engine (control (Regmap.key_offset ~context:0)) 111;
   (* old owner deposits both addresses but is descheduled before go *)
-  dstore engine (Shadow.encode 0x3000) (key_word 111 0);
-  dstore engine (Shadow.encode 0x1000) (key_word 111 0);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:111 ~context:0);
+  dstore engine (Shadow.encode 0x1000) (Regmap.key_word ~key:111 ~context:0);
   (* the OS reassigns the context to a new owner *)
   dstore engine (control (Regmap.key_offset ~context:0)) 222;
   (* the new owner stores a size and goes: must NOT fire with the old
@@ -693,7 +865,7 @@ let test_engine_key_change_wipes_context () =
   checki "go rejected" Status.failure (dload engine ~pid:2 (Layout.context_page 0));
   checki "nothing started" 0 (started engine);
   (* the old key no longer deposits *)
-  dstore engine (Shadow.encode 0x5000) (key_word 111 0);
+  dstore engine (Shadow.encode 0x5000) (Regmap.key_word ~key:111 ~context:0);
   checkb "old key dead" true
     ((Context_file.get (Engine.contexts engine) 0).Context_file.dest = None)
 
@@ -925,6 +1097,19 @@ let test_engine_iommu_rights () =
     (iommu_fire engine ~context:1 ~vsrc:Layout.page_size ~vdst:(3 * Layout.page_size) ~size:64);
   checkb "not-present reject" true (rejected sink Engine.Not_present)
 
+(* the copy unit takes one physical base: a virtual range whose pages
+   are present but lie in frames that are not adjacent is a Bad_range *)
+let test_engine_iommu_discontiguous () =
+  let engine, sink = traced_engine ~mechanism:Engine.Iommu () in
+  let pt = iommu_table () in
+  Page_table.map pt ~vpage:2 (Pte.make ~frame:9 ~perms:Perms.read_write ());
+  Engine.iommu_bind engine ~context:1 ~table:pt;
+  checki "discontiguous src fails" Status.failure
+    (iommu_fire engine ~context:1 ~vsrc:((2 * Layout.page_size) - 64) ~vdst:(3 * Layout.page_size)
+       ~size:128);
+  checkb "bad-range reject" true (rejected sink Engine.Bad_range);
+  checki "nothing started" 0 (started engine)
+
 let test_engine_iommu_unbound () =
   let engine, sink = traced_engine ~mechanism:Engine.Iommu () in
   Engine.set_context_owner engine ~context:1 ~pid:(Some 1);
@@ -1053,7 +1238,7 @@ let test_engine_capio_pid_revocation () =
 let test_engine_copy_independent () =
   let dg = cell () in
   let engine, clock, ram = make_engine ~dg () in
-  dstore engine (Shadow.encode 0x3000) (key_word 0 0);
+  dstore engine (Shadow.encode 0x3000) (Regmap.key_word ~key:0 ~context:0);
   let copy =
     Engine.copy engine ~dg:(Array.copy dg) ~clock:(Clock.copy clock)
       ~backend:(Transfer.local_backend (Phys_mem.copy ram) ~setup_ps:0 ~bytes_per_s:1e9)
@@ -1075,55 +1260,7 @@ let test_engine_copy_independent () =
    then the two sides start from one shared keyed view and each sorts
    its own later transfers in. *)
 let engine_digest_matches_recomputed =
-  let mechanisms =
-    Engine.
-      [
-        Shrimp_mapped; Shrimp_two_step; Flash; Key_based; Ext_shadow; Ext_shadow_stateless;
-        Rep_args Seq_matcher.Three; Rep_args Seq_matcher.Four; Rep_args Seq_matcher.Five;
-        Iommu; Capio;
-      ]
-  in
-  let gen_txn =
-    let open QCheck2.Gen in
-    let ctx = int_range 0 Shadow.max_context and paddr = map (fun w -> w * 64) (int_range 0 40) in
-    let addr =
-      oneof
-        [
-          map control
-            (oneofl
-               Regmap.
-                 [
-                   k_source; k_dest; k_size; k_status; k_current_pid; k_invalidate;
-                   k_map_out_src; k_map_out_dst; k_atomic_target; k_atomic_op; k_cap_value;
-                   k_cap_base; k_cap_len; k_cap_commit; k_cap_revoke; k_iotlb_invalidate;
-                 ]);
-          map (fun c -> control (Regmap.key_offset ~context:c)) (int_range 0 3);
-          map (fun c -> control (Regmap.mailbox_offset ~context:c)) (int_range 0 3);
-          map2
-            (fun c o -> Layout.context_page c + o)
-            (int_range 0 3)
-            (oneofl Regmap.[ c_size; c_atomic; c_arg_src; c_arg_dst ]);
-          map2 (fun c p -> Shadow.encode_ctx ~context:c p) ctx paddr;
-          map2 (fun c p -> Shadow.encode_atomic ~context:c p) ctx paddr;
-        ]
-    in
-    let value =
-      oneof
-        [
-          int_range 0 256;
-          map2 key_word (int_range 0 2) (int_range 0 4);
-          map Atomic_op.encode_add (int_range (-3) 3);
-          map Atomic_op.encode_cas_expected (int_range 0 3);
-          map Atomic_op.encode_cas_new (int_range 0 3);
-          int_range min_int max_int;
-        ]
-    in
-    triple bool addr value
-  in
   let gen_script = QCheck2.Gen.(list_size (int_range 0 30) gen_txn) in
-  let apply e (store, paddr, value) =
-    if store then dstore e paddr value else ignore (dload e paddr : int)
-  in
   let consistent dg e =
     let acc = Array.copy dg in
     Engine.add_history e acc;
@@ -1145,6 +1282,144 @@ let engine_digest_matches_recomputed =
          List.iter (apply c) child_after;
          List.iter (apply e) parent_after;
          consistent dg e && consistent cdg c))
+
+(* One access's outcome as the engine reports it: the rejects its
+   trace sink saw and the transfer it started, if any. *)
+let observe e sink ~pid txn =
+  Trace.clear sink;
+  let before = Engine.n_transfers e in
+  let (store, paddr, _) = txn in
+  let reply = if store then (apply ~pid e txn; None) else Some (dload ~pid e paddr) in
+  let started =
+    if Engine.n_transfers e = before then None
+    else Some (List.nth (Engine.transfers e) before)
+  in
+  (reply, reject_names sink, started)
+
+(* The engine's characterisation golden: each mechanism's fixed-seed
+   stream, one line per access (op, pid, address, stored value; a
+   load's reply; the rejects; the started transfer; the digest lanes
+   with the started transfers' history). A store's reply is not
+   recorded: nothing reads it. The engine runs on a local backend whose
+   clock advances 16 ns per access, so statuses read remaining bytes of
+   transfers still in flight. *)
+let golden_streams = 16
+
+let mechanism_name (m : Engine.mechanism) =
+  match m with
+  | Shrimp_mapped -> "shrimp-mapped"
+  | Shrimp_two_step -> "shrimp-two-step"
+  | Flash -> "flash"
+  | Key_based -> "key-based"
+  | Ext_shadow -> "ext-shadow"
+  | Ext_shadow_stateless -> "ext-stateless"
+  | Rep_args Seq_matcher.Three -> "rep3"
+  | Rep_args Seq_matcher.Four -> "rep4"
+  | Rep_args Seq_matcher.Five -> "rep5"
+  | Iommu -> "iommu"
+  | Capio -> "capio"
+
+let render_decode () =
+  let buf = Buffer.create (1 lsl 18) in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  List.iteri
+    (fun i mechanism ->
+      let dg = cell () in
+      let e, clock, _ = make_engine ~mechanism ~local:true ~dg () in
+      let sink = Trace.create () in
+      Engine.set_sink e ~machine:0 sink;
+      let rand = Random.State.make [| 37; i |] in
+      let stream =
+        List.map (fun txn -> (0, txn)) prologue
+        @ List.concat (QCheck2.Gen.generate ~rand ~n:golden_streams gen_stream)
+      in
+      line "# %s" (mechanism_name mechanism);
+      List.iter (fun (context, table) -> Engine.iommu_bind e ~context ~table) (prologue_tables ());
+      List.iter
+        (fun (pid, ((store, paddr, value) as txn)) ->
+          Clock.advance clock 16_000;
+          let reply, rejects, started = observe e sink ~pid txn in
+          let acc = Array.copy dg in
+          Engine.add_history e acc;
+          line "%s p%d %#x %s | %s | %s | %s | %x %x"
+            (if store then "S" else "L") pid paddr
+            (if store then string_of_int value else "-")
+            (match reply with Some r -> string_of_int r | None -> "-")
+            (match rejects with [] -> "-" | l -> String.concat "," l)
+            (match started with
+             | None -> "-"
+             | Some tr ->
+               Printf.sprintf "%#x>%#x/%d ctx%s" tr.Transfer.src tr.Transfer.dst tr.Transfer.size
+                 (match tr.Transfer.context with Some c -> string_of_int c | None -> "-"))
+            acc.(0) acc.(1))
+        stream)
+    mechanisms;
+  Buffer.contents buf
+
+(* The golden pins every answer the decode gives, byte for byte; after
+   an intended change of behaviour, review the diff of
+   engine_decode.actual (beside the test binary) and copy it over
+   golden/engine_decode.txt. *)
+let test_engine_decode_golden () =
+  let actual = render_decode () in
+  let path = Filename.concat "golden" "engine_decode.txt" in
+  let expected =
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "engine_decode.actual" (fun oc -> output_string oc actual);
+    Alcotest.fail "the engine's decode drifted from golden/engine_decode.txt (see engine_decode.actual)"
+  end
+
+(* The paper-level spec differential: on every mechanism, from the
+   common set-up, two processes' interleaved random accesses must meet
+   exactly the rejects and the transfers that the executable spec
+   (dma_spec.ml) predicts, access by access. The spec ignores time, so
+   the engine runs on the Null backend. *)
+let engine_matches_spec =
+  let as_spec (tr : Transfer.t) =
+    { Dma_spec.src = tr.Transfer.src; dst = tr.Transfer.dst; size = tr.Transfer.size;
+      context = tr.Transfer.context; pid = tr.Transfer.pid }
+  in
+  let show_txn (pid, (store, paddr, value)) =
+    Printf.sprintf "%s p%d %#x %d" (if store then "S" else "L") pid paddr value
+  in
+  let show (rejects, start) =
+    Printf.sprintf "[%s] %s" (String.concat "," rejects)
+      (match start with
+      | Some (s : Dma_spec.transfer) -> Printf.sprintf "%#x>%#x/%d" s.src s.dst s.size
+      | None -> "-")
+  in
+  let print (mechanism, stream) =
+    mechanism_name mechanism ^ ": " ^ String.concat "; " (List.map show_txn stream)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:10000 ~print ~name:"engine: decode agrees with the paper-level spec"
+       QCheck2.Gen.(pair (oneofl mechanisms) gen_stream)
+       (fun (mechanism, stream) ->
+         let e, _, ram = make_engine ~mechanism () in
+         let sink = Trace.create () in
+         Engine.set_sink e ~machine:0 sink;
+         let tables = prologue_tables () in
+         set_up e tables;
+         let spec =
+           Dma_spec.create ~mechanism ~ram_size:(Phys_mem.size ram)
+             ~n_contexts:(Context_file.length (Engine.contexts e)) ~tables
+         in
+         List.iter
+           (fun (_, paddr, value) ->
+             ignore (Dma_spec.step spec ~pid:0 Txn.Store ~paddr ~value : Dma_spec.outcome))
+           prologue;
+         List.for_all
+           (fun ((pid, (store, paddr, value)) as access) ->
+             let _, rejects, started = observe e sink ~pid (store, paddr, value) in
+             let want = Dma_spec.step spec ~pid (if store then Txn.Store else Txn.Load) ~paddr ~value in
+             let got = (rejects, Option.map as_spec started)
+             and want = (Option.to_list want.Dma_spec.reject, want.Dma_spec.start) in
+             got = want
+             || QCheck2.Test.fail_reportf "%s: engine %s, spec %s" (show_txn access) (show got)
+                  (show want))
+           stream))
 
 (* The clock-relative view is fed at key time, outside the digest: two
    engines whose only difference is how long ago a slow transfer
@@ -1224,6 +1499,7 @@ let () =
           matcher_clean_sequence_fires;
           matcher_fire_implies_pattern;
           matcher_digest_matches_recomputed;
+          Alcotest.test_case "negative size binds" `Quick test_matcher_negative_size_binds;
         ] );
       ( "context_file",
         [
@@ -1319,5 +1595,10 @@ let () =
           engine_digest_matches_recomputed;
           engine_fuzz_key_no_transfers;
           engine_fuzz_invariants;
+          Alcotest.test_case "kernel huge size" `Quick test_engine_kernel_huge_size;
+          Alcotest.test_case "iommu discontiguous range" `Quick test_engine_iommu_discontiguous;
+          Alcotest.test_case "atomic key window bad key" `Quick test_engine_atomic_key_window_bad_key;
+          Alcotest.test_case "decode golden" `Quick test_engine_decode_golden;
+          engine_matches_spec;
         ] );
     ]
