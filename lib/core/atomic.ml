@@ -178,7 +178,7 @@ let prepare variant kernel process ~region =
          ~window:`Atomic
         : int);
     key_prepared
-      ~keyword:(Key_dma.key_context_word ~key ~context)
+      ~keyword:(Regmap.key_word ~key ~context)
       ~context_page_va:Vm.context_page_va
   | Pal_initiated ->
     (match Kernel.install_pal kernel ~index:pal_op_index pal_op_body with

@@ -1,8 +1,6 @@
 open Uldma_cpu
 open Uldma_os
 
-let key_context_word ~key ~context = (key lsl 4) lor context
-
 let emit_dma_with ~key ~context_page_va asm =
   let keyword = Mech.reg_scratch0 and ctx_page = Mech.reg_scratch1 in
   Asm.li asm keyword key;
@@ -30,7 +28,7 @@ let prepare kernel process ~src ~dst =
       | None -> failwith "Key_dma.prepare: no free register context")
   in
   Mech.map_dma_aliases kernel process ~src ~dst;
-  let key = key_context_word ~key ~context in
+  let key = Uldma_dma.Regmap.key_word ~key ~context in
   { Mech.emit_dma = emit_dma_with ~key ~context_page_va }
 
 let mech =

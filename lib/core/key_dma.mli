@@ -20,7 +20,4 @@
 
 val mech : Mech.t
 
-val key_context_word : key:int -> context:int -> int
-(** The KEY#CONTEXT_ID data word: [(key << 4) | context]. *)
-
 val emit_dma_with : key:int -> context_page_va:int -> Uldma_cpu.Asm.t -> unit

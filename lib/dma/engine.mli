@@ -105,7 +105,15 @@ val set_sink : t -> machine:int -> Uldma_obs.Trace.t -> unit
 val device : t Uldma_bus.Bus.device
 (** The engine as a bus device over the bus's engine state: register it
     with [Bus.register_device] on a bus created over the engine; a
-    [Bus.copy] over the copied engine carries it. *)
+    [Bus.copy] over the copied engine carries it.
+
+    The handler picks the window (remote, kernel control page, register
+    context page, shadow) and decodes the access there; the shadow
+    window has one arm group per mechanism (DESIGN.md §8a). Every
+    access answers a status word: a load's is the value the program
+    reads; a store's is the status the store leaves ([Status.failure]
+    on a reject, [Status.in_progress] when it only staged an argument)
+    and carries no contract: [Bus.store] and every caller discard it. *)
 
 val copy : t -> dg:int array -> clock:Uldma_bus.Clock.t -> backend:Transfer.backend -> t
 (** Snapshot for the interleaving explorer; the caller supplies the

@@ -754,7 +754,7 @@ let ablate_key_width () =
         Context_file.clear_args c;
         ignore
           (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
-           ~value:(Uldma.Key_dma.key_context_word ~key:guess ~context)
+           ~value:(Regmap.key_word ~key:guess ~context)
            ~pid:99
             : int);
         if c.Context_file.dest <> None then incr hits
@@ -887,7 +887,7 @@ let key_security () =
     let guess = Rng.dma_key rng in
     ignore
       (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
-         ~value:(Uldma.Key_dma.key_context_word ~key:guess ~context)
+         ~value:(Regmap.key_word ~key:guess ~context)
          ~pid:99
         : int)
   done;
@@ -895,7 +895,7 @@ let key_security () =
   (* positive control: the real key is accepted *)
   ignore
     (Engine.device.Bus.handle engine Txn.Store ~paddr:shadow
-       ~value:(Uldma.Key_dma.key_context_word ~key ~context)
+       ~value:(Regmap.key_word ~key ~context)
        ~pid:p.Process.pid
       : int);
   let accepted_ctx = Context_file.get (Engine.contexts engine) context in

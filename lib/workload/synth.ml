@@ -271,8 +271,26 @@ let catalogue_row c =
     c.cell_candidates c.cell_violating c.cell_truncated c.cell_paths c.cell_witness
     c.cell_witness_violations c.cell_witness_kinds c.cell_results_fp
 
+(* A row's identity: its (mech, net, slots) columns. *)
+let row_key row = List.filteri (fun i _ -> i < 3) (String.split_on_char ',' row)
+
+(* Merge into the catalogue at [path]: a row of the same (mech, net,
+   slots) is replaced in place, other rows are kept, and new ones are
+   appended, so a run over a few cells never drops the rest. A path
+   that holds no catalogue (missing, or another header) gets exactly
+   the run's rows. *)
 let write_catalogue path cells =
-  let oc = open_out path in
-  output_string oc (catalogue_header ^ "\n");
-  List.iter (fun c -> output_string oc (catalogue_row c ^ "\n")) cells;
-  close_out oc
+  let old =
+    match In_channel.with_open_text path In_channel.input_all with
+    | text -> (
+      match String.split_on_char '\n' text with
+      | header :: rows when header = catalogue_header -> List.filter (( <> ) "") rows
+      | _ -> [])
+    | exception Sys_error _ -> []
+  in
+  let fresh = List.map catalogue_row cells in
+  let same a b = row_key a = row_key b in
+  let kept = List.map (fun r -> Option.value (List.find_opt (same r) fresh) ~default:r) old in
+  let added = List.filter (fun r -> not (List.exists (same r) old)) fresh in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun row -> output_string oc (row ^ "\n")) ((catalogue_header :: kept) @ added))

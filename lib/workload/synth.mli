@@ -145,4 +145,8 @@ val run_cell :
 val catalogue_row : cell -> string
 
 val write_catalogue : string -> cell list -> unit
-(** CSV: a header line, then one [catalogue_row] per cell. *)
+(** CSV: a header line, then one [catalogue_row] per cell, merged into
+    the catalogue already at the path: a row with a cell's (mech, net,
+    slots) is replaced in place, the other rows are kept, and new cells
+    are appended. A path without a catalogue gets exactly the cells'
+    rows. *)

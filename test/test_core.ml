@@ -153,7 +153,7 @@ let test_key_dma_wrong_key_rejected () =
   in
   ignore (Kernel.map_shadow_alias kernel p ~vaddr:src ~n:1 ~window:`Dma : int);
   ignore (Kernel.map_shadow_alias kernel p ~vaddr:dst ~n:1 ~window:`Dma : int);
-  let wrong = Uldma.Key_dma.key_context_word ~key:(key lxor 1) ~context in
+  let wrong = Uldma_dma.Regmap.key_word ~key:(key lxor 1) ~context in
   Process.set_program p
     (Stub.build_single ~vsrc:src ~vdst:dst ~size:64 ~result_va
        ~emit_dma:(Uldma.Key_dma.emit_dma_with ~key:wrong ~context_page_va));
