@@ -65,9 +65,12 @@ let advance_leg kernel leg ~max_instructions =
    DAG after the search, in DFS (pid-rank lexicographic) order — and
    dedup on/off produce the identical [paths] count, the identical
    violation list, and even the identical order. Through a shared
-   table the flattened pairs are hash-consed in the table's store, so
-   equal schedules, pairs and whole lists are one value across the
-   explorations that use the table.
+   table the search makes each violation node once per content in the
+   table's store, so the flatten builds each distinct subtree once per
+   exploration and a root whose content an earlier exploration
+   flattened returns that exploration's list; the flattened pairs are
+   hash-consed in the store too, so equal schedules, pairs and whole
+   lists are one value across the explorations that use the table.
 
    [max_paths] counts terminals, memo-hit subtrees included. A hit is
    taken only when its whole path count still fits the budget;
@@ -89,15 +92,24 @@ type 'v summary = { s_paths : int; s_violations : 'v viols; s_stuck : int }
    words beyond children that already exist. *)
 and 'v viols =
   | V_none
-  | V_here of 'v (* this terminal violates *)
+  | V_here of int * 'v (* this terminal violates: an id, then the violation *)
   | V_kids of int * (int * 'v summary) list
       (* node id (the flatten cache's key), then the violating children
          in leg order with the pid of the leg leading to each *)
 
-(* Ids only need to be unique among the nodes one exploration can reach,
-   but shared campaign tables outlive explorations, so they come from
-   one process-wide counter. *)
+(* A shared table's store makes each distinct [V_here] and [V_kids]
+   content once, so there an id names a content; a private exploration
+   gives each [V_kids] node its own id and keys nothing by a [V_here]'s.
+   Shared tables outlive explorations and stores, so ids come from one
+   process-wide counter: an id names one allocation, never two. *)
 let next_node_id = ref 0
+
+let fresh_id () =
+  let id = !next_node_id in
+  next_node_id := id + 1;
+  id
+
+let id_of = function V_none -> -1 | V_here (id, _) | V_kids (id, _) -> id
 
 (* Path counts never wrap: a sum of two counts clamps at [max_int]. *)
 let add_paths a b =
@@ -136,47 +148,89 @@ let rec find_pair n v = function
 let pair n v = find_pair n v n.pairs
 
 (* The store a shared table owns, which hash-conses what its
-   explorations return: each distinct violation value once, each
-   schedule as a trie node, each (violation, schedule) pair on its
-   node, and each distinct whole violation list once. *)
+   explorations build and return: each distinct violation value once,
+   as its one [V_here]; each distinct [V_kids] content once, keyed by
+   its (pid, kid id) pairs; each schedule as a trie node; each
+   (violation, schedule) pair on its node; and each root's flattened
+   list once. Equal content is then one id, so equal lists come from
+   one root id. *)
 type 'v store = {
+  first_id : int; (* every id below it was made before this store *)
   root : 'v tnode; (* the empty schedule *)
-  values : ('v, 'v) Hashtbl.t; (* structural: a violation -> its one interned value *)
-  lists : (int, ('v * int list) list) Hashtbl.t; (* length -> the distinct lists that long *)
+  values : ('v, 'v viols) Hashtbl.t; (* structural: a violation -> its one [V_here] *)
+  content : (int, 'v viols) Hashtbl.t; (* content hash -> the [V_kids] nodes with it *)
+  lists : (int, ('v * int list) list) Hashtbl.t; (* root id -> the list it flattened to *)
+  adopted : (int, 'v viols) Hashtbl.t; (* an earlier store's node id -> its node here *)
 }
 
 let new_store () =
   {
+    first_id = !next_node_id;
     root = { sched = []; kids = []; pairs = [] };
     values = Hashtbl.create 64;
+    content = Hashtbl.create 1024;
     lists = Hashtbl.create 64;
+    adopted = Hashtbl.create 64;
   }
 
 let intern_value st v =
   match Hashtbl.find_opt st.values v with
-  | Some w -> w
+  | Some h -> h
   | None ->
-    Hashtbl.add st.values v v;
-    v
+    let h = V_here (fresh_id (), v) in
+    Hashtbl.add st.values v h;
+    h
 
-(* A list whose pairs are interned equals an earlier one exactly when
-   its pairs are physically the earlier one's. *)
-let intern_list st = function
-  | [] -> []
-  | l -> (
-    let n = List.length l in
-    match List.find_opt (List.equal ( == ) l) (Hashtbl.find_all st.lists n) with
-    | Some earlier -> earlier
+let content_hash kids =
+  List.fold_left (fun h (pid, s) -> (((h * 65599) + pid) * 65599) + id_of s.s_violations) 0 kids
+
+let rec same_kids a b =
+  match (a, b) with
+  | [], [] -> true
+  | (p, s) :: a, (q, t) :: b ->
+    p = q && id_of s.s_violations = id_of t.s_violations && same_kids a b
+  | _ -> false
+
+(* The [V_kids] node of [kids], made once per content. *)
+let intern_node st kids =
+  let h = content_hash kids in
+  let equal = function V_kids (_, ks) -> same_kids kids ks | V_none | V_here _ -> false in
+  match List.find_opt equal (Hashtbl.find_all st.content h) with
+  | Some n -> n
+  | None ->
+    let n = V_kids (fresh_id (), kids) in
+    Hashtbl.add st.content h n;
+    n
+
+(* A summary a table kept across [drop_schedules] holds nodes an
+   earlier store made: their ids are below [st.first_id], as ids only
+   grow. A search that hits such a summary rebuilds its nodes in [st]
+   from their content, each once, so equal content stays one node of
+   [st] whatever the memo holds. *)
+let rec adopt st v =
+  match v with
+  | V_none -> v
+  | (V_here (id, _) | V_kids (id, _)) when id >= st.first_id -> v
+  | V_here (_, x) -> intern_value st x
+  | V_kids (id, kids) -> (
+    match Hashtbl.find_opt st.adopted id with
+    | Some n -> n
     | None ->
-      Hashtbl.add st.lists n l;
-      l)
+      let n = intern_node st (List.map (fun (pid, s) -> (pid, adopted st s)) kids) in
+      Hashtbl.add st.adopted id n;
+      n)
+
+and adopted st s =
+  let v = adopt st s.s_violations in
+  if v == s.s_violations then s else { s with s_violations = v }
 
 (* Where the result's schedules come from. A private exploration copies
    suffix lists; an exploration through a shared table interns into the
    table's store, so the results of every exploration through the table
-   share their values. Interning costs a trie step per violation at
-   every summary node the flatten passes, which pays only when other
-   explorations return the same schedules. *)
+   share their values. Interning costs a content lookup per violating
+   node the search builds and a trie step per violation at every
+   distinct node the flatten builds, which pays only when contents
+   repeat, within an exploration or across them. *)
 type 'v schedules = Copied | Interned of 'v store
 
 type 'v ctx = {
@@ -226,7 +280,7 @@ let out_of_budget cx kernel depth =
 let rec copied cache s =
   match s.s_violations with
   | V_none -> []
-  | V_here v -> [ (v, []) ]
+  | V_here (_, v) -> [ (v, []) ]
   | V_kids (id, kids) -> (
     match Hashtbl.find_opt cache id with
     | Some l -> l
@@ -253,7 +307,7 @@ let copied_from_root ~dedup root =
   let rec walk prefix s acc =
     match s.s_violations with
     | V_none -> acc
-    | V_here v -> (v, List.rev prefix) :: acc
+    | V_here (_, v) -> (v, List.rev prefix) :: acc
     | V_kids (id, kids) ->
       if dedup && Hashtbl.mem seen id then
         List.fold_left
@@ -268,12 +322,13 @@ let copied_from_root ~dedup root =
 
 (* A shared exploration's flatten, bottom-up: [copied]'s pairs with
    each suffix a trie node, as two arrays, which hold a node's
-   violations in 2 words each instead of a list's 6. Each [V_kids] node
-   is built once per exploration (its [cache]). *)
+   violations in 2 words each instead of a list's 6. Each distinct
+   [V_kids] content is built once per exploration (its [cache]); the
+   arrays die with the exploration. *)
 let rec nodes st cache s =
   match s.s_violations with
   | V_none -> ([||], [||])
-  | V_here v -> ([| v |], [| st.root |])
+  | V_here (_, v) -> ([| v |], [| st.root |])
   | V_kids (id, kids) -> (
     match Hashtbl.find_opt cache id with
     | Some l -> l
@@ -291,13 +346,23 @@ let rec nodes st cache s =
       Hashtbl.add cache id (vs, ns);
       (vs, ns))
 
-(* The result's violations: the root summary flattened once. *)
+(* The result's violations: the root summary flattened once, or
+   through a shared table the list an earlier root of equal content
+   returned. *)
 let violations cx root =
   match cx.schedules with
   | Copied -> copied_from_root ~dedup:(Option.is_some cx.memo) root
-  | Interned st ->
-    let vs, ns = nodes st (Hashtbl.create 64) root in
-    intern_list st (List.init (Array.length vs) (fun i -> pair ns.(i) vs.(i)))
+  | Interned st -> (
+    match root.s_violations with
+    | V_none -> []
+    | V_here (id, _) | V_kids (id, _) -> (
+      match Hashtbl.find_opt st.lists id with
+      | Some l -> l
+      | None ->
+        let vs, ns = nodes st (Hashtbl.create 64) root in
+        let l = List.init (Array.length vs) (fun i -> pair ns.(i) vs.(i)) in
+        Hashtbl.add st.lists id l;
+        l))
 
 (* A node's memo key is a fingerprint, [(a, b, bytes)] from
    [Kernel.fingerprint], or in paranoid mode the encoding string. A
@@ -361,7 +426,7 @@ let rec explore_state cx kernel depth =
       cx.stuck <- cx.stuck + s.s_stuck;
       cx.hits <- cx.hits + 1;
       note cx kernel depth `Dedup;
-      s
+      (match cx.schedules with Interned st -> adopted st s | Copied -> s)
     | Some _ | None -> (
       cx.visited <- cx.visited + 1;
       let legs = node_legs cx kernel in
@@ -372,7 +437,7 @@ let rec explore_state cx kernel depth =
           match cx.check kernel with
           | Some v -> (
             note cx kernel depth (`Violation "oracle check failed on a completed schedule");
-            match cx.schedules with Interned st -> V_here (intern_value st v) | Copied -> V_here v)
+            match cx.schedules with Interned st -> intern_value st v | Copied -> V_here (-1, v))
           | None -> V_none
         in
         let s = { s_paths = 1; s_violations = viols; s_stuck = 0 } in
@@ -419,10 +484,10 @@ let rec explore_state cx kernel depth =
         let viols =
           match !kids with
           | [] -> V_none
-          | kids ->
-            let id = !next_node_id in
-            next_node_id := id + 1;
-            V_kids (id, List.rev kids)
+          | kids -> (
+            match cx.schedules with
+            | Interned st -> intern_node st (List.rev kids)
+            | Copied -> V_kids (fresh_id (), List.rev kids))
         in
         let s = { s_paths = !paths; s_violations = viols; s_stuck = !stuck } in
         store cx fp key s;

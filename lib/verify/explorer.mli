@@ -46,19 +46,23 @@
     with states, not with violations × depth. The search itself emits
     nothing: the root's summary holds every violation the search met,
     memo hits included, and the result's [violations] is one bottom-up
-    flatten of it after the search, each summary node built once per
-    exploration. So deduplication changes cost, never results:
+    flatten of it after the search, each summary node's list built once
+    per exploration. So deduplication changes cost, never results:
     [paths], the violating schedules, and even their order are
     identical with [dedup] on or off — including under truncation.
 
-    An exploration through a [shared] table hash-conses what it
-    returns in a store the table owns: each violation value is
+    An exploration through a [shared] table hash-conses what it builds
+    and returns in a store the table owns. Each violation value is
     interned structurally (once per expanded violating terminal, before
-    its summary is stored), each schedule is a node of a suffix trie,
-    each (violation, schedule) pair is made once on its node, and a
-    violation list equal to one an earlier exploration through the
-    table returned is that earlier list. A campaign cell's results
-    therefore retain about two words per violation. A shared table's
+    its summary is stored), and each summary node's violations are made
+    once per content, as the search builds them, so a node's id names
+    its content: the flatten builds each distinct subtree once per
+    exploration, and a root whose content an earlier exploration
+    through the table flattened returns that exploration's list without
+    flattening. Each schedule is a node of a suffix trie and each
+    (violation, schedule) pair is made once on its node, so equal
+    violation lists from one store are one list, and a campaign cell's
+    results retain about two words per violation. A shared table's
     ['v] must be structurally comparable and hashable ([compare] and
     [Hashtbl.hash]: no functional values, no cycles); {!Oracle.violation}
     is. A private exploration copies its schedules instead, as nobody
@@ -138,8 +142,9 @@ type 'v result = {
     program share the table as they are; a key is comparable only
     under one baseline, so a table is emptied ({!clear_shared}) before
     it serves another. The table also owns the store its explorations
-    hash-cons their results in (violation values, the schedule trie,
-    pairs and whole lists; see above), kept until {!drop_schedules} or
+    hash-cons their summaries' violation nodes and their results in
+    (violation values, nodes by content, the schedule trie, pairs and
+    each root's list; see above), kept until {!drop_schedules} or
     {!clear_shared}. *)
 
 type 'v shared_memo
@@ -156,8 +161,11 @@ val drop_schedules : 'v shared_memo -> unit
 (** Drop the store (see [violations]) and keep the summaries. Results
     already returned keep their values; later explorations through the
     table intern into a fresh store, so their results share nothing
-    with earlier ones. {!Campaign.run} calls it when a cell returns, so
-    the table is O(states) again. *)
+    with earlier ones. Node ids stay unique across stores (one
+    process-wide counter), so a kept summary can never be taken for
+    another content in the fresh store: a search that hits one rebuilds
+    its nodes there from their content, once each. {!Campaign.run}
+    calls it when a cell returns, so the table is O(states) again. *)
 
 val shared_length : 'v shared_memo -> int
 (** Resident summaries. *)

@@ -16,10 +16,10 @@
       results retain at most 3/4 of the words per violation that the
       cold runs' results retain, whose schedules are copied per
       candidate (measured: 0.11 on ext-shadow at slots 2, whose equal
-      pairs and lists are one value, and 0.60 on rep5 at slots 3, whose
-      1,407 pairs are all distinct schedules; a shared table that
-      copied read 0.997 on ext-shadow, so "fewer" alone would pass
-      it).
+      pairs and lists are one value, 0.27 on rep3 and 0.23 on pal at
+      slots 2, and 0.60 on rep5 at slots 3, whose 1,407 pairs are all
+      distinct schedules; a shared table that copied read 0.997 on
+      ext-shadow, so "fewer" alone would pass it).
 
    Exit 0 on success, 1 on any mismatch. *)
 
