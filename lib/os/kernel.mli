@@ -80,7 +80,7 @@ val context_switches : t -> int
 (** {1 Observability}
 
     Every kernel owns a structured trace sink ({!Uldma_obs.Trace}) and
-    a machine id. [create] adopts the process-global ambient sink
+    a machine id. [create] takes the process-global ambient sink
     ([Trace.ambient ()]) — the (disabled) null sink unless an
     experiment driver installed one — and registers a fresh machine id
     on it. Forks made by [copy]/[snapshot] share the parent's sink and

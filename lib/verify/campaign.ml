@@ -14,22 +14,16 @@ type stats = {
   g_memo_evictions : int;
 }
 
-let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_instructions_per_leg = 2000)
-    ?(max_paths = 1_000_000) ?(dedup = true) ?(paranoid_memo = false)
-    ?(memo_cap = 1 lsl 20) ?shared ~check () =
+let run ~candidates ~pids ~baseline ?(jobs = 1) ?(max_paths = 1_000_000) ?shared ~check () =
   if jobs <> 1 then invalid_arg "Campaign.run: jobs must be 1";
-  let sm = match shared with Some sm -> sm | None -> Explorer.create_shared ~cap:memo_cap () in
+  let sm = match shared with Some sm -> sm | None -> Explorer.create_shared ~cap:(1 lsl 20) () in
   (* keys are comparable only under one baseline: the cell owns its table *)
   Explorer.clear_shared sm;
   let results =
     Array.map
-      (fun c ->
-        Explorer.explore ~root:c.c_root ~pids ~baseline ~max_instructions_per_leg ~max_paths
-          ~dedup ~paranoid_memo ~shared:sm ~check ())
+      (fun c -> Explorer.explore ~root:c.c_root ~pids ~baseline ~max_paths ~shared:sm ~check ())
       candidates
   in
-  (* the results keep their schedules' cells; the trie goes *)
-  Explorer.drop_schedules sm;
   let total f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let stats =
     {

@@ -27,8 +27,8 @@
     candidates' results are hash-consed in the table's store
     ({!Explorer.explore}): equal violations, schedules, (violation,
     schedule) pairs and whole violation lists are one value across the
-    cell, equal as values to cold copies. [run] drops the store when
-    the cell returns, leaving the table's summaries and the results.
+    cell, equal as values to a cold exploration's. The table keeps its
+    summaries and their store until it is emptied again.
 
     {2 Requirements}
 
@@ -59,20 +59,17 @@ val run :
   pids:int list ->
   baseline:Kernel.t ->
   ?jobs:int ->
-  ?max_instructions_per_leg:int ->
   ?max_paths:int ->
-  ?dedup:bool ->
-  ?paranoid_memo:bool ->
-  ?memo_cap:int ->
   ?shared:'v Explorer.shared_memo ->
   check:(Kernel.t -> 'v option) ->
   unit ->
   'v Explorer.result array * stats
 (** Explore every candidate in order; [results.(i)] belongs to
-    [candidates.(i)]. A fresh shared memo ([memo_cap] summaries,
-    default [2^20]) is created unless [shared] is passed; a passed
-    table is emptied on entry, so the cell owns it for the run, and its
-    schedule store is dropped on return ({!Explorer.drop_schedules}).
+    [candidates.(i)]. Each candidate is one {!Explorer.explore} with
+    its defaults (dedup on, fingerprint keys, 2000 instructions per
+    leg) and [max_paths] (default 1_000_000). A fresh shared memo of
+    [2^20] summaries is created unless [shared] is passed; a passed
+    table is emptied on entry, so the cell owns it for the run.
 
     [jobs] must be 1 (its default); any other value raises
     [Invalid_argument]. It is left from the multi-domain fan-out and

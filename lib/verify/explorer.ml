@@ -64,10 +64,10 @@ let advance_leg kernel leg ~max_instructions =
    memo hit's subtree included, so the result is one flatten of that
    DAG after the search, in DFS (pid-rank lexicographic) order — and
    dedup on/off produce the identical [paths] count, the identical
-   violation list, and even the identical order. Through a shared
-   table the search makes each violation node once per content in the
-   table's store, so the flatten builds each distinct subtree once per
-   exploration and a root whose content an earlier exploration
+   violation list, and even the identical order. The search makes each
+   violation node once per content in its table's store, so the
+   flatten builds each distinct subtree once per exploration and a
+   root whose content an earlier exploration through the table
    flattened returns that exploration's list; the flattened pairs are
    hash-consed in the store too, so equal schedules, pairs and whole
    lists are one value across the explorations that use the table.
@@ -92,22 +92,10 @@ type 'v summary = { s_paths : int; s_violations : 'v viols; s_stuck : int }
    words beyond children that already exist. *)
 and 'v viols =
   | V_none
-  | V_here of int * 'v (* this terminal violates: an id, then the violation *)
+  | V_here of int * 'v (* this terminal violates: its store id, then the violation *)
   | V_kids of int * (int * 'v summary) list
-      (* node id (the flatten cache's key), then the violating children
-         in leg order with the pid of the leg leading to each *)
-
-(* A shared table's store makes each distinct [V_here] and [V_kids]
-   content once, so there an id names a content; a private exploration
-   gives each [V_kids] node its own id and keys nothing by a [V_here]'s.
-   Shared tables outlive explorations and stores, so ids come from one
-   process-wide counter: an id names one allocation, never two. *)
-let next_node_id = ref 0
-
-let fresh_id () =
-  let id = !next_node_id in
-  next_node_id := id + 1;
-  id
+      (* store id, then the violating children in leg order with the
+         pid of the leg leading to each *)
 
 let id_of = function V_none -> -1 | V_here (id, _) | V_kids (id, _) -> id
 
@@ -147,37 +135,41 @@ let rec find_pair n v = function
 
 let pair n v = find_pair n v n.pairs
 
-(* The store a shared table owns, which hash-conses what its
-   explorations build and return: each distinct violation value once,
-   as its one [V_here]; each distinct [V_kids] content once, keyed by
-   its (pid, kid id) pairs; each schedule as a trie node; each
-   (violation, schedule) pair on its node; and each root's flattened
-   list once. Equal content is then one id, so equal lists come from
-   one root id. *)
+(* The store that hash-conses what a memo table's explorations build
+   and return: each distinct violation value once, as its one [V_here];
+   each distinct [V_kids] content once, keyed by its (pid, kid id)
+   pairs; each schedule as a trie node; each (violation, schedule) pair
+   on its node; and each root's flattened list once. A store lives and
+   dies with its table's summaries, so every id a summary holds names
+   one content of the table's store, and equal lists come from one
+   root id. *)
 type 'v store = {
-  first_id : int; (* every id below it was made before this store *)
   root : 'v tnode; (* the empty schedule *)
   values : ('v, 'v viols) Hashtbl.t; (* structural: a violation -> its one [V_here] *)
   content : (int, 'v viols) Hashtbl.t; (* content hash -> the [V_kids] nodes with it *)
   lists : (int, ('v * int list) list) Hashtbl.t; (* root id -> the list it flattened to *)
-  adopted : (int, 'v viols) Hashtbl.t; (* an earlier store's node id -> its node here *)
+  mutable next_id : int;
 }
 
 let new_store () =
   {
-    first_id = !next_node_id;
     root = { sched = []; kids = []; pairs = [] };
     values = Hashtbl.create 64;
-    content = Hashtbl.create 1024;
+    content = Hashtbl.create 64;
     lists = Hashtbl.create 64;
-    adopted = Hashtbl.create 64;
+    next_id = 0;
   }
+
+let fresh_id st =
+  let id = st.next_id in
+  st.next_id <- id + 1;
+  id
 
 let intern_value st v =
   match Hashtbl.find_opt st.values v with
   | Some h -> h
   | None ->
-    let h = V_here (fresh_id (), v) in
+    let h = V_here (fresh_id st, v) in
     Hashtbl.add st.values v h;
     h
 
@@ -198,40 +190,9 @@ let intern_node st kids =
   match List.find_opt equal (Hashtbl.find_all st.content h) with
   | Some n -> n
   | None ->
-    let n = V_kids (fresh_id (), kids) in
+    let n = V_kids (fresh_id st, kids) in
     Hashtbl.add st.content h n;
     n
-
-(* A summary a table kept across [drop_schedules] holds nodes an
-   earlier store made: their ids are below [st.first_id], as ids only
-   grow. A search that hits such a summary rebuilds its nodes in [st]
-   from their content, each once, so equal content stays one node of
-   [st] whatever the memo holds. *)
-let rec adopt st v =
-  match v with
-  | V_none -> v
-  | (V_here (id, _) | V_kids (id, _)) when id >= st.first_id -> v
-  | V_here (_, x) -> intern_value st x
-  | V_kids (id, kids) -> (
-    match Hashtbl.find_opt st.adopted id with
-    | Some n -> n
-    | None ->
-      let n = intern_node st (List.map (fun (pid, s) -> (pid, adopted st s)) kids) in
-      Hashtbl.add st.adopted id n;
-      n)
-
-and adopted st s =
-  let v = adopt st s.s_violations in
-  if v == s.s_violations then s else { s with s_violations = v }
-
-(* Where the result's schedules come from. A private exploration copies
-   suffix lists; an exploration through a shared table interns into the
-   table's store, so the results of every exploration through the table
-   share their values. Interning costs a content lookup per violating
-   node the search builds and a trie step per violation at every
-   distinct node the flatten builds, which pays only when contents
-   repeat, within an exploration or across them. *)
-type 'v schedules = Copied | Interned of 'v store
 
 type 'v ctx = {
   baseline : Kernel.t; (* encoding baseline: pages and programs shared with it are skipped *)
@@ -241,6 +202,7 @@ type 'v ctx = {
   paranoid : bool; (* memo keys are full encoding strings, not fingerprints *)
   check : Kernel.t -> 'v option;
   memo : 'v summary Memo.t option; (* [None]: dedup off *)
+  store : 'v store; (* the table's, which its summaries' ids name; used with dedup off too *)
   sink : Uldma_obs.Trace.t;
   machine : int;
   mutable used : int; (* terminals counted against [max_paths] *)
@@ -250,7 +212,6 @@ type 'v ctx = {
   mutable stuck : int;
   mutable snapshots : int; (* Kernel.snapshot calls (elided last legs don't count) *)
   mutable hash_bytes : int; (* bytes streamed into memo keys *)
-  schedules : 'v schedules;
 }
 
 let note cx kernel depth kind =
@@ -274,57 +235,11 @@ let out_of_budget cx kernel depth =
     true
   end
 
-(* A summary's violations as (violation, schedule suffix) pairs, in
-   discovery order. Each node's list is built at most once per cache,
-   so schedules through a node reached twice share their tails. *)
-let rec copied cache s =
-  match s.s_violations with
-  | V_none -> []
-  | V_here (_, v) -> [ (v, []) ]
-  | V_kids (id, kids) -> (
-    match Hashtbl.find_opt cache id with
-    | Some l -> l
-    | None ->
-      let l =
-        List.concat_map
-          (fun (pid, c) -> List.map (fun (v, sfx) -> (v, pid :: sfx)) (copied cache c))
-          kids
-      in
-      Hashtbl.add cache id l;
-      l)
-
-(* A private exploration's flatten walks the root top-down in the
-   search's own order, so the first reach of a [V_kids] node is its
-   expansion and a later one was a memo hit: a hit's suffix list is
-   built once ([copied]) and each prefix is copied onto it, and
-   elsewhere a violation's schedule is its reversed prefix. Building
-   every node's list bottom-up instead kept all of them alive until the
-   root was done: 126 cold slots-3 explores allocated 16 % more and
-   took 1.9 s instead of 1.2 s. A tree (dedup off) reaches each node
-   once, so nothing is tracked. *)
-let copied_from_root ~dedup root =
-  let cache = Hashtbl.create 64 and seen = Hashtbl.create 64 in
-  let rec walk prefix s acc =
-    match s.s_violations with
-    | V_none -> acc
-    | V_here (_, v) -> (v, List.rev prefix) :: acc
-    | V_kids (id, kids) ->
-      if dedup && Hashtbl.mem seen id then
-        List.fold_left
-          (fun acc (v, sfx) -> (v, List.rev_append prefix sfx) :: acc)
-          acc (copied cache s)
-      else begin
-        if dedup then Hashtbl.add seen id ();
-        List.fold_left (fun acc (pid, c) -> walk (pid :: prefix) c acc) acc kids
-      end
-  in
-  List.rev (walk [] root [])
-
-(* A shared exploration's flatten, bottom-up: [copied]'s pairs with
-   each suffix a trie node, as two arrays, which hold a node's
-   violations in 2 words each instead of a list's 6. Each distinct
-   [V_kids] content is built once per exploration (its [cache]); the
-   arrays die with the exploration. *)
+(* The flatten, bottom-up: a summary's violations in discovery order as
+   (violation, schedule suffix) pairs with each suffix a trie node, as
+   two arrays, which hold a node's violations in 2 words each instead
+   of a list's 6. Each distinct [V_kids] content is built once per
+   exploration (its [cache]); the arrays die with the exploration. *)
 let rec nodes st cache s =
   match s.s_violations with
   | V_none -> ([||], [||])
@@ -346,23 +261,19 @@ let rec nodes st cache s =
       Hashtbl.add cache id (vs, ns);
       (vs, ns))
 
-(* The result's violations: the root summary flattened once, or
-   through a shared table the list an earlier root of equal content
-   returned. *)
-let violations cx root =
-  match cx.schedules with
-  | Copied -> copied_from_root ~dedup:(Option.is_some cx.memo) root
-  | Interned st -> (
-    match root.s_violations with
-    | V_none -> []
-    | V_here (id, _) | V_kids (id, _) -> (
-      match Hashtbl.find_opt st.lists id with
-      | Some l -> l
-      | None ->
-        let vs, ns = nodes st (Hashtbl.create 64) root in
-        let l = List.init (Array.length vs) (fun i -> pair ns.(i) vs.(i)) in
-        Hashtbl.add st.lists id l;
-        l))
+(* The result's violations: the root summary flattened once, or the
+   list an earlier root of equal content returned. *)
+let violations st root =
+  match root.s_violations with
+  | V_none -> []
+  | V_here (id, _) | V_kids (id, _) -> (
+    match Hashtbl.find_opt st.lists id with
+    | Some l -> l
+    | None ->
+      let vs, ns = nodes st (Hashtbl.create 64) root in
+      let l = List.init (Array.length vs) (fun i -> pair ns.(i) vs.(i)) in
+      Hashtbl.add st.lists id l;
+      l)
 
 (* A node's memo key is a fingerprint, [(a, b, bytes)] from
    [Kernel.fingerprint], or in paranoid mode the encoding string. A
@@ -426,7 +337,7 @@ let rec explore_state cx kernel depth =
       cx.stuck <- cx.stuck + s.s_stuck;
       cx.hits <- cx.hits + 1;
       note cx kernel depth `Dedup;
-      (match cx.schedules with Interned st -> adopted st s | Copied -> s)
+      s
     | Some _ | None -> (
       cx.visited <- cx.visited + 1;
       let legs = node_legs cx kernel in
@@ -435,9 +346,9 @@ let rec explore_state cx kernel depth =
         cx.used <- add_paths cx.used 1;
         let viols =
           match cx.check kernel with
-          | Some v -> (
+          | Some v ->
             note cx kernel depth (`Violation "oracle check failed on a completed schedule");
-            match cx.schedules with Interned st -> intern_value st v | Copied -> V_here (-1, v))
+            intern_value cx.store v
           | None -> V_none
         in
         let s = { s_paths = 1; s_violations = viols; s_stuck = 0 } in
@@ -481,14 +392,7 @@ let rec explore_state cx kernel depth =
             end
         in
         expand legs;
-        let viols =
-          match !kids with
-          | [] -> V_none
-          | kids -> (
-            match cx.schedules with
-            | Interned st -> intern_node st (List.rev kids)
-            | Copied -> V_kids (fresh_id (), List.rev kids))
-        in
+        let viols = match !kids with [] -> V_none | kids -> intern_node cx.store (List.rev kids) in
         let s = { s_paths = !paths; s_violations = viols; s_stuck = !stuck } in
         store cx fp key s;
         s)
@@ -504,16 +408,16 @@ let default_memo_cap = 1 lsl 18
    key covers program text relative to the baseline, so sharing needs
    no decoration; a table is emptied when the baseline changes. *)
 
+(* The table owns its store: [clear_shared] empties both, so no
+   summary outlives the store its ids name. *)
 type 'v shared_memo = { memo : 'v summary Memo.t; mutable store : 'v store }
 
 let create_shared ?(cap = default_memo_cap) () =
   { memo = Memo.create ~shards:1 ~cap ~locked:false; store = new_store () }
 
-let drop_schedules sm = sm.store <- new_store ()
-
 let clear_shared sm =
   Memo.clear sm.memo;
-  drop_schedules sm
+  sm.store <- new_store ()
 
 let shared_length sm = Memo.length sm.memo
 let shared_evictions sm = Memo.evictions sm.memo
@@ -521,12 +425,9 @@ let shared_evictions sm = Memo.evictions sm.memo
 let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths = 1_000_000)
     ?(dedup = true) ?(paranoid_memo = false) ?(memo_cap = default_memo_cap) ?shared
     ~check () =
-  (* only explorations that share a table intern their schedules *)
-  let memo, schedules =
-    match shared with
-    | Some sm -> (sm.memo, Interned sm.store)
-    | None -> (Memo.create ~shards:1 ~cap:memo_cap ~locked:false, Copied)
-  in
+  (* a private exploration gets a table and a store of its own *)
+  let sm = match shared with Some sm -> sm | None -> create_shared ~cap:memo_cap () in
+  let memo = sm.memo in
   (* a pre-warmed shared table carries eviction history from earlier
      candidates; report only this run's evictions *)
   let evictions0 = Memo.evictions memo in
@@ -539,6 +440,7 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
       paranoid = paranoid_memo;
       check;
       memo = (if dedup then Some memo else None);
+      store = sm.store;
       sink = Kernel.trace root;
       machine = Kernel.machine_id root;
       used = 0;
@@ -550,13 +452,12 @@ let explore ~root ~pids ?baseline ?(max_instructions_per_leg = 2000) ?(max_paths
          because it is the dedup baseline *)
       snapshots = 1;
       hash_bytes = 0;
-      schedules;
     }
   in
   let summary = explore_state cx (Kernel.snapshot root) 0 in
   {
     paths = cx.used;
-    violations = violations cx summary;
+    violations = violations cx.store summary;
     truncated = cx.truncated;
     states_visited = cx.visited;
     dedup_hits = cx.hits;

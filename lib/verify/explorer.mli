@@ -51,26 +51,23 @@
     [paths], the violating schedules, and even their order are
     identical with [dedup] on or off — including under truncation.
 
-    An exploration through a [shared] table hash-conses what it builds
-    and returns in a store the table owns. Each violation value is
-    interned structurally (once per expanded violating terminal, before
-    its summary is stored), and each summary node's violations are made
-    once per content, as the search builds them, so a node's id names
-    its content: the flatten builds each distinct subtree once per
+    Every exploration hash-conses what it builds and returns in the
+    store of its memo table: a private exploration's own, or the one a
+    [shared] table owns. Each violation value is interned structurally
+    (once per expanded violating terminal, before its summary is
+    stored), and each summary node's violations are made once per
+    content, as the search builds them, so a node's id names its
+    content: the flatten builds each distinct subtree once per
     exploration, and a root whose content an earlier exploration
     through the table flattened returns that exploration's list without
     flattening. Each schedule is a node of a suffix trie and each
-    (violation, schedule) pair is made once on its node, so equal
-    violation lists from one store are one list, and a campaign cell's
-    results retain about two words per violation. A shared table's
-    ['v] must be structurally comparable and hashable ([compare] and
-    [Hashtbl.hash]: no functional values, no cycles); {!Oracle.violation}
-    is. A private exploration copies its schedules instead, as nobody
-    else would share its values: its flatten walks the root top-down
-    in the search's order, copying each memo hit's prefix onto the
-    hit's suffix list (built once), so schedules through one hit share
-    their tails. Interning changes which cells are shared,
-    never a value. One caveat: a memo hit reuses the ['v] value
+    (violation, schedule) pair is made once on its node, so schedules
+    share their tails, equal violation lists from one store are one
+    list, and a campaign cell's results retain about two words per
+    violation. ['v] must therefore be structurally comparable and
+    hashable ([compare] and [Hashtbl.hash]: no functional values, no
+    cycles); {!Oracle.violation} is. Interning changes which cells are
+    shared, never a value. One caveat: a memo hit reuses the ['v] value
     computed on the first-discovered prefix, so payload fields outside
     the dedup abstraction — simulated timestamps, chiefly — may differ
     from what a brute-force run would compute for the same schedule.
@@ -144,8 +141,8 @@ type 'v result = {
     it serves another. The table also owns the store its explorations
     hash-cons their summaries' violation nodes and their results in
     (violation values, nodes by content, the schedule trie, pairs and
-    each root's list; see above), kept until {!drop_schedules} or
-    {!clear_shared}. *)
+    each root's list; see above). The store lives exactly as long as
+    the summaries whose ids it names: {!clear_shared} empties both. *)
 
 type 'v shared_memo
 
@@ -154,18 +151,9 @@ val create_shared : ?cap:int -> unit -> 'v shared_memo
     summaries (default: the explore default). *)
 
 val clear_shared : 'v shared_memo -> unit
-(** Drop every summary and the schedule store. Call between campaign
-    cells (baseline or backend change), not while an [explore] runs. *)
-
-val drop_schedules : 'v shared_memo -> unit
-(** Drop the store (see [violations]) and keep the summaries. Results
-    already returned keep their values; later explorations through the
-    table intern into a fresh store, so their results share nothing
-    with earlier ones. Node ids stay unique across stores (one
-    process-wide counter), so a kept summary can never be taken for
-    another content in the fresh store: a search that hits one rebuilds
-    its nodes there from their content, once each. {!Campaign.run}
-    calls it when a cell returns, so the table is O(states) again. *)
+(** Drop every summary and the store with them. Call between campaign
+    cells (baseline or backend change), not while an [explore] runs.
+    Results already returned keep their values. *)
 
 val shared_length : 'v shared_memo -> int
 (** Resident summaries. *)
@@ -202,7 +190,8 @@ val explore :
     that uses it runs.
 
     [shared] routes all memo traffic through a cross-exploration table
-    instead of a private one (see above); [memo_cap] is then ignored. *)
+    and its store instead of private ones (see above); [memo_cap] is
+    then ignored. *)
 
 type verdict =
   | Safe  (** complete, and no schedule violates *)

@@ -267,7 +267,7 @@ val transfer_size : int
 
 val make_kernel : ?net:Uldma_net.Backend.t -> Uldma_dma.Engine.mechanism -> Uldma_os.Kernel.t
 (** A 64-page machine with round-robin scheduling and the given
-    protection mechanism / net backend. It adopts the ambient trace
+    protection mechanism / net backend. It takes the ambient trace
     sink like every [Kernel.create]. *)
 
 type victim

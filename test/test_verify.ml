@@ -1790,11 +1790,10 @@ module Campaign = Uldma_verify.Campaign
    programs of one base, explored in turn through one table (each
    warmed by the ones before it), each give their cold private result —
    identical path counts and violation lists — under one path budget
-   or none. The schedule store is dropped before candidate [drop], so
-   later candidates hit summaries an earlier store built. Results that
-   are structurally equal and came from one store are one list. The
-   first failure is returned as a message. *)
-let shared_vs_cold_case (subject, progs, drop, max_paths) =
+   or none. Results that are structurally equal came from the table's
+   one store, so they are one list. The first failure is returned as a
+   message. *)
+let shared_vs_cold_case (subject, progs, max_paths) =
   let base = Synth.make_base subject in
   let s = Synth.base_scenario base in
   let pids = Scenario.explore_pids s in
@@ -1810,25 +1809,21 @@ let shared_vs_cold_case (subject, progs, drop, max_paths) =
   in
   let sm = Explorer.create_shared () in
   let shared =
-    List.mapi
-      (fun i (c : _ Campaign.candidate) ->
-        if i = drop then Explorer.drop_schedules sm;
-        let r =
-          Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm ?max_paths ~check ()
-        in
-        (i >= drop, r))
+    List.map
+      (fun (c : _ Campaign.candidate) ->
+        Explorer.explore ~root:c.Campaign.c_root ~pids ~baseline ~shared:sm ?max_paths ~check ())
       cands
   in
   let failure = ref None in
   let fail fmt = Printf.ksprintf (fun m -> if !failure = None then failure := Some m) fmt in
   List.iteri
-    (fun i ((store, (r : _ Explorer.result)), c) ->
+    (fun i ((r : _ Explorer.result), c) ->
       if Synth.result_facts r <> Synth.result_facts c then
         fail "candidate %d: shared differs from cold" i;
       List.iteri
-        (fun j (store', (r' : _ Explorer.result)) ->
+        (fun j (r' : _ Explorer.result) ->
           if
-            j < i && store = store'
+            j < i
             && r.Explorer.violations != r'.Explorer.violations
             && r.Explorer.violations = r'.Explorer.violations
           then fail "candidates %d and %d: equal lists are two copies" j i)
@@ -1836,10 +1831,9 @@ let shared_vs_cold_case (subject, progs, drop, max_paths) =
     (List.combine shared cold);
   !failure
 
-let print_case (subject, progs, drop, max_paths) =
-  Printf.sprintf "%s: %s, store dropped before #%d, max_paths %s" (Synth.subject_label subject)
+let print_case (subject, progs, max_paths) =
+  Printf.sprintf "%s: %s, max_paths %s" (Synth.subject_label subject)
     (String.concat " / " (List.map Synth.mnemonic progs))
-    drop
     (match max_paths with Some b -> string_of_int b | None -> "default")
 
 (* Random cases: programs are drawn from the raw (not canonicalised)
@@ -1861,11 +1855,7 @@ let campaign_shared_vs_cold =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"campaign: shared-memo vs cold equivalence" ~count:12 ~print:print_case
        QCheck2.Gen.(
-         map
-           (fun (subject, progs, drop, max_paths) ->
-             (subject, progs, 1 + ((drop - 1) mod (List.length progs - 1)), max_paths))
-           (quad (oneofl subjects) (list_size (int_range 2 5) gen_ops) (int_range 1 4)
-              (opt (int_range 1 3000))))
+         triple (oneofl subjects) (list_size (int_range 2 5) gen_ops) (opt (int_range 1 3000)))
        (fun case ->
          match shared_vs_cold_case case with
          | None -> true
@@ -1873,10 +1863,9 @@ let campaign_shared_vs_cold =
 
 (* Fixed cases, each the shrunk counterexample of the random property
    against one wrong store: root lists reused by length (pal, budget
-   1: equal lengths, different schedules), a kept summary used in a
-   fresh store without rebuilding its nodes (ext-shadow: two equal
-   lists, two copies), and ids restarted with each store (rep3: a kept
-   node taken for another content). *)
+   1: equal lengths, different schedules), equal lists from one store
+   made twice (ext-shadow: two equal lists, two copies), and a node
+   taken for another content (rep3, clipped at 2362 paths). *)
 let test_shared_vs_cold_cases () =
   List.iter
     (fun case ->
@@ -1885,9 +1874,9 @@ let test_shared_vs_cold_cases () =
       | Some m -> Alcotest.failf "%s: %s" (print_case case) m)
     Synth.
       [
-        (Pal, [ [ L 0 ]; [ L 0; L 0 ]; [ L 0 ] ], 1, Some 1);
-        (Ext, [ [ L 0 ]; [ L 0 ]; [ L 0 ]; [ S 0 ] ], 1, None);
-        (Rep Seq_matcher.Three, [ [ L 0 ]; [ L 0 ] ], 1, Some 2362);
+        (Pal, [ [ L 0 ]; [ L 0; L 0 ]; [ L 0 ] ], Some 1);
+        (Ext, [ [ L 0 ]; [ L 0 ]; [ L 0 ]; [ S 0 ] ], None);
+        (Rep Seq_matcher.Three, [ [ L 0 ]; [ L 0 ] ], Some 2362);
       ]
 
 (* The slots-2 family of [subject] through Campaign.run on table [sm]. *)
@@ -2018,9 +2007,7 @@ let test_explorer_clipping_differential () =
    order, so one full brute-force run per candidate, with each
    violation tagged by its terminal's index, gives the clipped answer
    at every budget; real clipped brute-force runs check that reading
-   at a few budgets. The schedule store is dropped every 64 budgets,
-   as a campaign cell drops it when it returns, so it holds at most 64
-   budgets' lists at a time. *)
+   at a few budgets. *)
 let test_clipping_warm_ext_slots1 () =
   let base = Synth.make_base Synth.Ext in
   let s = Synth.base_scenario base in
@@ -2068,19 +2055,20 @@ let test_clipping_warm_ext_slots1 () =
         checkb (name "truncated") (b < total) r.Explorer.truncated;
         if canon_violations r <> canon (prefix full.(j) b) then
           Alcotest.failf "%s" (name "violations differ from the clipped plain DFS"))
-      cands;
-    if b mod 64 = 0 then Explorer.drop_schedules sm
+      cands
   done
 
-(* Violation storage is O(states): a summary references its violating
-   children instead of copying their schedules, so a violating cell's
-   memo costs a few words per resident summary. The ext-shadow slots-2
-   cell violates on every candidate (9240 violations for the longest);
-   summaries that copied every violating schedule below them would cost
-   over a thousand words per entry here. Its 864 summaries hold 14.90
-   words each, because terminal summaries share their value's one
-   [V_here] and summaries of equal violation content share one node;
-   each summary's own node made it 28.73. The bound is the measured
+(* Violation storage is O(states) in the summaries: a summary
+   references its violating children instead of copying their
+   schedules. The table keeps its store until it is emptied, so what it
+   holds beyond the results it returned is its summaries plus the
+   store: the violation nodes, one per content, and the schedule trie
+   with each node's kids and pairs, which grows with the distinct
+   schedules. The ext-shadow slots-2 cell violates on every candidate
+   (9240 violations for the longest, 11,760 distinct pairs); its 864
+   summaries and their store hold 298.24 words per summary beyond the
+   results. Summaries that copied every violating schedule below them
+   cost over a thousand words per entry here. The bound is the measured
    value plus 10 %. *)
 let test_memo_words_per_entry () =
   let sm = Explorer.create_shared () in
@@ -2088,11 +2076,32 @@ let test_memo_words_per_entry () =
   checkb "every candidate violates" true
     (Array.for_all (fun r -> r.Explorer.violations <> []) results);
   let entries = Explorer.shared_length sm in
-  let per_entry = float_of_int (Obj.reachable_words (Obj.repr sm)) /. float_of_int entries in
-  let limit = 16.4 in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let per_entry = float_of_int (words (sm, results) - words results) /. float_of_int entries in
+  let limit = 328.1 in
   if per_entry > limit then
-    Alcotest.failf "shared memo holds %.2f words per entry over %d entries (limit %.1f)" per_entry
-      entries limit
+    Alcotest.failf
+      "shared memo holds %.2f words per entry beyond its results over %d entries (limit %.1f)"
+      per_entry entries limit
+
+(* A private exploration interns into a store of its own, so its
+   schedules share their tails through the store's trie whether or not
+   it deduplicates. The rep5-3 tree's 1,407 violations retain 19.04
+   words each with dedup on and 19.58 with it off (31.77 and 55.03
+   when a private exploration copied its schedules). The bound is the
+   measured value plus 10 %. *)
+let test_private_schedule_tails () =
+  List.iter
+    (fun (dedup, limit) ->
+      let r = explore_with ~dedup (fun () -> Scenario.rep5_contested3 ()) in
+      let count = List.length r.Explorer.violations in
+      let per_violation =
+        float_of_int (Obj.reachable_words (Obj.repr r.Explorer.violations)) /. float_of_int count
+      in
+      if per_violation > limit then
+        Alcotest.failf "dedup %b: %d violations retain %.2f words each (limit %.2f)" dedup count
+          per_violation limit)
+    [ (true, 20.94); (false, 21.54) ]
 
 (* A shared table hash-conses what its explorations return: equal
    schedules, (violation, schedule) pairs and whole lists are one value
@@ -2732,6 +2741,7 @@ let () =
           Alcotest.test_case "clipping through a warm table, ext slots-1" `Slow
             test_clipping_warm_ext_slots1;
           Alcotest.test_case "violating memo words per entry" `Quick test_memo_words_per_entry;
+          Alcotest.test_case "private schedules share tails" `Quick test_private_schedule_tails;
           Alcotest.test_case "shared pairs are one value" `Quick test_shared_pairs_physical;
           Alcotest.test_case "shared schedule words per violation" `Quick
             test_shared_schedule_words;

@@ -12,14 +12,16 @@
    3. sharing actually shares — the shared run expands no more states
       than the cold runs did in aggregate, and strictly fewer when the
       family has more than a handful of candidates;
-   4. schedules are shared — when the family violates, the shared run's
-      results retain at most 3/4 of the words per violation that the
-      cold runs' results retain, whose schedules are copied per
-      candidate (measured: 0.11 on ext-shadow at slots 2, whose equal
-      pairs and lists are one value, 0.27 on rep3 and 0.23 on pal at
-      slots 2, and 0.60 on rep5 at slots 3, whose 1,407 pairs are all
-      distinct schedules; a shared table that copied read 0.997 on
-      ext-shadow, so "fewer" alone would pass it).
+   4. schedules are shared — where at least two candidates violate,
+      the shared run's results retain at most 3/4 of the words per
+      violation that the cold runs' results retain, as the cold runs
+      share nothing across candidates (measured: 0.13 on ext-shadow at
+      slots 2, whose equal pairs and lists are one value, 0.45 on rep3
+      and 0.34 on pal at slots 2; a shared table that gave each
+      exploration a fresh store read 1.00 on all three, so "fewer"
+      alone would pass it). Where exactly one candidate violates (rep5
+      at slots 3), nothing is there to share across candidates, and the
+      shared run's results must retain exactly the cold run's words.
 
    Exit 0 on success, 1 on any mismatch. *)
 
@@ -145,11 +147,23 @@ let () =
   in
   let violations, cold_words = per_violation cold_results in
   let _, shared_words = per_violation shared1.Synth.cr_results in
-  if violations > 0 && shared_words > 0.75 *. cold_words then begin
+  let violating =
+    Array.fold_left
+      (fun n (r : _ Explorer.result) -> if r.Explorer.violations <> [] then n + 1 else n)
+      0 cold_results
+  in
+  if violating >= 2 && shared_words > 0.75 *. cold_words then begin
     fail := true;
     Printf.eprintf
       "REGRESSION: shared results retain %.2f words per violation, over 3/4 of cold's %.2f (%d \
        violations)\n%!"
+      shared_words cold_words violations
+  end;
+  if violating = 1 && shared_words <> cold_words then begin
+    fail := true;
+    Printf.eprintf
+      "REGRESSION: one candidate violates, yet shared results retain %.2f words per violation \
+       and cold %.2f (%d violations)\n%!"
       shared_words cold_words violations
   end;
   if !verbose || !fail then
